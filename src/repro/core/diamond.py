@@ -44,6 +44,13 @@ from repro.graph.static_index import StaticFollowerIndex
 _MISSING = object()
 
 
+def _absent(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mask of *values* not in the sorted, non-empty *members* (one
+    binary-search probe per value; no sort of the concatenation)."""
+    positions = np.minimum(np.searchsorted(members, values), len(members) - 1)
+    return members[positions] != values
+
+
 @dataclass
 class DiamondStats:
     """Counters the detector maintains for observability."""
@@ -376,22 +383,14 @@ class DiamondDetector:
                 target_followers = static_follower_array(target)
                 follower_arrays[target] = target_followers
             if target_followers is not None:
-                positions = np.minimum(
-                    np.searchsorted(target_followers, recipients),
-                    len(target_followers) - 1,
-                )
-                recipients = recipients[target_followers[positions] != recipients]
+                recipients = recipients[_absent(recipients, target_followers)]
             # C's newest followers themselves (their follow edge is in D,
-            # not yet in S) are excluded too — one membership mask against
-            # the small fresh-source set.
+            # not yet in S) are excluded too — the same probe against the
+            # small (sorted) fresh-source set.
             if recipients.size and sources:
-                recipients = recipients[
-                    ~np.isin(
-                        recipients,
-                        np.fromiter(sources, dtype=np.int64, count=len(sources)),
-                        assume_unique=False,
-                    )
-                ]
+                fresh_sources = np.fromiter(sources, np.int64, len(sources))
+                fresh_sources.sort()
+                recipients = recipients[_absent(recipients, fresh_sources)]
         if params.exclude_candidate_recipient and recipients.size:
             recipients = recipients[recipients != target]
         if not recipients.size:

@@ -17,7 +17,10 @@ The *columnar* shapes keep that raw volume out of the Python object heap:
   per-candidate path would have produced, so any consumer that only wants
   boxed objects still gets them — but the hot path (the funnel's
   ``offer_batch``) consumes the flat columns and boxes only the final
-  survivors, the paper's millions rather than billions.
+  survivors, the paper's millions rather than billions;
+* :class:`FlatRecommendations` — one row per candidate in an arbitrary
+  (ranked) order: what the top-k flush releases, and the single currency
+  from there through the (sharded) funnel and into the serving cache.
 
 ``docs/ARCHITECTURE.md`` maps where these shapes sit in the end-to-end
 columnar path (detector -> engine -> broker -> push queue -> coalescer ->
@@ -221,7 +224,27 @@ class CandidateColumns:
         return CandidateColumns(self.recipients[mask], self.candidates[mask])
 
 
-class RecommendationBatch:
+class ColumnarRecommendations:
+    """What the columnar shapes share: a lazy boxed-sequence view.
+
+    Subclasses supply ``__len__`` and ``__iter__`` (boxing on demand) plus
+    the funnel's read surface — ``columns()``, ``ranking_columns()`` and
+    ``select(indices)``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ColumnarRecommendations, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def to_recommendations(self) -> list[Recommendation]:
+        """Materialize the full boxed candidate list (baselines, tests)."""
+        return list(self)
+
+
+class RecommendationBatch(ColumnarRecommendations):
     """A columnar candidate set: the native detection -> delivery currency.
 
     An ordered sequence of :class:`RecommendationGroup`s.  Iterating yields
@@ -327,9 +350,6 @@ class RecommendationBatch:
             total = self._total = sum(len(group) for group in self.groups)
         return total
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def __iter__(self) -> Iterator[Recommendation]:
         for group in self.groups:
             yield from group
@@ -344,15 +364,6 @@ class RecommendationBatch:
             raise IndexError(i)
         offset = int(self.offsets()[group_index])
         return self.groups[group_index].recommendation_at(i - offset)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (RecommendationBatch, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def to_recommendations(self) -> list[Recommendation]:
-        """Materialize the full boxed candidate list (baselines, tests)."""
-        return list(self)
 
     # ------------------------------------------------------------------
     # Columnar views
@@ -406,6 +417,28 @@ class RecommendationBatch:
             self._columns = columns
         return columns
 
+    def ranking_columns(self) -> tuple[np.ndarray, ...]:
+        """Flat ``(recipients, candidates, witnesses, created_at)`` columns.
+
+        What scoring needs, one entry per raw candidate: each group's
+        shared witness count and creation time repeat across its
+        recipients (two ``np.repeat`` calls, nothing per group).
+        """
+        groups = self.groups
+        n = len(groups)
+        sizes = np.fromiter((len(g) for g in groups), np.int64, n)
+        columns = self.columns()
+        return (
+            columns.recipients,
+            columns.candidates,
+            np.repeat(
+                np.fromiter((g.num_witnesses for g in groups), np.int64, n), sizes
+            ),
+            np.repeat(
+                np.fromiter((g.created_at for g in groups), np.float64, n), sizes
+            ),
+        )
+
     def select(self, indices: np.ndarray) -> list[Recommendation]:
         """Box only the candidates at the given ascending flat *indices*.
 
@@ -423,6 +456,120 @@ class RecommendationBatch:
         for flat_index, group_index in zip(indices.tolist(), group_ids.tolist()):
             group = groups[group_index]
             out.append(group.recommendation_at(flat_index - offsets_list[group_index]))
+        return out
+
+
+class FlatRecommendations(ColumnarRecommendations):
+    """Candidates as flat aligned columns, one row each, in any order.
+
+    The ranked flush's output shape: (recipient, -score, candidate) order
+    interleaves the detection groups, so instead of re-grouping, every row
+    carries its own ``recipients`` / ``candidates`` / ``created_at`` /
+    ``witnesses`` entry plus ``source_index``, the position in ``sources``
+    of the object holding its ``motif`` / ``action`` / ``via`` (the
+    emitting :class:`RecommendationGroup`, or the boxed
+    :class:`Recommendation` itself).  That metadata is read only for rows
+    that are finally boxed — iteration, or :meth:`select` on the funnel's
+    delivered survivors.  Treated as immutable; :meth:`take` shares
+    ``sources`` by reference.
+
+    >>> group = RecommendationGroup([7, 8], candidate=9, created_at=1.0, via=(5,))
+    >>> flat = FlatRecommendations(
+    ...     np.array([8, 7]), np.array([9, 9]), np.array([1.0, 1.0]),
+    ...     np.array([1, 1]), np.array([0, 0]), [group],
+    ... )
+    >>> [(rec.recipient, rec.via) for rec in flat]
+    [(8, (5,)), (7, (5,))]
+    >>> flat.take(np.array([1])).select(np.array([0]))[0].recipient
+    7
+    """
+
+    __slots__ = (
+        "recipients",
+        "candidates",
+        "created_at",
+        "witnesses",
+        "source_index",
+        "sources",
+    )
+
+    def __init__(
+        self,
+        recipients: np.ndarray,
+        candidates: np.ndarray,
+        created_at: np.ndarray,
+        witnesses: np.ndarray,
+        source_index: np.ndarray,
+        sources: Sequence[RecommendationGroup | Recommendation],
+    ) -> None:
+        self.recipients = recipients
+        self.candidates = candidates
+        self.created_at = created_at
+        self.witnesses = witnesses
+        self.source_index = source_index
+        self.sources = sources
+
+    @classmethod
+    def from_boxed(
+        cls, recommendations: Iterable[Recommendation]
+    ) -> "FlatRecommendations":
+        """Column a boxed candidate sequence; each row is its own source."""
+        recs = list(recommendations)
+        n = len(recs)
+        return cls(
+            np.fromiter((r.recipient for r in recs), np.int64, n),
+            np.fromiter((r.candidate for r in recs), np.int64, n),
+            np.fromiter((r.created_at for r in recs), np.float64, n),
+            np.fromiter((len(r.via) for r in recs), np.int64, n),
+            np.arange(n, dtype=np.int64),
+            recs,
+        )
+
+    def __len__(self) -> int:
+        return len(self.recipients)
+
+    def __iter__(self) -> Iterator[Recommendation]:
+        return iter(self.select(slice(None)))
+
+    def __getitem__(self, i: int) -> Recommendation:
+        return self.select(np.array([range(len(self))[i]]))[0]
+
+    def columns(self) -> CandidateColumns:
+        """The (recipients, candidates) funnel view."""
+        return CandidateColumns(self.recipients, self.candidates)
+
+    def ranking_columns(self) -> tuple[np.ndarray, ...]:
+        """``(recipients, candidates, witnesses, created_at)``, as held."""
+        return (self.recipients, self.candidates, self.witnesses, self.created_at)
+
+    def take(self, indices: np.ndarray) -> "FlatRecommendations":
+        """The rows at *indices*, in that order (one shard's slice)."""
+        return FlatRecommendations(
+            self.recipients[indices],
+            self.candidates[indices],
+            self.created_at[indices],
+            self.witnesses[indices],
+            self.source_index[indices],
+            self.sources,
+        )
+
+    def select(self, indices: np.ndarray | slice) -> list[Recommendation]:
+        """Box the rows at *indices* — the only place metadata is read."""
+        sources = self.sources
+        out: list[Recommendation] = []
+        for recipient, candidate, created_at, source in zip(
+            self.recipients[indices].tolist(),
+            self.candidates[indices].tolist(),
+            self.created_at[indices].tolist(),
+            self.source_index[indices].tolist(),
+        ):
+            meta = sources[source]
+            out.append(
+                Recommendation(
+                    recipient, candidate, created_at,
+                    meta.motif, meta.action, meta.via,
+                )
+            )
         return out
 
 

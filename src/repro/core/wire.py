@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.batch import ACTION_CODES, ACTIONS, EventBatch
 from repro.core.recommendation import (
     EMPTY_RECOMMENDATION_BATCH,
+    FlatRecommendations,
     RecommendationBatch,
     RecommendationGroup,
 )
@@ -69,14 +70,48 @@ def decode_event_batch(payload: EventBatchWire) -> EventBatch:
     return EventBatch(timestamps, actors, targets, actions, validate=False)
 
 
+def _encode_metadata(sources) -> tuple:
+    """Per-source ``(action_codes, motif_codes, motif_names, via_sizes,
+    via_values)`` for groups (or boxed recommendations).
+
+    Motif strings are interned per payload (``motif_names[motif_codes[i]]``);
+    ``via_values`` concatenates every witness column, sliced back apart
+    by ``via_sizes`` on decode.
+    """
+    n = len(sources)
+    action_codes = np.fromiter(
+        (ACTION_CODES[g.action] for g in sources), np.uint8, n
+    )
+    motif_names: list[str] = []
+    motif_index: dict[str, int] = {}
+    motif_codes = np.empty(n, np.uint16)
+    via_sizes = np.empty(n, np.int64)
+    via_parts: list[np.ndarray] = []
+    for i, source in enumerate(sources):
+        motif = source.motif
+        code = motif_index.get(motif)
+        if code is None:
+            code = motif_index[motif] = len(motif_names)
+            motif_names.append(motif)
+        motif_codes[i] = code
+        # tuple or ndarray; both convert without boxing
+        via = source._via if type(source) is RecommendationGroup else source.via
+        if type(via) is not np.ndarray:
+            via = np.asarray(via, dtype=np.int64)
+        via_sizes[i] = len(via)
+        if len(via):
+            via_parts.append(via)
+    via_values = np.concatenate(via_parts) if via_parts else _EMPTY_INT64
+    return (action_codes, motif_codes, motif_names, via_sizes, via_values)
+
+
 def _encode_group_table(groups: list[RecommendationGroup]) -> GroupTableWire:
     """Flatten *groups* into parallel per-group columns.
 
     Layout: ``(sizes, recipients, candidates, created_at, action_codes,
     motif_codes, motif_names, via_sizes, via_values)`` where ``recipients``
-    (and ``via_values``) are the concatenation of every group's column in
-    order, sliced back apart by ``sizes`` (``via_sizes``) on decode.
-    Motif strings are interned per payload (``motif_names[motif_codes[i]]``).
+    is the concatenation of every group's column in order, sliced back
+    apart by ``sizes`` on decode; the last five are :func:`_encode_metadata`.
     """
     n = len(groups)
     sizes = np.fromiter((len(g) for g in groups), np.int64, n)
@@ -85,39 +120,7 @@ def _encode_group_table(groups: list[RecommendationGroup]) -> GroupTableWire:
     )
     candidates = np.fromiter((g.candidate for g in groups), np.int64, n)
     created_at = np.fromiter((g.created_at for g in groups), np.float64, n)
-    action_codes = np.fromiter(
-        (ACTION_CODES[g.action] for g in groups), np.uint8, n
-    )
-    motif_names: list[str] = []
-    motif_index: dict[str, int] = {}
-    motif_codes = np.empty(n, np.uint16)
-    via_sizes = np.empty(n, np.int64)
-    via_parts: list[np.ndarray] = []
-    for i, group in enumerate(groups):
-        motif = group.motif
-        code = motif_index.get(motif)
-        if code is None:
-            code = motif_index[motif] = len(motif_names)
-            motif_names.append(motif)
-        motif_codes[i] = code
-        via = group._via  # tuple or ndarray; both convert without boxing
-        if type(via) is not np.ndarray:
-            via = np.asarray(via, dtype=np.int64)
-        via_sizes[i] = len(via)
-        if len(via):
-            via_parts.append(via)
-    via_values = np.concatenate(via_parts) if via_parts else _EMPTY_INT64
-    return (
-        sizes,
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        motif_names,
-        via_sizes,
-        via_values,
-    )
+    return (sizes, recipients, candidates, created_at, *_encode_metadata(groups))
 
 
 def _decode_group_table(payload: GroupTableWire) -> list[RecommendationGroup]:
@@ -172,6 +175,41 @@ def decode_recommendation_batch(payload: GroupTableWire) -> RecommendationBatch:
     return RecommendationBatch(groups)
 
 
+def encode_flat_recommendations(flat: FlatRecommendations) -> tuple:
+    """Flat winners as their five row columns plus the sources' metadata.
+
+    ``(recipients, candidates, created_at, witnesses, source_index,
+    action_codes, motif_codes, motif_names, via_sizes, via_values)`` —
+    ten array pickles however many rows or sources.
+    """
+    return (
+        flat.recipients,
+        flat.candidates,
+        flat.created_at,
+        flat.witnesses,
+        flat.source_index,
+        *_encode_metadata(flat.sources),
+    )
+
+
+def decode_flat_recommendations(payload: tuple) -> FlatRecommendations:
+    """Invert :func:`encode_flat_recommendations`.
+
+    Sources come back as recipient-less groups (a group table with empty
+    recipient slices): only their ``motif`` / ``action`` / ``via`` are
+    ever read, and only for rows that get boxed.
+    """
+    *columns, action_codes, motif_codes, motif_names, via_sizes, via_values = (
+        payload
+    )
+    blank = np.zeros(len(action_codes), np.int64)
+    sources = _decode_group_table(
+        (blank, _EMPTY_INT64, blank, blank, action_codes, motif_codes,
+         motif_names, via_sizes, via_values)
+    )
+    return FlatRecommendations(*columns, sources)
+
+
 def encode_grouped(grouped: list[RecommendationBatch]) -> tuple:
     """A partition's per-event gather reply, positionally aligned.
 
@@ -213,6 +251,7 @@ FRAME_GROUPED = 3  #: reply: a partition's grouped batch answer
 FRAME_LOST = 4  #: reply: the partition lost the batch (all replicas down)
 FRAME_REC_BATCH = 5  #: request: one RecommendationBatch group table (+ now)
 FRAME_NOTIFICATIONS = 6  #: reply: delivered notifications + funnel stats
+FRAME_FLAT_RECS = 7  #: request: one FlatRecommendations (ranked winners, + now)
 
 #: Every dtype a frame column may carry; a column's descriptor stores its
 #: index here.  Order is wire format — append only.
@@ -357,33 +396,16 @@ def event_batch_from_frame(cols: list[np.ndarray]) -> EventBatch:
 
 
 def frame_grouped(mem: np.ndarray, payload: tuple, latency: float) -> int | None:
-    """An :func:`encode_grouped` reply as a frame (None on overflow)."""
-    counts, table = payload
-    (
-        sizes,
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        motif_names,
-        via_sizes,
-        via_values,
-    ) = table
+    """An :func:`encode_grouped` reply as a frame (None on overflow).
+
+    Every typed frame carries its payload's arrays as columns and the
+    interned motif names (third from last) as the one string blob.
+    """
+    counts, (*head, motif_names, via_sizes, via_values) = payload
     return write_frame(
         mem,
         FRAME_GROUPED,
-        cols=(
-            counts,
-            sizes,
-            recipients,
-            candidates,
-            created_at,
-            action_codes,
-            motif_codes,
-            via_sizes,
-            via_values,
-        ),
+        cols=(counts, *head, via_sizes, via_values),
         blobs=(_pack_strings(motif_names),),
         latency=latency,
     )
@@ -393,59 +415,19 @@ def grouped_payload_from_frame(
     cols: list[np.ndarray], blobs: list[bytes]
 ) -> tuple:
     """Invert :func:`frame_grouped` back to an :func:`encode_grouped` tuple."""
-    (
-        counts,
-        sizes,
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        via_sizes,
-        via_values,
-    ) = cols
-    table = (
-        sizes,
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        _unpack_strings(blobs[0]),
-        via_sizes,
-        via_values,
-    )
-    return (counts, table)
+    counts, *head, via_sizes, via_values = cols
+    return (counts, (*head, _unpack_strings(blobs[0]), via_sizes, via_values))
 
 
 def frame_recommendation_batch(
     mem: np.ndarray, payload: GroupTableWire, now: float
 ) -> int | None:
     """An encoded recommendation batch as a request frame."""
-    (
-        sizes,
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        motif_names,
-        via_sizes,
-        via_values,
-    ) = payload
+    *head, motif_names, via_sizes, via_values = payload
     return write_frame(
         mem,
         FRAME_REC_BATCH,
-        cols=(
-            sizes,
-            recipients,
-            candidates,
-            created_at,
-            action_codes,
-            motif_codes,
-            via_sizes,
-            via_values,
-        ),
+        cols=(*head, via_sizes, via_values),
         blobs=(_pack_strings(motif_names),),
         now=now,
     )
@@ -455,28 +437,33 @@ def recommendation_batch_from_frame(
     cols: list[np.ndarray], blobs: list[bytes]
 ) -> RecommendationBatch:
     """Invert :func:`frame_recommendation_batch`."""
-    (
-        sizes,
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        via_sizes,
-        via_values,
-    ) = cols
+    *head, via_sizes, via_values = cols
     return decode_recommendation_batch(
-        (
-            sizes,
-            recipients,
-            candidates,
-            created_at,
-            action_codes,
-            motif_codes,
-            _unpack_strings(blobs[0]),
-            via_sizes,
-            via_values,
-        )
+        (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
+    )
+
+
+def frame_flat_recommendations(
+    mem: np.ndarray, payload: tuple, now: float
+) -> int | None:
+    """An :func:`encode_flat_recommendations` payload as a request frame."""
+    *head, motif_names, via_sizes, via_values = payload
+    return write_frame(
+        mem,
+        FRAME_FLAT_RECS,
+        cols=(*head, via_sizes, via_values),
+        blobs=(_pack_strings(motif_names),),
+        now=now,
+    )
+
+
+def flat_recommendations_from_frame(
+    cols: list[np.ndarray], blobs: list[bytes]
+) -> FlatRecommendations:
+    """Invert :func:`frame_flat_recommendations`."""
+    *head, via_sizes, via_values = cols
+    return decode_flat_recommendations(
+        (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
     )
 
 
@@ -488,71 +475,24 @@ def frame_notifications(
 ) -> int | None:
     """Delivered push notifications + piggybacked funnel stats as a frame.
 
-    Every notification in one ``offer_batch`` reply shares its delivery
-    time (the funnel's ``now``), so ``delivered_at`` rides in the header
-    rather than a column.  ``stats`` is the shard's
+    The survivors travel as one :func:`encode_flat_recommendations`
+    payload.  Every notification in one ``offer_batch`` reply shares its
+    delivery time (the funnel's ``now``), so ``delivered_at`` rides in the
+    header rather than a column.  ``stats`` is the shard's
     ``(funnel stages, delivered_total)`` pair; the stage table travels as
     an interned key blob plus an ``int64`` count column, and
     ``delivered_total`` as the header's ``aux``.
     """
     stages, delivered_total = stats
-    n = len(notifications)
-    recipients = np.fromiter(
-        (p.recommendation.recipient for p in notifications), np.int64, n
-    )
-    candidates = np.fromiter(
-        (p.recommendation.candidate for p in notifications), np.int64, n
-    )
-    created_at = np.fromiter(
-        (p.recommendation.created_at for p in notifications), np.float64, n
-    )
-    action_codes = np.fromiter(
-        (ACTION_CODES[p.recommendation.action] for p in notifications),
-        np.uint8,
-        n,
-    )
-    motif_names: list[str] = []
-    motif_index: dict[str, int] = {}
-    motif_codes = np.empty(n, np.uint16)
-    via_sizes = np.empty(n, np.int64)
-    via_parts: list[tuple] = []
-    for i, notification in enumerate(notifications):
-        rec = notification.recommendation
-        code = motif_index.get(rec.motif)
-        if code is None:
-            code = motif_index[rec.motif] = len(motif_names)
-            motif_names.append(rec.motif)
-        motif_codes[i] = code
-        via_sizes[i] = len(rec.via)
-        if rec.via:
-            via_parts.append(rec.via)
-    via_values = (
-        np.fromiter(
-            (v for via in via_parts for v in via),
-            np.int64,
-            int(via_sizes.sum()),
-        )
-        if via_parts
-        else _EMPTY_INT64
+    *head, motif_names, via_sizes, via_values = encode_flat_recommendations(
+        FlatRecommendations.from_boxed(p.recommendation for p in notifications)
     )
     stage_counts = np.fromiter(stages.values(), np.int64, len(stages))
     return write_frame(
         mem,
         FRAME_NOTIFICATIONS,
-        cols=(
-            recipients,
-            candidates,
-            created_at,
-            action_codes,
-            motif_codes,
-            via_sizes,
-            via_values,
-            stage_counts,
-        ),
-        blobs=(
-            _pack_strings(motif_names),
-            _pack_strings(list(stages.keys())),
-        ),
+        cols=(*head, via_sizes, via_values, stage_counts),
+        blobs=(_pack_strings(motif_names), _pack_strings(list(stages))),
         now=delivered_at,
         aux=delivered_total,
     )
@@ -565,45 +505,17 @@ def notifications_from_frame(
     delivered_total: int,
 ) -> tuple[list, tuple[dict[str, int], int]]:
     """Invert :func:`frame_notifications`: boxed survivors + shard stats."""
-    from repro.core.recommendation import Recommendation
     from repro.delivery.notifier import PushNotification
 
-    (
-        recipients,
-        candidates,
-        created_at,
-        action_codes,
-        motif_codes,
-        via_sizes,
-        via_values,
-        stage_counts,
-    ) = cols
-    motif_names = _unpack_strings(blobs[0])
-    stage_keys = _unpack_strings(blobs[1])
-    notifications = []
-    via_offset = 0
-    via_list = via_values.tolist()
-    for recipient, candidate, created, action_code, motif_code, via_size in zip(
-        recipients.tolist(),
-        candidates.tolist(),
-        created_at.tolist(),
-        action_codes.tolist(),
-        motif_codes.tolist(),
-        via_sizes.tolist(),
-    ):
-        notifications.append(
-            PushNotification(
-                Recommendation(
-                    recipient=recipient,
-                    candidate=candidate,
-                    created_at=created,
-                    motif=motif_names[motif_code],
-                    action=ACTIONS[action_code],
-                    via=tuple(via_list[via_offset:via_offset + via_size]),
-                ),
-                delivered_at=delivered_at,
-            )
-        )
-        via_offset += via_size
-    stats = (dict(zip(stage_keys, stage_counts.tolist())), delivered_total)
+    *head, via_sizes, via_values, stage_counts = cols
+    survivors = decode_flat_recommendations(
+        (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
+    )
+    notifications = [
+        PushNotification(rec, delivered_at=delivered_at) for rec in survivors
+    ]
+    stats = (
+        dict(zip(_unpack_strings(blobs[1]), stage_counts.tolist())),
+        delivered_total,
+    )
     return notifications, stats

@@ -7,8 +7,9 @@ first).  A :class:`~repro.sim.metrics.FunnelCounter` tracks survivors per
 stage so the billions-to-millions reduction is directly observable.
 
 ``offer_batch`` is the columnar twin: a whole
-:class:`~repro.core.recommendation.RecommendationBatch` enters as flat
-(recipient, candidate) columns, each stage answers with one boolean mask
+:class:`~repro.core.recommendation.RecommendationBatch` (or a ranked
+flush's :class:`~repro.core.recommendation.FlatRecommendations`) enters as
+flat (recipient, candidate) columns, each stage answers with one boolean mask
 (``allow_mask``), and the masks AND together *with short-circuit ordering
 preserved* — a stage only ever sees (and only ever updates state for) the
 candidates every earlier stage passed, so per-stage funnel counts and all
@@ -19,14 +20,14 @@ the paper's millions materialize, the billions never do.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.recommendation import (
     CandidateColumns,
+    ColumnarRecommendations,
     Recommendation,
-    RecommendationBatch,
 )
 from repro.delivery.dedup import DedupFilter
 from repro.delivery.fatigue import FatigueFilter
@@ -126,18 +127,36 @@ class DeliveryPipeline:
         return self.notifier.deliver(rec, now)
 
     def offer_all(
-        self, recs: list[Recommendation], now: float
+        self, recs: Iterable[Recommendation], now: float
     ) -> list[PushNotification]:
-        """Offer a batch arriving at the same time; returns deliveries."""
-        delivered = []
-        for rec in recs:
-            notification = self.offer(rec, now)
-            if notification is not None:
-                delivered.append(notification)
-        return delivered
+        """Offer candidates arriving at the same time; returns deliveries.
+
+        A ranked flush's columnar winners go through :meth:`offer_batch`
+        unboxed; a boxed list takes the per-candidate loop (the reference
+        lane the equivalence suites compare against).
+
+        >>> from repro.delivery.scoring import TopKPerUserBuffer
+        >>> ranker = TopKPerUserBuffer(k=1)
+        >>> ranker.offer(Recommendation(1, 10, 0.0, via=(5,)))
+        >>> ranker.offer(Recommendation(1, 11, 0.0, via=(5, 6)))
+        >>> pipeline = DeliveryPipeline(filters=[DedupFilter(window=60.0)])
+        >>> [n.recommendation.candidate
+        ...  for n in pipeline.offer_all(ranker.flush(now=0.0), now=0.0)]
+        [11]
+        """
+        if isinstance(recs, ColumnarRecommendations):
+            return self.offer_batch(recs, now)
+        return self._offer_each(recs, now)
+
+    def _offer_each(
+        self, recs: Iterable[Recommendation], now: float
+    ) -> list[PushNotification]:
+        """The per-candidate loop: :meth:`offer` for each, in order."""
+        offered = (self.offer(rec, now) for rec in recs)
+        return [pushed for pushed in offered if pushed is not None]
 
     def offer_batch(
-        self, batch: RecommendationBatch, now: float
+        self, batch: ColumnarRecommendations, now: float
     ) -> list[PushNotification]:
         """Run a columnar candidate batch through the funnel, stage by stage.
 
@@ -158,7 +177,7 @@ class DeliveryPipeline:
             getattr(stage, "allow_mask", None) for stage in self.filters
         ]
         if any(mask is None for mask in stage_masks):
-            return self.offer_all(list(batch), now)
+            return self._offer_each(batch, now)
         funnel = self.funnel
         funnel.count("raw", n)
         columns: CandidateColumns = batch.columns()

@@ -12,16 +12,18 @@ diamond candidate combines:
 short window and releases only each user's top-k, which is how a ranked
 delivery stage slots between detection and the fatigue filter.
 
-The buffer is *columnar*: offers accumulate as flat numpy columns
-(recipient, candidate, witnesses, created_at) — one appended chunk per
-:class:`~repro.core.recommendation.RecommendationGroup` on the batched
-path, so a viral trigger's whole audience lands as one array reference —
-and :meth:`~TopKPerUserBuffer.flush` computes every user's top-k with a
-handful of vectorized passes (lexsort over recipient-grouped segments,
-with a per-segment argpartition pre-cut once the buffer outgrows
-:data:`PRECUT_THRESHOLD`), boxing only the flushed winners.  Semantics are identical to the
-per-candidate reference path (``tests/test_delivery_scoring.py`` enforces
-winners, tie-breaking, and flush order with Hypothesis).
+The buffer is *columnar*: offers accumulate as
+:class:`~repro.core.recommendation.RecommendationGroup` chunks — a viral
+trigger's whole audience lands as one array reference, a boxed offer as a
+one-recipient group — and :meth:`~TopKPerUserBuffer.flush` computes every
+user's top-k with a handful of vectorized passes (lexsort over
+recipient-grouped segments, with a per-segment argpartition pre-cut once
+the buffer outgrows :data:`PRECUT_THRESHOLD`) and releases the winners as
+:class:`~repro.core.recommendation.FlatRecommendations` columns: nothing
+is boxed here, and downstream only the funnel's delivered survivors ever
+are.  Semantics are identical to the per-candidate reference path
+(``tests/test_delivery_scoring.py`` and ``tests/test_flat_winners.py``
+enforce winners, tie-breaking, and flush order with Hypothesis).
 
 >>> from repro.core.recommendation import RecommendationBatch, RecommendationGroup
 >>> buffer = TopKPerUserBuffer(k=1)
@@ -29,8 +31,11 @@ winners, tie-breaking, and flush order with Hypothesis).
 ...     RecommendationGroup([1, 2], candidate=10, created_at=0.0, via=(5,)),
 ...     RecommendationGroup([1], candidate=11, created_at=0.0, via=(5, 6)),
 ... ]))
->>> [(rec.recipient, rec.candidate) for rec in buffer.flush(now=0.0)]
-[(1, 11), (2, 10)]
+>>> released = buffer.flush(now=0.0)
+>>> released.recipients.tolist(), released.candidates.tolist()
+([1, 2], [11, 10])
+>>> [(rec.recipient, rec.candidate, rec.via) for rec in released]
+[(1, 11, (5, 6)), (2, 10, (5,))]
 """
 
 from __future__ import annotations
@@ -38,15 +43,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recommendation import (
+    FlatRecommendations,
     Recommendation,
     RecommendationBatch,
     RecommendationGroup,
 )
 from repro.util.validation import require_positive
-
-#: A buffered run of individually-offered (already boxed) candidates, or
-#: one columnar detection group — the two chunk shapes the buffer holds.
-_Chunk = RecommendationGroup | list
 
 #: Buffers below this many deduped rows flush with the pure ranking
 #: lexsort; at or above it each recipient segment is first cut down to
@@ -105,8 +107,8 @@ class TopKPerUserBuffer:
     not crowd out distinct candidates.
 
     Offers are O(1) appends — a whole detection group lands as one chunk,
-    a scalar offer as one list append — and all selection work happens in
-    :meth:`flush`, vectorized over the accumulated columns.
+    a scalar offer as a one-recipient group — and all selection work
+    happens in :meth:`flush`, vectorized over the accumulated columns.
     """
 
     def __init__(
@@ -127,20 +129,23 @@ class TopKPerUserBuffer:
         self.k = k
         self.half_life = half_life
         self.precut_threshold = precut_threshold
-        #: Offer-ordered chunks: RecommendationGroup | list[Recommendation].
-        self._chunks: list[_Chunk] = []
-        self._buffered = 0
+        #: Offer-ordered, non-empty detection groups.
+        self._chunks: list[RecommendationGroup] = []
         self.offered = 0
 
     def offer(self, rec: Recommendation) -> None:
-        """Add one raw (boxed) candidate to the buffer."""
+        """Add one raw (boxed) candidate to the buffer (reference lane)."""
         self.offered += 1
-        self._buffered += 1
-        chunks = self._chunks
-        if chunks and type(chunks[-1]) is list:
-            chunks[-1].append(rec)
-        else:
-            chunks.append([rec])
+        self._chunks.append(
+            RecommendationGroup(
+                [rec.recipient],
+                rec.candidate,
+                rec.created_at,
+                motif=rec.motif,
+                action=rec.action,
+                via=rec.via,
+            )
+        )
 
     def offer_batch(self, batch: RecommendationBatch) -> None:
         """Offer every candidate of a columnar batch, in order.
@@ -150,72 +155,20 @@ class TopKPerUserBuffer:
         its shared metadata (candidate, witnesses, creation time) expands
         to columns only at :meth:`flush`.
         """
-        chunks = self._chunks
-        for group in batch.groups:
-            size = len(group)
-            self.offered += size
-            self._buffered += size
-            if size:
-                chunks.append(group)
-
-    def _gather(self) -> tuple[np.ndarray, ...]:
-        """Concatenate the buffered chunks into flat aligned columns.
-
-        Returns ``(recipients, candidates, witnesses, created_at,
-        chunk_starts)`` where ``chunk_starts[i]`` is chunk *i*'s offset in
-        the flat order (for mapping winners back to their source chunk).
-        """
-        recipient_parts: list[np.ndarray] = []
-        candidate_parts: list[np.ndarray] = []
-        witness_parts: list[np.ndarray] = []
-        created_parts: list[np.ndarray] = []
-        starts = np.empty(len(self._chunks), dtype=np.int64)
-        offset = 0
-        for i, chunk in enumerate(self._chunks):
-            starts[i] = offset
-            if type(chunk) is list:
-                size = len(chunk)
-                recipient_parts.append(
-                    np.fromiter((r.recipient for r in chunk), np.int64, size)
-                )
-                candidate_parts.append(
-                    np.fromiter((r.candidate for r in chunk), np.int64, size)
-                )
-                witness_parts.append(
-                    np.fromiter((len(r.via) for r in chunk), np.int64, size)
-                )
-                created_parts.append(
-                    np.fromiter((r.created_at for r in chunk), np.float64, size)
-                )
-            else:
-                size = len(chunk)
-                recipient_parts.append(chunk.recipients)
-                candidate_parts.append(np.full(size, chunk.candidate, np.int64))
-                witness_parts.append(
-                    np.full(size, chunk.num_witnesses, np.int64)
-                )
-                created_parts.append(
-                    np.full(size, chunk.created_at, np.float64)
-                )
-            offset += size
-        return (
-            np.concatenate(recipient_parts),
-            np.concatenate(candidate_parts),
-            np.concatenate(witness_parts),
-            np.concatenate(created_parts),
-            starts,
-        )
+        self.offered += len(batch)
+        self._chunks.extend(group for group in batch.groups if len(group))
 
     def _kept_rows(self) -> tuple[np.ndarray, ...]:
         """Flat indices surviving the in-buffer (recipient, candidate)
-        dedup, plus their aligned id columns.
+        dedup, their aligned columns, and each chunk's flat start offset.
 
         The per-candidate rule — replace only on strictly more witnesses —
         keeps, for each pair, the *first* occurrence of its maximum
         witness count; a stable lexsort on (recipient, candidate,
         -witnesses) puts exactly that occurrence first in each pair's run.
         """
-        recipients, candidates, witnesses, created_at, starts = self._gather()
+        buffered = RecommendationBatch(self._chunks)
+        recipients, candidates, witnesses, created_at = buffered.ranking_columns()
         order = np.lexsort((-witnesses, candidates, recipients))
         sorted_recipients = recipients[order]
         sorted_candidates = candidates[order]
@@ -231,7 +184,7 @@ class TopKPerUserBuffer:
             sorted_candidates[first_in_pair],
             witnesses[kept],
             created_at[kept],
-            starts,
+            buffered.offsets(),
         )
 
     def _precut(
@@ -265,51 +218,63 @@ class TopKPerUserBuffer:
 
     def pending(self) -> int:
         """Distinct (recipient, candidate) pairs currently buffered."""
-        if not self._buffered:
+        if not self._chunks:
             return 0
         return len(self._kept_rows()[0])
 
-    def flush(self, now: float) -> list[Recommendation]:
+    def flush(self, now: float) -> FlatRecommendations:
         """Release each user's top-k by score; clears the buffers.
 
         Output is ordered by (recipient, descending score, candidate) so
         downstream filters see each user's best candidate first — the
         fatigue filter then spends the budget on the highest-scoring
-        ones.  Only the winners are boxed; everything below the cut stays
-        columnar and is dropped with the buffers.
+        ones.  The winners leave as flat aligned columns whose rows point
+        back at their emitting groups for ``via`` / ``motif`` / ``action``;
+        nothing is boxed here (iterating the result boxes lazily), and
+        everything below the cut is dropped with the buffers.
+
+        >>> buffer = TopKPerUserBuffer(k=1)
+        >>> buffer.offer(Recommendation(1, 10, 0.0, via=(5,)))
+        >>> buffer.offer(Recommendation(1, 11, 0.0, via=(5, 6)))
+        >>> released = buffer.flush(now=0.0)
+        >>> len(released), released.witnesses.tolist(), released[0].candidate
+        (1, [2], 11)
+        >>> buffer.flush(now=1.0) == []
+        True
         """
-        if not self._buffered:
-            self._chunks.clear()
-            return []
-        kept, kept_recipients, kept_candidates, kept_witnesses, kept_created, starts = (
+        chunks = self._chunks
+        if not chunks:
+            return FlatRecommendations.from_boxed(())
+        kept, recipients, candidates, witnesses, created_at, starts = (
             self._kept_rows()
         )
-        scores = decayed_scores(kept_witnesses, kept_created, now, self.half_life)
-        survivors = self._precut(kept_recipients, scores)
+        scores = decayed_scores(witnesses, created_at, now, self.half_life)
+        survivors = self._precut(recipients, scores)
         if survivors is not None:
-            kept = kept[survivors]
-            kept_recipients = kept_recipients[survivors]
-            kept_candidates = kept_candidates[survivors]
-            scores = scores[survivors]
-        ranking = np.lexsort((kept_candidates, -scores, kept_recipients))
-        ranked_recipients = kept_recipients[ranking]
+            kept, recipients, candidates, witnesses, created_at, scores = (
+                column[survivors]
+                for column in (
+                    kept, recipients, candidates, witnesses, created_at, scores
+                )
+            )
+        ranking = np.lexsort((candidates, -scores, recipients))
+        ranked_recipients = recipients[ranking]
         run_first = np.r_[True, ranked_recipients[1:] != ranked_recipients[:-1]]
         run_starts = np.flatnonzero(run_first)
         run_ids = np.cumsum(run_first) - 1
         rank_in_run = np.arange(len(ranking)) - run_starts[run_ids]
-        winners = kept[ranking[rank_in_run < self.k]]
-
-        chunks = self._chunks
-        chunk_ids = np.searchsorted(starts, winners, side="right") - 1
-        starts_list = starts.tolist()
-        released: list[Recommendation] = []
-        for flat, chunk_id in zip(winners.tolist(), chunk_ids.tolist()):
-            chunk = chunks[chunk_id]
-            row = flat - starts_list[chunk_id]
-            if type(chunk) is list:
-                released.append(chunk[row])
-            else:
-                released.append(chunk.recommendation_at(row))
+        winners = ranking[rank_in_run < self.k]
+        # Only the chunks that placed a winner travel on as sources.
+        used, source_index = np.unique(
+            np.searchsorted(starts, kept[winners], side="right") - 1,
+            return_inverse=True,
+        )
         self._chunks = []
-        self._buffered = 0
-        return released
+        return FlatRecommendations(
+            recipients[winners],
+            candidates[winners],
+            created_at[winners],
+            witnesses[winners],
+            source_index,
+            [chunks[i] for i in used.tolist()],
+        )

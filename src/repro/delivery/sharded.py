@@ -36,7 +36,7 @@ Three transports, mirroring the cluster side:
 from __future__ import annotations
 
 import multiprocessing
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -50,14 +50,21 @@ from repro.cluster.shm import (
 )
 from repro.core.recommendation import (
     EMPTY_RECOMMENDATION_BATCH,
+    ColumnarRecommendations,
+    FlatRecommendations,
     Recommendation,
     RecommendationBatch,
 )
 from repro.core.wire import (
+    FRAME_FLAT_RECS,
     FRAME_PICKLE,
     FRAME_REC_BATCH,
+    decode_flat_recommendations,
     decode_recommendation_batch,
+    encode_flat_recommendations,
     encode_recommendation_batch,
+    flat_recommendations_from_frame,
+    frame_flat_recommendations,
     frame_notifications,
     frame_recommendation_batch,
     notifications_from_frame,
@@ -75,7 +82,7 @@ if TYPE_CHECKING:  # runtime imports are lazy: serving.cache imports from
         ShardedServingCache,
         ShardedServingCacheReader,
     )
-from repro.util.hashing import splitmix64, splitmix64_array
+from repro.util.hashing import shard_ids, splitmix64
 from repro.util.procpool import (
     WorkerHandle,
     default_start_method,
@@ -98,23 +105,32 @@ def _default_pipeline_factory(_shard: int) -> DeliveryPipeline:
 
 
 def split_batch_by_shard(
-    batch: RecommendationBatch, num_shards: int
-) -> list[RecommendationBatch]:
+    batch: ColumnarRecommendations, num_shards: int
+) -> list[ColumnarRecommendations]:
     """Partition a columnar batch into per-shard batches by recipient hash.
 
-    Group metadata is shared by reference
-    (:meth:`~repro.core.recommendation.RecommendationGroup.with_recipients`)
-    and within-shard candidate order is batch order, which is what keeps
-    each shard's stateful stages running the exact per-recipient decision
-    sequence the unsharded funnel would.
+    Within-shard candidate order is batch order, which is what keeps each
+    shard's stateful stages running the exact per-recipient decision
+    sequence the unsharded funnel would.  Flat (ranked) input costs one
+    hash over the recipient column and one stable partition, sources
+    shared by reference; a grouped batch is split group by group, group
+    metadata shared by reference
+    (:meth:`~repro.core.recommendation.RecommendationGroup.with_recipients`).
     """
     require_positive(num_shards, "num_shards")
+    if isinstance(batch, FlatRecommendations):
+        if num_shards == 1:
+            return [batch]
+        shards = shard_ids(batch.recipients, num_shards)
+        order = np.argsort(shards, kind="stable")
+        bounds = np.searchsorted(shards[order], np.arange(num_shards + 1))
+        return [
+            batch.take(order[start:stop])
+            for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
     per_shard: list[list] = [[] for _ in range(num_shards)]
     for group in batch.groups:
-        shards = (
-            splitmix64_array(group.recipients.astype(np.uint64))
-            % np.uint64(num_shards)
-        ).astype(np.int64)
+        shards = shard_ids(group.recipients, num_shards)
         if len(shards) == 0:
             continue
         first = int(shards[0])
@@ -129,6 +145,18 @@ def split_batch_by_shard(
         RecommendationBatch(groups) if groups else EMPTY_RECOMMENDATION_BATCH
         for groups in per_shard
     ]
+
+
+#: The two columnar batch shapes on the wire: queue-message kind ->
+#: payload decoder, and slab-frame kind -> frame decoder.
+_BATCH_DECODERS = {
+    "batch": decode_recommendation_batch,
+    "flat": decode_flat_recommendations,
+}
+_FRAME_DECODERS = {
+    FRAME_REC_BATCH: recommendation_batch_from_frame,
+    FRAME_FLAT_RECS: flat_recommendations_from_frame,
+}
 
 
 def _delivery_worker_main(state, requests, replies) -> None:
@@ -159,8 +187,8 @@ def _delivery_worker_main(state, requests, replies) -> None:
         while True:
             message = requests.get()
             kind = message[0]
-            if kind == "batch":
-                batch = decode_recommendation_batch(message[1])
+            if kind in _BATCH_DECODERS:
+                batch = _BATCH_DECODERS[kind](message[1])
                 if serving is not None:
                     serving.ingest_batch(batch, message[2])
                 delivered = pipeline.offer_batch(batch, message[2])
@@ -184,7 +212,8 @@ def _delivery_worker_main(state, requests, replies) -> None:
 def _shm_delivery_worker_main(state, requests, replies) -> None:
     """One shm delivery shard worker: slab frames in both directions.
 
-    Recommendation batches arrive as ``FRAME_REC_BATCH`` frames (decoded
+    Recommendation batches arrive as ``FRAME_REC_BATCH`` frames, ranked
+    winners as ``FRAME_FLAT_RECS`` frames (decoded
     with one bulk copy — funnel stages may retain batch columns, so the
     slot can't be lent out zero-copy the way partition ingest can);
     surviving notifications plus piggybacked funnel stats go back as
@@ -203,7 +232,7 @@ def _shm_delivery_worker_main(state, requests, replies) -> None:
     def stats() -> tuple[dict[str, int], int]:
         return (dict(pipeline.funnel.stages), pipeline.notifier.delivered_total)
 
-    def reply_batch(batch: RecommendationBatch, now: float) -> bool:
+    def reply_batch(batch: ColumnarRecommendations, now: float) -> bool:
         if serving is not None:
             serving.ingest_batch(batch, now)
         delivered = pipeline.offer_batch(batch, now)
@@ -233,19 +262,17 @@ def _shm_delivery_worker_main(state, requests, replies) -> None:
             kind, cols, blobs, now, _latency, _aux = read_frame(mem, copy=True)
             del mem
             wire.request.release_frame()
-            if kind == FRAME_REC_BATCH:
-                if not reply_batch(
-                    recommendation_batch_from_frame(cols, blobs), now
-                ):
+            if kind in _FRAME_DECODERS:
+                if not reply_batch(_FRAME_DECODERS[kind](cols, blobs), now):
                     return
                 continue
             message = poll_queue(requests, parent_alive)
             if message is None:
                 return
             mkind = message[0]
-            if mkind == "batch":  # request-side slot overflow
+            if mkind in _BATCH_DECODERS:  # request-side slot overflow
                 if not reply_batch(
-                    decode_recommendation_batch(message[1]), message[2]
+                    _BATCH_DECODERS[mkind](message[1]), message[2]
                 ):
                     return
             elif mkind == "offer":
@@ -458,23 +485,31 @@ class ShardedDeliveryPipeline:
         worker.dead = True
         return False
 
-    def _post_batch(self, worker: WorkerHandle, payload, now: float) -> bool:
-        """Send an encoded recommendation batch (frame when it fits)."""
+    def _post_batch(
+        self, worker: WorkerHandle, batch: ColumnarRecommendations, now: float
+    ) -> bool:
+        """Send a columnar batch down a worker's wire (frame when it fits)."""
+        if isinstance(batch, FlatRecommendations):
+            kind, payload = "flat", encode_flat_recommendations(batch)
+            frame = frame_flat_recommendations
+        else:
+            kind, payload = "batch", encode_recommendation_batch(batch)
+            frame = frame_recommendation_batch
         if worker.wire is None:
-            worker.requests.put(("batch", payload, now))
+            worker.requests.put((kind, payload, now))
             return True
         wire = worker.wire
         mem = wire.request.acquire_slot(is_peer_alive=worker.process.is_alive)
         if mem is None:
             worker.dead = True
             return False
-        nbytes = frame_recommendation_batch(mem, payload, now)
+        nbytes = frame(mem, payload, now)
         if nbytes is not None:
             wire.request.commit_slot(nbytes)
             wire.frames_shm += 1
             return True
         wire.frames_fallback += 1  # batch too large for a slot
-        worker.requests.put(("batch", payload, now))
+        worker.requests.put((kind, payload, now))
         wire.request.commit_slot(write_frame(mem, FRAME_PICKLE))
         return True
 
@@ -547,15 +582,21 @@ class ShardedDeliveryPipeline:
         return raw[1]
 
     def offer_all(
-        self, recs: list[Recommendation], now: float
+        self, recs: Iterable[Recommendation], now: float
     ) -> list[PushNotification]:
-        """Offer boxed candidates arriving together; returns deliveries."""
-        return self.offer_batch(
-            RecommendationBatch.from_recommendations(recs), now
-        )
+        """Offer candidates arriving together; returns deliveries.
+
+        A ranked flush's columnar winners pass straight to
+        :meth:`offer_batch`; foreign boxed input is columned first (flat,
+        one row each — rank order interleaves groups, so there is nothing
+        to re-group).
+        """
+        if not isinstance(recs, ColumnarRecommendations):
+            recs = FlatRecommendations.from_boxed(recs)
+        return self.offer_batch(recs, now)
 
     def offer_batch(
-        self, batch: RecommendationBatch, now: float
+        self, batch: ColumnarRecommendations, now: float
     ) -> list[PushNotification]:
         """Fan a columnar batch out across the shards and gather survivors.
 
@@ -587,9 +628,7 @@ class ShardedDeliveryPipeline:
                 worker.dead = True
                 self.notifications_lost_shards += len(shard_batch)
                 continue
-            if not self._post_batch(
-                worker, encode_recommendation_batch(shard_batch), now
-            ):
+            if not self._post_batch(worker, shard_batch, now):
                 self.notifications_lost_shards += len(shard_batch)
                 continue
             if self.serving is not None:

@@ -71,11 +71,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from repro.cluster.shm import ShmArena, unlink_segment
-from repro.core.recommendation import Recommendation, RecommendationBatch
+from repro.core.recommendation import (
+    ColumnarRecommendations,
+    FlatRecommendations,
+    Recommendation,
+)
 from repro.delivery.notifier import PushNotification
 from repro.delivery.pairtable import Int64KeyTable
 from repro.delivery.scoring import decayed_scores
-from repro.util.hashing import splitmix64, splitmix64_array
+from repro.util.hashing import shard_ids, splitmix64
 from repro.util.validation import require_positive
 
 __all__ = [
@@ -311,7 +315,54 @@ def _assemble_row(
     ]
 
 
-class ServingCache:
+class _IngestAdapters:
+    """What the delivery-side taps call; all three end in one
+    ``update_columns`` over flat columns, scored with one kernel call."""
+
+    def ingest_released(
+        self, released: Iterable[Recommendation], now: float
+    ) -> None:
+        """Merge a ranked flush's released winners, scored as of *now*.
+
+        The flush's :class:`~repro.core.recommendation.FlatRecommendations`
+        is consumed as the columns it already is; a boxed sequence
+        (foreign input, the single-candidate ``offer`` path) is columned
+        first.
+
+        >>> cache = ServingCache(k=2)
+        >>> cache.ingest_released(
+        ...     [Recommendation(1, 10, 0.0, via=(5, 6)), Recommendation(1, 11, 0.0)],
+        ...     now=0.0,
+        ... )
+        >>> [(r.candidate, r.score) for r in cache.get_recommendations(1)]
+        [(10, 2.0), (11, 1.0)]
+        """
+        if not isinstance(released, ColumnarRecommendations):
+            released = FlatRecommendations.from_boxed(released)
+        self.ingest_batch(released, now)
+
+    def ingest_batch(self, batch: ColumnarRecommendations, now: float) -> None:
+        """Merge a columnar candidate set (grouped or flat), unboxed."""
+        if len(batch) == 0:
+            return
+        recipients, candidates, witnesses, created_at = batch.ranking_columns()
+        self.update_columns(
+            recipients,
+            candidates,
+            decayed_scores(witnesses, created_at, now, self.half_life),
+            created_at,
+            witnesses=witnesses,
+            now=now,
+        )
+
+    def ingest_notifications(
+        self, notifications: Iterable[PushNotification], now: float
+    ) -> None:
+        """Merge delivered notifications (the sharded-delivery tap)."""
+        self.ingest_released([n.recommendation for n in notifications], now)
+
+
+class ServingCache(_IngestAdapters):
     """Columnar per-user top-k store: one writer, lock-free point reads.
 
     Args:
@@ -590,79 +641,6 @@ class ServingCache:
         return dropped
 
     # ------------------------------------------------------------------
-    # Ingest adapters (what the delivery-side taps call)
-    # ------------------------------------------------------------------
-
-    def ingest_released(
-        self, released: Iterable[Recommendation], now: float
-    ) -> None:
-        """Merge a ranked flush's released winners, scored as of *now*."""
-        recs = released if isinstance(released, list) else list(released)
-        n = len(recs)
-        if n == 0:
-            return
-        recipients = np.fromiter((r.recipient for r in recs), np.int64, n)
-        candidates = np.fromiter((r.candidate for r in recs), np.int64, n)
-        witnesses = np.fromiter((len(r.via) for r in recs), np.int64, n)
-        created = np.fromiter((r.created_at for r in recs), np.float64, n)
-        self.update_columns(
-            recipients,
-            candidates,
-            decayed_scores(witnesses, created, now, self.half_life),
-            created,
-            witnesses=witnesses,
-            now=now,
-        )
-
-    def ingest_batch(self, batch: RecommendationBatch, now: float) -> None:
-        """Merge a columnar candidate batch (the unranked tap), unboxed.
-
-        Each group's recipient column is consumed by reference; scores
-        are computed from the group's shared witness count and creation
-        time, so nothing is ever boxed on the way in.
-        """
-        if len(batch) == 0:
-            return
-        recipient_parts: list[np.ndarray] = []
-        candidate_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        created_parts: list[np.ndarray] = []
-        witness_parts: list[np.ndarray] = []
-        for group in batch.groups:
-            size = len(group)
-            if not size:
-                continue
-            recipient_parts.append(group.recipients)
-            candidate_parts.append(np.full(size, group.candidate, np.int64))
-            score = decayed_scores(
-                np.array([group.num_witnesses], dtype=np.int64),
-                np.array([group.created_at], dtype=np.float64),
-                now,
-                self.half_life,
-            )[0]
-            score_parts.append(np.full(size, score, np.float64))
-            created_parts.append(np.full(size, group.created_at, np.float64))
-            witness_parts.append(np.full(size, group.num_witnesses, np.int64))
-        if not recipient_parts:
-            return
-        self.update_columns(
-            np.concatenate(recipient_parts),
-            np.concatenate(candidate_parts),
-            np.concatenate(score_parts),
-            np.concatenate(created_parts),
-            witnesses=np.concatenate(witness_parts),
-            now=now,
-        )
-
-    def ingest_notifications(
-        self, notifications: Iterable[PushNotification], now: float
-    ) -> None:
-        """Merge delivered notifications (the sharded-delivery tap)."""
-        self.ingest_released(
-            [n.recommendation for n in notifications], now
-        )
-
-    # ------------------------------------------------------------------
     # Read path (lock-free against the writer)
     # ------------------------------------------------------------------
 
@@ -855,6 +833,10 @@ class ServingCacheReader:
         self.half_life = spec.half_life
         self._control = ShmArena.attach(spec.control_name, [])
         self._data: ShmArena | None = None
+        #: Superseded generations still pinned by a caller's views (a read
+        #: loop's locals from the attempt that straddled the hop); reaped
+        #: on the next hop and at :meth:`close`, never left to ``__del__``.
+        self._retired: list[ShmArena] = []
         self._generation = 0
         self.hits = 0
         self.misses = 0
@@ -889,7 +871,10 @@ class ServingCacheReader:
             lambda header: _data_fields(int(header[0]), int(header[1])),
         )
         if self._data is not None:
-            self._data.close()
+            self._retired.append(self._data)
+        self._retired = [
+            arena for arena in self._retired if not arena.try_close_mapping()
+        ]
         self._data = data
         self._generation = generation
         self.attaches += 1
@@ -928,6 +913,9 @@ class ServingCacheReader:
 
     def close(self) -> None:
         """Drop the reader's mappings (never unlinks)."""
+        for arena in self._retired:
+            arena.try_close_mapping()
+        self._retired = []
         if self._data is not None:
             self._data.close()
             self._data = None
@@ -1115,7 +1103,7 @@ class ServingCacheReader:
         }
 
 
-class ShardedServingCache:
+class ShardedServingCache(_IngestAdapters):
     """Recipient-hash-sharded serving caches, one writer per shard.
 
     Sharding uses ``splitmix64(user) % num_shards`` — the *same* keying
@@ -1142,6 +1130,7 @@ class ShardedServingCache:
         require_positive(num_shards, "num_shards")
         self.num_shards = num_shards
         self.k = k
+        self.half_life = half_life
         self.shards = [
             ServingCache(k=k, half_life=half_life, capacity=capacity, ttl=ttl)
             for _ in range(num_shards)
@@ -1179,12 +1168,9 @@ class ShardedServingCache:
                 witnesses=witnesses, now=now,
             )
             return
-        shard_ids = (
-            splitmix64_array(recipients.astype(np.uint64))
-            % np.uint64(self.num_shards)
-        ).astype(np.int64)
-        for shard in np.unique(shard_ids).tolist():
-            mask = shard_ids == shard
+        shards = shard_ids(recipients, self.num_shards)
+        for shard in np.unique(shards).tolist():
+            mask = shards == shard
             self.shards[shard].update_columns(
                 recipients[mask],
                 candidates[mask],
@@ -1193,46 +1179,6 @@ class ShardedServingCache:
                 witnesses=None if witnesses is None else witnesses[mask],
                 now=now,
             )
-
-    def ingest_released(
-        self, released: Iterable[Recommendation], now: float
-    ) -> None:
-        """Split a ranked flush's winners by shard and merge each."""
-        recs = released if isinstance(released, list) else list(released)
-        if not recs:
-            return
-        if self.num_shards == 1:
-            self.shards[0].ingest_released(recs, now)
-            return
-        per_shard: list[list[Recommendation]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        for rec in recs:
-            per_shard[self.shard_of(rec.recipient)].append(rec)
-        for shard, shard_recs in enumerate(per_shard):
-            if shard_recs:
-                self.shards[shard].ingest_released(shard_recs, now)
-
-    def ingest_batch(self, batch: RecommendationBatch, now: float) -> None:
-        """Split a columnar batch by shard and merge each, unboxed."""
-        if self.num_shards == 1:
-            self.shards[0].ingest_batch(batch, now)
-            return
-        from repro.delivery.sharded import split_batch_by_shard
-
-        for shard, shard_batch in enumerate(
-            split_batch_by_shard(batch, self.num_shards)
-        ):
-            if len(shard_batch):
-                self.shards[shard].ingest_batch(shard_batch, now)
-
-    def ingest_notifications(
-        self, notifications: Iterable[PushNotification], now: float
-    ) -> None:
-        """Merge delivered notifications (the sharded-delivery tap)."""
-        self.ingest_released(
-            [n.recommendation for n in notifications], now
-        )
 
     def evict_dormant(self, now: float) -> int:
         """TTL sweep across every shard; returns users evicted."""
@@ -1324,12 +1270,9 @@ class ShardedServingCache:
         if self.num_shards == 1:
             self.shards[0].load_state(arrays)
             return
-        shard_ids = (
-            splitmix64_array(users.astype(np.uint64))
-            % np.uint64(self.num_shards)
-        ).astype(np.int64)
-        for shard in np.unique(shard_ids).tolist():
-            mask = shard_ids == shard
+        shards = shard_ids(users, self.num_shards)
+        for shard in np.unique(shards).tolist():
+            mask = shards == shard
             self.shards[shard].load_state(
                 {name: values[mask] for name, values in arrays.items()}
             )

@@ -467,7 +467,9 @@ class DeliveryCoalescer:
         if self._ranker is not None:
             # Ranked configuration: the coalescing window is the ranking
             # window — buffer columnar, release each user's top-k, and
-            # only those winners enter the funnel.
+            # only those winners enter the funnel.  They stay flat columns
+            # end to end: the serving tap and the funnel read the same
+            # arrays, and only delivered survivors are ever boxed.
             self._ranker.offer_batch(merged)
             released = self._ranker.flush(flushed_at)
             if self._serving is not None:
@@ -541,10 +543,8 @@ class DeliveryCoalescer:
             self._notifications.extend(self._delivery.offer_all(released, now))
             return
         if self._serving is not None:
-            if isinstance(recommendations, RecommendationBatch):
-                self._serving.ingest_batch(recommendations, now)
-            else:
-                self._serving.ingest_released(list(recommendations), now)
+            # Columnar batches merge as columns, boxed tuples are columned.
+            self._serving.ingest_released(recommendations, now)
         if isinstance(recommendations, RecommendationBatch):
             # Columnar candidates stay columnar through the funnel; only
             # the final survivors are boxed (inside offer_batch).

@@ -34,3 +34,11 @@ def splitmix64_array(values: np.ndarray) -> np.ndarray:
     values = (values ^ (values >> np.uint64(30))) * np.uint64(_SM64_MIX1)
     values = (values ^ (values >> np.uint64(27))) * np.uint64(_SM64_MIX2)
     return values ^ (values >> np.uint64(31))
+
+
+def shard_ids(ids: np.ndarray, num_shards: int) -> np.ndarray:
+    """Each id's owning shard: ``splitmix64(id) % num_shards``, as ``int64``
+    (the delivery shards and the serving shards share this keying)."""
+    return (
+        splitmix64_array(ids.astype(np.uint64)) % np.uint64(num_shards)
+    ).astype(np.int64)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.recommendation import (
+    FlatRecommendations,
     Recommendation,
     RecommendationBatch,
     RecommendationGroup,
@@ -23,9 +24,11 @@ from repro.delivery import (
     DeliveryPipeline,
     FatigueFilter,
     ShardedDeliveryPipeline,
+    TopKPerUserBuffer,
     WakingHoursFilter,
     split_batch_by_shard,
 )
+from repro.serving import ServingCache, ServingCacheConfig
 from repro.util.hashing import splitmix64
 
 needs_shm = pytest.mark.skipif(
@@ -95,10 +98,95 @@ class TestSplitBatchByShard:
                 assert g.created_at == 1.0
 
 
-@pytest.mark.parametrize(
-    "transport",
-    ["inprocess", "process", pytest.param("shm", marks=needs_shm)],
-)
+    def test_flat_winners_split_by_one_stable_partition(self):
+        ranker = TopKPerUserBuffer(k=2)
+        ranker.offer_batch(_random_batches(seed=2, windows=1)[0])
+        flat = ranker.flush(now=30.0)
+        shards = split_batch_by_shard(flat, 3)
+        assert sum(len(s) for s in shards) == len(flat)
+        for shard_id, shard in enumerate(shards):
+            assert all(s.sources is flat.sources for s in shards)
+            # Hash-stable, and rank order survives within each shard.
+            expected = [
+                r for r in flat if splitmix64(r.recipient) % 3 == shard_id
+            ]
+            assert list(shard) == expected
+        [only] = split_batch_by_shard(flat, 1)
+        assert only is flat
+
+
+ALL_TRANSPORTS = ["inprocess", "process", pytest.param("shm", marks=needs_shm)]
+
+
+def _served(state: dict[str, np.ndarray]) -> list[tuple]:
+    """``state_arrays()`` in slot-order-free form: per user, the live
+    (candidate, score, created_at, witnesses) entries in rank order."""
+    rows = []
+    for i in np.argsort(state["users"], kind="stable").tolist():
+        live = int(state["count"][i])
+        rows.append(
+            (
+                int(state["users"][i]),
+                state["candidate"][i, :live].tolist(),
+                state["score"][i, :live].tolist(),
+                state["created_at"][i, :live].tolist(),
+                state["witnesses"][i, :live].tolist(),
+            )
+        )
+    return rows
+
+
+def _run_ranked_windows(sharded, seed: int):
+    """Ranked windows through *sharded* (columnar flush -> offer_all) and
+    through the boxed unsharded lane; returns (got, expected, reference
+    funnel, reference serving cache)."""
+    reference = _production_trio(0)
+    served = ServingCache(k=2)
+    got, expected = [], []
+    for w, batch in enumerate(_random_batches(seed=seed)):
+        now = 1_000.0 * w + 43_200.0
+        columnar, boxed = TopKPerUserBuffer(k=2), TopKPerUserBuffer(k=2)
+        columnar.offer_batch(batch)
+        for rec in batch:
+            boxed.offer(rec)
+        released = columnar.flush(now)
+        assert isinstance(released, FlatRecommendations)
+        got.extend(sharded.offer_all(released, now))
+        winners = list(boxed.flush(now))
+        served.ingest_released(winners, now)
+        for rec in winners:
+            pushed = reference.offer(rec, now)
+            if pushed is not None:
+                expected.append(pushed)
+    return got, expected, reference, served
+
+
+@pytest.mark.parametrize("transport", ALL_TRANSPORTS)
+@pytest.mark.parametrize("num_shards", [1, 2])
+class TestFlatWinnersSharded:
+    """Ranked flush -> sharded funnel with in-shard serving, no re-boxing:
+    same deliveries, funnel counts and served rows as the boxed lane."""
+
+    def test_matches_boxed_unsharded_lane(self, transport, num_shards):
+        with ShardedDeliveryPipeline(
+            num_shards,
+            pipeline_factory=_production_trio,
+            transport=transport,
+            serving=ServingCacheConfig(k=2, capacity=16),
+        ) as sharded:
+            got, expected, reference, served = _run_ranked_windows(sharded, 5)
+            assert _pairs(got) == _pairs(expected)
+            assert sorted(n.recommendation.via for n in got) == sorted(
+                n.recommendation.via for n in expected
+            )
+            assert sharded.funnel_totals() == reference.funnel.stages
+            assert _served(sharded.serving.state_arrays()) == _served(
+                served.state_arrays()
+            )
+            assert sharded.serving.rows_ingested == served.rows_ingested
+
+
+@pytest.mark.parametrize("transport", ALL_TRANSPORTS)
 @pytest.mark.parametrize("num_shards", [1, 3, 8])
 class TestShardedEquivalence:
     def test_multiset_and_funnel_match_unsharded(self, transport, num_shards):
@@ -239,6 +327,23 @@ class TestShardedShmWire:
             assert stats["fallback_rate"] > 0.0
         finally:
             sharded.close()
+
+    def test_flat_winner_frame_overflow_takes_pickle_fallback(self):
+        with ShardedDeliveryPipeline(
+            2,
+            pipeline_factory=_production_trio,
+            transport="shm",
+            shm_slot_bytes=256,  # every flat-winner frame overflows
+            serving=ServingCacheConfig(k=2, capacity=16),
+        ) as sharded:
+            got, expected, reference, served = _run_ranked_windows(sharded, 6)
+            assert _pairs(got) == _pairs(expected)
+            assert sharded.funnel_totals() == reference.funnel.stages
+            assert _served(sharded.serving.state_arrays()) == _served(
+                served.state_arrays()
+            )
+            # 3 windows x 2 shards, every request rode the pickle lane.
+            assert sharded.wire_stats()["frames_fallback"] == 6
 
     def test_wire_stats_and_segment_reclamation(self):
         import os

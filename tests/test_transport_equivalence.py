@@ -22,12 +22,19 @@ from repro.cluster import (
 )
 from repro.core import DetectionParams
 from repro.core.batch import EventBatch
+from repro.core.recommendation import RecommendationBatch
+from repro.delivery import (
+    DeliveryPipeline,
+    ShardedDeliveryPipeline,
+    TopKPerUserBuffer,
+)
 from repro.gen import (
     StreamConfig,
     TwitterGraphConfig,
     generate_event_stream,
     generate_follow_graph,
 )
+from tests.test_delivery_sharded import _served
 
 PARAMS = DetectionParams(k=2, tau=600.0)
 
@@ -218,9 +225,82 @@ class TestTransportControlMessages:
             ClusterConfig(num_partitions=2, transport="carrier-pigeon")
 
 
+def _ranked_loop(snapshot, events, transport, delivery, serving, **wire):
+    """Detection on *transport* -> ranked flush -> *delivery* / *serving*:
+    the full-stack flush loop, one ranking window per 64-event batch."""
+    batch = EventBatch.from_events(events)
+    ranker = TopKPerUserBuffer(k=2)
+    delivered = []
+    with Cluster.build(
+        snapshot,
+        PARAMS,
+        ClusterConfig(num_partitions=2, transport=transport, **wire),
+    ) as cluster:
+        for start in range(0, len(batch), 64):
+            window = batch.slice(start, min(start + 64, len(batch)))
+            now = float(window.timestamps[-1])
+            cluster.broker.submit_batch(window, now)
+            grouped, _latency = cluster.broker.gather_batch()
+            ranker.offer_batch(RecommendationBatch.concat_all(grouped))
+            released = ranker.flush(now)
+            if serving is not None:
+                serving.ingest_released(released, now)
+            delivered.extend(delivery.offer_all(released, now))
+    return sorted(
+        (n.recipient, n.recommendation.candidate, n.recommendation.created_at,
+         n.recommendation.via)
+        for n in delivered
+    )
+
+
+@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
+@pytest.mark.parametrize("num_shards", [1, 2])
+class TestRankedPathAcrossTransports:
+    """Flat ranked winners over the worker wires == the in-process path:
+    delivered multiset, funnel totals and served top-k."""
+
+    def test_fleet_matches_inprocess_unsharded(
+        self, workload, transport, num_shards
+    ):
+        from repro.serving import ServingCache, ServingCacheConfig
+
+        snapshot, events = workload
+        reference, served = DeliveryPipeline(), ServingCache(k=2)
+        expected = _ranked_loop(snapshot, events, "inprocess", reference, served)
+        assert expected, "workload must reach the ranked funnel"
+        with ShardedDeliveryPipeline(
+            num_shards, transport=transport, serving=ServingCacheConfig(k=2)
+        ) as sharded:
+            got = _ranked_loop(snapshot, events, transport, sharded, None)
+            assert got == expected
+            assert sharded.funnel_totals() == reference.funnel.stages
+            assert _served(sharded.serving.state_arrays()) == _served(
+                served.state_arrays()
+            )
+
+
 @needs_shm
 class TestSharedMemoryWire:
     """shm-transport specifics: fallback, death reclamation, stats."""
+
+    def test_flat_winner_overflow_keeps_ranked_path_exact(self, workload):
+        from repro.serving import ServingCacheConfig
+
+        snapshot, events = workload
+        reference = DeliveryPipeline()
+        expected = _ranked_loop(snapshot, events, "inprocess", reference, None)
+        with ShardedDeliveryPipeline(
+            2,
+            transport="shm",
+            shm_slot_bytes=256,  # flat-winner frames overflow: pickle lane
+            serving=ServingCacheConfig(k=2),
+        ) as sharded:
+            got = _ranked_loop(
+                snapshot, events, "shm", sharded, None, shm_slot_bytes=256
+            )
+            assert got == expected
+            assert sharded.funnel_totals() == reference.funnel.stages
+            assert sharded.wire_stats()["frames_fallback"] > 0
 
     def test_slot_overflow_falls_back_to_pickle(self, workload, reference):
         snapshot, events = workload
