@@ -18,8 +18,10 @@ funnel once per-candidate (boxed ``offer``) and once columnar
 recorded to ``BENCH_funnel.json`` (the CI bench-smoke job gates it) —
 and **E17**, the ranked-delivery ablation: the same stream through the
 ``TopKPerUserBuffer`` scoring stage once boxed (per-candidate ``offer``)
-and once columnar (``offer_batch`` + vectorized flush), plus an
-informational table-vs-dict comparison of the dedup/fatigue backends.
+and once columnar (``offer_batch`` + vectorized flush).  (E17b, the
+table-vs-dict comparison of the dedup/fatigue stores, was retired in PR 17
+together with the dict stores; its final numbers are in
+``docs/BENCHMARKS.md``.)
 """
 
 import time
@@ -34,14 +36,7 @@ from repro.bench.workloads import (
 )
 from repro.core import RecommendationBatch
 from repro.core.batch import iter_event_batches
-from repro.delivery import (
-    DedupFilter,
-    DeliveryPipeline,
-    FatigueFilter,
-    PushNotifier,
-    TopKPerUserBuffer,
-    WakingHoursFilter,
-)
+from repro.delivery import DeliveryPipeline, PushNotifier, TopKPerUserBuffer
 from repro.gen import (
     BurstSpec,
     StreamConfig,
@@ -306,59 +301,6 @@ def test_ranked_delivery_columnar_vs_boxed(report, burst_delivery_feed):
     assert speedup >= 2.0, (
         f"columnar scoring only {speedup:.2f}x over boxed offers; the "
         "vectorized top-k failed to amortize"
-    )
-
-
-def test_funnel_pair_table_vs_dict(report, burst_delivery_feed):
-    """E17 (companion) — the funnel's dedup/fatigue state backends.
-
-    The same columnar candidate stream through ``offer_batch`` twice:
-    once with the numpy pair tables (default) and once with the reference
-    dict maps.  Decisions must be identical — this is the workload-scale
-    mirror of the Hypothesis equivalence suite — and the recorded
-    throughputs (informational, machine-dependent, not gated) track
-    whether the vectorized probes keep their edge.  Memory is the
-    structural win: the pair table holds a live pair in ~17 bytes of
-    columns versus ~100+ bytes per dict entry.
-    """
-    feed, total = burst_delivery_feed
-
-    def run_with(backend: str):
-        def run():
-            pipeline = DeliveryPipeline(
-                filters=[
-                    DedupFilter(backend=backend),
-                    WakingHoursFilter(),
-                    FatigueFilter(backend=backend),
-                ],
-                notifier=PushNotifier(keep_at_most=10_000),
-            )
-            started = time.perf_counter()
-            for now, batch in feed:
-                pipeline.offer_batch(batch, now)
-            return time.perf_counter() - started, pipeline
-        return run
-
-    best, funnels = interleaved_best_of(
-        {"table": run_with("table"), "dict": run_with("dict")}
-    )
-    assert_same_delivery(funnels["dict"], funnels["table"])
-
-    table = report.table(
-        "E17b",
-        "funnel state backends: numpy pair table vs dict",
-        ["backend", "raw candidates", "candidates/sec"],
-    )
-    for key in ("dict", "table"):
-        table.add_row(key, total, f"{total / best[key]:,.0f}")
-        report.record(
-            "funnel",
-            {"workload": "burst-delivery-backend", "candidates": total, "path": key},
-            {"candidates_per_sec": round(total / best[key], 1)},
-        )
-    table.add_note(
-        "identical survivors and funnel counts by construction "
-        "(assert_same_delivery); throughputs informational"
     )
 
 

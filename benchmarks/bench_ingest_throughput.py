@@ -46,6 +46,7 @@ from repro.core.batch import iter_event_batches
 from repro.delivery import DeliveryPipeline, PushNotifier
 from repro.gen import StreamConfig, generate_event_batch, generate_event_stream
 from repro.graph import DynamicEdgeIndex, build_follower_snapshot
+from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD
 
 
 @pytest.fixture(scope="module")
@@ -223,147 +224,96 @@ def test_batched_ingest_sweep(workload, report):
     )
 
 
-#: The S x D storage-backend matrix swept at batch=256.
-BACKEND_MATRIX = (
-    ("packed", "list"),
-    ("csr", "list"),
-    ("packed", "ring"),
-    ("csr", "ring"),
-)
+def test_viral_scan_promote_threshold(workload, report):
+    """E14 (the one retained row) — why hot D targets become columnar rings.
 
+    Storage layouts are no longer selectable (the S x D backend matrix was
+    retired in PR 17; final numbers in ``docs/BENCHMARKS.md``).  The one
+    selection left is made by the code itself, from the entry count it
+    observes: a target holding >= ``promote_threshold`` edges is promoted
+    from a deque of tuples to a ring.  Two measurements price that choice,
+    each a promoting index against one that never promotes:
 
-def test_backend_matrix_batch256(workload, report):
-    """S/D storage-backend matrix at batch=256 (E14).
-
-    Sweeps {packed, csr} x {list, ring} over two firehose shapes:
-
-    * **firehose-cold** — the design-target stream (PR 1's packed/list
-      configuration is the baseline row); the columnar backends must not
-      tax the cold path, and in practice edge out the baseline;
-    * **firehose-viral** — the cold stream plus one persistently-viral
-      target whose D entry sits at the cap, where the ring's vectorized
-      freshness scan is the whole point.
-
-    Also records the deterministic structural wins: csr's S memory
-    footprint versus packed, and the ring-vs-list freshness-scan
-    microbenchmark at cap depth.  Measurements are interleaved round-robin
-    (best round kept) so machine noise hits every configuration equally.
+    * **viral-scan** — the freshness scan of one cap-depth target;
+      ``derive_promote_threshold`` places the threshold from this row;
+    * **firehose-viral** — batch=256 engine ingest over the cold firehose
+      plus one persistently viral target (the stream shape rings exist
+      for), at the default threshold.  Representation must not change
+      results.
     """
     snapshot, _ = workload
-    statics = {
-        backend: build_follower_snapshot(snapshot, backend=backend)
-        for backend in ("packed", "csr")
-    }
+    event_batch = generate_event_batch(
+        viral_firehose_stream_config(num_users=snapshot.num_users)
+    )
+    n = len(event_batch)
 
-    def run(event_batch, n, s_backend, d_backend):
-        dynamic_index = DynamicEdgeIndex(
-            retention=BENCH_PARAMS.tau,
-            max_edges_per_target=BENCH_D_CAP,
-            backend=d_backend,
-        )
-        detector = DiamondDetector(
-            statics[s_backend], dynamic_index, BENCH_PARAMS, inserts_edges=False
-        )
-        engine = MotifEngine(
-            statics[s_backend], dynamic_index, [detector], track_latency=False
-        )
-        started = time.perf_counter()
-        for start in range(0, n, 256):
-            engine.process_batch(event_batch.slice(start, min(start + 256, n)))
-        return time.perf_counter() - started, engine.stats.recommendations_emitted
+    def run_with(promote_threshold):
+        def run():
+            engine = bench_engine(snapshot, track_latency=False)  # untimed
+            engine.dynamic_index.promote_threshold = promote_threshold
+            started = time.perf_counter()
+            for start in range(0, n, 256):
+                engine.process_batch(event_batch.slice(start, min(start + 256, n)))
+            return time.perf_counter() - started, engine.stats.recommendations_emitted
+
+        return run
+
+    best, emitted = interleaved_best_of(
+        {"default": run_with(DEFAULT_PROMOTE_THRESHOLD), "never": run_with(1 << 62)},
+        rounds=4,
+    )
+    assert emitted["default"] == emitted["never"], f"layouts diverged: {emitted}"
+    ingest_speedup = best["never"] / best["default"]
+    scan = _viral_scan_best_times(entries=BENCH_D_CAP)
+    scan_speedup = scan["deque"] / scan["ring"]
 
     table = report.table(
         "E14",
-        "storage-backend matrix (batch=256, best of interleaved rounds)",
-        ["workload", "S backend", "D backend", "events/sec", "vs packed/list"],
+        "ring promotion vs never promoting (best of interleaved rounds)",
+        ["measurement", "never promoting", "promoting", "ratio"],
     )
-    speedups = {}
-    for workload_name, config in (
-        ("firehose-cold", firehose_stream_config(num_users=snapshot.num_users)),
-        ("firehose-viral", viral_firehose_stream_config(num_users=snapshot.num_users)),
-    ):
-        event_batch = generate_event_batch(config)
-        n = len(event_batch)
-        best: dict[tuple, float] = {}
-        emitted: dict[tuple, int] = {}
-        for _round in range(4):
-            for combo in BACKEND_MATRIX:
-                elapsed, recs = run(event_batch, n, *combo)
-                best[combo] = min(best.get(combo, float("inf")), elapsed)
-                emitted[combo] = recs
-        # Representation must never change results.
-        assert len(set(emitted.values())) == 1, f"backends diverged: {emitted}"
-        baseline = best[("packed", "list")]
-        for combo in BACKEND_MATRIX:
-            speedup = baseline / best[combo]
-            speedups[(workload_name, combo)] = speedup
-            table.add_row(
-                workload_name, combo[0], combo[1],
-                f"{n / best[combo]:,.0f}", f"{speedup:.2f}x",
-            )
-            report.record(
-                "ingest",
-                {
-                    "workload": workload_name,
-                    "num_users": snapshot.num_users,
-                    "events": n,
-                    "batch_size": 256,
-                    "path": "batched",
-                    "s_backend": combo[0],
-                    "d_backend": combo[1],
-                },
-                {
-                    "events_per_sec": round(n / best[combo], 1),
-                    "speedup_vs_packed_list": round(speedup, 3),
-                },
-            )
-
-    # Deterministic structural wins, recorded alongside the timings.
-    s_memory = {b: statics[b].memory_bytes() for b in ("packed", "csr")}
-    memory_ratio = s_memory["csr"] / s_memory["packed"]
-    scan = _viral_scan_best_times(entries=BENCH_D_CAP)
-    scan_speedup = scan["list"] / scan["ring"]
-    table.add_note(
-        f"csr S memory: {memory_ratio:.2f}x of packed "
-        f"({s_memory['csr'] / 1e6:.1f} vs {s_memory['packed'] / 1e6:.1f} MB); "
-        f"ring freshness scan at cap depth: {scan_speedup:.2f}x over list"
+    table.add_row(
+        f"viral-scan @ {BENCH_D_CAP} entries (us/query)",
+        f"{scan['deque'] * 1e6:.2f}", f"{scan['ring'] * 1e6:.2f}",
+        f"{scan_speedup:.2f}x",
     )
-    report.record(
-        "ingest",
-        {"workload": "s-memory", "num_users": snapshot.num_users},
-        {
-            "packed_bytes": s_memory["packed"],
-            "csr_bytes": s_memory["csr"],
-            "csr_vs_packed_ratio": round(memory_ratio, 3),
-        },
+    table.add_row(
+        "firehose-viral batch=256 (events/sec)",
+        f"{n / best['never']:,.0f}", f"{n / best['default']:,.0f}",
+        f"{ingest_speedup:.2f}x",
     )
     report.record(
         "ingest",
         {"workload": "viral-scan", "entries": BENCH_D_CAP},
         {
-            "list_us": round(scan["list"] * 1e6, 2),
+            "deque_us": round(scan["deque"] * 1e6, 2),
             "ring_us": round(scan["ring"] * 1e6, 2),
             "ring_speedup": round(scan_speedup, 3),
         },
     )
-
-    # The headline acceptance: the columnar pair must beat PR 1's
-    # packed/list configuration where the ring matters, and must not tax
-    # the cold path.  Margins are deliberately looser than the locally
-    # measured ~1.19x / ~1.01x: shared CI runners swing several percent
-    # even with interleaved best-of rounds (the regression gate applies
-    # its own 35% tolerance for the same reason).
-    assert speedups[("firehose-viral", ("csr", "ring"))] >= 1.05, (
-        f"csr+ring only {speedups[('firehose-viral', ('csr', 'ring'))]:.2f}x "
-        "over packed/list on the viral firehose"
+    report.record(
+        "ingest",
+        {
+            "workload": "firehose-viral",
+            "num_users": snapshot.num_users,
+            "events": n,
+            "batch_size": 256,
+            "path": "batched",
+        },
+        {
+            "events_per_sec": round(n / best["default"], 1),
+            "speedup_vs_never_promoting": round(ingest_speedup, 3),
+        },
     )
-    assert speedups[("firehose-cold", ("csr", "ring"))] >= 0.90, (
-        f"csr+ring taxes the cold firehose: "
-        f"{speedups[('firehose-cold', ('csr', 'ring'))]:.2f}x"
-    )
-    assert memory_ratio <= 0.85, f"csr S memory ratio {memory_ratio:.2f}"
+    # Loose margins: shared CI runners swing several percent even with
+    # interleaved best-of rounds (the regression gate applies its own
+    # tolerance for the same reason).
     assert scan_speedup >= 1.1, (
-        f"ring freshness scan only {scan_speedup:.2f}x over list at cap depth"
+        f"ring freshness scan only {scan_speedup:.2f}x over the deque scan "
+        "at cap depth"
+    )
+    assert ingest_speedup >= 0.90, (
+        f"promotion taxes the viral firehose: {ingest_speedup:.2f}x"
     )
 
 
@@ -478,12 +428,11 @@ def test_burst_heavy_emission_columnar_vs_boxed(workload, report):
 
 
 def _viral_scan_best_times(entries: int, queries: int = 512) -> dict[str, float]:
-    """Best per-query freshness-scan time for one cap-depth hot target."""
+    """Best per-query freshness-scan time for one cap-depth hot target,
+    stored as a deque (never promoted) and as a ring (tiny threshold)."""
     out: dict[str, float] = {}
-    for d_backend, threshold in (("list", 1 << 30), ("ring", 8)):
-        index = DynamicEdgeIndex(
-            retention=1e9, backend=d_backend, promote_threshold=threshold
-        )
+    for layout, threshold in (("deque", 1 << 62), ("ring", 8)):
+        index = DynamicEdgeIndex(retention=1e9, promote_threshold=threshold)
         for i in range(entries):
             index.insert(i % max(entries * 2 // 3, 1), 7, float(i))
         targets = [7] * 64
@@ -494,7 +443,7 @@ def _viral_scan_best_times(entries: int, queries: int = 512) -> dict[str, float]
             for _ in range(queries // 64):
                 index.fresh_sources_multi(targets, nows, tau=1e8, min_count=3, raw=True)
             best = min(best, time.perf_counter() - started)
-        out[d_backend] = best / queries
+        out[layout] = best / queries
     return out
 
 

@@ -33,7 +33,6 @@ from repro.core import (
     RecommendationGroup,
 )
 from repro.graph import (
-    CsrFollowerIndex,
     CsrGraph,
     DynamicEdgeIndex,
     GraphSnapshot,
@@ -54,7 +53,6 @@ __all__ = [
     "Recommendation",
     "RecommendationBatch",
     "RecommendationGroup",
-    "CsrFollowerIndex",
     "CsrGraph",
     "DynamicEdgeIndex",
     "GraphSnapshot",

@@ -105,8 +105,6 @@ def bench_engine(
     snapshot: GraphSnapshot,
     params: DetectionParams | None = None,
     track_latency: bool = True,
-    s_backend: str = "csr",
-    d_backend: str = "ring",
 ) -> MotifEngine:
     """A single-machine engine with the benchmark's default parameters."""
     return MotifEngine.from_snapshot(
@@ -114,8 +112,6 @@ def bench_engine(
         params or BENCH_PARAMS,
         max_edges_per_target=BENCH_D_CAP,
         track_latency=track_latency,
-        s_backend=s_backend,
-        d_backend=d_backend,
     )
 
 
@@ -156,7 +152,7 @@ def viral_firehose_stream_config(
     Same uncorrelated background as :func:`firehose_stream_config`, with
     repeated bursts aimed at a single high-id account so its D entry sits
     at the per-target cap for most of the stream — the workload shape the
-    columnar ring backend exists for (the paper's "pruning the D data
+    columnar rings exist for (the paper's "pruning the D data
     structure" scenario: a viral C whose freshness scan runs on every hit).
     Burst actors are sampled without popularity bias so the S-side work
     stays modest and the D scan dominates the hot path.
@@ -285,8 +281,6 @@ def bench_cluster(
     num_partitions: int,
     replication_factor: int = 1,
     params: DetectionParams | None = None,
-    s_backend: str = "csr",
-    d_backend: str = "ring",
     transport: str = "inprocess",
 ) -> Cluster:
     """A cluster with the benchmark's default parameters.
@@ -301,8 +295,6 @@ def bench_cluster(
             num_partitions=num_partitions,
             replication_factor=replication_factor,
             max_edges_per_target=BENCH_D_CAP,
-            s_backend=s_backend,
-            d_backend=d_backend,
             transport=transport,
         ),
     )

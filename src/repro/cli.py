@@ -51,8 +51,6 @@ from repro.serving import (
     ShardedServingCache,
 )
 from repro.graph import (
-    D_BACKENDS,
-    S_BACKENDS,
     DynamicEdgeIndex,
     GraphSnapshot,
     build_follower_snapshot,
@@ -115,7 +113,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=1,
         help="columnar micro-batch size for ingestion (1 = per-event)",
     )
-    _add_backend_args(run)
 
     simulate = commands.add_parser("simulate", help="end-to-end latency simulation")
     simulate.add_argument("graph", type=Path)
@@ -303,7 +300,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the lognormal queue-hop sigma (with --hop-median)",
     )
-    _add_backend_args(simulate)
 
     recover = commands.add_parser(
         "recover",
@@ -381,24 +377,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     analyze.add_argument("graph", type=Path)
 
     return parser
-
-
-def _add_backend_args(command: argparse.ArgumentParser) -> None:
-    """Storage-backend selectors shared by ``run`` and ``simulate``."""
-    command.add_argument(
-        "--s-backend",
-        choices=S_BACKENDS,
-        default="csr",
-        help="S storage layout: csr = single int64 arena (default), "
-        "packed = one buffer per followed account",
-    )
-    command.add_argument(
-        "--d-backend",
-        choices=D_BACKENDS,
-        default="ring",
-        help="D storage layout: ring = columnar ring buffers for hot "
-        "targets (default), list = deques only",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -489,10 +467,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     snapshot = GraphSnapshot.load(args.graph)
     events = _load_stream(args.stream)
     engine = MotifEngine.from_snapshot(
-        snapshot,
-        DetectionParams(k=args.k, tau=args.tau),
-        s_backend=args.s_backend,
-        d_backend=args.d_backend,
+        snapshot, DetectionParams(k=args.k, tau=args.tau)
     )
     recs = engine.process_stream(events, batch_size=args.batch_size)
     latency = engine.stats.query_latency.snapshot()
@@ -550,7 +525,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
     promote_threshold = None
     if args.adaptive:
         # Deployment-time derivation: place the ring promotion point at
-        # the recorded list/ring cost crossover when the bench trajectory
+        # the recorded deque/ring cost crossover when the bench trajectory
         # is available (falls back to the module default otherwise).
         promote_threshold = derive_promote_threshold()
     cluster = Cluster.build(
@@ -558,8 +533,6 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         DetectionParams(k=args.k, tau=args.tau),
         ClusterConfig(
             num_partitions=args.partitions,
-            s_backend=args.s_backend,
-            d_backend=args.d_backend,
             transport=args.transport,
             promote_threshold=promote_threshold,
         ),
@@ -627,8 +600,6 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
                 "k": args.k,
                 "tau": args.tau,
                 "num_partitions": args.partitions,
-                "s_backend": args.s_backend,
-                "d_backend": args.d_backend,
                 "transport": args.transport,
                 "batch_size": args.batch_size,
                 "seed": args.seed,

@@ -29,7 +29,7 @@ from repro.core.detector import OnlineDetector
 from repro.core.events import EdgeEvent
 from repro.core.params import DetectionParams
 from repro.core.recommendation import Recommendation
-from repro.graph.dynamic_index import DynamicEdgeIndex
+from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD, DynamicEdgeIndex
 from repro.graph.snapshot import GraphSnapshot, build_follower_snapshot
 from repro.graph.static_index import StaticFollowerIndex
 from repro.util.rng import make_rng
@@ -55,11 +55,6 @@ class ClusterConfig:
         max_edges_per_target: per-C cap on stored D entries (the paper's
             D-pruning mitigation for viral targets).
         track_latency: make partitions record per-event detection time.
-        s_backend: S storage layout per shard — ``"csr"`` (single int64
-            arena, default) or ``"packed"``; representation only, results
-            are identical.
-        d_backend: D storage layout per replica — ``"ring"`` (columnar
-            ring buffers for hot targets, default) or ``"list"``.
         transport: how the broker reaches the partitions —
             ``"inprocess"`` (direct calls + simulated channel latency,
             default), ``"process"`` (one multiprocessing worker per
@@ -74,10 +69,10 @@ class ClusterConfig:
             transport (default 8; also bounds the usable pipeline depth).
         shm_slot_bytes: payload bytes per ring slot (default 1 MiB);
             frames that overflow a slot fall back to the pickle wire.
-        promote_threshold: per-target D entry count at which the ring
-            backend promotes a boxed list to columnar ring storage
-            (module default when ``None``).  Deployments derive this from
-            the recorded list/ring cost crossover via
+        promote_threshold: per-target D entry count at which a deque of
+            boxed tuples is promoted to columnar ring storage (module
+            default when ``None``).  Deployments derive this from the
+            recorded deque/ring cost crossover via
             :func:`repro.ops.controller.derive_promote_threshold` instead
             of trusting the hard-coded value.
     """
@@ -87,8 +82,6 @@ class ClusterConfig:
     influencer_limit: int | None = None
     max_edges_per_target: int | None = None
     track_latency: bool = False
-    s_backend: str = "csr"
-    d_backend: str = "ring"
     transport: str = "inprocess"
     worker_start_method: str | None = None
     shm_slots: int = 8
@@ -116,21 +109,11 @@ class Cluster:
         broker: Broker,
         partitioner: Partitioner,
         params: DetectionParams,
-        config: ClusterConfig | None = None,
     ) -> None:
-        """Wrap prebuilt components; prefer :meth:`build`.
-
-        Args:
-            config: the deployment shape the components were built with;
-                snapshot reloads reuse its storage backends.  Callers
-                assembling a cluster by hand around non-default backends
-                must pass the matching config or reloads will rebuild
-                shards in the default layout.
-        """
+        """Wrap prebuilt components; prefer :meth:`build`."""
         self.broker = broker
         self.partitioner = partitioner
         self.params = params
-        self.config = config or ClusterConfig()
 
     @classmethod
     def build(
@@ -168,22 +151,19 @@ class Cluster:
                 snapshot,
                 influencer_limit=config.influencer_limit,
                 include_source=lambda a, p=p: partitioner.partition_of(a) == p,
-                backend=config.s_backend,
             )
             replicas: list[PartitionServer] = []
             channels: list[SimulatedChannel] = []
             for r in range(config.replication_factor):
                 detectors = None
-                # Every replica owns a private full D copy in the
-                # configured backend (the paper's D-replication design).
-                dynamic_kwargs = {}
-                if config.promote_threshold is not None:
-                    dynamic_kwargs["promote_threshold"] = config.promote_threshold
+                # Every replica owns a private full D copy (the paper's
+                # D-replication design).
                 dynamic_index = DynamicEdgeIndex(
                     retention=params.tau,
                     max_edges_per_target=config.max_edges_per_target,
-                    backend=config.d_backend,
-                    **dynamic_kwargs,
+                    promote_threshold=(
+                        config.promote_threshold or DEFAULT_PROMOTE_THRESHOLD
+                    ),
                 )
                 if detector_factory is not None:
                     detectors = detector_factory(shard, dynamic_index)
@@ -221,7 +201,7 @@ class Cluster:
             )
         else:
             broker = Broker(replica_sets)
-        return cls(broker, partitioner, params, config)
+        return cls(broker, partitioner, params)
 
     # ------------------------------------------------------------------
     # Serving interface
@@ -348,7 +328,6 @@ class Cluster:
                 snapshot,
                 influencer_limit=influencer_limit,
                 include_source=lambda a, p=p: self.partitioner.partition_of(a) == p,
-                backend=self.config.s_backend,
             )
         return self.broker.transport.reload_static(shards)
 

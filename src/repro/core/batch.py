@@ -11,9 +11,9 @@ target (C), plus a compact action-code column — which flows end to end:
                      -> DynamicEdgeIndex.insert_batch
                      -> DiamondDetector.process_batch
 
-The storage layer continues the columnar layout at rest: the csr S backend
-(:class:`~repro.graph.static_index.CsrFollowerIndex`) serves follower lists
-as zero-copy slices of one int64 arena, and the ring D backend keeps hot
+The storage layer continues the columnar layout at rest: S
+(:class:`~repro.graph.static_index.StaticFollowerIndex`) serves follower lists
+as zero-copy slices of one int64 arena, and D keeps hot
 targets' recent edges in circular numpy columns — so a batch's arrays flow
 into, through, and back out of the indexes without per-element boxing.
 

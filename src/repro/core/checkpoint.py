@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.events import ActionType
-from repro.graph.dynamic_index import DynamicEdgeIndex
+from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD, DynamicEdgeIndex
 
 #: Integer codes for action tags in the checkpoint file (0 = untagged).
 _ACTION_TO_CODE: dict[object, int] = {
@@ -83,8 +83,8 @@ def restore_dynamic_arrays(
 def save_dynamic_index(index: DynamicEdgeIndex, path: str | Path) -> int:
     """Write every stored edge of *index* to *path* (.npz).
 
-    Returns the number of edges written.  Configuration (retention, caps,
-    storage backend) is saved alongside so a restore reproduces the same
+    Returns the number of edges written.  Configuration (retention, cap,
+    promote threshold) is saved alongside so a restore reproduces the same
     index — :meth:`DynamicEdgeIndex.entries` serves the stored tuples
     identically whether a target lives in a deque or a columnar ring.
     """
@@ -94,43 +94,31 @@ def save_dynamic_index(index: DynamicEdgeIndex, path: str | Path) -> int:
         **arrays,
         retention=np.float64(index.retention),
         max_edges_per_target=np.int64(index.max_edges_per_target or -1),
-        backend=np.str_(index.backend),
         promote_threshold=np.int64(index.promote_threshold),
     )
     return len(arrays["targets"])
 
 
-def load_dynamic_index(
-    path: str | Path, backend: str | None = None
-) -> DynamicEdgeIndex:
+def load_dynamic_index(path: str | Path) -> DynamicEdgeIndex:
     """Restore a :func:`save_dynamic_index` checkpoint.
 
     Edges are re-inserted in file order (which preserves per-target
     arrival order), so window and cap pruning semantics carry over
-    exactly.  The storage backend recorded at save time is restored unless
-    *backend* overrides it (checkpoints predating the backend field load
-    as ``"list"``).
+    exactly.  Files written before the single-layout D carry a ``backend``
+    array (or predate ``promote_threshold``); both load — the retired key
+    is ignored, a missing threshold takes the module default.
     """
     with np.load(Path(path)) as data:
         retention = float(data["retention"])
         cap = int(data["max_edges_per_target"])
-        if backend is None:
-            backend = (
-                str(data["backend"]) if "backend" in data.files else "list"
-            )
-        promote_threshold = (
-            int(data["promote_threshold"])
-            if "promote_threshold" in data.files
-            else None
-        )
-        kwargs = {}
-        if promote_threshold is not None:
-            kwargs["promote_threshold"] = promote_threshold
         index = DynamicEdgeIndex(
             retention=retention,
             max_edges_per_target=None if cap < 0 else cap,
-            backend=backend,
-            **kwargs,
+            promote_threshold=(
+                int(data["promote_threshold"])
+                if "promote_threshold" in data.files
+                else DEFAULT_PROMOTE_THRESHOLD
+            ),
         )
         restore_dynamic_arrays(
             index,

@@ -36,7 +36,7 @@ from repro.core.recommendation import (
     RecommendationGroup,
 )
 from repro.graph.dynamic_index import DynamicEdgeIndex, FreshColumns, FreshEdge
-from repro.graph.intersect import k_overlap, k_overlap_arrays
+from repro.graph.intersect import k_overlap_arrays
 from repro.graph.static_index import StaticFollowerIndex
 
 #: Cache-miss sentinel for the batch path's follower-array memo (``None``
@@ -291,12 +291,8 @@ class DiamondDetector:
         if len(follower_lists) < params.k:
             return []
 
-        if type(follower_lists[0]) is np.ndarray:
-            # The csr S backend serves arena slices; the array kernel keeps
-            # results as Python ints, identical to the packed-list path.
-            recipients = k_overlap_arrays(follower_lists, params.k).tolist()
-        else:
-            recipients = k_overlap(follower_lists, params.k)
+        # S serves arena slices; ``tolist`` keeps the recipients Python ints.
+        recipients = k_overlap_arrays(follower_lists, params.k).tolist()
         if not recipients:
             return []
 
@@ -321,7 +317,7 @@ class DiamondDetector:
 
         Identical audience, different execution and representation: each
         fresh B's follower list is fetched as a zero-copy int64 view
-        (``follower_array``, backend-neutral) and memoized on the detector
+        (``follower_array``) and memoized on the detector
         (S is immutable until rebound, so reuse is exact), the k-overlap
         runs as one C-speed sort plus run-length threshold over the
         concatenation, and the exclusion filters apply as vectorized masks
@@ -356,8 +352,7 @@ class DiamondDetector:
         for b in sources:
             arr = follower_arrays.get(b, _MISSING)
             if arr is _MISSING:
-                # Both S backends serve a zero-copy int64 view (None when
-                # empty): an arena slice for csr, a buffer view for packed.
+                # A zero-copy int64 arena slice (None when empty).
                 arr = static_follower_array(b)
                 follower_arrays[b] = arr
             if arr is not None:

@@ -93,8 +93,6 @@ class MotifEngine:
         retention: float | None = None,
         max_edges_per_target: int | None = None,
         track_latency: bool = True,
-        s_backend: str = "csr",
-        d_backend: str = "ring",
     ) -> "MotifEngine":
         """Build the standard production stack from an offline snapshot.
 
@@ -106,20 +104,14 @@ class MotifEngine:
             max_edges_per_target: per-C cap on stored D entries (the
                 paper's "pruning the D data structure to only retain the
                 most recent edges"); ``None`` keeps everything in-window.
-            s_backend: S storage layout — ``"csr"`` (single int64 arena,
-                default) or ``"packed"`` (one buffer per B).
-            d_backend: D storage layout — ``"ring"`` (columnar ring buffers
-                for hot targets, default) or ``"list"`` (deques only).
-                Both knobs change representation only, never results.
         """
         params = params or DetectionParams()
         static_index = build_follower_snapshot(
-            snapshot, influencer_limit=influencer_limit, backend=s_backend
+            snapshot, influencer_limit=influencer_limit
         )
         dynamic_index = DynamicEdgeIndex(
             retention=retention or params.tau,
             max_edges_per_target=max_edges_per_target,
-            backend=d_backend,
         )
         detector = DiamondDetector(
             static_index, dynamic_index, params, inserts_edges=False

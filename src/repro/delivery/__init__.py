@@ -17,12 +17,19 @@ The funnel stages, in production order:
 keeps a :class:`~repro.sim.metrics.FunnelCounter`, which benchmark E6 reads
 to reproduce the billions-to-millions reduction ratio.
 
-The stateful stages (dedup, fatigue) store their maps either in numpy
-open-addressing tables (``backend="table"``, the default — vectorized
-``allow_mask`` probes, horizon-compacted residency; see
-:mod:`repro.delivery.pairtable`) or in the reference dicts
-(``backend="dict"`` — arbitrary id spaces and clocks, fastest for
-per-candidate ``offer`` workloads).  The ranked configuration inserts
+The stateful stages (dedup, fatigue) store their maps in numpy
+open-addressing tables (vectorized ``allow_mask`` probes, horizon-compacted
+residency; see :mod:`repro.delivery.pairtable`).  Two contracts follow from
+that layout:
+
+* recipient and candidate ids are in ``[0, 2**32)`` — a pair packs into one
+  ``uint64`` key; dedup's ``allow`` / ``allow_mask`` raise ``ValueError``
+  on wider ids;
+* ``now`` is non-decreasing across calls — expired entries are compacted
+  against the latest ``now``, so a clock that runs backwards could consult
+  state that was already evicted.
+
+The ranked configuration inserts
 :class:`~repro.delivery.scoring.TopKPerUserBuffer` — columnar accumulation
 with a vectorized per-recipient top-k at flush — between detection and
 the funnel.

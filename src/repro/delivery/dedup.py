@@ -4,21 +4,13 @@ A hot C keeps completing diamonds as more B's pile on, so the same
 (recipient, candidate) pair arrives over and over in the raw stream.  Each
 pair is allowed through once per ``window`` seconds.
 
-Two interchangeable storage backends hold the seen-map:
-
-* ``backend="table"`` (default) — an open-addressing numpy pair table
-  (:class:`~repro.delivery.pairtable.Int64KeyTable`): the pair packs into
-  one ``uint64`` key, ``allow_mask`` probes the whole batch with a few
-  vectorized passes, and expired pairs are evicted by horizon-based
-  compaction when the table needs room (daily-horizon residency is a
-  few tens of bytes per live pair instead of a ~100-byte dict entry).
-  Requires ids below 2**32 and a non-decreasing ``now`` sequence (both
-  true on the streaming path).
-* ``backend="dict"`` — the reference ``(recipient, candidate) ->
-  last_sent`` dict, pruned opportunistically every
-  :data:`~DedupFilter.PRUNE_EVERY` accepts.  Handles arbitrary ids and
-  arbitrary clocks; equivalence between the two backends is enforced by
-  ``tests/test_pair_table.py``.
+The seen-map is an open-addressing numpy pair table
+(:class:`~repro.delivery.pairtable.Int64KeyTable`): the pair packs into one
+``uint64`` key, ``allow_mask`` probes the whole batch with a few vectorized
+passes, and expired pairs are evicted by horizon-based compaction when the
+table needs room (daily-horizon residency is a few tens of bytes per live
+pair).  Requires ids below 2**32 and a non-decreasing ``now`` sequence
+(both true on the streaming path; see :mod:`repro.delivery`).
 """
 
 from __future__ import annotations
@@ -32,38 +24,22 @@ from repro.delivery.pairtable import (
     pack_pairs,
     unpack_pairs,
 )
-from repro.util.validation import require, require_positive
-
-DEDUP_BACKENDS = ("table", "dict")
+from repro.util.validation import require_positive
 
 
 class DedupFilter:
     """Suppress repeats of (recipient, candidate) within a time window."""
 
-    #: Dict backend: accepts between opportunistic prunes of the seen-map.
-    PRUNE_EVERY = 4096
-
-    def __init__(self, window: float = 86_400.0, backend: str = "table") -> None:
+    def __init__(self, window: float = 86_400.0) -> None:
         """Create the filter.
 
         Args:
             window: seconds during which a repeated pair is suppressed
                 (default one day, matching the paper's daily accounting).
-            backend: ``"table"`` for the numpy pair table (default) or
-                ``"dict"`` for the reference dict seen-map.
         """
         require_positive(window, "window")
-        require(
-            backend in DEDUP_BACKENDS,
-            f"backend must be one of {DEDUP_BACKENDS}, got {backend!r}",
-        )
         self.window = window
-        self.backend = backend
-        if backend == "dict":
-            self._last_sent: dict[tuple[int, int], float] = {}
-            self._since_prune = 0
-        else:
-            self._table = Int64KeyTable({"time": (np.float64, 0)})
+        self._table = Int64KeyTable({"time": (np.float64, 0)})
 
     @property
     def name(self) -> str:
@@ -72,8 +48,6 @@ class DedupFilter:
 
     def allow(self, rec: Recommendation, now: float) -> bool:
         """True iff this pair has not been let through within the window."""
-        if self.backend == "dict":
-            return self._allow_dict(rec, now)
         table = self._table
         key = pack_pair(rec.recipient, rec.candidate)
         slot = table.find(key)
@@ -87,31 +61,16 @@ class DedupFilter:
         table.columns["time"][slot] = now
         return True
 
-    def _allow_dict(self, rec: Recommendation, now: float) -> bool:
-        key = rec.key()
-        last = self._last_sent.get(key)
-        if last is not None and now - last < self.window:
-            return False
-        self._last_sent[key] = now
-        self._since_prune += 1
-        if self._since_prune >= self.PRUNE_EVERY:
-            self._prune(now)
-        return True
-
     def allow_mask(self, columns: CandidateColumns, now: float) -> np.ndarray:
         """Batched :meth:`allow`: one decision per candidate, state updated
         in candidate order — exactly the sequence of per-candidate calls.
 
-        On the table backend the whole batch vectorizes: within one call
-        every occurrence of a pair after the first is a duplicate of that
-        first occurrence (it was just let through, or it was already
-        blocked), so the stage reduces to one ``np.unique`` plus one bulk
-        table probe over the distinct pairs — no per-candidate Python at
-        all.  The dict backend runs the reference sequential loop over
-        the decoded id lists.
+        The whole batch vectorizes: within one call every occurrence of a
+        pair after the first is a duplicate of that first occurrence (it
+        was just let through, or it was already blocked), so the stage
+        reduces to one ``np.unique`` plus one bulk table probe over the
+        distinct pairs — no per-candidate Python at all.
         """
-        if self.backend == "dict":
-            return self._allow_mask_dict(columns, now)
         recipients = columns.recipients
         n = len(recipients)
         keys = pack_pairs(recipients, columns.candidates)
@@ -139,77 +98,30 @@ class DedupFilter:
             table.columns["time"][new_slots] = now
         return out
 
-    def _allow_mask_dict(self, columns: CandidateColumns, now: float) -> np.ndarray:
-        recipients = columns.recipients_list()
-        candidates = columns.candidates_list()
-        out = np.empty(len(recipients), dtype=bool)
-        last_sent = self._last_sent
-        window = self.window
-        prune_every = self.PRUNE_EVERY
-        since_prune = self._since_prune
-        for i, key in enumerate(zip(recipients, candidates)):
-            last = last_sent.get(key)
-            if last is not None and now - last < window:
-                out[i] = False
-                continue
-            last_sent[key] = now
-            since_prune += 1
-            if since_prune >= prune_every:
-                self._prune(now)
-                last_sent = self._last_sent
-                since_prune = 0
-            out[i] = True
-        self._since_prune = since_prune
-        return out
-
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.window
-        self._last_sent = {
-            key: t for key, t in self._last_sent.items() if t >= cutoff
-        }
-        self._since_prune = 0
-
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """The seen-map as owned arrays (for incremental snapshots,
-        table backend only)."""
-        require(
-            self.backend == "table",
-            "snapshots require backend='table' (the dict backend is the "
-            "in-memory reference)",
-        )
+        """The seen-map as owned arrays (for incremental snapshots)."""
         return self._table.state_arrays()
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace the seen-map with a :meth:`state_arrays` payload
-        (table backend only)."""
-        require(
-            self.backend == "table",
-            "snapshots require backend='table' (the dict backend is the "
-            "in-memory reference)",
-        )
+        """Replace the seen-map with a :meth:`state_arrays` payload."""
         self._table = Int64KeyTable({"time": (np.float64, 0)})
         self._table.load_state_arrays(arrays)
 
     def save_npz(self, path) -> None:
         """Snapshot the seen-map so a delivery-tier restart keeps its
-        daily horizon (table backend only)."""
-        require(
-            self.backend == "table",
-            "snapshots require backend='table' (the dict backend is the "
-            "in-memory reference)",
-        )
+        daily horizon."""
         self._table.save_npz(path)
 
     @classmethod
     def from_snapshot(
         cls, path, window: float = 86_400.0
     ) -> "DedupFilter":
-        """A table-backend filter warmed from a :meth:`save_npz` snapshot.
+        """A filter warmed from a :meth:`save_npz` snapshot.
 
         *window* is configuration, not state — pass the same value the
         saved filter ran with (it is not persisted).
         """
-        out = cls(window=window, backend="table")
+        out = cls(window=window)
         out._table = Int64KeyTable.from_snapshot(
             path, {"time": (np.float64, 0)}
         )
@@ -217,18 +129,14 @@ class DedupFilter:
 
     def tracked_pairs(self) -> int:
         """Number of pairs currently remembered (memory accounting)."""
-        if self.backend == "dict":
-            return len(self._last_sent)
         return len(self._table)
 
     def last_sent_entries(self) -> dict[tuple[int, int], float]:
         """Snapshot of ``(recipient, candidate) -> last_sent`` (tests).
 
-        Backends prune/compact expired entries at different moments, so
-        only the in-window subset is comparable across them.
+        Expired entries linger until the next compaction, so only the
+        in-window subset is comparable against a reference model.
         """
-        if self.backend == "dict":
-            return dict(self._last_sent)
         slots = self._table.filled_slots()
         recipients, candidates = unpack_pairs(self._table.keys_at(slots))
         times = self._table.columns["time"][slots]

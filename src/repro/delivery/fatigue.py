@@ -5,31 +5,31 @@ there are too many of them; production "controls for fatigue".  We model
 the standard mechanism: at most ``max_per_window`` deliveries per user per
 rolling ``window`` seconds.
 
-Two interchangeable storage backends hold the per-user histories:
-
-* ``backend="table"`` (default) — an open-addressing numpy table keyed by
-  recipient, holding a fixed ``max_per_window``-wide timestamp ring per
-  slot (the rolling window never needs more entries than the cap).
-  ``allow_mask`` charges a whole batch with a handful of vectorized
-  passes; dead users are evicted by horizon-based compaction when the
-  table needs room.  Assumes a non-decreasing ``now`` sequence (true on
-  the streaming path).
-* ``backend="dict"`` — the reference ``recipient -> deque[float]`` map.
-  Equivalence between the two backends is enforced by
-  ``tests/test_pair_table.py``.
+The per-user histories live in an open-addressing numpy table keyed by
+recipient, holding a fixed ``max_per_window``-wide timestamp ring per slot
+(the rolling window never needs more entries than the cap).  ``allow_mask``
+charges a whole batch with a handful of vectorized passes; dead users are
+evicted by horizon-based compaction when the table needs room.  Assumes a
+non-decreasing ``now`` sequence (true on the streaming path; see
+:mod:`repro.delivery`).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from repro.core.recommendation import CandidateColumns, Recommendation
 from repro.delivery.pairtable import Int64KeyTable
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
-FATIGUE_BACKENDS = ("table", "dict")
+
+def _history_columns(max_per_window: int) -> dict:
+    """Table value columns: a ``max_per_window``-wide timestamp ring per user."""
+    return {
+        "times": (np.float64, max_per_window),
+        "head": (np.int32, 0),
+        "count": (np.int32, 0),
+    }
 
 
 class FatigueFilter:
@@ -39,35 +39,18 @@ class FatigueFilter:
         self,
         max_per_window: int = 2,
         window: float = 86_400.0,
-        backend: str = "table",
     ) -> None:
         """Create the filter.
 
         Args:
             max_per_window: deliveries allowed per user per window.
             window: rolling window length in seconds (default one day).
-            backend: ``"table"`` for the numpy ring table (default) or
-                ``"dict"`` for the reference deque map.
         """
         require_positive(max_per_window, "max_per_window")
         require_positive(window, "window")
-        require(
-            backend in FATIGUE_BACKENDS,
-            f"backend must be one of {FATIGUE_BACKENDS}, got {backend!r}",
-        )
         self.max_per_window = max_per_window
         self.window = window
-        self.backend = backend
-        if backend == "dict":
-            self._sent: dict[int, deque[float]] = {}
-        else:
-            self._table = Int64KeyTable(
-                {
-                    "times": (np.float64, max_per_window),
-                    "head": (np.int32, 0),
-                    "count": (np.int32, 0),
-                }
-            )
+        self._table = Int64KeyTable(_history_columns(max_per_window))
 
     @property
     def name(self) -> str:
@@ -76,8 +59,6 @@ class FatigueFilter:
 
     def allow(self, rec: Recommendation, now: float) -> bool:
         """True iff the recipient is under their cap; counts the delivery."""
-        if self.backend == "dict":
-            return self._allow_dict(rec, now)
         table = self._table
         cap = self.max_per_window
         cutoff = now - self.window
@@ -90,7 +71,7 @@ class FatigueFilter:
         head = int(columns["head"][slot])
         count = int(columns["count"][slot])
         # Prune from the oldest end, stopping at the first live entry —
-        # the exact deque ``popleft`` sequence of the dict backend.
+        # the exact ``popleft`` sequence of a per-user deque history.
         while count and times[slot, head] < cutoff:
             head = (head + 1) % cap
             count -= 1
@@ -103,31 +84,15 @@ class FatigueFilter:
         columns["count"][slot] = count + 1
         return True
 
-    def _allow_dict(self, rec: Recommendation, now: float) -> bool:
-        history = self._sent.get(rec.recipient)
-        if history is None:
-            history = deque()
-            self._sent[rec.recipient] = history
-        cutoff = now - self.window
-        while history and history[0] < cutoff:
-            history.popleft()
-        if len(history) >= self.max_per_window:
-            return False
-        history.append(now)
-        return True
-
     def allow_mask(self, columns: CandidateColumns, now: float) -> np.ndarray:
         """Batched :meth:`allow`: per-candidate decisions in order.
 
         All candidates in one call share ``now``, so per recipient the
         sequential semantics collapse to: prune once, then admit the
-        first ``cap - live`` occurrences and reject the rest.  The table
-        backend computes that shape fully vectorized (one ``np.unique``
-        over recipients, one bulk probe, ring updates as a few masked
-        writes); the dict backend runs the reference sequential loop.
+        first ``cap - live`` occurrences and reject the rest — computed
+        fully vectorized (one ``np.unique`` over recipients, one bulk
+        probe, ring updates as a few masked writes).
         """
-        if self.backend == "dict":
-            return self._allow_mask_dict(columns, now)
         recipients = columns.recipients
         n = len(recipients)
         out = np.empty(n, dtype=bool)
@@ -194,62 +159,19 @@ class FatigueFilter:
             table_columns["count"][new_slots] = grants_missing
         return out
 
-    def _allow_mask_dict(self, columns: CandidateColumns, now: float) -> np.ndarray:
-        recipients = columns.recipients_list()
-        out = np.empty(len(recipients), dtype=bool)
-        sent = self._sent
-        cutoff = now - self.window
-        cap = self.max_per_window
-        for i, recipient in enumerate(recipients):
-            history = sent.get(recipient)
-            if history is None:
-                history = deque()
-                sent[recipient] = history
-            while history and history[0] < cutoff:
-                history.popleft()
-            if len(history) >= cap:
-                out[i] = False
-            else:
-                history.append(now)
-                out[i] = True
-        return out
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The per-user histories as owned arrays (for incremental
-        snapshots, table backend only)."""
-        require(
-            self.backend == "table",
-            "snapshots require backend='table' (the dict backend is the "
-            "in-memory reference)",
-        )
+        snapshots)."""
         return self._table.state_arrays()
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace the histories with a :meth:`state_arrays` payload
-        (table backend only)."""
-        require(
-            self.backend == "table",
-            "snapshots require backend='table' (the dict backend is the "
-            "in-memory reference)",
-        )
-        self._table = Int64KeyTable(
-            {
-                "times": (np.float64, self.max_per_window),
-                "head": (np.int32, 0),
-                "count": (np.int32, 0),
-            }
-        )
+        """Replace the histories with a :meth:`state_arrays` payload."""
+        self._table = Int64KeyTable(_history_columns(self.max_per_window))
         self._table.load_state_arrays(arrays)
 
     def save_npz(self, path) -> None:
         """Snapshot the per-user histories so a delivery-tier restart
-        keeps charging against the same daily budgets (table backend
-        only)."""
-        require(
-            self.backend == "table",
-            "snapshots require backend='table' (the dict backend is the "
-            "in-memory reference)",
-        )
+        keeps charging against the same daily budgets."""
         self._table.save_npz(path)
 
     @classmethod
@@ -259,22 +181,15 @@ class FatigueFilter:
         max_per_window: int = 2,
         window: float = 86_400.0,
     ) -> "FatigueFilter":
-        """A table-backend filter warmed from a :meth:`save_npz` snapshot.
+        """A filter warmed from a :meth:`save_npz` snapshot.
 
         *max_per_window* and *window* are configuration, not state — pass
         the values the saved filter ran with (the ring width is checked
         against the snapshot, so a mismatched cap fails loudly).
         """
-        out = cls(
-            max_per_window=max_per_window, window=window, backend="table"
-        )
+        out = cls(max_per_window=max_per_window, window=window)
         out._table = Int64KeyTable.from_snapshot(
-            path,
-            {
-                "times": (np.float64, max_per_window),
-                "head": (np.int32, 0),
-                "count": (np.int32, 0),
-            },
+            path, _history_columns(max_per_window)
         )
         return out
 
@@ -295,11 +210,6 @@ class FatigueFilter:
     def sent_in_window(self, user: int, now: float) -> int:
         """Deliveries charged to *user* within the current window."""
         cutoff = now - self.window
-        if self.backend == "dict":
-            history = self._sent.get(user)
-            if not history:
-                return 0
-            return sum(1 for t in history if t >= cutoff)
         slot = self._table.find(user)
         if slot < 0:
             return 0

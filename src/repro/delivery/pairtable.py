@@ -8,8 +8,8 @@ the same state into flat numpy columns:
 
 * **keys** — one ``uint64`` per entry; a (recipient, candidate) pair packs
   into a single word as ``recipient << 32 | candidate``
-  (:func:`pack_pairs`; both ids must be below 2**32 — use the filters'
-  ``backend="dict"`` for exotic id spaces);
+  (:func:`pack_pairs`; both ids must be in ``[0, 2**32)`` — wider ids
+  raise ``ValueError``);
 * **probe** — splitmix64 of the key selects the home slot in a
   power-of-two capacity; collisions resolve by linear probing, and the
   load factor is capped so probe chains stay short;
@@ -69,7 +69,7 @@ def pack_pair(recipient: int, candidate: int) -> int:
     if not (0 <= recipient < PAIR_ID_LIMIT and 0 <= candidate < PAIR_ID_LIMIT):
         raise ValueError(
             f"pair ids must be in [0, 2**32) to pack into one key, got "
-            f"({recipient}, {candidate}); use backend='dict' for wider ids"
+            f"({recipient}, {candidate})"
         )
     return (recipient << 32) | candidate
 
@@ -81,8 +81,8 @@ def pack_pairs(recipients: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         high = max(int(recipients.max()), int(candidates.max()))
         if low < 0 or high >= PAIR_ID_LIMIT:
             raise ValueError(
-                "pair ids must be in [0, 2**32) to pack into one key; "
-                "use backend='dict' for wider ids"
+                "pair ids must be in [0, 2**32) to pack into one key, got "
+                f"values in [{low}, {high}]"
             )
     return (recipients.astype(np.uint64) << np.uint64(32)) | candidates.astype(
         np.uint64
@@ -369,7 +369,7 @@ class Int64KeyTable:
     def save_npz(self, path: str | Path) -> None:
         """Serialize the live entries to an ``.npz`` snapshot.
 
-        Mirrors :meth:`repro.graph.static_index.CsrFollowerIndex.save_npz`:
+        Mirrors :meth:`repro.graph.static_index.StaticFollowerIndex.save_npz`:
         only the occupied slots' keys and value columns are written (slot
         positions are an artifact of the current capacity, so they are
         *not* preserved — a reload re-probes).  Uncompressed on purpose;

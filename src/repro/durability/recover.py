@@ -77,8 +77,6 @@ def _build_cluster(root: Path, config: dict) -> Cluster:
     )
     cluster_config = ClusterConfig(
         num_partitions=int(config.get("num_partitions", 1)),
-        s_backend=config.get("s_backend", "csr"),
-        d_backend=config.get("d_backend", "ring"),
         transport="inprocess",
     )
     return Cluster.build(snapshot, params, cluster_config)

@@ -28,13 +28,8 @@ from repro.graph.intersect import (
     k_overlap_scancount,
     k_overlap,
 )
-from repro.graph.static_index import (
-    S_BACKENDS,
-    CsrFollowerIndex,
-    StaticFollowerIndex,
-)
+from repro.graph.static_index import StaticFollowerIndex
 from repro.graph.dynamic_index import (
-    D_BACKENDS,
     DynamicEdgeIndex,
     DynamicSourceIndex,
     FreshEdge,
@@ -55,10 +50,7 @@ __all__ = [
     "k_overlap_heap",
     "k_overlap_scancount",
     "k_overlap",
-    "S_BACKENDS",
-    "D_BACKENDS",
     "StaticFollowerIndex",
-    "CsrFollowerIndex",
     "DynamicEdgeIndex",
     "DynamicSourceIndex",
     "FreshEdge",

@@ -23,7 +23,7 @@ def pack_rows(
     """Pack keyed adjacency rows into one contiguous int64 arena.
 
     The CSR-style building block shared by full-graph CSR construction and
-    the columnar S backend: every row is laid out back-to-back in a single
+    the S follower index: every row is laid out back-to-back in a single
     ``int64`` arena, with an offsets table such that row ``i`` occupies
     ``arena[offsets[i]:offsets[i + 1]]``.  Row *values* are stored exactly
     as given (callers own sorting/dedup); row *order* follows the mapping's

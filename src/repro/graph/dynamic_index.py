@@ -20,18 +20,24 @@ entries are kept in arrival order and freshness is always evaluated against
 the stored timestamps, so modest reordering only costs a little laziness in
 pruning, never correctness.
 
-Two storage backends share this contract:
+Storage follows the observed entry count: a cold target holds a deque of
+boxed ``(t, b, action)`` tuples; a target reaching ``promote_threshold``
+stored edges switches to a :class:`_HotRing` — a circular **columnar**
+buffer (float64 timestamps, int64 sources, uint16 interned action codes) so
+freshness scans, dedup, and window pruning vectorize for exactly the targets
+where the per-tuple Python scan hurts.  Rings demote back to deques when
+pruning shrinks them below half the threshold.  Promotion and demotion are
+pure representation changes — queries, eviction order, and counters are
+bit-identical to an index that never promotes
+(``tests/test_backend_equivalence.py`` enforces this on random streams).
 
-* ``list`` — every target holds a deque of boxed ``(t, b, action)`` tuples;
-* ``ring`` — cold targets stay deques, but targets promoted above
-  ``promote_threshold`` stored edges switch to a :class:`_HotRing`: a
-  circular **columnar** buffer (float64 timestamps, int64 sources, uint16
-  interned action codes) so freshness scans, dedup, and window pruning
-  vectorize for exactly the targets where the per-tuple Python scan hurts.
-  Rings demote back to deques when pruning shrinks them below half the
-  threshold.  Promotion and demotion are pure representation changes —
-  queries, eviction order, and counters are bit-identical to ``list``
-  (``tests/test_backend_equivalence.py`` enforces this on random streams).
+Contracts the index assumes (violations raise ``ValueError`` where they can
+be detected):
+
+* at most 65,535 distinct action tags per index (rings store a ``uint16``
+  code per edge);
+* ``now`` / timestamps are non-decreasing up to modest reordering (see
+  above); ``tau`` never exceeds ``retention``.
 """
 
 from __future__ import annotations
@@ -43,17 +49,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.graph.ids import UserId
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
-#: Selectable D storage backends (``DynamicEdgeIndex(backend=...)``).
-D_BACKENDS = ("list", "ring")
-
-#: Stored-entry count at which the ring backend promotes a target from the
-#: deque representation to a columnar ring.  Below this, the plain Python
-#: scan over a handful of tuples beats numpy's fixed dispatch cost; the
-#: default sits at the measured query-cost crossover of the backend
-#: ablation (``benchmarks/bench_ingest_throughput.py``) — promotion is
-#: reserved for genuinely viral targets, where the vectorized scan wins.
+#: Stored-entry count at which a target is promoted from the deque
+#: representation to a columnar ring.  Below this, the plain Python scan
+#: over a handful of tuples beats numpy's fixed dispatch cost; the default
+#: sits at the measured query-cost crossover of the viral-scan row
+#: (``benchmarks/bench_ingest_throughput.py``) — promotion is reserved for
+#: genuinely viral targets, where the vectorized scan wins.
 DEFAULT_PROMOTE_THRESHOLD = 160
 
 
@@ -144,7 +147,7 @@ class _HotRing:
 
     The buffer grows (doubling) when full, so it can temporarily hold more
     than the per-target cap — cap eviction stays a policy of the owning
-    index, keeping the two backends' eviction logic line-for-line parallel.
+    index, keeping the deque and ring eviction logic line-for-line parallel.
     """
 
     __slots__ = ("ts", "src", "act", "start", "count", "_table")
@@ -342,7 +345,6 @@ class DynamicEdgeIndex:
         self,
         retention: float,
         max_edges_per_target: int | None = None,
-        backend: str = "ring",
         promote_threshold: int = DEFAULT_PROMOTE_THRESHOLD,
     ) -> None:
         """Create an empty index.
@@ -352,25 +354,18 @@ class DynamicEdgeIndex:
                 largest freshness window ``tau`` any detector will ask for.
             max_edges_per_target: optional hard cap per C; the oldest
                 entries are evicted first.
-            backend: ``"ring"`` (default) promotes hot targets to columnar
-                ring buffers; ``"list"`` keeps every target as a deque of
-                tuples.  Query results and eviction behavior are identical.
-            promote_threshold: stored-edge count at which the ring backend
-                promotes a target; rings demote back below half of it.
+            promote_threshold: stored-edge count at which a target is
+                promoted to a columnar ring; rings demote back below half
+                of it.  Query results and eviction behavior do not depend
+                on it.
         """
         require_positive(retention, "retention")
         if max_edges_per_target is not None:
             require_positive(max_edges_per_target, "max_edges_per_target")
-        require(
-            backend in D_BACKENDS,
-            f"unknown D backend {backend!r}; expected one of {D_BACKENDS}",
-        )
         require_positive(promote_threshold, "promote_threshold")
         self.retention = retention
         self.max_edges_per_target = max_edges_per_target
-        self.backend = backend
         self.promote_threshold = promote_threshold
-        self._ring = backend == "ring"
         self._edges: dict[UserId, deque | _HotRing] = {}
         self._num_edges = 0
         self._inserted_total = 0
@@ -383,7 +378,7 @@ class DynamicEdgeIndex:
         self._action_codes: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Action interning (ring backend)
+    # Action interning (rings)
     # ------------------------------------------------------------------
 
     def _encode_action(self, action: object | None) -> int:
@@ -391,13 +386,13 @@ class DynamicEdgeIndex:
             return 0
         code = self._action_codes.get(id(action))
         if code is None:
-            self._action_table.append(action)
-            code = len(self._action_table) - 1
+            code = len(self._action_table)
             if code > np.iinfo(np.uint16).max:
                 raise ValueError(
-                    "too many distinct action tags for the ring backend "
-                    "(max 65535); use backend='list'"
+                    "too many distinct action tags: an index holds at most "
+                    "65535 (rings store a uint16 code per edge)"
                 )
+            self._action_table.append(action)
             self._action_codes[id(action)] = code
         return code
 
@@ -410,7 +405,7 @@ class DynamicEdgeIndex:
         return self._action_codes.get(id(action), -1)
 
     # ------------------------------------------------------------------
-    # Promotion / demotion (ring backend)
+    # Promotion / demotion
     # ------------------------------------------------------------------
 
     def _promote(self, c: UserId, entry: deque) -> _HotRing:
@@ -472,7 +467,7 @@ class DynamicEdgeIndex:
                     entry.popleft()
                 self._num_edges -= overflow
                 self._evicted_total += overflow
-            if self._ring and len(entry) >= self.promote_threshold:
+            if len(entry) >= self.promote_threshold:
                 self._promote(c, entry)
             return
         # Ring path: identical append / window-prune / cap-evict sequence
@@ -517,7 +512,6 @@ class DynamicEdgeIndex:
         retention = self.retention
         cap = self.max_edges_per_target
         has_cap = cap is not None
-        ring_backend = self._ring
         promote_threshold = self.promote_threshold
         inserted = 0
         evicted = 0
@@ -548,7 +542,7 @@ class DynamicEdgeIndex:
                         # clone_state_from from a differently-capped sibling.
                         entry.popleft()
                         evicted += 1
-                    if ring_backend and len(entry) >= promote_threshold:
+                    if len(entry) >= promote_threshold:
                         self._promote(c, entry)
                 else:
                     entry.append(timestamp, actors[i], self._encode_action(actions[i]))
@@ -605,7 +599,7 @@ class DynamicEdgeIndex:
                     while entry[0][0] < cutoff:
                         entry.popleft()
                         evicted += 1
-                    if ring_backend and len(entry) >= promote_threshold:
+                    if len(entry) >= promote_threshold:
                         self._promote(c, entry)
                 else:
                     # Ring-aware bulk write: gather the group's columns from
@@ -640,7 +634,7 @@ class DynamicEdgeIndex:
                             for _ in range(overflow):
                                 entry.popleft()
                             evicted += overflow
-                        if ring_backend and len(entry) >= promote_threshold:
+                        if len(entry) >= promote_threshold:
                             entry = self._promote(c, entry)
                     else:
                         entry.append(
@@ -662,14 +656,14 @@ class DynamicEdgeIndex:
         Used by replica resync: a recovering replica bootstraps its D from
         a healthy sibling before rejoining the stream.  Retention/cap
         configuration is not copied — only the stored edges, re-packed
-        into *this* index's backend representation (a ring-backed clone of
-        a list-backed sibling re-promotes hot targets, and vice versa).
+        under *this* index's ``promote_threshold`` (targets at or above it
+        come back as rings, the rest as deques).
         """
         self._edges = {}
         for c, entry in other._edges.items():
             copied = deque(entry)
             self._edges[c] = copied
-            if self._ring and len(copied) >= self.promote_threshold:
+            if len(copied) >= self.promote_threshold:
                 self._promote(c, copied)
         self._num_edges = other._num_edges
         self._inserted_total = other._inserted_total
@@ -679,8 +673,8 @@ class DynamicEdgeIndex:
         """Eagerly drop all entries older than ``now - retention``.
 
         Returns the number of edges removed.  The ingest pipeline calls this
-        periodically to bound memory between bursts.  For the ring backend
-        this sweep is also where cooled-off rings demote back to deques.
+        periodically to bound memory between bursts.  This sweep is also
+        where cooled-off rings demote back to deques.
         """
         cutoff = now - self.retention
         removed = 0
@@ -914,7 +908,8 @@ class DynamicEdgeIndex:
 
     def entries(self, c: UserId) -> list[tuple[float, UserId, object | None]]:
         """The stored ``(timestamp, source, action)`` tuples of *c*, in
-        arrival order — the backend-neutral view used by checkpointing."""
+        arrival order — the representation-neutral view used by
+        checkpointing."""
         entry = self._edges.get(c)
         if entry is None:
             return []
@@ -976,7 +971,7 @@ class DynamicSourceIndex:
     source-counted motifs (e.g. follow-spree detection) require.
 
     Same pruning semantics as :class:`DynamicEdgeIndex`: a retention
-    window enforced lazily plus an optional per-source cap.  (List-backed
+    window enforced lazily plus an optional per-source cap.  (Deques
     only — spree queries never scan entries hot enough to justify rings.)
     """
 

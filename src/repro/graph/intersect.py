@@ -107,8 +107,8 @@ def intersect_sorted(a: IdList, b: IdList) -> list[int]:
     This is the dispatch the engine uses in production paths.
     """
     if not len(a) or not len(b):
-        # len() rather than truthiness: inputs may be numpy arrays (the
-        # csr S backend serves arena slices), whose bool() is ambiguous.
+        # len() rather than truthiness: inputs may be numpy arrays (S
+        # serves arena slices), whose bool() is ambiguous.
         return []
     short, long_ = (a, b) if len(a) <= len(b) else (b, a)
     if len(long_) >= GALLOP_RATIO * len(short):

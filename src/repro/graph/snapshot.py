@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.graph.csr import CsrGraph
 from repro.graph.ids import UserId
-from repro.graph.static_index import (
-    S_BACKENDS,
-    CsrFollowerIndex,
-    StaticFollowerIndex,
-)
+from repro.graph.static_index import StaticFollowerIndex
 from repro.util.validation import require
 
 
@@ -132,8 +128,7 @@ def build_follower_snapshot(
     snapshot: GraphSnapshot,
     influencer_limit: int | None = None,
     include_source: Callable[[UserId], bool] | None = None,
-    backend: str = "csr",
-) -> StaticFollowerIndex | CsrFollowerIndex:
+) -> StaticFollowerIndex:
     """Invert a snapshot into the serving-side S structure.
 
     This is the "periodic offline load" step of the paper: take the forward
@@ -145,22 +140,12 @@ def build_follower_snapshot(
         snapshot: the offline forward graph.
         influencer_limit: per-A cap on retained followings.
         include_source: partition membership predicate over A.
-        backend: ``"csr"`` (default) builds the single-arena
-            :class:`~repro.graph.static_index.CsrFollowerIndex`;
-            ``"packed"`` builds the per-key
-            :class:`~repro.graph.static_index.StaticFollowerIndex`.
-            Query results are identical either way.
     """
     require(snapshot.num_users >= 0, "snapshot must be well-formed")
-    require(
-        backend in S_BACKENDS,
-        f"unknown S backend {backend!r}; expected one of {S_BACKENDS}",
-    )
     weight = None
     if snapshot.edge_weights:
         weight = snapshot.weight_of
-    index_cls = CsrFollowerIndex if backend == "csr" else StaticFollowerIndex
-    return index_cls.from_follow_edges(
+    return StaticFollowerIndex.from_follow_edges(
         snapshot.follow_edges(),
         influencer_limit=influencer_limit,
         edge_weight=weight,

@@ -12,24 +12,17 @@ sorted so the detector can intersect them cheaply.  Mirroring production:
 * a partition holds only the A's it owns, so construction accepts an
   ``include_source`` predicate.
 
-Two interchangeable storage backends implement the same query API:
-
-* :class:`StaticFollowerIndex` (``packed``) — one ``array('q')`` buffer per
-  B, the closest pure-Python analogue to primitive arrays;
-* :class:`CsrFollowerIndex` (``csr``) — a single ``int64`` numpy arena plus
-  an offsets table (CSR-style, see :func:`repro.graph.csr.pack_rows`), so
-  ``followers_of`` is a true zero-copy arena slice with no per-key buffer
-  object.  An append-and-compact overlay keeps incremental graph updates
-  possible without giving up the contiguous layout.
-
-Both expose ``follower_array(b)`` — a zero-copy ``int64`` numpy view of B's
-follower list (``None`` when empty) — which is what the batched detector
-consumes.
+Storage is CSR-style: every follower list lives back-to-back in a single
+``int64`` numpy arena indexed by an offsets table (see
+:func:`repro.graph.csr.pack_rows`), so ``followers_of`` is a true zero-copy
+arena slice with no per-key buffer object.  An append-and-compact overlay
+keeps incremental graph updates possible without giving up the contiguous
+layout.  ``follower_array(b)`` — the same slice, ``None`` when empty — is
+what the batched detector consumes.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -38,11 +31,7 @@ import numpy as np
 
 from repro.graph.csr import pack_rows
 from repro.graph.ids import UserId
-from repro.util.memory import approx_bytes_of_int_list
 from repro.util.validation import require_positive
-
-#: Selectable S storage backends (``build_follower_snapshot(backend=...)``).
-S_BACKENDS = ("packed", "csr")
 
 
 def _with_npz_suffix(path: Path) -> Path:
@@ -60,9 +49,9 @@ def invert_follow_edges(
 ) -> dict[UserId, list[UserId]]:
     """Invert ``(A, B)`` follow edges into ``B -> sorted distinct A's``.
 
-    The shared bulk-load front half of both S backends: group by A, apply
-    the paper's per-user influencer cap, restrict to a partition's A's,
-    then invert to the B-keyed layout with each follower list sorted.
+    The bulk-load front half of S: group by A, apply the paper's per-user
+    influencer cap, restrict to a partition's A's, then invert to the
+    B-keyed layout with each follower list sorted.
 
     Args:
         edges: iterable of ``(A, B)`` pairs; duplicates are collapsed.
@@ -101,116 +90,7 @@ def invert_follow_edges(
 
 
 class StaticFollowerIndex:
-    """Immutable map ``B -> sorted packed array of A's that follow B``."""
-
-    backend = "packed"
-
-    def __init__(self, followers: Mapping[UserId, array]) -> None:
-        """Wrap an already-built mapping; prefer :meth:`from_follow_edges`.
-
-        Args:
-            followers: mapping from followed account ``B`` to a sorted
-                ``array('q')`` of follower ids.  The mapping is used as-is
-                (not copied); callers hand over ownership.
-        """
-        self._followers = dict(followers)
-        self._num_edges = sum(len(a_list) for a_list in self._followers.values())
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_follow_edges(
-        cls,
-        edges: Iterable[tuple[UserId, UserId]],
-        influencer_limit: int | None = None,
-        edge_weight: Callable[[UserId, UserId], float] | None = None,
-        include_source: Callable[[UserId], bool] | None = None,
-    ) -> "StaticFollowerIndex":
-        """Bulk-load S from ``(A, B)`` follow edges (*A follows B*).
-
-        See :func:`invert_follow_edges` for the argument semantics.
-        """
-        inverse = invert_follow_edges(
-            edges, influencer_limit, edge_weight, include_source
-        )
-        packed = {b: array("q", a_list) for b, a_list in inverse.items()}
-        return cls(packed)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def followers_of(self, b: UserId) -> array:
-        """Sorted follower ids of *b* (empty array if unknown)."""
-        result = self._followers.get(b)
-        if result is None:
-            return _EMPTY
-        return result
-
-    def follower_array(self, b: UserId) -> np.ndarray | None:
-        """Sorted follower ids of *b* as a zero-copy int64 numpy view.
-
-        Returns ``None`` when *b* has no loaded followers — the batched
-        detector's memo-friendly contract (see
-        :meth:`~repro.core.diamond.DiamondDetector.process_batch`).
-        """
-        a_list = self._followers.get(b)
-        if not a_list:
-            return None
-        return np.frombuffer(a_list, dtype=np.int64)
-
-    def has_edge(self, a: UserId, b: UserId) -> bool:
-        """True iff *a* follows *b* in the loaded snapshot (binary search)."""
-        a_list = self._followers.get(b)
-        if not a_list:
-            return False
-        position = bisect_left(a_list, a)
-        return position < len(a_list) and a_list[position] == a
-
-    def __contains__(self, b: UserId) -> bool:
-        return b in self._followers
-
-    def sources(self) -> Iterable[UserId]:
-        """All B's with at least one loaded follower."""
-        return self._followers.keys()
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
-    @property
-    def num_targets(self) -> int:
-        """Number of distinct B's in the index."""
-        return len(self._followers)
-
-    @property
-    def num_edges(self) -> int:
-        """Total loaded ``A -> B`` edges."""
-        return self._num_edges
-
-    def memory_bytes(self) -> int:
-        """Approximate heap footprint of the packed adjacency lists."""
-        total = 0
-        for a_list in self._followers.values():
-            total += approx_bytes_of_int_list(a_list)
-        # Dict slots: key pointer + value pointer + hash, ~100B/entry is a
-        # fair CPython estimate including the boxed key.
-        total += len(self._followers) * 100
-        return total
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map ``follower-count -> number of B's with that count``."""
-        histogram: dict[int, int] = {}
-        for a_list in self._followers.values():
-            degree = len(a_list)
-            histogram[degree] = histogram.get(degree, 0) + 1
-        return histogram
-
-
-class CsrFollowerIndex:
-    """CSR-arena S backend: all follower lists in one contiguous int64 array.
+    """Immutable map ``B -> sorted A's that follow B``, in one int64 arena.
 
     Per-B state shrinks to one dict slot holding a row number; the follower
     ids themselves live back-to-back in a single numpy arena, so
@@ -227,8 +107,6 @@ class CsrFollowerIndex:
     compact once the overlay reaches :attr:`compact_threshold` edges, so
     sustained update streams converge back to pure-arena layout.
     """
-
-    backend = "csr"
 
     #: Default overlay size (edges) that triggers an automatic compact.
     DEFAULT_COMPACT_THRESHOLD = 4096
@@ -264,7 +142,7 @@ class CsrFollowerIndex:
         influencer_limit: int | None = None,
         edge_weight: Callable[[UserId, UserId], float] | None = None,
         include_source: Callable[[UserId], bool] | None = None,
-    ) -> "CsrFollowerIndex":
+    ) -> "StaticFollowerIndex":
         """Bulk-load S from ``(A, B)`` follow edges (*A follows B*).
 
         See :func:`invert_follow_edges` for the argument semantics.
@@ -299,7 +177,7 @@ class CsrFollowerIndex:
         )
 
     @classmethod
-    def from_snapshot(cls, path: str | Path) -> "CsrFollowerIndex":
+    def from_snapshot(cls, path: str | Path) -> "StaticFollowerIndex":
         """Load an index directly from a :meth:`save_npz` arena snapshot.
 
         The arrays are adopted as-is (no inversion, no sorting, no
@@ -490,8 +368,7 @@ class CsrFollowerIndex:
         """Approximate heap footprint of arena, offsets, and row dict."""
         total = int(self._arena.nbytes) + int(self._offsets.nbytes)
         # One boxed bound per offsets slot plus ~60B per row-dict entry
-        # (key + small-int row value); far below packed's ~100B + buffer
-        # object per B.
+        # (key + small-int row value).
         total += len(self._bounds) * 32 + len(self._rows) * 60
         total += self._pending_edges * 80  # boxed overlay sets
         return total
@@ -510,6 +387,5 @@ class CsrFollowerIndex:
         return histogram
 
 
-_EMPTY = array("q")
 _EMPTY_NDARRAY = np.empty(0, dtype=np.int64)
 _EMPTY_NDARRAY.setflags(write=False)

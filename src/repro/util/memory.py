@@ -14,12 +14,6 @@ from array import array
 from dataclasses import dataclass, field
 
 
-#: Approximate bytes per element when ids are stored in a compact
-#: ``array('q')`` / int64 numpy buffer, which is how the S structure keeps
-#: its sorted adjacency lists.
-BYTES_PER_PACKED_ID = 8
-
-
 def approx_bytes_of_int_list(values: object) -> int:
     """Return the approximate heap footprint of a container of ints.
 

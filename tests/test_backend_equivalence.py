@@ -1,19 +1,28 @@
-"""Storage-backend equivalence: representation changes nothing observable.
+"""Storage-layout equivalence: representation changes nothing observable.
 
-The columnar backends — ``csr`` for S (single int64 arena + offsets) and
-``ring`` for D (circular numpy columns for hot targets) — exist purely for
-speed and memory.  This module is the property-style guarantee that they
-are drop-in: on randomized follow graphs and event streams, every backend
-combination must produce identical recommendations, identical index
-contents, identical eviction counters, and identical checkpoint/snapshot
-round-trips as the reference ``packed``/``list`` pair, including across
-ring promotion and demotion boundaries.
+S (one int64 arena + offsets) and D (deques that promote to circular numpy
+columns once a target is hot) each have exactly one layout; this module is
+the property-style guarantee that the layouts are *only* layouts.  On
+randomized follow graphs and event streams:
+
+* S answers every query like a plain-Python model (sorted, de-duplicated
+  followers per B after the influencer cap), including across
+  ``append_follow_edges`` / ``compact``;
+* a D that promotes almost immediately (tiny ``promote_threshold``) stays
+  bit-identical — queries, contents, eviction counters, checkpoints — to a
+  D that never promotes (``promote_threshold=NEVER_PROMOTE``, i.e. deques
+  only), through promote/demote churn;
+* the engine emits the same recommendations per-event, batched, and over a
+  never-promoting D.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ActionType, DetectionParams, MotifEngine
+from repro.core.batch import EventBatch
 from repro.core.checkpoint import load_dynamic_index, save_dynamic_index
 from repro.gen import (
     BurstSpec,
@@ -23,18 +32,14 @@ from repro.gen import (
     generate_follow_graph,
 )
 from repro.graph import (
-    CsrFollowerIndex,
     DynamicEdgeIndex,
     StaticFollowerIndex,
     build_follower_snapshot,
 )
 
-BACKEND_MATRIX = [
-    ("packed", "list"),
-    ("csr", "list"),
-    ("packed", "ring"),
-    ("csr", "ring"),
-]
+#: A promotion threshold no entry count reaches: every target stays a deque
+#: of boxed tuples — the reference layout the rings are compared against.
+NEVER_PROMOTE = 2**62
 
 follow_edges = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30)),
@@ -53,30 +58,46 @@ event_rows = st.lists(
 
 
 # ----------------------------------------------------------------------
-# S: csr vs packed
+# S: the arena vs a plain-Python model
 # ----------------------------------------------------------------------
+
+
+def model_followers(edges, limit=None):
+    """The S oracle: ``B -> sorted distinct A's`` after the per-A influencer
+    cap (uniform weights, so the lowest B ids survive truncation)."""
+    followings = {}
+    for a, b in edges:
+        followings.setdefault(a, set()).add(b)
+    inverse = {}
+    for a, b_set in followings.items():
+        for b in sorted(b_set)[:limit]:
+            inverse.setdefault(b, []).append(a)
+    return {b: sorted(a_list) for b, a_list in inverse.items()}
+
+
+def assert_index_matches_model(index, model):
+    assert index.num_edges == sum(len(a_list) for a_list in model.values())
+    assert index.num_targets == len(model)
+    assert sorted(index.sources()) == sorted(model)
+    assert index.degree_histogram() == Counter(map(len, model.values()))
+    for b in range(32):
+        expected = model.get(b, [])
+        assert index.followers_of(b).tolist() == expected
+        assert (b in index) == (b in model)
+        array = index.follower_array(b)
+        assert (array is None) == (not expected)
+        if expected:
+            assert array.tolist() == expected
+        for a in range(32):
+            assert index.has_edge(a, b) == (a in expected)
 
 
 @settings(max_examples=60, deadline=None)
 @given(edges=follow_edges, limit=st.one_of(st.none(), st.integers(1, 4)))
 def test_s_backends_agree_on_random_graphs(edges, limit):
-    """Identical queries and accounting from both S layouts."""
-    packed = StaticFollowerIndex.from_follow_edges(edges, influencer_limit=limit)
-    csr = CsrFollowerIndex.from_follow_edges(edges, influencer_limit=limit)
-    assert csr.num_edges == packed.num_edges
-    assert csr.num_targets == packed.num_targets
-    assert sorted(csr.sources()) == sorted(packed.sources())
-    assert csr.degree_histogram() == packed.degree_histogram()
-    for b in range(32):
-        assert list(csr.followers_of(b)) == list(packed.followers_of(b))
-        assert (b in csr) == (b in packed)
-        packed_array = packed.follower_array(b)
-        csr_array = csr.follower_array(b)
-        assert (packed_array is None) == (csr_array is None)
-        if packed_array is not None:
-            assert list(csr_array) == list(packed_array)
-        for a in range(32):
-            assert csr.has_edge(a, b) == packed.has_edge(a, b)
+    """Identical queries and accounting from the arena and the model."""
+    index = StaticFollowerIndex.from_follow_edges(edges, influencer_limit=limit)
+    assert_index_matches_model(index, model_followers(edges, limit))
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,25 +109,19 @@ def test_csr_append_matches_bulk_build(base, appended):
     explicit compact, and count correctly against dedup in both the arena
     and the overlay.
     """
-    incremental = CsrFollowerIndex.from_follow_edges(base)
+    incremental = StaticFollowerIndex.from_follow_edges(base)
+    base_edges = incremental.num_edges
     added = incremental.append_follow_edges(appended)
-    rebuilt = CsrFollowerIndex.from_follow_edges(list(base) + list(appended))
-    assert incremental.num_edges == rebuilt.num_edges
-    assert added == rebuilt.num_edges - CsrFollowerIndex.from_follow_edges(base).num_edges
-    for stage in ("overlay", "compacted"):
-        assert sorted(incremental.sources()) == sorted(rebuilt.sources())
-        assert incremental.num_targets == rebuilt.num_targets
-        for b in range(32):
-            assert list(incremental.followers_of(b)) == list(rebuilt.followers_of(b))
-            for a in range(32):
-                assert incremental.has_edge(a, b) == rebuilt.has_edge(a, b)
-        if stage == "overlay":
-            incremental.compact()
-            assert incremental.pending_edges == 0
+    model = model_followers(list(base) + list(appended))
+    assert added == incremental.num_edges - base_edges
+    assert_index_matches_model(incremental, model)  # served from the overlay
+    incremental.compact()
+    assert incremental.pending_edges == 0
+    assert_index_matches_model(incremental, model)  # and from the arena
 
 
 def test_csr_auto_compacts_at_threshold():
-    index = CsrFollowerIndex.from_follow_edges([(0, 1)])
+    index = StaticFollowerIndex.from_follow_edges([(0, 1)])
     index.compact_threshold = 4
     index.append_follow_edges([(a, 1) for a in range(1, 4)])
     assert index.pending_edges == 3
@@ -117,7 +132,7 @@ def test_csr_auto_compacts_at_threshold():
 
 
 # ----------------------------------------------------------------------
-# D: ring vs list
+# D: promoting vs never-promoting
 # ----------------------------------------------------------------------
 
 
@@ -129,24 +144,34 @@ def test_csr_auto_compacts_at_threshold():
     retention=st.sampled_from([5.0, 30.0, 200.0]),
 )
 def test_d_backends_agree_on_random_streams(rows, cap, threshold, retention):
-    """Ring and list D's stay bit-identical through promote/demote churn.
+    """Rings and deques stay bit-identical through promote/demote churn.
 
     A tiny ``promote_threshold`` forces promotion early; interleaved
     ``prune_expired`` sweeps force demotion (and re-promotion on later
     inserts); tiny caps exercise eviction inside both representations.
+    Every other group of five rows lands through ``insert_batch`` instead
+    of per-event ``insert``, so the grouped bulk paths see the same churn.
     """
-    reference = DynamicEdgeIndex(retention, max_edges_per_target=cap, backend="list")
+    reference = DynamicEdgeIndex(
+        retention, max_edges_per_target=cap, promote_threshold=NEVER_PROMOTE
+    )
     ring = DynamicEdgeIndex(
-        retention,
-        max_edges_per_target=cap,
-        backend="ring",
-        promote_threshold=threshold,
+        retention, max_edges_per_target=cap, promote_threshold=threshold
     )
     clock = 0.0
+    pending = []
     for i, (actor, target, offset, action) in enumerate(rows):
         clock += offset / 10.0
-        for index in (reference, ring):
-            index.insert(actor, target, clock, action=action)
+        if (i // 5) % 2:
+            pending.append((clock, actor, target, action or ActionType.FOLLOW))
+            if i % 5 == 4 or i == len(rows) - 1:
+                batch = EventBatch(*zip(*pending))
+                for index in (reference, ring):
+                    index.insert_batch(batch)
+                pending = []
+        else:
+            for index in (reference, ring):
+                index.insert(actor, target, clock, action=action)
         if i % 7 == 6:
             assert reference.prune_expired(clock) == ring.prune_expired(clock)
         if i % 3 == 2:
@@ -165,18 +190,19 @@ def test_d_backends_agree_on_random_streams(rows, cap, threshold, retention):
                 expected = reference.fresh_sources_multi(
                     targets, nows, tau=tau, action=act, min_count=2, raw=raw
                 )
-                # FreshColumns compares equal to the list-backend tuples.
+                # FreshColumns compares equal to the deque scan's tuples.
                 assert list(map(list, got)) == list(map(list, expected))
     assert ring.num_edges == reference.num_edges
     assert ring.inserted_total == reference.inserted_total
     assert ring.evicted_total == reference.evicted_total
     assert ring.num_targets == reference.num_targets
+    assert reference.num_hot_targets == 0
     for c in reference.targets():
         assert ring.entries(c) == reference.entries(c)
 
 
 def test_ring_promotes_and_demotes_at_boundaries():
-    index = DynamicEdgeIndex(retention=100.0, backend="ring", promote_threshold=4)
+    index = DynamicEdgeIndex(retention=100.0, promote_threshold=4)
     for i in range(3):
         index.insert(i, 7, float(i))
     assert index.num_hot_targets == 0
@@ -196,17 +222,19 @@ def test_ring_promotes_and_demotes_at_boundaries():
 @settings(max_examples=25, deadline=None)
 @given(rows=event_rows, threshold=st.integers(1, 8))
 def test_clone_state_from_repacks_into_own_backend(rows, threshold):
-    source = DynamicEdgeIndex(50.0, backend="list")
+    """A clone re-packs the sibling's edges under its *own* threshold."""
+    source = DynamicEdgeIndex(50.0, promote_threshold=NEVER_PROMOTE)
     clock = 0.0
     for actor, target, offset, action in rows:
         clock += offset / 20.0
         source.insert(actor, target, clock, action=action)
-    clone = DynamicEdgeIndex(
-        50.0, backend="ring", promote_threshold=threshold
-    )
+    clone = DynamicEdgeIndex(50.0, promote_threshold=threshold)
     clone.clone_state_from(source)
     assert clone.num_edges == source.num_edges
     assert clone._edges == source._edges
+    assert clone.num_hot_targets == sum(
+        len(source.entries(c)) >= threshold for c in source.targets()
+    )
     for c in source.targets():
         assert clone.entries(c) == source.entries(c)
 
@@ -222,7 +250,6 @@ def test_checkpoint_roundtrip_preserves_ring_backend(tmp_path_factory, rows, thr
     index = DynamicEdgeIndex(
         retention=1000.0,
         max_edges_per_target=8,
-        backend="ring",
         promote_threshold=threshold,
     )
     clock = 0.0
@@ -232,18 +259,12 @@ def test_checkpoint_roundtrip_preserves_ring_backend(tmp_path_factory, rows, thr
     path = tmp_path_factory.mktemp("ckpt") / "d.npz"
     save_dynamic_index(index, path)
     restored = load_dynamic_index(path)
-    assert restored.backend == "ring"
     assert restored.promote_threshold == threshold
+    assert restored.max_edges_per_target == 8
     assert restored.num_edges == index.num_edges
+    assert restored.num_hot_targets == index.num_hot_targets
     for c in index.targets():
         assert restored.entries(c) == index.entries(c)
-    # An explicit override restores into the list representation instead,
-    # with identical contents.
-    as_list = load_dynamic_index(path, backend="list")
-    assert as_list.backend == "list"
-    assert as_list.num_hot_targets == 0
-    for c in index.targets():
-        assert as_list.entries(c) == index.entries(c)
 
 
 def test_snapshot_roundtrip_feeds_both_s_backends(tmp_path):
@@ -253,24 +274,25 @@ def test_snapshot_roundtrip_feeds_both_s_backends(tmp_path):
     path = tmp_path / "graph.npz"
     snapshot.save(path)
     reloaded = type(snapshot).load(path)
-    packed = build_follower_snapshot(reloaded, backend="packed")
-    csr = build_follower_snapshot(reloaded, backend="csr")
-    assert isinstance(packed, StaticFollowerIndex)
-    assert isinstance(csr, CsrFollowerIndex)
-    assert csr.num_edges == packed.num_edges
-    for b in packed.sources():
-        assert list(csr.followers_of(b)) == list(packed.followers_of(b))
+    index = build_follower_snapshot(reloaded)
+    model = model_followers(snapshot.follow_edges())
+    assert isinstance(index, StaticFollowerIndex)
+    assert index.num_edges == snapshot.num_edges
+    assert sorted(index.sources()) == sorted(model)
+    for b, followers in model.items():
+        assert index.followers_of(b).tolist() == followers
 
 
 # ----------------------------------------------------------------------
-# Full-engine matrix
+# Full engine
 # ----------------------------------------------------------------------
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 5_000), burst_actors=st.integers(10, 60))
 def test_engine_matrix_identical_recommendations(seed, burst_actors):
-    """All four S x D combinations emit byte-identical recommendations.
+    """Per-event, batched, and never-promoting engines emit byte-identical
+    recommendations.
 
     A tiny promote threshold guarantees the burst target actually crosses
     the ring promotion boundary mid-stream.
@@ -292,38 +314,17 @@ def test_engine_matrix_identical_recommendations(seed, burst_actors):
         )
     )
     params = DetectionParams(k=2, tau=400.0, max_trigger_sources=8)
-    reference = None
-    for s_backend, d_backend in BACKEND_MATRIX:
+
+    def run(promote_threshold, batch_size):
         engine = MotifEngine.from_snapshot(
-            snapshot,
-            params,
-            max_edges_per_target=12,
-            track_latency=False,
-            s_backend=s_backend,
-            d_backend=d_backend,
+            snapshot, params, max_edges_per_target=12, track_latency=False
         )
-        engine.dynamic_index.promote_threshold = 5
-        recs = []
-        for batch_size in (1,):
-            recs = engine.process_stream(events, batch_size=batch_size)
-        batched = MotifEngine.from_snapshot(
-            snapshot,
-            params,
-            max_edges_per_target=12,
-            track_latency=False,
-            s_backend=s_backend,
-            d_backend=d_backend,
-        )
-        batched.dynamic_index.promote_threshold = 5
-        batched_recs = batched.process_stream(events, batch_size=17)
-        assert batched_recs == recs, (s_backend, d_backend)
-        assert [(r.via, r.action) for r in batched_recs] == [
-            (r.via, r.action) for r in recs
-        ]
-        if reference is None:
-            reference = recs
-        else:
-            assert recs == reference, (s_backend, d_backend)
-            assert [(r.via, r.action) for r in recs] == [
-                (r.via, r.action) for r in reference
-            ]
+        engine.dynamic_index.promote_threshold = promote_threshold
+        recs = engine.process_stream(events, batch_size=batch_size)
+        return recs, [(r.via, r.action) for r in recs], engine
+
+    recs, detail, engine = run(5, 1)
+    assert engine.dynamic_index.num_hot_targets >= 1
+    for other in (run(5, 17), run(NEVER_PROMOTE, 1)):
+        assert other[0] == recs
+        assert other[1] == detail

@@ -46,6 +46,48 @@ class TestDynamicIndexCheckpoint:
         )
         assert [e.source for e in retweets] == [1]
 
+    @pytest.mark.parametrize(
+        "retired",
+        [{"backend": "ring"}, {"backend": "list"}, None],
+        ids=["ring", "list", "pre-PR-2"],
+    )
+    def test_files_with_retired_backend_field_still_load(self, tmp_path, retired):
+        """Checkpoints written before D had one layout carry a ``backend``
+        array (or, older still, neither it nor ``promote_threshold``).
+        Both load into the single layout with identical contents — the
+        reader ignores unknown keys, it never rejects them."""
+        import numpy as np
+
+        index = DynamicEdgeIndex(
+            retention=100.0, max_edges_per_target=16, promote_threshold=8
+        )
+        for i in range(40):
+            index.insert(i % 11, 10, float(i), action=ActionType.RETWEET)
+            index.insert(i, 20 + i % 3, float(i))
+        assert index.num_hot_targets >= 1
+        current = tmp_path / "current.npz"
+        save_dynamic_index(index, current)
+        with np.load(current) as data:
+            arrays = {name: data[name] for name in data.files}
+        assert "backend" not in arrays  # writers stopped emitting it
+        if retired is None:
+            del arrays["promote_threshold"]
+        else:
+            arrays["backend"] = np.str_(retired["backend"])
+        legacy = tmp_path / "legacy.npz"
+        np.savez_compressed(legacy, **arrays)
+
+        restored = load_dynamic_index(legacy)
+        assert restored.retention == 100.0
+        assert restored.max_edges_per_target == 16
+        assert restored.num_edges == index.num_edges
+        assert sorted(restored.targets()) == sorted(index.targets())
+        for c in index.targets():
+            assert restored.entries(c) == index.entries(c)
+        assert restored.fresh_sources(10, now=40.0, tau=50.0) == (
+            index.fresh_sources(10, now=40.0, tau=50.0)
+        )
+
     def test_empty_index_roundtrip(self, tmp_path):
         index = DynamicEdgeIndex(retention=10.0)
         path = tmp_path / "empty.npz"

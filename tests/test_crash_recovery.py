@@ -232,3 +232,53 @@ def test_recovered_prefix_is_nonempty_and_bounded(workload, tmp_path):
         ]
     ) == 0
     assert _read_rows(recovered) == _read_rows(reference)
+
+
+@pytest.mark.parametrize(
+    "retired",
+    [
+        {"s_backend": "csr", "d_backend": "ring"},
+        {"s_backend": "packed", "d_backend": "list"},
+    ],
+    ids=["csr-ring", "packed-list"],
+)
+def test_root_with_retired_backend_keys_still_recovers(workload, tmp_path, retired):
+    """Durability roots written before S and D had one layout persist
+    ``s_backend`` / ``d_backend`` in their topology.  Recovery ignores the
+    retired keys — it must never treat unknown keys as an error — and
+    reproduces the uninterrupted ledger, warm and cold."""
+    import json
+
+    graph, stream, reference = workload
+    root = tmp_path / "root-legacy"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--wal-dir",
+            str(root),
+            "--snapshot-interval",
+            "15",
+            "--no-wal-gc",
+        ]
+    ) == 0
+    config_path = root / "config.json"
+    config = json.loads(config_path.read_text())
+    assert not set(retired) & set(config)  # writers stopped emitting them
+    config_path.write_text(json.dumps({**config, **retired}, indent=1))
+    for extra in ([], ["--ignore-snapshots"]):
+        recovered = tmp_path / f"recovered{len(extra)}.csv"
+        assert main(
+            [
+                "recover",
+                str(root),
+                *extra,
+                "--verify-prefix",
+                str(reference),
+                "--dump-delivered",
+                str(recovered),
+            ]
+        ) == 0
+        assert _read_rows(recovered) == _read_rows(reference)

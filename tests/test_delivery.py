@@ -38,10 +38,11 @@ class TestDedupFilter:
 
     def test_prune_bounds_memory(self):
         dedup = DedupFilter(window=10.0)
-        for i in range(3 * DedupFilter.PRUNE_EVERY):
+        for i in range(12_000):
             dedup.allow(rec(recipient=i, candidate=0), now=float(i))
-        # Everything older than `window` must have been discarded.
-        assert dedup.tracked_pairs() <= DedupFilter.PRUNE_EVERY + 11
+        # Pairs older than `window` are evicted whenever the table needs
+        # room, so residency tracks the window, not the 12k inserts.
+        assert dedup.tracked_pairs() < 2_000
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

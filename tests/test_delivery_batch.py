@@ -27,6 +27,7 @@ from repro.delivery import (
     TopKPerUserBuffer,
     WakingHoursFilter,
 )
+from tests.reference_filters import ReferenceDedup, ReferenceFatigue
 
 HOUR = 3600.0
 
@@ -60,26 +61,34 @@ def batch_strategy():
 
 
 def filters_strategy():
-    """A random funnel configuration (subset + parameters + backends,
-    order fixed)."""
+    """A random funnel configuration (subset + parameters, order fixed) as
+    two independent filter lists: the table-backed stages for the batched
+    pipeline, and the sequential pipeline's copy — in which dedup and
+    fatigue are, half the time each, the dict / deque reference models."""
+
+    def build(dedup_window, waking, fatigue_cap, use_dedup, use_fatigue, models):
+        def stages(dedup_cls, fatigue_cls):
+            return [
+                stage
+                for stage in (
+                    dedup_cls(window=dedup_window) if use_dedup else None,
+                    WakingHoursFilter(
+                        waking_start_hour=waking[0],
+                        waking_end_hour=waking[1],
+                        timezone_salt=waking[2],
+                    ),
+                    fatigue_cls(max_per_window=fatigue_cap) if use_fatigue else None,
+                )
+                if stage is not None
+            ]
+
+        return stages(DedupFilter, FatigueFilter), stages(
+            ReferenceDedup if models[0] else DedupFilter,
+            ReferenceFatigue if models[1] else FatigueFilter,
+        )
+
     return st.builds(
-        lambda dedup_window, waking, fatigue_cap, use_dedup, use_fatigue, backends: [
-            stage
-            for stage in (
-                DedupFilter(window=dedup_window, backend=backends[0])
-                if use_dedup
-                else None,
-                WakingHoursFilter(
-                    waking_start_hour=waking[0],
-                    waking_end_hour=waking[1],
-                    timezone_salt=waking[2],
-                ),
-                FatigueFilter(max_per_window=fatigue_cap, backend=backends[1])
-                if use_fatigue
-                else None,
-            )
-            if stage is not None
-        ],
+        build,
         dedup_window=st.floats(10.0, 1e5, allow_nan=False),
         waking=st.tuples(
             st.integers(0, 11), st.integers(12, 24), st.integers(0, 3)
@@ -87,9 +96,7 @@ def filters_strategy():
         fatigue_cap=st.integers(1, 4),
         use_dedup=st.booleans(),
         use_fatigue=st.booleans(),
-        backends=st.tuples(
-            st.sampled_from(("table", "dict")), st.sampled_from(("table", "dict"))
-        ),
+        models=st.tuples(st.booleans(), st.booleans()),
     )
 
 
@@ -125,9 +132,7 @@ def test_offer_batch_equivalent_to_sequential_offers(batches, filters, start):
     vectorized stage.  Filter *state* must match too, which the successive
     batches verify (batch i sees the state batches < i left behind).
     """
-    import copy
-
-    sequential_filters = copy.deepcopy(filters)
+    filters, sequential_filters = filters
     batched = DeliveryPipeline(filters=filters, notifier=PushNotifier())
     sequential = DeliveryPipeline(
         filters=sequential_filters, notifier=PushNotifier()
@@ -212,28 +217,16 @@ class TestDedupAllowMask:
         assert dedup.allow_mask(columns_of([(1, 2)]), now=151.0).tolist() == [True]
 
     def test_mask_prunes_like_scalar_path(self):
-        # The dict backend is the one with the opportunistic prune cadence
-        # (the table backend compacts on occupancy instead).
-        scalar = DedupFilter(window=10.0, backend="dict")
-        batched = DedupFilter(window=10.0, backend="dict")
-        pairs = [(i, 0) for i in range(3 * DedupFilter.PRUNE_EVERY)]
-        for i, (recipient, candidate) in enumerate(pairs):
-            scalar.allow(
-                Recommendation(recipient, candidate, created_at=0.0), now=float(i)
-            )
-        # Feed the batched filter in chunks at the same times.
-        chunk = DedupFilter.PRUNE_EVERY
-        for offset in range(0, len(pairs), chunk):
-            part = pairs[offset : offset + chunk]
-            columns = columns_of(part)
-            # allow_mask takes one shared now; emulate by per-item calls on
-            # single-row columns to keep timestamps identical.
-            for j, (recipient, candidate) in enumerate(part):
-                batched.allow_mask(
-                    columns_of([(recipient, candidate)]), now=float(offset + j)
-                )
-        assert batched._last_sent == scalar._last_sent
-        assert batched.tracked_pairs() == scalar.tracked_pairs()
+        """Horizon compaction runs on the same cadence from either entry
+        point: the table grows and evicts identically."""
+        scalar = DedupFilter(window=10.0)
+        batched = DedupFilter(window=10.0)
+        for i in range(12_000):
+            scalar.allow(Recommendation(i, 0, created_at=0.0), now=float(i))
+            batched.allow_mask(columns_of([(i, 0)]), now=float(i))
+        assert batched.last_sent_entries() == scalar.last_sent_entries()
+        assert batched._table.capacity == scalar._table.capacity
+        assert batched.tracked_pairs() < 2_000  # expired pairs were evicted
 
 
 class TestWakingAllowMask:

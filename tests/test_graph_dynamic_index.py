@@ -192,9 +192,9 @@ class TestProperties:
 
 
 class TestRingBackend:
-    """Unit coverage of the ring backend's own mechanics.
+    """Unit coverage of the columnar rings' own mechanics.
 
-    Cross-backend equivalence on random streams lives in
+    Ring/deque equivalence on random streams lives in
     ``tests/test_backend_equivalence.py``; these tests pin promotion
     plumbing, wrap-around, growth, and accounting.
     """
@@ -203,7 +203,6 @@ class TestRingBackend:
         return DynamicEdgeIndex(
             retention=100.0,
             max_edges_per_target=cap,
-            backend="ring",
             promote_threshold=threshold,
         )
 
@@ -257,17 +256,28 @@ class TestRingBackend:
         assert index.fresh_sources(9, now=6.0, tau=90.0, action=ActionType.FAVORITE) == []
 
     def test_entries_backend_neutral_view(self):
-        list_index = DynamicEdgeIndex(retention=100.0, backend="list")
+        deque_index = DynamicEdgeIndex(retention=100.0, promote_threshold=2**62)
         ring_index = self.make_ring_index(threshold=2)
-        for idx in (list_index, ring_index):
+        for idx in (deque_index, ring_index):
             for i in range(5):
                 idx.insert(i, 9, float(i))
-        assert list_index.entries(9) == ring_index.entries(9)
+        assert (deque_index.num_hot_targets, ring_index.num_hot_targets) == (0, 1)
+        assert deque_index.entries(9) == ring_index.entries(9)
         assert ring_index.entries(12345) == []
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            DynamicEdgeIndex(retention=10.0, backend="columnar")
+    def test_action_tag_limit_is_a_stated_contract(self):
+        """Rings store a uint16 code per edge: 65,535 distinct tags fit,
+        the 65,536th raises — and the rejected tag is not interned."""
+        index = self.make_ring_index(threshold=65_535)
+        tags = [object() for _ in range(65_536)]
+        for i, tag in enumerate(tags[:-1]):
+            index.insert(i, 9, 0.0, action=tag)
+        assert index.num_hot_targets == 1  # promoted with 65,535 tags
+        for _ in range(2):
+            with pytest.raises(ValueError, match="65535"):
+                index.insert(65_535, 9, 0.0, action=tags[-1])
+        assert len(index.entries(9)) == 65_535
+        assert index.fresh_sources(9, now=0.0, tau=1.0, action=tags[-1]) == []
 
 
 class TestRingBulkExtend:
@@ -283,12 +293,12 @@ class TestRingBulkExtend:
         events += [EdgeEvent(45.0 + i, 2000 + i, 7) for i in range(40)]
 
         reference = DynamicEdgeIndex(
-            retention=1e6, backend="ring", promote_threshold=8
+            retention=1e6, promote_threshold=8
         )
         for e in events:
             reference.insert(e.actor, e.target, e.created_at, action=e.action)
         batched = DynamicEdgeIndex(
-            retention=1e6, backend="ring", promote_threshold=8
+            retention=1e6, promote_threshold=8
         )
         batched.insert_batch(EventBatch.from_events(events))
 
@@ -303,7 +313,7 @@ class TestRingBulkExtend:
 
         # Advance the ring's start pointer via window pruning, then land a
         # bulk group large enough to wrap around the circular buffer.
-        index = DynamicEdgeIndex(retention=50.0, backend="ring", promote_threshold=4)
+        index = DynamicEdgeIndex(retention=50.0, promote_threshold=4)
         for i in range(10):
             index.insert(i, 7, float(i))
         assert index.num_hot_targets == 1

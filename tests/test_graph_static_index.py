@@ -1,7 +1,6 @@
 """Unit tests for the S structure (StaticFollowerIndex)."""
 
-from array import array
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,7 +29,7 @@ class TestConstruction:
     def test_lists_are_sorted_packed_arrays(self):
         index = StaticFollowerIndex.from_follow_edges([(9, 1), (3, 1), (7, 1)])
         followers = index.followers_of(1)
-        assert isinstance(followers, array)
+        assert isinstance(followers, np.ndarray) and followers.dtype == np.int64
         assert list(followers) == [3, 7, 9]
 
     def test_counts(self):
@@ -144,29 +143,26 @@ class TestAccounting:
 
 
 class TestCsrFollowerIndex:
-    """Unit coverage of the csr arena backend's own mechanics.
+    """The CSR arena's own mechanics: zero-copy views and the
+    append-and-compact overlay.
 
-    Cross-backend equivalence on random graphs lives in
-    ``tests/test_backend_equivalence.py``; these tests pin the arena
-    layout, the zero-copy views, and the append-and-compact overlay.
+    Equivalence with a plain-Python model on random graphs lives in
+    ``tests/test_backend_equivalence.py``.
     """
 
     def test_inverts_follow_edges(self):
-        from repro.graph.static_index import CsrFollowerIndex
-
-        index = CsrFollowerIndex.from_follow_edges(EDGES)
-        assert list(index.followers_of(10)) == [0, 1, 2]
-        assert list(index.followers_of(11)) == [2, 3]
-        assert list(index.followers_of(999)) == []
-        assert index.num_edges == len(EDGES)
-        assert index.num_targets == 3
+        """Rows sit back-to-back in one arena, delimited by the offsets."""
+        index = StaticFollowerIndex.from_follow_edges(EDGES)
+        offsets = index._offsets.tolist()
+        rows = {
+            b: index._arena[lo:hi].tolist()
+            for b, lo, hi in zip(index.sources(), offsets, offsets[1:])
+        }
+        assert rows == {10: [0, 1, 2], 11: [2, 3], 12: [0]}
+        assert offsets[0] == 0 and offsets[-1] == len(index._arena) == len(EDGES)
 
     def test_followers_are_zero_copy_arena_slices(self):
-        import numpy as np
-
-        from repro.graph.static_index import CsrFollowerIndex
-
-        index = CsrFollowerIndex.from_follow_edges(EDGES)
+        index = StaticFollowerIndex.from_follow_edges(EDGES)
         view = index.followers_of(10)
         assert isinstance(view, np.ndarray)
         assert view.base is index._arena  # a view, not a copy
@@ -174,16 +170,15 @@ class TestCsrFollowerIndex:
         assert index.follower_array(999) is None
 
     def test_influencer_limit_applied(self):
-        from repro.graph.static_index import CsrFollowerIndex
-
+        """The cap is applied before packing: dropped edges never reach
+        the arena."""
         edges = [(1, b) for b in range(10)]
-        index = CsrFollowerIndex.from_follow_edges(edges, influencer_limit=3)
-        assert index.num_edges == 3
+        index = StaticFollowerIndex.from_follow_edges(edges, influencer_limit=3)
+        assert index._arena.tolist() == [1, 1, 1]
+        assert list(index.sources()) == [0, 1, 2]
 
     def test_append_visible_before_and_after_compact(self):
-        from repro.graph.static_index import CsrFollowerIndex
-
-        index = CsrFollowerIndex.from_follow_edges(EDGES)
+        index = StaticFollowerIndex.from_follow_edges(EDGES)
         added = index.append_follow_edges([(7, 10), (0, 10), (5, 99)])
         assert added == 2  # (0, 10) already loaded
         assert index.pending_edges == 2
@@ -198,24 +193,14 @@ class TestCsrFollowerIndex:
         assert list(index.followers_of(99)) == [5]
         assert index.num_edges == len(EDGES) + 2
 
-    def test_memory_smaller_than_packed(self):
-        from repro.graph.static_index import CsrFollowerIndex
-
-        edges = [(a, b) for b in range(200) for a in range(b % 17 + 1)]
-        packed = StaticFollowerIndex.from_follow_edges(edges)
-        csr = CsrFollowerIndex.from_follow_edges(edges)
-        assert csr.memory_bytes() < packed.memory_bytes()
-
 
 class TestCsrArenaSnapshots:
     def test_npz_round_trip_exact(self, tmp_path):
-        from repro.graph.static_index import CsrFollowerIndex
-
         edges = [(a, b) for b in range(50) for a in range(b % 13 + 1)]
-        index = CsrFollowerIndex.from_follow_edges(edges)
+        index = StaticFollowerIndex.from_follow_edges(edges)
         path = tmp_path / "s_arena.npz"
         index.save_npz(path)
-        loaded = CsrFollowerIndex.from_snapshot(path)
+        loaded = StaticFollowerIndex.from_snapshot(path)
 
         assert loaded.num_targets == index.num_targets
         assert loaded.num_edges == index.num_edges
@@ -229,32 +214,26 @@ class TestCsrArenaSnapshots:
         assert loaded.has_edge(999, 1)
 
     def test_save_compacts_pending_appends(self, tmp_path):
-        from repro.graph.static_index import CsrFollowerIndex
-
-        index = CsrFollowerIndex.from_follow_edges(EDGES)
+        index = StaticFollowerIndex.from_follow_edges(EDGES)
         index.append_follow_edges([(7, 10), (5, 99)])
         path = tmp_path / "s_arena.npz"
         index.save_npz(path)
         assert index.pending_edges == 0  # save compacted in place
-        loaded = CsrFollowerIndex.from_snapshot(path)
+        loaded = StaticFollowerIndex.from_snapshot(path)
         assert list(loaded.followers_of(10)) == [0, 1, 2, 7]
         assert list(loaded.followers_of(99)) == [5]
 
     def test_empty_index_round_trips(self, tmp_path):
-        from repro.graph.static_index import CsrFollowerIndex
-
-        index = CsrFollowerIndex({})
+        index = StaticFollowerIndex({})
         path = tmp_path / "empty.npz"
         index.save_npz(path)
-        loaded = CsrFollowerIndex.from_snapshot(path)
+        loaded = StaticFollowerIndex.from_snapshot(path)
         assert loaded.num_targets == 0
         assert loaded.follower_array(1) is None
 
     def test_suffixless_path_round_trips(self, tmp_path):
-        from repro.graph.static_index import CsrFollowerIndex
-
-        index = CsrFollowerIndex.from_follow_edges(EDGES)
+        index = StaticFollowerIndex.from_follow_edges(EDGES)
         path = tmp_path / "s_arena"  # np.savez appends .npz on write
         index.save_npz(path)
-        loaded = CsrFollowerIndex.from_snapshot(path)
+        loaded = StaticFollowerIndex.from_snapshot(path)
         assert loaded.num_edges == index.num_edges

@@ -1,10 +1,11 @@
 """Unit + property tests for the open-addressing numpy pair tables.
 
 Covers the table core (probe wraparound, self-colliding bulk inserts,
-full-table grow, horizon compaction) and the dedup/fatigue backend
-equivalence: ``backend="table"`` must make exactly the decisions of
-``backend="dict"`` — survivors, order, and observable filter state —
-under non-decreasing clocks (the streaming path's contract).
+full-table grow, horizon compaction) and the dedup/fatigue equivalence
+with their plain-Python models (``tests/reference_filters.py``): the
+tables must make exactly the decisions of the dict seen-map and the deque
+histories — survivors, order, and observable filter state — under
+non-decreasing clocks (the streaming path's contract).
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.delivery.pairtable import (
     pack_pairs,
     unpack_pairs,
 )
+from tests.reference_filters import ReferenceDedup, ReferenceFatigue, allow_each
 
 
 def columns_of(pairs):
@@ -207,12 +209,12 @@ class TestInt64KeyTable:
 
 
 # ---------------------------------------------------------------------------
-# Dedup: table backend units + equivalence
+# Dedup: table units + equivalence with the dict model
 # ---------------------------------------------------------------------------
 
 class TestDedupTableBackend:
     def test_horizon_compaction_bounds_residency(self):
-        dedup = DedupFilter(window=10.0, backend="table")
+        dedup = DedupFilter(window=10.0)
         for i in range(20_000):
             assert dedup.allow(
                 Recommendation(recipient=i % 4096, candidate=i, created_at=0.0),
@@ -224,21 +226,33 @@ class TestDedupTableBackend:
         assert dedup._table.capacity <= 4096
 
     def test_wide_ids_rejected_with_guidance(self):
-        dedup = DedupFilter(backend="table")
-        with pytest.raises(ValueError, match="dict"):
-            dedup.allow(
-                Recommendation(recipient=2**40, candidate=1, created_at=0.0),
-                now=0.0,
-            )
+        """The id contract on the scalar path: both ids in [0, 2**32)."""
+        dedup = DedupFilter()
+        for recipient, candidate in ((2**32, 1), (1, 2**32)):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+                dedup.allow(
+                    Recommendation(recipient, candidate, created_at=0.0), now=0.0
+                )
+        assert dedup.tracked_pairs() == 0
+
+    def test_wide_ids_rejected_by_allow_mask(self):
+        """...and on the batched path, which rejects the whole batch before
+        touching the table; the largest legal id still packs."""
+        dedup = DedupFilter()
+        for recipient, candidate in ((2**32, 1), (1, 2**32)):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+                dedup.allow_mask(columns_of([(1, 1), (recipient, candidate)]), 0.0)
+        assert dedup.tracked_pairs() == 0
+        assert dedup.allow_mask(columns_of([(2**32 - 1, 2**32 - 1)]), 0.0).all()
 
     def test_entries_snapshot_matches_dict_backend(self):
-        table = DedupFilter(window=100.0, backend="table")
-        ref = DedupFilter(window=100.0, backend="dict")
+        table = DedupFilter(window=100.0)
+        ref = ReferenceDedup(window=100.0)
         pairs = [(1, 2), (1, 3), (1, 2), (4, 5)]
         for i, (r, c) in enumerate(pairs):
             rec = Recommendation(recipient=r, candidate=c, created_at=0.0)
             assert table.allow(rec, now=float(i)) == ref.allow(rec, now=float(i))
-        assert table.last_sent_entries() == ref.last_sent_entries()
+        assert table.last_sent_entries() == ref.last_sent
 
 
 def pair_stream():
@@ -262,30 +276,28 @@ class TestDedupBackendEquivalence:
         step=st.floats(0.0, 2_000.0, allow_nan=False),
     )
     def test_mask_decisions_match_dict(self, batches, window, step):
-        table = DedupFilter(window=window, backend="table")
-        ref = DedupFilter(window=window, backend="dict")
+        table = DedupFilter(window=window)
+        ref = ReferenceDedup(window=window)
         for i, batch in enumerate(batches):
             now = i * step
-            columns = columns_of(batch)
-            assert (
-                table.allow_mask(columns, now).tolist()
-                == ref.allow_mask(columns, now).tolist()
+            assert table.allow_mask(columns_of(batch), now).tolist() == allow_each(
+                ref, batch, now
             )
-        # Observable state agrees on the live horizon (backends prune
-        # expired entries at different moments).
+        # Observable state agrees on the live horizon (the table compacts
+        # expired entries away, the dict model never forgets).
         last_now = (len(batches) - 1) * step
         cutoff = last_now - window
 
         def live(entries):
             return {key: t for key, t in entries.items() if t >= cutoff}
 
-        assert live(table.last_sent_entries()) == live(ref.last_sent_entries())
+        assert live(table.last_sent_entries()) == live(ref.last_sent)
 
     @settings(max_examples=40, deadline=None)
     @given(batches=pair_stream(), window=st.floats(1.0, 5_000.0))
     def test_scalar_allow_matches_mask(self, batches, window):
-        scalar = DedupFilter(window=window, backend="table")
-        masked = DedupFilter(window=window, backend="table")
+        scalar = DedupFilter(window=window)
+        masked = DedupFilter(window=window)
         for i, batch in enumerate(batches):
             now = i * 100.0
             mask = masked.allow_mask(columns_of(batch), now)
@@ -299,20 +311,20 @@ class TestDedupBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Fatigue: table backend units + equivalence
+# Fatigue: table units + equivalence with the deque model
 # ---------------------------------------------------------------------------
 
 class TestFatigueTableBackend:
     def test_ring_wraps_across_rolling_windows(self):
-        table = FatigueFilter(max_per_window=2, window=100.0, backend="table")
-        ref = FatigueFilter(max_per_window=2, window=100.0, backend="dict")
+        table = FatigueFilter(max_per_window=2, window=100.0)
+        ref = ReferenceFatigue(max_per_window=2, window=100.0)
         rec = Recommendation(recipient=1, candidate=0, created_at=0.0)
         for now in (0.0, 40.0, 80.0, 120.0, 160.0, 200.0, 500.0, 510.0, 520.0):
             assert table.allow(rec, now) == ref.allow(rec, now)
             assert table.sent_in_window(1, now) == ref.sent_in_window(1, now)
 
     def test_horizon_compaction_evicts_dead_users(self):
-        fatigue = FatigueFilter(max_per_window=1, window=5.0, backend="table")
+        fatigue = FatigueFilter(max_per_window=1, window=5.0)
         for i in range(10_000):
             fatigue.allow(
                 Recommendation(recipient=i, candidate=0, created_at=0.0),
@@ -322,7 +334,7 @@ class TestFatigueTableBackend:
 
     def test_huge_user_ids_supported(self):
         # Fatigue keys on the bare recipient, so 64-bit ids are fine.
-        fatigue = FatigueFilter(max_per_window=1, backend="table")
+        fatigue = FatigueFilter(max_per_window=1)
         rec = Recommendation(recipient=2**62, candidate=1, created_at=0.0)
         assert fatigue.allow(rec, now=0.0)
         assert not fatigue.allow(rec, now=1.0)
@@ -342,15 +354,14 @@ class TestFatigueBackendEquivalence:
         step=st.floats(0.0, 2_000.0, allow_nan=False),
     )
     def test_mask_decisions_match_dict(self, batches, cap, window, step):
-        table = FatigueFilter(max_per_window=cap, window=window, backend="table")
-        ref = FatigueFilter(max_per_window=cap, window=window, backend="dict")
+        table = FatigueFilter(max_per_window=cap, window=window)
+        ref = ReferenceFatigue(max_per_window=cap, window=window)
         users = sorted({u for batch in batches for u in batch})
         for i, batch in enumerate(batches):
             now = i * step
-            columns = columns_of([(u, i) for u in batch])
-            assert (
-                table.allow_mask(columns, now).tolist()
-                == ref.allow_mask(columns, now).tolist()
+            pairs = [(u, i) for u in batch]
+            assert table.allow_mask(columns_of(pairs), now).tolist() == allow_each(
+                ref, pairs, now
             )
             for user in users:
                 assert table.sent_in_window(user, now) == ref.sent_in_window(
@@ -367,8 +378,8 @@ class TestFatigueBackendEquivalence:
         cap=st.integers(1, 3),
     )
     def test_scalar_allow_matches_mask(self, batches, cap):
-        scalar = FatigueFilter(max_per_window=cap, window=300.0, backend="table")
-        masked = FatigueFilter(max_per_window=cap, window=300.0, backend="table")
+        scalar = FatigueFilter(max_per_window=cap, window=300.0)
+        masked = FatigueFilter(max_per_window=cap, window=300.0)
         for i, batch in enumerate(batches):
             now = i * 100.0
             mask = masked.allow_mask(columns_of([(u, i) for u in batch]), now)
@@ -427,7 +438,7 @@ class TestTableSnapshots:
             Int64KeyTable.from_snapshot(tmp_path / "t", {"time": (np.float64, 3)})
 
     def test_dedup_filter_survives_restart(self, tmp_path):
-        before = DedupFilter(window=100.0, backend="table")
+        before = DedupFilter(window=100.0)
         recs = [
             Recommendation(recipient=r, candidate=c, created_at=0.0)
             for r, c in [(1, 9), (2, 9), (3, 8)]
@@ -445,7 +456,7 @@ class TestTableSnapshots:
         assert after.last_sent_entries().keys() == before.last_sent_entries().keys()
 
     def test_fatigue_filter_survives_restart(self, tmp_path):
-        before = FatigueFilter(max_per_window=2, window=100.0, backend="table")
+        before = FatigueFilter(max_per_window=2, window=100.0)
         rec = Recommendation(recipient=7, candidate=1, created_at=0.0)
         assert before.allow(rec, now=10.0)
         assert before.allow(rec, now=20.0)
@@ -462,16 +473,10 @@ class TestTableSnapshots:
         assert after.allow(rec, now=115.0)
 
     def test_fatigue_snapshot_rejects_mismatched_cap(self, tmp_path):
-        before = FatigueFilter(max_per_window=2, window=100.0, backend="table")
+        before = FatigueFilter(max_per_window=2, window=100.0)
         before.allow(Recommendation(recipient=1, candidate=1, created_at=0.0), 1.0)
         before.save_npz(tmp_path / "fatigue")
         with pytest.raises(ValueError, match="shape"):
             FatigueFilter.from_snapshot(
                 tmp_path / "fatigue", max_per_window=3, window=100.0
             )
-
-    def test_dict_backend_refuses_snapshots(self, tmp_path):
-        with pytest.raises(ValueError, match="backend='table'"):
-            DedupFilter(backend="dict").save_npz(tmp_path / "nope")
-        with pytest.raises(ValueError, match="backend='table'"):
-            FatigueFilter(backend="dict").save_npz(tmp_path / "nope")
