@@ -14,7 +14,7 @@ Two experiments share this module:
   the design invariants (identical results at every P, disjoint S shards,
   D memory ~P).
 * **E18 (``mode=process``)** — the real-wall-clock sweep over
-  ``WorkerProcessTransport``: each partition in its own worker process,
+  ``WorkerTransport``'s queue wire: each partition in its own worker process,
   batches pipelined through the columnar wire, candidates counted without
   boxing.  Records ``speedup_vs_p1`` (and the host ``cpu_count`` needed to
   interpret it) to ``BENCH_ingest.json``.  Two workload shapes: the pure

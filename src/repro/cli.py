@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro.analysis import analyze_structure
 from repro.cluster import TRANSPORTS, Cluster, ClusterConfig
+from repro.cluster.shm import sweep_stale_segments
 from repro.core import ActionType, DetectionParams, EdgeEvent, MotifEngine
 from repro.delivery import DedupFilter, DeliveryPipeline, ShardedDeliveryPipeline
 from repro.gen import (
@@ -706,6 +707,11 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace, out) -> int:
+    # A crashed run's shm segments outlive it (kill -9 runs no cleanup);
+    # reclaim them along with its state.
+    reclaimed = sweep_stale_segments()
+    if reclaimed:
+        print(f"reclaimed        : {reclaimed} stale shm segments", file=out)
     result = durability_recover(
         args.root, use_snapshot=not args.ignore_snapshots
     )

@@ -18,11 +18,10 @@ Mapping to modules:
   failover, and resync after recovery;
 * :mod:`~repro.cluster.broker` — fan-out / gather over all partitions;
 * :mod:`~repro.cluster.transport` — the pluggable broker-to-partition
-  call path: direct in-process calls (default), one multiprocessing
-  worker per partition fed over columnar queues, or the same workers fed
-  over zero-copy shared-memory ring buffers;
-* :mod:`~repro.cluster.shm` — the shared-memory slabs and ring protocol
-  behind the ``shm`` transport;
+  call path: direct in-process calls (default), or one multiprocessing
+  worker per partition behind a columnar wire;
+* :mod:`~repro.cluster.shm` — the worker wire: mp queues, fronted by
+  zero-copy shared-memory ring buffers under the ``shm`` transport;
 * :mod:`~repro.cluster.rpc` — a simulated call layer that accounts virtual
   network latency and injected failures without sleeping;
 * :mod:`~repro.cluster.cluster` — assembly of the whole stack from an
@@ -41,8 +40,7 @@ from repro.cluster.transport import (
     PartitionReply,
     PartitionTransport,
     ReplicaHealthSnapshot,
-    SharedMemoryTransport,
-    WorkerProcessTransport,
+    WorkerTransport,
 )
 from repro.cluster.broker import Broker, BrokerStats
 from repro.cluster.cluster import Cluster, ClusterConfig
@@ -63,8 +61,7 @@ __all__ = [
     "PartitionHealthSnapshot",
     "ReplicaHealthSnapshot",
     "InProcessTransport",
-    "WorkerProcessTransport",
-    "SharedMemoryTransport",
+    "WorkerTransport",
     "ShmRing",
     "TornFrameError",
     "shm_available",

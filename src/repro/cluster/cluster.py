@@ -21,8 +21,7 @@ from repro.cluster.rpc import SimulatedChannel
 from repro.cluster.transport import (
     TRANSPORTS,
     PartitionTransport,
-    SharedMemoryTransport,
-    WorkerProcessTransport,
+    WorkerTransport,
 )
 from repro.core.batch import EventBatch, iter_event_batches
 from repro.core.detector import OnlineDetector
@@ -184,23 +183,18 @@ class Cluster:
                 else:
                     channels.append(SimulatedChannel(f"p{p}/r{r}"))
             replica_sets.append(ReplicaSet(p, replicas, channels))
-        if config.transport == "shm":
+        if config.transport == "inprocess":
+            broker = Broker(replica_sets)
+        else:
             broker = Broker(
-                transport=SharedMemoryTransport(
+                transport=WorkerTransport(
                     replica_sets,
+                    config.transport,
                     start_method=config.worker_start_method,
                     slots=config.shm_slots,
                     slot_bytes=config.shm_slot_bytes,
                 )
             )
-        elif config.transport == "process":
-            broker = Broker(
-                transport=WorkerProcessTransport(
-                    replica_sets, start_method=config.worker_start_method
-                )
-            )
-        else:
-            broker = Broker(replica_sets)
         return cls(broker, partitioner, params)
 
     # ------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Shared-memory slabs and the ring protocol behind the ``shm`` transports.
+"""The worker wire: mp queues, optionally fronted by shared-memory rings.
 
-The worker-process transports (PR 5) move every batch through a
-``multiprocessing`` queue: pickle the columns, write them down a pipe,
-read them back, unpickle.  At firehose rates that copy chain *is* the
-cost — the committed E18 numbers show per-partition detection work
-dropping while wall clock rises, which is pure wire overhead.  This
-module provides the replacement wire: fixed-capacity ring buffers in
+Every worker process (partition or delivery shard) talks to its parent
+over one :class:`Wire`.  The wire always has a *pickle lane* — a pair of
+``multiprocessing`` queues — and that alone is the ``"process"``
+transport: pickle the columns, write them down a pipe, read them back,
+unpickle.  At firehose rates that copy chain *is* the cost — the
+committed E18 numbers show per-partition detection work dropping while
+wall clock rises, which is pure wire overhead.  The ``"shm"`` transport
+is the same wire built *with a ring*: fixed-capacity ring buffers in
 ``multiprocessing.shared_memory`` segments, where a frame is written
 once, in place, as flat numpy columns, and the reader decodes zero-copy
-views of the very same bytes.
+views of the very same bytes.  Whatever cannot travel as a frame
+(control tuples, slot-overflow batches) still takes the pickle lane,
+announced by an in-ring marker — so the queue wire is the ring wire's
+fallback, not a second transport.
 
 Layout of one ring segment (all offsets 8-aligned)::
 
@@ -47,7 +52,11 @@ the parent process only.  Workers *attach* by name and close their
 mapping on exit; the parent unlinks every segment in ``close()`` —
 including the slabs of workers that died mid-batch (dead-worker slab
 reclamation) — and a module-level ``atexit`` sweep unlinks anything a
-crashed caller left behind, so ``/dev/shm`` never accumulates orphans.
+crashed caller left behind.  A ``kill -9`` runs no ``atexit``, so every
+segment name carries its owner's pid and :func:`sweep_stale_segments`
+(run by ``repro recover`` and whenever a ring wire is built) unlinks
+the segments of owners that no longer exist — ``/dev/shm`` never
+accumulates orphans.
 The serving arenas (:class:`ShmArena`) extend the discipline to
 *worker-created* segments: a worker that allocates a growth segment
 derives its name deterministically from a parent-owned control segment,
@@ -58,7 +67,9 @@ a ``kill -9`` left no owner alive.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
+import queue as queue_module
 import secrets
 import time
 from multiprocessing import shared_memory
@@ -66,6 +77,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.core.wire import FRAME_PICKLE, read_frame, write_frame
 from repro.util.validation import require, require_positive
 
 __all__ = [
@@ -77,15 +89,17 @@ __all__ = [
     "TornFrameError",
     "ShmArena",
     "ShmRing",
-    "RingPairSpec",
+    "Wire",
+    "WireSpec",
     "shm_available",
     "live_segment_names",
     "sweep_segments",
+    "sweep_stale_segments",
     "unlink_segment",
 ]
 
 #: Slots per ring lane.  Bounds the pipelining depth a transport can
-#: stack (see ``SharedMemoryTransport``): with equal request and reply
+#: stack (see ``WorkerTransport``): with equal request and reply
 #: rings, fewer than ``slots`` outstanding submits guarantees neither
 #: endpoint can deadlock on a full ring.
 DEFAULT_SLOTS = 8
@@ -110,6 +124,12 @@ _POLL_MAX = 1e-3
 #: be as expensive as a waitpid.
 _LIVENESS_INTERVAL = 0.05
 
+#: Seconds between liveness checks while a pickle-lane read waits.
+QUEUE_POLL_SECONDS = 0.1
+
+_SEGMENT_DIR = "/dev/shm"
+_SEGMENT_PREFIX = "repro_shm_"
+
 
 class TornFrameError(RuntimeError):
     """A slot's sequence stamps are inconsistent with the ring counters.
@@ -117,15 +137,6 @@ class TornFrameError(RuntimeError):
     Seen when the writer died between opening and committing a frame (or
     the slab was corrupted); the frame's bytes must not be trusted.
     """
-
-
-class RingPairSpec(NamedTuple):
-    """Picklable handle a worker uses to attach its two ring lanes."""
-
-    request_name: str
-    reply_name: str
-    slots: int
-    slot_bytes: int
 
 
 #: Segments created (owned) by this process, by name.  ``sweep_segments``
@@ -139,7 +150,9 @@ def _next_segment_name() -> str:
     """A collision-proof, greppable segment name (``/dev/shm/repro_shm_*``)."""
     global _NAME_COUNTER
     _NAME_COUNTER += 1
-    return f"repro_shm_{os.getpid()}_{_NAME_COUNTER}_{secrets.token_hex(3)}"
+    return (
+        f"{_SEGMENT_PREFIX}{os.getpid()}_{_NAME_COUNTER}_{secrets.token_hex(3)}"
+    )
 
 
 def live_segment_names() -> list[str]:
@@ -204,6 +217,49 @@ def unlink_segment(name: str) -> bool:
 
 atexit.register(sweep_segments)
 
+
+def sweep_stale_segments() -> int:
+    """Unlink every ``repro_shm_<pid>_*`` segment whose owner pid is gone.
+
+    The ``kill -9`` half of the cleanup discipline: a SIGKILLed parent
+    runs no ``close()`` and no ``atexit``, so its rings, control
+    segments and the serving generations its workers derived from them
+    (all named under the parent's pid) would sit in ``/dev/shm`` forever.
+    A live owner's segments are never touched — a pid that exists, even
+    one we may not signal, counts as alive.  Unlinking removes the name
+    only, so an orphaned worker still mapped to a swept segment keeps
+    running until it notices its parent is gone.  Assumes ``/dev/shm`` is
+    not shared across pid namespaces (there a live owner would look
+    dead).  Returns the number of segments reclaimed; a host without
+    ``/dev/shm`` has nothing to sweep.
+    """
+    try:
+        names = os.listdir(_SEGMENT_DIR)
+    except OSError:
+        return 0
+    reclaimed = 0
+    for name in names:
+        if not name.startswith(_SEGMENT_PREFIX):
+            continue
+        owner = name[len(_SEGMENT_PREFIX):].split("_", 1)[0]
+        if not owner.isdigit():
+            continue
+        try:
+            os.kill(int(owner), 0)
+        except ProcessLookupError:
+            pass  # owner is gone: the segment is an orphan
+        except OSError:
+            continue  # exists but not ours to signal
+        else:
+            continue
+        try:
+            os.unlink(os.path.join(_SEGMENT_DIR, name))
+            reclaimed += 1
+        except OSError:
+            pass  # a concurrent sweep got there first
+    return reclaimed
+
+
 _SHM_AVAILABLE: bool | None = None
 
 
@@ -257,6 +313,32 @@ def _wait(
             if not is_peer_alive():
                 return poll()  # final drain: frame committed before death
             next_liveness = now + _LIVENESS_INTERVAL
+
+
+def poll_queue(q, is_peer_alive: Callable[[], bool]) -> tuple | None:
+    """One message from *q*, or None once the peer is known dead.
+
+    Polls with a short timeout and checks peer liveness between polls, so
+    a message that will never come (the peer died mid-batch) is detected
+    instead of hanging the caller.  One final non-blocking drain covers a
+    message buffered (or mid-flush on the feeder thread) before the peer
+    died — a ring marker may commit before the queue feeder flushes its
+    payload.  A peer killed mid-*write* leaves a truncated pickle on the
+    pipe, which surfaces as a deserialization error out of ``get`` and is
+    treated exactly like no message at all.
+    """
+    while True:
+        try:
+            return q.get(timeout=QUEUE_POLL_SECONDS)
+        except queue_module.Empty:
+            if not is_peer_alive():
+                try:  # message may have been buffered before the death
+                    return q.get_nowait()
+                except Exception:  # Empty, or a truncated frame
+                    return None
+        except Exception:
+            # Half-written frame (peer terminated mid-put).
+            return None
 
 
 class ShmRing:
@@ -425,96 +507,250 @@ class ShmRing:
         self._ctrl[1] = int(self._ctrl[1]) + 1
 
 
-class RingPair:
-    """One worker's wire: a request ring (parent writes) + reply ring.
+class WireSpec(NamedTuple):
+    """Picklable handle a worker uses to attach its end of a :class:`Wire`.
 
-    The parent :meth:`create`\\ s the pair (owning both segments) and
-    ships the picklable :attr:`spec` to the worker, which
-    :meth:`attach`\\ es.  The rings are the worker's sole message
-    *ordering* channel; payloads that cannot travel as a frame (control
-    tuples, slot-overflow batches) go on the existing mp queues announced
-    by a ``FRAME_PICKLE`` marker — queue payload first, marker second, so
-    a consumed marker's payload is already in flight.
+    Travels in the worker's ``Process`` arguments — the only place a
+    ``multiprocessing`` queue may be pickled.  The ring names are None
+    on a queue-only wire.
+    """
 
-    The parent-side instance also carries the wire's telemetry counters
-    (frames vs. pickle fallbacks), which the transports aggregate into
-    ``wire_stats()`` for the monitor.
+    requests: object
+    replies: object
+    request_name: str | None
+    reply_name: str | None
+    slots: int
+    slot_bytes: int
+
+    def attach(self) -> "Wire":
+        """The worker's endpoint: the parent's mirror image."""
+        tx_ring = rx_ring = None
+        if self.request_name is not None:
+            rx_ring = ShmRing.attach(self.request_name, self.slots, self.slot_bytes)
+            tx_ring = ShmRing.attach(self.reply_name, self.slots, self.slot_bytes)
+        return Wire(
+            self.replies,
+            self.requests,
+            tx_ring,
+            rx_ring,
+            multiprocessing.parent_process().is_alive,
+        )
+
+
+class Wire:
+    """One endpoint of a worker's wire: a pickle lane, optionally a ring.
+
+    Built with a ring (:meth:`create` with a ``(slots, slot_bytes)``
+    shape) the wire owns a request ring (parent writes) and a reply ring,
+    and the rings are the sole message *ordering* channel: a message
+    whose *framer* fits a slot crosses as a slab frame; anything else —
+    control tuples, slot-overflow batches — goes on the queue announced
+    by a ``FRAME_PICKLE`` marker, queue payload first, marker second, so
+    a consumed marker's payload is already in flight.  Without a ring
+    every send takes the pickle lane and every receive is a queue read.
+
+    The parent :meth:`create`\\ s the wire (owning both segments) and ships
+    the picklable :attr:`spec` to the worker, which
+    :meth:`~WireSpec.attach`\\ es the mirror endpoint.  Every wait — a full
+    ring, an empty ring, an empty queue — polls :attr:`peer_alive`, so
+    neither endpoint can block forever on a dead peer.
+
+    Each endpoint counts what it sent and what it received (frames vs.
+    pickle fallbacks); :func:`repro.util.procpool.wire_stats` sums the
+    parent-side counters into the transports' ``wire_stats()``.
     """
 
     __slots__ = (
-        "request",
-        "reply",
+        "_tx_queue",
+        "_rx_queue",
+        "_tx_ring",
+        "_rx_ring",
+        "_holding",
+        "peer_alive",
+        "slots",
         "frames_shm",
         "frames_fallback",
         "control_pickle",
     )
 
-    def __init__(self, request: ShmRing, reply: ShmRing) -> None:
-        self.request = request
-        self.reply = reply
+    def __init__(
+        self,
+        tx_queue,
+        rx_queue,
+        tx_ring: "ShmRing | None" = None,
+        rx_ring: "ShmRing | None" = None,
+        peer_alive: Callable[[], bool] = lambda: True,
+    ) -> None:
+        self._tx_queue = tx_queue
+        self._rx_queue = rx_queue
+        self._tx_ring = tx_ring
+        self._rx_ring = rx_ring
+        self._holding = False
+        #: Liveness probe for the other endpoint.  The parent's is bound
+        #: by ``spawn_worker`` once the worker process exists.
+        self.peer_alive = peer_alive
+        #: Ring slots per direction (0 on a queue-only wire).
+        self.slots = 0 if tx_ring is None else tx_ring.slots
         self.frames_shm = 0
         self.frames_fallback = 0
         self.control_pickle = 0
 
     @classmethod
-    def create(
-        cls,
-        slots: int = DEFAULT_SLOTS,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-    ) -> "RingPair":
-        request = ShmRing.create(slots, slot_bytes)
-        try:
-            reply = ShmRing.create(slots, slot_bytes)
-        except Exception:
-            request.close()
-            raise
-        return cls(request, reply)
+    def create(cls, context, ring: "tuple[int, int] | None" = None) -> "Wire":
+        """The parent's endpoint; *ring* is ``(slots, slot_bytes)`` or None.
 
-    @classmethod
-    def attach(cls, spec: RingPairSpec) -> "RingPair":
-        request = ShmRing.attach(spec.request_name, spec.slots, spec.slot_bytes)
-        reply = ShmRing.attach(spec.reply_name, spec.slots, spec.slot_bytes)
-        return cls(request, reply)
+        Building a ring first sweeps the segments dead owners left in
+        ``/dev/shm`` (:func:`sweep_stale_segments`), so a crash loop
+        cannot exhaust it.
+        """
+        request = reply = None
+        if ring is not None:
+            require(
+                shm_available(),
+                "shared memory is unavailable on this host (no /dev/shm?); "
+                "use transport='process' instead",
+            )
+            sweep_stale_segments()
+            request = ShmRing.create(*ring)
+            try:
+                reply = ShmRing.create(*ring)
+            except Exception:
+                request.close()
+                raise
+        return cls(context.Queue(), context.Queue(), request, reply)
 
     @property
-    def spec(self) -> RingPairSpec:
-        return RingPairSpec(
-            self.request.name,
-            self.reply.name,
-            self.request.slots,
-            self.request.slot_bytes,
+    def spec(self) -> WireSpec:
+        ring = self._tx_ring
+        if ring is None:
+            return WireSpec(self._tx_queue, self._rx_queue, None, None, 0, 0)
+        return WireSpec(
+            self._tx_queue,
+            self._rx_queue,
+            ring.name,
+            self._rx_ring.name,
+            ring.slots,
+            ring.slot_bytes,
         )
 
-    def post_control(
+    @property
+    def segment_names(self) -> list[str]:
+        """Names of the ring segments behind this wire (none without a ring)."""
+        if self._tx_ring is None:
+            return []
+        return [self._tx_ring.name, self._rx_ring.name]
+
+    def send(
         self,
-        queue,
         message: tuple,
-        is_peer_alive: Callable[[], bool] | None = None,
-        timeout: float | None = 1.0,
+        framer: "Callable[[np.ndarray, tuple], int | None] | None" = None,
+        timeout: float | None = None,
     ) -> bool:
-        """Send a pickled *message* down the wire (payload, then marker).
+        """Send *message*: as a slab frame when *framer* fits, else pickled.
 
-        Returns False when no request slot could be acquired (peer dead,
-        or ring wedged past *timeout* — the caller's forceful-shutdown
-        path covers that).
+        ``framer(mem, message)`` encodes the message into a ring slot and
+        returns its byte length, or None when it does not fit.  Returns
+        False when no ring slot could be acquired (peer dead, or the ring
+        stayed full past *timeout* — the caller's forceful-shutdown path
+        covers that); a queue-only send always succeeds.
         """
-        from repro.core.wire import FRAME_PICKLE, write_frame
-
-        queue.put(message)
-        mem = self.request.acquire_slot(is_peer_alive, timeout)
-        if mem is None:
-            return False
-        self.request.commit_slot(write_frame(mem, FRAME_PICKLE))
-        self.control_pickle += 1
+        ring = self._tx_ring
+        mem = None
+        if ring is not None:
+            mem = ring.acquire_slot(self.peer_alive, timeout)
+            if mem is None:
+                return False
+            nbytes = None if framer is None else framer(mem, message)
+            if nbytes is not None:
+                ring.commit_slot(nbytes)
+                self.frames_shm += 1
+                return True
+        if framer is None:
+            self.control_pickle += 1
+        else:
+            self.frames_fallback += 1  # no ring, or too large for a slot
+        # Pickle lane: queue payload first, then the ring marker, so a
+        # consumed marker's payload is guaranteed to be in flight.  The
+        # marker's aux tells the receiver whether a frame overflowed.
+        self._tx_queue.put(message)
+        if mem is not None:
+            ring.commit_slot(
+                write_frame(mem, FRAME_PICKLE, aux=int(framer is not None))
+            )
         return True
 
-    def close(self) -> None:
-        """Drop both ring mappings (owner side also unlinks).  Idempotent."""
-        self.request.close()
-        self.reply.close()
+    def recv(
+        self, decode: Callable[[tuple], tuple], copy: bool = True
+    ) -> tuple | None:
+        """The next message, or None once the peer is known dead.
 
-    #: Parent-side name for :meth:`close`: reclaims the slabs (unlink).
-    destroy = close
+        A slab frame is handed to ``decode(read_frame(...))``, which
+        rebuilds the tuple the pickle lane would have delivered — callers
+        never see which lane a message took.  With ``copy=False`` the
+        decoded columns are **zero-copy views of the ring slot**, which
+        stays held until :meth:`release`; the caller must drop every such
+        view first.  A frame torn by a peer that died mid-commit reads as
+        a dead peer.
+        """
+        ring = self._rx_ring
+        if ring is not None:
+            try:
+                mem = ring.acquire_frame(self.peer_alive)
+            except TornFrameError:  # died mid-commit: the frame is garbage
+                return None
+            if mem is None:
+                return None
+            frame = read_frame(mem, copy=copy)
+            del mem
+            if frame[0] != FRAME_PICKLE:
+                self.frames_shm += 1
+                if copy:
+                    ring.release_frame()
+                else:
+                    self._holding = True
+                return decode(frame)
+            self.frames_fallback += frame[5]
+            ring.release_frame()
+        return poll_queue(self._rx_queue, self.peer_alive)
+
+    def release(self) -> None:
+        """Hand back the slot a ``recv(copy=False)`` frame still holds.
+
+        A no-op when nothing is held (queue wire, or the message took
+        the pickle lane), so callers release unconditionally.
+        """
+        if self._holding:
+            self._holding = False
+            self._rx_ring.release_frame()
+
+    def backlog(self) -> int:
+        """Messages sent but not yet consumed by the peer."""
+        if self._tx_ring is not None:
+            return self._tx_ring.occupancy()
+        try:
+            return self._tx_queue.qsize()
+        except NotImplementedError:  # macOS: qsize unsupported
+            return 0
+
+    def occupancy(self) -> int:
+        """Committed-but-unreleased ring frames, both directions."""
+        if self._tx_ring is None:
+            return 0
+        return self._tx_ring.occupancy() + self._rx_ring.occupancy()
+
+    def close(self) -> None:
+        """Drop ring mappings (the owner also unlinks) and close the queues.
+
+        Idempotent.  The parent calls it only after joining the worker —
+        including one that died mid-batch — so abnormal exits reclaim the
+        slabs too.
+        """
+        for ring in (self._tx_ring, self._rx_ring):
+            if ring is not None:
+                ring.close()
+        self._tx_ring = self._rx_ring = None
+        self._tx_queue.close()
+        self._rx_queue.close()
 
 
 #: Control-word area at the front of every arena segment: eight ``u64``

@@ -12,23 +12,23 @@ pluggable:
   :class:`~repro.cluster.rpc.SimulatedChannel` latency sampling.  Behavior
   preserving; still the default, and the right lane for tests and for the
   discrete-event latency simulation.
-* :class:`WorkerProcessTransport` — each partition's replica set hosted in
-  a ``multiprocessing`` worker, fed over queues carrying the *columnar*
-  wire format (:mod:`repro.core.wire` — flat numpy columns, never boxed
-  events).  Fan-out is asynchronous: the broker submits one batch to every
-  partition's request queue and only then gathers, so partitions genuinely
-  chew in parallel, and multiple batches may be submitted before the first
-  gather (pipelining — the parent encodes batch *i+1* while the workers
-  process batch *i*).
-* :class:`SharedMemoryTransport` — same worker fleet, but batches and
-  grouped replies cross as *slab frames*: flat columns written once into
-  per-worker ``multiprocessing.shared_memory`` ring buffers
-  (:mod:`repro.cluster.shm`) and decoded as zero-copy views on the other
-  side — no pickling, no pipe write, no second copy.  Control messages
-  and any frame too large for a ring slot fall back to the pickle wire
-  behind an in-ring marker, so the ring stays the sole ordering channel
-  and oversized bursts degrade instead of failing (the fallback rate is
-  counted in ``wire_stats()``).
+* :class:`WorkerTransport` — each partition's replica set hosted in a
+  ``multiprocessing`` worker behind one :class:`~repro.cluster.shm.Wire`
+  carrying the *columnar* wire format (:mod:`repro.core.wire` — flat
+  numpy columns, never boxed events).  Fan-out is asynchronous: the
+  broker submits one batch to every partition and only then gathers, so
+  partitions genuinely chew in parallel, and multiple batches may be
+  submitted before the first gather (pipelining — the parent encodes
+  batch *i+1* while the workers process batch *i*).  One protocol, two
+  wires: ``transport="process"`` pickles every message down the wire's
+  mp queues; ``transport="shm"`` builds the same wire with a ring, so
+  batches and grouped replies cross as *slab frames* — flat columns
+  written once into per-worker ``multiprocessing.shared_memory`` ring
+  buffers and decoded as zero-copy views on the other side — while
+  control messages and any frame too large for a ring slot fall back to
+  the queue behind an in-ring marker.  The ring stays the sole ordering
+  channel and oversized bursts degrade instead of failing (the fallback
+  rate is counted in ``wire_stats()``).
 
 Both transports speak the same tiny protocol: submit/gather for event
 batches, plus health / prune / audience control messages, plus graceful
@@ -49,9 +49,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from repro.cluster.shm import (
     DEFAULT_SLOT_BYTES,
     DEFAULT_SLOTS,
-    RingPair,
-    TornFrameError,
-    shm_available,
+    Wire,
     sweep_segments,
 )
 from repro.core.batch import EventBatch
@@ -62,27 +60,22 @@ from repro.core.checkpoint import (
 from repro.core.events import EdgeEvent
 from repro.core.recommendation import Recommendation, RecommendationBatch
 from repro.core.wire import (
-    FRAME_EVENT_BATCH,
     FRAME_LOST,
-    FRAME_PICKLE,
     decode_event_batch,
     decode_grouped,
     encode_event_batch,
     encode_grouped,
-    event_batch_from_frame,
     frame_event_batch,
     frame_grouped,
     grouped_payload_from_frame,
-    read_frame,
     write_frame,
 )
 from repro.util.procpool import (
     WorkerHandle,
     default_start_method,
-    poll_queue,
-    receive_reply,
     spawn_worker,
     stop_workers,
+    wire_stats,
 )
 from repro.util.validation import require
 
@@ -100,8 +93,7 @@ __all__ = [
     "ReplicaHealthSnapshot",
     "PartitionHealthSnapshot",
     "InProcessTransport",
-    "WorkerProcessTransport",
-    "SharedMemoryTransport",
+    "WorkerTransport",
     "default_start_method",
 ]
 
@@ -418,16 +410,12 @@ class InProcessTransport:
 
 
 # ----------------------------------------------------------------------
-# Worker-process transport
+# Worker transport
 # ----------------------------------------------------------------------
 
 
 def _control_reply(replica_set, message: tuple) -> tuple | None:
-    """One non-batch message's reply tuple, or None for a stop message.
-
-    Shared by the queue and shm worker loops — control semantics must
-    not fork between wires.
-    """
+    """One non-batch message's reply tuple, or None for a stop message."""
     from repro.cluster.replica import AllReplicasDown
 
     kind = message[0]
@@ -481,160 +469,143 @@ def _control_reply(replica_set, message: tuple) -> tuple | None:
     return None  # stop
 
 
-def _partition_worker_main(replica_set, requests, replies) -> None:
+def _frame_request(mem, message: tuple) -> int | None:
+    """A ``("batch", payload, now)`` request as a slab frame."""
+    return frame_event_batch(mem, message[1], message[2])
+
+
+def _request_from_frame(frame: tuple) -> tuple:
+    """Invert :func:`_frame_request`; the columns stay views of the slot."""
+    _kind, cols, _blobs, now, _latency, _aux = frame
+    return ("batch", tuple(cols), now)
+
+
+def _frame_reply(mem, reply: tuple) -> int | None:
+    """A batch reply — ``("ok", payload, latency)`` or lost — as a frame."""
+    if reply[0] == "lost":
+        return write_frame(mem, FRAME_LOST)
+    return frame_grouped(mem, reply[1], reply[2])
+
+
+def _reply_from_frame(frame: tuple) -> tuple:
+    """Invert :func:`_frame_reply`."""
+    kind, cols, blobs, _now, latency, _aux = frame
+    if kind == FRAME_LOST:
+        return ("lost", None, 0.0)
+    return ("ok", grouped_payload_from_frame(cols, blobs), latency)
+
+
+def _partition_worker_main(replica_set, wire: Wire) -> None:
     """One partition worker: drain requests until a stop message.
 
     Batches arrive and leave in the columnar wire format; control
-    messages are tiny tuples.  Any unexpected exception kills the worker
-    — the parent detects the death at gather time and marks the
+    messages are tiny tuples.  Which lane of the wire a message took is
+    the wire's business: a framed batch decodes as **zero-copy views of
+    the request slot** — safe because every index copies on insert and
+    the detector emits fresh arrays, so nothing retains the slab bytes
+    past ``ingest_batch`` — and the slot is released before the reply is
+    encoded.  A ``None`` from the wire means the parent died: exit
+    quietly (daemon semantics).  Any unexpected exception kills the
+    worker — the parent detects the death at gather time and marks the
     partition's events lost, exactly like a crashed machine.
     """
     from repro.cluster.replica import AllReplicasDown
 
     while True:
-        message = requests.get()
-        if message[0] == "batch":
-            batch = decode_event_batch(message[1])
-            try:
-                grouped, latency = replica_set.ingest_batch(batch, message[2])
-            except AllReplicasDown:
-                replies.put(("lost", None, 0.0))
-                continue
-            replies.put(("ok", encode_grouped(grouped), latency))
-            continue
-        reply = _control_reply(replica_set, message)
-        if reply is None:
-            replies.put(("ok", None, 0.0))
+        message = wire.recv(_request_from_frame, copy=False)
+        if message is None:
             return
-        replies.put(reply)
-
-
-def _shm_partition_worker_main(state, requests, replies) -> None:
-    """One shm partition worker: frames in, frames out.
-
-    Requests decode as **zero-copy views of the request slot** — safe
-    because every index copies on insert and the detector emits fresh
-    arrays, so nothing retains the slab bytes past ``ingest_batch`` —
-    and the slot is released immediately after.  Replies encode straight
-    into a reply slot; a reply too large for the slot travels the pickle
-    wire behind a ``FRAME_PICKLE`` marker instead.  The same marker
-    carries control messages and request batches that overflowed their
-    slot parent-side.  A ``None`` from a ring wait means the parent
-    died: exit quietly (daemon semantics).
-    """
-    from repro.cluster.replica import AllReplicasDown
-
-    replica_set, spec = state
-    wire = RingPair.attach(spec)
-    parent_alive = multiprocessing.parent_process().is_alive
-
-    def ingest(batch, now):
-        try:
-            return replica_set.ingest_batch(batch, now)
-        except AllReplicasDown:
-            return None, 0.0
-
-    def reply_grouped(grouped, latency) -> bool:
-        """Frame one batch reply into the reply ring; False = parent died.
-
-        Slab views stay local to this frame, so nothing pins the mmap
-        once it returns.
-        """
-        reply_mem = wire.reply.acquire_slot(is_peer_alive=parent_alive)
-        if reply_mem is None:
-            return False
-        if grouped is None:
-            wire.reply.commit_slot(write_frame(reply_mem, FRAME_LOST))
-            return True
-        payload = encode_grouped(grouped)
-        nbytes = frame_grouped(reply_mem, payload, latency)
-        if nbytes is None:  # slot overflow: pickle fallback
-            replies.put(("ok", payload, latency))
-            nbytes = write_frame(reply_mem, FRAME_PICKLE)
-        wire.reply.commit_slot(nbytes)
-        return True
-
-    try:
-        while True:
-            mem = wire.request.acquire_frame(is_peer_alive=parent_alive)
-            if mem is None:
-                return
-            kind, cols, _blobs, now, _latency, _aux = read_frame(mem)
-            if kind == FRAME_EVENT_BATCH:
-                batch = event_batch_from_frame(cols)
-                grouped, latency = ingest(batch, now)
-                del batch, cols, mem  # no slab views may survive release
-                wire.request.release_frame()
-                if not reply_grouped(grouped, latency):
-                    return
-                continue
-            # FRAME_PICKLE marker: the actual message is on the queue.
-            del cols, mem
-            wire.request.release_frame()
-            message = poll_queue(requests, parent_alive)
-            if message is None:
-                return
-            if message[0] == "batch":  # request-side slot overflow
-                grouped, latency = ingest(
+        if message[0] == "batch":
+            try:
+                grouped, latency = replica_set.ingest_batch(
                     decode_event_batch(message[1]), message[2]
                 )
-                if not reply_grouped(grouped, latency):
-                    return
-                continue
-            reply = _control_reply(replica_set, message)
+            except AllReplicasDown:
+                grouped = None
+            del message  # no slab views may survive release
+            wire.release()
+            if grouped is None:
+                reply = ("lost", None, 0.0)
+            else:
+                reply = ("ok", encode_grouped(grouped), latency)
+            framer = _frame_reply
+        else:
+            reply, framer = _control_reply(replica_set, message), None
             if reply is None:
                 return  # stop: exit without a reply (close never gathers)
-            replies.put(reply)
-            reply_mem = wire.reply.acquire_slot(is_peer_alive=parent_alive)
-            if reply_mem is None:
-                return
-            wire.reply.commit_slot(write_frame(reply_mem, FRAME_PICKLE))
-            del reply_mem
-    finally:
-        wire.close()
+        if not wire.send(reply, framer):
+            return
 
 
-class WorkerProcessTransport:
+class WorkerTransport:
     """Partition servers hosted in ``multiprocessing`` workers.
 
     One worker per partition, each owning its replica set (S shard +
-    private D copies) and a request/reply queue pair.  The parent never
-    touches the replica sets after startup — its references (under the
-    ``fork`` start method) are stale copies; all state lives behind the
-    queues.
+    private D copies) behind one :class:`~repro.cluster.shm.Wire`.  The
+    parent never touches the replica sets after startup — its references
+    (under the ``fork`` start method) are stale copies; all state lives
+    behind the wires.
 
-    Fan-out/gather is asynchronous and pipelined: ``submit_batch`` puts
-    the (already encoded, shared) payload on every live worker's request
-    queue and returns; any number of submits may be outstanding, and each
+    *transport* picks the wire, and nothing else: ``"process"`` builds it
+    queue-only, ``"shm"`` with shared-memory rings in front of the queues
+    (event batches and grouped replies then cross as slab frames; see
+    :class:`~repro.cluster.shm.Wire` for the lanes and their fallback).
+
+    Fan-out/gather is asynchronous and pipelined: ``submit_batch`` posts
+    the (already encoded, shared) payload to every live worker and
+    returns; several submits may be outstanding, and each
     ``gather_batch`` resolves the oldest one.  Replies per worker are FIFO
     because each worker is serial, so no sequence numbers are needed.
+    On the ring wire pipelining is *bounded by the ring capacity*: at
+    most ``slots`` submits may be outstanding (deeper stacking would
+    block the parent on a full request ring while the worker blocks on a
+    full reply ring — a deadlock).  The default of 8 slots comfortably
+    covers the pipeline depths the driver uses; configure more for
+    deeper stacks.
 
     Failure semantics: a dead worker's outstanding and future batches are
     reported ``lost`` (the broker counts the events); the transport keeps
     serving healthy partitions.  Control messages require no outstanding
-    batches (they share the reply queues).
+    batches (they share the reply lane).
+
+    Every ring segment is created (owned) by the parent: ``close()``
+    unlinks them all — including the slabs of workers that died
+    mid-batch (:mod:`repro.cluster.shm` covers the parent's own death).
     """
 
     def __init__(
         self,
         replica_sets: "list[ReplicaSet]",
+        transport: str = "process",
         start_method: str | None = None,
+        slots: int = DEFAULT_SLOTS,
+        slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> None:
         require(
             len(replica_sets) >= 1, "a transport needs at least one partition"
         )
+        require(
+            transport in TRANSPORTS[1:],
+            f"a worker transport is one of {TRANSPORTS[1:]}, got {transport!r}",
+        )
         context = multiprocessing.get_context(
             start_method or default_start_method()
         )
+        #: Which wire the workers are on: ``"process"`` or ``"shm"``.
+        self.wire_kind = transport
+        ring = (slots, slot_bytes) if transport == "shm" else None
+        #: Most submits that may be outstanding: the ring's slot count
+        #: (see the class docstring); unbounded (None) on the queue wire.
+        self._max_outstanding = None if ring is None else slots
         self._workers: list[WorkerHandle] = []
+        self._segment_names: list[str] = []
         self._closed = False
         #: FIFO of outstanding submits: one {partition_id -> submitted} plus
         #: the batch kind, matched positionally by the gathers.
         self._outstanding: deque[tuple[str, dict[int, bool]]] = deque()
-        self._spawn_workers(context, replica_sets)
-
-    def _spawn_workers(self, context, replica_sets: "list[ReplicaSet]") -> None:
         for replica_set in replica_sets:
+            wire = Wire.create(context, ring)
+            self._segment_names += wire.segment_names
             # spawn_worker hands the replica set over in a one-shot holder
             # the parent clears right after start(): holding P full D
             # copies in the broker process would double the fleet's memory.
@@ -645,6 +616,7 @@ class WorkerProcessTransport:
                     _partition_worker_main,
                     replica_set,
                     name=f"repro-partition-{replica_set.partition_id}",
+                    wire=wire,
                 )
             )
 
@@ -662,19 +634,21 @@ class WorkerProcessTransport:
     # ------------------------------------------------------------------
 
     def _submit(self, kind: str, message: tuple) -> None:
-        require(not self._closed, "transport is closed")
-        submitted: dict[int, bool] = {}
-        for worker in self._workers:
-            if worker.dead or not worker.process.is_alive():
-                worker.dead = True
-                submitted[worker.key] = False
-                continue
-            submitted[worker.key] = self._post(worker, message)
-        self._outstanding.append((kind, submitted))
+        """Fan one identical message out to every worker."""
+        bound = self._max_outstanding
+        if bound is not None:
+            require(
+                len(self._outstanding) < bound,
+                f"shm transport pipelining is bounded by its ring capacity "
+                f"({bound} slots); gather before submitting deeper, or "
+                f"configure more slots",
+            )
+        self._submit_each(
+            kind, dict.fromkeys((w.key for w in self._workers), message)
+        )
 
     def _submit_each(self, kind: str, messages: dict[int, tuple]) -> None:
-        """Fan out *per-partition* payloads (unlike :meth:`_submit`,
-        which sends one identical message to every worker).
+        """Fan out *per-partition* payloads.
 
         Workers absent from *messages* are skipped — their gather slot
         reports None, same as a dead worker's.
@@ -683,20 +657,12 @@ class WorkerProcessTransport:
         submitted: dict[int, bool] = {}
         for worker in self._workers:
             message = messages.get(worker.key)
-            if message is None:
+            if message is None or not worker.alive():
                 submitted[worker.key] = False
                 continue
-            if worker.dead or not worker.process.is_alive():
-                worker.dead = True
-                submitted[worker.key] = False
-                continue
-            submitted[worker.key] = self._post(worker, message)
+            framer = _frame_request if message[0] == "batch" else None
+            submitted[worker.key] = worker.send(message, framer)
         self._outstanding.append((kind, submitted))
-
-    def _post(self, worker: WorkerHandle, message: tuple) -> bool:
-        """Deliver one message to a live worker; False if it died instead."""
-        worker.requests.put(message)
-        return True
 
     def _gather(self, kind: str) -> list[tuple[int, tuple | None]]:
         require(len(self._outstanding) > 0, "gather without a submit")
@@ -710,19 +676,15 @@ class WorkerProcessTransport:
             if not submitted.get(worker.key, False):
                 out.append((worker.key, None))
                 continue
-            out.append((worker.key, self._receive(worker, kind)))
+            out.append((worker.key, worker.recv(_reply_from_frame)))
         return out
-
-    def _receive(self, worker: WorkerHandle, kind: str) -> tuple | None:
-        """One reply tuple from *worker*, or None once it is known dead."""
-        return receive_reply(worker)
 
     # ------------------------------------------------------------------
     # Batch lane
     # ------------------------------------------------------------------
 
     def submit_batch(self, batch: EventBatch, now: float | None = None) -> None:
-        # Encode once; the queue pickles the same arrays per worker.
+        # Encode once; every worker's wire frames or pickles the same arrays.
         self._submit("batch", ("batch", encode_event_batch(batch), now))
 
     def gather_batch(self) -> list[PartitionReply]:
@@ -776,8 +738,7 @@ class WorkerProcessTransport:
 
     def health(self) -> list[PartitionHealthSnapshot]:
         backlogs = {
-            worker.key: self._queue_depth(worker)
-            for worker in self._workers
+            worker.key: worker.wire.backlog() for worker in self._workers
         }
         out: list[PartitionHealthSnapshot] = []
         for partition_id, raw in self._control(("health",)):
@@ -811,12 +772,7 @@ class WorkerProcessTransport:
             "control messages require no outstanding batches",
         )
         target = next(
-            (
-                worker.key
-                for worker in self._workers
-                if not worker.dead and worker.process.is_alive()
-            ),
-            None,
+            (worker.key for worker in self._workers if worker.alive()), None
         )
         if target is None:
             return None
@@ -853,19 +809,18 @@ class WorkerProcessTransport:
                 reloaded += 1
         return reloaded
 
-    def _queue_depth(self, worker: WorkerHandle) -> int:
-        try:
-            return worker.requests.qsize()
-        except NotImplementedError:  # macOS: qsize unsupported
-            return 0
-
     def backlog(self) -> int:
-        """Pending request-queue depth summed across live workers."""
+        """Pending request depth (queue or ring) summed across live workers."""
         return sum(
-            self._queue_depth(worker)
+            worker.wire.backlog()
             for worker in self._workers
             if not worker.dead
         )
+
+    def wire_stats(self) -> dict[str, float]:
+        """Frame/fallback counters and slab occupancy summed over workers
+        (:func:`repro.util.procpool.wire_stats`)."""
+        return wire_stats(self._workers)
 
     @property
     def pending_gathers(self) -> int:
@@ -874,11 +829,7 @@ class WorkerProcessTransport:
 
     def workers_alive(self) -> int:
         """Workers still running (dead ones stay dead until close)."""
-        return sum(
-            1
-            for worker in self._workers
-            if not worker.dead and worker.process.is_alive()
-        )
+        return sum(worker.alive() for worker in self._workers)
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -889,11 +840,15 @@ class WorkerProcessTransport:
 
         Graceful path first (a stop message each, bounded join), then
         terminate stragglers so a wedged worker can never hang the parent.
+        ``stop_workers`` closes each worker's wire after its join — dead
+        workers included — which unlinks its ring segments; the explicit
+        sweep is the backstop for a fleet that only half spawned.
         """
         if self._closed:
             return
         self._closed = True
         stop_workers(self._workers)
+        sweep_segments(self._segment_names)
 
     def __del__(self) -> None:  # best-effort backstop; close() is the API
         try:
@@ -902,178 +857,3 @@ class WorkerProcessTransport:
             pass
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-
-
-class SharedMemoryTransport(WorkerProcessTransport):
-    """Worker-process partitions fed over shared-memory ring buffers.
-
-    Same fleet, protocol, and failure semantics as
-    :class:`WorkerProcessTransport`; only the wire differs.  Event
-    batches are written once, as flat columns, into each worker's
-    request ring (:mod:`repro.cluster.shm`) and decoded in the worker as
-    zero-copy views of the very same bytes; grouped replies come back
-    the same way.  Control messages — and any frame that overflows a
-    ring slot — fall back to the pickle wire, announced by an in-ring
-    marker so the ring remains the sole ordering channel.
-
-    Pipelining is *bounded by the ring capacity*: at most ``slots``
-    submits may be outstanding (deeper stacking would block the parent
-    on a full request ring while the worker blocks on a full reply ring
-    — a deadlock).  The default of 8 slots comfortably covers the
-    pipeline depths the driver uses; configure more for deeper stacks.
-
-    Every segment is created (owned) by the parent: ``close()`` unlinks
-    them all — including the slabs of workers that died mid-batch — and
-    the module's atexit sweep reclaims them even if the parent itself
-    crashes before closing.
-    """
-
-    def __init__(
-        self,
-        replica_sets: "list[ReplicaSet]",
-        start_method: str | None = None,
-        slots: int = DEFAULT_SLOTS,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-    ) -> None:
-        require(
-            shm_available(),
-            "shared memory is unavailable on this host (no /dev/shm?); "
-            "use transport='process' instead",
-        )
-        self._slots = slots
-        self._slot_bytes = slot_bytes
-        self._segment_names: list[str] = []
-        super().__init__(replica_sets, start_method)
-
-    def _spawn_workers(self, context, replica_sets: "list[ReplicaSet]") -> None:
-        for replica_set in replica_sets:
-            wire = RingPair.create(self._slots, self._slot_bytes)
-            self._segment_names += [wire.request.name, wire.reply.name]
-            try:
-                worker = spawn_worker(
-                    context,
-                    replica_set.partition_id,
-                    _shm_partition_worker_main,
-                    (replica_set, wire.spec),
-                    name=f"repro-partition-{replica_set.partition_id}",
-                )
-            except Exception:
-                wire.destroy()
-                raise
-            worker.wire = wire
-            self._workers.append(worker)
-
-    # ------------------------------------------------------------------
-    # Wire hooks
-    # ------------------------------------------------------------------
-
-    def _submit(self, kind: str, message: tuple) -> None:
-        require(
-            len(self._outstanding) < self._slots,
-            f"shm transport pipelining is bounded by its ring capacity "
-            f"({self._slots} slots); gather before submitting deeper, or "
-            f"configure more slots",
-        )
-        super()._submit(kind, message)
-
-    def _post(self, worker: WorkerHandle, message: tuple) -> bool:
-        wire = worker.wire
-        mem = wire.request.acquire_slot(is_peer_alive=worker.process.is_alive)
-        if mem is None:
-            worker.dead = True
-            return False
-        if message[0] == "batch":
-            nbytes = frame_event_batch(mem, message[1], message[2])
-            if nbytes is not None:
-                wire.request.commit_slot(nbytes)
-                wire.frames_shm += 1
-                return True
-            wire.frames_fallback += 1  # batch too large for a slot
-        else:
-            wire.control_pickle += 1
-        # Pickle lane: queue payload first, then the ring marker, so a
-        # consumed marker's payload is guaranteed to be in flight.
-        worker.requests.put(message)
-        wire.request.commit_slot(write_frame(mem, FRAME_PICKLE))
-        return True
-
-    def _receive(self, worker: WorkerHandle, kind: str) -> tuple | None:
-        wire = worker.wire
-        try:
-            mem = wire.reply.acquire_frame(
-                is_peer_alive=worker.process.is_alive
-            )
-        except TornFrameError:  # died mid-commit: the frame is garbage
-            worker.dead = True
-            return None
-        if mem is None:
-            worker.dead = True
-            return None
-        frame_kind, cols, blobs, _now, latency, _aux = read_frame(
-            mem, copy=True
-        )
-        wire.reply.release_frame()
-        if frame_kind == FRAME_PICKLE:
-            if kind == "batch":  # reply-side slot overflow
-                wire.frames_fallback += 1
-            return receive_reply(worker)
-        if frame_kind == FRAME_LOST:
-            return ("lost", None, 0.0)
-        wire.frames_shm += 1
-        return ("ok", grouped_payload_from_frame(cols, blobs), latency)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def _queue_depth(self, worker: WorkerHandle) -> int:
-        if self._closed or worker.dead:
-            return 0
-        return worker.wire.request.occupancy()
-
-    def wire_stats(self) -> dict[str, float]:
-        """Wire telemetry: frame/fallback counters and slab occupancy.
-
-        ``fallback_rate`` is the fraction of *batch* payloads (either
-        direction) that overflowed a ring slot and took the pickle wire
-        — the knob to watch when sizing ``slot_bytes``.  Control
-        messages always take the pickle wire and are counted separately.
-        """
-        frames = sum(w.wire.frames_shm for w in self._workers)
-        fallbacks = sum(w.wire.frames_fallback for w in self._workers)
-        control = sum(w.wire.control_pickle for w in self._workers)
-        total = frames + fallbacks
-        occupancy = 0
-        if not self._closed:
-            occupancy = sum(
-                w.wire.request.occupancy() + w.wire.reply.occupancy()
-                for w in self._workers
-                if not w.dead
-            )
-        return {
-            "frames_shm": float(frames),
-            "frames_fallback": float(fallbacks),
-            "control_pickle": float(control),
-            "fallback_rate": (fallbacks / total) if total else 0.0,
-            "slab_slots": float(2 * self._slots * len(self._workers)),
-            "slab_occupancy": float(occupancy),
-        }
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop workers, then reclaim every owned segment (idempotent).
-
-        ``stop_workers`` destroys each worker's rings after its join —
-        dead workers included — and the explicit sweep is the backstop
-        for segments whose worker never spawned.
-        """
-        if self._closed:
-            return
-        super().close()
-        sweep_segments(self._segment_names)

@@ -23,8 +23,8 @@ no versioning, no schema negotiation — both endpoints are the same build
 of this package inside one process tree.
 
 The second half of this module is the *slab frame* codec used by the
-shared-memory transports (:mod:`repro.cluster.shm`): the same flat
-columns, but written directly into a shm ring slot instead of pickled.
+worker wire's shared-memory rings (:mod:`repro.cluster.shm`): the same
+flat columns, but written directly into a ring slot instead of pickled.
 A frame is a 32-byte header (kind, column/blob counts, optional ``now``
 timestamp, latency, one integer ``aux``), a column descriptor table
 (dtype code + length each), a blob-length table, the blob bytes, then
@@ -433,14 +433,15 @@ def frame_recommendation_batch(
     )
 
 
-def recommendation_batch_from_frame(
-    cols: list[np.ndarray], blobs: list[bytes]
-) -> RecommendationBatch:
-    """Invert :func:`frame_recommendation_batch`."""
+def table_payload_from_frame(cols: list[np.ndarray], blobs: list[bytes]) -> tuple:
+    """A request frame's columns back as the payload tuple that was framed.
+
+    Inverts the column/blob split :func:`frame_recommendation_batch` and
+    :func:`frame_flat_recommendations` share, so a frame reader can hand
+    on exactly what the pickle lane would have delivered.
+    """
     *head, via_sizes, via_values = cols
-    return decode_recommendation_batch(
-        (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
-    )
+    return (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
 
 
 def frame_flat_recommendations(
@@ -461,10 +462,7 @@ def flat_recommendations_from_frame(
     cols: list[np.ndarray], blobs: list[bytes]
 ) -> FlatRecommendations:
     """Invert :func:`frame_flat_recommendations`."""
-    *head, via_sizes, via_values = cols
-    return decode_flat_recommendations(
-        (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
-    )
+    return decode_flat_recommendations(table_payload_from_frame(cols, blobs))
 
 
 def frame_notifications(

@@ -17,20 +17,22 @@ per-stage funnel counts are identical; only the delivery interleaving
 across shards differs (shard-major instead of batch order).
 ``tests/test_delivery_sharded.py`` enforces that contract.
 
-Three transports, mirroring the cluster side:
+The transports mirror the cluster side — in process, or one worker
+protocol over two wires:
 
 * ``transport="inprocess"`` — shards run sequentially in this process
   (useful for state isolation and as the semantic oracle);
-* ``transport="process"`` — one worker process per shard, fed the
-  columnar wire format (:mod:`repro.core.wire`); the fan-out is submitted
+* ``transport="process"`` — one worker process per shard behind a
+  :class:`~repro.cluster.shm.Wire`, fed the columnar wire format
+  (:mod:`repro.core.wire`) down its mp queues; the fan-out is submitted
   to every shard before any result is gathered, so shards genuinely run
   concurrently.  Only surviving notifications cross back (the paper's
   millions, never the billions);
-* ``transport="shm"`` — the same shard workers fed over zero-copy
-  shared-memory ring buffers (:mod:`repro.cluster.shm`): recommendation
+* ``transport="shm"`` — the same workers and the same wire, built with
+  zero-copy shared-memory rings in front of the queues: recommendation
   batches go out — and surviving notifications plus piggybacked funnel
-  stats come back — as slab frames instead of pickles, with automatic
-  pickle fallback when a frame overflows a ring slot.
+  stats come back — as slab frames instead of pickles, and whatever
+  overflows a ring slot falls back to the queue.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ import numpy as np
 from repro.cluster.shm import (
     DEFAULT_SLOT_BYTES,
     DEFAULT_SLOTS,
-    RingPair,
-    TornFrameError,
+    Wire,
     shm_available,
     sweep_segments,
 )
@@ -57,20 +58,16 @@ from repro.core.recommendation import (
 )
 from repro.core.wire import (
     FRAME_FLAT_RECS,
-    FRAME_PICKLE,
     FRAME_REC_BATCH,
     decode_flat_recommendations,
     decode_recommendation_batch,
     encode_flat_recommendations,
     encode_recommendation_batch,
-    flat_recommendations_from_frame,
     frame_flat_recommendations,
     frame_notifications,
     frame_recommendation_batch,
     notifications_from_frame,
-    read_frame,
-    recommendation_batch_from_frame,
-    write_frame,
+    table_payload_from_frame,
 )
 from repro.delivery.notifier import PushNotification
 from repro.delivery.pipeline import DeliveryPipeline
@@ -86,10 +83,9 @@ from repro.util.hashing import shard_ids, splitmix64
 from repro.util.procpool import (
     WorkerHandle,
     default_start_method,
-    poll_queue,
-    receive_reply,
     spawn_worker,
     stop_workers,
+    wire_stats,
 )
 from repro.util.validation import require, require_positive
 
@@ -147,25 +143,64 @@ def split_batch_by_shard(
     ]
 
 
-#: The two columnar batch shapes on the wire: queue-message kind ->
-#: payload decoder, and slab-frame kind -> frame decoder.
+#: The two columnar batch shapes on the wire, by request-message kind:
+#: payload decoder, slab framer, and the frame kind the framer writes.
 _BATCH_DECODERS = {
     "batch": decode_recommendation_batch,
     "flat": decode_flat_recommendations,
 }
-_FRAME_DECODERS = {
-    FRAME_REC_BATCH: recommendation_batch_from_frame,
-    FRAME_FLAT_RECS: flat_recommendations_from_frame,
+_BATCH_FRAMERS = {
+    "batch": frame_recommendation_batch,
+    "flat": frame_flat_recommendations,
 }
+_FRAME_KINDS = {FRAME_REC_BATCH: "batch", FRAME_FLAT_RECS: "flat"}
 
 
-def _delivery_worker_main(state, requests, replies) -> None:
+def _frame_request(mem, message: tuple) -> int | None:
+    """A ``(kind, payload, now)`` batch request as a slab frame."""
+    kind, payload, now = message
+    return _BATCH_FRAMERS[kind](mem, payload, now)
+
+
+def _request_from_frame(frame: tuple) -> tuple:
+    """Invert :func:`_frame_request`."""
+    kind, cols, blobs, now, _latency, _aux = frame
+    return (_FRAME_KINDS[kind], table_payload_from_frame(cols, blobs), now)
+
+
+def _frame_reply(mem, reply: tuple) -> int | None:
+    """An ``("ok", delivered, stats)`` batch reply as a slab frame.
+
+    Every notification of one ``offer_batch`` shares its delivery time,
+    so the first one's rides in the frame header for all of them.
+    """
+    _ok, delivered, stats = reply
+    delivered_at = delivered[0].delivered_at if delivered else 0.0
+    return frame_notifications(mem, delivered, stats, delivered_at)
+
+
+def _reply_from_frame(frame: tuple) -> tuple:
+    """Invert :func:`_frame_reply`."""
+    _kind, cols, blobs, now, _latency, aux = frame
+    return ("ok", *notifications_from_frame(cols, blobs, now, aux))
+
+
+def _delivery_worker_main(state, wire: Wire) -> None:
     """One delivery shard worker: drain requests until a stop message.
 
     Every reply carries the shard's current (funnel stages, delivered
     total) so the parent's aggregate accounting stays current as of the
     last reply even if this worker later dies — accumulated history must
     never vanish from ``funnel_totals()`` retroactively.
+
+    Which lane of the wire a message took is the wire's business.  On
+    the ring wire recommendation batches arrive as ``FRAME_REC_BATCH``
+    frames and ranked winners as ``FRAME_FLAT_RECS`` frames (decoded with
+    one bulk copy — funnel stages may retain batch columns, so the slot
+    can't be lent out zero-copy the way partition ingest can), and
+    surviving notifications plus piggybacked funnel stats go back as
+    ``FRAME_NOTIFICATIONS`` frames.  A ``None`` from the wire means the
+    parent died: exit quietly.
 
     With a serving arena spec the worker is also its shard's serving
     writer: every incoming slice merges into the shard-local shm cache
@@ -185,112 +220,29 @@ def _delivery_worker_main(state, requests, replies) -> None:
 
     try:
         while True:
-            message = requests.get()
-            kind = message[0]
+            message = wire.recv(_request_from_frame)
+            if message is None:
+                return
+            kind, framer = message[0], None
             if kind in _BATCH_DECODERS:
                 batch = _BATCH_DECODERS[kind](message[1])
                 if serving is not None:
                     serving.ingest_batch(batch, message[2])
                 delivered = pipeline.offer_batch(batch, message[2])
-                replies.put(("ok", delivered, stats()))
+                reply, framer = ("ok", delivered, stats()), _frame_reply
             elif kind == "offer":
                 if serving is not None:
                     serving.ingest_released([message[1]], message[2])
-                replies.put(
-                    ("ok", pipeline.offer(message[1], message[2]), stats())
-                )
+                reply = ("ok", pipeline.offer(message[1], message[2]), stats())
             elif kind == "stats":
-                replies.put(("ok", stats()))
-            elif kind == "stop":
-                replies.put(("ok", None))
+                reply = ("ok", stats())
+            else:
+                return  # stop: exit without a reply (close never gathers)
+            if not wire.send(reply, framer):
                 return
     finally:
         if serving is not None:
             serving.close()
-
-
-def _shm_delivery_worker_main(state, requests, replies) -> None:
-    """One shm delivery shard worker: slab frames in both directions.
-
-    Recommendation batches arrive as ``FRAME_REC_BATCH`` frames, ranked
-    winners as ``FRAME_FLAT_RECS`` frames (decoded
-    with one bulk copy — funnel stages may retain batch columns, so the
-    slot can't be lent out zero-copy the way partition ingest can);
-    surviving notifications plus piggybacked funnel stats go back as
-    ``FRAME_NOTIFICATIONS`` frames.  Either direction falls back to the
-    pickle wire behind a marker when a frame overflows its slot.
-    """
-    pipeline, spec, serving_spec = state
-    wire = RingPair.attach(spec)
-    serving = None
-    if serving_spec is not None:
-        from repro.serving.cache import ServingCache
-
-        serving = ServingCache.attach_writer(serving_spec)
-    parent_alive = multiprocessing.parent_process().is_alive
-
-    def stats() -> tuple[dict[str, int], int]:
-        return (dict(pipeline.funnel.stages), pipeline.notifier.delivered_total)
-
-    def reply_batch(batch: ColumnarRecommendations, now: float) -> bool:
-        if serving is not None:
-            serving.ingest_batch(batch, now)
-        delivered = pipeline.offer_batch(batch, now)
-        reply_mem = wire.reply.acquire_slot(is_peer_alive=parent_alive)
-        if reply_mem is None:
-            return False
-        nbytes = frame_notifications(reply_mem, delivered, stats(), now)
-        if nbytes is None:  # slot overflow: pickle fallback
-            replies.put(("ok", delivered, stats()))
-            nbytes = write_frame(reply_mem, FRAME_PICKLE)
-        wire.reply.commit_slot(nbytes)
-        return True
-
-    def reply_pickle(payload: tuple) -> bool:
-        replies.put(payload)
-        reply_mem = wire.reply.acquire_slot(is_peer_alive=parent_alive)
-        if reply_mem is None:
-            return False
-        wire.reply.commit_slot(write_frame(reply_mem, FRAME_PICKLE))
-        return True
-
-    try:
-        while True:
-            mem = wire.request.acquire_frame(is_peer_alive=parent_alive)
-            if mem is None:
-                return
-            kind, cols, blobs, now, _latency, _aux = read_frame(mem, copy=True)
-            del mem
-            wire.request.release_frame()
-            if kind in _FRAME_DECODERS:
-                if not reply_batch(_FRAME_DECODERS[kind](cols, blobs), now):
-                    return
-                continue
-            message = poll_queue(requests, parent_alive)
-            if message is None:
-                return
-            mkind = message[0]
-            if mkind in _BATCH_DECODERS:  # request-side slot overflow
-                if not reply_batch(
-                    _BATCH_DECODERS[mkind](message[1]), message[2]
-                ):
-                    return
-            elif mkind == "offer":
-                if serving is not None:
-                    serving.ingest_released([message[1]], message[2])
-                if not reply_pickle(
-                    ("ok", pipeline.offer(message[1], message[2]), stats())
-                ):
-                    return
-            elif mkind == "stats":
-                if not reply_pickle(("ok", stats())):
-                    return
-            elif mkind == "stop":
-                return
-    finally:
-        if serving is not None:
-            serving.close()
-        wire.close()
 
 
 class ShardedDeliveryPipeline:
@@ -352,11 +304,11 @@ class ShardedDeliveryPipeline:
             transport in DELIVERY_TRANSPORTS,
             f"transport must be one of {DELIVERY_TRANSPORTS}, got {transport!r}",
         )
-        if transport == "shm" or (serving is not None and transport != "inprocess"):
+        if serving is not None and transport != "inprocess":
             require(
                 shm_available(),
-                "shared memory is unavailable on this host (no /dev/shm?); "
-                "use transport='process' instead",
+                "in-worker serving arenas need shared memory, which is "
+                "unavailable on this host (no /dev/shm?)",
             )
         require(
             serving is None or serving_tap is None,
@@ -410,6 +362,7 @@ class ShardedDeliveryPipeline:
             start_method or default_start_method()
         )
         self._workers = []
+        ring = (shm_slots, shm_slot_bytes) if transport == "shm" else None
         serving_specs = []
         for shard in range(num_shards):
             serving_spec = None
@@ -425,34 +378,21 @@ class ShardedDeliveryPipeline:
                 )
                 serving_specs.append(serving_spec)
                 self._segment_names.append(serving_spec.control_name)
+            wire = Wire.create(context, ring)
+            self._segment_names += wire.segment_names
             # spawn_worker hands the shard's funnel over in a one-shot
             # holder cleared right after start(): the parent must not
             # retain N funnels' worth of state it never reads.
-            if transport == "shm":
-                wire = RingPair.create(shm_slots, shm_slot_bytes)
-                spec = wire.spec
-                self._segment_names += [spec.request_name, spec.reply_name]
-                try:
-                    worker = spawn_worker(
-                        context,
-                        shard,
-                        _shm_delivery_worker_main,
-                        (factory(shard), wire.spec, serving_spec),
-                        name=f"repro-delivery-{shard}",
-                    )
-                except Exception:
-                    wire.destroy()
-                    raise
-                worker.wire = wire
-            else:
-                worker = spawn_worker(
+            self._workers.append(
+                spawn_worker(
                     context,
                     shard,
                     _delivery_worker_main,
                     (factory(shard), serving_spec),
                     name=f"repro-delivery-{shard}",
+                    wire=wire,
                 )
-            self._workers.append(worker)
+            )
         if serving is not None:
             self.serving = ShardedServingCacheReader.attach(serving_specs)
             for worker, reader in zip(self._workers, self.serving.shards):
@@ -467,90 +407,23 @@ class ShardedDeliveryPipeline:
         return splitmix64(recipient) % self.num_shards
 
     # ------------------------------------------------------------------
-    # Wire plumbing (queue vs. shm ring, chosen per worker)
+    # Wire plumbing
     # ------------------------------------------------------------------
-
-    def _post_message(self, worker: WorkerHandle, message: tuple) -> bool:
-        """Send a control tuple (offer/stats) down a worker's wire."""
-        if worker.wire is None:
-            worker.requests.put(message)
-            return True
-        if worker.wire.post_control(
-            worker.requests,
-            message,
-            is_peer_alive=worker.process.is_alive,
-            timeout=None,
-        ):
-            return True
-        worker.dead = True
-        return False
 
     def _post_batch(
         self, worker: WorkerHandle, batch: ColumnarRecommendations, now: float
     ) -> bool:
         """Send a columnar batch down a worker's wire (frame when it fits)."""
         if isinstance(batch, FlatRecommendations):
-            kind, payload = "flat", encode_flat_recommendations(batch)
-            frame = frame_flat_recommendations
+            message = ("flat", encode_flat_recommendations(batch), now)
         else:
-            kind, payload = "batch", encode_recommendation_batch(batch)
-            frame = frame_recommendation_batch
-        if worker.wire is None:
-            worker.requests.put((kind, payload, now))
-            return True
-        wire = worker.wire
-        mem = wire.request.acquire_slot(is_peer_alive=worker.process.is_alive)
-        if mem is None:
-            worker.dead = True
-            return False
-        nbytes = frame(mem, payload, now)
-        if nbytes is not None:
-            wire.request.commit_slot(nbytes)
-            wire.frames_shm += 1
-            return True
-        wire.frames_fallback += 1  # batch too large for a slot
-        worker.requests.put((kind, payload, now))
-        wire.request.commit_slot(write_frame(mem, FRAME_PICKLE))
-        return True
+            message = ("batch", encode_recommendation_batch(batch), now)
+        return worker.send(message, _frame_request)
 
-    def _receive(self, worker: WorkerHandle) -> tuple | None:
-        """One reply tuple from a worker, or None once it is known dead."""
-        if worker.wire is None:
-            return receive_reply(worker)
-        wire = worker.wire
-        try:
-            mem = wire.reply.acquire_frame(
-                is_peer_alive=worker.process.is_alive
-            )
-        except TornFrameError:  # died mid-commit: the frame is garbage
-            worker.dead = True
-            return None
-        if mem is None:
-            worker.dead = True
-            return None
-        kind, cols, blobs, now, _latency, aux = read_frame(mem, copy=True)
-        wire.reply.release_frame()
-        if kind == FRAME_PICKLE:
-            return receive_reply(worker)
-        wire.frames_shm += 1
-        delivered, stats = notifications_from_frame(cols, blobs, now, aux)
-        return ("ok", delivered, stats)
-
-    def wire_stats(self) -> dict[str, float] | None:
-        """Frame/fallback counters summed over shards (shm only)."""
-        if self.transport != "shm":
-            return None
-        frames = sum(w.wire.frames_shm for w in self._workers)
-        fallbacks = sum(w.wire.frames_fallback for w in self._workers)
-        total = frames + fallbacks
-        return {
-            "frames_shm": float(frames),
-            "frames_fallback": float(fallbacks),
-            "control_pickle": float(
-                sum(w.wire.control_pickle for w in self._workers)
-            ),
-            "fallback_rate": (fallbacks / total) if total else 0.0,
-        }
+    def wire_stats(self) -> dict[str, float]:
+        """Frame/fallback counters and slab occupancy summed over shards
+        (:func:`repro.util.procpool.wire_stats`; all zero in process)."""
+        return wire_stats(self._workers)
 
     # ------------------------------------------------------------------
     # Funnel surface (what coalescer / topology call)
@@ -567,12 +440,12 @@ class ShardedDeliveryPipeline:
                 self.serving_tap([notification], now)
             return notification
         worker = self._workers[shard]
-        if worker.dead or not self._post_message(worker, ("offer", rec, now)):
+        if worker.dead or not worker.send(("offer", rec, now)):
             self.notifications_lost_shards += 1
             return None
         if self.serving is not None:
             self.serving.shards[shard].posted_updates += 1
-        raw = self._receive(worker)
+        raw = worker.recv(_reply_from_frame)
         if raw is None:
             self.notifications_lost_shards += 1
             return None
@@ -624,11 +497,9 @@ class ShardedDeliveryPipeline:
         for worker, shard_batch in zip(self._workers, shards):
             if not len(shard_batch):
                 continue
-            if worker.dead or not worker.process.is_alive():
-                worker.dead = True
-                self.notifications_lost_shards += len(shard_batch)
-                continue
-            if not self._post_batch(worker, shard_batch, now):
+            if not (
+                worker.alive() and self._post_batch(worker, shard_batch, now)
+            ):
                 self.notifications_lost_shards += len(shard_batch)
                 continue
             if self.serving is not None:
@@ -636,7 +507,7 @@ class ShardedDeliveryPipeline:
             submitted.append((worker, len(shard_batch)))
         delivered = []
         for worker, shard_candidates in submitted:
-            raw = self._receive(worker)
+            raw = worker.recv(_reply_from_frame)
             if raw is None:
                 # The loss ledger counts *candidates* in every path, so a
                 # mid-batch death charges the whole submitted slice.
@@ -679,16 +550,12 @@ class ShardedDeliveryPipeline:
                 for p in self._pipelines
             ]
         for worker in self._workers:
-            if worker.dead or not worker.process.is_alive():
-                # Dead shard: its history stays in the aggregates via the
-                # last reply's cached stats.
-                worker.dead = True
-                continue
-            if not self._post_message(worker, ("stats",)):
-                continue
-            raw = self._receive(worker)
-            if raw is not None:
-                self._stats_cache[worker.key] = raw[1]
+            # A dead shard's history stays in the aggregates via the last
+            # reply's cached stats.
+            if worker.alive() and worker.send(("stats",)):
+                raw = worker.recv(_reply_from_frame)
+                if raw is not None:
+                    self._stats_cache[worker.key] = raw[1]
         return list(self._stats_cache.values())
 
     # ------------------------------------------------------------------
@@ -699,7 +566,7 @@ class ShardedDeliveryPipeline:
         """Stop, join, and reap shard workers (idempotent).
 
         ``stop_workers`` pins the serving readers' final generation
-        before each stop and destroys each shard's rings after its join;
+        before each stop and closes each shard's wire after its join;
         the serving reclamation then unlinks any data generation a
         crashed writer left behind (deterministic names — no handle
         needed), and the final sweep backstops control/ring segments

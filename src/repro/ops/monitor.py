@@ -9,11 +9,12 @@ Polling goes through the cluster transport's ``health`` control message,
 so the same monitor watches in-process partitions *and* worker-hosted
 ones — for the latter it additionally surfaces worker liveness and the
 per-partition request-queue backlog (the admission controller's overload
-signal under real parallelism).  Transports that expose ``wire_stats()``
-(the shared-memory transport) additionally feed slab-occupancy and
-pickle-fallback-rate gauges: a rising fallback rate means ring slots are
+signal under real parallelism).  Worker transports additionally feed
+their ``wire_stats()`` into slab-occupancy and pickle-fallback-rate
+gauges: on the ``shm`` wire a rising fallback rate means ring slots are
 undersized for the workload's bursts, and slab occupancy is the shm
-flavor of the backlog signal.
+flavor of the backlog signal (the queue wire reports no slabs and every
+batch on the pickle lane).
 """
 
 from __future__ import annotations
@@ -235,17 +236,12 @@ class ClusterMonitor:
                     )
 
     def _publish_wire_stats(self) -> None:
-        """Publish shm wire gauges when the transport exposes them."""
-        wire_stats = getattr(self.cluster.broker.transport, "wire_stats", None)
-        if not callable(wire_stats):
+        """Publish the worker wire's gauges (in process there is no wire)."""
+        transport = self.cluster.broker.transport
+        if transport.local_replica_sets is not None:
             return
-        stats = wire_stats()
-        self.registry.gauge("shm_frames_shm").set(stats["frames_shm"])
-        self.registry.gauge("shm_frames_fallback").set(stats["frames_fallback"])
-        self.registry.gauge("shm_control_pickle").set(stats["control_pickle"])
-        self.registry.gauge("shm_fallback_rate").set(stats["fallback_rate"])
-        self.registry.gauge("shm_slab_slots").set(stats["slab_slots"])
-        self.registry.gauge("shm_slab_occupancy").set(stats["slab_occupancy"])
+        for key, value in transport.wire_stats().items():
+            self.registry.gauge(f"shm_{key}").set(value)
 
     def alerts(self) -> list[str]:
         """Human-readable alerts an operator would page on."""

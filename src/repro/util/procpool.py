@@ -2,19 +2,19 @@
 
 Both the partition transport (:mod:`repro.cluster.transport`) and the
 sharded delivery fan-out (:mod:`repro.delivery.sharded`) host stateful
-endpoints in ``multiprocessing`` workers behind request/reply queues.
-The lifecycle edge cases are identical — and subtle enough that they must
-not be maintained twice:
+endpoints in ``multiprocessing`` workers, each behind one
+:class:`~repro.cluster.shm.Wire`.  The lifecycle edge cases are identical
+— and subtle enough that they must not be maintained twice:
 
 * **bootstrap without parent retention** — the worker's (large) state is
   handed over in a one-shot holder list that the parent clears right
   after ``start()``: under ``fork`` the child copied it at fork time,
   under ``spawn`` it was pickled synchronously during ``start()``, so
   the parent never keeps P full state copies alive for the run.
-* **death detection at gather** — a reply that will never come (worker
-  died mid-batch) is detected by polling liveness between short
-  timeouts; a reply truncated mid-write (worker killed inside ``put``)
-  surfaces as a deserialization error and is treated the same way.
+* **death detection on every wait** — the wire polls its peer's liveness
+  while it waits, in both directions: a reply that will never come
+  (worker died mid-batch) reads as None at gather, and a worker whose
+  parent was SIGKILLed exits on its own instead of blocking forever.
 * **graceful-then-forceful shutdown** — a stop message and bounded join
   per worker, then terminate, so a wedged worker can never hang the
   parent.
@@ -23,15 +23,14 @@ not be maintained twice:
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import sys
 from typing import Callable
 
-#: Seconds between liveness checks while a gather waits on a reply.
-GATHER_POLL_SECONDS = 0.1
-
 #: Seconds a graceful close waits per worker before terminating it.
 JOIN_TIMEOUT_SECONDS = 5.0
+
+#: Seconds ``stop_workers`` waits for a ring slot to carry the stop.
+STOP_SEND_TIMEOUT_SECONDS = 1.0
 
 
 def default_start_method() -> str:
@@ -51,25 +50,18 @@ def default_start_method() -> str:
 class WorkerHandle:
     """Parent-side handle on one worker process."""
 
-    __slots__ = (
-        "key", "process", "requests", "replies", "dead", "wire", "arena",
-    )
+    __slots__ = ("key", "process", "wire", "dead", "arena")
 
-    def __init__(self, key, process, requests, replies) -> None:
+    def __init__(self, key, process, wire) -> None:
         #: Caller-chosen identity (partition id, shard index, ...).
         self.key = key
         self.process = process
-        self.requests = requests
-        self.replies = replies
+        #: The parent's endpoint of the worker's
+        #: :class:`~repro.cluster.shm.Wire` — every message to or from
+        #: the worker, the stop included, goes through it.
+        self.wire = wire
         #: Set once the worker is known dead; never unset (no retries).
         self.dead = False
-        #: Optional shared-memory ring pair (:class:`repro.cluster.shm
-        #: .RingPair`).  When set, the ring is the worker's sole message
-        #: *ordering* channel: a stop must travel as a ring marker (a
-        #: queue-only stop would never be seen), and ``stop_workers``
-        #: destroys the segments after the join — dead-worker slab
-        #: reclamation, so a crashed worker never leaks ``/dev/shm``.
-        self.wire = None
         #: Optional parent-side reader of a serving arena the worker
         #: writes (:class:`repro.serving.cache.ServingCacheReader`).
         #: ``stop_workers`` pins its current generation *before* posting
@@ -77,10 +69,33 @@ class WorkerHandle:
         #: post-shutdown reads (summaries, snapshots) stay valid.
         self.arena = None
 
+    def alive(self) -> bool:
+        """Whether the worker is still running (a death is remembered)."""
+        if not self.dead and not self.process.is_alive():
+            self.dead = True
+        return not self.dead
 
-def _worker_bootstrap(target, holder, requests, replies) -> None:
+    def send(self, message: tuple, framer=None) -> bool:
+        """Send *message* down the wire; False once the worker is dead."""
+        if not self.wire.send(message, framer):
+            self.dead = True
+        return not self.dead
+
+    def recv(self, decode) -> tuple | None:
+        """One reply off the wire, or None once the worker is known dead."""
+        reply = self.wire.recv(decode)
+        if reply is None:
+            self.dead = True
+        return reply
+
+
+def _worker_bootstrap(target, holder, wire_spec) -> None:
     """Run *target* on the state popped from its one-shot holder."""
-    target(holder.pop(), requests, replies)
+    wire = wire_spec.attach()
+    try:
+        target(holder.pop(), wire)
+    finally:
+        wire.close()
 
 
 def spawn_worker(
@@ -89,76 +104,68 @@ def spawn_worker(
     target: Callable,
     state,
     name: str,
+    wire,
 ) -> WorkerHandle:
-    """Start one daemon worker running ``target(state, requests, replies)``.
+    """Start one daemon worker running ``target(state, worker_wire)``.
 
-    *state* travels in a one-shot holder the parent empties immediately
-    after ``start()`` returns — by then the child owns its copy (fork) or
-    the pickled bytes are already written (spawn) — so the parent's only
-    live references to the worker's state are the queues.
+    *wire* is the parent's freshly created endpoint; the worker attaches
+    the mirror endpoint from its spec.  *state* travels in a one-shot
+    holder the parent empties immediately after ``start()`` returns — by
+    then the child owns its copy (fork) or the pickled bytes are already
+    written (spawn) — so the parent's only live reference to the worker's
+    state is the wire.  A worker that fails to start takes its wire's
+    segments with it.
     """
-    requests = context.Queue()
-    replies = context.Queue()
     holder = [state]
     process = context.Process(
         target=_worker_bootstrap,
-        args=(target, holder, requests, replies),
+        args=(target, holder, wire.spec),
         daemon=True,
         name=name,
     )
-    process.start()
+    try:
+        process.start()
+    except Exception:
+        wire.close()
+        raise
     holder.clear()
-    return WorkerHandle(key, process, requests, replies)
+    wire.peer_alive = process.is_alive
+    return WorkerHandle(key, process, wire)
 
 
-def poll_queue(q, is_peer_alive: Callable[[], bool]) -> tuple | None:
-    """One message from *q*, or None once the peer is known dead.
+def wire_stats(workers: list[WorkerHandle]) -> dict[str, float]:
+    """Wire telemetry summed over *workers* — one shape on every wire.
 
-    The generic form of :func:`receive_reply`: polls with a short
-    timeout, checks peer liveness between polls, and performs one final
-    non-blocking drain to cover a message buffered (or mid-flush on the
-    feeder thread) before the peer died.  Workers use it to collect a
-    queue payload a ring marker announced — the marker may commit before
-    the queue feeder flushes, so an unconditional blocking ``get`` could
-    hang forever on a dead parent.
+    ``fallback_rate`` is the fraction of *framed* payloads (batches and
+    their replies, either direction) that took the pickle lane: all of
+    them on a queue wire, and on a ring wire the share that overflowed a
+    slot — the knob to watch when sizing ``slot_bytes``.  Control
+    messages never have a frame form and are counted separately.  Slab
+    occupancy skips dead workers: frames nobody will ever consume are
+    not backlog.
     """
-    while True:
-        try:
-            return q.get(timeout=GATHER_POLL_SECONDS)
-        except queue_module.Empty:
-            if not is_peer_alive():
-                try:  # message may have been buffered before the death
-                    return q.get_nowait()
-                except Exception:  # Empty, or a truncated frame
-                    return None
-        except Exception:
-            # Half-written frame (peer terminated mid-put).
-            return None
-
-
-def receive_reply(worker: WorkerHandle) -> tuple | None:
-    """One reply from *worker*, or None once it is known dead.
-
-    Polls with a short timeout so a worker that died mid-batch (its
-    reply will never come) is detected instead of hanging the caller.
-    A final non-blocking drain covers the race where the worker replied
-    and *then* died; a worker killed mid-*write* leaves a truncated
-    frame on the pipe, which surfaces as a deserialization error out of
-    ``get`` and is treated exactly like no reply at all.
-    """
-    reply = poll_queue(worker.replies, worker.process.is_alive)
-    if reply is None:
-        worker.dead = True
-    return reply
+    frames = sum(w.wire.frames_shm for w in workers)
+    fallbacks = sum(w.wire.frames_fallback for w in workers)
+    total = frames + fallbacks
+    return {
+        "frames_shm": float(frames),
+        "frames_fallback": float(fallbacks),
+        "control_pickle": float(sum(w.wire.control_pickle for w in workers)),
+        "fallback_rate": (fallbacks / total) if total else 0.0,
+        "slab_slots": float(sum(2 * w.wire.slots for w in workers)),
+        "slab_occupancy": float(
+            sum(w.wire.occupancy() for w in workers if not w.dead)
+        ),
+    }
 
 
 def stop_workers(workers: list[WorkerHandle]) -> None:
     """Stop, join, and reap *workers*: graceful first, then forceful.
 
-    Workers with a shared-memory wire get their stop as a ring marker
-    (the ring orders all their messages) and have their segments
-    destroyed after the join — including workers that died mid-batch, so
-    abnormal exits reclaim the slabs too.
+    The stop travels down each worker's wire like any other message and
+    is never answered.  Every wire is closed after its worker's join —
+    including workers that died mid-batch, so abnormal exits reclaim the
+    ring segments too.
     """
     for worker in workers:
         if worker.arena is not None:
@@ -166,13 +173,10 @@ def stop_workers(workers: list[WorkerHandle]) -> None:
                 worker.arena.pin()
             except Exception:
                 pass
-        if worker.dead or not worker.process.is_alive():
+        if not worker.alive():
             continue
         try:
-            if worker.wire is not None:
-                worker.wire.post_control(worker.requests, ("stop",))
-            else:
-                worker.requests.put(("stop",))
+            worker.wire.send(("stop",), timeout=STOP_SEND_TIMEOUT_SECONDS)
         except (ValueError, OSError):  # queue already torn down
             pass
     for worker in workers:
@@ -180,7 +184,4 @@ def stop_workers(workers: list[WorkerHandle]) -> None:
         if worker.process.is_alive():
             worker.process.terminate()
             worker.process.join(timeout=JOIN_TIMEOUT_SECONDS)
-        if worker.wire is not None:
-            worker.wire.destroy()
-        worker.requests.close()
-        worker.replies.close()
+        worker.wire.close()

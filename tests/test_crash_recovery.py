@@ -16,6 +16,7 @@ snapshots are a pure replay accelerator, never a semantic input.
 """
 
 import csv
+import glob
 import os
 import random
 import signal
@@ -94,8 +95,9 @@ def _read_rows(path: Path) -> list[tuple]:
         return sorted(tuple(row[:3]) for row in csv.reader(handle))
 
 
-def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> None:
+def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> int:
     """Run *cmd* in its own process group; SIGKILL it once the WAL grows.
+    Returns the pid of the (now dead) run.
 
     Killing the group takes down worker-hosted partitions together with
     the broker — a whole-machine failure, the case recovery exists for.
@@ -117,7 +119,7 @@ def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> None:
                 # Finished before the kill landed: recovery must then
                 # reproduce the complete run — still a valid (if easier)
                 # equivalence check.
-                return
+                return proc.pid
             if _wal_bytes(root) >= kill_after_bytes:
                 break
             time.sleep(0.005)
@@ -126,6 +128,7 @@ def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> None:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL
+        return proc.pid
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on test bugs
             os.killpg(proc.pid, signal.SIGKILL)
@@ -162,7 +165,7 @@ def test_sigkill_recover_equivalence(workload, tmp_path, transport):
         "--wal-throttle",
         "0.004",
     ]
-    _run_and_kill(cmd, root, kill_after)
+    killed_pid = _run_and_kill(cmd, root, kill_after)
     assert _wal_bytes(root) > 0
 
     # Warm-start recovery (snapshot + WAL tail) must match the
@@ -178,6 +181,9 @@ def test_sigkill_recover_equivalence(workload, tmp_path, transport):
             str(warm),
         ]
     ) == 0
+    # kill -9 ran no cleanup: the dead run's shm segments (named under its
+    # pid) are reclaimed by recover, not left for the next reboot.
+    assert glob.glob(f"/dev/shm/repro_shm_{killed_pid}_*") == []
 
     # Cold-start (pure replay, snapshots ignored) must match it too...
     cold = tmp_path / f"cold-{transport}.csv"

@@ -342,8 +342,11 @@ class TestShardedShmWire:
             assert _served(sharded.serving.state_arrays()) == _served(
                 served.state_arrays()
             )
-            # 3 windows x 2 shards, every request rode the pickle lane.
-            assert sharded.wire_stats()["frames_fallback"] == 6
+            # 3 windows x 2 shards x 2 directions: every request and every
+            # notification reply overflowed and rode the pickle lane.
+            stats = sharded.wire_stats()
+            assert stats["frames_fallback"] == 12
+            assert stats["frames_shm"] == 0
 
     def test_wire_stats_and_segment_reclamation(self):
         import os

@@ -283,6 +283,11 @@ class TestMonitorOverWorkerTransport:
             snap = monitor.registry.snapshot()
             assert snap["worker_alive{partition=0}"] == 1.0
             assert snap["worker_backlog{partition=1}"] == 0
+            # The queue wire publishes the ring wire's gauges in the same
+            # shape: nothing framed, its traffic counted on the pickle lane.
+            assert snap["shm_frames_shm"] == 0.0
+            assert snap["shm_slab_slots"] == 0.0
+            assert snap["shm_control_pickle"] > 0
         finally:
             cluster.close()
 

@@ -1,26 +1,29 @@
 """Unit tests for the shared-memory ring protocol and the slab frame codec.
 
 The equivalence suites prove the shm *transports* compute the same
-answers; these tests pin the wire's own invariants — wraparound,
+answers; these tests pin the ring's own invariants — wraparound,
 full-ring backpressure, torn-frame detection, overflow behaviour, and
 segment reclamation — at the protocol level, where a regression would
-otherwise surface as a flaky hang.
+otherwise surface as a flaky hang.  The :class:`~repro.cluster.shm.Wire`
+built on top of the ring has its own suite, ``tests/test_wire_contract.py``.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.cluster.shm import (
-    RingPair,
     ShmRing,
     TornFrameError,
     live_segment_names,
     shm_available,
     sweep_segments,
+    sweep_stale_segments,
 )
 from repro.core.wire import (
     FRAME_EVENT_BATCH,
@@ -224,36 +227,32 @@ class TestFrameCodec:
             ring.close()
 
 
-class TestRingPair:
-    def test_post_control_orders_queue_before_marker(self):
-        import queue as queue_mod
+class TestStaleSegmentSweep:
+    """kill -9 runs no cleanup: orphans are found by their owner's pid."""
 
-        pair = RingPair.create(slots=2, slot_bytes=64)
-        q = queue_mod.Queue()
+    def test_sweeps_dead_owners_and_spares_live_ones(self):
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        orphans = [
+            f"/dev/shm/repro_shm_{finished.pid}_1_abc123",
+            # a serving generation a worker derived from its parent's name
+            f"/dev/shm/repro_shm_{finished.pid}_2_def456_g3",
+        ]
+        for path in orphans:
+            with open(path, "wb") as handle:
+                handle.write(b"\0" * 64)
+        mine = ShmRing.create(slots=2, slot_bytes=64)
+        foreign = "/dev/shm/repro_shm_notapid_1_abc123"
+        with open(foreign, "wb"):
+            pass
         try:
-            assert pair.post_control(q, ("health",))
-            # Marker on the ring; payload already on the queue.
-            frame = pair.request.try_acquire_frame()
-            assert read_frame(frame)[0] == FRAME_PICKLE
-            pair.request.release_frame()
-            del frame
-            assert q.get_nowait() == ("health",)
-            assert pair.control_pickle == 1
+            assert sweep_stale_segments() >= len(orphans)
+            assert not any(os.path.exists(path) for path in orphans)
+            # A live owner's segment — ours — is never touched, nor is a
+            # name that merely looks similar.
+            assert os.path.exists(f"/dev/shm/{mine.name}")
+            assert os.path.exists(foreign)
+            assert sweep_stale_segments() == 0
         finally:
-            pair.close()
-
-    def test_spec_attach_round_trip(self):
-        pair = RingPair.create(slots=2, slot_bytes=64)
-        try:
-            peer = RingPair.attach(pair.spec)
-            mem = pair.request.try_acquire_slot()
-            pair.request.commit_slot(write_frame(mem, FRAME_PICKLE))
-            assert read_frame(peer.request.try_acquire_frame())[0] == FRAME_PICKLE
-            peer.request.release_frame()
-            del mem
-            peer.close()  # non-owner close never unlinks
-            assert os.path.exists(f"/dev/shm/{pair.spec.request_name}")
-        finally:
-            pair.close()
-        assert not os.path.exists(f"/dev/shm/{pair.spec.request_name}")
-        assert not os.path.exists(f"/dev/shm/{pair.spec.reply_name}")
+            mine.close()
+            os.unlink(foreign)

@@ -10,16 +10,23 @@ asserted on the sorted multiset.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import (
     Cluster,
     ClusterConfig,
     InProcessTransport,
-    SharedMemoryTransport,
-    WorkerProcessTransport,
+    WorkerTransport,
     shm_available,
 )
+from repro.cluster.shm import sweep_stale_segments
 from repro.core import DetectionParams
 from repro.core.batch import EventBatch
 from repro.core.recommendation import RecommendationBatch
@@ -209,7 +216,8 @@ class TestTransportControlMessages:
             PARAMS,
             ClusterConfig(num_partitions=2, transport="process"),
         )
-        assert isinstance(cluster.transport, WorkerProcessTransport)
+        assert isinstance(cluster.transport, WorkerTransport)
+        assert cluster.transport.wire_kind == "process"
         cluster.close()
         cluster.close()
 
@@ -328,7 +336,8 @@ class TestSharedMemoryWire:
         ) as cluster:
             cluster.process_stream(events[:300], batch_size=32)
             stats = cluster.transport.wire_stats()
-        assert isinstance(cluster.transport, SharedMemoryTransport)
+        assert isinstance(cluster.transport, WorkerTransport)
+        assert cluster.transport.wire_kind == "shm"
         assert stats["frames_shm"] > 0
         assert stats["frames_fallback"] == 0
         assert stats["fallback_rate"] == 0.0
@@ -421,3 +430,70 @@ class TestPipelinedSubmitGather:
             cluster.broker.gather_batch()
             assert cluster.transport.pending_gathers == 0
             assert len(cluster.transport.health()) == 2
+
+
+#: Builds a worker fleet on both tiers, prints the worker pids, then idles.
+_FLEET_SCRIPT = """
+import sys, time
+from repro.cluster import Cluster, ClusterConfig
+from repro.delivery import ShardedDeliveryPipeline
+from repro.gen import TwitterGraphConfig, generate_follow_graph
+
+snapshot = generate_follow_graph(TwitterGraphConfig(num_users=200, seed=1))
+cluster = Cluster.build(
+    snapshot, config=ClusterConfig(num_partitions=2, transport=sys.argv[1])
+)
+sharded = ShardedDeliveryPipeline(2, transport=sys.argv[1])
+workers = cluster.transport._workers + sharded._workers
+print(*(worker.process.pid for worker in workers), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is still executing (an unreaped zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc to watch pids"
+)
+@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
+def test_workers_exit_when_parent_is_sigkilled(transport):
+    """kill -9 the parent alone: every worker notices and exits by itself.
+
+    Daemon flags don't help here — SIGKILL runs no cleanup in the parent —
+    so each worker's wire must notice the dead peer on its own wait.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _FLEET_SCRIPT, transport],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    pids: list[int] = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 4 and all(_running(pid) for pid in pids)
+        parent.kill()  # the parent only, not its process group
+        parent.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=30)
+        parent.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        sweep_stale_segments()  # the killed parent's rings
