@@ -12,11 +12,12 @@ pre-merged) cache.
 **E23** measures what moving the cache writers *into* the delivery-shard
 processes buys.  The same windows run through a real
 :class:`~repro.delivery.sharded.ShardedDeliveryPipeline` twice at each
-shard count: once in the parent-tap posture (the parent decodes every
-reply and merges delivered notifications into a parent-resident sharded
-cache — PR 8's wiring) and once in the in-worker posture (each shard
-worker merges its own slice into a shared-memory arena before the
-funnel; the parent only posts batches).  The headline metric,
+shard count: once in the parent-tap posture (the parent merges every
+window into a parent-resident sharded cache just before offering it —
+the pre-funnel ``ingest_batch`` tap the topology runs in front of a
+single funnel) and once in the in-worker posture (each shard worker
+merges its own slice into a shared-memory arena before the funnel; the
+parent only posts batches).  The headline metric,
 ``serving_ingest_speedup_vs_parent_tap``, is parent-tap wall over
 in-worker wall — with 2+ shards on a multicore host the merge work
 parallelizes across workers instead of serializing in the parent, so
@@ -358,43 +359,43 @@ def build_batches(params, seed):
     return batches, total_rows
 
 
-def run_ingest(num_shards, batches, serving_mode):
+def run_ingest(num_shards, batches, in_worker):
     """One pipeline run in the given posture; returns (wall, dump, pipeline).
 
-    The pipeline is returned still open in worker mode so the caller can
-    measure cross-process reads against the live arenas; parent mode
-    closes it and hands back the parent-resident cache instead.
+    The pipeline is returned still open in the in-worker posture so the
+    caller can measure cross-process reads against the live arenas; the
+    parent-tap posture closes it and hands back the parent-resident
+    cache instead.
     """
     from repro.delivery import ShardedDeliveryPipeline
     from repro.serving import ServingCacheConfig, ShardedServingCache
 
-    if serving_mode == "worker":
-        pipeline = ShardedDeliveryPipeline(
-            num_shards,
-            pipeline_factory=_e23_pipeline_factory,
-            transport="shm",
-            serving=ServingCacheConfig(k=K, half_life=HALF_LIFE),
-        )
+    pipeline = ShardedDeliveryPipeline(
+        num_shards,
+        pipeline_factory=_e23_pipeline_factory,
+        transport="shm",
+        serving=(
+            ServingCacheConfig(k=K, half_life=HALF_LIFE) if in_worker else None
+        ),
+    )
+    if in_worker:
         cache = pipeline.serving
     else:
         cache = ShardedServingCache(
             num_shards=num_shards, k=K, half_life=HALF_LIFE
         )
-        pipeline = ShardedDeliveryPipeline(
-            num_shards,
-            pipeline_factory=_e23_pipeline_factory,
-            transport="shm",
-            serving_tap=cache.ingest_notifications,
-        )
     try:
         started = time.perf_counter()
         for w, batch in enumerate(batches):
-            pipeline.offer_batch(batch, now=50_000.0 + float(w))
+            now = 50_000.0 + float(w)
+            if not in_worker:
+                cache.ingest_batch(batch, now)  # the coalescer's flush tap
+            pipeline.offer_batch(batch, now)
         wall = time.perf_counter() - started
     except BaseException:
         pipeline.close()
         raise
-    if serving_mode == "worker":
+    if in_worker:
         return wall, cache.dump(), pipeline
     pipeline.close()
     return wall, cache.dump(), cache
@@ -426,10 +427,10 @@ def test_in_worker_serving_vs_parent_tap(scale, report):
         worker_dump = parent_dump = None
         # Best-of-N walls: posture difference, not scheduler noise.
         for _ in range(params["repeats"]):
-            wall, dump, cache = run_ingest(shards, batches, "parent")
+            wall, dump, cache = run_ingest(shards, batches, in_worker=False)
             if wall < parent_wall:
                 parent_wall, parent_dump, parent_cache = wall, dump, cache
-            wall, dump, pipeline = run_ingest(shards, batches, "worker")
+            wall, dump, pipeline = run_ingest(shards, batches, in_worker=True)
             if wall < worker_wall:
                 if worker_pipeline is not None:
                     worker_pipeline.close()

@@ -47,6 +47,7 @@ from repro.gen import (
     generate_follow_graph_chunked,
 )
 from repro.serving import (
+    ServingCache,
     ServingCacheConfig,
     ServingFrontend,
     ShardedServingCache,
@@ -209,29 +210,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="mixed workload: serve this many zipf point queries per "
-        "virtual second off a live serving cache (fed by the delivery "
-        "flush tap) while the stream ingests; read latency is reported "
-        "from the serving:read stage",
-    )
-    simulate.add_argument(
-        "--serving-shards",
-        type=int,
-        default=1,
-        help="serving-cache shards (splitmix64 by user, the delivery "
-        "keying); only meaningful with --query-qps (ignored under "
-        "--serving-mode worker, where serving shards are the delivery "
-        "shards)",
-    )
-    simulate.add_argument(
-        "--serving-mode",
-        choices=("parent", "worker"),
-        default="parent",
-        help="where serving-cache writes happen: parent = the delivery "
-        "coalescer's flush tap merges in this process; worker = each "
-        "delivery shard worker merges its own slice into a shared-memory "
-        "arena where the funnel runs, and this process reads the arenas "
-        "zero-copy (requires --query-qps; serving shards = delivery "
-        "shards)",
+        "virtual second off a live serving cache while the stream "
+        "ingests; read latency is reported from the serving:read stage.  "
+        "The cache is written where the funnel runs: with one funnel the "
+        "delivery flush tap merges into one cache in this process; with "
+        "--delivery-shards N each shard merges its own slice (heap under "
+        "--transport inprocess, a shared-memory arena this process reads "
+        "zero-copy under process/shm)",
     )
     simulate.add_argument(
         "--serving-ttl",
@@ -542,31 +527,24 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
     serving_k = args.ranked_k if args.ranked else 2
     if args.serving_ttl is not None:
         require_positive(args.serving_ttl, "--serving-ttl")
-    if args.serving_mode == "worker" and args.query_qps is None:
-        print(
-            "error: --serving-mode worker requires --query-qps",
-            file=sys.stderr,
-        )
-        cluster.close()
-        return 2
-    if args.serving_mode == "worker":
-        # The shard workers own the cache writers: always go through the
-        # sharded pipeline (even at 1 shard) so the arenas, reader, and
-        # reclamation sweep exist.
+    serving_config = None
+    if args.query_qps is not None:
+        require_positive(args.query_qps, "--query-qps")
+        serving_config = ServingCacheConfig(k=serving_k, ttl=args.serving_ttl)
+    # The cache writer lives where the funnel lives: the shards of a
+    # sharded funnel each own theirs, a single funnel's is tapped here.
+    serving = None
+    if args.delivery_shards > 1:
         delivery = ShardedDeliveryPipeline(
             args.delivery_shards,
             pipeline_factory=_delivery_shard_pipeline,
             transport=args.transport,
-            serving=ServingCacheConfig(k=serving_k, ttl=args.serving_ttl),
-        )
-    elif args.delivery_shards > 1:
-        delivery = ShardedDeliveryPipeline(
-            args.delivery_shards,
-            pipeline_factory=_delivery_shard_pipeline,
-            transport=args.transport,
+            serving=serving_config,
         )
     else:
         delivery = _delivery_shard_pipeline(0)
+        if serving_config is not None:
+            serving = ServingCache(**serving_config._asdict())
     controller_config = None
     if args.adaptive:
         controller_config = ControllerConfig(
@@ -577,17 +555,6 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         print("error: --slo-p99 requires --adaptive", file=sys.stderr)
         cluster.close()
         return 2
-    serving = None
-    if args.query_qps is not None:
-        require_positive(args.query_qps, "--query-qps")
-        if args.serving_mode == "worker":
-            serving = delivery.serving  # the attach-by-spec read surface
-        else:
-            serving = ShardedServingCache(
-                num_shards=args.serving_shards,
-                k=serving_k,
-                ttl=args.serving_ttl,
-            )
     durability = None
     if args.snapshot_interval is not None and args.wal_dir is None:
         print("error: --snapshot-interval requires --wal-dir", file=sys.stderr)
@@ -604,14 +571,9 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
                 "transport": args.transport,
                 "batch_size": args.batch_size,
                 "seed": args.seed,
-                # Recovery rebuilds the serving cache with this shape —
-                # worker mode shards by delivery shard, parent mode by
-                # --serving-shards.
-                "serving_shards": (
-                    args.delivery_shards
-                    if args.serving_mode == "worker"
-                    else args.serving_shards
-                ),
+                # Recovery rebuilds the serving cache with this shape:
+                # one cache shard per delivery shard.
+                "serving_shards": args.delivery_shards,
                 "serving_k": serving_k,
             },
         )
@@ -633,9 +595,8 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         ranked_k=args.ranked_k if args.ranked else None,
         controller_config=controller_config,
         serving=serving,
-        serving_mode=args.serving_mode,
         query_qps=args.query_qps,
-        query_users=snapshot.num_users if serving is not None else None,
+        query_users=snapshot.num_users,
         durability=durability,
         snapshot_interval=args.snapshot_interval,
     )
@@ -672,8 +633,8 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
             file=out,
         )
         print(
-            f"serving cache    : {serving.users_cached} users materialized, "
-            f"{serving.bytes_per_user():.0f} bytes/user",
+            f"serving cache    : {topology.serving.users_cached} users "
+            f"materialized, {topology.serving.bytes_per_user():.0f} bytes/user",
             file=out,
         )
     if durability is not None:

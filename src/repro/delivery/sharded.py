@@ -33,6 +33,14 @@ protocol over two wires:
   batches go out — and surviving notifications plus piggybacked funnel
   stats come back — as slab frames instead of pickles, and whatever
   overflows a ring slot falls back to the queue.
+
+The serving-cache writer lives where the funnel lives: built with
+``serving=``, every shard also owns its recipients' top-k cache (heap in
+process, a shared-memory arena in a worker) and merges each slice just
+before its funnel sees it; :attr:`ShardedDeliveryPipeline.serving` is the
+one read surface over all of them.  The pipeline feeds no cache it does
+not own: a caller that keeps a parent-side cache merges each batch
+itself before offering it, as the coalescer does for a single funnel.
 """
 
 from __future__ import annotations
@@ -204,7 +212,7 @@ def _delivery_worker_main(state, wire: Wire) -> None:
 
     With a serving arena spec the worker is also its shard's serving
     writer: every incoming slice merges into the shard-local shm cache
-    *before* the funnel (the same pre-funnel content the parent-mode
+    *before* the funnel (the same pre-funnel content a single funnel's
     coalescer tap sees), so the parent reads recommendations without ever
     decoding or re-merging a reply.
     """
@@ -266,12 +274,6 @@ class ShardedDeliveryPipeline:
         shm_slots: ring slots per direction per shard (``"shm"`` only).
         shm_slot_bytes: payload bytes per ring slot (``"shm"`` only);
             frames that overflow fall back to the pickle wire.
-        serving_tap: called with ``(delivered, now)`` after every gather
-            of shard replies — the pull-side serving tier's write path
-            when the cache is fed post-funnel (delivered pushes rather
-            than ranked winners).  Runs in the parent, so a sharded
-            serving cache tapped here still has one writer per shard.
-            Mutually exclusive with ``serving``.
         serving: a :class:`~repro.serving.cache.ServingCacheConfig` that
             makes each shard host its *own* serving-cache writer where
             the funnel runs — over shared-memory arenas under the worker
@@ -280,11 +282,12 @@ class ShardedDeliveryPipeline:
             exposed as :attr:`serving`), or a plain
             :class:`~repro.serving.cache.ShardedServingCache` in
             process under ``"inprocess"``.  Each shard ingests its batch
-            slice *before* its funnel — exactly the pre-funnel content
-            the parent-mode coalescer tap would merge — so the served
-            multiset is identical to the parent-tap posture while the
+            slice *before* its funnel — exactly the pre-funnel content a
+            single funnel's coalescer tap merges into a parent cache — so
+            the served multiset is identical to that posture while the
             merge cost rides the shard parallelism and reads cross the
-            process boundary zero-copy.
+            process boundary zero-copy.  Whoever drives this pipeline
+            reads :attr:`serving` and must not write a cache of its own.
     """
 
     def __init__(
@@ -295,8 +298,6 @@ class ShardedDeliveryPipeline:
         start_method: str | None = None,
         shm_slots: int = DEFAULT_SLOTS,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
-        serving_tap: Callable[[list[PushNotification], float], None]
-        | None = None,
         serving: ServingCacheConfig | None = None,
     ) -> None:
         require_positive(num_shards, "num_shards")
@@ -310,15 +311,9 @@ class ShardedDeliveryPipeline:
                 "in-worker serving arenas need shared memory, which is "
                 "unavailable on this host (no /dev/shm?)",
             )
-        require(
-            serving is None or serving_tap is None,
-            "serving (in-worker cache writers) and serving_tap (parent-side "
-            "merge) are mutually exclusive",
-        )
         factory = pipeline_factory or _default_pipeline_factory
         self.num_shards = num_shards
         self.transport = transport
-        self.serving_tap = serving_tap
         #: The serving surface for this pipeline's mode: None without a
         #: serving config; a ShardedServingCache under "inprocess"; a
         #: ShardedServingCacheReader (attach-by-spec, zero-copy reads of
@@ -350,11 +345,7 @@ class ShardedDeliveryPipeline:
             self._workers: list[WorkerHandle] = []
             if serving is not None:
                 self.serving = ShardedServingCache(
-                    num_shards=num_shards,
-                    k=serving.k,
-                    half_life=serving.half_life,
-                    capacity=serving.capacity,
-                    ttl=serving.ttl,
+                    num_shards=num_shards, **serving._asdict()
                 )
             return
         self._pipelines = None
@@ -370,12 +361,7 @@ class ShardedDeliveryPipeline:
                 # The parent owns only the 64-byte control segment; the
                 # worker creates (and republishes on growth) the data
                 # segments under names derived from it.
-                serving_spec = create_serving_arena(
-                    k=serving.k,
-                    half_life=serving.half_life,
-                    capacity=serving.capacity,
-                    ttl=serving.ttl,
-                )
+                serving_spec = create_serving_arena(**serving._asdict())
                 serving_specs.append(serving_spec)
                 self._segment_names.append(serving_spec.control_name)
             wire = Wire.create(context, ring)
@@ -435,10 +421,7 @@ class ShardedDeliveryPipeline:
         if self._pipelines is not None:
             if self.serving is not None:
                 self.serving.shards[shard].ingest_released([rec], now)
-            notification = self._pipelines[shard].offer(rec, now)
-            if notification is not None and self.serving_tap is not None:
-                self.serving_tap([notification], now)
-            return notification
+            return self._pipelines[shard].offer(rec, now)
         worker = self._workers[shard]
         if worker.dead or not worker.send(("offer", rec, now)):
             self.notifications_lost_shards += 1
@@ -450,8 +433,6 @@ class ShardedDeliveryPipeline:
             self.notifications_lost_shards += 1
             return None
         self._stats_cache[worker.key] = raw[2]
-        if raw[1] is not None and self.serving_tap is not None:
-            self.serving_tap([raw[1]], now)
         return raw[1]
 
     def offer_all(
@@ -490,8 +471,6 @@ class ShardedDeliveryPipeline:
                     if self.serving is not None:
                         self.serving.shards[shard].ingest_batch(shard_batch, now)
                     delivered.extend(pipeline.offer_batch(shard_batch, now))
-            if delivered and self.serving_tap is not None:
-                self.serving_tap(delivered, now)
             return delivered
         submitted: list[tuple[WorkerHandle, int]] = []
         for worker, shard_batch in zip(self._workers, shards):
@@ -515,8 +494,6 @@ class ShardedDeliveryPipeline:
                 continue
             self._stats_cache[worker.key] = raw[2]
             delivered.extend(raw[1])
-        if delivered and self.serving_tap is not None:
-            self.serving_tap(delivered, now)
         return delivered
 
     # ------------------------------------------------------------------

@@ -90,12 +90,12 @@ class ClusterMonitor:
     poll: ``serving_hit_rate``, ``serving_cache_users``, and
     ``serving_bytes_per_user`` — the three numbers that say whether the
     materialized top-k is keeping up with the query population and what
-    each cached user costs in RAM.  Sharded surfaces add
-    ``serving_shard_<i>_users``/``_evictions`` per shard, and the
-    in-worker reader adds each shard's writer-published
+    each cached user costs in RAM.  Every surface adds, per shard,
+    ``serving_shard_<i>_users``/``_evictions`` and the writer-published
     ``_writer_lag_updates``/``_generation``/``_attaches`` — lag between
-    what the parent posted and what the shard's writer has merged, and
-    how often table growth forced readers to re-attach.
+    what the parent posted and what the shard's writer has merged (zero
+    by construction when the writer runs in this process), and how often
+    table growth forced readers to re-attach.
 
     An optional *durability* manager adds the durable tier's gauges —
     most importantly ``durability_snapshot_lag_records`` (WAL records a
@@ -203,11 +203,10 @@ class ClusterMonitor:
         rates: users and bytes are summed across shards and the ratio
         taken last (total bytes / total users), never averaged per shard
         — a hot shard three doublings ahead of a cold one would otherwise
-        be washed out of ``serving_bytes_per_user``.  Sharded surfaces
-        additionally publish per-shard gauges, and worker-resident caches
-        (:class:`~repro.serving.cache.ShardedServingCacheReader`) surface
-        each shard's writer-published lag/generation/attach counters —
-        the control-lane visibility that replaces reply decoding.
+        be washed out of ``serving_bytes_per_user``.  The per-shard
+        gauges come from ``shard_stats()``, one schema whichever process
+        holds the writers — for worker-resident caches that is the
+        control-lane visibility that replaces reply decoding.
         """
         serving = self.serving
         if serving is None:
@@ -219,10 +218,7 @@ class ClusterMonitor:
         self.registry.gauge("serving_bytes_per_user").set(
             serving.bytes_per_user()
         )
-        shard_stats = getattr(serving, "shard_stats", None)
-        if not callable(shard_stats):
-            return
-        for shard, stats in enumerate(shard_stats()):
+        for shard, stats in enumerate(serving.shard_stats()):
             for key in (
                 "users",
                 "evictions",
@@ -230,10 +226,9 @@ class ClusterMonitor:
                 "generation",
                 "attaches",
             ):
-                if key in stats:
-                    self.registry.gauge(f"serving_shard_{shard}_{key}").set(
-                        stats[key]
-                    )
+                self.registry.gauge(f"serving_shard_{shard}_{key}").set(
+                    stats[key]
+                )
 
     def _publish_wire_stats(self) -> None:
         """Publish the worker wire's gauges (in process there is no wire)."""

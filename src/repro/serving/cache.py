@@ -33,28 +33,30 @@ the seqlock discipline of :mod:`repro.cluster.shm`:
 * the writer brackets every *value* publish with a per-slot ``stamp``
   increment pair (odd while the row is mid-write, even once published);
 * *structural* changes — inserting new users, growing/rebuilding the
-  table, TTL compaction — are bracketed by the table-wide
-  :attr:`ServingCache.version` counter instead (odd while slots may
-  move);
+  table, TTL compaction — are bracketed by the table-wide ``version``
+  word instead (header word 0, odd while slots may move);
 * a reader samples ``version``, probes, samples the slot ``stamp``,
   copies the row, then re-checks both stamps — any mismatch or odd value
   means a concurrent write and the read retries.  Steady-state updates
   to *other* users never perturb a reader (their slot stamps are
   untouched and ``version`` only moves on structural changes).
 
-**Backing** is pluggable.  The default is heap numpy (writer and readers
-share one address space: threads).  With a shared-memory arena
-(:func:`create_serving_arena` + :meth:`ServingCache.attach_writer`) the
-*same* table lives in ``multiprocessing.shared_memory`` segments: the
-delivery-shard worker process is the single writer, merging flush output
-right where the funnel runs, and the parent (or any process holding the
-picklable :class:`ServingArenaSpec`) reads the very same bytes through
+**One table, two backings, one reader.**  The default backing is heap
+numpy (writer and readers share one address space: threads).  With a
+shared-memory arena (:func:`create_serving_arena` +
+:meth:`ServingCache.attach_writer`) the *same* table lives in
+``multiprocessing.shared_memory`` segments: the delivery-shard worker
+process is the single writer, merging flush output right where the
+funnel runs, and the parent (or any process holding the picklable
+:class:`ServingArenaSpec`) reads the very same bytes through
 :class:`ServingCacheReader` — no reply decoding, no parent-side merge,
 no copies on the read path.  Structural rebuilds publish a *new* data
 segment (deterministic name ``<control>_g<generation>``) and bump the
 generation word in the parent-owned control segment; readers re-attach
 by name when the generation moves, and the version seqlock rejects any
-read that straddled the handoff.
+read that straddled the handoff.  Either backing publishes the same two
+things (:class:`_HeapBacking`), and every read — of one's own table or
+of another process's — is the one loop in :class:`_TableView`.
 
 ``tests/test_serving_cache.py`` enforces the merge semantics (Hypothesis
 equivalence against a dict-of-dicts fold of the same flush batches) and
@@ -168,8 +170,21 @@ def _data_fields(capacity: int, k: int) -> list:
     return fields
 
 
+def _heap_arrays(capacity: int, k: int) -> dict[str, np.ndarray]:
+    """Zero-filled process-private arrays for one generation."""
+    return {
+        name: np.zeros(shape, dtype=dtype)
+        for name, dtype, shape in _data_fields(capacity, k)
+    }
+
+
 def _data_segment_name(control_name: str, generation: int) -> str:
     return f"{control_name}_g{generation}"
+
+
+def _reap(retired: list[ShmArena]) -> list[ShmArena]:
+    """Unmap superseded generations; returns those still pinned by views."""
+    return [arena for arena in retired if not arena.try_close_mapping()]
 
 
 def create_serving_arena(
@@ -196,25 +211,55 @@ def create_serving_arena(
     return ServingArenaSpec(control.name, k, half_life, capacity, ttl)
 
 
-class _ServingArenaWriter:
-    """Writer-side arena backing: one data segment per table generation.
+class _HeapBacking:
+    """Process-private table backing — and the shape every backing has.
 
-    Plugs into :class:`Int64KeyTable`'s ``allocator`` hook: every
-    (re)build carves keys/filled/columns out of a fresh data segment,
-    stamps (capacity, k) into its header, publishes the new generation
-    number in the control segment, and unlinks the previous generation.
-    Unlinking is safe mid-rebuild: POSIX removes only the name, so the
-    writer's in-flight scatter (and any attached reader) keeps a valid
-    mapping, and the table-wide version seqlock already forces readers to
-    retry across the whole handoff.
+    An :class:`Int64KeyTable` ``allocator`` that also *publishes* what it
+    carved: :attr:`header` (the eight ``_CW_*`` words — version seqlock,
+    generation, writer gauges) and :attr:`arrays`, the **one** dict
+    holding every array of the current generation.  A (re)build replaces
+    that dict with a single attribute store, so a reader that picked it
+    up probes, stamps and copies one generation, never a mix.
     """
 
-    __slots__ = ("spec", "control", "generation", "_data", "_retired")
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.header = np.zeros(8, dtype=np.uint64)
+        self.arrays: dict[str, np.ndarray] | None = None
+
+    def _carve(self, capacity: int, generation: int) -> dict[str, np.ndarray]:
+        return _heap_arrays(capacity, self.k)
+
+    def allocate(self, capacity: int, specs: dict) -> tuple:
+        """Int64KeyTable allocator: carve and publish the next generation."""
+        generation = int(self.header[_CW_GENERATION]) + 1
+        arrays = self._carve(capacity, generation)
+        self.header[_CW_GENERATION] = generation
+        self.arrays = arrays
+        columns = dict(arrays)
+        return columns.pop("keys"), columns.pop("filled"), columns
+
+    def close(self) -> None:
+        self.arrays = None
+
+
+class _ArenaBacking(_HeapBacking):
+    """Shared-memory backing: one data segment per table generation.
+
+    Every (re)build carves keys/filled/columns out of a fresh data
+    segment, stamps (capacity, k) into its header, publishes the new
+    generation number in the control segment, and unlinks the previous
+    generation.  Unlinking is safe mid-rebuild: POSIX removes only the
+    name, so the writer's in-flight scatter (and any attached reader)
+    keeps a valid mapping, and the table-wide version seqlock already
+    forces readers to retry across the whole handoff.
+    """
 
     def __init__(self, spec: ServingArenaSpec) -> None:
         self.spec = spec
+        self.k = spec.k
         self.control = ShmArena.attach(spec.control_name, [])
-        self.generation = int(self.control.header[_CW_GENERATION])
+        self.arrays = None
         self._data: ShmArena | None = None
         #: Unlinked old generations whose mappings can't unmap yet — the
         #: mid-rebuild table still views them.  Reaped on later allocates
@@ -222,46 +267,27 @@ class _ServingArenaWriter:
         self._retired: list[ShmArena] = []
 
     @property
-    def version(self) -> np.ndarray:
-        """The control segment's version word as a one-element view."""
-        return self.control.header[_CW_VERSION : _CW_VERSION + 1]
+    def header(self) -> np.ndarray:
+        # The control segment's words; not held, a view would pin the mapping.
+        return self.control.header
 
-    def allocate(self, capacity: int, specs: dict) -> tuple:
-        """Int64KeyTable allocator: carve the next generation's arrays."""
-        generation = self.generation + 1
+    def _carve(self, capacity: int, generation: int) -> dict[str, np.ndarray]:
         data = ShmArena.create(
-            _data_fields(capacity, self.spec.k),
+            _data_fields(capacity, self.k),
             name=_data_segment_name(self.spec.control_name, generation),
         )
-        data.header[0] = capacity
-        data.header[1] = self.spec.k
-        previous = self._data
+        data.header[:2] = capacity, self.k
         self._data = data
-        self.generation = generation
-        self.control.header[_CW_GENERATION] = generation
+        return data.arrays
+
+    def allocate(self, capacity: int, specs: dict) -> tuple:
+        previous = self._data
+        carved = super().allocate(capacity, specs)
         if previous is not None:
             unlink_segment(previous.name)  # name gone; mappings persist
             self._retired.append(previous)
-        self._retired = [
-            arena for arena in self._retired if not arena.try_close_mapping()
-        ]
-        arrays = dict(data.arrays)
-        return arrays.pop("keys"), arrays.pop("filled"), arrays
-
-    def publish_stats(
-        self,
-        users: int,
-        updates: int,
-        rows: int,
-        evictions: int,
-        last_now: float,
-    ) -> None:
-        header = self.control.header
-        header[_CW_USERS] = users
-        header[_CW_UPDATES] = updates
-        header[_CW_ROWS] = rows
-        header[_CW_EVICTIONS] = evictions
-        header[_CW_LAST_NOW : _CW_LAST_NOW + 1].view(np.float64)[0] = last_now
+        self._retired = _reap(self._retired)
+        return carved
 
     def close(self) -> None:
         """Graceful writer shutdown: reclaim the live data segment.
@@ -270,49 +296,256 @@ class _ServingArenaWriter:
         what :meth:`ServingCacheReader.pin` is for); the parent's
         close-path sweep re-reclaims by name as the kill -9 backstop.
         """
-        for arena in self._retired:
-            arena.try_close_mapping()
-        self._retired = []
+        self.arrays = None
+        self._retired = _reap(self._retired)
         if self._data is not None:
             self._data.close()  # owner: unlinks
             self._data = None
         self.control.close()
 
 
-def _assemble_row(
-    candidates: list,
-    scores: list,
-    created: list,
-    witnesses: list,
-    now: float | None,
-    limit: int,
-    half_life: float,
-) -> list[ServedRecommendation]:
-    """Materialize a consistent row copy into served entries.
+#: What a copy function returns when a slot stamp moved under it.
+_TORN = object()
 
-    With *now*, scores are recomputed through the shared
-    :func:`~repro.delivery.scoring.decayed_scores` kernel and the row
-    re-ranked by (score desc, candidate asc) — bitwise the ordering
-    delivery would produce for the same (witnesses, created_at) at *now*
-    — before the limit cut.  Without *now*, the stored ranking (already
-    (score desc, candidate asc) as of the last refresh) is returned.
+
+def _copy_row(arrays: dict[str, np.ndarray], user: int):
+    """One user's row out of a published view, under its slot stamp.
+
+    The same splitmix64 home slot and wraparound as ``Int64KeyTable.find``,
+    but the mask comes from the very array being probed.  Returns the
+    (candidates, scores, created_at, witnesses) lists, ``None`` for a
+    definitive miss, or :data:`_TORN` when the slot was mid-write or the
+    view so torn the probe chain never terminated (only possible
+    mid-rebuild; the caller's version recheck would reject the attempt
+    anyway — this just bounds the loop).
     """
-    if now is not None and candidates:
+    keys, filled = arrays["keys"], arrays["filled"]
+    mask = probes = len(keys) - 1
+    slot = splitmix64(user) & mask
+    while True:
+        if not filled[slot]:
+            return None
+        if keys[slot] == user:
+            break
+        if not probes:
+            return _TORN
+        probes -= 1
+        slot = (slot + 1) & mask
+    stamp = arrays["stamp"]
+    s1 = int(stamp[slot])
+    if s1 & 1:
+        return _TORN
+    count = int(arrays["count"][slot])
+    row = (
+        arrays["candidate"][slot, :count].tolist(),
+        arrays["score"][slot, :count].tolist(),
+        arrays["created_at"][slot, :count].tolist(),
+        arrays["witnesses"][slot, :count].tolist(),
+    )
+    return row if int(stamp[slot]) == s1 else _TORN
+
+
+def _copy_rows(arrays: dict[str, np.ndarray]):
+    """Every materialized row out of a published view, as owned arrays.
+
+    Steady-state value updates do not move the version, so the per-slot
+    stamps are what reject a row torn mid-copy (:data:`_TORN`).
+    """
+    slots = np.flatnonzero(arrays["filled"])
+    stamps_before = arrays["stamp"][slots]
+    if (stamps_before & 1).any():
+        return _TORN
+    payload = {"users": arrays["keys"][slots]}
+    for name in ("count", "candidate", "score", "created_at", "witnesses"):
+        payload[name] = arrays[name][slots]  # the stamps are not state
+    if (arrays["stamp"][slots] != stamps_before).any():
+        return _TORN
+    return payload
+
+
+def _rows_to_dump(rows: dict[str, np.ndarray]) -> dict:
+    """A consistent row copy as ``{user: [ServedRecommendation, ...]}``."""
+    columns = ("users", "count", "candidate", "score", "created_at")
+    return {
+        user: [
+            ServedRecommendation(*entry)
+            for entry in zip(candidates[:count], scores, created)
+        ]
+        for user, count, candidates, scores, created in zip(
+            *(rows[name].tolist() for name in columns)
+        )
+    }
+
+
+def _header_gauge(word: int, doc: str) -> property:
+    """A gauge the table's writer publishes in header word *word*."""
+    return property(lambda self: int(self._header[word]), doc=doc)
+
+
+def _shard_sum(name: str, doc: str) -> property:
+    """The shards' *name* gauges, added up."""
+    return property(
+        lambda self: sum(getattr(shard, name) for shard in self.shards), doc=doc
+    )
+
+
+class _Derived:
+    """What follows from a class's ``hits`` / ``misses`` / ``nbytes()`` /
+    ``users_cached`` / ``state_arrays()``, lone table or sharded."""
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of reads that found a materialized row."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def bytes_per_user(self) -> float:
+        """Resident bytes per materialized user (capacity amortized in).
+
+        Total bytes over total users, *not* a mean of per-shard ratios (a
+        hot shard's growth would otherwise be averaged away by cold
+        shards sitting at their initial capacity).
+        """
+        return self.nbytes() / max(self.users_cached, 1)
+
+    def dump(self) -> dict[int, list[ServedRecommendation]]:
+        """Full cache contents (tests and multiset-equality checks only)."""
+        return _rows_to_dump(self.state_arrays())
+
+
+class _TableView(_Derived):
+    """The one read path over a published table, whichever backing.
+
+    A subclass supplies ``_header`` (the eight ``_CW_*`` words the
+    table's writer publishes), ``_view()`` — the current generation's
+    arrays as one published dict, None while no table is materialized
+    yet, FileNotFoundError when the published generation vanished under
+    the call (a retry) — plus ``nbytes()`` and ``posted_updates``.
+    Everything else a reader can ask — point reads, the consistent
+    whole-table copy, the gauges — is written here once, for the writer
+    reading its own table and for a process attached to another's.
+    """
+
+    #: Data-segment (re)attaches; a table read where it is written has none.
+    attaches = 0
+
+    def __init__(self, k: int, half_life: float) -> None:
+        self.k = k
+        self.half_life = half_life
+        self.hits = 0
+        self.misses = 0
+
+    def _consistent(self, copy, *user):
+        """``copy(view, *user)`` from a view no structural change straddled.
+
+        The table-version half of the seqlock, the generation re-attach
+        and the retry cap; *copy* owns the per-slot stamps.  None when
+        there is no table (or no such user) to copy from.
+        """
+        header = self._header
+        for attempt in range(_READ_RETRIES):
+            if attempt:
+                time.sleep(0)  # yield so the in-flight writer can finish
+            v1 = int(header[_CW_VERSION])
+            if v1 & 1:
+                continue
+            try:
+                arrays = self._view()
+            except FileNotFoundError:
+                continue  # generation republished under our probe
+            result = None if arrays is None else copy(arrays, *user)
+            if result is _TORN or int(header[_CW_VERSION]) != v1:
+                continue  # raced a row publish / a rebuild or insert: retry
+            return result
+        what = f"read for user {user[0]}" if user else "snapshot"
+        raise RuntimeError(
+            f"serving {what} did not stabilize after {_READ_RETRIES} "
+            "attempts (writer died mid-write?)"
+        )
+
+    def get_recommendations(
+        self, user: int, k: int | None = None, now: float | None = None
+    ) -> list[ServedRecommendation]:
+        """The user's current top-(at most *k*) recommendations.
+
+        Lock-free seqlock read: never blocks the writer, never returns a
+        torn row.  An empty list is a miss (user not materialized) —
+        misses and hits feed :attr:`hit_rate`.  With *now*, scores are
+        recomputed through the shared
+        :func:`~repro.delivery.scoring.decayed_scores` kernel and the row
+        re-ranked by (score desc, candidate asc) — bitwise the ordering
+        delivery would produce for the same (witnesses, created_at) at
+        *now* — before the *k* cut.  Without *now*, the stored ranking
+        (already (score desc, candidate asc), scores frozen as of the
+        last refresh) is returned.
+        """
+        row = self._consistent(_copy_row, int(user))
+        if not row or not row[0]:
+            self.misses += 1
+            return []
+        self.hits += 1
+        candidates, scores, created, witnesses = row
+        limit = self.k if k is None else min(k, self.k)
+        if now is None:
+            return [
+                ServedRecommendation(*entry)
+                for entry in zip(candidates[:limit], scores, created)
+            ]
         refreshed = decayed_scores(
             np.array(witnesses, dtype=np.int64),
             np.array(created, dtype=np.float64),
             now,
-            half_life,
+            self.half_life,
         )
         order = np.lexsort((np.array(candidates, dtype=np.int64), -refreshed))
         return [
             ServedRecommendation(candidates[i], float(refreshed[i]), created[i])
             for i in order[:limit].tolist()
         ]
-    return [
-        ServedRecommendation(c, s, t)
-        for c, s, t in zip(candidates[:limit], scores[:limit], created[:limit])
-    ]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Materialized rows as owned arrays (for incremental snapshots).
+
+        A consistent copy: intended for quiescent moments (snapshots,
+        post-run summaries); under a continuous writer it retries like
+        any other read.  Row order follows slot order, which is a
+        capacity artifact — consumers must treat the payload as an
+        unordered keyed set.  The payload schema is the same whichever
+        backing holds the table and whichever side reads it, so
+        snapshots taken in any placement restore into any other.
+        """
+        rows = self._consistent(_copy_rows)
+        if rows is None:  # no table materialized yet: same schema, no rows
+            rows = _copy_rows(_heap_arrays(0, self.k))
+        return rows
+
+    # -- gauges: the writer publishes them in the header words ----------
+
+    users_cached = _header_gauge(_CW_USERS, "Users with a materialized row.")
+    updates = _header_gauge(_CW_UPDATES, "``update_columns`` merges applied.")
+    rows_ingested = _header_gauge(_CW_ROWS, "Winner rows merged so far.")
+    evictions = _header_gauge(_CW_EVICTIONS, "Users vacated by the TTL.")
+    generation = _header_gauge(
+        _CW_GENERATION, "The writer's currently published table generation."
+    )
+
+    def writer_stats(self) -> dict[str, float]:
+        """This table's gauge row — one schema for every placement."""
+        return {
+            "users": float(self.users_cached),
+            "updates": float(self.updates),
+            "rows_ingested": float(self.rows_ingested),
+            "evictions": float(self.evictions),
+            "nbytes": float(self.nbytes()),
+            "generation": float(self.generation),
+            "attaches": float(self.attaches),
+            "writer_lag_updates": float(self.posted_updates - self.updates),
+            "last_now": float(self._header.view(np.float64)[_CW_LAST_NOW]),
+        }
+
+    def shard_stats(self) -> list[dict[str, float]]:
+        """Per-shard gauge rows; a lone table is its own single shard."""
+        return [self.writer_stats()]
 
 
 class _IngestAdapters:
@@ -358,11 +591,12 @@ class _IngestAdapters:
     def ingest_notifications(
         self, notifications: Iterable[PushNotification], now: float
     ) -> None:
-        """Merge delivered notifications (the sharded-delivery tap)."""
+        """Merge delivered notifications (a post-funnel feed: what was
+        pushed rather than what was ranked)."""
         self.ingest_released([n.recommendation for n in notifications], now)
 
 
-class ServingCache(_IngestAdapters):
+class ServingCache(_TableView, _IngestAdapters):
     """Columnar per-user top-k store: one writer, lock-free point reads.
 
     Args:
@@ -376,8 +610,8 @@ class ServingCache(_IngestAdapters):
             growth (reclaiming capacity first) and by explicit
             :meth:`evict_dormant` sweeps.  Needs ``now`` on the ingest
             path — the adapters pass it through.
-        arena: internal — a :class:`_ServingArenaWriter` backing the
-            table with shared memory (use :meth:`attach_writer`).
+        arena: internal — the :class:`_ArenaBacking` that puts the table
+            in shared memory (use :meth:`attach_writer`).
 
     Merge semantics (what :meth:`update_columns` folds in, and what the
     dict-of-dicts reference in the tests replays): within one update,
@@ -394,73 +628,53 @@ class ServingCache(_IngestAdapters):
         half_life: float = 1_800.0,
         capacity: int = 1024,
         ttl: float | None = None,
-        arena: _ServingArenaWriter | None = None,
+        arena: _ArenaBacking | None = None,
     ) -> None:
         require_positive(k, "k")
         require_positive(half_life, "half_life")
         if ttl is not None:
             require_positive(ttl, "ttl")
-        self.k = k
-        self.half_life = half_life
+        self._backing = arena or _HeapBacking(k)
+        super().__init__(k, half_life)
+        #: ``_header[_CW_VERSION]`` is the table-wide structural seqlock
+        #: (odd while slots may move): an array word, not a plain int, so
+        #: readers and the writer share one memory location — across
+        #: threads on the heap, across processes in the control segment.
+        self._header = self._backing.header
         self.ttl = ttl
-        self._arena = arena
         self._table = Int64KeyTable(
-            _column_specs(k),
-            capacity=capacity,
-            allocator=None if arena is None else arena.allocate,
+            _column_specs(k), capacity=capacity, allocator=self._backing.allocate
         )
-        #: Table-wide structural seqlock (odd while slots may move).  A
-        #: one-element array, not a plain int, so readers and the writer
-        #: share one memory location — the heap backing shares it across
-        #: threads, the arena backing across processes (it *is* the
-        #: control segment's version word there).
-        self._version = (
-            np.zeros(1, dtype=np.uint64) if arena is None else arena.version
-        )
-        self.hits = 0
-        self.misses = 0
-        self.updates = 0
-        self.rows_ingested = 0
-        self.evictions = 0
-        self._last_now = 0.0
         self._publish()
 
     @classmethod
     def attach_writer(cls, spec: ServingArenaSpec) -> "ServingCache":
         """Build the shard-worker-resident writer over a shm arena."""
-        return cls(
-            k=spec.k,
-            half_life=spec.half_life,
-            capacity=spec.capacity,
-            ttl=spec.ttl,
-            arena=_ServingArenaWriter(spec),
-        )
+        return cls(*spec[1:], arena=_ArenaBacking(spec))  # name + shape
 
     def close(self) -> None:
-        """Release arena segments (no-op for the heap backing).
+        """Release the backing (arena: unlink the live data segment).
 
-        Drops the table first — its column views are what keep the data
-        mapping exported — so the segments unmap cleanly.  The cache is
-        unusable afterwards (it only ever runs at writer shutdown).
+        Drops the table and the header view first — their views are what
+        keep the mappings exported — so the segments unmap cleanly.  The
+        cache is unusable afterwards (it only runs at writer shutdown).
         """
-        if self._arena is not None:
-            self._table = None
-            self._version = np.zeros(1, dtype=np.uint64)
-            self._arena.close()
-            self._arena = None
+        self._table = self._header = None
+        self._backing.close()
+
+    def _view(self) -> dict[str, np.ndarray] | None:
+        return self._backing.arrays
+
+    @property
+    def posted_updates(self) -> int:
+        """Merges apply where they are posted: no writer lag, ever."""
+        return self.updates
 
     def _publish(self, now: float | None = None) -> None:
-        """Mirror the writer gauges into the control segment (arena only)."""
+        """Store the gauges the counters don't cover: users, merge clock."""
+        self._header[_CW_USERS] = len(self._table)
         if now is not None:
-            self._last_now = now
-        if self._arena is not None:
-            self._arena.publish_stats(
-                len(self._table),
-                self.updates,
-                self.rows_ingested,
-                self.evictions,
-                self._last_now,
-            )
+            self._header.view(np.float64)[_CW_LAST_NOW] = now
 
     # ------------------------------------------------------------------
     # Write path (single writer)
@@ -490,8 +704,8 @@ class ServingCache(_IngestAdapters):
         n = len(recipients)
         if n == 0:
             return
-        self.updates += 1
-        self.rows_ingested += n
+        self._header[_CW_UPDATES] += 1
+        self._header[_CW_ROWS] += n
         if witnesses is None:
             witnesses = np.ones(n, dtype=np.int64)
         users = np.unique(recipients)
@@ -586,13 +800,13 @@ class ServingCache(_IngestAdapters):
         missing = slots < 0
         need = int(missing.sum())
         if need:
-            version = self._version
-            version[0] += 1  # odd: slots may move / appear
+            header = self._header
+            header[_CW_VERSION] += 1  # odd: slots may move / appear
             if table.reserve(need, keep=self._dormancy_keep(now)):
                 slots = table.lookup(keys)
                 missing = slots < 0
             slots[missing] = table.insert(keys[missing])
-            version[0] += 1  # even: structure stable again
+            header[_CW_VERSION] += 1  # even: structure stable again
         return slots
 
     def _dormancy_mask(self, now: float) -> np.ndarray:
@@ -616,7 +830,7 @@ class ServingCache(_IngestAdapters):
         def keep() -> np.ndarray:
             mask = self._dormancy_mask(now)
             live = self._table.filled_slots()
-            self.evictions += int(len(live) - mask[live].sum())
+            self._header[_CW_EVICTIONS] += int(len(live) - mask[live].sum())
             return mask
 
         return keep
@@ -632,132 +846,21 @@ class ServingCache(_IngestAdapters):
         if self.ttl is None:
             return 0
         keep = self._dormancy_mask(now)
-        version = self._version
-        version[0] += 1
+        header = self._header
+        header[_CW_VERSION] += 1
         dropped = self._table.compact(keep)
-        version[0] += 1
-        self.evictions += dropped
+        header[_CW_VERSION] += 1
+        header[_CW_EVICTIONS] += dropped
         self._publish(now)
         return dropped
 
-    # ------------------------------------------------------------------
-    # Read path (lock-free against the writer)
-    # ------------------------------------------------------------------
-
-    def get_recommendations(
-        self, user: int, k: int | None = None, now: float | None = None
-    ) -> list[ServedRecommendation]:
-        """The user's current top-(at most *k*) recommendations.
-
-        Lock-free seqlock read: never blocks the writer, never returns a
-        torn row.  An empty list is a miss (user not materialized) —
-        misses and hits feed :attr:`hit_rate`.  With *now*, the row's
-        scores are re-decayed through the shared kernel and re-ranked as
-        delivery would rank them at *now* (entries are otherwise frozen
-        at their last-refresh scores).
-        """
-        limit = self.k if k is None else min(k, self.k)
-        table = self._table
-        version = self._version
-        for attempt in range(_READ_RETRIES):
-            if attempt:
-                time.sleep(0)  # yield so the in-flight writer can finish
-            v1 = int(version[0])
-            if v1 & 1:
-                continue
-            slot = table.find(int(user))
-            if slot < 0:
-                if int(version[0]) != v1:
-                    continue  # probe raced a rebuild/insert: retry
-                self.misses += 1
-                return []
-            stamp = table.columns["stamp"]
-            s1 = int(stamp[slot])
-            if s1 & 1:
-                continue
-            count = int(table.columns["count"][slot])
-            candidates = table.columns["candidate"][slot, :count].tolist()
-            scores = table.columns["score"][slot, :count].tolist()
-            created = table.columns["created_at"][slot, :count].tolist()
-            witnesses = table.columns["witnesses"][slot, :count].tolist()
-            if int(stamp[slot]) != s1 or int(version[0]) != v1:
-                continue
-            if count == 0:
-                self.misses += 1
-                return []
-            self.hits += 1
-            return _assemble_row(
-                candidates, scores, created, witnesses, now, limit,
-                self.half_life,
-            )
-        raise RuntimeError(
-            f"serving read for user {user} did not stabilize after "
-            f"{_READ_RETRIES} attempts (writer died mid-write?)"
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection (monitor gauges, benches, equality checks)
-    # ------------------------------------------------------------------
-
-    @property
-    def users_cached(self) -> int:
-        """Users with a materialized row."""
-        return len(self._table)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of reads that found a materialized row."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def nbytes(self) -> int:
         """Resident bytes across the user table and all slot matrices."""
-        return self._table.nbytes() + self._version.nbytes
-
-    def bytes_per_user(self) -> float:
-        """Resident bytes per materialized user (capacity amortized in)."""
-        return self.nbytes() / max(self.users_cached, 1)
-
-    def dump(self) -> dict[int, list[ServedRecommendation]]:
-        """Full cache contents (tests and multiset-equality checks only)."""
-        table = self._table
-        out: dict[int, list[ServedRecommendation]] = {}
-        for slot in table.filled_slots().tolist():
-            user = int(table.keys_at(np.array([slot]))[0])
-            count = int(table.columns["count"][slot])
-            out[user] = [
-                ServedRecommendation(
-                    int(table.columns["candidate"][slot, i]),
-                    float(table.columns["score"][slot, i]),
-                    float(table.columns["created_at"][slot, i]),
-                )
-                for i in range(count)
-            ]
-        return out
+        return self._table.nbytes() + self._header.nbytes
 
     # ------------------------------------------------------------------
-    # Durable-state hooks (snapshot capture + recovery rebuild)
+    # Durable-state hook (recovery rebuild; capture is ``state_arrays``)
     # ------------------------------------------------------------------
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Materialized rows as owned arrays (for incremental snapshots).
-
-        Row order follows slot order, which is a capacity artifact —
-        consumers must treat the payload as an unordered keyed set.  The
-        payload schema is identical for heap- and arena-backed caches
-        (and for :class:`ServingCacheReader`), so snapshots taken in any
-        serving mode restore into any other.
-        """
-        table = self._table
-        slots = table.filled_slots()
-        return {
-            "users": table.keys_at(slots).copy(),
-            "count": table.columns["count"][slots].copy(),
-            "candidate": table.columns["candidate"][slots].copy(),
-            "score": table.columns["score"][slots].copy(),
-            "created_at": table.columns["created_at"][slots].copy(),
-            "witnesses": table.columns["witnesses"][slots].copy(),
-        }
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Merge a :meth:`state_arrays` payload into this cache.
@@ -793,53 +896,29 @@ class ServingCache(_IngestAdapters):
         self._publish()
 
 
-def _probe_slot(keys: np.ndarray, filled: np.ndarray, user: int) -> int:
-    """Reader-side linear probe over raw arena arrays.
-
-    Bit-identical to ``Int64KeyTable.find`` (same splitmix64 home slot,
-    same wraparound) but over attached views instead of a table object.
-    Returns -1 for a definitive miss and -2 for a view so torn the probe
-    chain never terminated (only possible mid-rebuild; the caller's
-    version recheck would reject the attempt anyway — this just bounds
-    the loop).
-    """
-    mask = len(keys) - 1
-    slot = splitmix64(user) & mask
-    for _ in range(len(keys)):
-        if not filled[slot]:
-            return -1
-        if keys[slot] == user:
-            return slot
-        slot = (slot + 1) & mask
-    return -2
-
-
-class ServingCacheReader:
+class ServingCacheReader(_TableView):
     """Read-only attach-by-spec view of a worker-resident serving cache.
 
-    Implements the query / stats / dump / snapshot surface of
-    :class:`ServingCache` over the shm arena another process writes.
-    Reads follow the same two-level seqlock contract plus one extra hop:
-    when the control segment's generation word moves (the writer
-    rebuilt), the reader re-attaches the new data segment by its
-    deterministic name (counted in :attr:`attaches`) and retries.  Not
-    thread-safe — one reader instance per reading thread/loop, exactly
-    like the writer is one per shard.
+    The query / stats / dump / snapshot surface of :class:`ServingCache`
+    — the very same :class:`_TableView` code — over the shm arena
+    another process writes.  Reads follow the same two-level seqlock
+    contract plus one extra hop: when the control segment's generation
+    word moves (the writer rebuilt), the reader re-attaches the new data
+    segment by its deterministic name (counted in :attr:`attaches`) and
+    retries.  Not thread-safe — one reader instance per reading
+    thread/loop, exactly like the writer is one per shard.
     """
 
     def __init__(self, spec: ServingArenaSpec) -> None:
         self.spec = spec
-        self.k = spec.k
-        self.half_life = spec.half_life
         self._control = ShmArena.attach(spec.control_name, [])
+        super().__init__(spec.k, spec.half_life)
         self._data: ShmArena | None = None
         #: Superseded generations still pinned by a caller's views (a read
         #: loop's locals from the attempt that straddled the hop); reaped
         #: on the next hop and at :meth:`close`, never left to ``__del__``.
         self._retired: list[ShmArena] = []
         self._generation = 0
-        self.hits = 0
-        self.misses = 0
         #: Data-segment (re)attaches — 1 + one per observed generation hop.
         self.attaches = 0
         #: Serving-bearing messages the parent posted to this shard's
@@ -851,34 +930,33 @@ class ServingCacheReader:
     def attach(cls, spec: ServingArenaSpec) -> "ServingCacheReader":
         return cls(spec)
 
+    @property
+    def _header(self) -> np.ndarray:
+        # Not cached: a view held here would pin the control mapping past
+        # close() — or past a reader that is dropped without one.
+        return self._control.header
+
     # -- generation tracking --------------------------------------------
 
-    def _ensure_data(self) -> "ShmArena | None":
-        """The data arena for the currently published generation.
-
-        None while the writer has not materialized a table yet (fresh
-        control, generation 0).  Raises FileNotFoundError when the
-        published generation's segment vanished under us (writer grew
-        again, or exited) — callers treat it as a retry.
-        """
-        generation = int(self._control.header[_CW_GENERATION])
-        if generation == self._generation:
-            return self._data
+    def _view(self) -> dict[str, np.ndarray] | None:
+        """Attach the published generation's data arena if it moved: None
+        on a fresh control (generation 0), FileNotFoundError when that
+        segment vanished under us (writer grew again, or exited)."""
+        generation = self.generation
         if generation == 0:
             return None
-        data = ShmArena.attach_dynamic(
-            _data_segment_name(self.spec.control_name, generation),
-            lambda header: _data_fields(int(header[0]), int(header[1])),
-        )
-        if self._data is not None:
-            self._retired.append(self._data)
-        self._retired = [
-            arena for arena in self._retired if not arena.try_close_mapping()
-        ]
-        self._data = data
-        self._generation = generation
-        self.attaches += 1
-        return data
+        if generation != self._generation:
+            data = ShmArena.attach_dynamic(
+                _data_segment_name(self.spec.control_name, generation),
+                lambda header: _data_fields(int(header[0]), int(header[1])),
+            )
+            if self._data is not None:
+                self._retired.append(self._data)
+            self._retired = _reap(self._retired)
+            self._data = data
+            self._generation = generation
+            self.attaches += 1
+        return self._data.arrays
 
     def pin(self) -> None:
         """Attach the current generation now (pre-shutdown refresh).
@@ -889,14 +967,9 @@ class ServingCacheReader:
         after the writer's segments are reclaimed.
         """
         try:
-            self._ensure_data()
+            self._view()
         except FileNotFoundError:
             pass
-
-    @property
-    def generation(self) -> int:
-        """The writer's currently published data generation."""
-        return int(self._control.header[_CW_GENERATION])
 
     def reclaim_segments(self) -> None:
         """Unlink every data generation this shard's writer may have left.
@@ -913,210 +986,83 @@ class ServingCacheReader:
 
     def close(self) -> None:
         """Drop the reader's mappings (never unlinks)."""
-        for arena in self._retired:
-            arena.try_close_mapping()
-        self._retired = []
+        self._retired = _reap(self._retired)
         if self._data is not None:
             self._data.close()
             self._data = None
         self._control.close()
-
-    # -- query surface ---------------------------------------------------
-
-    def get_recommendations(
-        self, user: int, k: int | None = None, now: float | None = None
-    ) -> list[ServedRecommendation]:
-        """Cross-process seqlock point read; same contract as the cache."""
-        limit = self.k if k is None else min(k, self.k)
-        control = self._control.header
-        for attempt in range(_READ_RETRIES):
-            if attempt:
-                time.sleep(0)  # let the writer (another process) finish
-            v1 = int(control[_CW_VERSION])
-            if v1 & 1:
-                continue
-            try:
-                data = self._ensure_data()
-            except FileNotFoundError:
-                continue  # generation republished under our probe
-            if data is None:
-                if int(control[_CW_VERSION]) != v1:
-                    continue
-                self.misses += 1
-                return []
-            arrays = data.arrays
-            slot = _probe_slot(arrays["keys"], arrays["filled"], int(user))
-            if slot == -2:
-                continue
-            if slot < 0:
-                if int(control[_CW_VERSION]) != v1:
-                    continue
-                self.misses += 1
-                return []
-            stamp = arrays["stamp"]
-            s1 = int(stamp[slot])
-            if s1 & 1:
-                continue
-            count = int(arrays["count"][slot])
-            candidates = arrays["candidate"][slot, :count].tolist()
-            scores = arrays["score"][slot, :count].tolist()
-            created = arrays["created_at"][slot, :count].tolist()
-            witnesses = arrays["witnesses"][slot, :count].tolist()
-            if int(stamp[slot]) != s1 or int(control[_CW_VERSION]) != v1:
-                continue
-            if count == 0:
-                self.misses += 1
-                return []
-            self.hits += 1
-            return _assemble_row(
-                candidates, scores, created, witnesses, now, limit,
-                self.half_life,
-            )
-        raise RuntimeError(
-            f"cross-process serving read for user {user} did not stabilize "
-            f"after {_READ_RETRIES} attempts (shard writer died mid-write?)"
-        )
-
-    # -- consistent whole-table reads (dump / snapshots) -----------------
-
-    def _snapshot_rows(self) -> dict[str, np.ndarray]:
-        """A consistent copy of every materialized row.
-
-        Version-stable + per-slot-stamp-stable retry loop: steady-state
-        value updates do not move the version, so the stamps are what
-        reject a row torn mid-copy.  Intended for quiescent moments
-        (snapshots, post-run summaries); under a continuous writer it
-        retries like any other read.
-        """
-        empty = {
-            "users": np.zeros(0, dtype=np.uint64),
-            "count": np.zeros(0, dtype=np.int64),
-            "candidate": np.zeros((0, self.k), dtype=np.int64),
-            "score": np.zeros((0, self.k), dtype=np.float64),
-            "created_at": np.zeros((0, self.k), dtype=np.float64),
-            "witnesses": np.zeros((0, self.k), dtype=np.int64),
-        }
-        control = self._control.header
-        for attempt in range(_READ_RETRIES):
-            if attempt:
-                time.sleep(0)
-            v1 = int(control[_CW_VERSION])
-            if v1 & 1:
-                continue
-            try:
-                data = self._ensure_data()
-            except FileNotFoundError:
-                continue
-            if data is None:
-                if int(control[_CW_VERSION]) != v1:
-                    continue
-                return empty
-            arrays = data.arrays
-            slots = np.flatnonzero(arrays["filled"])
-            stamps_before = arrays["stamp"][slots].copy()
-            if (stamps_before & 1).any():
-                continue
-            payload = {
-                "users": arrays["keys"][slots].copy(),
-                "count": arrays["count"][slots].copy(),
-                "candidate": arrays["candidate"][slots].copy(),
-                "score": arrays["score"][slots].copy(),
-                "created_at": arrays["created_at"][slots].copy(),
-                "witnesses": arrays["witnesses"][slots].copy(),
-            }
-            if (arrays["stamp"][slots] != stamps_before).any():
-                continue
-            if int(control[_CW_VERSION]) != v1:
-                continue
-            return payload
-        raise RuntimeError(
-            "cross-process serving snapshot did not stabilize after "
-            f"{_READ_RETRIES} attempts (shard writer died mid-write?)"
-        )
-
-    def dump(self) -> dict[int, list[ServedRecommendation]]:
-        """Full shard contents (tests and multiset-equality checks)."""
-        rows = self._snapshot_rows()
-        out: dict[int, list[ServedRecommendation]] = {}
-        for i in range(len(rows["users"])):
-            count = int(rows["count"][i])
-            out[int(rows["users"][i])] = [
-                ServedRecommendation(
-                    int(rows["candidate"][i, j]),
-                    float(rows["score"][i, j]),
-                    float(rows["created_at"][i, j]),
-                )
-                for j in range(count)
-            ]
-        return out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Snapshot payload, schema-identical to the writer cache's."""
-        return self._snapshot_rows()
-
-    # -- stats surface (monitor / frontend parity with ServingCache) ----
-
-    @property
-    def users_cached(self) -> int:
-        return int(self._control.header[_CW_USERS])
-
-    @property
-    def updates(self) -> int:
-        return int(self._control.header[_CW_UPDATES])
-
-    @property
-    def rows_ingested(self) -> int:
-        return int(self._control.header[_CW_ROWS])
-
-    @property
-    def evictions(self) -> int:
-        return int(self._control.header[_CW_EVICTIONS])
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def nbytes(self) -> int:
         """Mapped bytes: the control segment plus the attached generation."""
         data = self._data
         return self._control.nbytes() + (0 if data is None else data.nbytes())
 
-    def bytes_per_user(self) -> float:
-        return self.nbytes() / max(self.users_cached, 1)
 
-    def writer_stats(self) -> dict[str, float]:
-        """Per-shard gauges the writer publishes through the control lane."""
-        header = self._control.header
-        updates = int(header[_CW_UPDATES])
+class _ShardedView(_Derived):
+    """Routing and aggregates over ``self.shards``, one table per shard.
+
+    Sharding uses ``splitmix64(user) % num_shards`` — the *same* keying
+    as :class:`~repro.delivery.sharded.ShardedDeliveryPipeline` — so
+    every user's cache updates originate from exactly one delivery
+    shard's flushes: each shard's table is single-writer by
+    construction, which is what the per-shard seqlock discipline
+    requires.  Whether the shards are writers in this process or readers
+    attached to another's, the frontend, query load generator, monitor,
+    and durability manager consume this one surface.
+    """
+
+    def __init__(self, shards: list) -> None:
+        require_positive(len(shards), "num_shards")
+        self.shards = shards
+        self.num_shards = len(shards)
+        self.k = shards[0].k
+
+    def shard_of(self, user: int) -> int:
+        """The shard owning *user* (stable splitmix64 hash)."""
+        return splitmix64(user) % self.num_shards
+
+    def get_recommendations(
+        self, user: int, k: int | None = None, now: float | None = None
+    ) -> list[ServedRecommendation]:
+        """Point lookup, routed to the owning shard."""
+        return self.shards[self.shard_of(user)].get_recommendations(
+            user, k, now=now
+        )
+
+    # -- aggregated stats -----------------------------------------------
+
+    users_cached = _shard_sum("users_cached", "Users materialized, all shards.")
+    hits = _shard_sum("hits", "Reads that found a row, all shards.")
+    misses = _shard_sum("misses", "Reads that found none, all shards.")
+    updates = _shard_sum("updates", "Merges applied, all shards.")
+    rows_ingested = _shard_sum("rows_ingested", "Winner rows merged, all shards.")
+    evictions = _shard_sum("evictions", "Users vacated by the TTL, all shards.")
+
+    def nbytes(self) -> int:
+        """Resident bytes summed over shards."""
+        return sum(shard.nbytes() for shard in self.shards)
+
+    def shard_stats(self) -> list[dict[str, float]]:
+        """Per-shard gauge rows (lag, generation, attaches, ...) — the
+        monitor's per-shard visibility."""
+        return [shard.writer_stats() for shard in self.shards]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Every shard's rows concatenated (shard split is re-derived
+        from the user hash on load, so it is not persisted)."""
+        parts = [shard.state_arrays() for shard in self.shards]
         return {
-            "users": float(int(header[_CW_USERS])),
-            "updates": float(updates),
-            "rows_ingested": float(int(header[_CW_ROWS])),
-            "evictions": float(int(header[_CW_EVICTIONS])),
-            "last_now": float(
-                header[_CW_LAST_NOW : _CW_LAST_NOW + 1].view(np.float64)[0]
-            ),
-            "generation": float(self.generation),
-            "attaches": float(self.attaches),
-            "writer_lag_updates": float(self.posted_updates - updates),
+            name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]
         }
 
 
-class ShardedServingCache(_IngestAdapters):
+class ShardedServingCache(_ShardedView, _IngestAdapters):
     """Recipient-hash-sharded serving caches, one writer per shard.
 
-    Sharding uses ``splitmix64(user) % num_shards`` — the *same* keying
-    as :class:`~repro.delivery.sharded.ShardedDeliveryPipeline` — so when
-    serving shards mirror delivery shards, every user's cache updates
-    originate from exactly one delivery shard's flushes: each shard's
-    cache is single-writer by construction, which is what the per-shard
-    seqlock discipline requires.
-
-    The query surface routes point reads to the owning shard; the ingest
-    surface splits incoming rows by the same hash, so callers can feed it
-    from an unsharded path too (one logical writer is still one writer
-    per shard).
+    The ingest surface splits incoming rows by the routing hash, so
+    callers can feed it from an unsharded path too (one logical writer
+    is still one writer per shard).
     """
 
     def __init__(
@@ -1127,30 +1073,22 @@ class ShardedServingCache(_IngestAdapters):
         capacity: int = 1024,
         ttl: float | None = None,
     ) -> None:
-        require_positive(num_shards, "num_shards")
-        self.num_shards = num_shards
-        self.k = k
-        self.half_life = half_life
-        self.shards = [
-            ServingCache(k=k, half_life=half_life, capacity=capacity, ttl=ttl)
-            for _ in range(num_shards)
-        ]
-
-    def shard_of(self, user: int) -> int:
-        """The shard owning *user* (stable splitmix64 hash)."""
-        return splitmix64(user) % self.num_shards
-
-    # -- query surface --------------------------------------------------
-
-    def get_recommendations(
-        self, user: int, k: int | None = None, now: float | None = None
-    ) -> list[ServedRecommendation]:
-        """Point lookup, routed to the owning shard."""
-        return self.shards[self.shard_of(user)].get_recommendations(
-            user, k, now=now
+        super().__init__(
+            [
+                ServingCache(k=k, half_life=half_life, capacity=capacity, ttl=ttl)
+                for _ in range(num_shards)
+            ]
         )
+        self.half_life = half_life
 
-    # -- ingest surface -------------------------------------------------
+    def _by_shard(self, users: np.ndarray):
+        """(shard cache, row selector) per shard owning some of *users*."""
+        if self.num_shards == 1:
+            yield self.shards[0], slice(None)
+            return
+        shards = shard_ids(users, self.num_shards)
+        for shard in np.unique(shards).tolist():
+            yield self.shards[shard], shards == shard
 
     def update_columns(
         self,
@@ -1162,21 +1100,13 @@ class ShardedServingCache(_IngestAdapters):
         now: float | None = None,
     ) -> None:
         """Split aligned winner columns by recipient hash and merge."""
-        if self.num_shards == 1:
-            self.shards[0].update_columns(
-                recipients, candidates, scores, created_at,
-                witnesses=witnesses, now=now,
-            )
-            return
-        shards = shard_ids(recipients, self.num_shards)
-        for shard in np.unique(shards).tolist():
-            mask = shards == shard
-            self.shards[shard].update_columns(
-                recipients[mask],
-                candidates[mask],
-                scores[mask],
-                created_at[mask],
-                witnesses=None if witnesses is None else witnesses[mask],
+        for cache, rows in self._by_shard(recipients):
+            cache.update_columns(
+                recipients[rows],
+                candidates[rows],
+                scores[rows],
+                created_at[rows],
+                witnesses=None if witnesses is None else witnesses[rows],
                 now=now,
             )
 
@@ -1184,116 +1114,18 @@ class ShardedServingCache(_IngestAdapters):
         """TTL sweep across every shard; returns users evicted."""
         return sum(shard.evict_dormant(now) for shard in self.shards)
 
-    # -- aggregated stats -----------------------------------------------
-
-    @property
-    def users_cached(self) -> int:
-        """Users materialized across all shards."""
-        return sum(shard.users_cached for shard in self.shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self.shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self.shards)
-
-    @property
-    def updates(self) -> int:
-        return sum(shard.updates for shard in self.shards)
-
-    @property
-    def rows_ingested(self) -> int:
-        return sum(shard.rows_ingested for shard in self.shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.evictions for shard in self.shards)
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction aggregated over shards."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def nbytes(self) -> int:
-        """Resident bytes summed over shards."""
-        return sum(shard.nbytes() for shard in self.shards)
-
-    def bytes_per_user(self) -> float:
-        """Resident bytes per materialized user, across shards.
-
-        Weighted correctly when shards grow at different rates: total
-        bytes over total users, *not* a mean of per-shard ratios (a
-        hot shard's growth would otherwise be averaged away by cold
-        shards sitting at their initial capacity).
-        """
-        return self.nbytes() / max(self.users_cached, 1)
-
-    def shard_stats(self) -> list[dict[str, float]]:
-        """Per-shard gauge rows (the monitor's per-shard visibility)."""
-        return [
-            {
-                "users": float(shard.users_cached),
-                "updates": float(shard.updates),
-                "rows_ingested": float(shard.rows_ingested),
-                "evictions": float(shard.evictions),
-                "nbytes": float(shard.nbytes()),
-            }
-            for shard in self.shards
-        ]
-
-    def dump(self) -> dict[int, list[ServedRecommendation]]:
-        """Merged contents of every shard (tests only)."""
-        out: dict[int, list[ServedRecommendation]] = {}
-        for shard in self.shards:
-            out.update(shard.dump())
-        return out
-
-    # -- durable-state hooks --------------------------------------------
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every shard's rows concatenated (shard split is re-derived
-        from the user hash on load, so it is not persisted)."""
-        parts = [shard.state_arrays() for shard in self.shards]
-        return {
-            name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]
-        }
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Split a :meth:`state_arrays` payload by user hash and merge."""
-        users = arrays["users"]
-        if len(users) == 0:
-            return
-        if self.num_shards == 1:
-            self.shards[0].load_state(arrays)
-            return
-        shards = shard_ids(users, self.num_shards)
-        for shard in np.unique(shards).tolist():
-            mask = shards == shard
-            self.shards[shard].load_state(
-                {name: values[mask] for name, values in arrays.items()}
+        for cache, rows in self._by_shard(arrays["users"]):
+            cache.load_state(
+                {name: values[rows] for name, values in arrays.items()}
             )
 
 
-class ShardedServingCacheReader:
-    """Routed read-only view over every shard's worker-resident cache.
-
-    The parent-side counterpart of in-worker serving: one
-    :class:`ServingCacheReader` per delivery shard, routed by the same
-    splitmix64 hash the delivery split uses, presenting the aggregated
-    query/stats/snapshot surface of :class:`ShardedServingCache` so the
-    frontend, query load generator, monitor, and durability manager all
-    consume it unchanged.
-    """
-
-    def __init__(self, readers: list[ServingCacheReader]) -> None:
-        require_positive(len(readers), "readers")
-        self.shards = readers
-        self.num_shards = len(readers)
-        self.k = readers[0].k
+class ShardedServingCacheReader(_ShardedView):
+    """Routed read-only view over every shard's worker-resident cache —
+    the parent side of in-worker serving: one :class:`ServingCacheReader`
+    per delivery shard."""
 
     @classmethod
     def attach(cls, specs: Iterable[ServingArenaSpec]) -> "ShardedServingCacheReader":
@@ -1302,16 +1134,6 @@ class ShardedServingCacheReader:
     @property
     def specs(self) -> list[ServingArenaSpec]:
         return [reader.spec for reader in self.shards]
-
-    def shard_of(self, user: int) -> int:
-        return splitmix64(user) % self.num_shards
-
-    def get_recommendations(
-        self, user: int, k: int | None = None, now: float | None = None
-    ) -> list[ServedRecommendation]:
-        return self.shards[self.shard_of(user)].get_recommendations(
-            user, k, now=now
-        )
 
     def pin(self) -> None:
         """Attach every shard's current generation (pre-shutdown)."""
@@ -1326,59 +1148,3 @@ class ShardedServingCacheReader:
     def close(self) -> None:
         for reader in self.shards:
             reader.close()
-
-    # -- aggregated stats (ShardedServingCache parity) -------------------
-
-    @property
-    def users_cached(self) -> int:
-        return sum(reader.users_cached for reader in self.shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(reader.hits for reader in self.shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(reader.misses for reader in self.shards)
-
-    @property
-    def updates(self) -> int:
-        return sum(reader.updates for reader in self.shards)
-
-    @property
-    def rows_ingested(self) -> int:
-        return sum(reader.rows_ingested for reader in self.shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(reader.evictions for reader in self.shards)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def nbytes(self) -> int:
-        return sum(reader.nbytes() for reader in self.shards)
-
-    def bytes_per_user(self) -> float:
-        return self.nbytes() / max(self.users_cached, 1)
-
-    def shard_stats(self) -> list[dict[str, float]]:
-        """Per-shard writer gauges (lag, generation, attaches, ...)."""
-        return [reader.writer_stats() for reader in self.shards]
-
-    def dump(self) -> dict[int, list[ServedRecommendation]]:
-        out: dict[int, list[ServedRecommendation]] = {}
-        for reader in self.shards:
-            out.update(reader.dump())
-        return out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every shard's rows concatenated — snapshot-schema-identical to
-        the writer caches', so worker-mode snapshots restore anywhere."""
-        parts = [reader.state_arrays() for reader in self.shards]
-        return {
-            name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]
-        }

@@ -19,6 +19,11 @@ are symmetric: the detection consumer batches *events* (``batch_size`` /
 ``max_wait``, reported as ``path:batching``) and the delivery coalescer
 batches *candidate batches* (``delivery_batch_size`` /
 ``delivery_max_wait``, reported as ``path:delivery-batching``).
+
+The pull-side serving cache is written where the funnel runs: by the
+coalescer's flush tap in front of a single funnel, by the delivery shards
+themselves when the funnel is sharded with ``serving=`` — the topology
+only looks at ``delivery.serving`` to know which, there is no mode to set.
 """
 
 from __future__ import annotations
@@ -129,7 +134,6 @@ class StreamingTopology:
         ranked_k: int | None = None,
         controller_config: ControllerConfig | None = None,
         serving: "ServingCache | None" = None,
-        serving_mode: str = "parent",
         query_qps: float | None = None,
         query_users: int | None = None,
         query_k: int | None = None,
@@ -179,16 +183,14 @@ class StreamingTopology:
                 :class:`~repro.serving.cache.ServingCache` (or its sharded
                 wrapper) fed by the delivery coalescer's flush tap, so
                 every flush window's funnel input also materializes into
-                the per-user top-k that point queries read.
-            serving_mode: ``"parent"`` (default) wires *serving* into
-                the coalescer's flush tap — cache writes happen here, in
-                the parent.  ``"worker"`` means the delivery pipeline's
-                shard workers already own the cache writers (a
+                the per-user top-k that point queries read.  The cache
+                writer lives where the funnel lives: when *delivery* owns
+                its shards' caches (a
                 :class:`~repro.delivery.sharded.ShardedDeliveryPipeline`
-                built with ``serving=``), so the coalescer must *not*
-                write: *serving* is then the read-only attach-by-spec
-                surface (``delivery.serving``) that queries, gauges, and
-                snapshots consume.
+                built with ``serving=``) the topology reads
+                ``delivery.serving`` — queries, gauges, snapshots — and
+                the coalescer does not tap; passing *serving* as well is
+                an error (every row would be written twice).
             query_qps: with *serving*, schedule zipf point queries at
                 this rate (per virtual second) for the duration of the
                 replayed stream — the mixed read/write workload.  Read
@@ -213,6 +215,13 @@ class StreamingTopology:
         self.sim = DiscreteEventSimulator()
         self.breakdown = LatencyBreakdown()
         self.delivery = delivery or DeliveryPipeline()
+        shard_owned = getattr(self.delivery, "serving", None)
+        require(
+            serving is None or shard_owned is None,
+            "delivery already owns its shards' serving caches "
+            "(delivery.serving); tapping serving= as well would write "
+            "every row twice",
+        )
         if hop_models is None:
             hop_models = {
                 name: LogNormalDelay(
@@ -276,21 +285,15 @@ class StreamingTopology:
             ranker=(
                 TopKPerUserBuffer(k=ranked_k) if ranked_k is not None else None
             ),
-            # In worker mode the shard processes are the cache writers
-            # (they ingest each batch slice pre-funnel); tapping here too
-            # would double-write every row from the parent.
-            serving=serving if serving_mode == "parent" else None,
+            serving=serving,
         )
-        require(
-            serving_mode in ("parent", "worker"),
-            f"serving_mode must be 'parent' or 'worker', got {serving_mode!r}",
-        )
-        self.serving = serving
-        self.serving_mode = serving_mode
+        #: The cache point queries, gauges and snapshots read: the one
+        #: the delivery shards write when they own it, else the tapped one.
+        self.serving = shard_owned if shard_owned is not None else serving
         self.query_load: QueryLoadGenerator | None = None
         if query_qps is not None:
             require(
-                serving is not None,
+                self.serving is not None,
                 "query_qps needs a serving cache to query",
             )
             require(
@@ -299,7 +302,7 @@ class StreamingTopology:
             )
             self.query_load = QueryLoadGenerator(
                 self.sim,
-                serving,
+                self.serving,
                 query_users,
                 query_qps,
                 self.breakdown,

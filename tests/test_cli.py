@@ -313,7 +313,7 @@ class TestServingCommands:
         code, output = run_cli(
             "simulate", str(graph), str(stream),
             "--k", "2", "--partitions", "2", "--seed", "1",
-            "--query-qps", "200", "--serving-shards", "2", "--ranked",
+            "--query-qps", "200", "--delivery-shards", "2", "--ranked",
         )
         assert code == 0
         assert "serving reads" in output

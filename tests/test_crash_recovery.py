@@ -288,3 +288,68 @@ def test_root_with_retired_backend_keys_still_recovers(workload, tmp_path, retir
             ]
         ) == 0
         assert _read_rows(recovered) == _read_rows(reference)
+
+
+@pytest.mark.parametrize(
+    "delivery_shards, written_by_parent_commit",
+    [
+        # `--serving-mode parent --serving-shards 4`: the shard count was
+        # a free option, unrelated to the delivery fan-out.
+        (1, {"serving_shards": 4}),
+        (2, {"serving_shards": 4}),
+        # `--serving-mode worker`: the shard count mirrored
+        # `--delivery-shards`, which is what every root says today.
+        (2, {"serving_shards": 2}),
+    ],
+    ids=["parent-mode-one-funnel", "parent-mode-sharded", "worker-mode"],
+)
+def test_root_with_explicit_serving_shards_recovers_same_served_rows(
+    workload, tmp_path, delivery_shards, written_by_parent_commit
+):
+    """Durability roots written while serving placement was an option
+    persist whatever ``serving_shards`` that option produced.  The key
+    still only shapes the rebuilt cache — rows re-split by user hash on
+    load — so such a root recovers to exactly the served rows a root
+    written today (``serving_shards`` = delivery shards) recovers to."""
+    import json
+
+    from repro.durability.recover import recover
+
+    graph, stream, _reference = workload
+    root = tmp_path / "root-serving"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--ranked",
+            "--query-qps",
+            "20",
+            "--delivery-shards",
+            str(delivery_shards),
+            "--wal-dir",
+            str(root),
+            "--snapshot-interval",
+            "15",
+            "--no-wal-gc",
+        ]
+    ) == 0
+    config_path = root / "config.json"
+    config = json.loads(config_path.read_text())
+    assert config["serving_shards"] == delivery_shards
+
+    def served_rows() -> dict:
+        result = recover(root)
+        try:
+            assert result.serving is not None
+            return result.serving.dump()
+        finally:
+            result.close()
+
+    today = served_rows()
+    assert today  # the snapshots carried a serving component
+    config_path.write_text(
+        json.dumps({**config, **written_by_parent_commit}, indent=1)
+    )
+    assert served_rows() == today

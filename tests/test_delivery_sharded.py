@@ -397,3 +397,123 @@ class TestShardedShmWire:
             if os.path.exists(path)
         ]
         assert leaked == []
+
+
+# ----------------------------------------------------------------------
+# Topology level: the cache writer lives where the funnel lives
+# ----------------------------------------------------------------------
+
+def _dedup_funnel(_shard: int) -> DeliveryPipeline:
+    return DeliveryPipeline(filters=[DedupFilter()])
+
+
+class TestServingPlacementIsDerived:
+    """``StreamingTopology`` has no placement option: it reads
+    ``delivery.serving`` when the delivery shards own their caches and
+    taps ``serving=`` in front of a single funnel otherwise — and the two
+    end in the same deliveries and the same served rows."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.gen import (
+            StreamConfig,
+            TwitterGraphConfig,
+            generate_event_stream,
+            generate_follow_graph,
+        )
+
+        snapshot = generate_follow_graph(
+            TwitterGraphConfig(num_users=500, mean_followings=10.0, seed=19)
+        )
+        events = generate_event_stream(
+            StreamConfig(
+                num_users=500, duration=60.0, background_rate=4.0, seed=19
+            )
+        )
+        return snapshot, events
+
+    @pytest.fixture(autouse=True)
+    def frozen_detection_clock(self, monkeypatch):
+        """The consumer maps *measured* detection wall-clock into virtual
+        time; pin it to zero so flush times — and with them every score —
+        are a function of the stream alone."""
+        from types import SimpleNamespace
+
+        from repro.streaming import consumer
+
+        monkeypatch.setattr(
+            consumer, "time", SimpleNamespace(perf_counter=lambda: 0.0)
+        )
+
+    def _run(self, workload, delivery, serving=None):
+        from repro.cluster import Cluster, ClusterConfig
+        from repro.core import DetectionParams
+        from repro.sim.latency import FixedDelay
+        from repro.streaming import StreamingTopology
+
+        snapshot, events = workload
+        cluster = Cluster.build(
+            snapshot,
+            DetectionParams(k=2, tau=600.0),
+            ClusterConfig(num_partitions=2),
+        )
+        try:
+            topology = StreamingTopology(
+                cluster,
+                delivery=delivery,
+                hop_models={
+                    name: FixedDelay(0.5)
+                    for name in ("firehose", "fanout", "push")
+                },
+                batch_size=8,
+                delivery_batch_size=32,
+                ranked_k=2,
+                serving=serving,
+            )
+            report = topology.run(list(events))
+        finally:
+            cluster.close()
+        delivered = sorted(
+            (
+                n.recipient,
+                n.recommendation.candidate,
+                n.recommendation.created_at,
+            )
+            for n in report.notifications
+        )
+        return delivered, topology
+
+    @pytest.mark.parametrize(
+        "transport", ["inprocess", pytest.param("shm", marks=needs_shm)]
+    )
+    def test_shard_owned_caches_match_single_funnel_parent_cache(
+        self, workload, transport
+    ):
+        parent_cache = ServingCache(k=2)
+        expected, parent = self._run(workload, _dedup_funnel(0), parent_cache)
+        assert parent.serving is parent_cache
+        assert expected and parent_cache.users_cached > 0
+        with ShardedDeliveryPipeline(
+            2,
+            pipeline_factory=_dedup_funnel,
+            transport=transport,
+            serving=ServingCacheConfig(k=2),
+        ) as sharded:
+            got, topology = self._run(workload, sharded)
+            assert topology.serving is sharded.serving
+            assert got == expected
+            assert _served(sharded.serving.state_arrays()) == _served(
+                parent_cache.state_arrays()
+            )
+            # The shards were the only writers: a coalescer that tapped
+            # as well would have merged every row twice.
+            assert sharded.serving.rows_ingested == parent_cache.rows_ingested
+
+    def test_tapping_a_cache_on_top_of_shard_owned_ones_is_rejected(
+        self, workload
+    ):
+        with ShardedDeliveryPipeline(
+            2, pipeline_factory=_dedup_funnel, serving=ServingCacheConfig(k=2)
+        ) as sharded:
+            with pytest.raises(ValueError, match="write every row twice"):
+                self._run(workload, sharded, serving=ServingCache(k=2))

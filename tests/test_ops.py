@@ -335,6 +335,9 @@ class TestServingGauges:
         assert snap["serving_hit_rate"] == 0.5
         assert snap["serving_cache_users"] == 2.0
         assert snap["serving_bytes_per_user"] > 0
+        # A lone cache is its own single shard: same per-shard gauges.
+        assert snap["serving_shard_0_users"] == 2.0
+        assert snap["serving_shard_0_writer_lag_updates"] == 0.0
 
     def test_serving_gauges_absent_without_cache(self, figure1_snapshot):
         cluster = Cluster.build(
@@ -426,6 +429,15 @@ class TestServingGauges:
             assert snap["serving_shard_0_writer_lag_updates"] == 2.0
             assert snap["serving_shard_0_generation"] >= 1.0
             assert snap["serving_shard_0_attaches"] >= 0.0
+            # One shard_stats() schema whichever process holds the pen:
+            # the writer's own row has the reader's keys, with no lag.
+            [attached], [own] = reader.shard_stats(), writer.shard_stats()
+            assert sorted(attached) == sorted(own) == sorted(
+                "users updates rows_ingested evictions nbytes generation "
+                "attaches writer_lag_updates last_now".split()
+            )
+            assert own["writer_lag_updates"] == 0.0
+            assert own["rows_ingested"] == attached["rows_ingested"] == 2.0
         finally:
             reader.close()
             writer.close()

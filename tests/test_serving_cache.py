@@ -1,6 +1,10 @@
 """Unit + property + concurrency tests for the serving-tier read cache.
 
-Three layers of guarantee:
+Three layers of guarantee, the backing-sensitive ones (merge fold, TTL,
+read-time re-decay, the seqlock contract) over both backings — the
+``new_cache`` fixture builds heap caches, and each ``...Arena`` subclass
+reruns its base class over a shm-arena writer read through an attached
+``ServingCacheReader`` (test ids stay what they were for the heap runs):
 
 * unit tests pin the merge semantics (replace-in-place, latest-wins
   dedup, top-k cut, growth) and the ingest adapters the delivery taps
@@ -14,6 +18,7 @@ Three layers of guarantee:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -21,10 +26,89 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import shm_available
+from repro.cluster.shm import sweep_segments
 from repro.core import ActionType, EdgeEvent, Recommendation
 from repro.core.recommendation import RecommendationBatch, RecommendationGroup
 from repro.delivery.scoring import decayed_scores
-from repro.serving import ServedRecommendation, ServingCache, ShardedServingCache
+from repro.serving import (
+    ServedRecommendation,
+    ServingCache,
+    ServingCacheReader,
+    ShardedServingCache,
+    create_serving_arena,
+)
+
+needs_shm = pytest.mark.skipif(
+    not shm_available(), reason="POSIX shared memory unavailable on this host"
+)
+
+
+class ArenaPair:
+    """An arena-backed writer plus an attached reader, in one process.
+
+    Stands in for a ``ServingCache`` in a test body: everything a reader
+    can ask goes through the attached ``ServingCacheReader`` (the path a
+    parent process takes), the rest — merges, sweeps, ``_header`` — to
+    the writer.
+    """
+
+    READS = frozenset(
+        "get_recommendations dump state_arrays users_cached hits misses "
+        "hit_rate updates evictions".split()
+    )
+
+    def __init__(self, spec):
+        self.writer = ServingCache.attach_writer(spec)
+        self.reader = ServingCacheReader(spec)
+
+    def __getattr__(self, name):
+        return getattr(self.reader if name in self.READS else self.writer, name)
+
+    def close(self):
+        self.reader.close()
+        self.writer.close()
+
+
+@contextlib.contextmanager
+def arena_caches():
+    """A ``ServingCache``-shaped factory over the arena backing; every
+    segment it made is gone on exit, whatever the test did."""
+    specs, pairs = [], []
+
+    def build(**shape):
+        specs.append(create_serving_arena(**shape))
+        pairs.append(ArenaPair(specs[-1]))  # may raise: shape validation
+        return pairs[-1]
+
+    try:
+        yield build
+    finally:
+        for pair in pairs:
+            pair.close()
+        sweep_segments([spec.control_name for spec in specs])
+
+
+@pytest.fixture
+def new_cache():
+    """Builds the cache under test: heap here, arena in ``ArenaBacked``."""
+    return ServingCache
+
+
+class ArenaBacked:
+    """Mixin: rerun a test class with ``new_cache`` on the arena backing."""
+
+    pytestmark = needs_shm
+
+    @pytest.fixture
+    def new_cache(self):
+        with arena_caches() as build:
+            yield build
+
+
+def reading_side(cache):
+    """The object whose ``_view()`` the cache's reads go through."""
+    return getattr(cache, "reader", cache)
 
 
 def update(cache, rows):
@@ -224,9 +308,9 @@ class TestTTLEviction:
             if rows and max(r.created_at for r in rows) >= now - ttl
         }
 
-    def test_evict_dormant_matches_filter_then_rebuild(self):
+    def test_evict_dormant_matches_filter_then_rebuild(self, new_cache):
         rng = np.random.default_rng(3)
-        cache = ServingCache(k=2, ttl=100.0)
+        cache = new_cache(k=2, ttl=100.0)
         update(
             cache,
             [
@@ -245,8 +329,8 @@ class TestTTLEviction:
         assert dropped > 0  # created_at spans [0, 300): some are dormant
         assert cache.evictions == dropped
 
-    def test_newest_entry_governs_dormancy(self):
-        cache = ServingCache(k=2, ttl=100.0)
+    def test_newest_entry_governs_dormancy(self, new_cache):
+        cache = new_cache(k=2, ttl=100.0)
         # One stale entry plus one fresh entry: the user stays, whole row
         # intact — dormancy is per user, not per entry.
         update(cache, [(1, 10, 2.0, 0.0), (1, 11, 1.0, 190.0)])
@@ -255,16 +339,16 @@ class TestTTLEviction:
         assert sorted(cache.dump()) == [1]
         assert len(cache.dump()[1]) == 2
 
-    def test_evicted_user_is_a_miss_then_reinsertable(self):
-        cache = ServingCache(k=2, ttl=50.0)
+    def test_evicted_user_is_a_miss_then_reinsertable(self, new_cache):
+        cache = new_cache(k=2, ttl=50.0)
         update(cache, [(1, 10, 1.0, 0.0)])
         cache.evict_dormant(now=100.0)
         assert cache.get_recommendations(1) == []
         update(cache, [(1, 12, 3.0, 100.0)])
         assert [r.candidate for r in cache.get_recommendations(1)] == [12]
 
-    def test_grow_path_reclaims_dormant_slots_before_doubling(self):
-        cache = ServingCache(k=2, capacity=8, ttl=100.0)  # load cap: 4
+    def test_grow_path_reclaims_dormant_slots_before_doubling(self, new_cache):
+        cache = new_cache(k=2, capacity=8, ttl=100.0)  # load cap: 4
         cache.update_columns(
             np.arange(4, dtype=np.int64),
             np.full(4, 7, np.int64),
@@ -287,8 +371,8 @@ class TestTTLEviction:
         assert sorted(cache.dump()) == [100, 101, 102, 103]
         assert cache.nbytes() == bytes_before
 
-    def test_evict_without_ttl_is_a_noop(self):
-        cache = ServingCache(k=2)
+    def test_evict_without_ttl_is_a_noop(self, new_cache):
+        cache = new_cache(k=2)
         update(cache, [(1, 10, 1.0, 0.0)])
         assert cache.evict_dormant(now=1e9) == 0
         assert cache.users_cached == 1
@@ -301,14 +385,18 @@ class TestTTLEviction:
         assert sharded.evictions == 30
         assert sharded.users_cached == 10
 
-    def test_ttl_validated(self):
+    def test_ttl_validated(self, new_cache):
         with pytest.raises(ValueError):
-            ServingCache(k=2, ttl=0.0)
+            new_cache(k=2, ttl=0.0)
+
+
+class TestTTLEvictionArena(ArenaBacked, TestTTLEviction):
+    pass
 
 
 class TestReadTimeRedecay:
-    def test_scores_bitwise_match_shared_kernel(self):
-        cache = ServingCache(k=2, half_life=300.0)
+    def test_scores_bitwise_match_shared_kernel(self, new_cache):
+        cache = new_cache(k=2, half_life=300.0)
         rec = Recommendation(recipient=1, candidate=7, created_at=10.0, via=(1, 2, 3))
         cache.ingest_released([rec], now=20.0)
         later = 500.0
@@ -319,11 +407,11 @@ class TestReadTimeRedecay:
         assert served.score == expected  # bitwise: same kernel, same inputs
         assert served.candidate == 7 and served.created_at == 10.0
 
-    def test_redecay_corrects_cross_refresh_staleness(self):
+    def test_redecay_corrects_cross_refresh_staleness(self, new_cache):
         # Two entries whose *stored* scores were frozen at different
         # refresh times: A's stale score still ranks it first, but at any
         # common now the fresher B wins — re-decay must flip the order.
-        cache = ServingCache(k=2, half_life=300.0)
+        cache = new_cache(k=2, half_life=300.0)
         cache.update_columns(
             np.array([1, 1], dtype=np.int64),
             np.array([10, 11], dtype=np.int64),
@@ -342,11 +430,11 @@ class TestReadTimeRedecay:
         )
         assert [r.score for r in served] == expected.tolist()
 
-    def test_unwitnessed_entries_redecay_as_one_witness(self):
+    def test_unwitnessed_entries_redecay_as_one_witness(self, new_cache):
         # update_columns without a witnesses column stores 1 per entry —
         # the same clamp floor the kernel applies — so re-decay of rows
         # that never carried corroboration is still well-defined.
-        cache = ServingCache(k=2, half_life=100.0)
+        cache = new_cache(k=2, half_life=100.0)
         update(cache, [(1, 10, 99.0, 50.0)])
         [served] = cache.get_recommendations(1, now=150.0)
         expected = decayed_scores(
@@ -354,15 +442,19 @@ class TestReadTimeRedecay:
         )[0]
         assert served.score == expected
 
-    def test_read_k_still_caps_after_rerank(self):
-        cache = ServingCache(k=3, half_life=300.0)
+    def test_read_k_still_caps_after_rerank(self, new_cache):
+        cache = new_cache(k=3, half_life=300.0)
         update(cache, [(1, 10, 3.0, 0.0), (1, 11, 2.0, 0.0), (1, 12, 1.0, 0.0)])
         assert len(cache.get_recommendations(1, k=2, now=10.0)) == 2
 
-    def test_now_is_optional_and_preserves_stored_scores(self):
-        cache = ServingCache(k=2)
+    def test_now_is_optional_and_preserves_stored_scores(self, new_cache):
+        cache = new_cache(k=2)
         update(cache, [(1, 10, 3.5, 0.0)])
         assert cache.get_recommendations(1) == [ServedRecommendation(10, 3.5, 0.0)]
+
+
+class TestReadTimeRedecayArena(ArenaBacked, TestReadTimeRedecay):
+    pass
 
 
 class TestWitnessPersistence:
@@ -432,13 +524,28 @@ def reference_fold(updates, k):
     }
 
 
-@settings(max_examples=200, deadline=None)
-@given(updates=st.lists(st.lists(ROW, min_size=1, max_size=12), max_size=8))
-def test_update_columns_matches_reference_fold(updates):
-    cache = ServingCache(k=2, capacity=8)
+UPDATES = st.lists(st.lists(ROW, min_size=1, max_size=12), max_size=8)
+
+
+def fold_matches_reference(new_cache, updates):
+    cache = new_cache(k=2, capacity=8)
     for rows in updates:
         update(cache, rows)
     assert cache.dump() == reference_fold(updates, k=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates=UPDATES)
+def test_update_columns_matches_reference_fold(updates):
+    fold_matches_reference(ServingCache, updates)
+
+
+@needs_shm
+@settings(max_examples=100, deadline=None)
+@given(updates=UPDATES)
+def test_update_columns_matches_reference_fold_over_arena(updates):
+    with arena_caches() as new_cache:
+        fold_matches_reference(new_cache, updates)
 
 
 # ----------------------------------------------------------------------
@@ -453,9 +560,9 @@ class TestSeqlockUnderConcurrency:
     SCORE_FACTOR = 0.5
     CREATED_FACTOR = 2.0
 
-    def test_readers_never_observe_torn_rows(self):
+    def test_readers_never_observe_torn_rows(self, new_cache):
         num_users = 400
-        cache = ServingCache(k=2, capacity=16)  # small: grows under load
+        cache = new_cache(k=2, capacity=16)  # small: grows under load
         stop = threading.Event()
         writer_error: list[BaseException] = []
 
@@ -492,11 +599,54 @@ class TestSeqlockUnderConcurrency:
         assert not writer_error, f"writer failed: {writer_error[0]!r}"
         assert cache.users_cached > 0
 
-    def test_wedged_writer_raises_instead_of_spinning_forever(self):
-        cache = ServingCache(k=2)
-        cache._version[0] = 1  # simulate a writer that died mid-rebuild
+    def test_wedged_writer_raises_instead_of_spinning_forever(self, new_cache):
+        cache = new_cache(k=2)
+        cache._header[0] = 1  # simulate a writer that died mid-rebuild
         with pytest.raises(RuntimeError, match="did not stabilize"):
             cache.get_recommendations(1)
+        with pytest.raises(RuntimeError, match="did not stabilize"):
+            cache.state_arrays()
+
+    def test_read_never_mixes_one_generation_with_anothers_capacity(
+        self, new_cache, monkeypatch
+    ):
+        """A point read takes its probe mask and every array from the one
+        published view it picked up — so a view of capacity C is answered
+        (consistently, from that view) or rejected even though the table
+        has moved on to 2C, and the other way round.
+
+        The parent commit's heap reader did not: ``Int64KeyTable.find``
+        read ``_capacity`` and ``_keys``/``_filled`` separately, and
+        ``_allocate`` stores the new ``_capacity`` before the new arrays,
+        so a probe issued inside that window masked with 2C - 1 into the
+        C-slot arrays and ``IndexError: index 14 is out of bounds for
+        axis 0 with size 8`` escaped ``get_recommendations`` (the retry
+        loop only knows stamps).  The arena reader never could; now both
+        are the same reader.
+        """
+        grown, fresh = new_cache(k=2, capacity=16), new_cache(k=2, capacity=16)
+        few = [(u, u + 100, float(u), 0.0) for u in range(8)]
+        update(grown, few)
+        small = reading_side(grown)._view()
+        served_small = grown.dump()
+        update(grown, [(u, u + 100, float(u), 0.0) for u in range(8, 300)])
+        big = reading_side(grown)._view()
+        served_big = grown.dump()
+        assert len(small["keys"]) == 16 and len(big["keys"]) >= 32
+
+        # Table at 2C+, reader handed the view of C — and the mirror:
+        # table still at C, reader handed a view of 2C+.
+        for cache, view, served in (
+            (grown, small, served_small),
+            (fresh, big, served_big),
+        ):
+            monkeypatch.setattr(reading_side(cache), "_view", lambda v=view: v)
+            for user in range(300):
+                assert cache.get_recommendations(user) == served.get(user, [])
+
+
+class TestSeqlockUnderConcurrencyArena(ArenaBacked, TestSeqlockUnderConcurrency):
+    pass
 
 
 # ----------------------------------------------------------------------
@@ -572,39 +722,3 @@ class TestDeliveryTaps:
         assert {u: [r.candidate for r in row] for u, row in dump.items()} == {
             1: [7], 2: [7], 5: [8],
         }
-
-    def test_sharded_delivery_tap_feeds_shard_mirrored_cache(self):
-        from repro.delivery import DeliveryPipeline, PushNotifier
-        from repro.delivery.sharded import ShardedDeliveryPipeline
-
-        num_shards = 2
-        cache = ShardedServingCache(num_shards=num_shards, k=2)
-        pipeline = ShardedDeliveryPipeline(
-            num_shards=num_shards,
-            pipeline_factory=lambda shard: DeliveryPipeline(
-                filters=[], notifier=PushNotifier()
-            ),
-            serving_tap=cache.ingest_notifications,
-        )
-        try:
-            batch = RecommendationBatch(
-                [
-                    RecommendationGroup(
-                        np.arange(40, dtype=np.int64),
-                        candidate=3,
-                        created_at=0.0,
-                        via=(9,),
-                    )
-                ]
-            )
-            delivered = pipeline.offer_batch(batch, now=1.0)
-            assert len(delivered) == 40
-            assert cache.users_cached == 40
-            one = pipeline.offer(
-                Recommendation(recipient=77, candidate=4, created_at=1.0, via=(9,)),
-                now=2.0,
-            )
-            assert one is not None
-            assert [r.candidate for r in cache.get_recommendations(77)] == [4]
-        finally:
-            pipeline.close()
