@@ -72,7 +72,7 @@ def workload():
 def reference(workload):
     snapshot, events = workload
     engine = bench_engine(snapshot, track_latency=False)
-    recs = engine.process_stream(events)
+    recs = [rec for event in events for rec in engine.process(event)]
     return sorted((r.created_at, r.recipient, r.candidate) for r in recs)
 
 

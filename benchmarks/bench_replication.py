@@ -92,7 +92,7 @@ def test_failover_preserves_results(benchmark, workload, report):
     recs_with_failure = benchmark.pedantic(run_with_failure, rounds=1, iterations=1)
 
     healthy = bench_cluster(snapshot, num_partitions=2, replication_factor=1)
-    expected = healthy.process_stream(events)
+    expected = [rec for event in events for rec in healthy.process_event(event)]
 
     got = sorted((r.created_at, r.recipient, r.candidate) for r in recs_with_failure)
     want = sorted((r.created_at, r.recipient, r.candidate) for r in expected)

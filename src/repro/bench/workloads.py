@@ -216,11 +216,12 @@ def hub_burst_stream_config(
 
 
 def drive_stream(system, events: list[EdgeEvent], batch_size: int = 1):
-    """Replay *events* through an engine or cluster, optionally batched.
+    """Replay *events* through an engine or cluster in micro-batches.
 
-    ``batch_size == 1`` uses the per-event path; larger sizes chunk the
-    stream into columnar :class:`~repro.core.batch.EventBatch` micro-batches
-    (identical output either way).  Returns all emitted recommendations.
+    The stream is chunked into columnar
+    :class:`~repro.core.batch.EventBatch` micro-batches of ``batch_size``
+    (one-event batches at the default of 1; identical output at any
+    size).  Returns all emitted recommendations.
     """
     return system.process_stream(events, batch_size=batch_size)
 

@@ -51,6 +51,7 @@ from repro.serving import (
     ServingCacheConfig,
     ServingFrontend,
     ShardedServingCache,
+    ShardedServingCacheReader,
 )
 from repro.graph import (
     DynamicEdgeIndex,
@@ -113,7 +114,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=1,
-        help="columnar micro-batch size for ingestion (1 = per-event)",
+        help="columnar micro-batch size for ingestion (only a size: 1 = "
+        "one-event batches through the same path)",
     )
 
     simulate = commands.add_parser("simulate", help="end-to-end latency simulation")
@@ -127,7 +129,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=1,
-        help="detection-consumer micro-batch size (1 = per-event)",
+        help="detection-consumer micro-batch size (only a size: 1 = "
+        "one-event batches through the same flush, and no path:batching "
+        "stage is reported)",
     )
     simulate.add_argument(
         "--max-batch-wait",
@@ -140,7 +144,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="coalesce candidate batches until this many raw candidates "
-        "are pending before one funnel dispatch (1 = per-batch)",
+        "are pending before one funnel dispatch (only a size: 1 = every "
+        "candidate batch is its own window through the same flush, and no "
+        "path:delivery-batching stage is reported)",
     )
     simulate.add_argument(
         "--delivery-max-wait",
@@ -315,7 +321,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="delivered CSV from an uninterrupted reference run; checks "
         "that the recovered (recipient, candidate, created_at) multiset "
         "equals the reference restricted to the events the WAL retained "
-        "(exit 1 on mismatch; exact under --hop-median 0)",
+        "(exit 1 on mismatch; exact under --hop-median 0; exit 2 for a "
+        "root that ran --delivery-batch-size > 1 or --adaptive, whose "
+        "window boundaries the WAL does not record)",
     )
 
     serve = commands.add_parser(
@@ -505,7 +513,29 @@ def _hop_model_overrides(args: argparse.Namespace):
     }
 
 
+def _simulate_arg_error(args: argparse.Namespace) -> str | None:
+    """The first invalid ``simulate`` argument, found before anything is
+    built: under ``--transport process|shm`` the cluster and the delivery
+    shards are worker processes, which a late exception would leak."""
+    for flag, value in (
+        ("--delivery-shards", args.delivery_shards),
+        ("--serving-ttl", args.serving_ttl),
+        ("--query-qps", args.query_qps),
+    ):
+        if value is not None and value <= 0:
+            return f"{flag} must be positive, got {value}"
+    if args.slo_p99 is not None and not args.adaptive:
+        return "--slo-p99 requires --adaptive"
+    if args.snapshot_interval is not None and args.wal_dir is None:
+        return "--snapshot-interval requires --wal-dir"
+    return None
+
+
 def _cmd_simulate(args: argparse.Namespace, out) -> int:
+    error = _simulate_arg_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     snapshot = GraphSnapshot.load(args.graph)
     events = _load_stream(args.stream)
     promote_threshold = None
@@ -514,6 +544,16 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         # the recorded deque/ring cost crossover when the bench trajectory
         # is available (falls back to the module default otherwise).
         promote_threshold = derive_promote_threshold()
+    serving_k = args.ranked_k if args.ranked else 2
+    serving_config = None
+    if args.query_qps is not None:
+        serving_config = ServingCacheConfig(k=serving_k, ttl=args.serving_ttl)
+    controller_config = None
+    if args.adaptive:
+        controller_config = ControllerConfig(
+            interval=args.controller_interval,
+            slo_p99=args.slo_p99,
+        )
     cluster = Cluster.build(
         snapshot,
         DetectionParams(k=args.k, tau=args.tau),
@@ -523,84 +563,70 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
             promote_threshold=promote_threshold,
         ),
     )
-    require_positive(args.delivery_shards, "--delivery-shards")
-    serving_k = args.ranked_k if args.ranked else 2
-    if args.serving_ttl is not None:
-        require_positive(args.serving_ttl, "--serving-ttl")
-    serving_config = None
-    if args.query_qps is not None:
-        require_positive(args.query_qps, "--query-qps")
-        serving_config = ServingCacheConfig(k=serving_k, ttl=args.serving_ttl)
-    # The cache writer lives where the funnel lives: the shards of a
-    # sharded funnel each own theirs, a single funnel's is tapped here.
-    serving = None
-    if args.delivery_shards > 1:
-        delivery = ShardedDeliveryPipeline(
-            args.delivery_shards,
-            pipeline_factory=_delivery_shard_pipeline,
-            transport=args.transport,
-            serving=serving_config,
-        )
-    else:
-        delivery = _delivery_shard_pipeline(0)
-        if serving_config is not None:
-            serving = ServingCache(**serving_config._asdict())
-    controller_config = None
-    if args.adaptive:
-        controller_config = ControllerConfig(
-            interval=args.controller_interval,
-            slo_p99=args.slo_p99,
-        )
-    elif args.slo_p99 is not None:
-        print("error: --slo-p99 requires --adaptive", file=sys.stderr)
-        cluster.close()
-        return 2
-    durability = None
-    if args.snapshot_interval is not None and args.wal_dir is None:
-        print("error: --snapshot-interval requires --wal-dir", file=sys.stderr)
-        cluster.close()
-        return 2
-    if args.wal_dir is not None:
-        root = prepare_root(
-            args.wal_dir,
-            snapshot,
-            {
-                "k": args.k,
-                "tau": args.tau,
-                "num_partitions": args.partitions,
-                "transport": args.transport,
-                "batch_size": args.batch_size,
-                "seed": args.seed,
-                # Recovery rebuilds the serving cache with this shape:
-                # one cache shard per delivery shard.
-                "serving_shards": args.delivery_shards,
-                "serving_k": serving_k,
-            },
-        )
-        durability = DurabilityManager(
-            root,
-            fsync_every=args.wal_fsync_every,
-            throttle_seconds=args.wal_throttle,
-            gc_segments=not args.no_wal_gc,
-        )
-    topology = StreamingTopology(
-        cluster,
-        delivery=delivery,
-        hop_models=_hop_model_overrides(args),
-        seed=args.seed,
-        batch_size=args.batch_size,
-        max_wait=args.max_batch_wait,
-        delivery_batch_size=args.delivery_batch_size,
-        delivery_max_wait=args.delivery_max_wait,
-        ranked_k=args.ranked_k if args.ranked else None,
-        controller_config=controller_config,
-        serving=serving,
-        query_qps=args.query_qps,
-        query_users=snapshot.num_users,
-        durability=durability,
-        snapshot_interval=args.snapshot_interval,
-    )
+    delivery = durability = None
     try:
+        # The cache writer lives where the funnel lives: the shards of a
+        # sharded funnel each own theirs, a single funnel's is tapped here.
+        serving = None
+        if args.delivery_shards > 1:
+            delivery = ShardedDeliveryPipeline(
+                args.delivery_shards,
+                pipeline_factory=_delivery_shard_pipeline,
+                transport=args.transport,
+                serving=serving_config,
+            )
+        else:
+            delivery = _delivery_shard_pipeline(0)
+            if serving_config is not None:
+                serving = ServingCache(**serving_config._asdict())
+        if args.wal_dir is not None:
+            root = prepare_root(
+                args.wal_dir,
+                snapshot,
+                {
+                    "k": args.k,
+                    "tau": args.tau,
+                    "num_partitions": args.partitions,
+                    "transport": args.transport,
+                    "batch_size": args.batch_size,
+                    "seed": args.seed,
+                    # Recovery ends each replayed delivery window the way
+                    # the run did: same ranker, and — only reproducible at
+                    # size 1 with no controller retuning it — same window.
+                    "ranked_k": args.ranked_k if args.ranked else None,
+                    "delivery_batch_size": args.delivery_batch_size,
+                    "adaptive": args.adaptive,
+                    # ...and rebuilds the serving cache with this shape:
+                    # one cache shard per delivery shard.
+                    "serving": serving_config is not None,
+                    "serving_shards": args.delivery_shards,
+                    "serving_k": serving_k,
+                    "serving_ttl": args.serving_ttl,
+                },
+            )
+            durability = DurabilityManager(
+                root,
+                fsync_every=args.wal_fsync_every,
+                throttle_seconds=args.wal_throttle,
+                gc_segments=not args.no_wal_gc,
+            )
+        topology = StreamingTopology(
+            cluster,
+            delivery=delivery,
+            hop_models=_hop_model_overrides(args),
+            seed=args.seed,
+            batch_size=args.batch_size,
+            max_wait=args.max_batch_wait,
+            delivery_batch_size=args.delivery_batch_size,
+            delivery_max_wait=args.delivery_max_wait,
+            ranked_k=args.ranked_k if args.ranked else None,
+            controller_config=controller_config,
+            serving=serving,
+            query_qps=args.query_qps,
+            query_users=snapshot.num_users,
+            durability=durability,
+            snapshot_interval=args.snapshot_interval,
+        )
         result = topology.run(events)
     finally:
         cluster.close()
@@ -637,6 +663,11 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
             f"materialized, {topology.serving.bytes_per_user():.0f} bytes/user",
             file=out,
         )
+        if isinstance(topology.serving, ShardedServingCacheReader):
+            # The readers outlive the shards' close on purpose (the lines
+            # above read their pinned mappings); drop them here rather
+            # than leave the mappings to GC order.
+            topology.serving.close()
     if durability is not None:
         stats = durability.stats()
         print(
@@ -696,6 +727,23 @@ def _cmd_recover(args: argparse.Namespace, out) -> int:
                 f"{args.dump_delivered}",
                 file=out,
             )
+        if not result.windows_reproducible:
+            print(
+                "warning: this root ran with a delivery window wider than "
+                "one candidate batch (--delivery-batch-size > 1 or "
+                "--adaptive); its window boundaries depended on measured "
+                "detection time and are not in the WAL, so the ledger above "
+                "was replayed one origin event per window and only "
+                "approximates the crashed run's",
+                file=sys.stderr,
+            )
+            if args.verify_prefix is not None:
+                print(
+                    "error: --verify-prefix cannot judge a root whose "
+                    "delivery windows are not reproducible",
+                    file=sys.stderr,
+                )
+                return 2
         if args.verify_prefix is not None:
             return _verify_prefix(args.verify_prefix, result, out)
         return 0

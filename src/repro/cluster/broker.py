@@ -95,20 +95,31 @@ class Broker:
         Raises:
             RuntimeError: under a cross-process transport — the replica
                 sets live in the workers; use the transport's control
-                messages (``health``, ``prune``) instead.
+                messages (``health``, ``prune``) instead, and
+                :meth:`process_batch` to route events.
         """
         local = self.transport.local_replica_sets
         if local is None:
             raise RuntimeError(
                 "replica sets are not local under this transport; use "
-                "transport.health() / transport.prune() control messages"
+                "transport.health() / transport.prune() control messages "
+                "(and process_batch, not process_event, to route events)"
             )
         return local
 
     def process_event(
         self, event: EdgeEvent, now: float | None = None
     ) -> tuple[list[Recommendation], float]:
-        """Route one live edge through the whole cluster.
+        """Route one live edge through the local partitions, boxed.
+
+        The per-event *reference*: a plain loop over the replica sets'
+        ``ingest`` (``on_edge`` per detector, one boxed
+        :class:`Recommendation` per candidate), which the equivalence
+        suites and E24's ``verify.py`` compare the batched path against.
+        No ``batch_size`` reaches it — streams, the consumer and replay
+        all go through :meth:`process_batch`, one-event batches included
+        — and it never crosses a process boundary: under a worker
+        transport :attr:`replica_sets` raises.
 
         Returns the gathered candidates and the virtual fan-out latency
         (the slowest partition's ack, since the gather barrier waits for
@@ -119,17 +130,21 @@ class Broker:
         keeps serving the healthy shards, trading completeness for
         availability exactly like the production system would.
         """
+        from repro.cluster.replica import AllReplicasDown
+
+        replica_sets = self.replica_sets
         gathered: list[Recommendation] = []
         worst_latency = 0.0
         self.stats.events_routed += 1
-        self.stats.fan_out_calls += self.transport.num_partitions
-        self.transport.submit_event(event, now)
-        for reply in self.transport.gather_event():
-            if reply.lost:
+        self.stats.fan_out_calls += len(replica_sets)
+        for replica_set in replica_sets:
+            try:
+                local, latency = replica_set.ingest(event, now)
+            except AllReplicasDown:
                 self.stats.partitions_lost_events += 1
                 continue
-            worst_latency = max(worst_latency, reply.latency)
-            gathered.extend(reply.recommendations)
+            worst_latency = max(worst_latency, latency)
+            gathered.extend(local)
         self.stats.gather_results += len(gathered)
         return gathered, worst_latency
 

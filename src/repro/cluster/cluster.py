@@ -202,7 +202,8 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def process_event(self, event: EdgeEvent) -> list[Recommendation]:
-        """Route one live edge through broker and partitions."""
+        """Route one live edge through broker and partitions (the boxed
+        per-event reference; in-process transport only)."""
         recommendations, _latency = self.broker.process_event(event)
         return recommendations
 
@@ -226,39 +227,36 @@ class Cluster:
     ) -> list[Recommendation]:
         """Route a whole stream; returns all gathered candidates.
 
-        ``batch_size > 1`` routes the stream through the columnar
-        :meth:`process_batch` path in chunks of that size.
+        The stream goes through the columnar :meth:`process_batch` path in
+        chunks of ``batch_size`` — a size and nothing else: the default of
+        1 routes one-event batches down the same path (the boxed
+        :meth:`process_event` reference is only ever reached by name).
         ``pipeline_depth > 1`` keeps up to that many batches in flight
         (submit-ahead) before gathering the oldest — a no-op on the
         synchronous in-process transport, and the throughput mode on the
         worker transport, where the parent encodes the next batch while
         workers chew the previous ones.  Output order and content are
-        identical at any depth.
+        identical at any size and depth.
         """
         require_positive(batch_size, "batch_size")
         require_positive(pipeline_depth, "pipeline_depth")
-        if batch_size > 1:
-            out: list[Recommendation] = []
-            inflight = 0
+        out: list[Recommendation] = []
+        inflight = 0
 
-            def gather_oldest() -> None:
-                grouped, _latency = self.broker.gather_batch()
-                for per_event in grouped:
-                    out.extend(per_event)
+        def gather_oldest() -> None:
+            grouped, _latency = self.broker.gather_batch()
+            for per_event in grouped:
+                out.extend(per_event)
 
-            for batch in iter_event_batches(events, batch_size):
-                self.broker.submit_batch(batch)
-                inflight += 1
-                if inflight >= pipeline_depth:
-                    gather_oldest()
-                    inflight -= 1
-            while inflight:
+        for batch in iter_event_batches(events, batch_size):
+            self.broker.submit_batch(batch)
+            inflight += 1
+            if inflight >= pipeline_depth:
                 gather_oldest()
                 inflight -= 1
-            return out
-        out = []
-        for event in events:
-            out.extend(self.process_event(event))
+        while inflight:
+            gather_oldest()
+            inflight -= 1
         return out
 
     def query_audience(self, target: int, now: float) -> list[int]:

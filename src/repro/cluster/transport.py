@@ -57,8 +57,7 @@ from repro.core.checkpoint import (
     dynamic_index_arrays,
     restore_dynamic_arrays,
 )
-from repro.core.events import EdgeEvent
-from repro.core.recommendation import Recommendation, RecommendationBatch
+from repro.core.recommendation import RecommendationBatch
 from repro.core.wire import (
     FRAME_LOST,
     decode_event_batch,
@@ -89,7 +88,6 @@ __all__ = [
     "TRANSPORTS",
     "PartitionTransport",
     "PartitionReply",
-    "EventReply",
     "ReplicaHealthSnapshot",
     "PartitionHealthSnapshot",
     "InProcessTransport",
@@ -112,16 +110,6 @@ class PartitionReply:
 
     partition_id: int
     grouped: list[RecommendationBatch] | None
-    latency: float
-    lost: bool = False
-
-
-@dataclass(frozen=True)
-class EventReply:
-    """One partition's answer to a single submitted event."""
-
-    partition_id: int
-    recommendations: list[Recommendation] | None
     latency: float
     lost: bool = False
 
@@ -184,14 +172,6 @@ class PartitionTransport(Protocol):
 
     def gather_batch(self) -> list[PartitionReply]:
         """Collect every partition's reply for the oldest submitted batch."""
-        ...
-
-    def submit_event(self, event: EdgeEvent, now: float | None = None) -> None:
-        """Fan a single event out to every partition (per-event lane)."""
-        ...
-
-    def gather_event(self) -> list[EventReply]:
-        """Collect every partition's reply for the oldest submitted event."""
         ...
 
     def query_audience(
@@ -263,12 +243,13 @@ def _replica_set_health(
 class InProcessTransport:
     """The direct-call transport: partitions live in this process.
 
-    ``submit_*`` executes the work synchronously (there is no concurrency
-    to exploit in one interpreter) and parks the replies; ``gather_*``
-    hands them back FIFO, so the submit/gather protocol — including
-    pipelined submits — behaves identically to the worker transport, just
-    without the parallelism.  Virtual latency keeps coming from each
-    replica's :class:`~repro.cluster.rpc.SimulatedChannel`.
+    ``submit_batch`` executes the work synchronously (there is no
+    concurrency to exploit in one interpreter) and parks the replies;
+    ``gather_batch`` hands them back FIFO, so the submit/gather protocol
+    — including pipelined submits — behaves identically to the worker
+    transport, just without the parallelism.  Virtual latency keeps
+    coming from each replica's
+    :class:`~repro.cluster.rpc.SimulatedChannel`.
     """
 
     def __init__(self, replica_sets: "list[ReplicaSet]") -> None:
@@ -277,7 +258,6 @@ class InProcessTransport:
         )
         self.replica_sets = list(replica_sets)
         self._pending_batches: deque[list[PartitionReply]] = deque()
-        self._pending_events: deque[list[EventReply]] = deque()
 
     @property
     def num_partitions(self) -> int:
@@ -311,29 +291,6 @@ class InProcessTransport:
     def gather_batch(self) -> list[PartitionReply]:
         require(len(self._pending_batches) > 0, "gather without a submit")
         return self._pending_batches.popleft()
-
-    # ------------------------------------------------------------------
-    # Per-event lane
-    # ------------------------------------------------------------------
-
-    def submit_event(self, event: EdgeEvent, now: float | None = None) -> None:
-        from repro.cluster.replica import AllReplicasDown
-
-        replies: list[EventReply] = []
-        for replica_set in self.replica_sets:
-            try:
-                local, latency = replica_set.ingest(event, now)
-            except AllReplicasDown:
-                replies.append(
-                    EventReply(replica_set.partition_id, None, 0.0, lost=True)
-                )
-                continue
-            replies.append(EventReply(replica_set.partition_id, local, latency))
-        self._pending_events.append(replies)
-
-    def gather_event(self) -> list[EventReply]:
-        require(len(self._pending_events) > 0, "gather without a submit")
-        return self._pending_events.popleft()
 
     # ------------------------------------------------------------------
     # Control messages
@@ -403,7 +360,7 @@ class InProcessTransport:
         # Submitted-but-ungathered replies: the synchronous analogue of
         # the worker transports' request-queue depth, so backlog-driven
         # control behaves uniformly across all three transports.
-        return len(self._pending_batches) + len(self._pending_events)
+        return len(self._pending_batches)
 
     def close(self) -> None:  # nothing to release
         return None
@@ -419,12 +376,6 @@ def _control_reply(replica_set, message: tuple) -> tuple | None:
     from repro.cluster.replica import AllReplicasDown
 
     kind = message[0]
-    if kind == "event":
-        try:
-            local, latency = replica_set.ingest(message[1], message[2])
-        except AllReplicasDown:
-            return ("lost", None, 0.0)
-        return ("ok", local, latency)
     if kind == "audience":
         try:
             audience, latency = replica_set.query_audience(
@@ -696,22 +647,6 @@ class WorkerTransport:
             replies.append(
                 PartitionReply(partition_id, decode_grouped(raw[1]), raw[2])
             )
-        return replies
-
-    # ------------------------------------------------------------------
-    # Per-event lane
-    # ------------------------------------------------------------------
-
-    def submit_event(self, event: EdgeEvent, now: float | None = None) -> None:
-        self._submit("event", ("event", event, now))
-
-    def gather_event(self) -> list[EventReply]:
-        replies: list[EventReply] = []
-        for partition_id, raw in self._gather("event"):
-            if raw is None or raw[0] == "lost":
-                replies.append(EventReply(partition_id, None, 0.0, lost=True))
-                continue
-            replies.append(EventReply(partition_id, raw[1], raw[2]))
         return replies
 
     # ------------------------------------------------------------------

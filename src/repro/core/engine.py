@@ -244,18 +244,13 @@ class MotifEngine:
     ) -> list[Recommendation]:
         """Convenience: process a list of events, returning all candidates.
 
-        ``batch_size > 1`` drives the stream through the columnar
-        :meth:`process_batch` path in chunks of that size.
+        Drives the stream through the columnar :meth:`process_batch` path
+        in chunks of ``batch_size`` (one-event batches at the default of
+        1); the per-event reference is :meth:`process`, called by name.
         """
-        require(batch_size >= 1, f"batch_size must be >= 1, got {batch_size}")
-        if batch_size > 1:
-            recommendations = []
-            for batch in iter_event_batches(events, batch_size):
-                recommendations.extend(self.process_batch(batch))
-            return recommendations
         recommendations: list[Recommendation] = []
-        for event in events:
-            recommendations.extend(self.process(event))
+        for batch in iter_event_batches(events, batch_size):
+            recommendations.extend(self.process_batch(batch))
         return recommendations
 
     # ------------------------------------------------------------------

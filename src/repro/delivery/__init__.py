@@ -44,7 +44,11 @@ from repro.delivery.dedup import DedupFilter
 from repro.delivery.fatigue import FatigueFilter
 from repro.delivery.waking import WakingHoursFilter
 from repro.delivery.notifier import PushNotification, PushNotifier
-from repro.delivery.pipeline import DeliveryFilter, DeliveryPipeline
+from repro.delivery.pipeline import (
+    DeliveryFilter,
+    DeliveryPipeline,
+    release_window,
+)
 from repro.delivery.scoring import TopKPerUserBuffer, witness_score
 from repro.delivery.sharded import (
     DELIVERY_TRANSPORTS,
@@ -60,6 +64,7 @@ __all__ = [
     "PushNotifier",
     "DeliveryFilter",
     "DeliveryPipeline",
+    "release_window",
     "TopKPerUserBuffer",
     "witness_score",
     "DELIVERY_TRANSPORTS",

@@ -20,7 +20,7 @@ the paper's millions materialize, the billions never do.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -34,6 +34,11 @@ from repro.delivery.fatigue import FatigueFilter
 from repro.delivery.notifier import PushNotification, PushNotifier
 from repro.delivery.waking import WakingHoursFilter
 from repro.sim.metrics import FunnelCounter
+
+if TYPE_CHECKING:  # serving.cache imports from repro.delivery at runtime
+    from repro.core.recommendation import RecommendationBatch
+    from repro.delivery.scoring import TopKPerUserBuffer
+    from repro.serving.cache import ServingCache
 
 
 @runtime_checkable
@@ -211,3 +216,30 @@ class DeliveryPipeline:
     def reduction_ratio(self) -> float:
         """Raw candidates per delivered push (the paper's headline ratio)."""
         return self.funnel.reduction_ratio("raw", "delivered")
+
+
+def release_window(
+    candidates: "RecommendationBatch",
+    now: float,
+    delivery: DeliveryPipeline,
+    ranker: "TopKPerUserBuffer | None" = None,
+    serving: "ServingCache | None" = None,
+) -> list[PushNotification]:
+    """What the end of a delivery window does: rank, serving tap, funnel.
+
+    With a *ranker* the window is the ranking window — the candidates
+    buffer columnar, each user's top-k is released, and only those winners
+    go on; they stay flat columns end to end, and only delivered survivors
+    are ever boxed.  A *serving* cache merges the exact rows entering the
+    funnel (downstream accounting only: it never changes what the funnel
+    sees).  The live coalescer and WAL replay both end a window here, so
+    a recovered deployment ranks and serves what the crashed one did.
+    *delivery* is a :class:`DeliveryPipeline` or its sharded drop-in.
+    """
+    released: ColumnarRecommendations = candidates
+    if ranker is not None:
+        ranker.offer_batch(candidates)
+        released = ranker.flush(now)
+    if serving is not None:
+        serving.ingest_batch(released, now)
+    return delivery.offer_batch(released, now)

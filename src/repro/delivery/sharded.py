@@ -87,7 +87,7 @@ if TYPE_CHECKING:  # runtime imports are lazy: serving.cache imports from
         ShardedServingCache,
         ShardedServingCacheReader,
     )
-from repro.util.hashing import shard_ids, splitmix64
+from repro.util.hashing import shard_ids
 from repro.util.procpool import (
     WorkerHandle,
     default_start_method,
@@ -238,10 +238,6 @@ def _delivery_worker_main(state, wire: Wire) -> None:
                     serving.ingest_batch(batch, message[2])
                 delivered = pipeline.offer_batch(batch, message[2])
                 reply, framer = ("ok", delivered, stats()), _frame_reply
-            elif kind == "offer":
-                if serving is not None:
-                    serving.ingest_released([message[1]], message[2])
-                reply = ("ok", pipeline.offer(message[1], message[2]), stats())
             elif kind == "stats":
                 reply = ("ok", stats())
             else:
@@ -256,9 +252,11 @@ def _delivery_worker_main(state, wire: Wire) -> None:
 class ShardedDeliveryPipeline:
     """Recipient-hash-sharded funnel, drop-in where a pipeline is consumed.
 
-    Implements the ``offer`` / ``offer_all`` / ``offer_batch`` surface the
+    Implements the columnar ``offer_all`` / ``offer_batch`` surface the
     delivery coalescer and the simulated topology drive, so
-    ``--delivery-shards N`` slots in without touching the callers.
+    ``--delivery-shards N`` slots in without touching the callers (a lone
+    candidate is a one-row batch; the boxed per-candidate ``offer`` stays
+    on the in-process :class:`DeliveryPipeline`, the reference).
 
     Args:
         num_shards: independent funnel shards (>= 1).
@@ -385,14 +383,6 @@ class ShardedDeliveryPipeline:
                 worker.arena = reader
 
     # ------------------------------------------------------------------
-    # Shard routing
-    # ------------------------------------------------------------------
-
-    def shard_of(self, recipient: int) -> int:
-        """The shard owning *recipient* (stable splitmix64 hash)."""
-        return splitmix64(recipient) % self.num_shards
-
-    # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
 
@@ -414,26 +404,6 @@ class ShardedDeliveryPipeline:
     # ------------------------------------------------------------------
     # Funnel surface (what coalescer / topology call)
     # ------------------------------------------------------------------
-
-    def offer(self, rec: Recommendation, now: float) -> PushNotification | None:
-        """Route one candidate to its recipient's shard."""
-        shard = self.shard_of(rec.recipient)
-        if self._pipelines is not None:
-            if self.serving is not None:
-                self.serving.shards[shard].ingest_released([rec], now)
-            return self._pipelines[shard].offer(rec, now)
-        worker = self._workers[shard]
-        if worker.dead or not worker.send(("offer", rec, now)):
-            self.notifications_lost_shards += 1
-            return None
-        if self.serving is not None:
-            self.serving.shards[shard].posted_updates += 1
-        raw = worker.recv(_reply_from_frame)
-        if raw is None:
-            self.notifications_lost_shards += 1
-            return None
-        self._stats_cache[worker.key] = raw[2]
-        return raw[1]
 
     def offer_all(
         self, recs: Iterable[Recommendation], now: float

@@ -13,11 +13,20 @@ state is valid whatever transport the crashed run used), then either
   WAL from sequence zero.
 
 Replayed batches go through the cluster's normal batched ingest
-(:meth:`~repro.cluster.broker.Broker.process_batch`) and the delivery
-funnel's normal ``offer_batch``, each at its original flush time — the
-same code path the live topology ran, so a recovered deployment's
-delivered multiset equals the uninterrupted run's for every event the
-WAL retained (the crash-kill-restart suite pins this).
+(:meth:`~repro.cluster.broker.Broker.process_batch`) and every origin
+event's candidates end their delivery window in
+:func:`~repro.delivery.pipeline.release_window` — the root's ranker, its
+serving cache, the funnel — each at its original flush time: the same
+code path the live topology ran, so a recovered deployment's delivered
+multiset and served rows equal the uninterrupted run's for every event
+the WAL retained (the crash-kill-restart suite pins this).
+
+That holds for roots whose delivery window was one candidate batch
+(``delivery_batch_size == 1``, the default, and no adaptive controller
+retuning it).  A wider window's boundaries depended on the *measured* detection time of the crashed run
+and are not in the WAL; such a root is replayed one origin event per
+window as the best available approximation and
+:attr:`RecoveryResult.windows_reproducible` says so.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.params import DetectionParams
-from repro.core.recommendation import RecommendationBatch
 from repro.delivery.dedup import DedupFilter
-from repro.delivery.pipeline import DeliveryPipeline
+from repro.delivery.pipeline import DeliveryPipeline, release_window
+from repro.delivery.scoring import TopKPerUserBuffer
 from repro.durability.manager import load_root_config
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import iter_wal
@@ -60,6 +69,11 @@ class RecoveryResult:
     wal_start_seq: int = 0
     replayed_records: int = 0
     replayed_events: int = 0
+    #: False when the root ran ``delivery_batch_size > 1`` (or let the
+    #: adaptive controller own it): the live windows' boundaries are not
+    #: in the WAL, so the replayed ledger is an approximation and must
+    #: not be verified against a reference.
+    windows_reproducible: bool = True
     #: Creation timestamps of every event the recovered state covers
     #: (snapshot arena + replayed tail) — the verifier's event universe.
     event_timestamps: np.ndarray = field(
@@ -82,15 +96,14 @@ def _build_cluster(root: Path, config: dict) -> Cluster:
     return Cluster.build(snapshot, params, cluster_config)
 
 
-def _build_serving(config: dict, arrays: dict[str, np.ndarray]):
+def _build_serving(config: dict):
     from repro.serving.cache import ShardedServingCache
 
-    cache = ShardedServingCache(
+    return ShardedServingCache(
         num_shards=int(config.get("serving_shards", 1)),
         k=int(config.get("serving_k", 2)),
+        ttl=config.get("serving_ttl"),
     )
-    cache.load_state(arrays)
-    return cache
 
 
 def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
@@ -112,7 +125,19 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
     config = load_root_config(root)
     cluster = _build_cluster(root, config)
     delivery = DeliveryPipeline(filters=[DedupFilter()])
-    result = RecoveryResult(cluster=cluster, delivery=delivery)
+    # Absent keys are how roots from before they were recorded read:
+    # unranked, one candidate batch per delivery window.
+    ranked_k = config.get("ranked_k")
+    ranker = TopKPerUserBuffer(k=int(ranked_k)) if ranked_k is not None else None
+    result = RecoveryResult(
+        cluster=cluster,
+        delivery=delivery,
+        serving=_build_serving(config) if config.get("serving") else None,
+        windows_reproducible=(
+            int(config.get("delivery_batch_size", 1)) == 1
+            and not config.get("adaptive", False)
+        ),
+    )
 
     event_parts: list[np.ndarray] = []
     store = SnapshotStore(root / "snapshots")
@@ -136,20 +161,27 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
                 )
             )
         if "serving" in components:
-            result.serving = _build_serving(config, components["serving"])
+            if result.serving is None:  # a root from before the key
+                result.serving = _build_serving(config)
+            result.serving.load_state(components["serving"])
         arena = components.get("events", {}).get("timestamps")
         if arena is not None:
             event_parts.append(arena)
 
     for record in iter_wal(root / "wal", start_seq=result.wal_start_seq):
         # The live consumer's exact ingest: one batched fan-out per WAL
-        # record at its original flush time, per-event attribution kept.
+        # record at its original flush time, per-event attribution kept —
+        # each origin event's candidates are one delivery window, as they
+        # were live.
         grouped, _latency = cluster.broker.process_batch(
             record.batch, now=record.now
         )
-        merged = RecommendationBatch.concat_all(grouped)
-        if len(merged):
-            for notification in delivery.offer_batch(merged, record.now):
+        for candidates in grouped:
+            if not len(candidates):
+                continue
+            for notification in release_window(
+                candidates, record.now, delivery, ranker, result.serving
+            ):
                 rec = notification.recommendation
                 result.delivered.append(
                     (

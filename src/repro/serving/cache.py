@@ -559,8 +559,7 @@ class _IngestAdapters:
 
         The flush's :class:`~repro.core.recommendation.FlatRecommendations`
         is consumed as the columns it already is; a boxed sequence
-        (foreign input, the single-candidate ``offer`` path) is columned
-        first.
+        (foreign input, :meth:`ingest_notifications`) is columned first.
 
         >>> cache = ServingCache(k=2)
         >>> cache.ingest_released(

@@ -15,10 +15,14 @@ Per-notification latency is ``delivered_at - edge.created_at`` in virtual
 time; the breakdown separates queue hops from detection so benchmark E4 can
 verify the paper's claim that "nearly all the latency comes from event
 propagation delays in various message queues".  Both micro-batching knobs
-are symmetric: the detection consumer batches *events* (``batch_size`` /
-``max_wait``, reported as ``path:batching``) and the delivery coalescer
-batches *candidate batches* (``delivery_batch_size`` /
-``delivery_max_wait``, reported as ``path:delivery-batching``).
+are symmetric — two users of one
+:class:`~repro.streaming.window.FlushWindow`: the detection consumer
+batches *events* (``batch_size`` / ``max_wait``, reported as
+``path:batching``) and the delivery coalescer batches *candidate batches*
+(``delivery_batch_size`` / ``delivery_max_wait``, reported as
+``path:delivery-batching``).  Each size is only a size: the default of 1
+takes the same flush path with windows of one, and reports no batching
+stage.
 
 The pull-side serving cache is written where the funnel runs: by the
 coalescer's flush tap in front of a single funnel, by the delivery shards
@@ -153,15 +157,18 @@ class StreamingTopology:
                 :class:`~repro.ops.admission.AdmissionController` gating
                 the detection consumer (overload shedding).
             seed: randomness for the default delay models.
-            batch_size: detection-consumer micro-batch size (1 = per-event).
+            batch_size: detection-consumer micro-batch size — only a
+                size: 1 flushes a one-event batch per arrival through the
+                same path.
             max_wait: micro-batch flush deadline in virtual seconds; time
-                spent waiting is reported as the ``path:batching`` stage.
+                spent waiting is reported as the ``path:batching`` stage
+                (never at size 1, where nothing waits).
             delivery_batch_size: candidate count at which the delivery
-                coalescer flushes a merged batch into the funnel
-                (1 = dispatch every candidate batch on arrival).
+                coalescer flushes a merged batch into the funnel — only
+                a size: at 1 every candidate batch is its own window.
             delivery_max_wait: coalescer flush deadline in virtual
                 seconds; time spent waiting is reported as the
-                ``path:delivery-batching`` stage.
+                ``path:delivery-batching`` stage (never at size 1).
             ranked_k: enable the ranked delivery configuration — a
                 :class:`~repro.delivery.scoring.TopKPerUserBuffer`
                 releasing at most this many candidates per user per

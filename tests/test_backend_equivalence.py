@@ -320,11 +320,14 @@ def test_engine_matrix_identical_recommendations(seed, burst_actors):
             snapshot, params, max_edges_per_target=12, track_latency=False
         )
         engine.dynamic_index.promote_threshold = promote_threshold
-        recs = engine.process_stream(events, batch_size=batch_size)
+        if batch_size is None:  # the oracle, by name
+            recs = [rec for e in events for rec in engine.process(e)]
+        else:
+            recs = engine.process_stream(events, batch_size=batch_size)
         return recs, [(r.via, r.action) for r in recs], engine
 
     recs, detail, engine = run(5, 1)
     assert engine.dynamic_index.num_hot_targets >= 1
-    for other in (run(5, 17), run(NEVER_PROMOTE, 1)):
+    for other in (run(5, 17), run(NEVER_PROMOTE, 1), run(NEVER_PROMOTE, None)):
         assert other[0] == recs
         assert other[1] == detail

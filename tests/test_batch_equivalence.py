@@ -98,7 +98,8 @@ def test_bursty_workload_equivalent_across_batch_sizes():
     reference = MotifEngine.from_snapshot(
         snapshot, DetectionParams(k=3, tau=600.0), track_latency=False
     )
-    reference_recs = drive_stream(reference, events)
+    # The oracle is called by name: process_stream batches at every size.
+    reference_recs = [rec for e in events for rec in reference.process(e)]
     for batch_size in BATCH_SIZES:
         engine = MotifEngine.from_snapshot(
             snapshot, DetectionParams(k=3, tau=600.0), track_latency=False
@@ -161,7 +162,9 @@ def test_cluster_batched_equivalent():
         num_users=1_500, duration=250.0, background_rate=5.0, burst_actors=40
     )
     reference = bench_cluster(snapshot, num_partitions=3, replication_factor=2)
-    reference_recs = drive_stream(reference, events)
+    reference_recs = [
+        rec for e in events for rec in reference.process_event(e)
+    ]
     batched = bench_cluster(snapshot, num_partitions=3, replication_factor=2)
     recs = drive_stream(batched, events, batch_size=32)
     assert recs == reference_recs

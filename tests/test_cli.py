@@ -220,13 +220,22 @@ class TestGenerateAndRun:
         )
         assert code == 2
 
-    def test_simulate_rejects_nonpositive_delivery_shards(self, artifacts):
+    def test_simulate_rejects_nonpositive_delivery_shards(
+        self, artifacts, capsys
+    ):
+        """Arguments are validated before anything is built: a bad value
+        under a worker transport must not leave partition workers behind."""
+        import multiprocessing
+
         graph, stream = artifacts
-        with pytest.raises(ValueError, match="delivery-shards"):
-            run_cli(
-                "simulate", str(graph), str(stream),
-                "--k", "2", "--partitions", "2", "--delivery-shards", "0",
-            )
+        code, _ = run_cli(
+            "simulate", str(graph), str(stream),
+            "--k", "2", "--partitions", "2", "--transport", "process",
+            "--delivery-shards", "0",
+        )
+        assert code == 2
+        assert "error: --delivery-shards must be positive" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_simulate_rejects_unknown_transport(self, artifacts):
         graph, stream = artifacts

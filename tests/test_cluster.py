@@ -103,7 +103,8 @@ class TestPartitionEquivalence:
         single = MotifEngine.from_snapshot(snapshot, PARAMS)
         expected = sorted(
             (r.created_at, r.recipient, r.candidate)
-            for r in single.process_stream(events)
+            for e in events
+            for r in single.process(e)  # the oracle, by name
         )
         cluster = Cluster.build(
             snapshot, PARAMS, ClusterConfig(num_partitions=num_partitions)
@@ -124,7 +125,8 @@ class TestPartitionEquivalence:
         single = MotifEngine.from_snapshot(snapshot, PARAMS)
         expected = sorted(
             (r.created_at, r.recipient, r.candidate)
-            for r in single.process_stream(events)
+            for e in events
+            for r in single.process(e)  # the oracle, by name
         )
         cluster = Cluster.build(
             snapshot, PARAMS, ClusterConfig(num_partitions=num_partitions)

@@ -44,6 +44,52 @@ class TestBrokerStats:
             Broker([])
 
 
+class TestProcessEventIsTheOracle:
+    """``Broker.process_event`` is the reference the batched path is
+    checked against (the equivalence suites, E24's ``verify.py``), so it
+    must keep its own implementation lane — ``ingest`` -> ``on_edge`` ->
+    ``_audience`` — and never become a one-event ``process_batch``: that
+    would turn every such check into a self-comparison."""
+
+    def test_answers_with_the_batched_kernel_broken(self, cluster, monkeypatch):
+        from repro.core.diamond import DiamondDetector
+
+        def broken(self, batch, now=None):
+            raise AssertionError("the oracle must not touch process_batch")
+
+        monkeypatch.setattr(DiamondDetector, "process_batch", broken)
+        broker = cluster.broker
+        assert broker.process_event(EdgeEvent(0.0, B1, C2))[0] == []
+        recs, _latency = broker.process_event(EdgeEvent(1.0, B2, C2))
+        assert [(rec.recipient, rec.candidate) for rec in recs] == [(A2, C2)]
+        # ...and the lane the streaming tier uses at every size is the
+        # other one: a one-event batch does reach the batched kernel.
+        with pytest.raises(AssertionError, match="must not touch"):
+            broker.process_batch(EventBatch.from_events([EdgeEvent(2.0, B1, C2)]))
+        with pytest.raises(AssertionError, match="must not touch"):
+            cluster.process_stream([EdgeEvent(3.0, B1, C2)])
+
+    def test_runs_on_edge_and_audience(self, cluster, monkeypatch):
+        from repro.core.diamond import DiamondDetector
+
+        calls = []
+        on_edge, audience = DiamondDetector.on_edge, DiamondDetector._audience
+
+        def spy_on_edge(self, event, now=None):
+            calls.append("on_edge")
+            return on_edge(self, event, now)
+
+        def spy_audience(self, *args, **kwargs):
+            calls.append("_audience")
+            return audience(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiamondDetector, "on_edge", spy_on_edge)
+        monkeypatch.setattr(DiamondDetector, "_audience", spy_audience)
+        cluster.broker.process_event(EdgeEvent(0.0, B1, C2))
+        cluster.broker.process_event(EdgeEvent(1.0, B2, C2))
+        assert "on_edge" in calls and "_audience" in calls
+
+
 class TestWorkerDeathMidStream:
     """A dead partition worker must cost exactly its events, nothing more.
 

@@ -60,7 +60,8 @@ class TestDetectorFactory:
         )
         want = sorted(
             (r.created_at, r.recipient, r.candidate)
-            for r in hand.process_stream(events)
+            for e in events
+            for r in hand.process_event(e)  # the oracle, by name
         )
         got = sorted(
             (r.created_at, r.recipient, r.candidate)

@@ -19,6 +19,7 @@ import csv
 import glob
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -353,3 +354,185 @@ def test_root_with_explicit_serving_shards_recovers_same_served_rows(
         json.dumps({**config, **written_by_parent_commit}, indent=1)
     )
     assert served_rows() == today
+
+
+# ----------------------------------------------------------------------
+# Ranked / served roots: replay ends each window the way the run did
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def frozen_detection_clock(monkeypatch):
+    """The consumer maps *measured* detection wall-clock into virtual
+    time; pin it to zero so delivery clocks — and with them every served
+    score — are a function of the stream alone (in-process runs only)."""
+    from types import SimpleNamespace
+
+    from repro.streaming import consumer
+
+    monkeypatch.setattr(
+        consumer, "time", SimpleNamespace(perf_counter=lambda: 0.0)
+    )
+
+
+def test_ranked_root_records_its_window_and_recovers_the_reference(
+    workload, tmp_path
+):
+    """A ``--ranked`` run at the default delivery window writes its ranker
+    and window into the root, and replay — each origin event's candidates
+    through the shared ``release_window`` — rebuilds the reference
+    multiset."""
+    import json
+
+    graph, stream, _unranked = workload
+    root = tmp_path / "root-ranked"
+    reference = tmp_path / "ranked-ref.csv"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--ranked",
+            "--ranked-k",
+            "1",
+            "--wal-dir",
+            str(root),
+            "--dump-delivered",
+            str(reference),
+        ]
+    ) == 0
+    config = json.loads((root / "config.json").read_text())
+    assert config["ranked_k"] == 1
+    assert config["delivery_batch_size"] == 1
+    recovered = tmp_path / "ranked-recovered.csv"
+    assert main(
+        [
+            "recover",
+            str(root),
+            "--verify-prefix",
+            str(reference),
+            "--dump-delivered",
+            str(recovered),
+        ]
+    ) == 0
+    assert _read_rows(recovered) == _read_rows(reference)
+    assert len(_read_rows(reference)) > 1
+
+
+def test_ranked_replay_ranks_each_origin_event_like_the_live_window(tmp_path):
+    """A WAL record holds ``--batch-size`` events, but the live size-1
+    delivery window ranked each origin event's candidates alone — so
+    replay must not rank a whole record as one window.  Two events of one
+    record recommending different candidates to the same user both
+    survive ``ranked_k=1``, exactly as they did live."""
+    from repro.core import EdgeEvent
+    from repro.core.batch import EventBatch
+    from repro.durability import DurabilityManager, prepare_root
+    from repro.durability.recover import recover
+    from repro.graph import GraphSnapshot
+
+    # User 0 follows 1 and 2; both act on targets 8 and 9 in one batch.
+    snapshot = GraphSnapshot.from_edges([(0, 1), (0, 2)], num_nodes=10)
+    root = prepare_root(
+        tmp_path / "root",
+        snapshot,
+        {"k": 2, "tau": 600.0, "num_partitions": 1, "ranked_k": 1},
+    )
+    manager = DurabilityManager(root)
+    events = [
+        EdgeEvent(0.0, 1, 8), EdgeEvent(1.0, 1, 9),
+        EdgeEvent(2.0, 2, 8), EdgeEvent(3.0, 2, 9),
+    ]
+    manager.log_batch(EventBatch.from_events(events[:2]), 1.0)
+    manager.log_batch(EventBatch.from_events(events[2:]), 3.0)
+    manager.close()
+    result = recover(root)
+    try:
+        assert sorted(row[:2] for row in result.delivered) == [(0, 8), (0, 9)]
+    finally:
+        result.close()
+
+
+def test_warm_and_cold_recovery_serve_the_same_rows(
+    workload, tmp_path, frozen_detection_clock
+):
+    """Snapshots stay a pure replay accelerator for the serving tier too:
+    the WAL tail is merged into the recovered cache, so warm (snapshot +
+    tail) and cold (full replay) end on the same served rows."""
+    from repro.durability.recover import recover
+
+    graph, stream, _reference = workload
+    root = tmp_path / "root-served"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--ranked",
+            "--query-qps",
+            "20",
+            "--wal-dir",
+            str(root),
+            "--snapshot-interval",
+            "15",
+            "--no-wal-gc",
+        ]
+    ) == 0
+    # The run's last snapshot covers the whole log; drop the later ones —
+    # the state of a run that died between snapshots (deltas only ever
+    # point backwards, and --no-wal-gc kept the full log).
+    snapshots = sorted((root / "snapshots").glob("snap-*"))
+    assert len(snapshots) > 3
+    for late in snapshots[3:]:
+        shutil.rmtree(late)
+
+    def served(use_snapshot: bool):
+        result = recover(root, use_snapshot=use_snapshot)
+        try:
+            assert (result.snapshot_id is not None) == use_snapshot
+            assert result.serving is not None
+            return result.replayed_records, result.serving.dump()
+        finally:
+            result.close()
+
+    warm_records, warm = served(True)
+    cold_records, cold = served(False)
+    assert 0 < warm_records < cold_records  # warm really replayed a tail
+    assert warm and warm == cold
+
+
+def test_verify_prefix_refuses_a_root_with_a_wider_delivery_window(
+    workload, tmp_path, capsys
+):
+    """Window boundaries of a ``--delivery-batch-size > 1`` run depended
+    on measured detection time and are not in the WAL: ``recover`` says so
+    and ``--verify-prefix`` exits 2 instead of printing PASS or FAIL."""
+    graph, stream, _reference = workload
+    root = tmp_path / "root-coalesced"
+    reference = tmp_path / "coalesced-ref.csv"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--ranked",
+            "--delivery-batch-size",
+            "64",
+            "--delivery-max-wait",
+            "5",
+            "--wal-dir",
+            str(root),
+            "--dump-delivered",
+            str(reference),
+        ]
+    ) == 0
+    capsys.readouterr()
+    assert main(["recover", str(root)]) == 0  # replays, with the warning
+    assert "not in the WAL" in capsys.readouterr().err
+    assert main(["recover", str(root), "--verify-prefix", str(reference)]) == 2
+    captured = capsys.readouterr()
+    assert "not reproducible" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.err

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ActionType, EdgeEvent, Recommendation
+from repro.core import ActionType, EdgeEvent
 from repro.core.recommendation import RecommendationBatch, RecommendationGroup
 from repro.delivery import DeliveryPipeline, PushNotifier
 from repro.sim.des import DiscreteEventSimulator
@@ -10,18 +10,12 @@ from repro.sim.metrics import LatencyBreakdown
 from repro.streaming.consumer import CandidateBatch, DeliveryCoalescer
 
 
-def candidate_batch(recipients, candidate=9, created_at=0.0, boxed=False):
-    """A CandidateBatch carrying one detection group (or its boxed view)."""
+def candidate_batch(recipients, candidate=9, created_at=0.0):
+    """A CandidateBatch carrying one detection group."""
     origin = EdgeEvent(created_at, 100, candidate, ActionType.FOLLOW)
-    if boxed:
-        recommendations = tuple(
-            Recommendation(recipient=r, candidate=candidate, created_at=created_at)
-            for r in recipients
-        )
-    else:
-        recommendations = RecommendationBatch(
-            [RecommendationGroup(recipients, candidate=candidate, created_at=created_at)]
-        )
+    recommendations = RecommendationBatch(
+        [RecommendationGroup(recipients, candidate=candidate, created_at=created_at)]
+    )
     return CandidateBatch(origin, recommendations, detection_seconds=0.0)
 
 
@@ -45,12 +39,10 @@ class TestPassthrough:
         assert all(n.delivered_at == 1.0 for n in notifications)
         assert "path:delivery-batching" not in breakdown.stages()
         assert coalescer.pending_batches == 0
-
-    def test_boxed_tuples_dispatch_inline_too(self):
-        sim, breakdown, notifications, delivery, coalescer = make_rig(batch_size=1)
-        coalescer(candidate_batch([3], boxed=True), 0.0, 2.0)
-        assert [n.recipient for n in notifications] == [3]
-        assert delivery.funnel.get("raw") == 1
+        # Not a second dispatch path: a window of one, flushed on arrival
+        # with no timer left behind.
+        assert coalescer.flushes == 1
+        assert sim.pending() == 0
 
 
 class TestSizeTrigger:
@@ -97,20 +89,6 @@ class TestTimeoutFlush:
         stage = breakdown.stage("path:delivery-batching")
         assert stage.percentile(100) == pytest.approx(0.5)
 
-    def test_size_trigger_cancels_timer_via_epoch(self):
-        sim, breakdown, notifications, delivery, coalescer = make_rig(
-            batch_size=2, max_wait=5.0
-        )
-
-        def deliver_two():
-            coalescer(candidate_batch([1]), 0.0, 0.0)
-            coalescer(candidate_batch([2]), 0.0, 0.0)
-
-        sim.schedule_at(0.0, deliver_two)
-        sim.run()  # the stale timer must find an already-flushed buffer
-        assert coalescer.flushes == 1
-        assert len(notifications) == 2
-
     def test_timer_covers_batches_after_the_first(self):
         sim, breakdown, notifications, delivery, coalescer = make_rig(
             batch_size=100, max_wait=1.0
@@ -135,16 +113,6 @@ class TestAccounting:
         assert breakdown.stage("path:delivery-batching").percentile(100) == (
             pytest.approx(1.0)
         )
-
-    def test_merges_boxed_and_columnar_batches(self):
-        sim, breakdown, notifications, delivery, coalescer = make_rig(batch_size=3)
-        coalescer(candidate_batch([1, 2], candidate=7), 0.0, 1.0)
-        coalescer(candidate_batch([3], candidate=8, boxed=True), 0.0, 1.5)
-        assert [(n.recipient, n.recommendation.candidate) for n in notifications] == [
-            (1, 7), (2, 7), (3, 8),
-        ]
-        assert delivery.funnel.get("raw") == 3
-        assert delivery.funnel.get("delivered") == 3
 
     def test_validation(self):
         sim, breakdown, notifications, delivery, _ = make_rig()
@@ -220,8 +188,8 @@ class TestRankedCoalescer:
         assert [(n.recipient, n.recommendation.candidate) for n in notifications] == [
             (1, 7)
         ]
-        # Boxed tuples route through the ranker too.
-        coalescer(candidate_batch([4], candidate=8, boxed=True), 0.0, 2.0)
+        # No cross-batch accumulation: the next batch is its own window.
+        coalescer(candidate_batch([4], candidate=8), 0.0, 2.0)
         assert notifications[-1].recipient == 4
         assert delivery.funnel.get("raw") == 2
 

@@ -211,14 +211,21 @@ class TestShardedEquivalence:
 
 
 class TestShardedScalarOffers:
+    """A lone candidate is a one-row batch: the sharded funnel has no
+    boxed ``offer`` (that entry point stays on the in-process
+    ``DeliveryPipeline``, the reference)."""
+
     def test_offer_routes_to_owning_shard_state(self):
         sharded = ShardedDeliveryPipeline(
             4, pipeline_factory=lambda _s: DeliveryPipeline(filters=[DedupFilter()])
         )
-        rec = Recommendation(recipient=5, candidate=9, created_at=0.0)
-        assert sharded.offer(rec, now=0.0) is not None
+        assert not hasattr(sharded, "offer")
+        rec = FlatRecommendations.from_boxed(
+            [Recommendation(recipient=5, candidate=9, created_at=0.0)]
+        )
+        assert len(sharded.offer_batch(rec, now=0.0)) == 1
         # Same pair inside the window: the owning shard remembers it.
-        assert sharded.offer(rec, now=10.0) is None
+        assert sharded.offer_batch(rec, now=10.0) == []
         assert sharded.funnel_totals()["dropped:dedup"] == 1
 
     @pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
@@ -228,10 +235,12 @@ class TestShardedScalarOffers:
             pipeline_factory=lambda _s: DeliveryPipeline(filters=[DedupFilter()]),
             transport=transport,
         ) as sharded:
-            rec = Recommendation(recipient=5, candidate=9, created_at=0.0)
-            delivered = sharded.offer(rec, now=0.0)
-            assert delivered is not None and delivered.recipient == 5
-            assert sharded.offer(rec, now=10.0) is None
+            rec = FlatRecommendations.from_boxed(
+                [Recommendation(recipient=5, candidate=9, created_at=0.0)]
+            )
+            delivered = sharded.offer_batch(rec, now=0.0)
+            assert [n.recipient for n in delivered] == [5]
+            assert sharded.offer_batch(rec, now=10.0) == []
 
     def test_offer_all_matches_offer_batch(self):
         batch = _random_batches(seed=4, windows=1)[0]

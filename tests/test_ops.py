@@ -273,7 +273,7 @@ class TestMonitorOverWorkerTransport:
             ),
         )
         try:
-            cluster.process_event(EdgeEvent(0.0, B1, C2))
+            cluster.process_stream([EdgeEvent(0.0, B1, C2)])
             monitor = ClusterMonitor(cluster)
             health = monitor.poll()
             assert len(health) == 2

@@ -75,8 +75,9 @@ def test_live_fleet_serves_new_snapshot_after_inplace_reload(transport):
         ClusterConfig(num_partitions=3, transport=transport),
     )
     try:
-        for event in prefix:
-            live.process_event(event)
+        # A live fleet is fed batches (one-event ones at the default size);
+        # the boxed per-event oracle below is in-process only.
+        live.process_stream(prefix)
         checkpoint = live.checkpoint_dynamic()
         assert checkpoint is not None
         # The operation under test: swap S in place, no restart, D kept.
@@ -84,7 +85,7 @@ def test_live_fleet_serves_new_snapshot_after_inplace_reload(transport):
         live_recs = [
             triple
             for event in suffix
-            for triple in _triples(live.process_event(event))
+            for triple in _triples(live.process_stream([event]))
         ]
     finally:
         live.close()
@@ -114,8 +115,7 @@ def test_checkpoint_restores_bitwise_across_transports(transport):
         ClusterConfig(num_partitions=2, transport=transport),
     )
     try:
-        for event in _stream(seed=7, n=150):
-            source.process_event(event)
+        source.process_stream(_stream(seed=7, n=150))
         checkpoint = source.checkpoint_dynamic()
     finally:
         source.close()

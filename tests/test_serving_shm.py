@@ -274,7 +274,10 @@ class TestWorkerModeEquivalence:
             assert _segment_files(name) == []
 
     def test_scalar_offers_reach_the_worker_cache(self, transport, num_shards):
-        from repro.core.recommendation import Recommendation
+        from repro.core.recommendation import (
+            FlatRecommendations,
+            Recommendation,
+        )
 
         workers = ShardedDeliveryPipeline(
             num_shards,
@@ -286,7 +289,9 @@ class TestWorkerModeEquivalence:
             rec = Recommendation(
                 recipient=77, candidate=4, created_at=1.0, via=(9, 11)
             )
-            assert workers.offer(rec, now=2.0) is not None
+            assert workers.offer_batch(
+                FlatRecommendations.from_boxed([rec]), now=2.0
+            )
             deadline = time.monotonic() + 10.0
             while (
                 not workers.serving.get_recommendations(77)

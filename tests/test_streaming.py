@@ -216,3 +216,115 @@ class TestStreamingTopology:
         report = topology.run([EdgeEvent(0.0, B1, C2), EdgeEvent(1.0, B2, C2)])
         assert len(report.notifications) == 1
         assert 2.0 < report.notifications[0].latency < 40.0
+
+
+class TestSizeOneTopologyMatchesTheOracle:
+    """``batch_size`` is only a size: a topology at the default sizes runs
+    one-event batches through ``process_batch`` / ``offer_batch``, and must
+    equal the boxed per-event oracle — ``broker.process_event`` per event,
+    ``TopKPerUserBuffer.offer`` / ``DeliveryPipeline.offer`` per candidate,
+    at the same flush clocks — which is reached only by calling it by name.
+    """
+
+    #: What a default run reports: no batching stage of either kind.
+    DEFAULT_STAGES = {
+        "queue:firehose",
+        "queue:fanout",
+        "queue:push",
+        "detection",
+        "path:queue",
+        "path:processing",
+    }
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.gen import (
+            BurstSpec,
+            StreamConfig,
+            TwitterGraphConfig,
+            generate_event_stream,
+            generate_follow_graph,
+        )
+
+        snapshot = generate_follow_graph(
+            TwitterGraphConfig(num_users=500, mean_followings=10.0, seed=23)
+        )
+        events = generate_event_stream(
+            StreamConfig(
+                num_users=500,
+                duration=60.0,
+                background_rate=4.0,
+                bursts=(
+                    BurstSpec(target=499, start=10.0, duration=20.0, num_actors=40),
+                ),
+                seed=23,
+            )
+        )
+        return snapshot, events
+
+    @pytest.fixture(autouse=True)
+    def frozen_detection_clock(self, monkeypatch):
+        """Measured detection time is mapped into virtual time; pin it to
+        zero so every flush clock is the event's own timestamp."""
+        from types import SimpleNamespace
+
+        from repro.streaming import consumer
+
+        monkeypatch.setattr(
+            consumer, "time", SimpleNamespace(perf_counter=lambda: 0.0)
+        )
+
+    @staticmethod
+    def _rows(notifications):
+        return sorted(
+            (n.recipient, n.recommendation.candidate, n.recommendation.created_at)
+            for n in notifications
+        )
+
+    def _oracle(self, snapshot, events, ranked_k):
+        from repro.delivery import TopKPerUserBuffer
+
+        cluster = Cluster.build(snapshot, PARAMS, ClusterConfig(num_partitions=2))
+        delivery = DeliveryPipeline()
+        ranker = TopKPerUserBuffer(k=ranked_k) if ranked_k else None
+        notifications = []
+        for event in events:
+            now = event.created_at  # zero-delay hops, zero detection time
+            candidates, _latency = cluster.broker.process_event(event, now=now)
+            if not candidates:
+                continue
+            if ranker is not None:
+                for rec in candidates:
+                    ranker.offer(rec)
+                candidates = list(ranker.flush(now))
+            for rec in candidates:
+                pushed = delivery.offer(rec, now)
+                if pushed is not None:
+                    notifications.append(pushed)
+        return self._rows(notifications), dict(delivery.funnel.stages)
+
+    @pytest.mark.parametrize("ranked_k", [None, 1], ids=["unranked", "ranked"])
+    def test_default_sizes_equal_the_per_event_oracle(self, workload, ranked_k):
+        snapshot, events = workload
+        expected_rows, expected_funnel = self._oracle(snapshot, events, ranked_k)
+        assert len(expected_rows) > 100
+
+        cluster = Cluster.build(snapshot, PARAMS, ClusterConfig(num_partitions=2))
+        delivery = DeliveryPipeline()
+        topology = StreamingTopology(
+            cluster,
+            delivery=delivery,
+            hop_models={
+                name: FixedDelay(0.0) for name in ("firehose", "fanout", "push")
+            },
+            batch_size=1,
+            delivery_batch_size=1,
+            ranked_k=ranked_k,
+        )
+        report = topology.run(list(events))
+        assert self._rows(report.notifications) == expected_rows
+        assert dict(delivery.funnel.stages) == expected_funnel
+        assert set(report.breakdown.stages()) == self.DEFAULT_STAGES
+        # One flush per event / per candidate batch, through the one path.
+        assert topology.consumer.cluster_calls == len(events)
+        assert topology.coalescer.flushes == topology.coalescer.batches_coalesced

@@ -119,7 +119,8 @@ class TestCrossTransportEquivalence:
         inproc = Cluster.build(
             snapshot, PARAMS, ClusterConfig(num_partitions=2)
         )
-        expected = _multiset(inproc.process_stream(short))
+        # The in-process side is the oracle, called by name.
+        expected = _multiset(r for e in short for r in inproc.process_event(e))
         with Cluster.build(
             snapshot,
             PARAMS,
@@ -208,6 +209,18 @@ class TestTransportControlMessages:
         _inproc, proc, _events = clusters
         with pytest.raises(RuntimeError, match="not local"):
             proc.replica_sets
+
+    def test_process_event_never_crosses_a_process_boundary(self, clusters):
+        """The boxed per-event oracle is in-process only; under a worker
+        transport it points at the batched entry point instead of pickling
+        an event per partition."""
+        _inproc, proc, events = clusters
+        routed = proc.broker.stats.events_routed
+        with pytest.raises(RuntimeError, match="replica sets are not local"):
+            proc.broker.process_event(events[0])
+        with pytest.raises(RuntimeError, match="process_batch"):
+            proc.process_event(events[0])
+        assert proc.broker.stats.events_routed == routed  # nothing was sent
 
     def test_close_is_idempotent(self, workload):
         snapshot, _ = workload
