@@ -41,6 +41,7 @@ from repro.delivery.dedup import DedupFilter
 from repro.delivery.pipeline import DeliveryPipeline
 from repro.durability import DurabilityManager, prepare_root, recover
 from repro.gen import TwitterGraphConfig, generate_follow_graph
+from repro.topology import TopologyConfig
 from repro.util.rng import derive_seed
 
 K = 2
@@ -147,9 +148,7 @@ def test_durability_overhead_and_recovery(scale, report, tmp_path):
     # -- logged run: WAL tap on every batch + periodic snapshots --------
     root = tmp_path / "root"
     prepare_root(
-        root,
-        snapshot,
-        {"k": K, "tau": TAU, "num_partitions": PARTITIONS},
+        root, snapshot, TopologyConfig(detection=detection, cluster=config)
     )
     with Cluster.build(snapshot, detection, config) as cluster:
         durability = DurabilityManager(root, cluster, gc_segments=False)

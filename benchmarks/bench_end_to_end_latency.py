@@ -17,6 +17,7 @@ import pytest
 from repro.bench.workloads import bench_cluster, bursty_workload
 from repro.delivery import DedupFilter, DeliveryPipeline
 from repro.streaming import StreamingTopology
+from repro.topology import TopologyConfig
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,9 @@ def topology_report():
     # Dedup only: waking-hours/fatigue drop candidates *after* latency is
     # recorded anyway, and dedup keeps the notification count manageable.
     topology = StreamingTopology(
-        cluster, delivery=DeliveryPipeline(filters=[DedupFilter()]), seed=23
+        cluster,
+        delivery=DeliveryPipeline(filters=[DedupFilter()]),
+        config=TopologyConfig(seed=23),
     )
     return topology, events
 

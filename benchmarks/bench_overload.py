@@ -44,6 +44,7 @@ from repro.gen import BurstSpec, StreamConfig, generate_event_stream
 from repro.ops import AdmissionController, AdmissionPolicy, ControllerConfig
 from repro.sim.latency import FixedDelay
 from repro.streaming import StreamingTopology
+from repro.topology import TopologyConfig
 
 #: Uncapped parameters: the lossless-baseline comparison against batch
 #: ground truth needs exact (not pruned) detection semantics.
@@ -270,7 +271,7 @@ def test_backlog_gated_admission_wall_clock(workload, report):
 #: the adaptive ladder reaches only under backlog.
 THROUGHPUT_KNOBS = dict(
     batch_size=32,
-    max_wait=2.0,
+    max_batch_wait=2.0,
     delivery_batch_size=64,
     delivery_max_wait=2.0,
 )
@@ -287,7 +288,7 @@ ADAPTIVE_CONFIG = ControllerConfig(
     backlog_low=6,
     max_level=4,
     batch_ceiling=THROUGHPUT_KNOBS["batch_size"],
-    wait_ceiling=THROUGHPUT_KNOBS["max_wait"],
+    wait_ceiling=THROUGHPUT_KNOBS["max_batch_wait"],
     delivery_batch_ceiling=THROUGHPUT_KNOBS["delivery_batch_size"],
     delivery_wait_ceiling=THROUGHPUT_KNOBS["delivery_max_wait"],
     cooldown_ticks=1,
@@ -329,7 +330,7 @@ def frontier_workload(workload):
     return snapshot, events
 
 
-def run_knob_posture(snapshot, events, **kwargs):
+def run_knob_posture(snapshot, events, **scalars):
     """One lossless run; returns (topology, distinct pairs, p99)."""
     cluster = Cluster.build(
         snapshot, EXACT_PARAMS, ClusterConfig(num_partitions=2)
@@ -338,7 +339,7 @@ def run_knob_posture(snapshot, events, **kwargs):
         cluster,
         delivery=DeliveryPipeline(filters=[]),
         hop_models={n: FixedDelay(0.5) for n in ("firehose", "fanout", "push")},
-        **kwargs,
+        config=TopologyConfig(**scalars),
     )
     result = topology.run(events)
     pairs = {
@@ -361,7 +362,7 @@ def test_adaptive_vs_static_frontier(frontier_workload, report):
         snapshot, events, **THROUGHPUT_KNOBS
     )
     adaptive_top, adaptive_pairs, adaptive_p99 = run_knob_posture(
-        snapshot, events, controller_config=ADAPTIVE_CONFIG
+        snapshot, events, controller=ADAPTIVE_CONFIG
     )
 
     postures = {

@@ -35,7 +35,6 @@ from pathlib import Path
 #: never gated.
 HIGHER_IS_BETTER = ("events_per_sec", "speedup", "_per_sec", "throughput")
 LOWER_IS_BETTER = (
-    "_vs_packed_ratio",  # columnar-vs-reference footprint: smaller wins
     "wire_overhead",  # wall over in-process wall at the same P: smaller wins
     "frontier_",  # E20 adaptive-over-static ratios: smaller = more dominant
     "degradation",  # E21 live-over-idle read p99: smaller = less perturbed

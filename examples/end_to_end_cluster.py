@@ -16,6 +16,7 @@ from repro.delivery import DeliveryPipeline
 from repro.gen import BurstSpec, StreamConfig, TwitterGraphConfig, \
     generate_event_stream, generate_follow_graph
 from repro.streaming import StreamingTopology
+from repro.topology import TopologyConfig
 
 
 def main() -> None:
@@ -43,7 +44,9 @@ def main() -> None:
         DetectionParams(k=3, tau=3600.0),
         ClusterConfig(num_partitions=4, replication_factor=2),
     )
-    topology = StreamingTopology(cluster, delivery=DeliveryPipeline(), seed=7)
+    topology = StreamingTopology(
+        cluster, delivery=DeliveryPipeline(), config=TopologyConfig(seed=7)
+    )
     report = topology.run(events)
 
     print(f"events ingested      : {report.events_ingested}")

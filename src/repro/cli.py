@@ -34,10 +34,9 @@ from collections import Counter as CollectionsCounter
 from pathlib import Path
 
 from repro.analysis import analyze_structure
-from repro.cluster import TRANSPORTS, Cluster, ClusterConfig
+from repro.cluster import TRANSPORTS, ClusterConfig
 from repro.cluster.shm import sweep_stale_segments
 from repro.core import ActionType, DetectionParams, EdgeEvent, MotifEngine
-from repro.delivery import DedupFilter, DeliveryPipeline, ShardedDeliveryPipeline
 from repro.gen import (
     BurstSpec,
     StreamConfig,
@@ -46,13 +45,7 @@ from repro.gen import (
     generate_follow_graph,
     generate_follow_graph_chunked,
 )
-from repro.serving import (
-    ServingCache,
-    ServingCacheConfig,
-    ServingFrontend,
-    ShardedServingCache,
-    ShardedServingCacheReader,
-)
+from repro.serving import ServingCacheConfig, ServingFrontend
 from repro.graph import (
     DynamicEdgeIndex,
     GraphSnapshot,
@@ -60,16 +53,21 @@ from repro.graph import (
 )
 from repro.motif import MOTIF_CATALOG, DeclarativeDetector, parse_motif
 from repro.ops import ControllerConfig, derive_promote_threshold
-from repro.durability import DurabilityManager, prepare_root
 from repro.durability import recover as durability_recover
-from repro.sim.latency import (
-    FixedDelay,
-    LogNormalDelay,
-    PRODUCTION_HOP_SIGMA,
-)
 from repro.streaming import StreamingTopology
-from repro.util.rng import make_rng
-from repro.util.validation import require_positive
+from repro.topology import DEFAULTS, FIELD_HELP, TopologyConfig, build_deployment
+
+
+def _flag(parser, name: str, default, help: str | None = None) -> None:
+    """A valued flag typed by its default (``None`` = an optional float),
+    so that default is read off a config instead of being typed again."""
+    kind = float if default is None else type(default)
+    parser.add_argument(name, type=kind, default=default, help=help)
+
+
+def _detection_flags(parser) -> None:
+    _flag(parser, "--k", DEFAULTS.detection.k)
+    _flag(parser, "--tau", DEFAULTS.detection.tau)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -107,71 +105,32 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="replay a stream through the engine")
     run.add_argument("graph", type=Path, help="snapshot .npz from generate-graph")
     run.add_argument("stream", type=Path, help="event .csv from generate-stream")
-    run.add_argument("--k", type=int, default=3)
-    run.add_argument("--tau", type=float, default=1_800.0)
+    _detection_flags(run)
     run.add_argument("--top", type=int, default=5, help="top candidates to print")
-    run.add_argument(
+    _flag(
+        run,
         "--batch-size",
-        type=int,
-        default=1,
-        help="columnar micro-batch size for ingestion (only a size: 1 = "
+        DEFAULTS.batch_size,
+        "columnar micro-batch size for ingestion (only a size: 1 = "
         "one-event batches through the same path)",
     )
 
     simulate = commands.add_parser("simulate", help="end-to-end latency simulation")
     simulate.add_argument("graph", type=Path)
     simulate.add_argument("stream", type=Path)
-    simulate.add_argument("--k", type=int, default=3)
-    simulate.add_argument("--tau", type=float, default=1_800.0)
-    simulate.add_argument("--partitions", type=int, default=4)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="detection-consumer micro-batch size (only a size: 1 = "
-        "one-event batches through the same flush, and no path:batching "
-        "stage is reported)",
-    )
-    simulate.add_argument(
-        "--max-batch-wait",
-        type=float,
-        default=0.05,
-        help="micro-batch flush deadline in virtual seconds",
-    )
-    simulate.add_argument(
-        "--delivery-batch-size",
-        type=int,
-        default=1,
-        help="coalesce candidate batches until this many raw candidates "
-        "are pending before one funnel dispatch (only a size: 1 = every "
-        "candidate batch is its own window through the same flush, and no "
-        "path:delivery-batching stage is reported)",
-    )
-    simulate.add_argument(
-        "--delivery-max-wait",
-        type=float,
-        default=0.05,
-        help="delivery coalescing window in virtual seconds (time spent "
-        "waiting is reported as the path:delivery-batching stage)",
-    )
+    _detection_flags(simulate)
+    _flag(simulate, "--partitions", DEFAULTS.cluster.num_partitions)
+    for name, text in FIELD_HELP.items():
+        _flag(simulate, "--" + name.replace("_", "-"), getattr(DEFAULTS, name), text)
     simulate.add_argument(
         "--transport",
         choices=TRANSPORTS,
-        default="inprocess",
+        default=DEFAULTS.cluster.transport,
         help="broker-to-partition transport: inprocess = direct calls "
         "with simulated latency (default), process = one multiprocessing "
         "worker per partition (real parallelism), shm = the same workers "
         "fed over zero-copy shared-memory ring buffers (lowest wire "
         "overhead; requires /dev/shm)",
-    )
-    simulate.add_argument(
-        "--delivery-shards",
-        type=int,
-        default=1,
-        help="shard the delivery funnel by recipient hash onto this many "
-        "independent shards (workers under --transport process/shm; 1 = "
-        "the single in-process funnel)",
     )
     simulate.add_argument(
         "--ranked",
@@ -180,12 +139,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "coalescing window and release only each user's top-k into the "
         "funnel",
     )
-    simulate.add_argument(
+    _flag(
+        simulate,
         "--ranked-k",
-        type=int,
-        default=2,
-        help="per-user candidates released per coalescing window under "
-        "--ranked",
+        ServingCacheConfig().k,
+        "per-user candidates released per coalescing window under --ranked",
     )
     simulate.add_argument(
         "--adaptive",
@@ -197,38 +155,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "promote threshold from recorded bench crossovers, and escalates "
         "to admission shedding past --slo-p99",
     )
-    simulate.add_argument(
+    _flag(
+        simulate,
         "--slo-p99",
-        type=float,
-        default=None,
-        help="end-to-end p99 SLO in virtual seconds for --adaptive; past "
+        ControllerConfig().slo_p99,
+        "end-to-end p99 SLO in virtual seconds for --adaptive; past "
         "it (with the escalation ladder saturated) the controller sheds "
         "via admission control; omit to never shed",
     )
-    simulate.add_argument(
+    _flag(
+        simulate,
         "--controller-interval",
-        type=float,
-        default=0.5,
-        help="virtual seconds between adaptive-controller ticks",
+        ControllerConfig().interval,
+        "virtual seconds between adaptive-controller ticks",
     )
-    simulate.add_argument(
-        "--query-qps",
-        type=float,
-        default=None,
-        help="mixed workload: serve this many zipf point queries per "
-        "virtual second off a live serving cache while the stream "
-        "ingests; read latency is reported from the serving:read stage.  "
-        "The cache is written where the funnel runs: with one funnel the "
-        "delivery flush tap merges into one cache in this process; with "
-        "--delivery-shards N each shard merges its own slice (heap under "
-        "--transport inprocess, a shared-memory arena this process reads "
-        "zero-copy under process/shm)",
-    )
-    simulate.add_argument(
+    _flag(
+        simulate,
         "--serving-ttl",
-        type=float,
-        default=None,
-        help="serving-cache TTL in virtual seconds: users whose newest "
+        ServingCacheConfig().ttl,
+        "serving-cache TTL in virtual seconds: users whose newest "
         "entry is older than this are evicted before the cache grows "
         "(omit = keep everything)",
     )
@@ -240,29 +185,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "run config into this durability root and append every ingested "
         "event batch to a segmented write-ahead log under it (see the "
         "recover command)",
-    )
-    simulate.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=None,
-        help="with --wal-dir, take an incremental state snapshot every "
-        "this many virtual seconds (at quiescent points); omit for WAL "
-        "only",
-    )
-    simulate.add_argument(
-        "--wal-fsync-every",
-        type=int,
-        default=64,
-        help="fsync the WAL every N appended records (the power-loss "
-        "exposure window; flushes to the OS are more frequent)",
-    )
-    simulate.add_argument(
-        "--wal-throttle",
-        type=float,
-        default=0.0,
-        help="wall-clock seconds to sleep per WAL append — a crash-"
-        "testing aid that widens the window in which a SIGKILL lands "
-        "mid-run",
     )
     simulate.add_argument(
         "--no-wal-gc",
@@ -277,20 +199,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="write every delivered notification as CSV (recipient, "
         "candidate, created_at, delivered_at) — the reference artifact "
         "the recover command verifies against",
-    )
-    simulate.add_argument(
-        "--hop-median",
-        type=float,
-        default=None,
-        help="override the calibrated lognormal queue-hop median "
-        "(virtual seconds) for all three hops; 0 = deterministic "
-        "zero-delay hops (exact crash-recovery equivalence)",
-    )
-    simulate.add_argument(
-        "--hop-sigma",
-        type=float,
-        default=None,
-        help="override the lognormal queue-hop sigma (with --hop-median)",
     )
 
     recover = commands.add_parser(
@@ -333,16 +241,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("graph", type=Path)
     serve.add_argument("stream", type=Path)
-    serve.add_argument("--k", type=int, default=3)
-    serve.add_argument("--tau", type=float, default=1_800.0)
-    serve.add_argument("--partitions", type=int, default=4)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--topk", type=int, default=2, help="materialized entries per user")
-    serve.add_argument(
+    _detection_flags(serve)
+    _flag(serve, "--partitions", DEFAULTS.cluster.num_partitions)
+    _flag(serve, "--seed", DEFAULTS.seed, FIELD_HELP["seed"])
+    _flag(serve, "--topk", ServingCacheConfig().k, "materialized entries per user")
+    _flag(
+        serve,
         "--serving-shards",
-        type=int,
-        default=1,
-        help="serving-cache shards (splitmix64 by user)",
+        DEFAULTS.delivery_shards,
+        "serving-cache shards (splitmix64 by user), each written by its "
+        "own delivery-funnel shard",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -478,12 +386,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _delivery_shard_pipeline(_shard: int) -> DeliveryPipeline:
-    """One delivery shard's funnel for ``simulate --delivery-shards``."""
-    return DeliveryPipeline(filters=[DedupFilter()])
-
-
-def _write_delivered(path: Path, rows) -> None:
+def _write_delivered(path: Path, rows: list, out) -> None:
     """Delivered-ledger CSV; ``repr`` floats round-trip bit-exactly."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -492,148 +395,87 @@ def _write_delivered(path: Path, rows) -> None:
             writer.writerow(
                 [recipient, candidate, repr(created_at), repr(delivered_at)]
             )
+    print(f"wrote {len(rows)} delivered rows to {path}", file=out)
 
 
-def _hop_model_overrides(args: argparse.Namespace):
-    """Explicit hop models when --hop-median is given (None = calibrated)."""
-    if args.hop_median is None:
-        return None
-    names = ("firehose", "fanout", "push")
-    if args.hop_median <= 0:
-        # Deterministic zero-delay hops: the DES delivers ties FIFO, so
-        # the whole topology becomes order-deterministic — the regime in
-        # which crash recovery reproduces delivery bit for bit.
-        return {name: FixedDelay(0.0) for name in names}
-    sigma = args.hop_sigma if args.hop_sigma is not None else PRODUCTION_HOP_SIGMA
-    return {
-        name: LogNormalDelay(
-            args.hop_median, sigma, make_rng(args.seed, "hop", name)
-        )
-        for name in names
-    }
+class _UsageError(Exception):
+    """A bad flag value, reported as ``error: --flag ...`` with exit 2."""
 
 
-def _simulate_arg_error(args: argparse.Namespace) -> str | None:
-    """The first invalid ``simulate`` argument, found before anything is
-    built: under ``--transport process|shm`` the cluster and the delivery
-    shards are worker processes, which a late exception would leak."""
-    for flag, value in (
-        ("--delivery-shards", args.delivery_shards),
-        ("--serving-ttl", args.serving_ttl),
-        ("--query-qps", args.query_qps),
-    ):
-        if value is not None and value <= 0:
-            return f"{flag} must be positive, got {value}"
+#: Config fields whose flag is not their own spelling.
+_FLAG_OF = {"num_partitions": "--partitions", "interval": "--controller-interval"}
+
+
+def _checked(make, args: argparse.Namespace, **flag_of: str) -> TopologyConfig:
+    """``make(args)``, validated before any side effect — no root
+    directory written, no worker spawned.  Config errors lead with the
+    offending field's name; its flag is spelled the same unless
+    :data:`_FLAG_OF` (or the command's own *flag_of*) says otherwise."""
+    try:
+        return make(args)
+    except ValueError as error:
+        field, _, rest = str(error).partition(" ")
+        default = _FLAG_OF.get(field, "--" + field.replace("_", "-"))
+        raise _UsageError(f"{flag_of.get(field, default)} {rest}") from None
+
+
+def _simulate_config(args: argparse.Namespace) -> TopologyConfig:
     if args.slo_p99 is not None and not args.adaptive:
-        return "--slo-p99 requires --adaptive"
+        raise ValueError("slo_p99 requires --adaptive")
     if args.snapshot_interval is not None and args.wal_dir is None:
-        return "--snapshot-interval requires --wal-dir"
-    return None
-
-
-def _cmd_simulate(args: argparse.Namespace, out) -> int:
-    error = _simulate_arg_error(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    snapshot = GraphSnapshot.load(args.graph)
-    events = _load_stream(args.stream)
-    promote_threshold = None
+        raise ValueError("snapshot_interval requires --wal-dir")
+    controller = serving = promote_threshold = None
     if args.adaptive:
+        controller = ControllerConfig(
+            interval=args.controller_interval, slo_p99=args.slo_p99
+        )
         # Deployment-time derivation: place the ring promotion point at
         # the recorded deque/ring cost crossover when the bench trajectory
         # is available (falls back to the module default otherwise).
         promote_threshold = derive_promote_threshold()
-    serving_k = args.ranked_k if args.ranked else 2
-    serving_config = None
     if args.query_qps is not None:
-        serving_config = ServingCacheConfig(k=serving_k, ttl=args.serving_ttl)
-    controller_config = None
-    if args.adaptive:
-        controller_config = ControllerConfig(
-            interval=args.controller_interval,
-            slo_p99=args.slo_p99,
+        serving = ServingCacheConfig(
+            k=args.ranked_k if args.ranked else ServingCacheConfig().k,
+            ttl=args.serving_ttl,
         )
-    cluster = Cluster.build(
-        snapshot,
-        DetectionParams(k=args.k, tau=args.tau),
-        ClusterConfig(
+    return TopologyConfig(
+        detection=DetectionParams(k=args.k, tau=args.tau),
+        cluster=ClusterConfig(
             num_partitions=args.partitions,
             transport=args.transport,
             promote_threshold=promote_threshold,
         ),
+        controller=controller,
+        serving=serving,
+        ranked_k=args.ranked_k if args.ranked else None,
+        wal_gc=not args.no_wal_gc,
+        **{name: getattr(args, name) for name in FIELD_HELP},
     )
-    delivery = durability = None
-    try:
-        # The cache writer lives where the funnel lives: the shards of a
-        # sharded funnel each own theirs, a single funnel's is tapped here.
-        serving = None
-        if args.delivery_shards > 1:
-            delivery = ShardedDeliveryPipeline(
-                args.delivery_shards,
-                pipeline_factory=_delivery_shard_pipeline,
-                transport=args.transport,
-                serving=serving_config,
-            )
-        else:
-            delivery = _delivery_shard_pipeline(0)
-            if serving_config is not None:
-                serving = ServingCache(**serving_config._asdict())
-        if args.wal_dir is not None:
-            root = prepare_root(
-                args.wal_dir,
-                snapshot,
-                {
-                    "k": args.k,
-                    "tau": args.tau,
-                    "num_partitions": args.partitions,
-                    "transport": args.transport,
-                    "batch_size": args.batch_size,
-                    "seed": args.seed,
-                    # Recovery ends each replayed delivery window the way
-                    # the run did: same ranker, and — only reproducible at
-                    # size 1 with no controller retuning it — same window.
-                    "ranked_k": args.ranked_k if args.ranked else None,
-                    "delivery_batch_size": args.delivery_batch_size,
-                    "adaptive": args.adaptive,
-                    # ...and rebuilds the serving cache with this shape:
-                    # one cache shard per delivery shard.
-                    "serving": serving_config is not None,
-                    "serving_shards": args.delivery_shards,
-                    "serving_k": serving_k,
-                    "serving_ttl": args.serving_ttl,
-                },
-            )
-            durability = DurabilityManager(
-                root,
-                fsync_every=args.wal_fsync_every,
-                throttle_seconds=args.wal_throttle,
-                gc_segments=not args.no_wal_gc,
-            )
-        topology = StreamingTopology(
-            cluster,
-            delivery=delivery,
-            hop_models=_hop_model_overrides(args),
-            seed=args.seed,
-            batch_size=args.batch_size,
-            max_wait=args.max_batch_wait,
-            delivery_batch_size=args.delivery_batch_size,
-            delivery_max_wait=args.delivery_max_wait,
-            ranked_k=args.ranked_k if args.ranked else None,
-            controller_config=controller_config,
-            serving=serving,
-            query_qps=args.query_qps,
-            query_users=snapshot.num_users,
-            durability=durability,
-            snapshot_interval=args.snapshot_interval,
-        )
+
+
+def _cmd_simulate(args: argparse.Namespace, out) -> int:
+    config = _checked(_simulate_config, args)
+    snapshot = GraphSnapshot.load(args.graph)
+    events = _load_stream(args.stream)
+    with build_deployment(config, snapshot, wal_dir=args.wal_dir) as deployment:
+        topology = StreamingTopology.over(deployment, snapshot.num_users)
         result = topology.run(events)
-    finally:
-        cluster.close()
-        if isinstance(delivery, ShardedDeliveryPipeline):
-            delivery.close()
-        if durability is not None:
-            durability.close()
+        _report_simulation(topology, result, out)
+    if args.dump_delivered is not None:
+        rows = [
+            (
+                n.recommendation.recipient,
+                n.recommendation.candidate,
+                n.recommendation.created_at,
+                n.delivered_at,
+            )
+            for n in result.notifications
+        ]
+        _write_delivered(args.dump_delivered, rows, out)
+    return 0
+
+
+def _report_simulation(topology: StreamingTopology, result, out) -> None:
     summary = result.breakdown.summary()
     total = summary.get("total", {})
     print(f"events ingested  : {result.events_ingested}", file=out)
@@ -647,8 +489,8 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         print(f"queue share      : {result.queue_share():.1%}", file=out)
     if topology.controller is not None:
         print(f"control plane    : {topology.controller.describe()}", file=out)
-        if promote_threshold is not None:
-            print(f"promote threshold: {promote_threshold} (derived)", file=out)
+        promote_threshold = topology.config.cluster.promote_threshold
+        print(f"promote threshold: {promote_threshold} (derived)", file=out)
     if topology.query_load is not None:
         read = summary.get("serving:read", {})
         print(
@@ -663,13 +505,8 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
             f"materialized, {topology.serving.bytes_per_user():.0f} bytes/user",
             file=out,
         )
-        if isinstance(topology.serving, ShardedServingCacheReader):
-            # The readers outlive the shards' close on purpose (the lines
-            # above read their pinned mappings); drop them here rather
-            # than leave the mappings to GC order.
-            topology.serving.close()
-    if durability is not None:
-        stats = durability.stats()
+    if topology.durability is not None:
+        stats = topology.durability.stats()
         print(
             f"durability       : {int(stats['wal_records'])} WAL records "
             f"({int(stats['wal_bytes'])} bytes), "
@@ -677,25 +514,6 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
             f"lag {int(stats['snapshot_lag_records'])} records",
             file=out,
         )
-    if args.dump_delivered is not None:
-        _write_delivered(
-            args.dump_delivered,
-            (
-                (
-                    n.recommendation.recipient,
-                    n.recommendation.candidate,
-                    n.recommendation.created_at,
-                    n.delivered_at,
-                )
-                for n in result.notifications
-            ),
-        )
-        print(
-            f"wrote {len(result.notifications)} delivered rows to "
-            f"{args.dump_delivered}",
-            file=out,
-        )
-    return 0
 
 
 def _cmd_recover(args: argparse.Namespace, out) -> int:
@@ -721,13 +539,8 @@ def _cmd_recover(args: argparse.Namespace, out) -> int:
         )
         print(f"delivered ledger : {len(result.delivered)} rows", file=out)
         if args.dump_delivered is not None:
-            _write_delivered(args.dump_delivered, result.delivered)
-            print(
-                f"wrote {len(result.delivered)} delivered rows to "
-                f"{args.dump_delivered}",
-                file=out,
-            )
-        if not result.windows_reproducible:
+            _write_delivered(args.dump_delivered, result.delivered, out)
+        if not result.deployment.config.windows_reproducible:
             print(
                 "warning: this root ran with a delivery window wider than "
                 "one candidate batch (--delivery-batch-size > 1 or "
@@ -804,47 +617,50 @@ def _verify_prefix(reference: Path, result, out) -> int:
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     """Materialize a stream into the serving cache, then answer queries.
 
-    The write path is the same ranked topology ``simulate`` runs (the
-    serving cache taps the delivery flush); once the stream has been
-    folded in, the asyncio front-end answers ``GET <user> [k]`` point
-    lookups.  ``--smoke-queries N`` runs a loopback self-test instead of
-    serving forever — the CI smoke mode.
+    The write path is the ranked topology ``simulate`` runs, built by the
+    same function; once the stream has been folded in, the asyncio
+    front-end answers ``GET <user> [k]`` point lookups.  ``--smoke-queries
+    N`` runs a loopback self-test instead of serving forever — the CI
+    smoke mode.
     """
+    config = _checked(
+        _serve_config, args, ranked_k="--topk", delivery_shards="--serving-shards"
+    )
     snapshot = GraphSnapshot.load(args.graph)
     events = _load_stream(args.stream)
-    require_positive(args.serving_shards, "--serving-shards")
-    cache = ShardedServingCache(num_shards=args.serving_shards, k=args.topk)
-    cluster = Cluster.build(
-        snapshot,
-        DetectionParams(k=args.k, tau=args.tau),
-        ClusterConfig(num_partitions=args.partitions),
-    )
-    topology = StreamingTopology(
-        cluster,
-        delivery=_delivery_shard_pipeline(0),
+    with build_deployment(config, snapshot) as deployment:
+        StreamingTopology.over(deployment).run(events)
+        cache = deployment.serving
+        print(
+            f"materialized {cache.users_cached} users "
+            f"({cache.bytes_per_user():.0f} bytes/user) from {len(events)} events",
+            file=out,
+        )
+        try:
+            return asyncio.run(
+                _serve_frontend(cache, snapshot.num_users, args, out)
+            )
+        except KeyboardInterrupt:
+            return 0
+
+
+def _serve_config(args: argparse.Namespace) -> TopologyConfig:
+    """The ranked topology ``simulate`` runs, one cache shard per funnel
+    shard, micro-batched (nobody reads latency off a materialization)."""
+    return TopologyConfig(
+        detection=DetectionParams(k=args.k, tau=args.tau),
+        cluster=ClusterConfig(num_partitions=args.partitions),
+        serving=ServingCacheConfig(k=args.topk),
         seed=args.seed,
         batch_size=16,
         delivery_batch_size=64,
+        delivery_shards=args.serving_shards,
         ranked_k=args.topk,
-        serving=cache,
     )
-    try:
-        topology.run(events)
-    finally:
-        cluster.close()
-    print(
-        f"materialized {cache.users_cached} users "
-        f"({cache.bytes_per_user():.0f} bytes/user) from {len(events)} events",
-        file=out,
-    )
-    try:
-        return asyncio.run(_serve_frontend(cache, snapshot.num_users, args, out))
-    except KeyboardInterrupt:
-        return 0
 
 
 async def _serve_frontend(
-    cache: ShardedServingCache, num_users: int, args: argparse.Namespace, out
+    cache, num_users: int, args: argparse.Namespace, out
 ) -> int:
     """Bind the TCP front-end; self-test (``--smoke-queries``) or serve."""
     import json
@@ -942,6 +758,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output was piped into a consumer that exited early (e.g. head).
         return 0

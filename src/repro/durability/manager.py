@@ -3,7 +3,7 @@
 A :class:`DurabilityManager` owns one durability *root* directory::
 
     <root>/graph.npz     the static follow graph (written once at start)
-    <root>/config.json   the run's detection/cluster configuration
+    <root>/config.json   the run's whole :class:`~repro.topology.TopologyConfig`
     <root>/wal/          segmented write-ahead event log
     <root>/snapshots/    incremental state snapshots + manifests
 
@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.batch import EventBatch
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import WriteAheadLog, iter_wal
+from repro.topology import TopologyConfig
 
 if TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
@@ -40,24 +41,24 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
 def prepare_root(
-    root: str | Path, snapshot: "GraphSnapshot", config: dict
+    root: str | Path, snapshot: "GraphSnapshot", config: TopologyConfig
 ) -> Path:
-    """Initialize a durability root: static graph + run configuration.
-
-    Both are written once at startup — recovery rebuilds the cluster
-    from them, then restores dynamic state from snapshots + WAL.
-    """
+    """Initialize a durability root: the static graph + the whole
+    deployment description, written once at startup — recovery rebuilds
+    the deployment from them, then restores dynamic state on top."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     snapshot.save(root / "graph.npz")
     with open(root / "config.json", "w") as handle:
-        json.dump(config, handle, indent=1)
+        json.dump(config.to_dict(), handle, indent=1)
     return root
 
 
-def load_root_config(root: str | Path) -> dict:
+def load_root_config(root: str | Path) -> TopologyConfig:
+    """The deployment a root was written by (flat pre-``TopologyConfig``
+    ``config.json`` files load too)."""
     with open(Path(root) / "config.json") as handle:
-        return json.load(handle)
+        return TopologyConfig.from_dict(json.load(handle))
 
 
 def ledger_arrays(notifications: Iterable) -> dict[str, np.ndarray]:

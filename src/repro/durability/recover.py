@@ -1,8 +1,10 @@
 """Replay-to-now recovery: durability root in, rebuilt deployment out.
 
 Recovery composes the other two halves of the tier.  It rebuilds the
-cluster from the root's static graph + run configuration (always as an
-in-process deployment — results are transport-invariant, so the recovered
+deployment from the root's static graph + stored
+:class:`~repro.topology.TopologyConfig` through the same
+:func:`~repro.topology.build_deployment` the live run used (pinned to the
+in-process transport — results are transport-invariant, so the recovered
 state is valid whatever transport the crashed run used), then either
 
 * warm-starts from the latest snapshot — D restored fleet-wide through
@@ -22,29 +24,25 @@ multiset and served rows equal the uninterrupted run's for every event
 the WAL retained (the crash-kill-restart suite pins this).
 
 That holds for roots whose delivery window was one candidate batch
-(``delivery_batch_size == 1``, the default, and no adaptive controller
-retuning it).  A wider window's boundaries depended on the *measured* detection time of the crashed run
-and are not in the WAL; such a root is replayed one origin event per
-window as the best available approximation and
-:attr:`RecoveryResult.windows_reproducible` says so.
+(:attr:`~repro.topology.TopologyConfig.windows_reproducible`).  A wider
+window's boundaries are not in the WAL; such a root is replayed one origin
+event per window as the best available approximation, which must not be
+verified against a reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.core.params import DetectionParams
-from repro.delivery.dedup import DedupFilter
-from repro.delivery.pipeline import DeliveryPipeline, release_window
-from repro.delivery.scoring import TopKPerUserBuffer
+from repro.delivery.pipeline import release_window
 from repro.durability.manager import load_root_config
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import iter_wal
 from repro.graph.snapshot import GraphSnapshot
+from repro.topology import Deployment, build_deployment
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
@@ -59,60 +57,35 @@ class RecoveryResult:
     delivered_at)`` tuples, the currency the equivalence suite compares.
     """
 
-    cluster: Cluster
-    delivery: DeliveryPipeline
+    deployment: Deployment
     delivered: list[tuple[int, int, float, float]] = field(
         default_factory=list
     )
-    serving: "object | None" = None
     snapshot_id: str | None = None
     wal_start_seq: int = 0
     replayed_records: int = 0
     replayed_events: int = 0
-    #: False when the root ran ``delivery_batch_size > 1`` (or let the
-    #: adaptive controller own it): the live windows' boundaries are not
-    #: in the WAL, so the replayed ledger is an approximation and must
-    #: not be verified against a reference.
-    windows_reproducible: bool = True
     #: Creation timestamps of every event the recovered state covers
     #: (snapshot arena + replayed tail) — the verifier's event universe.
     event_timestamps: np.ndarray = field(
         default_factory=lambda: _EMPTY_F64
     )
 
+    @property
+    def serving(self):
+        """The rematerialized serving cache (``None``: root never served)."""
+        return self.deployment.serving
+
     def close(self) -> None:
-        self.cluster.close()
-
-
-def _build_cluster(root: Path, config: dict) -> Cluster:
-    snapshot = GraphSnapshot.load(root / "graph.npz")
-    params = DetectionParams(
-        k=int(config.get("k", 3)), tau=float(config.get("tau", 1_800.0))
-    )
-    cluster_config = ClusterConfig(
-        num_partitions=int(config.get("num_partitions", 1)),
-        transport="inprocess",
-    )
-    return Cluster.build(snapshot, params, cluster_config)
-
-
-def _build_serving(config: dict):
-    from repro.serving.cache import ShardedServingCache
-
-    return ShardedServingCache(
-        num_shards=int(config.get("serving_shards", 1)),
-        k=int(config.get("serving_k", 2)),
-        ttl=config.get("serving_ttl"),
-    )
+        self.deployment.close()
 
 
 def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
     """Rebuild a crashed deployment from its durability root.
 
     Args:
-        root: the directory a :class:`~repro.durability.manager.
-            DurabilityManager` (via ``prepare_root``) wrote during the
-            crashed run.
+        root: the directory ``build_deployment(..., wal_dir=root)`` (via
+            ``prepare_root``) wrote during the crashed run.
         use_snapshot: warm-start from the latest snapshot when one
             exists; ``False`` forces a full-WAL cold replay (only
             possible when segment GC was disabled — the default GC
@@ -123,21 +96,11 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
     """
     root = Path(root)
     config = load_root_config(root)
-    cluster = _build_cluster(root, config)
-    delivery = DeliveryPipeline(filters=[DedupFilter()])
-    # Absent keys are how roots from before they were recorded read:
-    # unranked, one candidate batch per delivery window.
-    ranked_k = config.get("ranked_k")
-    ranker = TopKPerUserBuffer(k=int(ranked_k)) if ranked_k is not None else None
-    result = RecoveryResult(
-        cluster=cluster,
-        delivery=delivery,
-        serving=_build_serving(config) if config.get("serving") else None,
-        windows_reproducible=(
-            int(config.get("delivery_batch_size", 1)) == 1
-            and not config.get("adaptive", False)
-        ),
-    )
+    # Everything recovery pins, whatever the crashed run used.
+    config = replace(config, cluster=replace(config.cluster, transport="inprocess"))
+    deployment = build_deployment(config, GraphSnapshot.load(root / "graph.npz"))
+    result = RecoveryResult(deployment)
+    delivery, ranker = deployment.delivery, config.ranker()
 
     event_parts: list[np.ndarray] = []
     store = SnapshotStore(root / "snapshots")
@@ -145,8 +108,8 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
         manifest, components = store.load_latest()
         result.snapshot_id = manifest["id"]
         result.wal_start_seq = int(manifest["wal_seq"]) + 1
-        cluster.load_dynamic(components["cluster_d"])
-        for stage in delivery.filters:
+        deployment.cluster.load_dynamic(components["cluster_d"])
+        for stage in getattr(delivery, "filters", ()):
             arrays = components.get(f"filter_{stage.name}")
             if arrays is not None:
                 stage.load_state(arrays)
@@ -160,9 +123,7 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
                     ledger["delivered_at"].tolist(),
                 )
             )
-        if "serving" in components:
-            if result.serving is None:  # a root from before the key
-                result.serving = _build_serving(config)
+        if "serving" in components and result.serving is not None:
             result.serving.load_state(components["serving"])
         arena = components.get("events", {}).get("timestamps")
         if arena is not None:
@@ -173,14 +134,14 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
         # record at its original flush time, per-event attribution kept —
         # each origin event's candidates are one delivery window, as they
         # were live.
-        grouped, _latency = cluster.broker.process_batch(
+        grouped, _latency = deployment.cluster.broker.process_batch(
             record.batch, now=record.now
         )
         for candidates in grouped:
             if not len(candidates):
                 continue
             for notification in release_window(
-                candidates, record.now, delivery, ranker, result.serving
+                candidates, record.now, delivery, ranker, deployment.serving_tap
             ):
                 rec = notification.recommendation
                 result.delivered.append(

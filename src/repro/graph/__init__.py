@@ -26,7 +26,6 @@ from repro.graph.intersect import (
     k_overlap_arrays,
     k_overlap_heap,
     k_overlap_scancount,
-    k_overlap,
 )
 from repro.graph.static_index import StaticFollowerIndex
 from repro.graph.dynamic_index import (
@@ -49,7 +48,6 @@ __all__ = [
     "k_overlap_arrays",
     "k_overlap_heap",
     "k_overlap_scancount",
-    "k_overlap",
     "StaticFollowerIndex",
     "DynamicEdgeIndex",
     "DynamicSourceIndex",

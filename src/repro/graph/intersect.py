@@ -213,37 +213,6 @@ def k_overlap_numpy(lists: Sequence[IdList], k: int) -> list[int]:
     return values[counts >= k].tolist()
 
 
-#: Total-input-size crossover at which :func:`k_overlap` switches from
-#: ScanCount to the vectorised numpy path.  Below this, the per-call numpy
-#: overhead (array conversion, ufunc dispatch) outweighs the C-speed
-#: counting; above it, ScanCount's per-element dict operations lose.  The
-#: value comes from the E11 ablation (``benchmarks/bench_intersection.py``),
-#: which sweeps the kernels across input sizes; re-run it when changing
-#: this.
-KOVERLAP_NUMPY_CROSSOVER = 4096
-
-
-def k_overlap(lists: Sequence[IdList], k: int) -> list[int]:
-    """Values present in at least *k* of the sorted *lists* (adaptive).
-
-    Fast paths:
-
-    * ``k == len(lists)`` — plain intersection via :func:`intersect_many`,
-      which is what the paper's worked example computes;
-    * otherwise ScanCount for small inputs and the vectorised numpy path
-      for large ones, per the :data:`KOVERLAP_NUMPY_CROSSOVER` ablation
-      crossover (the pure-Python heap merge exists for the ablation but
-      loses to numpy well before the crossover).
-    """
-    _check_k(lists, k)
-    if k == len(lists):
-        return intersect_many(lists)
-    total = sum(len(values) for values in lists)
-    if total <= KOVERLAP_NUMPY_CROSSOVER:
-        return k_overlap_scancount(lists, k)
-    return k_overlap_numpy(lists, k)
-
-
 def _check_k(lists: Sequence[IdList], k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

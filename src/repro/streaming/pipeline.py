@@ -17,7 +17,7 @@ verify the paper's claim that "nearly all the latency comes from event
 propagation delays in various message queues".  Both micro-batching knobs
 are symmetric — two users of one
 :class:`~repro.streaming.window.FlushWindow`: the detection consumer
-batches *events* (``batch_size`` / ``max_wait``, reported as
+batches *events* (``batch_size`` / ``max_batch_wait``, reported as
 ``path:batching``) and the delivery coalescer batches *candidate batches*
 (``delivery_batch_size`` / ``delivery_max_wait``, reported as
 ``path:delivery-batching``).  Each size is only a size: the default of 1
@@ -38,16 +38,10 @@ from repro.cluster.cluster import Cluster
 from repro.core.events import EdgeEvent
 from repro.delivery.pipeline import DeliveryPipeline
 from repro.delivery.notifier import PushNotification
-from repro.delivery.scoring import TopKPerUserBuffer
 from repro.sim.des import DiscreteEventSimulator
-from repro.sim.latency import (
-    DelayModel,
-    LogNormalDelay,
-    PRODUCTION_HOP_MEDIAN,
-    PRODUCTION_HOP_SIGMA,
-)
+from repro.sim.latency import DelayModel
 from repro.sim.metrics import LatencyBreakdown
-from repro.ops.controller import AdaptiveController, ControllerConfig, LoadSignal
+from repro.ops.controller import AdaptiveController, LoadSignal
 from repro.streaming.consumer import (
     CandidateBatch,
     DeliveryCoalescer,
@@ -56,7 +50,7 @@ from repro.streaming.consumer import (
 from repro.serving.frontend import QueryLoadGenerator
 from repro.streaming.queue import MessageQueue
 from repro.streaming.source import ReplaySource
-from repro.util.rng import make_rng
+from repro.topology import Deployment, TopologyConfig
 from repro.util.validation import require
 
 from typing import TYPE_CHECKING
@@ -130,95 +124,47 @@ class StreamingTopology:
         delivery: DeliveryPipeline | None = None,
         hop_models: dict[str, DelayModel] | None = None,
         admission=None,
-        seed: int = 0,
-        batch_size: int = 1,
-        max_wait: float = 0.05,
-        delivery_batch_size: int = 1,
-        delivery_max_wait: float = 0.05,
-        ranked_k: int | None = None,
-        controller_config: ControllerConfig | None = None,
         serving: "ServingCache | None" = None,
-        query_qps: float | None = None,
-        query_users: int | None = None,
-        query_k: int | None = None,
         durability: "DurabilityManager | None" = None,
-        snapshot_interval: float | None = None,
+        query_users: int | None = None,
+        config: TopologyConfig | None = None,
     ) -> None:
-        """Build the topology.
+        """Wire the topology around prebuilt components.
+
+        Every scalar — seed, both micro-batching windows, ``ranked_k``,
+        the controller, ``query_qps``, ``snapshot_interval``, the hop
+        medians — comes from *config* (a default
+        :class:`~repro.topology.TopologyConfig` when omitted, which
+        documents each); the components are injected, usually straight
+        off a :func:`~repro.topology.build_deployment` (see :meth:`over`).
 
         Args:
             cluster: the detection cluster to run in the middle.
             delivery: the notification funnel (production default trio when
                 omitted).
             hop_models: delay models per hop name (``firehose``,
-                ``fanout``, ``push``); defaults to the calibrated
-                production lognormal for each.
+                ``fanout``, ``push``), overriding ``config.hop_models()``.
             admission: optional
                 :class:`~repro.ops.admission.AdmissionController` gating
-                the detection consumer (overload shedding).
-            seed: randomness for the default delay models.
-            batch_size: detection-consumer micro-batch size — only a
-                size: 1 flushes a one-event batch per arrival through the
-                same path.
-            max_wait: micro-batch flush deadline in virtual seconds; time
-                spent waiting is reported as the ``path:batching`` stage
-                (never at size 1, where nothing waits).
-            delivery_batch_size: candidate count at which the delivery
-                coalescer flushes a merged batch into the funnel — only
-                a size: at 1 every candidate batch is its own window.
-            delivery_max_wait: coalescer flush deadline in virtual
-                seconds; time spent waiting is reported as the
-                ``path:delivery-batching`` stage (never at size 1).
-            ranked_k: enable the ranked delivery configuration — a
-                :class:`~repro.delivery.scoring.TopKPerUserBuffer`
-                releasing at most this many candidates per user per
-                coalescing window into the funnel (``None`` = unranked).
-            controller_config: enable the adaptive control plane — an
-                :class:`~repro.ops.controller.AdaptiveController` ticking
-                every ``interval`` virtual seconds that retunes both
-                micro-batching windows from the live backlog signal and
-                escalates to admission shedding past the SLO.  The
-                controller owns the knobs from construction on, so the
-                static ``batch_size``/``max_wait``/``delivery_*`` args
-                above only name the initial values it immediately
-                replaces with its level-0 posture.  When an SLO is set
-                but no ``admission`` controller was passed, a
-                non-limiting SAMPLE-policy controller is created so the
-                shed rung has an actuator (and keeps a 1-in-N trace
-                flowing while shedding).
-            serving: enable the pull-side serving tier — a
-                :class:`~repro.serving.cache.ServingCache` (or its sharded
-                wrapper) fed by the delivery coalescer's flush tap, so
-                every flush window's funnel input also materializes into
-                the per-user top-k that point queries read.  The cache
-                writer lives where the funnel lives: when *delivery* owns
-                its shards' caches (a
-                :class:`~repro.delivery.sharded.ShardedDeliveryPipeline`
-                built with ``serving=``) the topology reads
-                ``delivery.serving`` — queries, gauges, snapshots — and
-                the coalescer does not tap; passing *serving* as well is
-                an error (every row would be written twice).
-            query_qps: with *serving*, schedule zipf point queries at
-                this rate (per virtual second) for the duration of the
-                replayed stream — the mixed read/write workload.  Read
-                wall-clock latency lands in the ``serving:read``
-                breakdown stage.
-            query_users: user-id space for the query load (required with
-                ``query_qps``).
-            query_k: entries requested per query (default: the cache's k).
-            durability: enable the durable state tier — a
-                :class:`~repro.durability.manager.DurabilityManager`
-                whose WAL taps the detection consumer (every batch is
-                logged immediately before it enters the cluster) and
-                whose snapshots fire from a virtual-time tick.
-            snapshot_interval: virtual seconds between snapshot
-                attempts (requires *durability*; ``None`` = WAL only,
-                no automatic snapshots).  A tick landing while
-                candidates are in flight between the consumer and the
-                funnel retries shortly after — snapshots are only taken
-                at quiescent points so the captured arenas exactly match
-                the manifest's WAL high-water mark.
+                the detection consumer (overload shedding).  When the
+                config's controller has an SLO and none is passed, a
+                non-limiting SAMPLE-policy one gives the shed rung an
+                actuator (and keeps a 1-in-N trace flowing while shedding).
+            serving: the cache the coalescer's flush tap writes in front of
+                a single funnel (module docstring).  A *delivery* that owns
+                its shards' caches is read through ``delivery.serving``
+                instead; passing *serving* as well is an error (every row
+                would be written twice).
+            durability: the :class:`~repro.durability.manager.
+                DurabilityManager` whose WAL taps the detection consumer
+                (every batch is logged immediately before it enters the
+                cluster) and whose snapshots fire every
+                ``config.snapshot_interval``, at quiescent points.
+            query_users: user-id space of the ``config.query_qps`` load
+                (the graph's user count; required with it).
         """
+        config = config or TopologyConfig()
+        self.config = config
         self.sim = DiscreteEventSimulator()
         self.breakdown = LatencyBreakdown()
         self.delivery = delivery or DeliveryPipeline()
@@ -230,15 +176,7 @@ class StreamingTopology:
             "every row twice",
         )
         if hop_models is None:
-            hop_models = {
-                name: LogNormalDelay(
-                    PRODUCTION_HOP_MEDIAN,
-                    PRODUCTION_HOP_SIGMA,
-                    make_rng(seed, "hop", name),
-                )
-                for name in ("firehose", "fanout", "push")
-            }
-        self._hop_models = hop_models
+            hop_models = config.hop_models()
 
         self.firehose: MessageQueue[EdgeEvent] = MessageQueue(
             self.sim, "firehose", hop_models.get("firehose")
@@ -251,8 +189,8 @@ class StreamingTopology:
         )
         self.source = ReplaySource(self.sim, self.firehose)
         if (
-            controller_config is not None
-            and controller_config.slo_p99 is not None
+            config.controller is not None
+            and config.controller.slo_p99 is not None
             and admission is None
         ):
             from repro.ops.admission import AdmissionController, AdmissionPolicy
@@ -270,8 +208,8 @@ class StreamingTopology:
             self.push,
             self.breakdown,
             admission=admission,
-            batch_size=batch_size,
-            max_wait=max_wait,
+            batch_size=config.batch_size,
+            max_wait=config.max_batch_wait,
         )
         self._notifications: list[PushNotification] = []
         # Latency is measured per *recommendation delivery* (the paper's
@@ -285,20 +223,16 @@ class StreamingTopology:
             self.delivery,
             self.breakdown,
             self._notifications,
-            batch_size=delivery_batch_size,
-            max_wait=delivery_max_wait,
-            # ranked_k=0 must error (TopKPerUserBuffer validates), not
-            # silently fall back to the unranked configuration.
-            ranker=(
-                TopKPerUserBuffer(k=ranked_k) if ranked_k is not None else None
-            ),
+            batch_size=config.delivery_batch_size,
+            max_wait=config.delivery_max_wait,
+            ranker=config.ranker(),
             serving=serving,
         )
         #: The cache point queries, gauges and snapshots read: the one
         #: the delivery shards write when they own it, else the tapped one.
         self.serving = shard_owned if shard_owned is not None else serving
         self.query_load: QueryLoadGenerator | None = None
-        if query_qps is not None:
+        if config.query_qps is not None:
             require(
                 self.serving is not None,
                 "query_qps needs a serving cache to query",
@@ -311,33 +245,27 @@ class StreamingTopology:
                 self.sim,
                 self.serving,
                 query_users,
-                query_qps,
+                config.query_qps,
                 self.breakdown,
-                k=query_k,
-                seed=seed,
+                seed=config.seed,
             )
 
         self.durability = durability
-        self._snapshot_interval = snapshot_interval
-        if snapshot_interval is not None:
-            require(
-                durability is not None,
-                "snapshot_interval needs a durability manager",
-            )
-            require(
-                snapshot_interval > 0,
-                f"snapshot_interval must be positive, got {snapshot_interval}",
-            )
+        self._snapshot_interval = config.snapshot_interval
+        require(
+            config.snapshot_interval is None or durability is not None,
+            "snapshot_interval needs a durability manager",
+        )
         if durability is not None:
             durability.cluster = cluster
             self.consumer.wal_tap = durability.log_batch
 
         self.admission = admission
         self.controller: AdaptiveController | None = None
-        if controller_config is not None:
+        if config.controller is not None:
             self.controller = AdaptiveController(
                 TopologyKnobs(self.consumer, self.coalescer, admission),
-                config=controller_config,
+                config=config.controller,
             )
 
         # Wire the stages.
@@ -345,6 +273,22 @@ class StreamingTopology:
         self.fanout.subscribe(self.consumer)
         self.fanout.subscribe(self._record_fanout_delay)
         self.push.subscribe(self.coalescer)
+
+    @classmethod
+    def over(
+        cls, deployment: Deployment, query_users: int | None = None, **components
+    ) -> "StreamingTopology":
+        """The topology around a :func:`~repro.topology.build_deployment`
+        result (*components* adds ``hop_models`` / ``admission``)."""
+        return cls(
+            deployment.cluster,
+            delivery=deployment.delivery,
+            serving=deployment.serving_tap,
+            durability=deployment.durability,
+            query_users=query_users,
+            config=deployment.config,
+            **components,
+        )
 
     # ------------------------------------------------------------------
     # Stage glue

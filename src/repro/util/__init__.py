@@ -20,7 +20,6 @@ from repro.util.stats import (
 )
 from repro.util.timer import Stopwatch, format_duration
 from repro.util.memory import (
-    approx_bytes_of_int_list,
     format_bytes,
     MemoryEstimate,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "percentile",
     "Stopwatch",
     "format_duration",
-    "approx_bytes_of_int_list",
     "format_bytes",
     "MemoryEstimate",
     "make_rng",

@@ -9,28 +9,7 @@ extrapolation from laptop-scale synthetic graphs to Twitter scale
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field
-
-
-def approx_bytes_of_int_list(values: object) -> int:
-    """Return the approximate heap footprint of a container of ints.
-
-    Compact buffers (``array``, bytes-like) report their true buffer size;
-    generic containers fall back to ``sys.getsizeof`` of the container plus a
-    per-element estimate for boxed Python ints.
-    """
-    if isinstance(values, (array, bytes, bytearray)):
-        # getsizeof on compact buffers already includes the payload.
-        return sys.getsizeof(values)
-    size = sys.getsizeof(values)
-    try:
-        length = len(values)  # type: ignore[arg-type]
-    except TypeError:
-        return size
-    # A small boxed Python int costs ~28 bytes plus the container's pointer.
-    return size + length * 28
 
 
 def format_bytes(num_bytes: float) -> str:

@@ -39,7 +39,6 @@ class TestDirections:
         assert check_regression.metric_direction("speedup_vs_batch1") == 1
         assert check_regression.metric_direction("p99_ms") == -1
         assert check_regression.metric_direction("slowdown_vs_p1") == -1
-        assert check_regression.metric_direction("csr_vs_packed_ratio") == -1
         assert check_regression.metric_direction("events") == 0
         # Descriptive ratios carry no quality direction -> never gated.
         assert check_regression.metric_direction("hot_over_cold_ratio") == 0
@@ -47,7 +46,6 @@ class TestDirections:
     def test_relative_markers(self):
         assert check_regression.is_relative("speedup_vs_batch1")
         assert check_regression.is_relative("slowdown_vs_p1")
-        assert check_regression.is_relative("csr_vs_packed_ratio")
         assert not check_regression.is_relative("events_per_sec")
 
 

@@ -33,6 +33,7 @@ from repro.ops import (
 from repro.ops.controller import PROMOTE_THRESHOLD_BOUNDS
 from repro.sim.latency import FixedDelay
 from repro.streaming import StreamingTopology
+from repro.topology import TopologyConfig
 
 PARAMS = DetectionParams(k=2, tau=600.0)
 
@@ -370,16 +371,16 @@ class TestAdaptiveEquivalence:
             hops = {
                 name: FixedDelay(0.5) for name in ("firehose", "fanout", "push")
             }
-            config = None
+            controller = None
             if adaptive:
-                config = ControllerConfig(
+                controller = ControllerConfig(
                     backlog_high=10**9, backlog_low=10**8, slo_p99=None
                 )
             topology = StreamingTopology(
                 cluster,
                 delivery=DeliveryPipeline(filters=[]),
                 hop_models=hops,
-                controller_config=config,
+                config=TopologyConfig(controller=controller),
             )
             report = topology.run(list(events))
             controller = topology.controller
@@ -441,12 +442,14 @@ class TestServingReadsInvisibleToControlPlane:
                     name: FixedDelay(0.5)
                     for name in ("firehose", "fanout", "push")
                 },
-                controller_config=ControllerConfig(
-                    backlog_high=10**9, backlog_low=10**8, slo_p99=None
-                ),
                 serving=serving,
-                query_qps=query_qps,
                 query_users=snapshot.num_users if query_qps else None,
+                config=TopologyConfig(
+                    controller=ControllerConfig(
+                        backlog_high=10**9, backlog_low=10**8, slo_p99=None
+                    ),
+                    query_qps=query_qps,
+                ),
             )
             report = topology.run(list(events))
             return report, topology

@@ -292,26 +292,27 @@ def test_root_with_retired_backend_keys_still_recovers(workload, tmp_path, retir
 
 
 @pytest.mark.parametrize(
-    "delivery_shards, written_by_parent_commit",
+    "delivery_shards, serving_shards",
     [
         # `--serving-mode parent --serving-shards 4`: the shard count was
         # a free option, unrelated to the delivery fan-out.
-        (1, {"serving_shards": 4}),
-        (2, {"serving_shards": 4}),
-        # `--serving-mode worker`: the shard count mirrored
-        # `--delivery-shards`, which is what every root says today.
-        (2, {"serving_shards": 2}),
+        (1, 4),
+        (2, 4),
+        # `--serving-mode worker` and every root since: the shard count
+        # mirrored `--delivery-shards`.
+        (2, 2),
     ],
     ids=["parent-mode-one-funnel", "parent-mode-sharded", "worker-mode"],
 )
 def test_root_with_explicit_serving_shards_recovers_same_served_rows(
-    workload, tmp_path, delivery_shards, written_by_parent_commit
+    workload, tmp_path, delivery_shards, serving_shards
 ):
-    """Durability roots written while serving placement was an option
-    persist whatever ``serving_shards`` that option produced.  The key
-    still only shapes the rebuilt cache — rows re-split by user hash on
-    load — so such a root recovers to exactly the served rows a root
-    written today (``serving_shards`` = delivery shards) recovers to."""
+    """Durability roots written before the config was stored whole persist
+    a flat ``serving_shards`` — whatever the then-free option produced.
+    The shard count only ever places rows (they re-split by user hash on
+    load), so such a root recovers to exactly the served rows a root
+    written today recovers to — and so does today's root with its
+    ``delivery_shards``, the key that now decides the count, changed."""
     import json
 
     from repro.durability.recover import recover
@@ -338,7 +339,7 @@ def test_root_with_explicit_serving_shards_recovers_same_served_rows(
     ) == 0
     config_path = root / "config.json"
     config = json.loads(config_path.read_text())
-    assert config["serving_shards"] == delivery_shards
+    assert config["delivery_shards"] == delivery_shards
 
     def served_rows() -> dict:
         result = recover(root)
@@ -350,8 +351,25 @@ def test_root_with_explicit_serving_shards_recovers_same_served_rows(
 
     today = served_rows()
     assert today  # the snapshots carried a serving component
+    written_by_pr20 = {
+        "k": config["detection"]["k"],
+        "tau": config["detection"]["tau"],
+        "num_partitions": config["cluster"]["num_partitions"],
+        "transport": config["cluster"]["transport"],
+        "batch_size": config["batch_size"],
+        "seed": config["seed"],
+        "ranked_k": config["ranked_k"],
+        "delivery_batch_size": config["delivery_batch_size"],
+        "adaptive": False,
+        "serving": True,
+        "serving_shards": serving_shards,
+        "serving_k": config["serving"]["k"],
+        "serving_ttl": config["serving"]["ttl"],
+    }
+    config_path.write_text(json.dumps(written_by_pr20, indent=1))
+    assert served_rows() == today
     config_path.write_text(
-        json.dumps({**config, **written_by_parent_commit}, indent=1)
+        json.dumps({**config, "delivery_shards": serving_shards}, indent=1)
     )
     assert served_rows() == today
 
@@ -431,13 +449,16 @@ def test_ranked_replay_ranks_each_origin_event_like_the_live_window(tmp_path):
     from repro.durability import DurabilityManager, prepare_root
     from repro.durability.recover import recover
     from repro.graph import GraphSnapshot
+    from repro.topology import TopologyConfig
 
     # User 0 follows 1 and 2; both act on targets 8 and 9 in one batch.
     snapshot = GraphSnapshot.from_edges([(0, 1), (0, 2)], num_nodes=10)
     root = prepare_root(
         tmp_path / "root",
         snapshot,
-        {"k": 2, "tau": 600.0, "num_partitions": 1, "ranked_k": 1},
+        TopologyConfig.from_dict(
+            {"k": 2, "tau": 600.0, "num_partitions": 1, "ranked_k": 1}
+        ),
     )
     manager = DurabilityManager(root)
     events = [

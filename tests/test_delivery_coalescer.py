@@ -198,6 +198,7 @@ class TestRankedCoalescer:
         from repro.core import DetectionParams
         from repro.graph import GraphSnapshot
         from repro.streaming import StreamingTopology
+        from repro.topology import TopologyConfig
 
         snapshot = GraphSnapshot.from_edges(
             [(0, 3), (1, 3), (1, 4), (2, 4)], num_nodes=8
@@ -206,8 +207,8 @@ class TestRankedCoalescer:
             snapshot, DetectionParams(k=2, tau=600.0),
             ClusterConfig(num_partitions=2),
         )
-        topology = StreamingTopology(cluster, seed=0, ranked_k=1)
+        topology = StreamingTopology(cluster, config=TopologyConfig(ranked_k=1))
         assert topology.coalescer._ranker is not None
         assert topology.coalescer._ranker.k == 1
-        unranked = StreamingTopology(cluster, seed=0)
+        unranked = StreamingTopology(cluster)
         assert unranked.coalescer._ranker is None

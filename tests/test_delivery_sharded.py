@@ -459,6 +459,7 @@ class TestServingPlacementIsDerived:
         from repro.core import DetectionParams
         from repro.sim.latency import FixedDelay
         from repro.streaming import StreamingTopology
+        from repro.topology import TopologyConfig
 
         snapshot, events = workload
         cluster = Cluster.build(
@@ -474,10 +475,10 @@ class TestServingPlacementIsDerived:
                     name: FixedDelay(0.5)
                     for name in ("firehose", "fanout", "push")
                 },
-                batch_size=8,
-                delivery_batch_size=32,
-                ranked_k=2,
                 serving=serving,
+                config=TopologyConfig(
+                    batch_size=8, delivery_batch_size=32, ranked_k=2
+                ),
             )
             report = topology.run(list(events))
         finally:

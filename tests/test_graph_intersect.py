@@ -9,13 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graph.intersect import (
-    KOVERLAP_NUMPY_CROSSOVER,
     intersect_galloping,
     intersect_hash,
     intersect_many,
     intersect_merge,
     intersect_sorted,
-    k_overlap,
     k_overlap_arrays,
     k_overlap_heap,
     k_overlap_numpy,
@@ -33,7 +31,6 @@ K_OVERLAP_ALGORITHMS = [
     k_overlap_scancount,
     k_overlap_heap,
     k_overlap_numpy,
-    k_overlap,
 ]
 
 sorted_ids = st.lists(
@@ -151,9 +148,7 @@ class TestKOverlap:
     def test_empty_lists_allowed(self, algo):
         assert algo([[], [1], [1]], 2) == [1]
 
-    @pytest.mark.parametrize(
-        "algo", [k_overlap_scancount, k_overlap_heap, k_overlap_numpy]
-    )
+    @pytest.mark.parametrize("algo", K_OVERLAP_ALGORITHMS)
     @given(
         lists=st.lists(sorted_ids, min_size=1, max_size=5),
         k_fraction=st.floats(0.01, 1.0),
@@ -162,38 +157,17 @@ class TestKOverlap:
         k = max(1, round(k_fraction * len(lists)))
         assert algo(lists, k) == reference_k_overlap(lists, k)
 
-    @given(lists=st.lists(sorted_ids, min_size=1, max_size=4))
-    def test_dispatch_k_equals_n_is_intersection(self, lists):
-        assert k_overlap(lists, len(lists)) == reference_intersection(lists)
-
-    def test_dispatch_large_input_uses_numpy_path(self):
-        # Total size > the crossover exercises the numpy branch of k_overlap.
-        lists = [list(range(0, 6000, 2)), list(range(0, 6000, 3))]
-        expected = reference_k_overlap(lists, 1)
-        assert k_overlap(lists, 1) == expected
-
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_dispatch_agrees_at_numpy_crossover_boundary(self, offset):
-        """Both sides of the ScanCount/numpy crossover give identical results.
-
-        Builds three lists (k=2 < len(lists), so the size-based dispatch —
-        not the k == n intersection shortcut — runs) whose total length
-        lands exactly on KOVERLAP_NUMPY_CROSSOVER + offset: offset <= 0
-        takes the ScanCount branch, offset == 1 the numpy branch.
-        """
-        total = KOVERLAP_NUMPY_CROSSOVER + offset
-        third = list(range(total // 2 - 8, total // 2 - 4))
-        first = list(range(0, total // 2))
-        second_len = total - len(first) - len(third)
-        second = list(range(total // 2 - 10, total // 2 - 10 + second_len))
+    @pytest.mark.parametrize("algo", K_OVERLAP_ALGORITHMS)
+    def test_large_straddling_input(self, algo):
+        """Thousands of ids per list (hypothesis stays small), the overlap
+        straddling all three lists."""
+        first = list(range(0, 2048))
+        second = list(range(2038, 4082))
+        third = list(range(2040, 2044))
         lists = [first, second, third]
-        assert sum(len(values) for values in lists) == total
         expected = reference_k_overlap(lists, 2)
-        assert k_overlap(lists, 2) == expected
-        assert k_overlap_scancount(lists, 2) == expected
-        assert k_overlap_numpy(lists, 2) == expected
-        # The overlap straddles the lists, so the result is non-trivial.
-        assert expected
+        assert expected == list(range(2038, 2048))
+        assert algo(lists, 2) == expected
 
     @given(
         lists=st.lists(sorted_ids.filter(len), min_size=1, max_size=5),
@@ -214,7 +188,7 @@ class TestKOverlap:
         """Raising k can only shrink the result set."""
         previous = None
         for k in range(1, len(lists) + 1):
-            current = set(k_overlap(lists, k))
+            current = set(k_overlap_scancount(lists, k))
             if previous is not None:
                 assert current <= previous
             previous = current

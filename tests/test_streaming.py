@@ -8,6 +8,7 @@ from repro.delivery import DeliveryPipeline
 from repro.sim.des import DiscreteEventSimulator
 from repro.sim.latency import FixedDelay
 from repro.streaming import MessageQueue, ReplaySource, StreamingTopology
+from repro.topology import TopologyConfig
 
 from tests.conftest import A2, B1, B2, C2
 
@@ -110,8 +111,7 @@ class TestStreamingTopology:
             cluster,
             delivery=DeliveryPipeline(filters=[]),
             hop_models=hops,
-            batch_size=8,
-            max_wait=4.0,
+            config=TopologyConfig(batch_size=8, max_batch_wait=4.0),
         )
         report = topology.run([EdgeEvent(0.0, B1, C2), EdgeEvent(1.0, B2, C2)])
         assert report.events_ingested == 2
@@ -141,8 +141,7 @@ class TestStreamingTopology:
             cluster,
             delivery=DeliveryPipeline(filters=[]),
             hop_models=hops,
-            batch_size=2,
-            max_wait=60.0,
+            config=TopologyConfig(batch_size=2, max_batch_wait=60.0),
         )
         got = batched.run(events)
         assert [n.recipient for n in got.notifications] == [
@@ -161,8 +160,7 @@ class TestStreamingTopology:
             cluster,
             delivery=DeliveryPipeline(filters=[]),
             hop_models=hops,
-            delivery_batch_size=64,
-            delivery_max_wait=2.5,
+            config=TopologyConfig(delivery_batch_size=64, delivery_max_wait=2.5),
         )
         report = topology.run([EdgeEvent(0.0, B1, C2), EdgeEvent(1.0, B2, C2)])
         assert len(report.notifications) == 1
@@ -193,8 +191,7 @@ class TestStreamingTopology:
             cluster,
             delivery=DeliveryPipeline(filters=[]),
             hop_models=hops,
-            delivery_batch_size=8,
-            delivery_max_wait=10.0,
+            config=TopologyConfig(delivery_batch_size=8, delivery_max_wait=10.0),
         )
         got = coalesced.run([EdgeEvent(0.0, B1, C2), EdgeEvent(1.0, B2, C2)])
         assert [n.recipient for n in got.notifications] == [
@@ -211,7 +208,9 @@ class TestStreamingTopology:
             figure1_snapshot, PARAMS, ClusterConfig(num_partitions=1)
         )
         topology = StreamingTopology(
-            cluster, delivery=DeliveryPipeline(filters=[]), seed=5
+            cluster,
+            delivery=DeliveryPipeline(filters=[]),
+            config=TopologyConfig(seed=5),
         )
         report = topology.run([EdgeEvent(0.0, B1, C2), EdgeEvent(1.0, B2, C2)])
         assert len(report.notifications) == 1
@@ -317,9 +316,9 @@ class TestSizeOneTopologyMatchesTheOracle:
             hop_models={
                 name: FixedDelay(0.0) for name in ("firehose", "fanout", "push")
             },
-            batch_size=1,
-            delivery_batch_size=1,
-            ranked_k=ranked_k,
+            config=TopologyConfig(
+                batch_size=1, delivery_batch_size=1, ranked_k=ranked_k
+            ),
         )
         report = topology.run(list(events))
         assert self._rows(report.notifications) == expected_rows

@@ -1,13 +1,11 @@
 """Unit tests for repro.util.timer, repro.util.memory, repro.util.rng."""
 
 import time
-from array import array
 
 import pytest
 
 from repro.util.memory import (
     MemoryEstimate,
-    approx_bytes_of_int_list,
     format_bytes,
 )
 from repro.util.rng import derive_seed, make_rng
@@ -85,19 +83,6 @@ class TestFormatBytes:
 
     def test_negative(self):
         assert format_bytes(-2048) == "-2.00KiB"
-
-
-class TestApproxBytes:
-    def test_packed_array_is_8_bytes_per_element(self):
-        packed = array("q", range(1000))
-        size = approx_bytes_of_int_list(packed)
-        # 8 bytes/element plus object header and growth slack.
-        assert 8_000 <= size <= 9_000
-
-    def test_python_list_costs_more(self):
-        boxed = list(range(1000))
-        packed = array("q", range(1000))
-        assert approx_bytes_of_int_list(boxed) > approx_bytes_of_int_list(packed)
 
 
 class TestMemoryEstimate:
