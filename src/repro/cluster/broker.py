@@ -3,9 +3,12 @@
 "The final design is a fairly standard partitioned, replicated architecture
 with coordination handled by brokers that fan-out queries and gather
 results."  A broker receives each live edge event, fans it out to every
-partition's replica set (because D is fully replicated, every partition
-must see every event), and gathers the per-partition candidate lists.
-Partitions own disjoint A's, so gathering is pure concatenation.
+partition's replica set (every partition needs the complete D, so every
+partition must see every event), and gathers the per-partition candidate
+lists.  Partitions own disjoint A's, so gathering is pure concatenation.
+Partitions in one process share one D: the first to see a batch inserts
+and scans it, and the others run only their own S-shard k-overlaps, so
+fanning a batch out in-process costs one D insert, not P.
 
 The fan-out itself goes through a pluggable
 :class:`~repro.cluster.transport.PartitionTransport`: the default

@@ -2,9 +2,17 @@
 
 ``Cluster.build`` performs the offline load step for every partition: it
 inverts the snapshot into per-partition S shards (disjoint A's), creates
-``replication_factor`` replicas per partition each with a private full D
-copy, wires simulated channels, and parks a broker in front.  Production
-runs 20 partitions; the partition-scaling benchmark (E5) sweeps this.
+``replication_factor`` replicas per partition, gives them one D per
+address space, wires simulated channels, and parks a broker in front.
+Production runs 20 partitions; the partition-scaling benchmark (E5) sweeps
+this.
+
+The paper replicates the complete D into every partition because each
+partition is a machine.  Here the copy follows the process, not the
+partition object: all P x R replicas behind the in-process transport share
+one D, and the R replicas inside a partition worker share that worker's
+one.  The first engine at a batch inserts it and scans each run; the rest
+reuse both (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.enter`).
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from repro.graph.static_index import StaticFollowerIndex
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive
 
-#: Builds one replica's detector programs from its (S shard, D copy).
+#: Builds one replica's detector programs from its (S shard, private D).
 DetectorFactory = Callable[
     [StaticFollowerIndex, DynamicEdgeIndex], list[OnlineDetector]
 ]
@@ -139,11 +147,19 @@ class Cluster:
                 deployed fleet-wide.  Factories must construct detectors
                 with ``inserts_edges=False``; the engine owns the insert.
                 Defaults to one hand-coded diamond per replica.
+
+        D placement follows the programs.  Diamonds read D only through
+        the run scan, so they share one D per address space: one for the
+        whole cluster in-process, one per partition worker otherwise.
+        Factory programs may read D however they like, so each of their
+        replicas gets a private D — a sharing group of one, through the
+        same insert rule.
         """
         params = params or DetectionParams()
         config = config or ClusterConfig()
         partitioner = partitioner or HashPartitioner(config.num_partitions)
 
+        indexes: dict[object, DynamicEdgeIndex] = {}
         replica_sets: list[ReplicaSet] = []
         for p in range(config.num_partitions):
             shard = build_follower_snapshot(
@@ -155,15 +171,21 @@ class Cluster:
             channels: list[SimulatedChannel] = []
             for r in range(config.replication_factor):
                 detectors = None
-                # Every replica owns a private full D copy (the paper's
-                # D-replication design).
-                dynamic_index = DynamicEdgeIndex(
-                    retention=params.tau,
-                    max_edges_per_target=config.max_edges_per_target,
-                    promote_threshold=(
-                        config.promote_threshold or DEFAULT_PROMOTE_THRESHOLD
-                    ),
-                )
+                if detector_factory is not None:
+                    group: object = (p, r)
+                elif config.transport == "inprocess":
+                    group = None
+                else:
+                    group = p
+                dynamic_index = indexes.get(group)
+                if dynamic_index is None:
+                    dynamic_index = indexes[group] = DynamicEdgeIndex(
+                        retention=params.tau,
+                        max_edges_per_target=config.max_edges_per_target,
+                        promote_threshold=(
+                            config.promote_threshold or DEFAULT_PROMOTE_THRESHOLD
+                        ),
+                    )
                 if detector_factory is not None:
                     detectors = detector_factory(shard, dynamic_index)
                 replicas.append(
@@ -294,7 +316,9 @@ class Cluster:
         self.close()
 
     def prune(self, now: float) -> int:
-        """Evict expired D entries on every replica (via the transport)."""
+        """Evict expired entries from every distinct D (via the
+        transport); the count is per copy — once in-process, once per
+        worker otherwise."""
         return self.broker.transport.prune(now)
 
     def reload_snapshot(
@@ -326,30 +350,33 @@ class Cluster:
     def checkpoint_dynamic(self) -> "dict | None":
         """One reachable replica's complete D as checkpoint arrays.
 
-        The durability tier's snapshot capture: every replica holds the
-        full D, so any available copy represents the fleet.  None when no
+        The durability tier's snapshot capture: every replica reads the
+        complete D, so any available copy represents the fleet.  None when no
         replica is reachable (snapshot again later).
         """
         return self.broker.transport.checkpoint()
 
     def load_dynamic(self, arrays: dict) -> int:
-        """Restore checkpoint arrays into every replica's D fleet-wide.
+        """Restore checkpoint arrays into every distinct D fleet-wide.
 
         Recovery's warm-start: used together with
         :meth:`reload_snapshot`, it rebuilds a crashed deployment's
         detection state without replaying the full retention window.
-        Returns the per-replica edge count restored.
+        Each copy is restored once (restoring re-inserts, so a shared D
+        restored per replica would hold every edge twice).  Returns the
+        per-copy edge count restored.
         """
         return self.broker.transport.load_dynamic(arrays)
 
     def memory_report(self) -> dict[str, int]:
         """Aggregate S and D footprints across the fleet.
 
-        D's total grows with partitions x replicas (full replication, the
-        paper's acknowledged bottleneck); S's total stays roughly constant
-        because the shards are disjoint.  Collected over the transport's
-        health control message, so it works for worker-hosted partitions
-        too (dead workers contribute nothing).
+        D counts each distinct copy once: flat in partitions in-process,
+        one copy per worker (~P x, the paper's acknowledged bottleneck) on
+        a worker transport.  S's total stays roughly constant because the
+        shards are disjoint.  Collected over the transport's health control
+        message, so it works for worker-hosted partitions too (dead workers
+        contribute nothing).
         """
         total = {"static_index": 0, "dynamic_index": 0}
         for partition in self.broker.transport.health():

@@ -1,10 +1,13 @@
-"""One partition server: an S shard, a full D copy, detector programs.
+"""One partition server: an S shard, the complete D, detector programs.
 
 "each partition needs to keep the complete D data structure (holding the
 incoming B's to C's), since in principle any B can be in any partition.
 Thus, every partition needs to handle the entire stream of edge creation
 events" — so :meth:`PartitionServer.ingest` is called with *every* event,
-while its S shard holds only the A's this partition owns.
+while its S shard holds only the A's this partition owns.  The paper's
+partitions are machines; partitions that share a process here share one D
+(see :meth:`repro.cluster.cluster.Cluster.build`), which the first of them
+to see an event inserts.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ class PartitionServer:
             params: diamond parameters when using the default detector.
             detectors: custom detector programs (built over *static_shard*
                 and *dynamic_index*, with ``inserts_edges=False``).
-            dynamic_index: this replica's full D copy (created fresh when
-                omitted; never shared between replicas).
+            dynamic_index: the complete D this replica reads — shared
+                with every replica of its process by ``Cluster.build``;
+                created fresh (private) when omitted.
             max_edges_per_target: per-C cap for the default D copy.
             track_latency: record per-event detection latency.
         """
@@ -111,10 +115,6 @@ class PartitionServer:
             raise TypeError("query_audience requires a DiamondDetector program")
         return detector.current_audience(target, now)
 
-    def prune(self, now: float) -> int:
-        """Evict expired D entries."""
-        return self._engine.prune(now)
-
     def reload_static(self, static_shard: StaticFollowerIndex) -> None:
         """Hot-swap this replica's S shard (periodic offline reload)."""
         self._engine.reload_static_index(static_shard)
@@ -122,10 +122,6 @@ class PartitionServer:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-
-    def memory_bytes(self) -> dict[str, int]:
-        """S-shard and D-copy footprints."""
-        return self._engine.memory_bytes()
 
     def events_processed(self) -> int:
         """Stream events this replica has consumed."""

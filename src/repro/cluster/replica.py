@@ -1,16 +1,20 @@
 """Replica sets: fault tolerance and read throughput for one partition.
 
 "Note that we can replicate the partitions for both fault tolerance and
-increased query throughput."  All replicas consume the full event stream
-(keeping their private D copies identical); detection output is taken from
-the primary (lowest-index healthy replica) so one motif never produces
-duplicate notifications; read-only queries round-robin across healthy
-replicas, which is where the read-throughput scaling comes from.
+increased query throughput."  All replicas consume the full event stream;
+detection output is taken from the primary (lowest-index healthy replica)
+so one motif never produces duplicate notifications; read-only queries
+round-robin across healthy replicas, which is where the read-throughput
+scaling comes from.
 
-A replica that was down has missed stream events, so its D is stale;
-:meth:`ReplicaSet.resync` copies a healthy sibling's D state before the
-replica rejoins, mirroring how production systems bootstrap a replacement
-from a snapshot plus stream catch-up.
+Replicas are copies only across processes.  Replicas in one address space
+share one D (``Cluster.build``), which the first of them to see a batch
+inserts: a replica that misses a batch loses that batch's candidates and
+counts it in ``missed_events``, but its D is not stale.  A replica with a
+private D that was down *has* a stale D; :meth:`ReplicaSet.resync` copies a
+healthy sibling's D state before the replica rejoins, mirroring how
+production systems bootstrap a replacement from a snapshot plus stream
+catch-up.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ class ReplicaSet:
 
     def resync(self, replica_id: int) -> None:
         """Copy a healthy sibling's D state into the replica and rejoin.
+
+        Replicas sharing one D have nothing to copy (the clone of an index
+        from itself is a no-op); resync then only clears the missed-event
+        ledger and rejoins.
 
         Raises:
             AllReplicasDown: when no healthy source replica exists.
@@ -206,16 +214,3 @@ class ReplicaSet:
         raise AllReplicasDown(
             f"partition {self.partition_id}: no replica served the read"
         )
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
-    def memory_bytes(self) -> dict[str, int]:
-        """Summed S and D footprint across replicas (replication cost)."""
-        total = {"static_index": 0, "dynamic_index": 0}
-        for replica in self.replicas:
-            report = replica.memory_bytes()
-            total["static_index"] += report["static_index"]
-            total["dynamic_index"] += report["dynamic_index"]
-        return total

@@ -123,6 +123,8 @@ class ReplicaHealthSnapshot:
     events_processed: int
     missed_events: int
     dynamic_edges: int
+    #: The replica's D bytes, or 0 when an earlier replica of the same
+    #: process already reported that (shared) D: sums count each copy once.
     dynamic_memory_bytes: int
     static_memory_bytes: int
     channel_failures: int
@@ -185,20 +187,22 @@ class PartitionTransport(Protocol):
         ...
 
     def prune(self, now: float) -> int:
-        """Evict expired D entries on every replica; total removed."""
+        """Evict expired entries from every distinct D; total removed
+        (one count per copy: per process, not per replica)."""
         ...
 
     def checkpoint(self) -> "dict[str, np.ndarray] | None":
         """One reachable replica's complete D as checkpoint arrays.
 
-        Every replica holds the full D (the paper's replication design),
+        Every replica reads the full D (the paper's replication design),
         so any available copy is the fleet's.  None when no replica is
         reachable.
         """
         ...
 
     def load_dynamic(self, arrays: "dict[str, np.ndarray]") -> int:
-        """Restore checkpoint arrays into every replica's D; edge count."""
+        """Restore checkpoint arrays into every distinct D once; edge
+        count."""
         ...
 
     def reload_static(
@@ -216,24 +220,45 @@ class PartitionTransport(Protocol):
         ...
 
 
+def _distinct_indexes(replica_sets: "list[ReplicaSet]") -> list:
+    """Each D behind *replica_sets* once, in replica order: replicas in
+    one address space share one D, and control messages act on a copy,
+    not on a replica."""
+    return list(
+        dict.fromkeys(
+            replica.engine.dynamic_index
+            for replica_set in replica_sets
+            for replica in replica_set.replicas
+        )
+    )
+
+
 def _replica_set_health(
-    replica_set: "ReplicaSet",
+    replica_set: "ReplicaSet", charged: set
 ) -> tuple[ReplicaHealthSnapshot, ...]:
-    """Collect one replica set's health (runs wherever the replicas live)."""
+    """Collect one replica set's health (runs wherever the replicas live).
+
+    A D is charged to the first replica that reports it (*charged* holds
+    those already counted in this address space), so summing
+    ``dynamic_memory_bytes`` counts every distinct copy once.
+    """
     out = []
     for i, (replica, channel) in enumerate(
         zip(replica_set.replicas, replica_set.channels)
     ):
-        memory = replica.memory_bytes()
+        engine = replica.engine
+        index = engine.dynamic_index
+        dynamic_bytes = 0 if index in charged else index.memory_bytes()
+        charged.add(index)
         out.append(
             ReplicaHealthSnapshot(
                 name=replica.name,
                 available=channel.available,
                 events_processed=replica.events_processed(),
                 missed_events=replica_set.missed_events[i],
-                dynamic_edges=replica.engine.dynamic_index.num_edges,
-                dynamic_memory_bytes=memory["dynamic_index"],
-                static_memory_bytes=memory["static_index"],
+                dynamic_edges=index.num_edges,
+                dynamic_memory_bytes=dynamic_bytes,
+                static_memory_bytes=engine.static_index.memory_bytes(),
                 channel_failures=channel.stats.failures,
             )
         )
@@ -310,22 +335,22 @@ class InProcessTransport:
         return out
 
     def health(self) -> list[PartitionHealthSnapshot]:
+        charged: set = set()
         return [
             PartitionHealthSnapshot(
                 partition_id=replica_set.partition_id,
                 worker_alive=True,
                 backlog=0,
-                replicas=_replica_set_health(replica_set),
+                replicas=_replica_set_health(replica_set, charged),
             )
             for replica_set in self.replica_sets
         ]
 
     def prune(self, now: float) -> int:
-        removed = 0
-        for replica_set in self.replica_sets:
-            for replica in replica_set.replicas:
-                removed += replica.prune(now)
-        return removed
+        return sum(
+            index.prune_expired(now)
+            for index in _distinct_indexes(self.replica_sets)
+        )
 
     def checkpoint(self) -> "dict | None":
         for replica_set in self.replica_sets:
@@ -337,12 +362,10 @@ class InProcessTransport:
         return None
 
     def load_dynamic(self, arrays: dict) -> int:
+        # Restoring re-inserts edges: a shared D must be restored once.
         edges = 0
-        for replica_set in self.replica_sets:
-            for replica in replica_set.replicas:
-                edges = restore_dynamic_arrays(
-                    replica.engine.dynamic_index, arrays
-                )
+        for index in _distinct_indexes(self.replica_sets):
+            edges = restore_dynamic_arrays(index, arrays)
         return edges
 
     def reload_static(self, shards: dict) -> int:
@@ -385,14 +408,15 @@ def _control_reply(replica_set, message: tuple) -> tuple | None:
             return ("lost", None, 0.0)
         return ("ok", audience, latency)
     if kind == "health":
-        return ("ok", _replica_set_health(replica_set), 0.0)
+        return ("ok", _replica_set_health(replica_set, set()), 0.0)
     if kind == "prune":
         removed = sum(
-            replica.prune(message[1]) for replica in replica_set.replicas
+            index.prune_expired(message[1])
+            for index in _distinct_indexes([replica_set])
         )
         return ("ok", removed, 0.0)
     if kind == "checkpoint":
-        # Every replica holds the complete D, so any available one's copy
+        # Every replica reads the complete D, so any available one's copy
         # is the fleet's (the durability tier's snapshot capture).
         for replica, channel in zip(
             replica_set.replicas, replica_set.channels
@@ -406,10 +430,8 @@ def _control_reply(replica_set, message: tuple) -> tuple | None:
         return ("lost", None, 0.0)
     if kind == "load_dynamic":
         edges = 0
-        for replica in replica_set.replicas:
-            edges = restore_dynamic_arrays(
-                replica.engine.dynamic_index, message[1]
-            )
+        for index in _distinct_indexes([replica_set]):
+            edges = restore_dynamic_arrays(index, message[1])
         return ("ok", edges, 0.0)
     if kind == "reload_static":
         # In-place S hot reload: the replica swaps its shard reference
@@ -491,9 +513,10 @@ def _partition_worker_main(replica_set, wire: Wire) -> None:
 class WorkerTransport:
     """Partition servers hosted in ``multiprocessing`` workers.
 
-    One worker per partition, each owning its replica set (S shard +
-    private D copies) behind one :class:`~repro.cluster.shm.Wire`.  The
-    parent never touches the replica sets after startup — its references
+    One worker per partition, each owning its replica set (S shard + one
+    D its replicas share: the paper's per-machine copy) behind one
+    :class:`~repro.cluster.shm.Wire`.  The parent never touches the
+    replica sets after startup — its references
     (under the ``fork`` start method) are stale copies; all state lives
     behind the wires.
 
@@ -558,8 +581,8 @@ class WorkerTransport:
             wire = Wire.create(context, ring)
             self._segment_names += wire.segment_names
             # spawn_worker hands the replica set over in a one-shot holder
-            # the parent clears right after start(): holding P full D
-            # copies in the broker process would double the fleet's memory.
+            # the parent clears right after start(): holding P D copies in
+            # the broker process would double the fleet's memory.
             self._workers.append(
                 spawn_worker(
                     context,
@@ -721,7 +744,7 @@ class WorkerTransport:
         edges = 0
         for _partition_id, raw in self._control(("load_dynamic", arrays)):
             if raw is not None and raw[0] == "ok":
-                # Every partition restores the same full D copy; any
+                # Every worker restores the same complete D once; any
                 # single reply carries the fleet-wide edge count.
                 edges = max(edges, raw[1])
         return edges

@@ -16,8 +16,8 @@ When a live ``B -> C`` edge arrives:
    the batched path (the k-overlap's recipient array flows straight into
    the group, unboxed).
 
-The detector is deliberately stateless beyond its two indexes, so replicated
-partitions holding identical S shards and D copies produce identical output.
+The detector is deliberately stateless beyond its two indexes, so replicas
+holding identical S shards over the same D produce identical output.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class DiamondDetector:
 
         Args:
             static_index: the partition's S shard (B -> sorted A's).
-            dynamic_index: the partition's full D copy.
+            dynamic_index: the complete D (possibly shared with the
+                other partitions of this process).
             params: k / tau configuration; defaults to production values.
             inserts_edges: when True (standalone use) the detector inserts
                 each event into D itself; the engine sets this False so one
@@ -182,38 +183,33 @@ class DiamondDetector:
 
         When constructed with ``inserts_edges=False`` the caller owns the
         inserts and must pass batches whose targets are distinct (an engine
-        run, see :meth:`EventBatch.distinct_target_runs`) with those edges
-        already inserted; standalone detectors accept arbitrary batches and
-        interleave the inserts themselves.
+        run, see :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex
+        .apply_runs`) with those edges already inserted; standalone
+        detectors accept arbitrary batches and insert through the same
+        rule.  Either way the run's D scan comes from
+        :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.fresh_run`, so
+        partitions sharing one D scan each run once.
         """
         if not self._inserts_edges:
             return self._detect_run(batch, now)
-        results: list[RecommendationBatch] = [None] * len(batch)  # type: ignore[list-item]
-        for start, stop in batch.distinct_target_runs():
-            run = batch.slice(start, stop)
-            self._dynamic.insert_batch(run, distinct_targets=True)
-            results[start:stop] = self._detect_run(run, now)
+        results: list[RecommendationBatch] = []
+        for run in self._dynamic.apply_runs(batch, self):
+            results += self._detect_run(run, now)
         return results
 
     def _detect_run(
         self, run: EventBatch, now: float | None
     ) -> list[RecommendationBatch]:
-        """Detection over a distinct-target run whose edges are in D."""
+        """Detection over a distinct-target run whose edges are in D:
+        the run's (possibly kept) scan, then this partition's per-trigger
+        k-overlap over its own S shard."""
         timestamps, _actors, targets, actions = run.columns()
         n = len(timestamps)
         stats = self.stats
         stats.events_seen += n
         params = self.params
         k = params.k
-        if now is None:
-            nows = timestamps
-        else:
-            # One C-speed clamp against the processing clock instead of a
-            # per-event comparison loop.
-            nows = np.maximum(run.timestamps, now).tolist()
-        fresh_lists = self._dynamic.fresh_sources_multi(
-            targets, nows, tau=params.tau, min_count=k, raw=True
-        )
+        fresh_lists = self._dynamic.fresh_run(run, now, params.tau, k)
         results: list[RecommendationBatch] = []
         append = results.append
         name = self.name

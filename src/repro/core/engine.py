@@ -2,8 +2,9 @@
 
 This is the paper's design "for the case where the entire graph fits on a
 single machine"; :mod:`repro.cluster` stacks twenty of these behind brokers.
-The engine owns the one insert into D per event and fans the event out to
-every registered detector program, timing the detection work so benchmarks
+The engine owns the one insert into D per event (engines sharing one D
+insert it once between them) and fans the event out to every registered
+detector program, timing the detection work so benchmarks
 can verify the "graph queries take only a few milliseconds" claim.
 """
 
@@ -136,9 +137,12 @@ class MotifEngine:
         to the event's creation time; see ``DiamondDetector.on_edge``).
         """
         started = time.perf_counter() if self._track_latency else 0.0
-        self.dynamic_index.insert(
-            event.actor, event.target, event.created_at, action=event.action
-        )
+        index = self.dynamic_index
+        index.enter(event, self)
+        if index.claim(1):
+            index.insert(
+                event.actor, event.target, event.created_at, action=event.action
+            )
         recommendations: list[Recommendation] = []
         for detector in self.detectors:
             recommendations.extend(detector.on_edge(event, now))
@@ -173,7 +177,11 @@ class MotifEngine:
         bulk-inserted into D once and then handed to every detector program,
         which preserves per-event semantics exactly for batch-aware
         detectors (an event's freshness query reads only its own target's D
-        entry — see :meth:`EventBatch.distinct_target_runs`).  If *any*
+        entry — see :meth:`EventBatch.distinct_target_runs`).  Engines
+        sharing one D (co-hosted partitions) go through the same rule
+        (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.apply_runs`):
+        the first engine at a batch inserts each run, the others skip the
+        insert and read the run's kept scan.  If *any*
         registered detector lacks ``process_batch``, the whole batch falls
         back to the interleaved per-event loop instead: run pre-insertion
         is only provably exact for target-keyed D reads, and an arbitrary
@@ -201,21 +209,21 @@ class MotifEngine:
         if any(method is None for method in batch_methods):
             # Exact-by-construction fallback: insert then detect, one event
             # at a time, just like process() would.
-            insert = self.dynamic_index.insert
+            index = self.dynamic_index
+            index.enter(batch, self)
             for i, event in enumerate(batch.to_events()):
-                insert(
-                    event.actor, event.target, event.created_at,
-                    action=event.action,
-                )
+                if index.claim(i + 1):
+                    index.insert(
+                        event.actor, event.target, event.created_at,
+                        action=event.action,
+                    )
                 per_event: list[Recommendation] = []
                 for detector in detectors:
                     per_event.extend(detector.on_edge(event, now))
                 out[i] = RecommendationBatch.from_recommendations(per_event)
         else:
-            insert_batch = self.dynamic_index.insert_batch
-            for start, stop in batch.distinct_target_runs():
-                run = batch.slice(start, stop)
-                insert_batch(run, distinct_targets=True)
+            start = 0
+            for run in self.dynamic_index.apply_runs(batch, self):
                 first = True
                 for process_batch in batch_methods:
                     results = process_batch(run, now)
@@ -232,6 +240,7 @@ class MotifEngine:
                                 out[start + j] = out[start + j].concat(
                                     _as_batch(recs)
                                 )
+                start += len(run)
         emitted = sum(map(len, out))
         self.stats.events_processed += n
         self.stats.recommendations_emitted += emitted

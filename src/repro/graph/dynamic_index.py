@@ -1,7 +1,8 @@
 """The paper's **D** structure: recent dynamic edges keyed by target.
 
 D answers: *given C, which B's created an edge to C recently, and when?*
-It absorbs the full live edge stream (every partition keeps a complete copy)
+It absorbs the full live edge stream (every partition needs all of it; the
+partitions of one process share one copy, see :meth:`DynamicEdgeIndex.enter`)
 and is pruned aggressively — the paper notes memory pressure "can be
 alleviated by pruning the D data structure to only retain the most recent
 edges (since we desire timely results)".
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -376,6 +377,109 @@ class DynamicEdgeIndex:
         #: alive by the table, so ids cannot be recycled.
         self._action_table: list = [None]
         self._action_codes: dict[int, int] = {}
+        #: Stream position (see :meth:`enter`): the batch or event being
+        #: ingested, the ids of the engines that entered it (ids, so D and
+        #: its engines form no reference cycle), how many of its leading
+        #: events are inserted, its shared runs, and scans kept per run.
+        self._position: object = None
+        self._consumers: set[int] = set()
+        self._applied = 0
+        self._runs: list | None = None
+        self._scans: dict[int, dict] = {}
+
+    # ------------------------------------------------------------------
+    # Stream position (one D shared by co-hosted engines)
+    # ------------------------------------------------------------------
+
+    def enter(self, position: object, consumer: object) -> None:
+        """Put *consumer* (an engine) at *position*: the batch or event it
+        is about to ingest.
+
+        Engines in one address space share one D and each ingests the
+        whole stream, so every batch object arrives once per engine.  The
+        first engine at a batch opens a new position with nothing inserted
+        or scanned; later engines join it, find its events inserted
+        (:meth:`claim` is False) and its runs scanned (:meth:`fresh_run`
+        returns the kept result).  An engine entering the position it
+        already consumed has moved on in the stream, so a private D (a
+        sharing group of one) opens a new position on every call.
+        """
+        consumer_id = id(consumer)
+        if position is self._position and consumer_id not in self._consumers:
+            self._consumers.add(consumer_id)
+            return
+        self._position = position
+        self._consumers = {consumer_id}
+        self._applied = 0
+        self._runs = None
+        self._scans = {}
+
+    def claim(self, stop: int) -> bool:
+        """Whether the current position's events before *stop* still need
+        inserting: True moves the applied mark to *stop* and the caller
+        inserts the events since the previous claim; False means an
+        earlier engine at this position already did."""
+        if stop <= self._applied:
+            return False
+        self._applied = stop
+        return True
+
+    def apply_runs(self, batch, consumer: object) -> Iterator:
+        """Yield *batch*'s distinct-target runs to *consumer*, each in D.
+
+        The batched form of :meth:`enter` / :meth:`claim`.  The first
+        engine at the position splits the batch
+        (:meth:`~repro.core.batch.EventBatch.distinct_target_runs`) and
+        inserts each run just before it is yielded, so detection over a
+        run sees D exactly as the per-event loop would.  Engines that join
+        get the same run objects with nothing left to insert, and read
+        each run's scan from :meth:`fresh_run`.
+        """
+        self.enter(batch, consumer)
+        runs = self._runs
+        if runs is None:
+            spans = batch.distinct_target_runs()
+            if len(spans) == 1:
+                runs = [batch]
+            else:
+                runs = [batch.slice(start, stop) for start, stop in spans]
+            self._runs = runs
+            self._scans = {id(run): {} for run in runs}
+        stop = 0
+        for run in runs:
+            stop += len(run)
+            if self.claim(stop):
+                self.insert_batch(run, distinct_targets=True)
+            yield run
+
+    def fresh_run(self, run, now: float | None, tau: float, min_count: int) -> list:
+        """Raw freshness of each event of a distinct-target *run*, read at
+        ``max(created_at, now)``: :meth:`fresh_sources_multi` with
+        ``min_count`` and ``raw=True``.
+
+        A run of the current position is scanned by its first reader and
+        the result kept for the rest of the position — once the first
+        engine has inserted later runs, D no longer looks as it did when
+        this run arrived.  Results are owned lists and arrays (see
+        :meth:`_HotRing.fresh_arrays`), so holding them across later
+        inserts is safe.  Any other run is scanned as is.
+        """
+        kept = self._scans.get(id(run))
+        key = (now, tau, min_count)
+        if kept is not None:
+            fresh = kept.get(key)
+            if fresh is not None:
+                return fresh
+        timestamps, _actors, targets, _actions = run.columns()
+        if now is not None:
+            # One C-speed clamp against the processing clock.
+            timestamps = np.maximum(run.timestamps, now).tolist()
+        fresh = self.fresh_sources_multi(
+            targets, timestamps, tau, min_count=min_count, raw=True
+        )
+        if kept is not None:
+            kept[key] = fresh
+        return fresh
 
     # ------------------------------------------------------------------
     # Action interning (rings)
@@ -657,8 +761,11 @@ class DynamicEdgeIndex:
         a healthy sibling before rejoining the stream.  Retention/cap
         configuration is not copied — only the stored edges, re-packed
         under *this* index's ``promote_threshold`` (targets at or above it
-        come back as rings, the rest as deques).
+        come back as rings, the rest as deques).  Cloning an index from
+        itself (two replicas sharing one D) leaves it as it is.
         """
+        if other is self:
+            return
         self._edges = {}
         for c, entry in other._edges.items():
             copied = deque(entry)

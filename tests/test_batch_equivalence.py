@@ -8,11 +8,21 @@ identical recommendation sequences (including provenance), identical
 ``DynamicEdgeIndex`` contents, and identical detector statistics.
 """
 
+import functools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import bursty_workload, drive_stream
-from repro.core import DetectionParams, EdgeEvent, EventBatch, MotifEngine
+from repro.cluster import Cluster, ClusterConfig
+from repro.core import (
+    DetectionParams,
+    DiamondDetector,
+    EdgeEvent,
+    EventBatch,
+    MotifEngine,
+)
 from repro.gen import (
     BurstSpec,
     StreamConfig,
@@ -177,6 +187,141 @@ def test_cluster_batched_equivalent():
         < reference.broker.stats.fan_out_calls / 10
     )
     assert batched.broker.stats.events_routed == reference.broker.stats.events_routed
+
+
+HUB_PARAMS = DetectionParams(k=2, tau=600.0)
+
+
+@functools.cache
+def hub_burst_stream():
+    """Bursts on a few hub targets: repeated targets split most batches
+    into many distinct-target runs — where a partition reading a shared D
+    after another partition inserted the whole batch would go wrong."""
+    return bursty_workload(
+        num_users=800,
+        duration=200.0,
+        background_rate=4.0,
+        num_bursts=3,
+        burst_actors=60,
+        seed=5,
+    )
+
+
+def cluster_multiset(recommendations):
+    return sorted(
+        (r.created_at, r.recipient, r.candidate, r.via) for r in recommendations
+    )
+
+
+def flush_clock_batches(events, batch_size):
+    """``(batch, now)`` pairs with the flush clock a streaming consumer
+    passes: the batch's last creation time.  Under that clock a later
+    run's edges are inside an earlier run's freshness window, so a scan
+    read after the whole batch was inserted would see them."""
+    for i in range(0, len(events), batch_size):
+        chunk = events[i : i + batch_size]
+        yield chunk, chunk[-1].created_at
+
+
+def drive_flushes(cluster, events, batch_size):
+    out = []
+    for chunk, now in flush_clock_batches(events, batch_size):
+        grouped, _latency = cluster.broker.process_batch(
+            EventBatch.from_events(chunk), now
+        )
+        for per_event in grouped:
+            out.extend(per_event)
+    return out
+
+
+@functools.cache
+def boxed_oracle(partitions, replicas, batch_size):
+    """The boxed per-event lane (``Broker.process_event``), by name, at
+    the same flush clocks."""
+    snapshot, events = hub_burst_stream()
+    cluster = Cluster.build(
+        snapshot,
+        HUB_PARAMS,
+        ClusterConfig(num_partitions=partitions, replication_factor=replicas),
+    )
+    return cluster_multiset(
+        r
+        for chunk, now in flush_clock_batches(events, batch_size)
+        for e in chunk
+        for r in cluster.broker.process_event(e, now)[0]
+    )
+
+
+def private_d_cluster(snapshot, partitions, replicas):
+    """The pre-sharing layout: a factory deployment, so one D per replica."""
+    return Cluster.build(
+        snapshot,
+        HUB_PARAMS,
+        ClusterConfig(num_partitions=partitions, replication_factor=replicas),
+        detector_factory=lambda s, d: [
+            DiamondDetector(s, d, HUB_PARAMS, inserts_edges=False)
+        ],
+    )
+
+
+def distinct_ds(cluster):
+    return list(
+        {
+            id(replica.engine.dynamic_index): replica.engine.dynamic_index
+            for replica_set in cluster.replica_sets
+            for replica in replica_set.replicas
+        }.values()
+    )
+
+
+def diamond_stats(cluster):
+    return [
+        [replica.engine.detectors[0].stats for replica in replica_set.replicas]
+        for replica_set in cluster.replica_sets
+    ]
+
+
+def test_hub_burst_stream_splits_batches_into_runs():
+    """The grid below is only a test of the shared scan if batches split."""
+    _snapshot, events = hub_burst_stream()
+    batches = [
+        EventBatch.from_events(events[i : i + 256])
+        for i in range(0, len(events), 256)
+    ]
+    runs = sum(len(batch.distinct_target_runs()) for batch in batches)
+    assert runs > 4 * len(batches)
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 256])
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("partitions", [1, 2, 3])
+def test_shared_d_cluster_matches_oracle_and_private_d(
+    partitions, replicas, batch_size
+):
+    """All P x R in-process engines share one D, inserted and scanned once
+    per run: same candidates as the boxed oracle and as a private-D
+    deployment, same per-partition detector statistics, same D."""
+    snapshot, events = hub_burst_stream()
+    config = ClusterConfig(
+        num_partitions=partitions, replication_factor=replicas
+    )
+    shared = Cluster.build(snapshot, HUB_PARAMS, config)
+    private = private_d_cluster(snapshot, partitions, replicas)
+    got = drive_flushes(shared, events, batch_size)
+    want = drive_flushes(private, events, batch_size)
+    assert got == want
+    assert cluster_multiset(got) == boxed_oracle(
+        partitions, replicas, batch_size
+    )
+    assert diamond_stats(shared) == diamond_stats(private)
+    (shared_d,) = distinct_ds(shared)
+    private_ds = distinct_ds(private)
+    assert len(private_ds) == partitions * replicas
+    for private_d in private_ds:
+        assert shared_d._edges == private_d._edges
+        assert shared_d.inserted_total == private_d.inserted_total
+        assert shared_d.evicted_total == private_d.evicted_total
+    assert got, "workload never triggered; the test proves nothing"
 
 
 @settings(max_examples=40, deadline=None)

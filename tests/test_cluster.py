@@ -5,6 +5,8 @@ output must equal the single-machine engine's output, because partitioning
 by A makes every intersection local (paper §2).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,8 @@ from repro.cluster import (
     ModuloPartitioner,
 )
 from repro.cluster.cluster import fault_injecting_channel_factory
-from repro.core import DetectionParams, EdgeEvent, MotifEngine
+from repro.cluster.rpc import SimulatedChannel
+from repro.core import DetectionParams, EdgeEvent, EventBatch, MotifEngine
 from repro.gen import StreamConfig, TwitterGraphConfig, generate_event_stream, generate_follow_graph
 
 from tests.conftest import A2, B1, B2, C2
@@ -91,7 +94,8 @@ class TestClusterBasics:
         )
         cluster.process_event(EdgeEvent(0.0, B1, C2))
         removed = cluster.prune(now=10_000.0)
-        assert removed == 2  # one stale edge per partition's D copy
+        # One stale edge per distinct D: both in-process partitions share one.
+        assert removed == 1
 
 
 class TestPartitionEquivalence:
@@ -198,6 +202,56 @@ class TestReplication:
         audience, _ = replica_set.query_audience(C2, now=2.0)
         assert audience == [A2]
 
+    def test_resync_on_a_shared_d_keeps_it(self, figure1_snapshot):
+        cluster = self.build_replicated(figure1_snapshot, partitions=1)
+        replica_set = cluster.replica_sets[0]
+        cluster.process_event(EdgeEvent(0.0, B1, C2))
+        replica_set.mark_down(1)
+        replica_set.resync(1)
+        index = replica_set.replicas[1].engine.dynamic_index
+        assert index is replica_set.replicas[0].engine.dynamic_index
+        assert index.num_edges == 1
+        assert [e.source for e in index.fresh_sources(C2, 1.0, 600.0)] == [B1]
+
+    def test_replica_missing_a_batch_loses_candidates_not_d(
+        self, figure1_snapshot
+    ):
+        """Replicas are copies only across processes: in one address space
+        a replica whose channel is down, or raises, loses that batch's
+        candidates and counts the miss, but keeps reading the shared D."""
+
+        def channels(p, r):
+            # Replica 2's channel raises on every call.
+            return SimulatedChannel(
+                f"p{p}/r{r}",
+                failure_rate=1.0 if r == 2 else 0.0,
+                rng=random.Random(0),
+            )
+
+        cluster = Cluster.build(
+            figure1_snapshot,
+            PARAMS,
+            ClusterConfig(num_partitions=1, replication_factor=3),
+            channel_factory=channels,
+        )
+        replica_set = cluster.replica_sets[0]
+        replica_set.mark_down(1)
+        assert cluster.process_batch(
+            EventBatch.from_events([EdgeEvent(0.0, B1, C2)])
+        ) == []
+        assert replica_set.missed_events == [0, 1, 1]
+        assert [r.events_processed() for r in replica_set.replicas] == [1, 0, 0]
+        assert len({id(r.engine.dynamic_index) for r in replica_set.replicas}) == 1
+        # Replica 1 rejoins without resync and takes over as primary: its
+        # D holds the edge it never saw, so the motif still completes.
+        replica_set.mark_up(1)
+        replica_set.mark_down(0)
+        recs = cluster.process_batch(
+            EventBatch.from_events([EdgeEvent(1.0, B2, C2)])
+        )
+        assert [(r.recipient, r.candidate) for r in recs] == [(A2, C2)]
+        assert replica_set.missed_events == [1, 1, 2]
+
     def test_resync_without_healthy_source_raises(self, figure1_snapshot):
         cluster = self.build_replicated(figure1_snapshot, partitions=1)
         replica_set = cluster.replica_sets[0]
@@ -229,19 +283,32 @@ class TestMemoryAccounting:
     def test_d_memory_grows_with_partitions_s_does_not(self):
         snapshot, events = small_workload(seed=2)
         reports = {}
-        for p in (1, 4):
-            cluster = Cluster.build(
-                snapshot, PARAMS, ClusterConfig(num_partitions=p)
-            )
-            cluster.process_stream(events)
-            reports[p] = cluster.memory_report()
-        # D is fully replicated per partition: ~P times the single copy.
-        assert reports[4]["dynamic_index"] == pytest.approx(
-            4 * reports[1]["dynamic_index"], rel=0.05
+        for transport, p in (
+            ("inprocess", 1), ("inprocess", 4), ("process", 4)
+        ):
+            with Cluster.build(
+                snapshot,
+                PARAMS,
+                ClusterConfig(num_partitions=p, transport=transport),
+            ) as cluster:
+                cluster.process_stream(events)
+                reports[transport, p] = cluster.memory_report()
+        single = reports["inprocess", 1]["dynamic_index"]
+        # D is one copy per address space: flat in P in-process, one per
+        # worker (~P times the single copy) across processes.
+        assert reports["inprocess", 4]["dynamic_index"] == pytest.approx(
+            single, rel=0.05
+        )
+        assert reports["process", 4]["dynamic_index"] == pytest.approx(
+            4 * single, rel=0.05
         )
         # S shards hold disjoint edges, so S grows sublinearly in P: only
         # the per-B dict/bookkeeping overhead is duplicated, never payload.
-        assert reports[4]["static_index"] < 0.8 * 4 * reports[1]["static_index"]
+        for key in (("inprocess", 4), ("process", 4)):
+            assert (
+                reports[key]["static_index"]
+                < 0.8 * 4 * reports["inprocess", 1]["static_index"]
+            )
 
     def test_s_edges_partition_exactly(self):
         snapshot, _events = small_workload(seed=2)

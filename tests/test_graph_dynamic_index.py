@@ -345,3 +345,60 @@ class TestRingBulkExtend:
         bulk.extend(ts, src, act)
         assert list(bulk) == list(sequential)
         assert bulk.count == sequential.count
+
+
+class TestSharedStreamPosition:
+    """One D shared by several engines: each batch inserted and each run
+    scanned once, whichever engine gets there first."""
+
+    def test_clone_from_itself_keeps_the_index(self):
+        index = make_index()
+        index.insert(1, 9, 0.0)
+        index.insert(2, 9, 1.0)
+        index.clone_state_from(index)
+        assert index.num_edges == 2
+        assert index.fresh_sources(9, now=2.0, tau=100.0) == [
+            FreshEdge(1, 0.0),
+            FreshEdge(2, 1.0),
+        ]
+
+    def test_second_engine_at_a_position_skips_the_insert(self):
+        index = make_index()
+        first, second, batch = object(), object(), object()
+        index.enter(batch, first)
+        assert index.claim(1)
+        index.enter(batch, second)
+        assert not index.claim(1)
+        # The same engine at the same object again has moved on: a new
+        # position, so a private D inserts every batch it is given.
+        index.enter(batch, first)
+        assert index.claim(1)
+
+    def test_joining_engines_share_runs_and_kept_scans(self):
+        from repro.core import EdgeEvent, EventBatch
+
+        # Target 9 repeats, so the batch splits into two runs; the second
+        # run's insert must not leak into the first run's kept scan.
+        events = [
+            EdgeEvent(1.0, 1, 9),
+            EdgeEvent(2.0, 2, 8),
+            EdgeEvent(3.0, 3, 9),
+        ]
+        batch = EventBatch.from_events(events)
+        shared = make_index()
+        leader_scans = []
+        leader_runs = []
+        for run in shared.apply_runs(batch, "p0"):
+            leader_runs.append(run)
+            leader_scans.append(shared.fresh_run(run, None, 100.0, 1))
+        assert shared.num_edges == 3
+        follower_runs = list(shared.apply_runs(batch, "p1"))
+        assert [r is l for r, l in zip(follower_runs, leader_runs)] == [True, True]
+        assert shared.inserted_total == 3
+        for run, scan in zip(follower_runs, leader_scans):
+            assert shared.fresh_run(run, None, 100.0, 1) is scan
+        private = make_index()
+        for run, scan in zip(leader_runs, leader_scans):
+            private.insert_batch(run, distinct_targets=True)
+            assert private.fresh_run(run, None, 100.0, 1) == scan
+        assert [len(fresh) for fresh in leader_scans[0]] == [1, 1]

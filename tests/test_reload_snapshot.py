@@ -151,3 +151,31 @@ def test_checkpoint_reaches_every_replica():
         for replica in replica_set.replicas:
             index = replica.engine.dynamic_index
             assert index.num_edges == len(checkpoint["targets"])
+
+
+@pytest.mark.parametrize(
+    "replicas, transport", [(1, "inprocess"), (2, "inprocess"), (1, "process")]
+)
+def test_load_dynamic_restores_each_d_once(replicas, transport):
+    """Restoring re-inserts edges, so a D shared by co-hosted partitions
+    and replicas is restored once: the count comes back exact, neither
+    doubled nor — under a per-target cap — evicting real edges."""
+    old_snap, _ = _snapshots()
+    config = ClusterConfig(
+        num_partitions=2,
+        replication_factor=replicas,
+        max_edges_per_target=3,
+        transport=transport,
+    )
+    with Cluster.build(old_snap, PARAMS, config) as source:
+        source.process_stream(_stream(seed=3, n=200), batch_size=16)
+        checkpoint = source.checkpoint_dynamic()
+    edges = len(checkpoint["targets"])
+    with Cluster.build(old_snap, PARAMS, config) as restored:
+        assert restored.load_dynamic(checkpoint) == edges
+        for partition in restored.transport.health():
+            for replica in partition.replicas:
+                assert replica.dynamic_edges == edges
+        again = restored.checkpoint_dynamic()
+    for name in checkpoint:
+        np.testing.assert_array_equal(again[name], checkpoint[name])

@@ -41,6 +41,13 @@ from repro.gen import (
     generate_event_stream,
     generate_follow_graph,
 )
+from tests.test_batch_equivalence import (
+    HUB_PARAMS,
+    boxed_oracle,
+    cluster_multiset,
+    drive_flushes,
+    hub_burst_stream,
+)
 from tests.test_delivery_sharded import _served
 
 PARAMS = DetectionParams(k=2, tau=600.0)
@@ -151,6 +158,37 @@ class TestCrossTransportEquivalence:
         assert got == expected
 
 
+@pytest.mark.parametrize("batch_size", [1, 16, 256])
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("partitions", [1, 2, 3])
+@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
+def test_worker_fleet_matches_oracle_with_one_d_per_worker(
+    transport, partitions, replicas, batch_size
+):
+    """Each worker's R replicas share the worker's one D (the paper's
+    per-machine copy); a hub-burst stream through the fleet yields the
+    boxed in-process oracle's candidates at every batch size."""
+    snapshot, events = hub_burst_stream()
+    with Cluster.build(
+        snapshot,
+        HUB_PARAMS,
+        ClusterConfig(
+            num_partitions=partitions,
+            replication_factor=replicas,
+            transport=transport,
+        ),
+    ) as cluster:
+        got = cluster_multiset(drive_flushes(cluster, events, batch_size))
+        health = cluster.transport.health()
+    assert got == boxed_oracle(partitions, replicas, batch_size)
+    assert len(health) == partitions
+    for partition in health:
+        # One D per worker: charged to exactly one replica, read by all.
+        charged = [r.dynamic_memory_bytes > 0 for r in partition.replicas]
+        assert charged == [True] + [False] * (replicas - 1)
+        assert len({r.dynamic_edges for r in partition.replicas}) == 1
+
+
 class TestTransportControlMessages:
     @pytest.fixture(params=WORKER_TRANSPORTS)
     def clusters(self, request, workload):
@@ -196,7 +234,11 @@ class TestTransportControlMessages:
         short = events[:200]
         inproc.process_stream(short, batch_size=32)
         proc.process_stream(short, batch_size=32)
-        assert proc.prune(float("inf")) == inproc.prune(float("inf"))
+        # The count is per distinct D: the two in-process partitions share
+        # one copy, each of the two workers holds its own.
+        in_process = inproc.prune(float("inf"))
+        assert in_process == len(short)
+        assert proc.prune(float("inf")) == 2 * in_process
 
     def test_memory_report_covers_worker_partitions(self, clusters):
         _inproc, proc, events = clusters
