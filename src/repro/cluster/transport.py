@@ -475,15 +475,17 @@ def _partition_worker_main(replica_set, wire: Wire) -> None:
     messages are tiny tuples.  Which lane of the wire a message took is
     the wire's business: a framed batch decodes as **zero-copy views of
     the request slot** — safe because every index copies on insert and
-    the detector emits fresh arrays, so nothing retains the slab bytes
-    past ``ingest_batch`` — and the slot is released before the reply is
-    encoded.  A ``None`` from the wire means the parent died: exit
-    quietly (daemon semantics).  Any unexpected exception kills the
-    worker — the parent detects the death at gather time and marks the
-    partition's events lost, exactly like a crashed machine.
+    the detector emits fresh arrays, and the worker's D lets go of the
+    batch's position (its runs are views too), so nothing retains the
+    slab bytes past ``ingest_batch`` — and the slot is released before
+    the reply is encoded.  A ``None`` from the wire means the parent
+    died: exit quietly (daemon semantics).  Any unexpected exception
+    kills the worker — the parent detects the death at gather time and
+    marks the partition's events lost, exactly like a crashed machine.
     """
     from repro.cluster.replica import AllReplicasDown
 
+    indexes = _distinct_indexes([replica_set])
     while True:
         message = wire.recv(_request_from_frame, copy=False)
         if message is None:
@@ -495,6 +497,8 @@ def _partition_worker_main(replica_set, wire: Wire) -> None:
                 )
             except AllReplicasDown:
                 grouped = None
+            for index in indexes:
+                index.leave()
             del message  # no slab views may survive release
             wire.release()
             if grouped is None:

@@ -71,6 +71,7 @@ class MotifEngine:
         """
         self.static_index = static_index
         self.dynamic_index = dynamic_index
+        dynamic_index.attach()
         if detectors is None:
             detectors = [
                 DiamondDetector(

@@ -377,10 +377,12 @@ class DynamicEdgeIndex:
         #: alive by the table, so ids cannot be recycled.
         self._action_table: list = [None]
         self._action_codes: dict[int, int] = {}
-        #: Stream position (see :meth:`enter`): the batch or event being
-        #: ingested, the ids of the engines that entered it (ids, so D and
-        #: its engines form no reference cycle), how many of its leading
-        #: events are inserted, its shared runs, and scans kept per run.
+        #: Stream position (see :meth:`enter`): the engines reading this D
+        #: (:meth:`attach`), the batch or event being ingested, the ids of
+        #: the engines that entered it (ids, so D and its engines form no
+        #: reference cycle), how many of its leading events are inserted,
+        #: its shared runs, and scans kept per run with their read counts.
+        self._sharers = 0
         self._position: object = None
         self._consumers: set[int] = set()
         self._applied = 0
@@ -414,6 +416,19 @@ class DynamicEdgeIndex:
         self._runs = None
         self._scans = {}
 
+    def attach(self) -> None:
+        """Count one more engine reading this D: a kept scan is dropped
+        once that many readers took it, so a private D keeps none."""
+        self._sharers += 1
+
+    def leave(self) -> None:
+        """Drop the current position, so the index holds nothing of the
+        batch once every engine is done with it (a worker's batch is a
+        view of its ring slot); the next batch opens a new position."""
+        self._position = None
+        self._runs = None
+        self._scans = {}
+
     def claim(self, stop: int) -> bool:
         """Whether the current position's events before *stop* still need
         inserting: True moves the applied mark to *stop* and the caller
@@ -444,7 +459,8 @@ class DynamicEdgeIndex:
             else:
                 runs = [batch.slice(start, stop) for start, stop in spans]
             self._runs = runs
-            self._scans = {id(run): {} for run in runs}
+            if self._sharers > 1:
+                self._scans = {id(run): {} for run in runs}
         stop = 0
         for run in runs:
             stop += len(run)
@@ -458,17 +474,24 @@ class DynamicEdgeIndex:
         ``min_count`` and ``raw=True``.
 
         A run of the current position is scanned by its first reader and
-        the result kept for the rest of the position — once the first
-        engine has inserted later runs, D no longer looks as it did when
-        this run arrived.  Results are owned lists and arrays (see
+        the result kept until every attached engine has read it — once the
+        first engine has inserted later runs, D no longer looks as it did
+        when this run arrived.  Results are owned lists and arrays (see
         :meth:`_HotRing.fresh_arrays`), so holding them across later
-        inserts is safe.  Any other run is scanned as is.
+        inserts is safe.  Any other run, and any run of a D with one
+        reader, is scanned as is: that reader's engine has not inserted
+        past it yet.
         """
         kept = self._scans.get(id(run))
         key = (now, tau, min_count)
         if kept is not None:
-            fresh = kept.get(key)
-            if fresh is not None:
+            entry = kept.get(key)
+            if entry is not None:
+                fresh, reads = entry
+                if reads + 1 >= self._sharers:
+                    del kept[key]
+                else:
+                    kept[key] = (fresh, reads + 1)
                 return fresh
         timestamps, _actors, targets, _actions = run.columns()
         if now is not None:
@@ -477,8 +500,8 @@ class DynamicEdgeIndex:
         fresh = self.fresh_sources_multi(
             targets, timestamps, tau, min_count=min_count, raw=True
         )
-        if kept is not None:
-            kept[key] = fresh
+        if kept is not None and self._sharers > 1:
+            kept[key] = (fresh, 1)
         return fresh
 
     # ------------------------------------------------------------------

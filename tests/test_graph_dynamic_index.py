@@ -386,6 +386,8 @@ class TestSharedStreamPosition:
         ]
         batch = EventBatch.from_events(events)
         shared = make_index()
+        shared.attach()
+        shared.attach()
         leader_scans = []
         leader_runs = []
         for run in shared.apply_runs(batch, "p0"):
@@ -397,6 +399,8 @@ class TestSharedStreamPosition:
         assert shared.inserted_total == 3
         for run, scan in zip(follower_runs, leader_scans):
             assert shared.fresh_run(run, None, 100.0, 1) is scan
+        # Both readers took every scan, so none is held any longer.
+        assert all(not kept for kept in shared._scans.values())
         private = make_index()
         for run, scan in zip(leader_runs, leader_scans):
             private.insert_batch(run, distinct_targets=True)
