@@ -10,17 +10,8 @@ from __future__ import annotations
 
 import math
 
+from repro.util.hashing import splitmix64
 from repro.util.validation import require, require_positive, require_probability
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(value: int) -> int:
-    """SplitMix64 finalizer: a fast, well-mixed 64-bit hash of an int."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 def optimal_num_bits(capacity: int, fp_rate: float) -> int:
@@ -50,8 +41,8 @@ class BloomFilter:
         self._count = 0
 
     def _positions(self, key: int):
-        h1 = _splitmix64(key)
-        h2 = _splitmix64(h1) | 1  # odd stride: full period over the table
+        h1 = splitmix64(key)
+        h2 = splitmix64(h1) | 1  # odd stride: full period over the table
         for i in range(self.num_hashes):
             yield (h1 + i * h2) % self.num_bits
 
@@ -106,8 +97,8 @@ class CountingBloomFilter:
         self._count = 0
 
     def _positions(self, key: int):
-        h1 = _splitmix64(key)
-        h2 = _splitmix64(h1) | 1
+        h1 = splitmix64(key)
+        h2 = splitmix64(h1) | 1
         for i in range(self.num_hashes):
             yield (h1 + i * h2) % self.num_slots
 

@@ -1,11 +1,11 @@
 """Cluster assembly: snapshot -> partition shards -> replicas -> broker.
 
 ``Cluster.build`` performs the offline load step for every partition: it
-inverts the snapshot into per-partition S shards (disjoint A's), creates
-``replication_factor`` replicas per partition, gives them one D per
-address space, wires simulated channels, and parks a broker in front.
-Production runs 20 partitions; the partition-scaling benchmark (E5) sweeps
-this.
+inverts the snapshot into all P S shards (disjoint A's) in one columnar
+pass, creates ``replication_factor`` replicas per partition, gives them
+one D per address space, wires simulated channels, and parks a broker in
+front.  Production runs 20 partitions; the partition-scaling benchmark
+(E5) sweeps this.
 
 The paper replicates the complete D into every partition because each
 partition is a machine.  Here the copy follows the process, not the
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 
 from repro.cluster.broker import Broker
 from repro.cluster.partition import PartitionServer
@@ -37,7 +38,7 @@ from repro.core.events import EdgeEvent
 from repro.core.params import DetectionParams
 from repro.core.recommendation import Recommendation
 from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD, DynamicEdgeIndex
-from repro.graph.snapshot import GraphSnapshot, build_follower_snapshot
+from repro.graph.snapshot import GraphSnapshot
 from repro.graph.static_index import StaticFollowerIndex
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive
@@ -158,15 +159,14 @@ class Cluster:
         params = params or DetectionParams()
         config = config or ClusterConfig()
         partitioner = partitioner or HashPartitioner(config.num_partitions)
+        owners = partitioner.owners(np.arange(snapshot.num_users))
+        shards = StaticFollowerIndex.load_shards(
+            snapshot, owners, config.num_partitions, config.influencer_limit
+        )
 
         indexes: dict[object, DynamicEdgeIndex] = {}
         replica_sets: list[ReplicaSet] = []
-        for p in range(config.num_partitions):
-            shard = build_follower_snapshot(
-                snapshot,
-                influencer_limit=config.influencer_limit,
-                include_source=lambda a, p=p: partitioner.partition_of(a) == p,
-            )
+        for p, shard in enumerate(shards):
             replicas: list[PartitionServer] = []
             channels: list[SimulatedChannel] = []
             for r in range(config.replication_factor):
@@ -338,14 +338,11 @@ class Cluster:
         without a restart.  Returns the number of partitions reloaded
         (dead workers are skipped, like any other control message).
         """
-        shards = {}
-        for p in range(self.broker.transport.num_partitions):
-            shards[p] = build_follower_snapshot(
-                snapshot,
-                influencer_limit=influencer_limit,
-                include_source=lambda a, p=p: self.partitioner.partition_of(a) == p,
-            )
-        return self.broker.transport.reload_static(shards)
+        owners = self.partitioner.owners(np.arange(snapshot.num_users))
+        shards = StaticFollowerIndex.load_shards(
+            snapshot, owners, self.broker.transport.num_partitions, influencer_limit
+        )
+        return self.broker.transport.reload_static(dict(enumerate(shards)))
 
     def checkpoint_dynamic(self) -> "dict | None":
         """One reachable replica's complete D as checkpoint arrays.

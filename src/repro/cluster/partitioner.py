@@ -10,17 +10,11 @@ from __future__ import annotations
 
 from typing import Protocol
 
+import numpy as np
+
 from repro.graph.ids import UserId
+from repro.util.hashing import shard_ids, splitmix64
 from repro.util.validation import require_positive
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(value: int) -> int:
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 class Partitioner(Protocol):
@@ -30,6 +24,10 @@ class Partitioner(Protocol):
 
     def partition_of(self, a: UserId) -> int:
         """The partition index in ``[0, num_partitions)`` owning *a*."""
+        ...
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`partition_of` over an id column, as ``int64``."""
         ...
 
 
@@ -47,7 +45,11 @@ class HashPartitioner:
 
     def partition_of(self, a: UserId) -> int:
         """Owner partition of *a*."""
-        return _splitmix64(a) % self.num_partitions
+        return splitmix64(a) % self.num_partitions
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """Owner partition of every id in *ids*."""
+        return shard_ids(ids, self.num_partitions)
 
 
 class ModuloPartitioner:
@@ -60,3 +62,7 @@ class ModuloPartitioner:
     def partition_of(self, a: UserId) -> int:
         """Owner partition of *a*."""
         return a % self.num_partitions
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """Owner partition of every id in *ids*."""
+        return ids % self.num_partitions

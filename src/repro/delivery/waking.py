@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recommendation import CandidateColumns, Recommendation
-from repro.util.hashing import MASK64 as _MASK64
-from repro.util.hashing import splitmix64 as _splitmix64
-from repro.util.hashing import splitmix64_array as _splitmix64_array
+from repro.util.hashing import MASK64, splitmix64, splitmix64_array
 from repro.util.validation import require
 
 
@@ -69,7 +67,7 @@ class WakingHoursFilter:
         Uniform over ``[-11, 12]`` by default; concentrated around
         ``home_offset_hours`` (± spread) when configured.
         """
-        mixed = _splitmix64(user * 2 + 1 + self._salt)
+        mixed = splitmix64(user * 2 + 1 + self._salt)
         if self.home_offset_hours is None:
             return mixed % 24 - 11
         width = 2 * self.offset_spread_hours + 1
@@ -98,10 +96,10 @@ class WakingHoursFilter:
         Identical decisions to per-candidate calls (same integer mix, same
         float arithmetic, element for element).
         """
-        mixed = _splitmix64_array(
+        mixed = splitmix64_array(
             columns.recipients.astype(np.uint64)
             * np.uint64(2)
-            + np.uint64((1 + self._salt) & _MASK64)
+            + np.uint64((1 + self._salt) & MASK64)
         )
         if self.home_offset_hours is None:
             offsets = (mixed % np.uint64(24)).astype(np.int64) - 11

@@ -9,38 +9,12 @@ traverse.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.graph.ids import UserId
 from repro.util.validation import require
-
-
-def pack_rows(
-    rows: Mapping[int, Sequence[int]],
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Pack keyed adjacency rows into one contiguous int64 arena.
-
-    The CSR-style building block shared by full-graph CSR construction and
-    the S follower index: every row is laid out back-to-back in a single
-    ``int64`` arena, with an offsets table such that row ``i`` occupies
-    ``arena[offsets[i]:offsets[i + 1]]``.  Row *values* are stored exactly
-    as given (callers own sorting/dedup); row *order* follows the mapping's
-    iteration order.
-
-    Returns ``(keys, offsets, arena)`` where ``keys[i]`` is the key whose
-    row is the ``i``-th slice.
-    """
-    keys = list(rows)
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    for i, key in enumerate(keys):
-        offsets[i + 1] = offsets[i] + len(rows[key])
-    total = int(offsets[-1])
-    arena = np.empty(total, dtype=np.int64)
-    for i, key in enumerate(keys):
-        arena[int(offsets[i]) : int(offsets[i + 1])] = rows[key]
-    return keys, offsets, arena
 
 
 class CsrGraph:
@@ -77,24 +51,13 @@ class CsrGraph:
                 omitted (isolated tail vertices then need it explicitly).
         """
         edge_list = list(edges)
-        if not edge_list:
-            size = num_nodes if num_nodes is not None else 0
-            return cls(np.zeros(size + 1, dtype=np.int64), np.empty(0, np.int64))
-        src = np.fromiter((e[0] for e in edge_list), np.int64, len(edge_list))
-        dst = np.fromiter((e[1] for e in edge_list), np.int64, len(edge_list))
-        inferred = int(max(src.max(), dst.max())) + 1
-        size = inferred if num_nodes is None else num_nodes
-        require(size >= inferred, f"num_nodes={size} too small for ids up to {inferred - 1}")
-        # Sort by (src, dst), then drop duplicate pairs.
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keep = np.ones(len(src), dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
-        counts = np.bincount(src, minlength=size)
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst)
+        # Columns passed straight through: no local here may keep the
+        # unsorted copies alive while from_arrays sorts them.
+        return cls.from_arrays(
+            np.fromiter((e[0] for e in edge_list), np.int64, len(edge_list)),
+            np.fromiter((e[1] for e in edge_list), np.int64, len(edge_list)),
+            num_nodes,
+        )
 
     @classmethod
     def from_arrays(
@@ -102,9 +65,9 @@ class CsrGraph:
     ) -> "CsrGraph":
         """Build from aligned ``int64`` edge columns; duplicates collapsed.
 
-        The columnar twin of :meth:`from_edges` — same lexsort + dedup +
-        bincount construction on arrays the caller already holds, so the
-        chunked graph generator never boxes an edge list.
+        What :meth:`from_edges` builds through, on arrays the caller may
+        already hold, so the chunked graph generator never boxes an edge
+        list: lexsort by ``(src, dst)``, drop repeats, bincount the rows.
         """
         require(len(src) == len(dst), "src and dst must be aligned")
         if len(src) == 0:
@@ -167,16 +130,11 @@ class CsrGraph:
 
     def transposed(self) -> "CsrGraph":
         """Return the graph with every edge reversed (in-adjacency view)."""
-        src_rep = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), self.out_degrees()
+        return CsrGraph.from_arrays(
+            self._indices,
+            np.repeat(np.arange(self.num_nodes), self.out_degrees()),
+            self.num_nodes,
         )
-        order = np.lexsort((src_rep, self._indices))
-        new_src = self._indices[order]
-        new_dst = src_rep[order]
-        counts = np.bincount(new_src, minlength=self.num_nodes)
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CsrGraph(indptr, new_dst)
 
     def _check_node(self, v: UserId) -> None:
         if not 0 <= v < self.num_nodes:

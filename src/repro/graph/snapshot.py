@@ -18,7 +18,6 @@ import numpy as np
 from repro.graph.csr import CsrGraph
 from repro.graph.ids import UserId
 from repro.graph.static_index import StaticFollowerIndex
-from repro.util.validation import require
 
 
 class GraphSnapshot:
@@ -129,25 +128,13 @@ def build_follower_snapshot(
     influencer_limit: int | None = None,
     include_source: Callable[[UserId], bool] | None = None,
 ) -> StaticFollowerIndex:
-    """Invert a snapshot into the serving-side S structure.
-
-    This is the "periodic offline load" step of the paper: take the forward
-    ``A -> B`` snapshot, apply the per-user influencer cap using the
-    snapshot's edge weights, restrict to a partition's A's, and emit the
-    inverse sorted-follower index.
-
-    Args:
-        snapshot: the offline forward graph.
-        influencer_limit: per-A cap on retained followings.
-        include_source: partition membership predicate over A.
-    """
-    require(snapshot.num_users >= 0, "snapshot must be well-formed")
-    weight = None
-    if snapshot.edge_weights:
-        weight = snapshot.weight_of
-    return StaticFollowerIndex.from_follow_edges(
-        snapshot.follow_edges(),
-        influencer_limit=influencer_limit,
-        edge_weight=weight,
-        include_source=include_source,
-    )
+    """One S over the whole snapshot, or over the A's *include_source*
+    accepts (asked once per user); see
+    :meth:`StaticFollowerIndex.load_shards`."""
+    n = snapshot.num_users
+    if include_source is None:
+        return StaticFollowerIndex.load_shards(
+            snapshot, np.zeros(n, np.int64), 1, influencer_limit
+        )[0]
+    excluded = np.array([not include_source(a) for a in range(n)], dtype=np.int64)
+    return StaticFollowerIndex.load_shards(snapshot, excluded, 2, influencer_limit)[0]

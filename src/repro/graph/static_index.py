@@ -9,29 +9,41 @@ sorted so the detector can intersect them cheaply.  Mirroring production:
 * each user's *influencer list* (the B's an A follows) may be truncated to
   the top-``influencer_limit`` entries by weight, which both improves
   candidate quality and bounds S's memory;
-* a partition holds only the A's it owns, so construction accepts an
-  ``include_source`` predicate.
+* a partition holds only the A's it owns, so one bulk load
+  (:meth:`StaticFollowerIndex.load_shards`) splits the snapshot into
+  every partition's shard in a single O(E) columnar pass.
 
 Storage is CSR-style: every follower list lives back-to-back in a single
-``int64`` numpy arena indexed by an offsets table (see
-:func:`repro.graph.csr.pack_rows`), so ``followers_of`` is a true zero-copy
-arena slice with no per-key buffer object.  An append-and-compact overlay
-keeps incremental graph updates possible without giving up the contiguous
-layout.  ``follower_array(b)`` — the same slice, ``None`` when empty — is
-what the batched detector consumes.
+``int64`` numpy arena indexed by an offsets table, so ``followers_of`` is a
+true zero-copy arena slice with no per-key buffer object.  An
+append-and-compact overlay keeps incremental graph updates possible without
+giving up the contiguous layout.  ``follower_array(b)`` — the same slice,
+``None`` when empty — is what the batched detector consumes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.graph.csr import pack_rows
+from repro.graph.csr import CsrGraph
 from repro.graph.ids import UserId
 from repro.util.validation import require_positive
+
+if TYPE_CHECKING:
+    from repro.graph.snapshot import GraphSnapshot
+
+#: Follow edges per chunk of the bulk load's counting sort (bounds its
+#: temporaries whatever the snapshot's size).
+_LOAD_CHUNK_EDGES = 1 << 16
+
+#: One packed S: ``(keys, offsets, arena)``; ``keys[i]``'s sorted followers
+#: are ``arena[offsets[i]:offsets[i + 1]]``.
+PackedRows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _with_npz_suffix(path: Path) -> Path:
@@ -41,52 +53,106 @@ def _with_npz_suffix(path: Path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def invert_follow_edges(
-    edges: Iterable[tuple[UserId, UserId]],
+def _invert_csr(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    owners: np.ndarray,
+    num_shards: int,
     influencer_limit: int | None = None,
     edge_weight: Callable[[UserId, UserId], float] | None = None,
-    include_source: Callable[[UserId], bool] | None = None,
-) -> dict[UserId, list[UserId]]:
-    """Invert ``(A, B)`` follow edges into ``B -> sorted distinct A's``.
+    ids: np.ndarray | None = None,
+) -> list[PackedRows]:
+    """Invert a forward CSR (row ``a``: the sorted distinct B's A ``a``
+    follows) into the packed S of every shard ``owners[a]``.
 
-    The bulk-load front half of S: group by A, apply the paper's per-user
-    influencer cap, restrict to a partition's A's, then invert to the
-    B-keyed layout with each follower list sorted.
-
-    Args:
-        edges: iterable of ``(A, B)`` pairs; duplicates are collapsed.
-        influencer_limit: if given, each A keeps only its
-            ``influencer_limit`` highest-weight B's before inversion.
-        edge_weight: scoring function for the influencer cap; defaults to
-            uniform weights, which makes truncation arbitrary-but-
-            deterministic (lowest B ids win ties).
-        include_source: partition predicate — only A's for which it
-            returns True are loaded (``None`` keeps everyone).
+    Rows and columns are dense numbers; *ids*, when given, maps them to
+    (increasing) user ids.  A chunked counting sort over ``(shard, B)``
+    slots: pass one counts each slot's followers, which fixes every shard's
+    offsets and sizes its arena exactly; pass two scatters each chunk's A's
+    at their slot's cursor.  Chunks are consecutive rows, sorted stably by
+    slot, so every follower list comes out ascending with no whole-graph
+    sort: beyond the output, memory is one cursor per slot plus one chunk.
     """
     if influencer_limit is not None:
         require_positive(influencer_limit, "influencer_limit")
+    width = len(indptr) - 1
+    chunk_rows = np.searchsorted(
+        indptr, np.arange(0, len(indices), _LOAD_CHUNK_EDGES), side="right"
+    ) - 1
+    cuts = [*dict.fromkeys(chunk_rows.tolist()), width]
 
-    followings: dict[UserId, set[UserId]] = {}
-    for a, b in edges:
-        if include_source is not None and not include_source(a):
-            continue
-        followings.setdefault(a, set()).add(b)
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(A's, slots)`` of each chunk's kept edges, A ascending."""
+        for first, stop in zip(cuts, cuts[1:]):
+            lo, hi = indptr[first], indptr[stop]
+            degrees = np.diff(indptr[first : stop + 1])
+            a = np.repeat(np.arange(first, stop), degrees)
+            b = indices[lo:hi]
+            if influencer_limit is not None:
+                if edge_weight is not None:  # heaviest first, lowest B on ties
+                    ua, ub = (a, b) if ids is None else (ids[a], ids[b])
+                    weights = np.fromiter(
+                        map(edge_weight, ua.tolist(), ub.tolist()), float, len(b)
+                    )
+                    b = b[np.lexsort((b, -weights, a))]
+                rank = np.arange(lo, hi) - np.repeat(indptr[first:stop], degrees)
+                kept = rank < influencer_limit
+                a, b = a[kept], b[kept]
+            yield a, owners[a] * width + b
 
-    inverse: dict[UserId, list[UserId]] = {}
-    for a, b_set in followings.items():
-        kept: Iterable[UserId] = b_set
-        if influencer_limit is not None and len(b_set) > influencer_limit:
-            if edge_weight is None:
-                kept = sorted(b_set)[:influencer_limit]
-            else:
-                kept = sorted(
-                    b_set, key=lambda b: (-edge_weight(a, b), b)
-                )[:influencer_limit]
-        for b in kept:
-            inverse.setdefault(b, []).append(a)
-    for a_list in inverse.values():
-        a_list.sort()
-    return inverse
+    cursor = np.zeros(num_shards * width, dtype=np.int64)
+    for _a, slots in chunks():
+        np.add.at(cursor, slots, 1)
+    used = np.flatnonzero(cursor)
+    offsets = np.zeros(len(used) + 1, dtype=np.int64)
+    np.cumsum(cursor[used], out=offsets[1:])
+    bounds = np.searchsorted(used, np.arange(num_shards + 1) * width)
+    bases = offsets[bounds]
+    # A slot's cursor starts at its row's offset within its own shard.
+    cursor[used] = offsets[:-1] - np.repeat(bases[:-1], np.diff(bounds))
+    arenas = [np.empty(size, dtype=np.int64) for size in np.diff(bases).tolist()]
+    for a, slots in chunks():
+        order = np.argsort(slots, kind="stable")
+        slots, a = slots[order], a[order] if ids is None else ids[a[order]]
+        starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
+        lengths = np.diff(np.append(starts, len(slots)))
+        positions = cursor[slots] + np.arange(len(slots)) - np.repeat(starts, lengths)
+        cursor[slots[starts]] += lengths
+        split = np.searchsorted(slots, np.arange(num_shards + 1) * width)
+        for shard in np.flatnonzero(np.diff(split)).tolist():
+            lo, hi = split[shard], split[shard + 1]
+            arenas[shard][positions[lo:hi]] = a[lo:hi]
+    keys = used - np.repeat(np.arange(num_shards) * width, np.diff(bounds))
+    if ids is not None:
+        keys = ids[keys]
+    return [
+        (keys[lo:hi], offsets[lo : hi + 1] - offsets[lo], arena)
+        for lo, hi, arena in zip(bounds[:-1], bounds[1:], arenas)
+    ]
+
+
+def _row_columns(rows: Mapping[UserId, Iterable[UserId]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(A's, B's)`` edge columns of a ``B -> A's`` mapping."""
+    lengths = [len(a_list) for a_list in rows.values()]
+    src = np.fromiter(chain.from_iterable(rows.values()), np.int64, sum(lengths))
+    return src, np.repeat(np.fromiter(rows, np.int64, len(rows)), lengths)
+
+
+def _invert_pairs(
+    src: np.ndarray,
+    dst: np.ndarray,
+    influencer_limit: int | None = None,
+    edge_weight: Callable[[UserId, UserId], float] | None = None,
+) -> PackedRows:
+    """One packed S from ``(A, B)`` edge columns of any ids, duplicates
+    allowed: ids are renumbered densely, so nothing is sized by the largest."""
+    ids, numbers = np.unique(np.concatenate((src, dst)), return_inverse=True)
+    graph = CsrGraph.from_arrays(numbers[: len(src)], numbers[len(src) :], len(ids))
+    owners = np.zeros(len(ids), dtype=np.int64)
+    (packed,) = _invert_csr(
+        graph._indptr, graph._indices, owners, 1, influencer_limit, edge_weight, ids
+    )
+    return packed
 
 
 class StaticFollowerIndex:
@@ -108,28 +174,37 @@ class StaticFollowerIndex:
     sustained update streams converge back to pure-arena layout.
     """
 
-    #: Default overlay size (edges) that triggers an automatic compact.
-    DEFAULT_COMPACT_THRESHOLD = 4096
+    #: Overlay size (edges) that triggers an automatic :meth:`compact`
+    #: (a class default; assign on an instance to change it there).
+    compact_threshold = 4096
 
     def __init__(self, followers: Mapping[UserId, Sequence[UserId]]) -> None:
-        """Pack an already-inverted ``B -> sorted distinct A's`` mapping.
+        """Pack a ``B -> A's`` mapping (sorted and de-duplicated here).
 
         Prefer :meth:`from_follow_edges`, which also applies the influencer
         cap and partition predicate.
         """
-        keys, offsets, arena = pack_rows(followers)
+        self._install(*_invert_pairs(*_row_columns(followers)))
+
+    def _install(self, keys: np.ndarray, offsets: np.ndarray, arena: np.ndarray) -> None:
+        """Adopt packed ``(keys, offsets, arena)`` as-is; empty the overlay."""
         self._arena = arena
         self._offsets = offsets
         #: Python-int row bounds for scalar lookups (a ``tolist`` upfront is
         #: far cheaper than boxing two numpy scalars per followers_of call).
         self._bounds: list[int] = offsets.tolist()
-        self._rows: dict[UserId, int] = {b: i for i, b in enumerate(keys)}
+        self._rows: dict[UserId, int] = dict(zip(keys.tolist(), range(len(keys))))
         # Overlay state for the append-and-compact update path.
         self._pending: dict[UserId, set[UserId]] = {}
         self._pending_edges = 0
         self._merged_cache: dict[UserId, np.ndarray] = {}
-        #: Overlay size (edges) that triggers an automatic :meth:`compact`.
-        self.compact_threshold = self.DEFAULT_COMPACT_THRESHOLD
+
+    @classmethod
+    def _adopt(cls, packed: PackedRows) -> "StaticFollowerIndex":
+        """An index over already-packed arrays (no copy, no sort)."""
+        index = cls.__new__(cls)
+        index._install(*packed)
+        return index
 
     # ------------------------------------------------------------------
     # Construction
@@ -145,11 +220,51 @@ class StaticFollowerIndex:
     ) -> "StaticFollowerIndex":
         """Bulk-load S from ``(A, B)`` follow edges (*A follows B*).
 
-        See :func:`invert_follow_edges` for the argument semantics.
+        Args:
+            edges: iterable of ``(A, B)`` pairs; duplicates are collapsed.
+            influencer_limit: if given, each A keeps only its
+                ``influencer_limit`` highest-weight B's before inversion.
+            edge_weight: scoring function for the influencer cap; defaults to
+                uniform weights, which makes truncation arbitrary-but-
+                deterministic (lowest B ids win ties).
+            include_source: partition predicate, asked once per distinct A
+                — only A's for which it returns True are loaded (``None``
+                keeps everyone).
         """
-        return cls(
-            invert_follow_edges(edges, influencer_limit, edge_weight, include_source)
-        )
+        pairs = np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        if include_source is not None:
+            sources, inverse = np.unique(src, return_inverse=True)
+            owned = np.fromiter(
+                map(include_source, sources.tolist()), bool, len(sources)
+            )[inverse]
+            src, dst = src[owned], dst[owned]
+        return cls._adopt(_invert_pairs(src, dst, influencer_limit, edge_weight))
+
+    @classmethod
+    def load_shards(
+        cls,
+        snapshot: "GraphSnapshot",
+        owners: np.ndarray,
+        num_shards: int,
+        influencer_limit: int | None = None,
+    ) -> list["StaticFollowerIndex"]:
+        """Bulk-load every partition's S shard from an offline snapshot.
+
+        This is the "periodic offline load" step of the paper: take the
+        forward ``A -> B`` snapshot, apply the per-user influencer cap using
+        the snapshot's edge weights, and split the A's by owner —
+        ``owners[a]`` in ``[0, num_shards)`` for every user ``a``.  One O(E)
+        columnar pass over the snapshot's CSR builds all *num_shards*.
+        """
+        weight = snapshot.weight_of if snapshot.edge_weights else None
+        graph = snapshot.graph
+        return [
+            cls._adopt(packed)
+            for packed in _invert_csr(
+                graph._indptr, graph._indices, owners, num_shards, influencer_limit, weight
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Arena snapshots (near-instant periodic reloads)
@@ -166,12 +281,11 @@ class StaticFollowerIndex:
         whole point, and int64 id columns barely compress anyway.
         """
         self.compact()
-        keys = np.fromiter(self._rows, dtype=np.int64, count=len(self._rows))
         # np.savez appends ".npz" to suffixless paths on write; normalize
         # here so save_npz(p) / from_snapshot(p) round-trip on the same p.
         np.savez(
             _with_npz_suffix(Path(path)),
-            keys=keys,
+            keys=self._keys(),
             offsets=self._offsets,
             arena=self._arena,
         )
@@ -189,19 +303,13 @@ class StaticFollowerIndex:
         if not path.exists():
             path = _with_npz_suffix(path)
         with np.load(path) as data:
-            keys = data["keys"]
-            offsets = data["offsets"].astype(np.int64, copy=False)
-            arena = data["arena"].astype(np.int64, copy=False)
-        index = cls.__new__(cls)
-        index._arena = arena
-        index._offsets = offsets
-        index._bounds = offsets.tolist()
-        index._rows = {b: i for i, b in enumerate(keys.tolist())}
-        index._pending = {}
-        index._pending_edges = 0
-        index._merged_cache = {}
-        index.compact_threshold = cls.DEFAULT_COMPACT_THRESHOLD
-        return index
+            return cls._adopt(
+                (
+                    data["keys"],
+                    data["offsets"].astype(np.int64, copy=False),
+                    data["arena"].astype(np.int64, copy=False),
+                )
+            )
 
     # ------------------------------------------------------------------
     # Incremental updates (append-and-compact)
@@ -249,20 +357,17 @@ class StaticFollowerIndex:
         """Fold the append overlay back into one contiguous arena."""
         if not self._pending_edges:
             return
-        rows: dict[UserId, Sequence[UserId]] = {}
-        for b, row in self._rows.items():
-            rows[b] = self._merged(b, row)
-        for b in self._pending:
-            if b not in rows:
-                rows[b] = sorted(self._pending[b])
-        keys, offsets, arena = pack_rows(rows)
-        self._arena = arena
-        self._offsets = offsets
-        self._bounds = offsets.tolist()
-        self._rows = {b: i for i, b in enumerate(keys)}
-        self._pending = {}
-        self._pending_edges = 0
-        self._merged_cache = {}
+        src, dst = _row_columns(self._pending)
+        base_dst = np.repeat(self._keys(), np.diff(self._offsets))
+        self._install(
+            *_invert_pairs(
+                np.concatenate((self._arena, src)), np.concatenate((base_dst, dst))
+            )
+        )
+
+    def _keys(self) -> np.ndarray:
+        """The arena's row keys, in row order."""
+        return np.fromiter(self._rows, dtype=np.int64, count=len(self._rows))
 
     @property
     def pending_edges(self) -> int:

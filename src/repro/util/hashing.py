@@ -1,8 +1,8 @@
 """Shared integer-hashing primitives: splitmix64, scalar and columnar.
 
 The same mix is used everywhere an id needs a uniform 64-bit scramble —
-the waking-hours timezone assignment and the delivery pair tables — so
-the scalar and vectorized call sites are guaranteed to agree bit for bit
+partitions, waking-hours timezones, delivery pair tables, Bloom probes —
+so the scalar and vectorized call sites are guaranteed to agree bit for bit
 (``uint64`` arithmetic wraps modulo 2**64, exactly the scalar masking).
 """
 
@@ -38,7 +38,7 @@ def splitmix64_array(values: np.ndarray) -> np.ndarray:
 
 def shard_ids(ids: np.ndarray, num_shards: int) -> np.ndarray:
     """Each id's owning shard: ``splitmix64(id) % num_shards``, as ``int64``
-    (the delivery shards and the serving shards share this keying)."""
+    (partitions, delivery shards and serving shards share this keying)."""
     return (
         splitmix64_array(ids.astype(np.uint64)) % np.uint64(num_shards)
     ).astype(np.int64)

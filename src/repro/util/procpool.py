@@ -22,6 +22,7 @@ endpoints in ``multiprocessing`` workers, each behind one
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import sys
 from typing import Callable
@@ -123,11 +124,16 @@ def spawn_worker(
         daemon=True,
         name=name,
     )
+    # A forked child's collector skips frozen objects, so it never dirties
+    # (copies on write) the heap pages it inherits just to traverse them.
+    gc.freeze()
     try:
         process.start()
     except Exception:
         wire.close()
         raise
+    finally:
+        gc.unfreeze()
     holder.clear()
     wire.peer_alive = process.is_alive
     return WorkerHandle(key, process, wire)

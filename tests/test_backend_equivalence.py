@@ -16,11 +16,15 @@ randomized follow graphs and event streams:
   never-promoting D.
 """
 
+import tracemalloc
 from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import HashPartitioner
 from repro.core import ActionType, DetectionParams, MotifEngine
 from repro.core.batch import EventBatch
 from repro.core.checkpoint import load_dynamic_index, save_dynamic_index
@@ -33,6 +37,7 @@ from repro.gen import (
 )
 from repro.graph import (
     DynamicEdgeIndex,
+    GraphSnapshot,
     StaticFollowerIndex,
     build_follower_snapshot,
 )
@@ -62,15 +67,19 @@ event_rows = st.lists(
 # ----------------------------------------------------------------------
 
 
-def model_followers(edges, limit=None):
-    """The S oracle: ``B -> sorted distinct A's`` after the per-A influencer
-    cap (uniform weights, so the lowest B ids survive truncation)."""
+def model_followers(edges, limit=None, owns=None, weight=None):
+    """The S oracle: ``B -> sorted distinct A's`` over the A's *owns*
+    accepts (all when None), after the per-A influencer cap — heaviest
+    *weight(a, b)* first, lowest B on ties (uniform weights when None, so
+    the lowest B ids survive truncation)."""
     followings = {}
     for a, b in edges:
-        followings.setdefault(a, set()).add(b)
+        if owns is None or owns(a):
+            followings.setdefault(a, set()).add(b)
     inverse = {}
     for a, b_set in followings.items():
-        for b in sorted(b_set)[:limit]:
+        key = None if weight is None else (lambda b, a=a: (-weight(a, b), b))
+        for b in sorted(b_set, key=key)[:limit]:
             inverse.setdefault(b, []).append(a)
     return {b: sorted(a_list) for b, a_list in inverse.items()}
 
@@ -98,6 +107,88 @@ def test_s_backends_agree_on_random_graphs(edges, limit):
     """Identical queries and accounting from the arena and the model."""
     index = StaticFollowerIndex.from_follow_edges(edges, influencer_limit=limit)
     assert_index_matches_model(index, model_followers(edges, limit))
+
+
+def _shard_graphs(weighted):
+    """``(name, edges, num_nodes, weights)`` cases for the bulk-load grid."""
+    rng = np.random.default_rng(23)
+    src = rng.integers(0, 60, 400)
+    dst = np.minimum(rng.zipf(1.6, 400), 59)  # skewed in-degree, like follows
+    random_edges = list(zip(src.tolist(), dst.tolist()))  # with repeats
+    cases = [
+        ("empty", [], 5),
+        ("isolated", [(1, 2), (1, 3), (4, 2)], 9),  # 0, 5..8 follow nobody
+        ("duplicates", [(2, 1)] * 3 + [(0, 1), (2, 3), (0, 1), (2, 3)], 4),
+        ("random", random_edges, 60),
+    ]
+    for name, edges, num_nodes in cases:
+        weights = {}
+        if weighted:
+            # A few ties, a few unscored edges, and a score for a non-edge.
+            for i, edge in enumerate(sorted(set(edges))):
+                if i % 5:
+                    weights[edge] = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+            weights[(num_nodes, 0)] = 9.0  # not a user
+            if (0, 0) not in edges:
+                weights[(0, 0)] = 9.0  # a user, but not an edge
+        yield name, edges, num_nodes, weights
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("limit", [None, 1, 4])
+@pytest.mark.parametrize("num_shards", [1, 2, 3, 20])
+def test_bulk_load_shards_match_oracle(num_shards, limit, weighted):
+    """Every shard of the one-pass bulk load is array-equal to the oracle
+    restricted to the A's its partition owns."""
+    partitioner = HashPartitioner(num_shards)
+    for name, edges, num_nodes, weights in _shard_graphs(weighted):
+        snapshot = GraphSnapshot.from_edges(edges, num_nodes, weights)
+        owners = partitioner.owners(np.arange(num_nodes))
+        shards = StaticFollowerIndex.load_shards(snapshot, owners, num_shards, limit)
+        assert len(shards) == num_shards
+        weight = snapshot.weight_of if weights else None
+        for p, shard in enumerate(shards):
+            model = model_followers(
+                edges, limit, lambda a, p=p: partitioner.partition_of(a) == p, weight
+            )
+            assert sorted(shard.sources()) == sorted(model), (name, p)
+            assert shard.num_edges == sum(map(len, model.values())), (name, p)
+            for b in range(num_nodes):
+                followers = shard.followers_of(b)
+                assert followers.dtype == np.int64
+                np.testing.assert_array_equal(
+                    followers, np.array(model.get(b, []), dtype=np.int64)
+                )
+
+
+@pytest.mark.parametrize("limit", [None, 1, 4])
+def test_from_follow_edges_allocates_nothing_per_id(limit):
+    """Ids at the 2**32 - 1 edge load through the same kernel without any
+    array sized by the largest id; the predicate is asked once per A."""
+    top = 2**32 - 1
+    edges = [(top, 5), (7, top), (top - 1, top), (top, top - 1), (7, 5),
+             (top - 1, 5), (top, 6), (top, 5), (3, top)]
+    weights = {edge: float(i % 3) for i, edge in enumerate(edges)}
+    asked = Counter()
+
+    def owns(a):
+        asked[a] += 1
+        return a != 3
+
+    tracemalloc.start()
+    try:
+        index = StaticFollowerIndex.from_follow_edges(
+            edges, limit, lambda a, b: weights[(a, b)], include_source=owns
+        )
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert set(asked.values()) == {1}
+    model = model_followers(edges, limit, owns, lambda a, b: weights[(a, b)])
+    assert sorted(index.sources()) == sorted(model)
+    for b, followers in model.items():
+        np.testing.assert_array_equal(index.followers_of(b), followers)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,9 @@ output must equal the single-machine engine's output, because partitioning
 by A makes every intersection local (paper §2).
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -321,3 +323,26 @@ class TestMemoryAccounting:
             for rs in cluster.replica_sets
         )
         assert sharded == single_edges
+
+    @pytest.mark.parametrize("num_partitions", [1, 20])
+    def test_bulk_load_temporaries_stay_below_the_shards(self, num_partitions):
+        """Cluster.build's peak allocation is at most twice the S shards it
+        returns: the load keeps no whole-graph temporaries (no per-edge
+        Python objects, no graph-sized sort buffers) next to its output."""
+        snapshot = generate_follow_graph(
+            TwitterGraphConfig(num_users=20_000, mean_followings=15.0, seed=3)
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cluster = Cluster.build(
+                snapshot, PARAMS, ClusterConfig(num_partitions=num_partitions)
+            )
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shard_bytes = sum(
+            rs.replicas[0].engine.static_index.memory_bytes()
+            for rs in cluster.replica_sets
+        )
+        assert peak <= 2 * shard_bytes

@@ -1,5 +1,6 @@
 """Unit tests for partitioners and the simulated RPC layer."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.partitioner import HashPartitioner, ModuloPartitioner
@@ -36,6 +37,20 @@ class TestPartitioners:
         assert [partitioner.partition_of(a) for a in range(8)] == [
             0, 1, 2, 3, 0, 1, 2, 3,
         ]
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 20])
+    @pytest.mark.parametrize("cls", [HashPartitioner, ModuloPartitioner])
+    def test_owners_is_partition_of_over_a_column(self, cls, num_partitions):
+        """The bulk load's owner column agrees with the scalar rule, on
+        random ids plus 0, 2**32 - 1 and 2**53."""
+        rng = np.random.default_rng(7)
+        ids = np.concatenate(
+            (rng.integers(0, 2**40, 10_000), [0, 2**32 - 1, 2**53])
+        ).astype(np.int64)
+        partitioner = cls(num_partitions)
+        owners = partitioner.owners(ids)
+        assert owners.dtype == np.int64
+        assert owners.tolist() == [partitioner.partition_of(a) for a in ids.tolist()]
 
     @pytest.mark.parametrize("cls", [HashPartitioner, ModuloPartitioner])
     def test_zero_partitions_rejected(self, cls):

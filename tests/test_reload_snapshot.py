@@ -179,3 +179,41 @@ def test_load_dynamic_restores_each_d_once(replicas, transport):
         again = restored.checkpoint_dynamic()
     for name in checkpoint:
         np.testing.assert_array_equal(again[name], checkpoint[name])
+
+
+@pytest.mark.parametrize("limit", [None, 4])
+@pytest.mark.parametrize("transport", ["inprocess", "process"])
+def test_reload_installs_the_shards_a_fresh_build_loads(transport, limit):
+    """After ``reload_snapshot`` every partition holds exactly the S shard
+    a fresh ``Cluster.build`` of the new snapshot loads (array-equal), on
+    the fleet as well as in-process."""
+    old_snap, new_snap = _snapshots()
+    fresh = Cluster.build(
+        new_snap, PARAMS, ClusterConfig(num_partitions=3, influencer_limit=limit)
+    )
+    expected = [rs.replicas[0].engine.static_index for rs in fresh.replica_sets]
+    sent = {}
+    with Cluster.build(
+        old_snap, PARAMS, ClusterConfig(num_partitions=3, transport=transport)
+    ) as live:
+        reload_static = live.transport.reload_static
+
+        def recording_reload(shards):
+            sent.update(shards)
+            return reload_static(shards)
+
+        live.transport.reload_static = recording_reload
+        assert live.reload_snapshot(new_snap, influencer_limit=limit) == 3
+        static_bytes = [
+            sum(replica.static_memory_bytes for replica in partition.replicas)
+            for partition in live.transport.health()
+        ]
+        if transport == "inprocess":
+            installed = [rs.replicas[0].engine.static_index for rs in live.replica_sets]
+            assert installed == [sent[p] for p in range(3)]
+    for p, want in enumerate(expected):
+        got = sent[p]
+        np.testing.assert_array_equal(got._keys(), want._keys())
+        np.testing.assert_array_equal(got._offsets, want._offsets)
+        np.testing.assert_array_equal(got._arena, want._arena)
+        assert static_bytes[p] == want.memory_bytes()
