@@ -10,20 +10,34 @@ choices on the two list shapes that matter:
   galloping's O(|short| log |long|) beats the linear merge;
 
 and the k-overlap algorithms (ScanCount vs heap merge vs numpy) at the
-sizes the detector actually sees.
+sizes the detector actually sees — plus the batched detector's sliding
+kernel on a hub burst, against one k-overlap per trigger.
 """
 
+import time
+
+import numpy as np
 import pytest
 
+from repro.bench.workloads import BENCH_PARAMS
+from repro.core import DiamondDetector
+from repro.gen import TwitterGraphConfig, generate_follow_graph
+from repro.graph import DynamicEdgeIndex, build_follower_snapshot
 from repro.graph.intersect import (
     intersect_galloping,
     intersect_hash,
     intersect_merge,
+    k_overlap_arrays,
     k_overlap_heap,
     k_overlap_numpy,
     k_overlap_scancount,
 )
 from repro.util.rng import make_rng
+
+#: The hub group: a burst target triggering this many times within one
+#: batch, each trigger expanding the newest ``max_trigger_sources``.
+HUB_TRIGGERS = 64
+HUB_WITNESSES = BENCH_PARAMS.max_trigger_sources
 
 
 def sorted_sample(rng, universe, size):
@@ -84,18 +98,17 @@ def test_k_overlap_hot_trigger(benchmark, algo, witness_lists):
     assert result == k_overlap_scancount(witness_lists, 3)
 
 
+def best_of(func, *args, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        func(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_record_ablation_table(benchmark, balanced_lists, skewed_lists, witness_lists, report):
     """Summarise the crossovers in the experiment table (single-shot timings)."""
-    import time
-
-    def best_of(func, *args, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            func(*args)
-            best = min(best, time.perf_counter() - start)
-        return best
-
     benchmark(lambda: intersect_galloping(*skewed_lists))
 
     rows = [
@@ -144,3 +157,79 @@ def test_record_ablation_table(benchmark, balanced_lists, skewed_lists, witness_
     assert timings["galloping, skewed"] < timings["merge, skewed"], (
         "galloping must beat the linear merge on 1000x-skewed lists"
     )
+
+
+def test_sliding_hub_group(report):
+    """One hub target triggering 64 times in a batch, 32 witnesses each,
+    the window sliding by one witness per trigger: the sliding kernel's
+    one sort against 64 ``k_overlap_arrays`` calls.
+
+    Witnesses are drawn as ``hub_burst``'s burst actors are — with full
+    popularity bias, so their follower lists are the graph's long ones.
+    """
+    snapshot = generate_follow_graph(
+        TwitterGraphConfig(num_users=20_000, mean_followings=15.0, seed=5)
+    )
+    static = build_follower_snapshot(snapshot)
+    users = np.fromiter(static.sources(), np.int64)
+    lengths = np.array([len(static.followers_of(b)) for b in users.tolist()])
+    rng = np.random.default_rng(5)
+    sequence = rng.choice(
+        users,
+        size=HUB_WITNESSES + HUB_TRIGGERS - 1,
+        replace=False,
+        p=lengths / lengths.sum(),
+    ).tolist()
+    windows = [
+        sequence[t : t + HUB_WITNESSES] for t in range(HUB_TRIGGERS)
+    ]
+    target = snapshot.num_users - 1
+    detector = DiamondDetector(
+        static,
+        DynamicEdgeIndex(retention=BENCH_PARAMS.tau),
+        BENCH_PARAMS,
+        inserts_edges=False,
+    )
+    per_window = [
+        [arr for arr in map(static.follower_array, window) if arr is not None]
+        for window in windows
+    ]
+
+    def per_trigger():
+        for lists in per_window:
+            k_overlap_arrays(lists, BENCH_PARAMS.k)
+
+    def sliding():
+        return detector._sliding_audience(target, windows)
+
+    solved = sliding()
+    assert solved is not None, "the hub group must take the sliding kernel"
+    oracle = [detector._audience_batch(target, window) for window in windows]
+    assert [None if r is None else r.tolist() for r in solved] == [
+        None if r is None else r.tolist() for r in oracle
+    ]
+    per_trigger_s = best_of(per_trigger, repeats=15)
+    sliding_s = best_of(sliding, repeats=15)
+    speedup = per_trigger_s / max(sliding_s, 1e-9)
+    table = report.table(
+        "E11",
+        "sliding-window k-overlap: one sort per hub group",
+        ["kernel, shape", "best time"],
+    )
+    table.add_row("per-trigger k-overlap, hub group", f"{per_trigger_s * 1e3:.3f} ms")
+    table.add_row("sliding kernel, hub group", f"{sliding_s * 1e3:.3f} ms")
+    table.add_note(
+        f"hub group ({HUB_TRIGGERS} triggers x {HUB_WITNESSES} witnesses, "
+        f"mean follower list {np.mean([len(a) for a in per_window[0]]):.0f}): "
+        f"sliding kernel {speedup:.1f}x over one k-overlap per trigger"
+    )
+    report.record(
+        "intersection",
+        {"comparison": "sliding hub group"},
+        {
+            "per_trigger_ms": round(per_trigger_s * 1e3, 4),
+            "sliding_ms": round(sliding_s * 1e3, 4),
+            "speedup_sliding_hub": round(speedup, 3),
+        },
+    )
+    assert speedup > 1.5, "one sort per hub group must beat one per trigger"

@@ -101,10 +101,14 @@ class PartitionServer:
         """Consume a columnar micro-batch; one local candidate batch per event.
 
         Same semantics as calling :meth:`ingest` per event, with the work
-        amortized by the engine's batched path; results stay positionally
-        aligned with the batch so brokers can gather per event, and stay
-        columnar (:class:`~repro.core.recommendation.RecommendationBatch`)
-        so the reply never boxes per candidate.
+        amortized by the engine's batched path: each distinct-target run
+        is inserted and scanned, then this shard's audiences are computed
+        once for the whole batch
+        (:meth:`~repro.core.engine.MotifEngine.process_batch_grouped`).
+        Results stay positionally aligned with the batch so brokers can
+        gather per event, and stay columnar
+        (:class:`~repro.core.recommendation.RecommendationBatch`) so the
+        reply never boxes per candidate.
         """
         return self._engine.process_batch_grouped(batch, now)
 

@@ -6,23 +6,28 @@ detection", and anticipates multiple motif programs sharing the
 infrastructure.  ``OnlineDetector`` is that program interface; the engine
 and the partition servers drive any number of them off the same S and D.
 
-Detectors may additionally implement the *optional* batched entry point::
+Detectors may additionally implement the *optional* two-phase batched
+entry points::
 
-    def process_batch(self, batch: EventBatch, now: float | None = None)
-        -> list[RecommendationBatch] | list[list[Recommendation]]
+    def scan_run(self, run: EventBatch, now: float | None, offset: int)
+        -> list[tuple[int, object]]
+    def process_batch(self, batch: EventBatch, now: float | None = None,
+                      triggers: list[tuple[int, object]] | None = None)
+        -> list[RecommendationBatch]
 
-returning one candidate collection per batch event (positionally aligned) —
-either the columnar :class:`~repro.core.recommendation.RecommendationBatch`
-(the native currency, preferred) or a plain candidate list, which the
-engine re-columns on merge.  The
-engine discovers it with ``getattr``; if any registered detector lacks it,
-the engine processes the whole batch through the interleaved per-event
-``on_edge`` loop instead (exact for arbitrary detectors, unamortized).
-When the engine owns the inserts (``inserts_edges=False``) it only ever
-passes ``process_batch`` batches with distinct targets whose edges are
-already in D (see
-:meth:`repro.core.batch.EventBatch.distinct_target_runs`), which is what
-makes batched processing exactly equivalent to the per-event loop.
+When the engine owns the inserts (``inserts_edges=False``) it calls
+``scan_run`` on each distinct-target run of a batch right after inserting
+it (see :meth:`repro.core.batch.EventBatch.distinct_target_runs`; *offset*
+is the run's position in the batch), collecting the triggers it returns,
+then ``process_batch`` once for the whole batch with those triggers.  That
+order is what makes batched processing exactly equivalent to the per-event
+loop.  ``process_batch`` returns one columnar
+:class:`~repro.core.recommendation.RecommendationBatch` per batch event
+(positionally aligned; the shared empty batch where nothing triggered).
+The engine discovers both with ``getattr``; if any registered
+detector lacks either, the engine processes the whole batch through the
+interleaved per-event ``on_edge`` loop instead (exact for arbitrary
+detectors, unamortized).
 """
 
 from __future__ import annotations

@@ -16,6 +16,12 @@ When a live ``B -> C`` edge arrives:
    the batched path (the k-overlap's recipient array flows straight into
    the group, unboxed).
 
+The batched path splits this in two: steps 1–2 and the ``k`` threshold
+run per distinct-target run as it is inserted (:meth:`DiamondDetector
+.scan_run`), steps 3–4 once per batch over every trigger the scans found
+(:meth:`DiamondDetector.process_batch`), so a target that triggers again
+and again within one batch costs one sort, not one per trigger.
+
 The detector is deliberately stateless beyond its two indexes, so replicas
 holding identical S shards over the same D produce identical output.
 """
@@ -42,6 +48,10 @@ from repro.graph.static_index import StaticFollowerIndex
 #: Cache-miss sentinel for the batch path's follower-array memo (``None``
 #: is a legitimate cached value meaning "empty follower list").
 _MISSING = object()
+
+#: Largest int64: the sliding kernel's packed keys (``A * |Q| + position``
+#: and ``window * (max A + 1) + A``) must stay below it.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _absent(values: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -164,66 +174,76 @@ class DiamondDetector:
             for a in recipients
         ]
 
+    def scan_run(
+        self, run: EventBatch, now: float | None, offset: int = 0
+    ) -> list[tuple[int, object]]:
+        """Scan phase over a distinct-target *run* whose edges are in D.
+
+        Reads the run's freshness (:meth:`~repro.graph.dynamic_index
+        .DynamicEdgeIndex.fresh_run`, so partitions sharing one D scan each
+        run once), applies the ``k`` threshold and returns the run's
+        triggers as ``(offset + i, fresh)`` pairs: the event's position in
+        its batch and its raw fresh sources.  The results are owned, so
+        they stay valid while later runs are inserted; the audience phase
+        (:meth:`process_batch`) consumes them once the batch is scanned.
+        """
+        n = len(run)
+        stats = self.stats
+        stats.events_seen += n
+        k = self.params.k
+        fresh_lists = self._dynamic.fresh_run(run, now, self.params.tau, k)
+        triggers = [
+            (offset + i, fresh)
+            for i, fresh in enumerate(fresh_lists)
+            if len(fresh) >= k
+        ]
+        stats.below_threshold += n - len(triggers)
+        return triggers
+
     def process_batch(
-        self, batch: EventBatch, now: float | None = None
+        self,
+        batch: EventBatch,
+        now: float | None = None,
+        triggers: list[tuple[int, object]] | None = None,
     ) -> list[RecommendationBatch]:
         """Process a columnar micro-batch; one candidate batch per event.
 
         Emits exactly what per-event :meth:`on_edge` calls would — same
-        recommendations, same statistics — while amortizing interpreter
-        overhead: D is queried through one
-        :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex
-        .fresh_sources_multi` call per distinct-target run (with the
-        ``min_count=k`` hint skipping cold targets entirely), and S follower
-        lookups are memoized across the batch's events.  Output stays
+        recommendations, same statistics — in two phases.  The *scan*
+        phase (:meth:`scan_run`) runs once per distinct-target run, as
+        that run is inserted: one D read per run, the ``k`` threshold.
+        The *audience* phase runs once per batch over the *triggers* the
+        scans found (:meth:`_audiences`): a target that triggers again and
+        again within the batch is solved by one sort over its witnesses'
+        follower lists (:meth:`_sliding_audience`), every other trigger by
+        its own k-overlap (:meth:`_audience_batch`).  Output stays
         columnar: each triggering event's audience is one
         :class:`~repro.core.recommendation.RecommendationGroup` wrapping
-        the k-overlap's recipient array directly — no per-candidate boxing
-        (iterate the batch to decode the boxed view on demand).
+        the recipient array directly — no per-candidate boxing.
 
-        When constructed with ``inserts_edges=False`` the caller owns the
-        inserts and must pass batches whose targets are distinct (an engine
-        run, see :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex
-        .apply_runs`) with those edges already inserted; standalone
-        detectors accept arbitrary batches and insert through the same
-        rule.  Either way the run's D scan comes from
-        :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.fresh_run`, so
-        partitions sharing one D scan each run once.
+        An engine scans the runs itself and passes *triggers*.  Without
+        them the detector scans here: a standalone detector
+        (``inserts_edges=True``) inserts the batch through
+        :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.apply_runs`; one
+        constructed with ``inserts_edges=False`` takes *batch* as one
+        distinct-target run whose edges are already in D.
         """
-        if not self._inserts_edges:
-            return self._detect_run(batch, now)
-        results: list[RecommendationBatch] = []
-        for run in self._dynamic.apply_runs(batch, self):
-            results += self._detect_run(run, now)
-        return results
-
-    def _detect_run(
-        self, run: EventBatch, now: float | None
-    ) -> list[RecommendationBatch]:
-        """Detection over a distinct-target run whose edges are in D:
-        the run's (possibly kept) scan, then this partition's per-trigger
-        k-overlap over its own S shard."""
-        timestamps, _actors, targets, actions = run.columns()
-        n = len(timestamps)
+        if triggers is None:
+            runs = self._dynamic.apply_runs(batch, self) if self._inserts_edges else (batch,)
+            triggers, offset = [], 0
+            for run in runs:
+                triggers += self.scan_run(run, now, offset)
+                offset += len(run)
+        results = [EMPTY_RECOMMENDATION_BATCH] * len(batch)
+        if not triggers:
+            return results
+        timestamps, _actors, targets, actions = batch.columns()
         stats = self.stats
-        stats.events_seen += n
-        params = self.params
-        k = params.k
-        fresh_lists = self._dynamic.fresh_run(run, now, params.tau, k)
-        results: list[RecommendationBatch] = []
-        append = results.append
         name = self.name
-        no_candidates = EMPTY_RECOMMENDATION_BATCH
-        below_threshold = 0
-        for i, fresh in enumerate(fresh_lists):
-            if len(fresh) < k:
-                below_threshold += 1
-                append(no_candidates)
-                continue
-            target = targets[i]
-            recipients = self._audience_batch(target, fresh)
+        for (i, fresh), recipients in zip(
+            triggers, self._audiences(triggers, targets)
+        ):
             if recipients is None:
-                append(no_candidates)
                 continue
             stats.triggers += 1
             stats.candidates_emitted += len(recipients)
@@ -234,21 +254,10 @@ class DiamondDetector:
                 via = fresh.sources
             else:
                 via = tuple(edge[1] for edge in fresh)
-            append(
-                RecommendationBatch(
-                    (
-                        RecommendationGroup(
-                            recipients,
-                            candidate=target,
-                            created_at=timestamps[i],
-                            motif=name,
-                            action=actions[i],
-                            via=via,
-                        ),
-                    )
-                )
+            group = RecommendationGroup(
+                recipients, targets[i], timestamps[i], name, actions[i], via
             )
-        stats.below_threshold += below_threshold
+            results[i] = RecommendationBatch((group,))
         return results
 
     def current_audience(self, target: int, now: float) -> list[int]:
@@ -306,21 +315,10 @@ class DiamondDetector:
             kept.append(a)
         return kept
 
-    def _audience_batch(
-        self, target: int, fresh: list[tuple[float, int, object]]
-    ) -> np.ndarray | None:
-        """Vectorised :meth:`_audience` for the batched path.
-
-        Identical audience, different execution and representation: each
-        fresh B's follower list is fetched as a zero-copy int64 view
-        (``follower_array``) and memoized on the detector
-        (S is immutable until rebound, so reuse is exact), the k-overlap
-        runs as one C-speed sort plus run-length threshold over the
-        concatenation, and the exclusion filters apply as vectorized masks
-        over the resulting recipient array.  The array is returned as-is —
-        ascending, never boxed — ready to become a
-        :class:`~repro.core.recommendation.RecommendationGroup` column
-        (``None`` when the audience is empty).
+    def _witnesses(self, fresh) -> list[int]:
+        """The fresh sources a trigger expands, newest last: all of them,
+        or the newest ``max_trigger_sources`` (fresh is in ascending
+        timestamp order, so the tail is the newest).
 
         *fresh* is the raw representation from
         :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex
@@ -329,28 +327,207 @@ class DiamondDetector:
         .FreshColumns` for ring-backed viral targets — whose source column
         is consumed with a single ``tolist`` instead of a per-edge unpack.
         """
-        params = self.params
         if type(fresh) is FreshColumns:
             sources = fresh.sources_list()
         else:
             sources = [edge[1] for edge in fresh]
-        if (
-            params.max_trigger_sources is not None
-            and len(sources) > params.max_trigger_sources
-        ):
-            # Keep the most recent sources; fresh is in ascending-timestamp
-            # order, so the tail is the newest.
-            sources = sources[-params.max_trigger_sources :]
+        cap = self.params.max_trigger_sources
+        if cap is not None and len(sources) > cap:
+            sources = sources[-cap:]
+        return sources
 
-        follower_arrays = self._follower_arrays
-        static_follower_array = self._static.follower_array
+    def _fetch(self, users) -> list[np.ndarray | None]:
+        """Each user's follower list as a zero-copy int64 arena slice
+        (``None`` when empty), memoized on the detector: S is immutable
+        until rebound, so reuse is exact."""
+        memo = self._follower_arrays
+        follower_array = self._static.follower_array
+        arrays = []
+        for b in users:
+            arr = memo.get(b, _MISSING)
+            if arr is _MISSING:
+                arr = memo[b] = follower_array(b)
+            arrays.append(arr)
+        return arrays
+
+    def _audiences(
+        self, triggers: list[tuple[int, object]], targets: list[int]
+    ) -> list[np.ndarray | None]:
+        """The audience phase: each trigger's recipients (``None`` when
+        empty), aligned with *triggers*.
+
+        Triggers are grouped by target.  A group of two or more is first
+        offered to :meth:`_sliding_audience`, which solves the whole group
+        with one sort when its witness windows slide along one sequence
+        and it reads each witness list at least twice on average; a group
+        it declines, and every single trigger, takes
+        :meth:`_audience_batch` once per trigger — all of them at once
+        when no target repeats (the cold firehose's usual batch).
+        """
+        if len({targets[i] for i, _fresh in triggers}) == len(triggers):
+            return [
+                self._audience_batch(targets[i], self._witnesses(fresh))
+                for i, fresh in triggers
+            ]
+        groups: dict[int, list[int]] = {}
+        for j, (i, _fresh) in enumerate(triggers):
+            groups.setdefault(targets[i], []).append(j)
+        audiences: list[np.ndarray | None] = [None] * len(triggers)
+        for target, members in groups.items():
+            windows = [self._witnesses(triggers[j][1]) for j in members]
+            solved = self._sliding_audience(target, windows) if len(windows) > 1 else None
+            if solved is None:
+                solved = [self._audience_batch(target, w) for w in windows]
+            for j, recipients in zip(members, solved):
+                audiences[j] = recipients
+        return audiences
+
+    def _sliding_audience(
+        self, target: int, windows: list[list[int]]
+    ) -> list[np.ndarray | None] | None:
+        """One target's audiences for a whole group of triggers at once,
+        or ``None`` to decline the group (the caller then solves each
+        trigger on its own).
+
+        Within one batch a hub's windows usually slide along one witness
+        sequence Q: each window is a contiguous slice ``Q[s_t:e_t]`` with
+        ``s_t`` and ``e_t`` non-decreasing (a trigger adds its actor at the
+        end and the cap or the freshness cutoff drops the oldest).  Then
+        one sort of the ``(A, position)`` keys of Q's follower lists
+        answers every window: A follows at least ``k`` witnesses of window
+        *t* iff some ``k`` consecutive occurrences of A lie inside
+        ``[s_t, e_t)``.  Each such run of occurrences qualifies A for an
+        interval of windows, the intervals of one A are clipped so they do
+        not overlap, the exclusions cut them, and the ``(window, A)`` pairs
+        they expand to are sorted once.  Same recipients and statistics as
+        :meth:`_audience_batch` per window.
+
+        Declined: windows that are not one such sequence (a witness that
+        acted twice, equal timestamps reordering the tail), groups reading
+        each witness list less than twice on average (the per-trigger sorts
+        are then no bigger than the shared one), and ids so large that the
+        packed keys would overflow int64.
+        """
+        sequence = list(windows[0])
+        position = {b: p for p, b in enumerate(sequence)}
+        starts = [0]
+        ends = [len(sequence)]
+        for window in windows[1:]:
+            start = position.get(window[0], len(sequence))
+            overlap = len(sequence) - start
+            if start < starts[-1] or overlap > len(window) or sequence[start:] != window[:overlap]:
+                return None
+            for b in window[overlap:]:
+                if b in position:
+                    return None
+                position[b] = len(sequence)
+                sequence.append(b)
+            starts.append(start)
+            ends.append(len(sequence))
+        m = len(sequence)
+        n = len(windows)
+        if sum(map(len, windows)) < 2 * m:
+            return None
+        arrays = self._fetch(sequence)
+        present = [p for p, arr in enumerate(arrays) if arr is not None]
+        lists = [arrays[p] for p in present]
+        base = max((int(arr[-1]) for arr in lists), default=0) + 1
+        if base * max(m, n) > _INT64_MAX:
+            return None
+
+        # Per position p: the first window ending after p, and the number
+        # of windows starting at or before it — windows [lo, hi) hold p.
+        after = np.searchsorted(ends, np.arange(m), side="right")
+        upto = np.searchsorted(starts, np.arange(m), side="right")
+        if len(present) < m:
+            # Every window counts the empty lists it reads, as one trigger
+            # at a time would.
+            missing = np.cumsum([0] + [arr is None for arr in arrays])
+            self.stats.empty_follower_lists += int((missing[ends] - missing[starts]).sum())
+        params = self.params
+        k = params.k
+        nothing: list[np.ndarray | None] = [None] * n
+        if len(lists) < k:
+            return nothing
+
+        keys = np.concatenate(lists)
+        keys *= m
+        keys += np.repeat(np.asarray(present, dtype=np.int64), [len(arr) for arr in lists])
+        keys.sort()
+        ids = keys // m
+        at = keys - ids * m
+        # Runs of k consecutive occurrences of one A: first and last slot.
+        if k > 1:
+            runs = np.flatnonzero(ids[k - 1 :] == ids[: len(ids) - k + 1])
+            ids, first, last = ids[runs], at[runs], at[runs + k - 1]
+        else:
+            first = last = at
+        if params.exclude_existing_followers:
+            target_followers = self._fetch((target,))[0]
+            if target_followers is not None and len(ids):
+                keep = _absent(ids, target_followers)
+                ids, first, last = ids[keep], first[keep], last[keep]
+        if params.exclude_candidate_recipient and len(ids):
+            keep = ids != target
+            ids, first, last = ids[keep], first[keep], last[keep]
+        if not len(ids):
+            return nothing
+
+        lo, hi = after[last], upto[first]
+        # One A's runs advance together, so its intervals overlap only
+        # the previous one: start each where the previous ended.
+        np.maximum(lo[1:], np.where(ids[1:] == ids[:-1], hi[:-1], 0), out=lo[1:])
+        if params.exclude_existing_followers:
+            # A witness is C's newest follower in every window holding it:
+            # cut those windows out of its intervals (the right-hand rest
+            # becomes an extra interval).
+            witnesses = np.asarray(sequence, dtype=np.int64)
+            order = np.argsort(witnesses)
+            bounds = np.searchsorted(ids, witnesses[order], side="left")
+            spans = np.searchsorted(ids, witnesses[order], side="right") - bounds
+            if spans.any():
+                hit = np.repeat(bounds - (np.cumsum(spans) - spans), spans)
+                hit += np.arange(len(hit))
+                held = np.repeat(order, spans)
+                ids = np.concatenate((ids, ids[hit]))
+                lo = np.concatenate((lo, np.maximum(lo[hit], upto[held])))
+                hi = np.concatenate((hi, hi[hit]))
+                hi[hit] = np.minimum(hi[hit], after[held])
+        counts = np.maximum(hi - lo, 0)
+        total = int(counts.sum())
+        if not total:
+            return nothing
+        pairs = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        pairs += np.arange(total)
+        pairs *= base
+        pairs += np.repeat(ids, counts)
+        pairs.sort()
+        cuts = np.searchsorted(pairs, np.arange(n + 1) * base).tolist()
+        recipients = pairs % base
+        return [recipients[a:b] if b > a else None for a, b in zip(cuts, cuts[1:])]
+
+    def _audience_batch(self, target: int, sources: list[int]) -> np.ndarray | None:
+        """Vectorised :meth:`_audience` for one trigger's witnesses
+        (:meth:`_witnesses`).
+
+        Identical audience, different execution and representation: each
+        witness's follower list is a zero-copy int64 view from the memo
+        :meth:`_fetch` reads (inlined: this runs once per cold trigger),
+        the k-overlap runs as one C-speed sort plus
+        run-length threshold over the concatenation, and the exclusion
+        filters apply as vectorized masks over the resulting recipient
+        array.  The array is returned as-is — ascending, never boxed —
+        ready to become a
+        :class:`~repro.core.recommendation.RecommendationGroup` column
+        (``None`` when the audience is empty).
+        """
+        params = self.params
+        memo = self._follower_arrays
         follower_lists = []
         for b in sources:
-            arr = follower_arrays.get(b, _MISSING)
+            arr = memo.get(b, _MISSING)
             if arr is _MISSING:
-                # A zero-copy int64 arena slice (None when empty).
-                arr = static_follower_array(b)
-                follower_arrays[b] = arr
+                arr = memo[b] = self._static.follower_array(b)
             if arr is not None:
                 follower_lists.append(arr)
             else:
@@ -369,10 +546,7 @@ class DiamondDetector:
             # (memoized like any other) — burst triggers produce hundreds
             # of recipients, where the per-event path's per-recipient
             # binary search dominates the whole batch.
-            target_followers = follower_arrays.get(target, _MISSING)
-            if target_followers is _MISSING:
-                target_followers = static_follower_array(target)
-                follower_arrays[target] = target_followers
+            target_followers = self._fetch((target,))[0]
             if target_followers is not None:
                 recipients = recipients[_absent(recipients, target_followers)]
             # C's newest followers themselves (their follow edge is in D,

@@ -27,13 +27,6 @@ from repro.util.stats import PercentileTracker
 from repro.util.validation import require
 
 
-def _as_batch(recs: RecommendationBatch | list[Recommendation]) -> RecommendationBatch:
-    """Normalize a detector's per-event result to the columnar currency."""
-    if type(recs) is RecommendationBatch:
-        return recs
-    return RecommendationBatch.from_recommendations(recs)
-
-
 @dataclass
 class EngineStats:
     """Aggregate engine-level counters and the per-event latency tracker."""
@@ -174,25 +167,28 @@ class MotifEngine:
         """Batched ingest keeping per-event attribution (one columnar
         :class:`~repro.core.recommendation.RecommendationBatch` per event).
 
-        The batch is split into maximal distinct-target runs; each run is
-        bulk-inserted into D once and then handed to every detector program,
-        which preserves per-event semantics exactly for batch-aware
-        detectors (an event's freshness query reads only its own target's D
-        entry — see :meth:`EventBatch.distinct_target_runs`).  Engines
-        sharing one D (co-hosted partitions) go through the same rule
+        Detection runs in two phases.  The batch is split into maximal
+        distinct-target runs; each run is bulk-inserted into D once and
+        then scanned by every detector program (``scan_run``: the run's
+        freshness read and the ``k`` threshold), which preserves per-event
+        semantics exactly for batch-aware detectors (an event's freshness
+        query reads only its own target's D entry — see
+        :meth:`EventBatch.distinct_target_runs`).  Once every run is in,
+        each program's ``process_batch`` computes the audiences of all the
+        triggers its scans found, in one call per batch.  Engines sharing
+        one D (co-hosted partitions) go through the same rule
         (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.apply_runs`):
         the first engine at a batch inserts each run, the others skip the
-        insert and read the run's kept scan.  If *any*
-        registered detector lacks ``process_batch``, the whole batch falls
+        insert and read the run's kept scan.  If *any* registered detector
+        lacks ``scan_run`` or ``process_batch``, the whole batch falls
         back to the interleaved per-event loop instead: run pre-insertion
         is only provably exact for target-keyed D reads, and an arbitrary
         ``on_edge`` may read D however it likes.
 
-        Detector ``process_batch`` results may be columnar batches (the
-        native currency) or plain per-event candidate lists (foreign
-        detectors); the engine normalizes everything to
-        :class:`RecommendationBatch`, so downstream layers — partitions,
-        brokers, the delivery funnel — see one shape.
+        Detector ``process_batch`` results are columnar batches, one per
+        event (the per-event fallback re-columns ``on_edge`` lists), so
+        downstream layers — partitions, brokers, the delivery funnel — see
+        one shape.
 
         With latency tracking enabled, one *amortized* per-event sample
         (batch wall time / batch size) is recorded per batch rather than one
@@ -202,16 +198,17 @@ class MotifEngine:
         if n == 0:
             return []
         started = time.perf_counter() if self._track_latency else 0.0
-        out: list[RecommendationBatch] = [None] * n  # type: ignore[list-item]
         detectors = self.detectors
         batch_methods = [
             getattr(detector, "process_batch", None) for detector in detectors
         ]
-        if any(method is None for method in batch_methods):
+        scans = [getattr(detector, "scan_run", None) for detector in detectors]
+        if None in batch_methods or None in scans:
             # Exact-by-construction fallback: insert then detect, one event
             # at a time, just like process() would.
             index = self.dynamic_index
             index.enter(batch, self)
+            out: list[RecommendationBatch] = []
             for i, event in enumerate(batch.to_events()):
                 if index.claim(i + 1):
                     index.insert(
@@ -221,27 +218,24 @@ class MotifEngine:
                 per_event: list[Recommendation] = []
                 for detector in detectors:
                     per_event.extend(detector.on_edge(event, now))
-                out[i] = RecommendationBatch.from_recommendations(per_event)
+                out.append(RecommendationBatch.from_recommendations(per_event))
         else:
+            # Scan phase: each run is read as it is inserted.
+            triggers: list[list] = [[] for _ in detectors]
             start = 0
             for run in self.dynamic_index.apply_runs(batch, self):
-                first = True
-                for process_batch in batch_methods:
-                    results = process_batch(run, now)
-                    if first:
-                        for j, recs in enumerate(results):
-                            out[start + j] = _as_batch(recs)
-                        first = False
-                    else:
-                        for j, recs in enumerate(results):
-                            if len(recs):
-                                # Merge-by-concat: batches are treated as
-                                # read-only, so concatenation never mutates
-                                # a detector's (possibly shared) result.
-                                out[start + j] = out[start + j].concat(
-                                    _as_batch(recs)
-                                )
+                for scan, found in zip(scans, triggers):
+                    found += scan(run, now, start)
                 start += len(run)
+            # Audience phase: once per batch and detector program.
+            out = batch_methods[0](batch, now, triggers[0])
+            for process_batch, found in zip(batch_methods[1:], triggers[1:]):
+                for i, recs in enumerate(process_batch(batch, now, found)):
+                    if len(recs):
+                        # Merge-by-concat: batches are treated as
+                        # read-only, so concatenation never mutates a
+                        # detector's (possibly shared) result.
+                        out[i] = out[i].concat(recs)
         emitted = sum(map(len, out))
         self.stats.events_processed += n
         self.stats.recommendations_emitted += emitted

@@ -237,19 +237,21 @@ def drive_flushes(cluster, events, batch_size):
 @functools.cache
 def boxed_oracle(partitions, replicas, batch_size):
     """The boxed per-event lane (``Broker.process_event``), by name, at
-    the same flush clocks."""
+    the same flush clocks: its candidate multiset and its per-replica
+    detector statistics."""
     snapshot, events = hub_burst_stream()
     cluster = Cluster.build(
         snapshot,
         HUB_PARAMS,
         ClusterConfig(num_partitions=partitions, replication_factor=replicas),
     )
-    return cluster_multiset(
+    candidates = cluster_multiset(
         r
         for chunk, now in flush_clock_batches(events, batch_size)
         for e in chunk
         for r in cluster.broker.process_event(e, now)[0]
     )
+    return candidates, diamond_stats(cluster)
 
 
 def private_d_cluster(snapshot, partitions, replicas):
@@ -300,7 +302,9 @@ def test_shared_d_cluster_matches_oracle_and_private_d(
 ):
     """All P x R in-process engines share one D, inserted and scanned once
     per run: same candidates as the boxed oracle and as a private-D
-    deployment, same per-partition detector statistics, same D."""
+    deployment, same per-partition detector statistics (all five
+    counters, against the per-event oracle too: the batch-level audience
+    phase does the trigger and empty-list counting), same D."""
     snapshot, events = hub_burst_stream()
     config = ClusterConfig(
         num_partitions=partitions, replication_factor=replicas
@@ -310,10 +314,11 @@ def test_shared_d_cluster_matches_oracle_and_private_d(
     got = drive_flushes(shared, events, batch_size)
     want = drive_flushes(private, events, batch_size)
     assert got == want
-    assert cluster_multiset(got) == boxed_oracle(
+    oracle_candidates, oracle_stats = boxed_oracle(
         partitions, replicas, batch_size
     )
-    assert diamond_stats(shared) == diamond_stats(private)
+    assert cluster_multiset(got) == oracle_candidates
+    assert diamond_stats(shared) == diamond_stats(private) == oracle_stats
     (shared_d,) = distinct_ds(shared)
     private_ds = distinct_ds(private)
     assert len(private_ds) == partitions * replicas

@@ -54,7 +54,7 @@ class TestProcessEventIsTheOracle:
     def test_answers_with_the_batched_kernel_broken(self, cluster, monkeypatch):
         from repro.core.diamond import DiamondDetector
 
-        def broken(self, batch, now=None):
+        def broken(self, batch, now=None, triggers=None):
             raise AssertionError("the oracle must not touch process_batch")
 
         monkeypatch.setattr(DiamondDetector, "process_batch", broken)

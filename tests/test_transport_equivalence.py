@@ -180,7 +180,7 @@ def test_worker_fleet_matches_oracle_with_one_d_per_worker(
     ) as cluster:
         got = cluster_multiset(drive_flushes(cluster, events, batch_size))
         health = cluster.transport.health()
-    assert got == boxed_oracle(partitions, replicas, batch_size)
+    assert got == boxed_oracle(partitions, replicas, batch_size)[0]
     assert len(health) == partitions
     for partition in health:
         # One D per worker: charged to exactly one replica, read by all.
