@@ -106,8 +106,8 @@ def run_ingest(cluster, batches, durability=None, snapshot_every=0):
     for i, (batch, now) in enumerate(batches):
         if durability is not None:
             durability.log_batch(batch, now)
-        grouped, _latency = cluster.broker.process_batch(batch, now=now)
-        merged = RecommendationBatch.concat_all(grouped)
+        replies, _latency = cluster.broker.process_batch(batch, now=now)
+        merged = RecommendationBatch.concat_all(replies)
         if len(merged):
             notifications.extend(delivery.offer_batch(merged, now))
         if durability is not None and snapshot_every and (

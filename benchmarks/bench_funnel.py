@@ -58,12 +58,11 @@ def burst_delivery_feed():
     engine = bench_engine(snapshot, track_latency=False)
     feed: list[tuple[float, RecommendationBatch]] = []
     for chunk in iter_event_batches(events, 256):
-        grouped = engine.process_batch_grouped(chunk)
-        groups = [group for batch in grouped for group in batch.groups]
-        if groups:
+        candidates = engine.process_batch_grouped(chunk)
+        if candidates.groups:
             # One delivery batch per micro-batch, offered at the batch's
             # newest event time (all paths use the same clock).
-            feed.append((float(chunk.timestamps[-1]), RecommendationBatch(groups)))
+            feed.append((float(chunk.timestamps[-1]), candidates))
     total = sum(len(batch) for _, batch in feed)
     assert total > 50_000, "need a meaningful raw candidate volume"
     return feed, total

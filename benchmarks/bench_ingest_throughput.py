@@ -41,7 +41,7 @@ from repro.bench.workloads import (
     interleaved_best_of,
     viral_firehose_stream_config,
 )
-from repro.core import DiamondDetector, MotifEngine, RecommendationBatch
+from repro.core import DiamondDetector, MotifEngine
 from repro.core.batch import iter_event_batches
 from repro.delivery import DeliveryPipeline, PushNotifier
 from repro.gen import StreamConfig, generate_event_batch, generate_event_stream
@@ -368,10 +368,9 @@ def test_burst_heavy_emission_columnar_vs_boxed(workload, report):
         started = time.perf_counter()
         for chunk in iter_event_batches(events, batch_size):
             now = float(chunk.timestamps[-1])
-            grouped = engine.process_batch_grouped(chunk)
-            groups = [group for batch in grouped for group in batch.groups]
-            if groups:
-                offer_batch(RecommendationBatch(groups), now)
+            candidates = engine.process_batch_grouped(chunk)
+            if candidates.groups:
+                offer_batch(candidates, now)
         return time.perf_counter() - started, (engine, pipeline)
 
     best, outcomes = interleaved_best_of(

@@ -32,6 +32,7 @@ The ratios are recorded to ``BENCH_overload.json`` and regression-gated
 """
 
 import time
+from collections import deque
 
 import pytest
 
@@ -185,7 +186,8 @@ def test_backlog_gated_admission_wall_clock(workload, report):
     shed_batches = 0
     admitted_batches = 0
     admitted_events = 0
-    inflight = 0
+    #: Sizes of submitted-but-ungathered batches, FIFO like the gathers.
+    inflight: deque[int] = deque()
     started = time.perf_counter()
     with Cluster.build(
         snapshot,
@@ -206,19 +208,17 @@ def test_backlog_gated_admission_wall_clock(workload, report):
             admitted_batches += 1
             admitted_events += len(batch)
             broker.submit_batch(batch)
-            inflight += 1
+            inflight.append(len(batch))
             # No gather barrier per batch: drain opportunistically past a
             # pipelining window so the backlog can actually build.
-            while inflight > 16:
-                grouped, _ = broker.gather_batch()
-                inflight -= 1
-                gathered_events += len(grouped)
-                gathered_candidates += sum(len(g) for g in grouped)
+            while len(inflight) > 16:
+                replies, _ = broker.gather_batch()
+                gathered_events += inflight.popleft()
+                gathered_candidates += sum(len(r) for r in replies)
         while inflight:
-            grouped, _ = broker.gather_batch()
-            inflight -= 1
-            gathered_events += len(grouped)
-            gathered_candidates += sum(len(g) for g in grouped)
+            replies, _ = broker.gather_batch()
+            gathered_events += inflight.popleft()
+            gathered_candidates += sum(len(r) for r in replies)
     wall_seconds = time.perf_counter() - started
 
     total_batches = admitted_batches + shed_batches

@@ -184,13 +184,13 @@ def _drive_unboxed(cluster, events) -> int:
         broker.submit_batch(batch)
         inflight += 1
         if inflight >= PROCESS_PIPELINE_DEPTH:
-            grouped, _ = broker.gather_batch()
+            replies, _ = broker.gather_batch()
             inflight -= 1
-            total += sum(len(per_event) for per_event in grouped)
+            total += sum(len(reply) for reply in replies)
     while inflight:
-        grouped, _ = broker.gather_batch()
+        replies, _ = broker.gather_batch()
         inflight -= 1
-        total += sum(len(per_event) for per_event in grouped)
+        total += sum(len(reply) for reply in replies)
     return total
 
 

@@ -4,8 +4,9 @@
 with coordination handled by brokers that fan-out queries and gather
 results."  A broker receives each live edge event, fans it out to every
 partition's replica set (every partition needs the complete D, so every
-partition must see every event), and gathers the per-partition candidate
-lists.  Partitions own disjoint A's, so gathering is pure concatenation.
+partition must see every event), and gathers one candidate batch per
+partition.  Partitions own disjoint A's, so gathering is pure
+concatenation.
 Partitions in one process share one D: the first to see a batch inserts
 and scans it, and the others run only their own S-shard k-overlaps, so
 fanning a batch out in-process costs one D insert, not P.
@@ -31,11 +32,7 @@ from typing import TYPE_CHECKING
 from repro.cluster.transport import InProcessTransport, PartitionTransport
 from repro.core.batch import EventBatch
 from repro.core.events import EdgeEvent
-from repro.core.recommendation import (
-    EMPTY_RECOMMENDATION_BATCH,
-    Recommendation,
-    RecommendationBatch,
-)
+from repro.core.recommendation import Recommendation, RecommendationBatch
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # runtime cycle: replica -> rpc only, broker -> transport
@@ -168,33 +165,30 @@ class Broker:
     def gather_batch(self) -> tuple[list[RecommendationBatch], float]:
         """Gather the oldest outstanding batch's replies.
 
-        The batch's size was recorded at submit, so callers never pair a
-        gather with the wrong event count.
+        The batch's size was recorded at submit, so a lost partition is
+        charged the right event count.
 
-        Returns the gathered candidates positionally aligned with the batch
-        (one columnar :class:`~repro.core.recommendation
-        .RecommendationBatch` per event; partitions own disjoint A's, so
-        gathering is per-event group concatenation — the recipient columns
-        are never unboxed in flight) plus the slowest partition's ack
-        latency.  Partitions whose replicas are all down — or whose worker
-        process died — lose the whole batch.
+        Returns one columnar :class:`~repro.core.recommendation
+        .RecommendationBatch` per answering partition, in partition order
+        (each holds that shard's trigger groups in event order; partitions
+        own disjoint A's, so the gather is plain concatenation — the
+        recipient columns are never unboxed in flight), plus the slowest
+        partition's ack latency.  Callers that need per-event attribution
+        regroup with :meth:`~repro.core.recommendation.RecommendationBatch
+        .by_event`.  Partitions whose replicas are all down — or whose
+        worker process died — lose the whole batch.
         """
         require(len(self._inflight_sizes) > 0, "gather without a submit")
         n = self._inflight_sizes.popleft()
-        gathered: list[RecommendationBatch] = [EMPTY_RECOMMENDATION_BATCH] * n
+        gathered: list[RecommendationBatch] = []
         worst_latency = 0.0
-        total = 0
         for reply in self.transport.gather_batch():
             if reply.lost:
                 self.stats.partitions_lost_events += n
                 continue
             worst_latency = max(worst_latency, reply.latency)
-            for i, recs in enumerate(reply.grouped):
-                size = len(recs)
-                if size:
-                    gathered[i] = gathered[i].concat(recs)
-                    total += size
-        self.stats.gather_results += total
+            gathered.append(reply.recommendations)
+            self.stats.gather_results += len(reply.recommendations)
         return gathered, worst_latency
 
     def process_batch(

@@ -36,7 +36,7 @@ from repro.core.batch import EventBatch, iter_event_batches
 from repro.core.detector import OnlineDetector
 from repro.core.events import EdgeEvent
 from repro.core.params import DetectionParams
-from repro.core.recommendation import Recommendation
+from repro.core.recommendation import Recommendation, RecommendationBatch
 from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD, DynamicEdgeIndex
 from repro.graph.snapshot import GraphSnapshot
 from repro.graph.static_index import StaticFollowerIndex
@@ -235,11 +235,8 @@ class Cluster:
         One fan-out round-trip per partition per batch; emits exactly the
         candidates the per-event loop would, in the same order.
         """
-        grouped, _latency = self.broker.process_batch(batch)
-        out: list[Recommendation] = []
-        for per_event in grouped:
-            out.extend(per_event)
-        return out
+        replies, _latency = self.broker.process_batch(batch)
+        return [rec for _i, recs in RecommendationBatch.by_event(replies) for rec in recs]
 
     def process_stream(
         self,
@@ -266,9 +263,9 @@ class Cluster:
         inflight = 0
 
         def gather_oldest() -> None:
-            grouped, _latency = self.broker.gather_batch()
-            for per_event in grouped:
-                out.extend(per_event)
+            replies, _latency = self.broker.gather_batch()
+            for _i, recs in RecommendationBatch.by_event(replies):
+                out.extend(recs)
 
         for batch in iter_event_batches(events, batch_size):
             self.broker.submit_batch(batch)

@@ -97,18 +97,18 @@ class PartitionServer:
 
     def ingest_batch(
         self, batch: EventBatch, now: float | None = None
-    ) -> list[RecommendationBatch]:
-        """Consume a columnar micro-batch; one local candidate batch per event.
+    ) -> RecommendationBatch:
+        """Consume a columnar micro-batch; one local candidate batch.
 
-        Same semantics as calling :meth:`ingest` per event, with the work
+        Same candidates as calling :meth:`ingest` per event, with the work
         amortized by the engine's batched path: each distinct-target run
         is inserted and scanned, then this shard's audiences are computed
         once for the whole batch
         (:meth:`~repro.core.engine.MotifEngine.process_batch_grouped`).
-        Results stay positionally aligned with the batch so brokers can
-        gather per event, and stay columnar
-        (:class:`~repro.core.recommendation.RecommendationBatch`) so the
-        reply never boxes per candidate.
+        The reply is one columnar
+        (:class:`~repro.core.recommendation.RecommendationBatch`) of this
+        shard's trigger groups in event order — each group carries its
+        event's batch position — so it never boxes per candidate.
         """
         return self._engine.process_batch_grouped(batch, now)
 

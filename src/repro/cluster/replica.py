@@ -23,11 +23,7 @@ from repro.cluster.partition import PartitionServer
 from repro.cluster.rpc import RpcError, SimulatedChannel
 from repro.core.batch import EventBatch
 from repro.core.events import EdgeEvent
-from repro.core.recommendation import (
-    EMPTY_RECOMMENDATION_BATCH,
-    Recommendation,
-    RecommendationBatch,
-)
+from repro.core.recommendation import Recommendation, RecommendationBatch
 from repro.util.validation import require
 
 
@@ -153,18 +149,18 @@ class ReplicaSet:
 
     def ingest_batch(
         self, batch: EventBatch, now: float | None = None
-    ) -> tuple[list[RecommendationBatch], float]:
+    ) -> tuple[RecommendationBatch, float]:
         """Deliver a columnar micro-batch to every healthy replica.
 
         One simulated RPC per replica carries the whole batch (pipelined
         delivery — the virtual latency is paid once per batch, not once per
-        event).  Returns the primary's per-event candidate batches plus the
-        maximum channel latency, mirroring :meth:`ingest`.
+        event).  Returns the primary's candidate batch plus the maximum
+        channel latency, mirroring :meth:`ingest`.
 
         Raises:
             AllReplicasDown: when no replica accepted the batch.
         """
-        primary_output: list[RecommendationBatch] | None = None
+        primary_output: RecommendationBatch | None = None
         worst_latency = 0.0
         delivered = False
         n = len(batch)
@@ -187,8 +183,6 @@ class ReplicaSet:
             raise AllReplicasDown(
                 f"partition {self.partition_id}: batch lost, all replicas down"
             )
-        if primary_output is None:
-            primary_output = [EMPTY_RECOMMENDATION_BATCH] * n
         return primary_output, worst_latency
 
     def query_audience(self, target: int, now: float) -> tuple[list[int], float]:

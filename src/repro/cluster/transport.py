@@ -22,7 +22,7 @@ pluggable:
   batch *i+1* while the workers process batch *i*).  One protocol, two
   wires: ``transport="process"`` pickles every message down the wire's
   mp queues; ``transport="shm"`` builds the same wire with a ring, so
-  batches and grouped replies cross as *slab frames* — flat columns
+  batches and candidate replies cross as *slab frames* — flat columns
   written once into per-worker ``multiprocessing.shared_memory`` ring
   buffers and decoded as zero-copy views on the other side — while
   control messages and any frame too large for a ring slot fall back to
@@ -61,12 +61,12 @@ from repro.core.recommendation import RecommendationBatch
 from repro.core.wire import (
     FRAME_LOST,
     decode_event_batch,
-    decode_grouped,
+    decode_recommendation_batch,
     encode_event_batch,
-    encode_grouped,
+    encode_recommendation_batch,
     frame_event_batch,
-    frame_grouped,
-    grouped_payload_from_frame,
+    frame_partition_reply,
+    table_payload_from_frame,
     write_frame,
 )
 from repro.util.procpool import (
@@ -103,13 +103,15 @@ TRANSPORTS = ("inprocess", "process", "shm")
 class PartitionReply:
     """One partition's answer to a submitted batch (or its loss).
 
-    ``lost`` is True when the partition could not process the batch at all
-    — every replica down (in-process) or the worker process dead
-    (cross-process).  ``grouped`` is ``None`` exactly when ``lost``.
+    ``recommendations`` is the partition's one candidate batch for the
+    event batch (its trigger groups, in event order).  ``lost`` is True
+    when the partition could not process the batch at all — every replica
+    down (in-process) or the worker process dead (cross-process) — and
+    then ``recommendations`` is ``None``.
     """
 
     partition_id: int
-    grouped: list[RecommendationBatch] | None
+    recommendations: RecommendationBatch | None
     latency: float
     lost: bool = False
 
@@ -302,14 +304,14 @@ class InProcessTransport:
         replies: list[PartitionReply] = []
         for replica_set in self.replica_sets:
             try:
-                grouped, latency = replica_set.ingest_batch(batch, now)
+                recommendations, latency = replica_set.ingest_batch(batch, now)
             except AllReplicasDown:
                 replies.append(
                     PartitionReply(replica_set.partition_id, None, 0.0, lost=True)
                 )
                 continue
             replies.append(
-                PartitionReply(replica_set.partition_id, grouped, latency)
+                PartitionReply(replica_set.partition_id, recommendations, latency)
             )
         self._pending_batches.append(replies)
 
@@ -457,7 +459,7 @@ def _frame_reply(mem, reply: tuple) -> int | None:
     """A batch reply — ``("ok", payload, latency)`` or lost — as a frame."""
     if reply[0] == "lost":
         return write_frame(mem, FRAME_LOST)
-    return frame_grouped(mem, reply[1], reply[2])
+    return frame_partition_reply(mem, reply[1], reply[2])
 
 
 def _reply_from_frame(frame: tuple) -> tuple:
@@ -465,7 +467,7 @@ def _reply_from_frame(frame: tuple) -> tuple:
     kind, cols, blobs, _now, latency, _aux = frame
     if kind == FRAME_LOST:
         return ("lost", None, 0.0)
-    return ("ok", grouped_payload_from_frame(cols, blobs), latency)
+    return ("ok", table_payload_from_frame(cols, blobs), latency)
 
 
 def _partition_worker_main(replica_set, wire: Wire) -> None:
@@ -492,19 +494,19 @@ def _partition_worker_main(replica_set, wire: Wire) -> None:
             return
         if message[0] == "batch":
             try:
-                grouped, latency = replica_set.ingest_batch(
+                recommendations, latency = replica_set.ingest_batch(
                     decode_event_batch(message[1]), message[2]
                 )
             except AllReplicasDown:
-                grouped = None
+                recommendations = None
             for index in indexes:
                 index.leave()
             del message  # no slab views may survive release
             wire.release()
-            if grouped is None:
+            if recommendations is None:
                 reply = ("lost", None, 0.0)
             else:
-                reply = ("ok", encode_grouped(grouped), latency)
+                reply = ("ok", encode_recommendation_batch(recommendations), latency)
             framer = _frame_reply
         else:
             reply, framer = _control_reply(replica_set, message), None
@@ -526,7 +528,7 @@ class WorkerTransport:
 
     *transport* picks the wire, and nothing else: ``"process"`` builds it
     queue-only, ``"shm"`` with shared-memory rings in front of the queues
-    (event batches and grouped replies then cross as slab frames; see
+    (event batches and candidate replies then cross as slab frames; see
     :class:`~repro.cluster.shm.Wire` for the lanes and their fallback).
 
     Fan-out/gather is asynchronous and pipelined: ``submit_batch`` posts
@@ -671,9 +673,8 @@ class WorkerTransport:
             if raw is None or raw[0] == "lost":
                 replies.append(PartitionReply(partition_id, None, 0.0, lost=True))
                 continue
-            replies.append(
-                PartitionReply(partition_id, decode_grouped(raw[1]), raw[2])
-            )
+            recommendations = decode_recommendation_batch(raw[1])
+            replies.append(PartitionReply(partition_id, recommendations, raw[2]))
         return replies
 
     # ------------------------------------------------------------------

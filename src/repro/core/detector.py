@@ -13,7 +13,7 @@ entry points::
         -> list[tuple[int, object]]
     def process_batch(self, batch: EventBatch, now: float | None = None,
                       triggers: list[tuple[int, object]] | None = None)
-        -> list[RecommendationBatch]
+        -> RecommendationBatch
 
 When the engine owns the inserts (``inserts_edges=False``) it calls
 ``scan_run`` on each distinct-target run of a batch right after inserting
@@ -22,8 +22,10 @@ is the run's position in the batch), collecting the triggers it returns,
 then ``process_batch`` once for the whole batch with those triggers.  That
 order is what makes batched processing exactly equivalent to the per-event
 loop.  ``process_batch`` returns one columnar
-:class:`~repro.core.recommendation.RecommendationBatch` per batch event
-(positionally aligned; the shared empty batch where nothing triggered).
+:class:`~repro.core.recommendation.RecommendationBatch` for the whole
+batch: its trigger groups in event order, each stamped with its
+triggering event's batch position (``RecommendationGroup.event``; the
+shared empty batch when nothing triggered).
 The engine discovers both with ``getattr``; if any registered
 detector lacks either, the engine processes the whole batch through the
 interleaved per-event ``on_edge`` loop instead (exact for arbitrary

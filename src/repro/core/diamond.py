@@ -205,8 +205,8 @@ class DiamondDetector:
         batch: EventBatch,
         now: float | None = None,
         triggers: list[tuple[int, object]] | None = None,
-    ) -> list[RecommendationBatch]:
-        """Process a columnar micro-batch; one candidate batch per event.
+    ) -> RecommendationBatch:
+        """Process a columnar micro-batch into one candidate batch.
 
         Emits exactly what per-event :meth:`on_edge` calls would — same
         recommendations, same statistics — in two phases.  The *scan*
@@ -219,7 +219,8 @@ class DiamondDetector:
         its own k-overlap (:meth:`_audience_batch`).  Output stays
         columnar: each triggering event's audience is one
         :class:`~repro.core.recommendation.RecommendationGroup` wrapping
-        the recipient array directly — no per-candidate boxing.
+        the recipient array directly — no per-candidate boxing — stamped
+        with the event's batch position; the batch holds them in event order.
 
         An engine scans the runs itself and passes *triggers*.  Without
         them the detector scans here: a standalone detector
@@ -234,9 +235,9 @@ class DiamondDetector:
             for run in runs:
                 triggers += self.scan_run(run, now, offset)
                 offset += len(run)
-        results = [EMPTY_RECOMMENDATION_BATCH] * len(batch)
         if not triggers:
-            return results
+            return EMPTY_RECOMMENDATION_BATCH
+        groups: list[RecommendationGroup] = []
         timestamps, _actors, targets, actions = batch.columns()
         stats = self.stats
         name = self.name
@@ -254,11 +255,12 @@ class DiamondDetector:
                 via = fresh.sources
             else:
                 via = tuple(edge[1] for edge in fresh)
-            group = RecommendationGroup(
-                recipients, targets[i], timestamps[i], name, actions[i], via
+            groups.append(
+                RecommendationGroup(
+                    recipients, targets[i], timestamps[i], name, actions[i], via, i
+                )
             )
-            results[i] = RecommendationBatch((group,))
-        return results
+        return RecommendationBatch(groups) if groups else EMPTY_RECOMMENDATION_BATCH
 
     def current_audience(self, target: int, now: float) -> list[int]:
         """The A's who would be notified about *target* right now.

@@ -10,7 +10,6 @@ can verify the "graph queries take only a few milliseconds" claim.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +18,11 @@ from repro.core.detector import OnlineDetector
 from repro.core.diamond import DiamondDetector
 from repro.core.events import EdgeEvent
 from repro.core.params import DetectionParams
-from repro.core.recommendation import Recommendation, RecommendationBatch
+from repro.core.recommendation import (
+    EMPTY_RECOMMENDATION_BATCH,
+    Recommendation,
+    RecommendationBatch,
+)
 from repro.graph.dynamic_index import DynamicEdgeIndex
 from repro.graph.snapshot import GraphSnapshot, build_follower_snapshot
 from repro.graph.static_index import StaticFollowerIndex
@@ -155,17 +158,17 @@ class MotifEngine:
         state) the per-event :meth:`process` loop would, in the same order.
         This is the *boxed* view — each candidate is materialized as a
         :class:`Recommendation`; throughput-critical callers should consume
-        :meth:`process_batch_grouped`'s columnar batches instead.
+        :meth:`process_batch_grouped`'s columnar batch instead.
         """
-        return list(
-            itertools.chain.from_iterable(self.process_batch_grouped(batch, now))
-        )
+        return list(self.process_batch_grouped(batch, now))
 
     def process_batch_grouped(
         self, batch: EventBatch, now: float | None = None
-    ) -> list[RecommendationBatch]:
-        """Batched ingest keeping per-event attribution (one columnar
-        :class:`~repro.core.recommendation.RecommendationBatch` per event).
+    ) -> RecommendationBatch:
+        """Batched ingest into one columnar
+        :class:`~repro.core.recommendation.RecommendationBatch` of trigger
+        groups, in event order (each group's ``event`` is its triggering
+        event's position in *batch*).
 
         Detection runs in two phases.  The batch is split into maximal
         distinct-target runs; each run is bulk-inserted into D once and
@@ -185,10 +188,12 @@ class MotifEngine:
         is only provably exact for target-keyed D reads, and an arbitrary
         ``on_edge`` may read D however it likes.
 
-        Detector ``process_batch`` results are columnar batches, one per
-        event (the per-event fallback re-columns ``on_edge`` lists), so
-        downstream layers — partitions, brokers, the delivery funnel — see
-        one shape.
+        Each program's ``process_batch`` returns one columnar batch (the
+        per-event fallback re-columns ``on_edge`` lists, stamping event
+        ``i``); several programs' batches merge by
+        :meth:`~repro.core.recommendation.RecommendationBatch.by_event`
+        into the per-event loop's order, so downstream layers — partitions,
+        brokers, the delivery funnel — see one shape.
 
         With latency tracking enabled, one *amortized* per-event sample
         (batch wall time / batch size) is recorded per batch rather than one
@@ -196,7 +201,7 @@ class MotifEngine:
         """
         n = len(batch)
         if n == 0:
-            return []
+            return EMPTY_RECOMMENDATION_BATCH
         started = time.perf_counter() if self._track_latency else 0.0
         detectors = self.detectors
         batch_methods = [
@@ -208,17 +213,18 @@ class MotifEngine:
             # at a time, just like process() would.
             index = self.dynamic_index
             index.enter(batch, self)
-            out: list[RecommendationBatch] = []
+            per_event: list[RecommendationBatch] = []
             for i, event in enumerate(batch.to_events()):
                 if index.claim(i + 1):
                     index.insert(
                         event.actor, event.target, event.created_at,
                         action=event.action,
                     )
-                per_event: list[Recommendation] = []
+                recs: list[Recommendation] = []
                 for detector in detectors:
-                    per_event.extend(detector.on_edge(event, now))
-                out.append(RecommendationBatch.from_recommendations(per_event))
+                    recs.extend(detector.on_edge(event, now))
+                per_event.append(RecommendationBatch.from_recommendations(recs, i))
+            out = RecommendationBatch.concat_all(per_event)
         else:
             # Scan phase: each run is read as it is inserted.
             triggers: list[list] = [[] for _ in detectors]
@@ -228,15 +234,11 @@ class MotifEngine:
                     found += scan(run, now, start)
                 start += len(run)
             # Audience phase: once per batch and detector program.
-            out = batch_methods[0](batch, now, triggers[0])
-            for process_batch, found in zip(batch_methods[1:], triggers[1:]):
-                for i, recs in enumerate(process_batch(batch, now, found)):
-                    if len(recs):
-                        # Merge-by-concat: batches are treated as
-                        # read-only, so concatenation never mutates a
-                        # detector's (possibly shared) result.
-                        out[i] = out[i].concat(recs)
-        emitted = sum(map(len, out))
+            outs = [phase(batch, now, found) for phase, found in zip(batch_methods, triggers)]
+            out = outs[0] if len(outs) == 1 else RecommendationBatch.concat_all(
+                recs for _i, recs in RecommendationBatch.by_event(outs)
+            )
+        emitted = len(out)
         self.stats.events_processed += n
         self.stats.recommendations_emitted += emitted
         if self._track_latency:

@@ -30,7 +30,9 @@ columnar views interchangeable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -77,6 +79,10 @@ class RecommendationGroup:
     ``via`` may be passed either as the usual tuple or as an ``int64``
     numpy array (the detector hands over its freshness-scan column
     unboxed); :attr:`via` always reads back as a tuple, materialized once.
+
+    ``event`` is the batch position of the edge event that triggered the
+    group; :meth:`RecommendationBatch.by_event` regroups gathered
+    partition replies by it.
     """
 
     __slots__ = (
@@ -86,6 +92,7 @@ class RecommendationGroup:
         "motif",
         "action",
         "_via",
+        "event",
         "_recipients_list",
     )
 
@@ -97,6 +104,7 @@ class RecommendationGroup:
         motif: str = "diamond",
         action: ActionType = ActionType.FOLLOW,
         via: tuple[UserId, ...] | np.ndarray = (),
+        event: int = 0,
     ) -> None:
         if type(recipients) is np.ndarray:
             self.recipients = recipients
@@ -109,6 +117,7 @@ class RecommendationGroup:
         self.motif = motif
         self.action = action
         self._via = via
+        self.event = event
 
     def __len__(self) -> int:
         return len(self.recipients)
@@ -148,6 +157,7 @@ class RecommendationGroup:
             motif=self.motif,
             action=self.action,
             via=self._via,
+            event=self.event,
         )
 
     def recommendation_at(self, i: int) -> Recommendation:
@@ -254,7 +264,7 @@ class RecommendationBatch(ColumnarRecommendations):
     funnel instead reads :meth:`columns` and never boxes non-survivors.
 
     Batches are treated as immutable once emitted — merging produces a new
-    batch (:meth:`concat`), and the shared :data:`EMPTY_RECOMMENDATION_BATCH`
+    batch (:meth:`concat_all`), and the shared :data:`EMPTY_RECOMMENDATION_BATCH`
     stands in for "no candidates" without allocating.
     """
 
@@ -272,14 +282,15 @@ class RecommendationBatch(ColumnarRecommendations):
 
     @classmethod
     def from_recommendations(
-        cls, recommendations: Iterable[Recommendation]
+        cls, recommendations: Iterable[Recommendation], event: int = 0
     ) -> "RecommendationBatch":
         """Re-column a boxed candidate sequence (foreign detectors, tests).
 
         Consecutive recommendations sharing their group metadata collapse
         into one group, so round-tripping a batch through boxed form and
         back reconstructs the original grouping; iteration order is
-        preserved exactly either way.
+        preserved exactly either way.  Every group is stamped with the
+        triggering *event*'s batch position.
         """
         groups: list[RecommendationGroup] = []
         meta: tuple | None = None
@@ -288,23 +299,15 @@ class RecommendationBatch(ColumnarRecommendations):
             rec_meta = (rec.candidate, rec.created_at, rec.motif, rec.action, rec.via)
             if meta != rec_meta:
                 if recipients:
-                    groups.append(RecommendationGroup(recipients, *meta))
+                    groups.append(RecommendationGroup(recipients, *meta, event))
                 meta = rec_meta
                 recipients = []
             recipients.append(rec.recipient)
         if recipients:
-            groups.append(RecommendationGroup(recipients, *meta))
+            groups.append(RecommendationGroup(recipients, *meta, event))
         if not groups:
             return EMPTY_RECOMMENDATION_BATCH
         return cls(groups)
-
-    def concat(self, other: "RecommendationBatch") -> "RecommendationBatch":
-        """A new batch with *other*'s groups appended (empties alias)."""
-        if not other.groups:
-            return self
-        if not self.groups:
-            return other
-        return RecommendationBatch(self.groups + other.groups)
 
     @classmethod
     def concat_all(
@@ -339,6 +342,22 @@ class RecommendationBatch(ColumnarRecommendations):
         for batch in non_empty:
             groups.extend(batch.groups)
         return cls(groups)
+
+    @classmethod
+    def by_event(
+        cls, batches: Iterable["RecommendationBatch"]
+    ) -> list[tuple[int, "RecommendationBatch"]]:
+        """Per-event attribution of gathered partition replies.
+
+        Each reply holds one partition's trigger groups in event order; a
+        stable sort of all their groups by :attr:`RecommendationGroup
+        .event` yields ``(event, batch)`` for every event that triggered,
+        ascending — the order a per-event loop over the partitions would
+        have emitted (events in order, partitions in order within one).
+        """
+        event_of = attrgetter("event")
+        groups = sorted((g for batch in batches for g in batch.groups), key=event_of)
+        return [(event, cls(run)) for event, run in itertools.groupby(groups, event_of)]
 
     # ------------------------------------------------------------------
     # Sequence protocol (lazy boxed view)
@@ -573,8 +592,8 @@ class FlatRecommendations(ColumnarRecommendations):
         return out
 
 
-#: Shared immutable "no candidates" batch; never mutated (concat aliases
-#: around it, and consumers treat emitted batches as read-only).
+#: Shared immutable "no candidates" batch; never mutated (concat_all
+#: aliases around it, and consumers treat emitted batches as read-only).
 EMPTY_RECOMMENDATION_BATCH = RecommendationBatch()
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)

@@ -8,15 +8,17 @@ reintroduce exactly the per-item cost the columnar hot path removed, so
 the wire format is the columns themselves.
 
 Event batches serialize as their four flat arrays.  Recommendation
-replies are *flattened before pickling*: a burst batch can emit tens of
+batches are *flattened before pickling*: a burst batch can emit tens of
 thousands of small groups, and pickling one tuple (with two tiny numpy
-arrays) per group costs more than the detection did — so the codec packs
-every group's recipients into **one** concatenated ``int64`` column, the
-witness columns into another, and the per-group scalars (candidate,
-creation time, action code, interned motif id) into parallel arrays.  A
-partition's whole reply is then ~ten array pickles regardless of group
-count, and the decoder rebuilds the groups as zero-copy slices of the
-flat columns.
+arrays) per group costs more than the detection did — so the group-table
+codec packs every group's recipients into **one** concatenated ``int64``
+column, the witness columns into another, and the per-group scalars
+(candidate, creation time, triggering event's batch position, action
+code, interned motif id) into parallel arrays.  One codec serves both
+directions a candidate batch travels: a partition's reply to the broker
+(one batch per partition per event batch) and a delivery shard's
+request.  Either is ~ten array pickles regardless of group count, and
+the decoder rebuilds the groups as zero-copy slices of the flat columns.
 
 The codecs are intentionally dumb tuples (pickled by the queue machinery):
 no versioning, no schema negotiation — both endpoints are the same build
@@ -108,10 +110,12 @@ def _encode_metadata(sources) -> tuple:
 def _encode_group_table(groups: list[RecommendationGroup]) -> GroupTableWire:
     """Flatten *groups* into parallel per-group columns.
 
-    Layout: ``(sizes, recipients, candidates, created_at, action_codes,
-    motif_codes, motif_names, via_sizes, via_values)`` where ``recipients``
-    is the concatenation of every group's column in order, sliced back
-    apart by ``sizes`` on decode; the last five are :func:`_encode_metadata`.
+    Layout: ``(sizes, recipients, candidates, created_at, events,
+    action_codes, motif_codes, motif_names, via_sizes, via_values)`` where
+    ``recipients`` is the concatenation of every group's column in order,
+    sliced back apart by ``sizes`` on decode, ``events`` each group's
+    :attr:`~repro.core.recommendation.RecommendationGroup.event`, and the
+    last five are :func:`_encode_metadata`.
     """
     n = len(groups)
     sizes = np.fromiter((len(g) for g in groups), np.int64, n)
@@ -120,7 +124,8 @@ def _encode_group_table(groups: list[RecommendationGroup]) -> GroupTableWire:
     )
     candidates = np.fromiter((g.candidate for g in groups), np.int64, n)
     created_at = np.fromiter((g.created_at for g in groups), np.float64, n)
-    return (sizes, recipients, candidates, created_at, *_encode_metadata(groups))
+    events = np.fromiter((g.event for g in groups), np.int64, n)
+    return (sizes, recipients, candidates, created_at, events, *_encode_metadata(groups))
 
 
 def _decode_group_table(payload: GroupTableWire) -> list[RecommendationGroup]:
@@ -130,6 +135,7 @@ def _decode_group_table(payload: GroupTableWire) -> list[RecommendationGroup]:
         recipients,
         candidates,
         created_at,
+        events,
         action_codes,
         motif_codes,
         motif_names,
@@ -139,10 +145,11 @@ def _decode_group_table(payload: GroupTableWire) -> list[RecommendationGroup]:
     groups: list[RecommendationGroup] = []
     offset = 0
     via_offset = 0
-    for size, candidate, created, action_code, motif_code, via_size in zip(
+    for size, candidate, created, event, action_code, motif_code, via_size in zip(
         sizes.tolist(),
         candidates.tolist(),
         created_at.tolist(),
+        events.tolist(),
         action_codes.tolist(),
         motif_codes.tolist(),
         via_sizes.tolist(),
@@ -155,6 +162,7 @@ def _decode_group_table(payload: GroupTableWire) -> list[RecommendationGroup]:
                 motif=motif_names[motif_code],
                 action=ACTIONS[action_code],
                 via=via_values[via_offset:via_offset + via_size],
+                event=event,
             )
         )
         offset += size
@@ -204,39 +212,10 @@ def decode_flat_recommendations(payload: tuple) -> FlatRecommendations:
     )
     blank = np.zeros(len(action_codes), np.int64)
     sources = _decode_group_table(
-        (blank, _EMPTY_INT64, blank, blank, action_codes, motif_codes,
+        (blank, _EMPTY_INT64, blank, blank, blank, action_codes, motif_codes,
          motif_names, via_sizes, via_values)
     )
     return FlatRecommendations(*columns, sources)
-
-
-def encode_grouped(grouped: list[RecommendationBatch]) -> tuple:
-    """A partition's per-event gather reply, positionally aligned.
-
-    One shared group table for the whole reply plus a per-event group
-    count — the pickle cost is a handful of arrays however many events
-    (or triggers) the batch carried.
-    """
-    counts = np.fromiter(
-        (len(batch.groups) for batch in grouped), np.int64, len(grouped)
-    )
-    all_groups = [g for batch in grouped for g in batch.groups]
-    return (counts, _encode_group_table(all_groups))
-
-
-def decode_grouped(payload: tuple) -> list[RecommendationBatch]:
-    """Invert :func:`encode_grouped`."""
-    counts, table = payload
-    groups = _decode_group_table(table)
-    out: list[RecommendationBatch] = []
-    offset = 0
-    for count in counts.tolist():
-        if count == 0:
-            out.append(EMPTY_RECOMMENDATION_BATCH)
-        else:
-            out.append(RecommendationBatch(groups[offset:offset + count]))
-        offset += count
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +226,7 @@ def decode_grouped(payload: tuple) -> list[RecommendationBatch]:
 #: mistaken for a committed frame.
 FRAME_PICKLE = 1  #: marker: the real payload follows on the mp queue
 FRAME_EVENT_BATCH = 2  #: request: one columnar EventBatch (+ now)
-FRAME_GROUPED = 3  #: reply: a partition's grouped batch answer
+FRAME_GROUPED = 3  #: reply: a partition's RecommendationBatch group table
 FRAME_LOST = 4  #: reply: the partition lost the batch (all replicas down)
 FRAME_REC_BATCH = 5  #: request: one RecommendationBatch group table (+ now)
 FRAME_NOTIFICATIONS = 6  #: reply: delivered notifications + funnel stats
@@ -395,50 +374,50 @@ def event_batch_from_frame(cols: list[np.ndarray]) -> EventBatch:
     return decode_event_batch(tuple(cols))
 
 
-def frame_grouped(mem: np.ndarray, payload: tuple, latency: float) -> int | None:
-    """An :func:`encode_grouped` reply as a frame (None on overflow).
+def _frame_table(
+    mem: np.ndarray,
+    kind: int,
+    payload: tuple,
+    now: float | None = None,
+    latency: float = 0.0,
+) -> int | None:
+    """A group-table or flat payload as a frame (None on overflow).
 
-    Every typed frame carries its payload's arrays as columns and the
+    Every such frame carries its payload's arrays as columns and the
     interned motif names (third from last) as the one string blob.
     """
-    counts, (*head, motif_names, via_sizes, via_values) = payload
+    *head, motif_names, via_sizes, via_values = payload
     return write_frame(
         mem,
-        FRAME_GROUPED,
-        cols=(counts, *head, via_sizes, via_values),
+        kind,
+        cols=(*head, via_sizes, via_values),
         blobs=(_pack_strings(motif_names),),
+        now=now,
         latency=latency,
     )
-
-
-def grouped_payload_from_frame(
-    cols: list[np.ndarray], blobs: list[bytes]
-) -> tuple:
-    """Invert :func:`frame_grouped` back to an :func:`encode_grouped` tuple."""
-    counts, *head, via_sizes, via_values = cols
-    return (counts, (*head, _unpack_strings(blobs[0]), via_sizes, via_values))
 
 
 def frame_recommendation_batch(
     mem: np.ndarray, payload: GroupTableWire, now: float
 ) -> int | None:
-    """An encoded recommendation batch as a request frame."""
-    *head, motif_names, via_sizes, via_values = payload
-    return write_frame(
-        mem,
-        FRAME_REC_BATCH,
-        cols=(*head, via_sizes, via_values),
-        blobs=(_pack_strings(motif_names),),
-        now=now,
-    )
+    """An encoded recommendation batch as a delivery request frame."""
+    return _frame_table(mem, FRAME_REC_BATCH, payload, now=now)
+
+
+def frame_partition_reply(
+    mem: np.ndarray, payload: GroupTableWire, latency: float
+) -> int | None:
+    """A partition's encoded reply batch, plus its ack latency, as a frame."""
+    return _frame_table(mem, FRAME_GROUPED, payload, latency=latency)
 
 
 def table_payload_from_frame(cols: list[np.ndarray], blobs: list[bytes]) -> tuple:
-    """A request frame's columns back as the payload tuple that was framed.
+    """A frame's columns back as the payload tuple that was framed.
 
-    Inverts the column/blob split :func:`frame_recommendation_batch` and
-    :func:`frame_flat_recommendations` share, so a frame reader can hand
-    on exactly what the pickle lane would have delivered.
+    Inverts the column/blob split of :func:`frame_recommendation_batch`,
+    :func:`frame_partition_reply` and :func:`frame_flat_recommendations`,
+    so a frame reader can hand on exactly what the pickle lane would have
+    delivered.
     """
     *head, via_sizes, via_values = cols
     return (*head, _unpack_strings(blobs[0]), via_sizes, via_values)
@@ -448,14 +427,7 @@ def frame_flat_recommendations(
     mem: np.ndarray, payload: tuple, now: float
 ) -> int | None:
     """An :func:`encode_flat_recommendations` payload as a request frame."""
-    *head, motif_names, via_sizes, via_values = payload
-    return write_frame(
-        mem,
-        FRAME_FLAT_RECS,
-        cols=(*head, via_sizes, via_values),
-        blobs=(_pack_strings(motif_names),),
-        now=now,
-    )
+    return _frame_table(mem, FRAME_FLAT_RECS, payload, now=now)
 
 
 def flat_recommendations_from_frame(

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.recommendation import RecommendationBatch
 from repro.delivery.pipeline import release_window
 from repro.durability.manager import load_root_config
 from repro.durability.snapshot import SnapshotStore
@@ -134,12 +135,10 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
         # record at its original flush time, per-event attribution kept —
         # each origin event's candidates are one delivery window, as they
         # were live.
-        grouped, _latency = deployment.cluster.broker.process_batch(
+        replies, _latency = deployment.cluster.broker.process_batch(
             record.batch, now=record.now
         )
-        for candidates in grouped:
-            if not len(candidates):
-                continue
+        for _event, candidates in RecommendationBatch.by_event(replies):
             for notification in release_window(
                 candidates, record.now, delivery, ranker, deployment.serving_tap
             ):

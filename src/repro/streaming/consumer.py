@@ -160,7 +160,7 @@ class DetectionConsumer(FlushWindow[EdgeEvent]):
         if self.wal_tap is not None:
             self.wal_tap(batch, flushed_at)
         started = time.perf_counter()
-        grouped, rpc_latency = self._cluster.broker.process_batch(
+        replies, rpc_latency = self._cluster.broker.process_batch(
             batch, now=flushed_at
         )
         detection_seconds = time.perf_counter() - started
@@ -174,19 +174,20 @@ class DetectionConsumer(FlushWindow[EdgeEvent]):
         # The one place size 1 differs: nothing waited for a batch to
         # fill, so no batching stage is reported.
         micro_batched = self._batch_size > 1
-        for (event, delivered_at), recommendations in zip(buffered, grouped):
-            batching_seconds = flushed_at - delivered_at
-            if micro_batched:
-                self._breakdown.record("batching", batching_seconds)
+        if micro_batched:
+            for _event, delivered_at in buffered:
+                self._breakdown.record("batching", flushed_at - delivered_at)
+        # One candidate batch per triggering event: the push queue draws
+        # one delay per item and the latency breakdown is per origin event.
+        for i, recommendations in RecommendationBatch.by_event(replies):
+            event, delivered_at = buffered[i]
             self.candidates_produced += len(recommendations)
-            if not recommendations:
-                continue
             candidate_batch = CandidateBatch(
                 event,
                 recommendations,
                 detection_seconds=detection_seconds,
                 rpc_seconds=rpc_latency,
-                batching_seconds=batching_seconds,
+                batching_seconds=flushed_at - delivered_at,
                 micro_batched=micro_batched,
             )
             # Every event in the batch waits for the whole batch's

@@ -226,11 +226,11 @@ def flush_clock_batches(events, batch_size):
 def drive_flushes(cluster, events, batch_size):
     out = []
     for chunk, now in flush_clock_batches(events, batch_size):
-        grouped, _latency = cluster.broker.process_batch(
+        replies, _latency = cluster.broker.process_batch(
             EventBatch.from_events(chunk), now
         )
-        for per_event in grouped:
-            out.extend(per_event)
+        for reply in replies:
+            out.extend(reply)
     return out
 
 

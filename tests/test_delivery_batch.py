@@ -323,9 +323,10 @@ class TestRecommendationBatch:
 
     def test_concat_aliases_empties(self):
         batch = self.make_batch()
-        assert batch.concat(EMPTY_RECOMMENDATION_BATCH) is batch
-        assert EMPTY_RECOMMENDATION_BATCH.concat(batch) is batch
-        merged = batch.concat(batch)
+        concat_all = RecommendationBatch.concat_all
+        assert concat_all([batch, EMPTY_RECOMMENDATION_BATCH]) is batch
+        assert concat_all([EMPTY_RECOMMENDATION_BATCH, batch]) is batch
+        merged = concat_all([batch, batch])
         assert len(merged) == 10
         assert not EMPTY_RECOMMENDATION_BATCH
 

@@ -14,7 +14,14 @@ import random
 
 import pytest
 
-from repro.core import DetectionParams, DiamondDetector, EdgeEvent, EventBatch, MotifEngine
+from repro.core import (
+    DetectionParams,
+    DiamondDetector,
+    EdgeEvent,
+    EventBatch,
+    MotifEngine,
+    RecommendationBatch,
+)
 from repro.graph import DynamicEdgeIndex, StaticFollowerIndex
 
 HUB = 7
@@ -64,21 +71,25 @@ def burst(witnesses, target=HUB, start=100.0, step=1.0):
     ]
 
 
-def group_rows(batches):
+def group_rows(batch):
     return [
-        [
-            (
-                g.candidate,
-                g.created_at,
-                g.recipients.tolist(),
-                g.via,
-                g.action,
-                g.motif,
-            )
-            for g in batch.groups
-        ]
-        for batch in batches
+        (
+            g.event,
+            g.candidate,
+            g.created_at,
+            g.recipients.tolist(),
+            g.via,
+            g.action,
+            g.motif,
+        )
+        for g in batch.groups
     ]
+
+
+def per_event_view(batch, n):
+    """The flush's one batch regrouped by event, one entry per event."""
+    by_event = dict(RecommendationBatch.by_event([batch]))
+    return [list(by_event.get(i, ())) for i in range(n)]
 
 
 def run_three_ways(followers, events, params, d_cap=None, clock="flush"):
@@ -103,8 +114,9 @@ def run_three_ways(followers, events, params, d_cap=None, clock="flush"):
     boxed = [per_event.process(e, now) for e in events]
 
     assert group_rows(got) == group_rows(want)
-    assert [list(b) for b in got] == boxed
-    assert [[(r.via, r.action, r.motif) for r in b] for b in got] == [
+    per_event_got = per_event_view(got, len(events))
+    assert per_event_got == boxed
+    assert [[(r.via, r.action, r.motif) for r in recs] for recs in per_event_got] == [
         [(r.via, r.action, r.motif) for r in recs] for recs in boxed
     ]
     stats = sliding.detectors[0].stats
@@ -201,10 +213,9 @@ def test_exclusions_witness_target_and_existing_follower(exclude):
     dynamic = DynamicEdgeIndex(retention=600.0)
     detector = Recording(static, dynamic, params, inserts_edges=False)
     engine = MotifEngine(static, dynamic, [detector], track_latency=False)
-    grouped = engine.process_batch_grouped(
+    groups = engine.process_batch_grouped(
         EventBatch.from_events(burst(witnesses)), 200.0
-    )
-    groups = [g for batch in grouped for g in batch.groups]
+    ).groups
     recipients = {a for g in groups for a in g.recipients.tolist()}
     if exclude:
         assert recipients.isdisjoint({existing, HUB})

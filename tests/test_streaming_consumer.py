@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import DetectionParams, EdgeEvent
+from repro.graph import GraphSnapshot
 from repro.ops import AdmissionController, AdmissionPolicy
 from repro.sim.des import DiscreteEventSimulator
 from repro.sim.metrics import LatencyBreakdown
@@ -142,6 +143,48 @@ class TestMicroBatching:
         sim.run()
         produced = [rec for batch in batches for rec in batch.recommendations]
         assert produced == expected
+
+    def test_batched_flush_publishes_one_batch_per_triggering_event(self):
+        # Ten A's follow three B's; an A's partition is its hash, so a
+        # trigger's audience spans both partitions.
+        snapshot = GraphSnapshot.from_edges(
+            [(a, b) for a in range(10) for b in (20, 21, 22)], num_nodes=40
+        )
+        events = [
+            EdgeEvent(0.0, 20, 30),
+            EdgeEvent(1.0, 20, 31),
+            EdgeEvent(2.0, 21, 30),  # triggers 30
+            EdgeEvent(3.0, 21, 31),  # triggers 31
+            EdgeEvent(4.0, 22, 30),  # triggers 30 again
+        ]
+        per_event_cluster = Cluster.build(
+            snapshot, PARAMS, ClusterConfig(num_partitions=2)
+        )
+        expected = [(e, per_event_cluster.process_event(e)) for e in events]
+        expected = [(e, recs) for e, recs in expected if recs]
+        assert len(expected) == 3
+        owners = {
+            per_event_cluster.partitioner.partition_of(rec.recipient)
+            for rec in expected[0][1]
+        }
+        assert owners == {0, 1}
+
+        sim = DiscreteEventSimulator()
+        cluster = Cluster.build(snapshot, PARAMS, ClusterConfig(num_partitions=2))
+        output: MessageQueue[CandidateBatch] = MessageQueue(sim, "push")
+        batches: list[CandidateBatch] = []
+        output.subscribe(lambda batch, pub, dlv: batches.append(batch))
+        consumer = DetectionConsumer(
+            sim, cluster, output, LatencyBreakdown(), batch_size=len(events),
+            max_wait=10.0,
+        )
+        for event in events:
+            consumer(event, event.created_at, event.created_at)
+        sim.run()
+        assert consumer.cluster_calls == 1
+        assert [
+            (batch.origin_event, list(batch.recommendations)) for batch in batches
+        ] == expected
 
     def test_batch_size_one_keeps_legacy_behavior(self, rig):
         sim, cluster, output, breakdown, batches = rig
