@@ -36,7 +36,7 @@ def main() -> None:
         k=3,
         tau=1800.0,
     )
-    print("compiled query plan:")
+    print("compiled kernel:")
     print(detector.explain())
     print()
 

@@ -6,9 +6,10 @@ declaratively specify a motif, which would yield an optimized query plan
 against an online graph database."
 
 This example (1) writes a motif as a declarative pattern graph, (2) shows
-the compiled, cost-annotated query plan, (3) runs four catalog motifs side
-by side on one shared infrastructure, and (4) shows the planner *refusing*
-a motif outside the executable fragment with a useful error.
+the kernel it compiles to — the batched diamond detector, configured by
+the spec — (3) runs three catalog motifs side by side on one shared
+infrastructure, and (4) shows the planner *refusing* a motif outside the
+executable fragment with a useful error.
 
 Run:  python examples/declarative_motifs.py
 """
@@ -18,7 +19,6 @@ from repro.core.events import ActionType
 from repro.gen import TwitterGraphConfig, generate_follow_graph
 from repro.graph import DynamicEdgeIndex, build_follower_snapshot
 from repro.motif import (
-    DeclarativeDetector,
     EdgeKind,
     MotifSpec,
     PatternEdge,
@@ -45,14 +45,14 @@ def main() -> None:
     print("== the declarative spec ==")
     print(diamond.describe())
 
-    # 2. Compile it and inspect the optimized plan.
+    # 2. Compile it and inspect the kernel stages it configures.
     snapshot = generate_follow_graph(TwitterGraphConfig(num_users=3_000, seed=1))
     static_index = build_follower_snapshot(snapshot)
     dynamic_index = DynamicEdgeIndex(retention=3600.0)
-    detector = DeclarativeDetector(
+    detector = compile_motif(
         diamond, static_index, dynamic_index, inserts_edges=False
     )
-    print("\n== the compiled plan ==")
+    print("\n== the compiled kernel ==")
     print(detector.explain())
 
     # 3. Several motif programs sharing one graph infrastructure.
@@ -60,7 +60,7 @@ def main() -> None:
         MOTIF_CATALOG[name]() for name in ("diamond", "wedge", "co-retweet")
     ]
     detectors = [
-        DeclarativeDetector(spec, static_index, dynamic_index, inserts_edges=False)
+        compile_motif(spec, static_index, dynamic_index, inserts_edges=False)
         for spec in programs
     ]
     engine = MotifEngine(static_index, dynamic_index, detectors)

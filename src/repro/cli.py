@@ -18,7 +18,7 @@ Commands:
 * ``serve`` — materialize a stream into the serving cache and answer
   ``GET <user>`` point queries over a TCP front-end;
 * ``explain`` — compile a catalog motif (or a motif text file) and print
-  its query plan;
+  the detection kernel's stages it configures;
 * ``analyze`` — structural fingerprint of a snapshot file.
 
 Every command is deterministic given its ``--seed``.
@@ -46,12 +46,8 @@ from repro.gen import (
     generate_follow_graph_chunked,
 )
 from repro.serving import ServingCacheConfig, ServingFrontend
-from repro.graph import (
-    DynamicEdgeIndex,
-    GraphSnapshot,
-    build_follower_snapshot,
-)
-from repro.motif import MOTIF_CATALOG, DeclarativeDetector, parse_motif
+from repro.graph import GraphSnapshot
+from repro.motif import MOTIF_CATALOG, compile_motif, parse_motif
 from repro.ops import ControllerConfig, derive_promote_threshold
 from repro.durability import recover as durability_recover
 from repro.streaming import StreamingTopology
@@ -267,7 +263,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "print the stats line, and exit instead of serving forever",
     )
 
-    explain = commands.add_parser("explain", help="print a motif's compiled plan")
+    explain = commands.add_parser("explain", help="print a motif's compiled kernel")
     explain.add_argument(
         "motif",
         help=f"catalog name ({', '.join(sorted(MOTIF_CATALOG))}) or a .motif text file",
@@ -720,16 +716,7 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
         spec = parse_motif(path.read_text())
     print(spec.describe(), file=out)
     print(file=out)
-    tau = max(
-        (e.within for e in spec.dynamic_edges() if e.within), default=3_600.0
-    )
-    detector = DeclarativeDetector(
-        spec,
-        build_follower_snapshot(GraphSnapshot.from_edges([], num_nodes=1)),
-        DynamicEdgeIndex(retention=tau),
-        collect_statistics=False,
-    )
-    print(detector.explain(), file=out)
+    print(compile_motif(spec).explain(), file=out)
     return 0
 
 

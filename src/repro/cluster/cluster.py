@@ -43,7 +43,7 @@ from repro.graph.static_index import StaticFollowerIndex
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive
 
-#: Builds one replica's detector programs from its (S shard, private D).
+#: Builds one replica's detector programs from its (S shard, D).
 DetectorFactory = Callable[
     [StaticFollowerIndex, DynamicEdgeIndex], list[OnlineDetector]
 ]
@@ -144,17 +144,14 @@ class Cluster:
                 custom latency/failure models; zero-latency by default.
             detector_factory: builds each replica's motif programs from its
                 ``(static_shard, dynamic_index)`` pair — this is how
-                declarative motifs (or several co-hosted programs) are
+                compiled motifs (or several co-hosted programs) are
                 deployed fleet-wide.  Factories must construct detectors
                 with ``inserts_edges=False``; the engine owns the insert.
                 Defaults to one hand-coded diamond per replica.
 
-        D placement follows the programs.  Diamonds read D only through
-        the run scan, so they share one D per address space: one for the
-        whole cluster in-process, one per partition worker otherwise.
-        Factory programs may read D however they like, so each of their
-        replicas gets a private D — a sharing group of one, through the
-        same insert rule.
+        Every program reads D only through the run scan, so replicas share
+        one D per address space: one for the whole cluster in-process, one
+        per partition worker otherwise.
         """
         params = params or DetectionParams()
         config = config or ClusterConfig()
@@ -164,30 +161,25 @@ class Cluster:
             snapshot, owners, config.num_partitions, config.influencer_limit
         )
 
-        indexes: dict[object, DynamicEdgeIndex] = {}
+        dynamic_index = None
         replica_sets: list[ReplicaSet] = []
         for p, shard in enumerate(shards):
             replicas: list[PartitionServer] = []
             channels: list[SimulatedChannel] = []
+            if dynamic_index is None or config.transport != "inprocess":
+                dynamic_index = DynamicEdgeIndex(
+                    retention=params.tau,
+                    max_edges_per_target=config.max_edges_per_target,
+                    promote_threshold=(
+                        config.promote_threshold or DEFAULT_PROMOTE_THRESHOLD
+                    ),
+                )
             for r in range(config.replication_factor):
-                detectors = None
-                if detector_factory is not None:
-                    group: object = (p, r)
-                elif config.transport == "inprocess":
-                    group = None
-                else:
-                    group = p
-                dynamic_index = indexes.get(group)
-                if dynamic_index is None:
-                    dynamic_index = indexes[group] = DynamicEdgeIndex(
-                        retention=params.tau,
-                        max_edges_per_target=config.max_edges_per_target,
-                        promote_threshold=(
-                            config.promote_threshold or DEFAULT_PROMOTE_THRESHOLD
-                        ),
-                    )
-                if detector_factory is not None:
-                    detectors = detector_factory(shard, dynamic_index)
+                detectors = (
+                    None
+                    if detector_factory is None
+                    else detector_factory(shard, dynamic_index)
+                )
                 replicas.append(
                     PartitionServer(
                         partition_id=p,

@@ -5,39 +5,35 @@ relevant data structures" from "the 'program' that performs the motif
 detection", and anticipates multiple motif programs sharing the
 infrastructure.  ``OnlineDetector`` is that program interface; the engine
 and the partition servers drive any number of them off the same S and D.
+Every shipped program is a :class:`~repro.core.diamond.DiamondDetector` —
+the paper's diamond, or a declarative motif compiled onto it
+(:func:`repro.motif.compile_motif`).
 
-Detectors may additionally implement the *optional* two-phase batched
-entry points::
-
-    def scan_run(self, run: EventBatch, now: float | None, offset: int)
-        -> list[tuple[int, object]]
-    def process_batch(self, batch: EventBatch, now: float | None = None,
-                      triggers: list[tuple[int, object]] | None = None)
-        -> RecommendationBatch
-
-When the engine owns the inserts (``inserts_edges=False``) it calls
-``scan_run`` on each distinct-target run of a batch right after inserting
-it (see :meth:`repro.core.batch.EventBatch.distinct_target_runs`; *offset*
-is the run's position in the batch), collecting the triggers it returns,
-then ``process_batch`` once for the whole batch with those triggers.  That
-order is what makes batched processing exactly equivalent to the per-event
-loop.  ``process_batch`` returns one columnar
+A program has three entry points.  The engine, which owns the inserts
+(programs are built with ``inserts_edges=False``), calls the two batched
+ones: ``scan_run`` on each distinct-target run of a batch right after
+inserting it (see :meth:`repro.core.batch.EventBatch.distinct_target_runs`;
+*offset* is the run's position in the batch), collecting the triggers it
+returns, then ``process_batch`` once for the whole batch with those
+triggers.  That order is what makes batched processing exactly equivalent
+to the per-event loop, and it holds only for programs that read D through
+the target-keyed run scan, so an engine refuses a program without them.
+``process_batch`` returns one columnar
 :class:`~repro.core.recommendation.RecommendationBatch` for the whole
 batch: its trigger groups in event order, each stamped with its
 triggering event's batch position (``RecommendationGroup.event``; the
-shared empty batch when nothing triggered).
-The engine discovers both with ``getattr``; if any registered
-detector lacks either, the engine processes the whole batch through the
-interleaved per-event ``on_edge`` loop instead (exact for arbitrary
-detectors, unamortized).
+shared empty batch when nothing triggered).  ``on_edge`` is the per-event
+reference the engine's :meth:`~repro.core.engine.MotifEngine.process`
+calls.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro.core.batch import EventBatch
 from repro.core.events import EdgeEvent
-from repro.core.recommendation import Recommendation
+from repro.core.recommendation import Recommendation, RecommendationBatch
 
 
 @runtime_checkable
@@ -60,4 +56,21 @@ class OnlineDetector(Protocol):
         given (their indexes' state, the event, now) so that replicated
         partitions produce identical results.
         """
+        ...
+
+    def scan_run(
+        self, run: EventBatch, now: float | None, offset: int = 0
+    ) -> list[tuple[int, object]]:
+        """Scan a distinct-target *run* whose edges are already in D;
+        return its triggers as ``(offset + i, fresh)`` pairs."""
+        ...
+
+    def process_batch(
+        self,
+        batch: EventBatch,
+        now: float | None = None,
+        triggers: list[tuple[int, object]] | None = None,
+    ) -> RecommendationBatch:
+        """Compute the audiences of *triggers* (found by :meth:`scan_run`
+        over *batch*'s runs) as one candidate batch in event order."""
         ...

@@ -23,7 +23,10 @@ run per distinct-target run as it is inserted (:meth:`DiamondDetector
 and again within one batch costs one sort, not one per trigger.
 
 The detector is deliberately stateless beyond its two indexes, so replicas
-holding identical S shards over the same D produce identical output.
+holding identical S shards over the same D produce identical output.  It is
+also what every declarative motif compiles to
+(:func:`repro.motif.compile_motif`): a spec sets its name, an action filter
+and its exclusions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batch import EventBatch
-from repro.core.events import EdgeEvent
+from repro.core.events import ActionType, EdgeEvent
 from repro.core.params import DetectionParams
 from repro.core.recommendation import (
     EMPTY_RECOMMENDATION_BATCH,
@@ -68,7 +71,8 @@ class DiamondStats:
     events_seen: int = 0
     triggers: int = 0
     candidates_emitted: int = 0
-    #: Events whose target had fewer than k fresh sources (early exit).
+    #: Events of the program's action whose target had fewer than k fresh
+    #: sources (early exit); events of other actions are only seen.
     below_threshold: int = 0
     #: Fresh B's whose follower list was empty in this partition's S shard.
     empty_follower_lists: int = 0
@@ -83,6 +87,9 @@ class DiamondDetector:
         dynamic_index: DynamicEdgeIndex,
         params: DetectionParams | None = None,
         inserts_edges: bool = True,
+        motif: str = "diamond",
+        action: ActionType | None = None,
+        exclude_witnesses: bool | None = None,
     ) -> None:
         """Create a detector over existing indexes.
 
@@ -94,6 +101,13 @@ class DiamondDetector:
             inserts_edges: when True (standalone use) the detector inserts
                 each event into D itself; the engine sets this False so one
                 insert feeds all co-hosted detector programs.
+            motif: the name stamped on every candidate (a compiled motif
+                spec's name; see :func:`repro.motif.compile_motif`).
+            action: only events of this action trigger, and only D entries
+                of this action count as witnesses; ``None`` accepts all.
+            exclude_witnesses: drop recipients that are themselves fresh
+                witnesses; ``None`` ties the cut to
+                ``params.exclude_existing_followers``.
         """
         self.params = params or DetectionParams()
         if self.params.tau > dynamic_index.retention:
@@ -104,16 +118,18 @@ class DiamondDetector:
         self._static = static_index
         self._dynamic = dynamic_index
         self._inserts_edges = inserts_edges
+        self.name = motif
+        self.action = action
+        self.exclude_witnesses = (
+            self.params.exclude_existing_followers
+            if exclude_witnesses is None
+            else exclude_witnesses
+        )
         #: Batch-path memo of B -> zero-copy int64 view of B's follower
         #: list (None = empty).  Exact because S is immutable; invalidated
         #: when a new S snapshot is bound.
         self._follower_arrays: dict[int, np.ndarray | None] = {}
         self.stats = DiamondStats()
-
-    @property
-    def name(self) -> str:
-        """Detector program identifier."""
-        return "diamond"
 
     def rebind_static(self, static_index: StaticFollowerIndex) -> None:
         """Swap in a freshly-loaded S snapshot (periodic offline reload).
@@ -148,9 +164,14 @@ class DiamondDetector:
             self._dynamic.insert(
                 event.actor, event.target, event.created_at, action=event.action
             )
+        if self.action is not None and event.action is not self.action:
+            return []
 
         fresh = self._dynamic.fresh_sources(
-            event.target, now=max(now, event.created_at), tau=self.params.tau
+            event.target,
+            now=max(now, event.created_at),
+            tau=self.params.tau,
+            action=self.action,
         )
         if len(fresh) < self.params.k:
             self.stats.below_threshold += 1
@@ -180,24 +201,28 @@ class DiamondDetector:
         """Scan phase over a distinct-target *run* whose edges are in D.
 
         Reads the run's freshness (:meth:`~repro.graph.dynamic_index
-        .DynamicEdgeIndex.fresh_run`, so partitions sharing one D scan each
-        run once), applies the ``k`` threshold and returns the run's
-        triggers as ``(offset + i, fresh)`` pairs: the event's position in
-        its batch and its raw fresh sources.  The results are owned, so
+        .DynamicEdgeIndex.fresh_run`, so programs sharing one D scan each
+        run once per ``(tau, k, action)``), applies the action filter and
+        the ``k`` threshold, and returns the run's triggers as
+        ``(offset + i, fresh)`` pairs: the event's position in its batch
+        and its raw fresh sources.  The results are owned, so
         they stay valid while later runs are inserted; the audience phase
         (:meth:`process_batch`) consumes them once the batch is scanned.
         """
-        n = len(run)
         stats = self.stats
-        stats.events_seen += n
+        stats.events_seen += len(run)
         k = self.params.k
-        fresh_lists = self._dynamic.fresh_run(run, now, self.params.tau, k)
-        triggers = [
-            (offset + i, fresh)
-            for i, fresh in enumerate(fresh_lists)
-            if len(fresh) >= k
+        action = self.action
+        fresh_lists = self._dynamic.fresh_run(run, now, self.params.tau, k, action)
+        matching = range(len(run)) if action is None else [
+            i for i, a in enumerate(run.columns()[3]) if a is action
         ]
-        stats.below_threshold += n - len(triggers)
+        triggers = [
+            (offset + i, fresh_lists[i])
+            for i in matching
+            if len(fresh_lists[i]) >= k
+        ]
+        stats.below_threshold += len(matching) - len(triggers)
         return triggers
 
     def process_batch(
@@ -268,10 +293,34 @@ class DiamondDetector:
         A read-only query (no insertion) used by the polling baseline and
         by tests to compare detector state against batch ground truth.
         """
-        fresh = self._dynamic.fresh_sources(target, now=now, tau=self.params.tau)
+        fresh = self._dynamic.fresh_sources(
+            target, now=now, tau=self.params.tau, action=self.action
+        )
         if len(fresh) < self.params.k:
             return []
         return self._audience(target, fresh)
+
+    def explain(self) -> str:
+        """The program's stages, one line each (``repro explain``)."""
+        params = self.params
+        action = self.action.value if self.action is not None else "any"
+        stages = [
+            f"scan D (tau={params.tau:g}s, action={action})",
+            f"threshold (fresh witnesses >= {params.k})",
+        ]
+        if params.max_trigger_sources is not None:
+            stages.append(f"cap (expand the newest {params.max_trigger_sources} witnesses)")
+        stages.append(f"k-overlap of the witnesses' S follower lists (k={params.k})")
+        if params.exclude_candidate_recipient:
+            stages.append("exclude recipient == candidate")
+        if self.exclude_witnesses:
+            stages.append("exclude recipients among the fresh witnesses")
+        if params.exclude_existing_followers:
+            stages.append("exclude recipient -> candidate in S")
+        stages.append(f"emit (motif={self.name})")
+        lines = [f"kernel for motif {self.name!r}:"]
+        lines += [f"  {i}. {stage}" for i, stage in enumerate(stages, 1)]
+        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Internals
@@ -308,12 +357,13 @@ class DiamondDetector:
         for a in recipients:
             if params.exclude_candidate_recipient and a == target:
                 continue
-            if params.exclude_existing_followers:
-                # Already following C per the static snapshot, or C's newest
-                # followers themselves (their follow edge is in D, not yet
-                # in S) — either way a pointless notification.
-                if a in fresh_sources or self._static.has_edge(a, target):
-                    continue
+            # C's newest followers themselves (their follow edge is in D,
+            # not yet in S), or already following C per the static
+            # snapshot — either way a pointless notification.
+            if self.exclude_witnesses and a in fresh_sources:
+                continue
+            if params.exclude_existing_followers and self._static.has_edge(a, target):
+                continue
             kept.append(a)
         return kept
 
@@ -479,7 +529,7 @@ class DiamondDetector:
         # One A's runs advance together, so its intervals overlap only
         # the previous one: start each where the previous ended.
         np.maximum(lo[1:], np.where(ids[1:] == ids[:-1], hi[:-1], 0), out=lo[1:])
-        if params.exclude_existing_followers:
+        if self.exclude_witnesses:
             # A witness is C's newest follower in every window holding it:
             # cut those windows out of its intervals (the right-hand rest
             # becomes an extra interval).
@@ -551,13 +601,13 @@ class DiamondDetector:
             target_followers = self._fetch((target,))[0]
             if target_followers is not None:
                 recipients = recipients[_absent(recipients, target_followers)]
+        if self.exclude_witnesses and recipients.size and sources:
             # C's newest followers themselves (their follow edge is in D,
             # not yet in S) are excluded too — the same probe against the
             # small (sorted) fresh-source set.
-            if recipients.size and sources:
-                fresh_sources = np.fromiter(sources, np.int64, len(sources))
-                fresh_sources.sort()
-                recipients = recipients[_absent(recipients, fresh_sources)]
+            fresh_sources = np.fromiter(sources, np.int64, len(sources))
+            fresh_sources.sort()
+            recipients = recipients[_absent(recipients, fresh_sources)]
         if params.exclude_candidate_recipient and recipients.size:
             recipients = recipients[recipients != target]
         if not recipients.size:

@@ -60,7 +60,10 @@ class MotifEngine:
             detectors: detector programs; when omitted, a single
                 :class:`DiamondDetector` with production parameters is
                 registered.  Detectors must have been constructed with
-                ``inserts_edges=False`` — the engine owns the insert.
+                ``inserts_edges=False`` — the engine owns the insert — and
+                implement the batched entry points ``scan_run`` and
+                ``process_batch`` (:mod:`repro.core.detector`); a program
+                without them raises :class:`TypeError`.
             track_latency: record per-event detection latency (small
                 constant overhead; benchmarks that measure raw throughput
                 can disable it).
@@ -78,6 +81,14 @@ class MotifEngine:
                 )
             ]
         require(len(detectors) > 0, "an engine needs at least one detector")
+        for detector in detectors:
+            for method in ("scan_run", "process_batch"):
+                if not callable(getattr(detector, method, None)):
+                    raise TypeError(
+                        f"detector {detector.name!r} has no {method}; an "
+                        "engine drives its programs through scan_run and "
+                        "process_batch only"
+                    )
         self.detectors: list[OnlineDetector] = list(detectors)
         self._track_latency = track_latency
         self.stats = EngineStats()
@@ -181,16 +192,15 @@ class MotifEngine:
         triggers its scans found, in one call per batch.  Engines sharing
         one D (co-hosted partitions) go through the same rule
         (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.apply_runs`):
-        the first engine at a batch inserts each run, the others skip the
-        insert and read the run's kept scan.  If *any* registered detector
-        lacks ``scan_run`` or ``process_batch``, the whole batch falls
-        back to the interleaved per-event loop instead: run pre-insertion
-        is only provably exact for target-keyed D reads, and an arbitrary
-        ``on_edge`` may read D however it likes.
+        the first engine at a batch inserts each run, and every program
+        with the same ``(tau, k, action)``, in this engine or another, reads
+        the run's kept scan.  There is no other path: run pre-insertion is
+        exact because programs read D only through the target-keyed run
+        scan, which is why the constructor refuses a program without
+        ``scan_run`` / ``process_batch``.
 
-        Each program's ``process_batch`` returns one columnar batch (the
-        per-event fallback re-columns ``on_edge`` lists, stamping event
-        ``i``); several programs' batches merge by
+        Each program's ``process_batch`` returns one columnar batch;
+        several programs' batches merge by
         :meth:`~repro.core.recommendation.RecommendationBatch.by_event`
         into the per-event loop's order, so downstream layers — partitions,
         brokers, the delivery funnel — see one shape.
@@ -204,40 +214,21 @@ class MotifEngine:
             return EMPTY_RECOMMENDATION_BATCH
         started = time.perf_counter() if self._track_latency else 0.0
         detectors = self.detectors
-        batch_methods = [
-            getattr(detector, "process_batch", None) for detector in detectors
+        # Scan phase: each run is read as it is inserted.
+        triggers: list[list] = [[] for _ in detectors]
+        start = 0
+        for run in self.dynamic_index.apply_runs(batch, self):
+            for detector, found in zip(detectors, triggers):
+                found += detector.scan_run(run, now, start)
+            start += len(run)
+        # Audience phase: once per batch and detector program.
+        outs = [
+            detector.process_batch(batch, now, found)
+            for detector, found in zip(detectors, triggers)
         ]
-        scans = [getattr(detector, "scan_run", None) for detector in detectors]
-        if None in batch_methods or None in scans:
-            # Exact-by-construction fallback: insert then detect, one event
-            # at a time, just like process() would.
-            index = self.dynamic_index
-            index.enter(batch, self)
-            per_event: list[RecommendationBatch] = []
-            for i, event in enumerate(batch.to_events()):
-                if index.claim(i + 1):
-                    index.insert(
-                        event.actor, event.target, event.created_at,
-                        action=event.action,
-                    )
-                recs: list[Recommendation] = []
-                for detector in detectors:
-                    recs.extend(detector.on_edge(event, now))
-                per_event.append(RecommendationBatch.from_recommendations(recs, i))
-            out = RecommendationBatch.concat_all(per_event)
-        else:
-            # Scan phase: each run is read as it is inserted.
-            triggers: list[list] = [[] for _ in detectors]
-            start = 0
-            for run in self.dynamic_index.apply_runs(batch, self):
-                for scan, found in zip(scans, triggers):
-                    found += scan(run, now, start)
-                start += len(run)
-            # Audience phase: once per batch and detector program.
-            outs = [phase(batch, now, found) for phase, found in zip(batch_methods, triggers)]
-            out = outs[0] if len(outs) == 1 else RecommendationBatch.concat_all(
-                recs for _i, recs in RecommendationBatch.by_event(outs)
-            )
+        out = outs[0] if len(outs) == 1 else RecommendationBatch.concat_all(
+            recs for _i, recs in RecommendationBatch.by_event(outs)
+        )
         emitted = len(out)
         self.stats.events_processed += n
         self.stats.recommendations_emitted += emitted

@@ -381,7 +381,7 @@ class DynamicEdgeIndex:
         #: (:meth:`attach`), the batch or event being ingested, the ids of
         #: the engines that entered it (ids, so D and its engines form no
         #: reference cycle), how many of its leading events are inserted,
-        #: its shared runs, and scans kept per run with their read counts.
+        #: its shared runs, and the scans kept per run and key.
         self._sharers = 0
         self._position: object = None
         self._consumers: set[int] = set()
@@ -403,8 +403,8 @@ class DynamicEdgeIndex:
         or scanned; later engines join it, find its events inserted
         (:meth:`claim` is False) and its runs scanned (:meth:`fresh_run`
         returns the kept result).  An engine entering the position it
-        already consumed has moved on in the stream, so a private D (a
-        sharing group of one) opens a new position on every call.
+        already consumed has moved on in the stream, so a D with one reader
+        opens a new position on every call.
         """
         consumer_id = id(consumer)
         if position is self._position and consumer_id not in self._consumers:
@@ -417,8 +417,9 @@ class DynamicEdgeIndex:
         self._scans = {}
 
     def attach(self) -> None:
-        """Count one more engine reading this D: a kept scan is dropped
-        once that many readers took it, so a private D keeps none."""
+        """Count one more engine reading this D: a batch's kept scans are
+        dropped once that many engines went through it, and a private D
+        keeps none."""
         self._sharers += 1
 
     def leave(self) -> None:
@@ -467,41 +468,48 @@ class DynamicEdgeIndex:
             if self.claim(stop):
                 self.insert_batch(run, distinct_targets=True)
             yield run
+        if len(self._consumers) >= self._sharers:
+            # Every engine reading this D has scanned the batch.
+            self._scans = {}
 
-    def fresh_run(self, run, now: float | None, tau: float, min_count: int) -> list:
+    def fresh_run(
+        self,
+        run,
+        now: float | None,
+        tau: float,
+        min_count: int,
+        action: object | None = None,
+    ) -> list:
         """Raw freshness of each event of a distinct-target *run*, read at
         ``max(created_at, now)``: :meth:`fresh_sources_multi` with
-        ``min_count`` and ``raw=True``.
+        ``action``, ``min_count`` and ``raw=True``.
 
-        A run of the current position is scanned by its first reader and
-        the result kept until every attached engine has read it — once the
-        first engine has inserted later runs, D no longer looks as it did
-        when this run arrived.  Results are owned lists and arrays (see
+        A run of the current position is scanned by its first reader per
+        ``(now, tau, min_count, action)`` and the result kept until every
+        attached engine has been through the batch (:meth:`apply_runs`) —
+        once the first engine has inserted later runs, D no longer looks as
+        it did when this run arrived, so every other program with that key,
+        in this engine or a later one, reads the kept result.  Results are owned lists and arrays (see
         :meth:`_HotRing.fresh_arrays`), so holding them across later
         inserts is safe.  Any other run, and any run of a D with one
         reader, is scanned as is: that reader's engine has not inserted
         past it yet.
         """
         kept = self._scans.get(id(run))
-        key = (now, tau, min_count)
+        key = (now, tau, min_count, action)
         if kept is not None:
-            entry = kept.get(key)
-            if entry is not None:
-                fresh, reads = entry
-                if reads + 1 >= self._sharers:
-                    del kept[key]
-                else:
-                    kept[key] = (fresh, reads + 1)
+            fresh = kept.get(key)
+            if fresh is not None:
                 return fresh
         timestamps, _actors, targets, _actions = run.columns()
         if now is not None:
             # One C-speed clamp against the processing clock.
             timestamps = np.maximum(run.timestamps, now).tolist()
         fresh = self.fresh_sources_multi(
-            targets, timestamps, tau, min_count=min_count, raw=True
+            targets, timestamps, tau, action, min_count=min_count, raw=True
         )
-        if kept is not None and self._sharers > 1:
-            kept[key] = (fresh, 1)
+        if kept is not None:
+            kept[key] = fresh
         return fresh
 
     # ------------------------------------------------------------------

@@ -11,17 +11,17 @@ partitioned (S, D) infrastructure can serve:
 * :mod:`~repro.motif.spec` — motifs as pattern graphs: vertex variables,
   static/dynamic pattern edges, count thresholds, NOT-EXISTS constraints,
   and an emit clause;
-* :mod:`~repro.motif.planner` — compiles a spec into an operator pipeline,
-  rejecting patterns outside the supported fragment with a precise error;
-* :mod:`~repro.motif.plan` — the physical operators (fetch fresh
-  witnesses, threshold, fetch follower lists, k-overlap, filters, emit);
-* :mod:`~repro.motif.optimizer` — index statistics and the cost-based
-  choice of k-overlap algorithm;
-* :mod:`~repro.motif.executor` — an :class:`~repro.core.detector.OnlineDetector`
-  that runs the compiled plan per live edge (drop-in compatible with the
-  hand-coded diamond detector, and tested equivalent to it);
+* :mod:`~repro.motif.planner` — compiles a spec onto the batched diamond
+  kernel (a configured :class:`~repro.core.diamond.DiamondDetector`: count,
+  window, action filter, exclusions, name), rejecting patterns outside the
+  supported fragment with a precise error;
+* :mod:`~repro.motif.parser` — the ``.motif`` text form of a spec;
 * :mod:`~repro.motif.catalog` — named prebuilt motifs (diamond, wedge,
   co-retweet, favorite-burst).
+
+There is no second executor: a compiled motif is the same program the
+engine, the partitions and every transport already run, so co-hosted
+motifs share one D, one insert and one run scan per ``(tau, k, action)``.
 """
 
 from repro.motif.spec import (
@@ -30,10 +30,7 @@ from repro.motif.spec import (
     PatternEdge,
     UnsupportedMotifError,
 )
-from repro.motif.plan import Plan, PlanContext
 from repro.motif.planner import compile_motif
-from repro.motif.optimizer import IndexStatistics, choose_algorithm
-from repro.motif.executor import DeclarativeDetector
 from repro.motif.parser import MotifParseError, parse_motif
 from repro.motif.catalog import (
     MOTIF_CATALOG,
@@ -49,12 +46,7 @@ __all__ = [
     "MotifSpec",
     "PatternEdge",
     "UnsupportedMotifError",
-    "Plan",
-    "PlanContext",
     "compile_motif",
-    "IndexStatistics",
-    "choose_algorithm",
-    "DeclarativeDetector",
     "MotifParseError",
     "parse_motif",
     "MOTIF_CATALOG",

@@ -3,19 +3,21 @@
 "beyond the 'diamond' motif there may exist others that are useful for
 generating recommendations — these may be implemented as additional
 programs that use the graph infrastructure."  Each factory below returns a
-:class:`~repro.motif.spec.MotifSpec`; all compile to plans the existing
-(S, D) infrastructure serves without modification.
+:class:`~repro.motif.spec.MotifSpec`; all compile onto the diamond kernel
+(:func:`~repro.motif.planner.compile_motif`), so a co-hosted motif costs
+one more k-overlap over the same S and D.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.diamond import DiamondDetector
 from repro.core.events import ActionType
 from repro.core.params import PRODUCTION_K
 from repro.graph.dynamic_index import DynamicEdgeIndex
 from repro.graph.static_index import StaticFollowerIndex
-from repro.motif.executor import DeclarativeDetector
+from repro.motif.planner import compile_motif
 from repro.motif.spec import EdgeKind, MotifSpec, PatternEdge
 
 
@@ -100,13 +102,13 @@ def build_detector(
     dynamic_index: DynamicEdgeIndex,
     inserts_edges: bool = True,
     **spec_kwargs: object,
-) -> DeclarativeDetector:
+) -> DiamondDetector:
     """Instantiate a catalog motif as a ready detector.
 
     Args:
         name: a key of :data:`MOTIF_CATALOG`.
         static_index, dynamic_index: the serving infrastructure.
-        inserts_edges: see :class:`DeclarativeDetector`.
+        inserts_edges: see :class:`~repro.core.diamond.DiamondDetector`.
         **spec_kwargs: forwarded to the spec factory (``k``, ``tau``).
     """
     if name not in MOTIF_CATALOG:
@@ -114,6 +116,4 @@ def build_detector(
             f"unknown motif {name!r}; catalog has {sorted(MOTIF_CATALOG)}"
         )
     spec = MOTIF_CATALOG[name](**spec_kwargs)
-    return DeclarativeDetector(
-        spec, static_index, dynamic_index, inserts_edges=inserts_edges
-    )
+    return compile_motif(spec, static_index, dynamic_index, inserts_edges)

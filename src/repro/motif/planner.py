@@ -1,4 +1,4 @@
-"""The motif compiler: spec -> validated shape -> optimized operator plan.
+"""The motif compiler: spec -> validated shape -> a configured kernel.
 
 The supported fragment ("threshold star motifs") is exactly what the
 partitioned (S, D) infrastructure executes without new data structures:
@@ -10,6 +10,14 @@ partitioned (S, D) infrastructure executes without new data structures:
 * emit ``(r, t)`` — notify the recipient about the dynamic target;
 * optional forbid edges of the form ``r -> t``.
 
+That is the diamond's shape, so a compiled motif *is* a
+:class:`~repro.core.diamond.DiamondDetector`: the count is its ``k``, the
+dynamic edge's window its ``tau`` and its action the detector's action
+filter, ``distinct_emit`` the recipient != candidate cut, the forbid edge
+the S probe, ``exclude_witnesses`` the witness cut, and the spec's name the
+candidates' motif.  Every motif therefore runs on the batched kernel and
+shares D, its inserts and its run scans with every other program.
+
 Everything else raises :class:`UnsupportedMotifError` with an explanation
 of what would be needed (usually: an additional index).  This mirrors how
 a real planner grows — each new shape earns its access path.
@@ -17,35 +25,29 @@ a real planner grows — each new shape earns its access path.
 
 from __future__ import annotations
 
-from repro.motif.optimizer import IndexStatistics, choose_algorithm, estimate_cost
-from repro.motif.plan import (
-    CapWitnessesOp,
-    EmitOp,
-    ExcludeForbiddenEdgeOp,
-    ExcludeIdentityOp,
-    ExcludeWitnessesOp,
-    FetchFollowerListsOp,
-    FetchFreshWitnessesOp,
-    KOverlapOp,
-    MatchDynamicEdgeOp,
-    Operator,
-    Plan,
-    RequireCountOp,
-)
+from repro.core.diamond import DiamondDetector
+from repro.core.params import DetectionParams
+from repro.graph.dynamic_index import DynamicEdgeIndex
+from repro.graph.static_index import StaticFollowerIndex
 from repro.motif.spec import EdgeKind, MotifSpec, UnsupportedMotifError
 
 
 def compile_motif(
     spec: MotifSpec,
-    stats: IndexStatistics | None = None,
+    static_index: StaticFollowerIndex | None = None,
+    dynamic_index: DynamicEdgeIndex | None = None,
+    inserts_edges: bool = True,
     max_witnesses: int | None = None,
-) -> Plan:
-    """Compile *spec* into an executable plan.
+) -> DiamondDetector:
+    """Compile *spec* into a detector over the given indexes.
 
     Args:
         spec: the declarative motif.
-        stats: index statistics for cost-based algorithm choice; without
-            them the planner falls back to the adaptive default.
+        static_index, dynamic_index: the serving infrastructure; each
+            defaults to an empty index (D retaining the motif's window),
+            which is enough to validate and explain a spec.
+        inserts_edges: see :class:`~repro.core.diamond.DiamondDetector`
+            (False when an engine owns the single insert).
         max_witnesses: optional viral-target expansion cap.
 
     Raises:
@@ -54,39 +56,33 @@ def compile_motif(
     witness, target, dynamic_edge = _validate_trigger(spec)
     recipient = _validate_recipient(spec, witness, target)
     k = spec.count_at_least[witness]
-
-    notes: list[str] = []
-    if stats is not None:
-        cost = estimate_cost(k, stats)
-        algorithm = cost.algorithm
-        notes.append(f"cost: {cost.describe()}")
-    else:
-        # No statistics: pick by threshold shape only.
-        algorithm = choose_algorithm(k, expected_lists=float(k), expected_list_length=0.0)
-        notes.append("cost: no statistics; shape-based algorithm choice")
-
-    operators: list[Operator] = [
-        MatchDynamicEdgeOp(dynamic_edge.action),
-        FetchFreshWitnessesOp(dynamic_edge.within, dynamic_edge.action),
-        RequireCountOp(k),
-    ]
-    if max_witnesses is not None:
-        if max_witnesses < k:
-            raise UnsupportedMotifError(
-                f"max_witnesses={max_witnesses} below threshold k={k}: "
-                "the motif could never complete"
-            )
-        operators.append(CapWitnessesOp(max_witnesses))
-    operators.append(FetchFollowerListsOp())
-    operators.append(KOverlapOp(k, algorithm))
-    if spec.distinct_emit:
-        operators.append(ExcludeIdentityOp())
-    if spec.exclude_witnesses:
-        operators.append(ExcludeWitnessesOp())
-    if _has_forbid_recipient_candidate(spec, recipient, target):
-        operators.append(ExcludeForbiddenEdgeOp())
-    operators.append(EmitOp(spec.name))
-    return Plan(spec.name, operators, notes)
+    if max_witnesses is not None and max_witnesses < k:
+        raise UnsupportedMotifError(
+            f"max_witnesses={max_witnesses} below threshold k={k}: "
+            "the motif could never complete"
+        )
+    params = DetectionParams(
+        k=k,
+        tau=dynamic_edge.within,
+        exclude_candidate_recipient=spec.distinct_emit,
+        exclude_existing_followers=_has_forbid_recipient_candidate(
+            spec, recipient, target
+        ),
+        max_trigger_sources=max_witnesses,
+    )
+    if static_index is None:
+        static_index = StaticFollowerIndex.from_follow_edges([])
+    if dynamic_index is None:
+        dynamic_index = DynamicEdgeIndex(retention=params.tau)
+    return DiamondDetector(
+        static_index,
+        dynamic_index,
+        params,
+        inserts_edges=inserts_edges,
+        motif=spec.name,
+        action=dynamic_edge.action,
+        exclude_witnesses=spec.exclude_witnesses,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,7 @@ class PatternEdge:
             )
 
     def describe(self) -> str:
-        """Human-readable form for plan explanations."""
+        """Human-readable form for ``repro explain``."""
         if self.kind is EdgeKind.DYNAMIC:
             action = f", action={self.action.value}" if self.action else ""
             return f"{self.src} -[dynamic, within {self.within:g}s{action}]-> {self.dst}"

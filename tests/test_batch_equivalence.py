@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from repro.bench.workloads import bursty_workload, drive_stream
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.broker import Broker
+from repro.cluster.partition import PartitionServer
+from repro.cluster.replica import ReplicaSet
+from repro.cluster.rpc import SimulatedChannel
 from repro.core import (
     DetectionParams,
-    DiamondDetector,
     EdgeEvent,
     EventBatch,
     MotifEngine,
@@ -255,15 +258,27 @@ def boxed_oracle(partitions, replicas, batch_size):
 
 
 def private_d_cluster(snapshot, partitions, replicas):
-    """The pre-sharing layout: a factory deployment, so one D per replica."""
-    return Cluster.build(
+    """The pre-sharing layout, assembled by hand: every replica creates its
+    own D (a :class:`PartitionServer` given none), one per replica."""
+    shared = Cluster.build(
         snapshot,
         HUB_PARAMS,
         ClusterConfig(num_partitions=partitions, replication_factor=replicas),
-        detector_factory=lambda s, d: [
-            DiamondDetector(s, d, HUB_PARAMS, inserts_edges=False)
-        ],
     )
+    replica_sets = [
+        ReplicaSet(
+            replica_set.partition_id,
+            [
+                PartitionServer(
+                    replica_set.partition_id, r, replica.engine.static_index, HUB_PARAMS
+                )
+                for r, replica in enumerate(replica_set.replicas)
+            ],
+            [SimulatedChannel(f"p{replica_set.partition_id}/r{r}") for r in range(replicas)],
+        )
+        for replica_set in shared.replica_sets
+    ]
+    return Cluster(Broker(replica_sets), shared.partitioner, HUB_PARAMS)
 
 
 def distinct_ds(cluster):
@@ -391,71 +406,6 @@ def test_fresh_sources_multi_matches_single_queries():
             assert limited == fresh
         else:
             assert len(fresh) < 3 or limited == fresh
-
-
-def test_on_edge_only_detector_falls_back_to_exact_per_event_loop():
-    """An engine hosting a detector without process_batch stays exact.
-
-    Such a detector's on_edge may read D however it likes, so the engine
-    must interleave insert and detection per event rather than pre-insert
-    runs.  This detector reads D keyed by the event's *actor* — the access
-    pattern run pre-insertion is not safe for — and must see identical
-    state on both paths.
-    """
-    from repro.graph import build_follower_snapshot, DynamicEdgeIndex
-
-    class ActorProbe:
-        """Emits one pseudo-candidate per edge currently stored under the
-        event's actor-as-target — sensitive to exact insert interleaving."""
-
-        def __init__(self, dynamic_index):
-            self._dynamic = dynamic_index
-            self.name = "actor-probe"
-
-        def on_edge(self, event, now=None):
-            fresh = self._dynamic.fresh_sources(
-                event.actor, now=event.created_at, tau=300.0
-            )
-            from repro.core import Recommendation
-
-            return [
-                Recommendation(
-                    recipient=edge.source,
-                    candidate=event.actor,
-                    created_at=event.created_at,
-                    motif="actor-probe",
-                )
-                for edge in fresh
-            ]
-
-    snapshot = generate_follow_graph(
-        TwitterGraphConfig(num_users=60, mean_followings=5.0, seed=21)
-    )
-    # Mutual same-timestamp actions inside one batch: with run
-    # pre-insertion the first event's probe would see the second event's
-    # edge (equal timestamp passes the freshness filter); the per-event
-    # interleaving must not.
-    events = [
-        EdgeEvent(1.0, 1, 2),
-        EdgeEvent(1.0, 2, 1),
-        EdgeEvent(3.0, 1, 2),
-        EdgeEvent(3.0, 3, 1),
-        EdgeEvent(5.0, 1, 3),
-    ]
-
-    def build():
-        static = build_follower_snapshot(snapshot)
-        dynamic = DynamicEdgeIndex(retention=300.0)
-        engine = MotifEngine(static, dynamic, [ActorProbe(dynamic)])
-        return engine
-
-    reference = build()
-    reference_recs = [rec for e in events for rec in reference.process(e)]
-    batched = build()
-    recs = batched.process_stream(events, batch_size=5)
-    assert recs == reference_recs
-    assert batched.dynamic_index._edges == reference.dynamic_index._edges
-    assert reference_recs, "probe never fired; the test proves nothing"
 
 
 def test_process_batch_accepts_explicit_now():

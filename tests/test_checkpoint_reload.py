@@ -172,11 +172,11 @@ class TestStaticReload:
 
     def test_declarative_detector_reloads(self, figure1_snapshot):
         from repro.graph import DynamicEdgeIndex, build_follower_snapshot
-        from repro.motif import DeclarativeDetector, diamond_spec
+        from repro.motif import compile_motif, diamond_spec
 
         s = build_follower_snapshot(figure1_snapshot)
         d = DynamicEdgeIndex(retention=600.0)
-        detector = DeclarativeDetector(
+        detector = compile_motif(
             diamond_spec(k=2, tau=600.0), s, d, inserts_edges=False
         )
         engine = MotifEngine(s, d, [detector])
@@ -189,6 +189,7 @@ class TestStaticReload:
         assert {r.recipient for r in recs} == {A2, A3}
 
     def test_unreloadable_detector_rejected(self, figure1_snapshot):
+        from repro.core.recommendation import EMPTY_RECOMMENDATION_BATCH
         from repro.graph import DynamicEdgeIndex, build_follower_snapshot
 
         class OpaqueDetector:
@@ -196,6 +197,12 @@ class TestStaticReload:
 
             def on_edge(self, event, now=None):
                 return []
+
+            def scan_run(self, run, now, offset=0):
+                return []
+
+            def process_batch(self, batch, now=None, triggers=None):
+                return EMPTY_RECOMMENDATION_BATCH
 
         s = build_follower_snapshot(figure1_snapshot)
         d = DynamicEdgeIndex(retention=600.0)

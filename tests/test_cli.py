@@ -263,8 +263,8 @@ class TestExplainCommand:
         code, output = run_cli("explain", "diamond", "--k", "2")
         assert code == 0
         assert "motif diamond:" in output
-        assert "plan for motif 'diamond'" in output
-        assert "KOverlap(k=2" in output
+        assert "kernel for motif 'diamond'" in output
+        assert "k-overlap of the witnesses' S follower lists (k=2)" in output
 
     def test_motif_file(self, tmp_path):
         motif_file = tmp_path / "custom.motif"
@@ -277,7 +277,8 @@ class TestExplainCommand:
         )
         code, output = run_cli("explain", str(motif_file))
         assert code == 0
-        assert "my-motif" in output
+        assert "kernel for motif 'my-motif'" in output
+        assert "scan D (tau=120s, action=any)" in output
 
     def test_unknown_motif_fails(self, capsys):
         code, _ = run_cli("explain", "no-such-motif")
@@ -287,7 +288,7 @@ class TestExplainCommand:
         for name in ("diamond", "wedge", "co-retweet", "favorite-burst"):
             code, output = run_cli("explain", name)
             assert code == 0
-            assert "plan for motif" in output
+            assert f"kernel for motif '{name}'" in output
 
 
 class TestServingCommands:

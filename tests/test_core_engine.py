@@ -58,6 +58,21 @@ class TestEngineMechanics:
         with pytest.raises(ValueError):
             MotifEngine(s, d, [])
 
+    def test_rejects_an_on_edge_only_program(self):
+        class OnEdgeOnly:
+            name = "on-edge-only"
+
+            def on_edge(self, event, now=None):
+                return []
+
+        s = StaticFollowerIndex.from_follow_edges(FIGURE1_FOLLOWS)
+        d = DynamicEdgeIndex(retention=600.0)
+        with pytest.raises(TypeError, match="'on-edge-only' has no scan_run"):
+            MotifEngine(s, d, [OnEdgeOnly()])
+        OnEdgeOnly.scan_run = lambda self, run, now, offset=0: []
+        with pytest.raises(TypeError, match="has no process_batch"):
+            MotifEngine(s, d, [OnEdgeOnly()])
+
     def test_process_stream(self, figure1_engine):
         events = [EdgeEvent(0.0, B1, C2), EdgeEvent(1.0, B2, C2)]
         recs = figure1_engine.process_stream(events)

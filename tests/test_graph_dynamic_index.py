@@ -394,13 +394,18 @@ class TestSharedStreamPosition:
             leader_runs.append(run)
             leader_scans.append(shared.fresh_run(run, None, 100.0, 1))
         assert shared.num_edges == 3
-        follower_runs = list(shared.apply_runs(batch, "p1"))
+        follower_runs = []
+        for run, scan in zip(shared.apply_runs(batch, "p1"), leader_scans):
+            follower_runs.append(run)
+            assert shared.fresh_run(run, None, 100.0, 1) is scan
+            # A second program of the same key reads it again, unscanned;
+            # scans are keyed by (now, tau, min_count, action).
+            assert shared.fresh_run(run, None, 100.0, 1) is scan
+            assert shared.fresh_run(run, None, 100.0, 1, "rt") is not scan
         assert [r is l for r, l in zip(follower_runs, leader_runs)] == [True, True]
         assert shared.inserted_total == 3
-        for run, scan in zip(follower_runs, leader_scans):
-            assert shared.fresh_run(run, None, 100.0, 1) is scan
-        # Both readers took every scan, so none is held any longer.
-        assert all(not kept for kept in shared._scans.values())
+        # Both engines went through the batch, so no scan is held.
+        assert not shared._scans
         private = make_index()
         for run, scan in zip(leader_runs, leader_scans):
             private.insert_batch(run, distinct_targets=True)

@@ -1,13 +1,24 @@
-"""Executor tests: declarative motifs vs the hand-coded diamond detector."""
+"""Compiled motifs: every catalog motif runs on the batched diamond kernel.
+
+A spec compiles to a configured :class:`DiamondDetector`, so the checks
+here are the kernel's own contract restated per motif: the batched engine
+path equals the per-event ``engine.process`` loop on mixed-action streams,
+and on follow-only streams the catalog diamond equals the hand-configured
+one.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import EventBatch
 from repro.core.diamond import DiamondDetector
 from repro.core.engine import MotifEngine
 from repro.core.events import ActionType, EdgeEvent
 from repro.core.params import DetectionParams
+from repro.core.recommendation import RecommendationBatch
 from repro.graph.dynamic_index import DynamicEdgeIndex
 from repro.graph.static_index import StaticFollowerIndex
 from repro.motif.catalog import (
@@ -18,9 +29,14 @@ from repro.motif.catalog import (
     favorite_burst_spec,
     wedge_spec,
 )
-from repro.motif.executor import DeclarativeDetector
+from repro.motif.planner import compile_motif
 
 from tests.conftest import A1, A2, B1, B2, C2, FIGURE1_FOLLOWS
+
+#: The hub every mixed-action stream keeps returning to; 41..47 are cold.
+HUB = 40
+TAU = 20.0
+BATCH_SIZES = (1, 7, 64)
 
 
 def make_indexes(follows=FIGURE1_FOLLOWS, retention=3600.0):
@@ -29,64 +45,135 @@ def make_indexes(follows=FIGURE1_FOLLOWS, retention=3600.0):
     return s, d
 
 
-class TestDeclarativeDiamond:
-    def test_figure1(self):
-        s, d = make_indexes()
-        detector = DeclarativeDetector(diamond_spec(k=2, tau=600.0), s, d)
-        assert detector.on_edge(EdgeEvent(0.0, B1, C2)) == []
-        recs = detector.on_edge(EdgeEvent(10.0, B2, C2))
-        assert [(r.recipient, r.candidate) for r in recs] == [(A2, C2)]
-        assert recs[0].motif == "diamond"
-        assert recs[0].via == (B1, B2)
+def mixed_action_follows() -> list[tuple[int, int]]:
+    """48 users following witnesses 0..15 (so witnesses, targets and
+    recipients overlap and every exclusion cuts something), plus some
+    recipient -> target edges for the S probe."""
+    edges = [
+        (a, b)
+        for a in range(48)
+        for b in range(16)
+        if a != b and (a * 5 + b * 3) % 7 < 3
+    ]
+    edges += [(a, t) for a in range(48) for t in range(HUB, 48) if a != t and (a + t) % 5 == 0]
+    return edges
 
-    def test_explain_is_informative(self):
-        s, d = make_indexes()
-        detector = DeclarativeDetector(diamond_spec(k=2, tau=600.0), s, d)
-        explain = detector.explain()
-        assert "plan for motif 'diamond'" in explain
-        assert "cost:" in explain
 
-    def test_operator_stats_accumulate(self):
-        s, d = make_indexes()
-        detector = DeclarativeDetector(diamond_spec(k=2, tau=600.0), s, d)
-        detector.on_edge(EdgeEvent(0.0, B1, C2))
-        detector.on_edge(EdgeEvent(10.0, B2, C2))
-        stats = dict(
-            (name.split("(")[0], (inv, rej))
-            for name, inv, rej in detector.plan.operator_stats()
+def mixed_action_events(raw) -> list[EdgeEvent]:
+    """``(gap, actor, target, action)`` tuples -> a non-decreasing stream
+    (gaps of 0 give equal timestamps)."""
+    events, t = [], 0.0
+    for gap, actor, target, action in raw:
+        t += gap
+        events.append(EdgeEvent(t, actor, target, action))
+    return events
+
+
+def random_mixed_action_events(n: int, seed: int) -> list[EdgeEvent]:
+    rng = random.Random(seed)
+    return mixed_action_events(
+        (
+            rng.choice((0.0, 0.0, 1.0, 2.5)),
+            rng.randrange(16),
+            HUB if rng.random() < 0.4 else rng.randrange(HUB + 1, 48),
+            rng.choice(list(ActionType)),
         )
-        assert stats["FetchFreshWitnesses"] == (2, 0)
-        assert stats["RequireCount"] == (2, 1)  # first edge below threshold
+        for _ in range(n)
+    )
 
-    def test_works_inside_engine(self):
-        s, d = make_indexes()
-        detector = DeclarativeDetector(
-            diamond_spec(k=2, tau=600.0), s, d, inserts_edges=False
-        )
-        engine = MotifEngine(s, d, [detector])
-        engine.process(EdgeEvent(0.0, B1, C2))
-        recs = engine.process(EdgeEvent(10.0, B2, C2))
-        assert [r.recipient for r in recs] == [A2]
+
+def catalog_kwargs(name: str, k: int) -> dict:
+    return {"tau": TAU} if name == "wedge" else {"k": k, "tau": TAU}
+
+
+def catalog_engine(name, k, static):
+    dynamic = DynamicEdgeIndex(retention=TAU, promote_threshold=4)
+    detector = build_detector(
+        name, static, dynamic, inserts_edges=False, **catalog_kwargs(name, k)
+    )
+    return MotifEngine(static, dynamic, [detector], track_latency=False)
+
+
+def per_event_run(engine, events, batch_size, clock):
+    """The per-event loop, grouped as ``(event index, candidates)``."""
+    out = []
+    for start in range(0, len(events), batch_size):
+        chunk = events[start : start + batch_size]
+        now = chunk[-1].created_at if clock else None
+        for i, event in enumerate(chunk, start):
+            recs = engine.process(event, now)
+            if recs:
+                out.append((i, recs))
+    return out
+
+
+def batched_run(engine, events, batch_size, clock):
+    """``process_batch_grouped`` per chunk, re-attributed by ``by_event``."""
+    out = []
+    for start in range(0, len(events), batch_size):
+        chunk = events[start : start + batch_size]
+        now = chunk[-1].created_at if clock else None
+        got = engine.process_batch_grouped(EventBatch.from_events(chunk), now)
+        out += [(start + i, list(recs)) for i, recs in RecommendationBatch.by_event([got])]
+    return out
+
+
+mixed_streams = st.lists(
+    st.tuples(
+        st.sampled_from((0.0, 0.0, 1.0, 2.5)),
+        st.integers(0, 15),
+        st.one_of(st.just(HUB), st.integers(HUB + 1, 47)),
+        st.sampled_from(list(ActionType)),
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("name", sorted(MOTIF_CATALOG))
+@settings(max_examples=25, deadline=None)
+@given(raw=mixed_streams, k=st.integers(1, 3), clock=st.booleans())
+def test_catalog_motif_batched_equals_per_event_loop(name, raw, k, clock):
+    """Each catalog motif, batched at 1 / 7 / 64, emits what the per-event
+    ``engine.process`` loop does — same candidates, same ``event`` stamps,
+    same detector statistics, same D."""
+    events = mixed_action_events(raw)
+    static = StaticFollowerIndex.from_follow_edges(mixed_action_follows())
+    for batch_size in BATCH_SIZES:
+        reference = catalog_engine(name, k, static)
+        batched = catalog_engine(name, k, static)
+        want = per_event_run(reference, events, batch_size, clock)
+        assert batched_run(batched, events, batch_size, clock) == want
+        assert batched.detectors[0].stats == reference.detectors[0].stats
+        assert batched.dynamic_index._edges == reference.dynamic_index._edges
+
+
+def test_mixed_action_stream_exercises_every_motif():
+    """The seeded stream the cluster leg uses triggers every motif."""
+    events = random_mixed_action_events(240, seed=3)
+    static = StaticFollowerIndex.from_follow_edges(mixed_action_follows())
+    for name in MOTIF_CATALOG:
+        engine = catalog_engine(name, 2, static)
+        assert per_event_run(engine, events, 1, clock=False), name
+
+
+follow_edges = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda e: e[0] != e[1]),
+    max_size=40,
+)
+follow_streams = st.lists(
+    st.tuples(st.floats(0, 100), st.integers(0, 12), st.integers(0, 12)).filter(
+        lambda e: e[1] != e[2]
+    ),
+    max_size=40,
+)
 
 
 class TestEquivalenceWithHandCoded:
-    """Declarative diamond == hand-coded diamond, event for event."""
-
-    follow_edges = st.lists(
-        st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(
-            lambda e: e[0] != e[1]
-        ),
-        max_size=40,
-    )
-    event_streams = st.lists(
-        st.tuples(st.floats(0, 100), st.integers(0, 12), st.integers(0, 12)).filter(
-            lambda e: e[1] != e[2]
-        ),
-        max_size=40,
-    )
+    """On follow-only streams the catalog diamond is the hand-configured
+    diamond, per event and batched."""
 
     @settings(max_examples=50, deadline=None)
-    @given(follows=follow_edges, raw_events=event_streams, k=st.integers(1, 3))
+    @given(follows=follow_edges, raw_events=follow_streams, k=st.integers(1, 3))
     def test_equivalence(self, follows, raw_events, k):
         tau = 20.0
         events = sorted(
@@ -97,56 +184,110 @@ class TestEquivalenceWithHandCoded:
         s1, d1 = make_indexes(follows, retention=tau)
         hand_coded = DiamondDetector(s1, d1, DetectionParams(k=k, tau=tau))
         s2, d2 = make_indexes(follows, retention=tau)
-        declarative = DeclarativeDetector(
-            diamond_spec(k=k, tau=tau), s2, d2, collect_statistics=False
-        )
-
+        compiled = compile_motif(diamond_spec(k=k, tau=tau), s2, d2)
         for event in events:
-            expected = sorted(
-                (r.recipient, r.candidate) for r in hand_coded.on_edge(event)
-            )
-            got = sorted(
-                (r.recipient, r.candidate) for r in declarative.on_edge(event)
-            )
-            assert got == expected
+            assert compiled.on_edge(event) == hand_coded.on_edge(event)
+        assert compiled.stats == hand_coded.stats
 
-    def test_equivalence_with_statistics_enabled(self):
-        """The cost-based plan must not change semantics, only speed."""
-        follows = FIGURE1_FOLLOWS + [(A1, B2)]
-        events = [
-            EdgeEvent(0.0, B1, C2),
-            EdgeEvent(1.0, B2, C2),
-            EdgeEvent(2.0, B1, 7),
-            EdgeEvent(3.0, B2, 7),
+        for batch_size in (1, 7):
+            engines = []
+            for detector in (
+                lambda s, d: DiamondDetector(
+                    s, d, DetectionParams(k=k, tau=tau), inserts_edges=False
+                ),
+                lambda s, d: compile_motif(
+                    diamond_spec(k=k, tau=tau), s, d, inserts_edges=False
+                ),
+            ):
+                s, d = make_indexes(follows, retention=tau)
+                engines.append(MotifEngine(s, d, [detector(s, d)]))
+            hand, catalog = (
+                batched_run(engine, events, batch_size, clock=True)
+                for engine in engines
+            )
+            assert catalog == hand
+            assert engines[1].detectors[0].stats == engines[0].detectors[0].stats
+
+
+class TestCompiledDiamond:
+    def test_figure1(self):
+        s, d = make_indexes()
+        detector = compile_motif(diamond_spec(k=2, tau=600.0), s, d)
+        assert detector.on_edge(EdgeEvent(0.0, B1, C2)) == []
+        recs = detector.on_edge(EdgeEvent(10.0, B2, C2))
+        assert [(r.recipient, r.candidate) for r in recs] == [(A2, C2)]
+        assert recs[0].motif == "diamond"
+        assert recs[0].via == (B1, B2)
+
+    def test_explain_lists_the_kernel_stages(self):
+        s, d = make_indexes()
+        explain = compile_motif(diamond_spec(k=2, tau=600.0), s, d).explain()
+        assert explain.splitlines() == [
+            "kernel for motif 'diamond':",
+            "  1. scan D (tau=600s, action=follow)",
+            "  2. threshold (fresh witnesses >= 2)",
+            "  3. k-overlap of the witnesses' S follower lists (k=2)",
+            "  4. exclude recipient == candidate",
+            "  5. exclude recipients among the fresh witnesses",
+            "  6. exclude recipient -> candidate in S",
+            "  7. emit (motif=diamond)",
         ]
-        s1, d1 = make_indexes(follows)
-        hand_coded = DiamondDetector(s1, d1, DetectionParams(k=2, tau=600.0))
-        s2, d2 = make_indexes(follows)
-        declarative = DeclarativeDetector(diamond_spec(k=2, tau=600.0), s2, d2)
-        for event in events:
-            expected = {(r.recipient, r.candidate) for r in hand_coded.on_edge(event)}
-            got = {(r.recipient, r.candidate) for r in declarative.on_edge(event)}
-            assert got == expected
+
+    def test_stats_accumulate(self):
+        s, d = make_indexes()
+        detector = compile_motif(diamond_spec(k=2, tau=600.0), s, d)
+        detector.on_edge(EdgeEvent(0.0, B1, C2))
+        detector.on_edge(EdgeEvent(10.0, B2, C2))
+        stats = detector.stats
+        assert (stats.events_seen, stats.below_threshold) == (2, 1)
+        assert (stats.triggers, stats.candidates_emitted) == (1, 1)
+
+    def test_other_actions_neither_trigger_nor_count_below_threshold(self):
+        s, d = make_indexes()
+        detector = compile_motif(diamond_spec(k=2, tau=600.0), s, d)
+        detector.on_edge(EdgeEvent(0.0, B1, C2))
+        assert detector.on_edge(EdgeEvent(1.0, B2, C2, ActionType.RETWEET)) == []
+        stats = detector.stats
+        assert (stats.events_seen, stats.below_threshold, stats.triggers) == (2, 1, 0)
+
+    def test_max_witnesses_keeps_the_uncapped_via(self):
+        s, d = make_indexes(FIGURE1_FOLLOWS + [(A2, 7)])
+        detector = compile_motif(diamond_spec(k=2, tau=600.0), s, d, max_witnesses=2)
+        detector.on_edge(EdgeEvent(0.0, 7, C2))
+        detector.on_edge(EdgeEvent(1.0, B1, C2))
+        recs = detector.on_edge(EdgeEvent(2.0, B2, C2))
+        assert [r.recipient for r in recs] == [A2]
+        assert recs[0].via == (7, B1, B2)
+
+    def test_works_inside_engine(self):
+        s, d = make_indexes()
+        detector = compile_motif(
+            diamond_spec(k=2, tau=600.0), s, d, inserts_edges=False
+        )
+        engine = MotifEngine(s, d, [detector])
+        engine.process(EdgeEvent(0.0, B1, C2))
+        recs = engine.process(EdgeEvent(10.0, B2, C2))
+        assert [r.recipient for r in recs] == [A2]
 
 
 class TestOtherCatalogMotifs:
     def test_wedge_fires_on_single_witness(self):
         s, d = make_indexes()
-        detector = DeclarativeDetector(wedge_spec(tau=600.0), s, d)
+        detector = compile_motif(wedge_spec(tau=600.0), s, d)
         recs = detector.on_edge(EdgeEvent(0.0, B1, C2))
         assert {(r.recipient, r.candidate) for r in recs} == {(A1, C2), (A2, C2)}
         assert recs[0].motif == "wedge"
 
     def test_co_retweet_ignores_follows(self):
         s, d = make_indexes()
-        detector = DeclarativeDetector(co_retweet_spec(k=2, tau=600.0), s, d)
+        detector = compile_motif(co_retweet_spec(k=2, tau=600.0), s, d)
         # Two FOLLOW events toward the same target: filtered by action.
         detector.on_edge(EdgeEvent(0.0, B1, C2, ActionType.FOLLOW))
         assert detector.on_edge(EdgeEvent(1.0, B2, C2, ActionType.FOLLOW)) == []
 
     def test_co_retweet_fires_on_retweets(self):
         s, d = make_indexes()
-        detector = DeclarativeDetector(co_retweet_spec(k=2, tau=600.0), s, d)
+        detector = compile_motif(co_retweet_spec(k=2, tau=600.0), s, d)
         tweet = 999
         detector.on_edge(EdgeEvent(0.0, B1, tweet, ActionType.RETWEET))
         recs = detector.on_edge(EdgeEvent(1.0, B2, tweet, ActionType.RETWEET))
@@ -155,7 +296,7 @@ class TestOtherCatalogMotifs:
 
     def test_favorite_burst(self):
         s, d = make_indexes()
-        detector = DeclarativeDetector(favorite_burst_spec(k=2, tau=600.0), s, d)
+        detector = compile_motif(favorite_burst_spec(k=2, tau=600.0), s, d)
         tweet = 500
         detector.on_edge(EdgeEvent(0.0, B1, tweet, ActionType.FAVORITE))
         recs = detector.on_edge(EdgeEvent(1.0, B2, tweet, ActionType.FAVORITE))
@@ -165,7 +306,7 @@ class TestOtherCatalogMotifs:
         """A retweet and a favorite toward the same tweet must not combine
         for an action-filtered motif."""
         s, d = make_indexes()
-        detector = DeclarativeDetector(co_retweet_spec(k=2, tau=600.0), s, d)
+        detector = compile_motif(co_retweet_spec(k=2, tau=600.0), s, d)
         tweet = 999
         detector.on_edge(EdgeEvent(0.0, B1, tweet, ActionType.RETWEET))
         recs = detector.on_edge(EdgeEvent(1.0, B2, tweet, ActionType.FAVORITE))
@@ -189,4 +330,5 @@ class TestCatalogRegistry:
         s, d = make_indexes()
         for name in MOTIF_CATALOG:
             detector = build_detector(name, s, d)
-            assert detector.plan.operators
+            assert isinstance(detector, DiamondDetector)
+            assert detector.explain().startswith(f"kernel for motif '{name}'")

@@ -57,14 +57,14 @@ class TestParsing:
 
     def test_parsed_spec_compiles_and_runs(self):
         from repro.graph import DynamicEdgeIndex, StaticFollowerIndex
-        from repro.motif import DeclarativeDetector
+        from repro.motif import compile_motif
         from repro.core import EdgeEvent
 
         spec = parse_motif(DIAMOND_TEXT)  # k = 3
         follows = [(0, 3), (1, 3), (1, 4), (1, 7), (2, 4)]
         s = StaticFollowerIndex.from_follow_edges(follows)
         d = DynamicEdgeIndex(retention=3600.0)
-        detector = DeclarativeDetector(spec, s, d, collect_statistics=False)
+        detector = compile_motif(spec, s, d)
         detector.on_edge(EdgeEvent(0.0, 3, 6))
         detector.on_edge(EdgeEvent(1.0, 4, 6))
         recs = detector.on_edge(EdgeEvent(2.0, 7, 6))

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.diamond import DiamondDetector
 from repro.core.events import ActionType
-from repro.motif.optimizer import IndexStatistics, choose_algorithm, estimate_cost
 from repro.motif.planner import compile_motif
 from repro.motif.spec import (
     EdgeKind,
@@ -11,7 +11,7 @@ from repro.motif.spec import (
     PatternEdge,
     UnsupportedMotifError,
 )
-from repro.motif.catalog import diamond_spec, wedge_spec
+from repro.motif.catalog import co_retweet_spec, diamond_spec, wedge_spec
 
 
 class TestPatternEdge:
@@ -100,11 +100,10 @@ class TestPlannerFragment:
         return MotifSpec(**fields)
 
     def test_diamond_compiles(self):
-        plan = compile_motif(diamond_spec())
-        explain = plan.explain()
-        assert "FetchFreshWitnesses" in explain
-        assert "KOverlap" in explain
-        assert "Emit" in explain
+        explain = compile_motif(diamond_spec()).explain()
+        assert "scan D (tau=3600s, action=follow)" in explain
+        assert "k-overlap" in explain
+        assert "emit (motif=diamond)" in explain
 
     def test_two_dynamic_edges_rejected(self):
         spec = self.base_spec(
@@ -159,53 +158,54 @@ class TestPlannerFragment:
         with pytest.raises(UnsupportedMotifError, match="never complete"):
             compile_motif(diamond_spec(k=3), max_witnesses=2)
 
-    def test_cap_adds_operator(self):
-        plan = compile_motif(diamond_spec(k=2), max_witnesses=10)
-        assert "CapWitnesses" in plan.explain()
+    def test_cap_adds_stage(self):
+        detector = compile_motif(diamond_spec(k=2), max_witnesses=10)
+        assert detector.params.max_trigger_sources == 10
+        assert "cap (expand the newest 10 witnesses)" in detector.explain()
 
 
-class TestOptimizer:
-    def test_choose_algorithm_shapes(self):
-        assert choose_algorithm(3, expected_lists=3.0, expected_list_length=100) == "intersect"
-        assert choose_algorithm(2, expected_lists=10.0, expected_list_length=10) == "scancount"
-        assert choose_algorithm(2, expected_lists=10.0, expected_list_length=10_000) == "numpy"
+class TestCompiledKernel:
+    """A spec compiles onto the diamond kernel field by field."""
 
-    def test_estimate_cost_describe(self):
-        stats = IndexStatistics(
-            mean_followers=50.0, p99_followers=900.0, mean_fresh_sources=4.0
+    def test_diamond_spec_sets_every_kernel_input(self):
+        detector = compile_motif(diamond_spec(k=4, tau=900.0))
+        assert isinstance(detector, DiamondDetector)
+        params = detector.params
+        assert (params.k, params.tau, params.max_trigger_sources) == (4, 900.0, None)
+        assert params.exclude_candidate_recipient
+        assert params.exclude_existing_followers  # the a->c forbid edge
+        assert detector.exclude_witnesses
+        assert detector.action is ActionType.FOLLOW
+        assert detector.name == "diamond"
+
+    def test_witness_cut_is_split_from_the_s_probe(self):
+        detector = compile_motif(co_retweet_spec(k=2, tau=600.0))
+        assert not detector.params.exclude_existing_followers  # no forbid
+        assert detector.exclude_witnesses
+        assert detector.action is ActionType.RETWEET
+        explain = detector.explain()
+        assert "exclude recipients among the fresh witnesses" in explain
+        assert "in S" not in explain.split("k-overlap")[1]
+
+    def test_distinct_emit_and_witness_flags_map_through(self):
+        spec = MotifSpec(
+            name="loose",
+            vertices=("a", "b", "c"),
+            edges=(
+                PatternEdge("a", "b"),
+                PatternEdge("b", "c", EdgeKind.DYNAMIC, within=60.0),
+            ),
+            count_at_least={"b": 2},
+            distinct_emit=False,
+            exclude_witnesses=False,
         )
-        cost = estimate_cost(3, stats)
-        assert cost.expected_lists == 4.0
-        assert cost.expected_work == 200.0
-        assert "lists" in cost.describe()
+        detector = compile_motif(spec)
+        assert not detector.params.exclude_candidate_recipient
+        assert not detector.exclude_witnesses
+        assert detector.action is None
+        assert "exclude" not in detector.explain()
 
-    def test_collect_statistics(self):
-        from repro.graph.dynamic_index import DynamicEdgeIndex
-        from repro.graph.static_index import StaticFollowerIndex
-
-        s = StaticFollowerIndex.from_follow_edges(
-            [(a, 0) for a in range(10)] + [(1, 1), (2, 1)]
-        )
-        d = DynamicEdgeIndex(retention=100.0)
-        d.insert(1, 5, 0.0)
-        d.insert(2, 5, 1.0)
-        stats = IndexStatistics.collect(s, d)
-        assert stats.mean_followers == pytest.approx(6.0)
-        assert stats.mean_fresh_sources == pytest.approx(2.0)
-
-    def test_collect_empty_indexes(self):
-        from repro.graph.dynamic_index import DynamicEdgeIndex
-        from repro.graph.static_index import StaticFollowerIndex
-
-        stats = IndexStatistics.collect(
-            StaticFollowerIndex.from_follow_edges([]),
-            DynamicEdgeIndex(retention=10.0),
-        )
-        assert stats.mean_followers == 0.0
-        assert stats.mean_fresh_sources == 0.0
-
-    def test_wedge_uses_union_friendly_algorithm(self):
-        plan = compile_motif(wedge_spec())
-        # k=1 with a single expected list compiles to the intersect fast
-        # path, which degrades gracefully to scancount at runtime.
-        assert "KOverlap(k=1" in plan.explain()
+    def test_wedge_compiles_to_k_one(self):
+        explain = compile_motif(wedge_spec()).explain()
+        assert "threshold (fresh witnesses >= 1)" in explain
+        assert "(k=1)" in explain

@@ -154,10 +154,8 @@ class TestByEvent:
         attributed = RecommendationBatch.by_event(replies)
         assert [(i, list(batch)) for i, batch in attributed] == expected
 
-    @pytest.mark.parametrize("programs", ["fallback", "two_programs"])
-    def test_engine_stamps_events_like_the_per_event_loop(self, programs):
-        # A program without process_batch sends the whole batch down the
-        # per-event fallback; two batch-capable programs merge by event.
+    def test_engine_stamps_events_like_the_per_event_loop(self):
+        # Two programs' candidate batches merge by event.
         snapshot, events = interleaved_workload()
         static = build_follower_snapshot(snapshot)
 
@@ -168,8 +166,7 @@ class TestByEvent:
                                 inserts_edges=False)
                 for k in (2, 3)
             )
-            detectors = [OnEdgeOnly(k2)] if programs == "fallback" else [k2, k3]
-            return MotifEngine(static, dynamic, detectors, track_latency=False)
+            return MotifEngine(static, dynamic, [k2, k3], track_latency=False)
 
         now = events[-1].created_at
         reference = engine()
@@ -198,14 +195,3 @@ def interleaved_workload():
         )
     ]
     return snapshot, events
-
-
-class OnEdgeOnly:
-    """A detector program with only the per-event ``on_edge`` entry."""
-
-    def __init__(self, inner: DiamondDetector) -> None:
-        self._inner = inner
-        self.name = inner.name
-
-    def on_edge(self, event, now=None):
-        return self._inner.on_edge(event, now)
