@@ -9,9 +9,11 @@ choices on the two list shapes that matter:
 * **skewed** lists (an ordinary user against a celebrity hub), where
   galloping's O(|short| log |long|) beats the linear merge;
 
-and the k-overlap algorithms (ScanCount vs heap merge vs numpy) at the
-sizes the detector actually sees — plus the batched detector's sliding
-kernel on a hub burst, against one k-overlap per trigger.
+and the k-overlap algorithms (ScanCount vs heap merge vs numpy vs the
+detector's array kernel) at the sizes the detector actually sees — plus
+the array kernel on cold triggers whose audience is empty, and the
+batched detector's sliding kernel on a hub burst, against one k-overlap
+per trigger.
 """
 
 import time
@@ -19,9 +21,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench.workloads import BENCH_PARAMS
+from repro.bench.workloads import BENCH_PARAMS, firehose_stream_config
 from repro.core import DiamondDetector
-from repro.gen import TwitterGraphConfig, generate_follow_graph
+from repro.gen import TwitterGraphConfig, ZipfSampler, generate_follow_graph
 from repro.graph import DynamicEdgeIndex, build_follower_snapshot
 from repro.graph.intersect import (
     intersect_galloping,
@@ -38,6 +40,10 @@ from repro.util.rng import make_rng
 #: batch, each trigger expanding the newest ``max_trigger_sources``.
 HUB_TRIGGERS = 64
 HUB_WITNESSES = BENCH_PARAMS.max_trigger_sources
+
+#: E11's cold row: this many cold triggers of 3-5 witnesses each, every
+#: one with an empty k-overlap.
+COLD_TRIGGERS = 256
 
 
 def sorted_sample(rng, universe, size):
@@ -60,6 +66,34 @@ def skewed_lists():
         sorted_sample(rng, 2_000_000, 200),
         sorted_sample(rng, 2_000_000, 200_000),
     )
+
+
+@pytest.fixture(scope="module")
+def follow_graph():
+    """A 20k-user follow graph and its static follower index S."""
+    snapshot = generate_follow_graph(
+        TwitterGraphConfig(num_users=20_000, mean_followings=15.0, seed=5)
+    )
+    return snapshot, build_follower_snapshot(snapshot)
+
+
+@pytest.fixture(scope="module")
+def cold_triggers(follow_graph):
+    """Follower arrays of cold triggers as the detector fetches them:
+    3-5 witnesses drawn like ``cold_firehose``'s background actors, kept
+    when their k-overlap is empty — the common cold outcome."""
+    snapshot, static = follow_graph
+    rng = make_rng(5, "cold")
+    actors = ZipfSampler(
+        snapshot.num_users, firehose_stream_config().actor_popularity_exponent, rng
+    )
+    triggers = []
+    while len(triggers) < COLD_TRIGGERS:
+        witnesses = set(actors.sample_many(rng.randint(3, 5)))
+        lists = [arr for arr in map(static.follower_array, witnesses) if arr is not None]
+        if len(lists) >= BENCH_PARAMS.k and not k_overlap_scancount(lists, BENCH_PARAMS.k):
+            triggers.append(lists)
+    return triggers
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +141,21 @@ def best_of(func, *args, repeats=5):
     return best
 
 
-def test_record_ablation_table(benchmark, balanced_lists, skewed_lists, witness_lists, report):
+def test_record_ablation_table(
+    benchmark, balanced_lists, skewed_lists, witness_lists, cold_triggers, report
+):
     """Summarise the crossovers in the experiment table (single-shot timings)."""
     benchmark(lambda: intersect_galloping(*skewed_lists))
+    witness_arrays = [np.asarray(values, dtype=np.int64) for values in witness_lists]
+    assert k_overlap_arrays(witness_arrays, 3).tolist() == k_overlap_scancount(
+        witness_lists, 3
+    )
+
+    def cold_audiences():
+        for lists in cold_triggers:
+            k_overlap_arrays(lists, BENCH_PARAMS.k)
+
+    assert not any(k_overlap_arrays(lists, BENCH_PARAMS.k).size for lists in cold_triggers)
 
     rows = [
         ("merge, balanced", best_of(intersect_merge, *balanced_lists)),
@@ -119,6 +165,8 @@ def test_record_ablation_table(benchmark, balanced_lists, skewed_lists, witness_
         ("scancount, 8 lists", best_of(k_overlap_scancount, witness_lists, 3)),
         ("heap-merge, 8 lists", best_of(k_overlap_heap, witness_lists, 3)),
         ("numpy, 8 lists", best_of(k_overlap_numpy, witness_lists, 3)),
+        ("arrays, 8 lists", best_of(k_overlap_arrays, witness_arrays, 3)),
+        (f"arrays, {COLD_TRIGGERS} cold triggers", best_of(cold_audiences)),
     ]
     table = report.table(
         "E11",
@@ -159,7 +207,7 @@ def test_record_ablation_table(benchmark, balanced_lists, skewed_lists, witness_
     )
 
 
-def test_sliding_hub_group(report):
+def test_sliding_hub_group(follow_graph, report):
     """One hub target triggering 64 times in a batch, 32 witnesses each,
     the window sliding by one witness per trigger: the sliding kernel's
     one sort against 64 ``k_overlap_arrays`` calls.
@@ -167,10 +215,7 @@ def test_sliding_hub_group(report):
     Witnesses are drawn as ``hub_burst``'s burst actors are — with full
     popularity bias, so their follower lists are the graph's long ones.
     """
-    snapshot = generate_follow_graph(
-        TwitterGraphConfig(num_users=20_000, mean_followings=15.0, seed=5)
-    )
-    static = build_follower_snapshot(snapshot)
+    snapshot, static = follow_graph
     users = np.fromiter(static.sources(), np.int64)
     lengths = np.array([len(static.followers_of(b)) for b in users.tolist()])
     rng = np.random.default_rng(5)

@@ -565,11 +565,11 @@ class DiamondDetector:
         Identical audience, different execution and representation: each
         witness's follower list is a zero-copy int64 view from the memo
         :meth:`_fetch` reads (inlined: this runs once per cold trigger),
-        the k-overlap runs as one C-speed sort plus
-        run-length threshold over the concatenation, and the exclusion
-        filters apply as vectorized masks over the resulting recipient
-        array.  The array is returned as-is — ascending, never boxed —
-        ready to become a
+        the k-overlap runs as one C-speed sort plus one k-apart
+        comparison over the concatenation (most cold triggers stop there,
+        with an empty audience), and the exclusion filters apply as
+        vectorized masks over the resulting recipient array.  The array
+        is returned as-is — ascending, never boxed — ready to become a
         :class:`~repro.core.recommendation.RecommendationGroup` column
         (``None`` when the audience is empty).
         """

@@ -140,7 +140,7 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
         )
         for _event, candidates in RecommendationBatch.by_event(replies):
             for notification in release_window(
-                candidates, record.now, delivery, ranker, deployment.serving_tap
+                candidates, record.now, delivery, ranker, deployment.parent_cache
             ):
                 rec = notification.recommendation
                 result.delivered.append(

@@ -178,24 +178,31 @@ def k_overlap_arrays(arrays: Sequence[np.ndarray], k: int) -> np.ndarray:
     """Vectorised k-overlap over ready-made int64 arrays, as an array.
 
     The batched detector's inner kernel: one concatenate + in-place sort,
-    then a run-length threshold — a value occurs >= *k* times in the sorted
-    multiset iff its first occurrence still matches ``k - 1`` slots later.
+    then one k-apart comparison — a value occurs >= *k* times in the sorted
+    multiset iff some slot of it equals the slot ``k - 1`` further on.
+    Most cold triggers have no such slot and return right there, after one
+    ``np.count_nonzero`` (cheaper than ``.any()`` on arrays this short).
+    A value in ``m > k`` lists matches at ``m - k + 1`` consecutive slots,
+    so the matches are de-duplicated; for ``k == 1`` that pass alone is
+    the distinct-values pass.
     Skips :func:`k_overlap_numpy`'s per-call list->array conversions and
     ``np.unique`` wrapper overhead, which dominate at hot-path call rates.
-    Returns the qualifying values ascending; inputs must be non-empty
-    int64 arrays of sorted distinct ids (``len(arrays) >= k >= 1``).
+    Returns the qualifying values ascending (an empty int64 array when
+    none qualify); inputs must be non-empty int64 arrays of sorted
+    distinct ids (``len(arrays) >= k >= 1``).
     """
     stacked = np.concatenate(arrays)
     stacked.sort()
-    total = len(stacked)
-    firsts = np.empty(total, dtype=bool)
-    firsts[0] = True
-    np.not_equal(stacked[1:], stacked[:-1], out=firsts[1:])
-    if k == 1:
-        return stacked[firsts]
-    first_idx = np.flatnonzero(firsts)
-    candidates = first_idx[first_idx <= total - k]
-    return stacked[candidates[stacked[candidates + k - 1] == stacked[candidates]]]
+    if k > 1:
+        ahead = stacked[k - 1 :]
+        matches = ahead == stacked[: len(ahead)]
+        if not np.count_nonzero(matches):
+            return np.empty(0, dtype=np.int64)
+        stacked = ahead[matches]
+    distinct = np.empty(len(stacked), dtype=bool)
+    distinct[0] = True
+    np.not_equal(stacked[1:], stacked[:-1], out=distinct[1:])
+    return stacked[distinct]
 
 
 def k_overlap_numpy(lists: Sequence[IdList], k: int) -> list[int]:

@@ -283,7 +283,7 @@ class StreamingTopology:
         return cls(
             deployment.cluster,
             delivery=deployment.delivery,
-            serving=deployment.serving_tap,
+            serving=deployment.parent_cache,
             durability=deployment.durability,
             query_users=query_users,
             config=deployment.config,

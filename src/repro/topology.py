@@ -249,14 +249,14 @@ class Deployment:
     delivery: DeliveryPipeline | ShardedDeliveryPipeline | None = None
     #: The cache a window release writes in front of a *single* funnel;
     #: ``None`` when there is no serving tier or the shards write theirs.
-    serving_tap: ServingCache | None = None
+    parent_cache: ServingCache | None = None
     durability: "DurabilityManager | None" = None
 
     @property
     def serving(self):
-        """The cache reads go to: the tapped one, else the shards'."""
-        if self.serving_tap is not None:
-            return self.serving_tap
+        """The cache reads go to: the parent's, else the shards'."""
+        if self.parent_cache is not None:
+            return self.parent_cache
         return getattr(self.delivery, "serving", None)
 
     def close(self) -> None:
@@ -308,7 +308,7 @@ def build_deployment(
         else:
             deployment.delivery = _funnel(0)
             if config.serving is not None:
-                deployment.serving_tap = ServingCache(**config.serving._asdict())
+                deployment.parent_cache = ServingCache(**config.serving._asdict())
         if wal_dir is not None:
             # Imported here: the durability package loads root configs
             # through this module.

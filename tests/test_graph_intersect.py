@@ -4,8 +4,9 @@ These kernels are the inner loop of motif detection; every algorithm must
 agree with the obvious set-based reference on arbitrary inputs.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.graph.intersect import (
@@ -36,6 +37,26 @@ K_OVERLAP_ALGORITHMS = [
 sorted_ids = st.lists(
     st.integers(min_value=0, max_value=200), unique=True, max_size=60
 ).map(sorted)
+
+TOP_ID = 2**63 - 1
+
+
+@st.composite
+def overlapping_lists(draw):
+    """1..12 non-empty sorted lists over one small pool of ids up to
+    ``2**63 - 1`` (so they overlap), optionally all sharing one value,
+    and a k from 1 to the number of lists."""
+    pool = draw(
+        st.lists(st.integers(0, TOP_ID), unique=True, min_size=1, max_size=16)
+    )
+    members = st.lists(
+        st.sampled_from(pool), unique=True, min_size=1, max_size=len(pool)
+    )
+    lists = draw(st.lists(members, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lists = [set(values) | {pool[0]} for values in lists]
+    lists = [sorted(values) for values in lists]
+    return lists, draw(st.integers(1, len(lists)))
 
 
 def reference_intersection(lists):
@@ -175,13 +196,29 @@ class TestKOverlap:
     )
     def test_arrays_kernel_matches_reference(self, lists, k_fraction):
         """The batched detector's array kernel agrees with the others."""
-        import numpy as np
-
         k = max(1, round(k_fraction * len(lists)))
         arrays = [np.asarray(values, dtype=np.int64) for values in lists]
         assert k_overlap_arrays(arrays, k).tolist() == reference_k_overlap(
             lists, k
         )
+
+    @given(case=overlapping_lists())
+    # Twelve one-element lists: one value in all of them (the de-dup at
+    # every k < 12), and twelve distinct values (empty unless k == 1).
+    @example(case=([[TOP_ID]] * 12, 2))
+    @example(case=([[TOP_ID - i] for i in range(12)], 2))
+    @example(case=([[TOP_ID - i] for i in range(12)], 1))
+    def test_arrays_kernel_wide_ids_many_lists(self, case):
+        """Ids up to 2**63 - 1, up to 12 lists, every k: the early empty
+        exit and the de-dup of a value in more than k lists both agree
+        with the reference, and an empty answer is an int64 array of
+        shape ``(0,)``."""
+        lists, k = case
+        expected = reference_k_overlap(lists, k)
+        result = k_overlap_arrays([np.asarray(v, dtype=np.int64) for v in lists], k)
+        assert result.dtype == np.int64
+        assert result.shape == (len(expected),)
+        assert result.tolist() == expected
 
     @given(lists=st.lists(sorted_ids, min_size=2, max_size=5))
     def test_monotone_in_k(self, lists):

@@ -244,7 +244,7 @@ def test_every_field_reaches_the_built_objects(tmp_path):
         # delivery_shards / serving: the shards own the caches
         assert isinstance(deployment.delivery, ShardedDeliveryPipeline)
         assert deployment.delivery.num_shards == 2
-        assert deployment.serving_tap is None
+        assert deployment.parent_cache is None
         assert topology.serving is deployment.delivery.serving
         shard_cache = topology.serving.shards[0]
         assert (shard_cache.k, shard_cache.ttl) == (3, 900.0)
@@ -288,6 +288,6 @@ def test_every_field_reaches_the_built_objects(tmp_path):
             16,
             0.75,
         )
-        assert topology.serving is deployment.serving_tap
+        assert topology.serving is deployment.parent_cache
         assert topology.serving.k == 3
         assert topology.firehose._delay_model() == 0.0
