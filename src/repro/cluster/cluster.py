@@ -11,7 +11,7 @@ The paper replicates the complete D into every partition because each
 partition is a machine.  Here the copy follows the process, not the
 partition object: all P x R replicas behind the in-process transport share
 one D, and the R replicas inside a partition worker share that worker's
-one.  The first engine at a batch inserts it and scans each run; the rest
+one.  The first engine at a batch scans and inserts it; the rest
 reuse both (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.enter`).
 """
 
@@ -149,7 +149,7 @@ class Cluster:
                 with ``inserts_edges=False``; the engine owns the insert.
                 Defaults to one hand-coded diamond per replica.
 
-        Every program reads D only through the run scan, so replicas share
+        Every program reads D only through the batch scan, so replicas share
         one D per address space: one for the whole cluster in-process, one
         per partition worker otherwise.
         """

@@ -101,8 +101,8 @@ class PartitionServer:
         """Consume a columnar micro-batch; one local candidate batch.
 
         Same candidates as calling :meth:`ingest` per event, with the work
-        amortized by the engine's batched path: each distinct-target run
-        is inserted and scanned, then this shard's audiences are computed
+        amortized by the engine's batched path: the batch is scanned and
+        inserted once, then this shard's audiences are computed
         once for the whole batch
         (:meth:`~repro.core.engine.MotifEngine.process_batch_grouped`).
         The reply is one columnar

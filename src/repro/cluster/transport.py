@@ -478,7 +478,7 @@ def _partition_worker_main(replica_set, wire: Wire) -> None:
     the wire's business: a framed batch decodes as **zero-copy views of
     the request slot** — safe because every index copies on insert and
     the detector emits fresh arrays, and the worker's D lets go of the
-    batch's position (its runs are views too), so nothing retains the
+    batch's position (its kept scans too), so nothing retains the
     slab bytes past ``ingest_batch`` — and the slot is released before
     the reply is encoded.  A ``None`` from the wire means the parent
     died: exit quietly (daemon semantics).  Any unexpected exception

@@ -19,12 +19,11 @@ into, through, and back out of the indexes without per-element boxing.
 
 Batched processing is *semantics-preserving*: every layer's ``process_batch``
 emits exactly the recommendations (and leaves exactly the index state) that
-the per-event loop would.  The key tool for that is
-:meth:`EventBatch.distinct_target_runs`, which splits a batch into maximal
-prefixes of distinct targets — within such a run, inserting every edge and
-then querying each event's target is indistinguishable from the interleaved
-insert/query loop, because an event's freshness query only depends on its
-own target's entry.
+the per-event loop would.  The key tool for that is D's batch scan
+(:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.fresh_batch`), which
+answers each event from its own target's stored entry plus the batch's
+earlier edges to that target — an event's freshness query depends on
+nothing else — before the batch is inserted once.
 """
 
 from __future__ import annotations
@@ -198,36 +197,6 @@ class EventBatch:
             else tuple(column[start:stop] for column in lists)
         )
         return view
-
-    def distinct_target_runs(self) -> list[tuple[int, int]]:
-        """Split into maximal ``[start, stop)`` runs of distinct targets.
-
-        Within a run no target repeats, so bulk-inserting the run and then
-        evaluating each event's freshness query is exactly equivalent to the
-        per-event insert/query interleaving: an event's query reads only its
-        own target's D entry, which no later event in the run touches.
-        """
-        n = len(self.timestamps)
-        if n == 0:
-            return []
-        targets = self.columns()[2]
-        # Common case: no repeated target at all — one hash pass over the
-        # cached row list beats sort-based uniqueness (np.unique) by an
-        # order of magnitude at micro-batch sizes.
-        if len(set(targets)) == n:
-            return [(0, n)]
-        runs: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        add = seen.add
-        start = 0
-        for i, c in enumerate(targets):
-            if c in seen:
-                runs.append((start, i))
-                start = i
-                seen.clear()
-            add(c)
-        runs.append((start, len(targets)))
-        return runs
 
 
 def iter_event_batches(

@@ -11,13 +11,14 @@ the paper's diamond, or a declarative motif compiled onto it
 
 A program has three entry points.  The engine, which owns the inserts
 (programs are built with ``inserts_edges=False``), calls the two batched
-ones: ``scan_run`` on each distinct-target run of a batch right after
-inserting it (see :meth:`repro.core.batch.EventBatch.distinct_target_runs`;
-*offset* is the run's position in the batch), collecting the triggers it
-returns, then ``process_batch`` once for the whole batch with those
-triggers.  That order is what makes batched processing exactly equivalent
-to the per-event loop, and it holds only for programs that read D through
-the target-keyed run scan, so an engine refuses a program without them.
+ones: ``scan_batch`` once per batch just before inserting it, collecting
+the triggers it returns, then ``process_batch`` once for the whole batch
+with those triggers.  The scan reads each event as the per-event loop
+would right after inserting it
+(:meth:`repro.graph.dynamic_index.DynamicEdgeIndex.fresh_batch`), which is
+what makes batched processing exactly equivalent to the per-event loop; it
+holds only for programs that read D through that scan, so an engine
+refuses a program without them.
 ``process_batch`` returns one columnar
 :class:`~repro.core.recommendation.RecommendationBatch` for the whole
 batch: its trigger groups in event order, each stamped with its
@@ -58,11 +59,11 @@ class OnlineDetector(Protocol):
         """
         ...
 
-    def scan_run(
-        self, run: EventBatch, now: float | None, offset: int = 0
+    def scan_batch(
+        self, batch: EventBatch, now: float | None
     ) -> list[tuple[int, object]]:
-        """Scan a distinct-target *run* whose edges are already in D;
-        return its triggers as ``(offset + i, fresh)`` pairs."""
+        """Scan *batch* before its edges are in D, each event as if just
+        inserted; return its triggers as ``(i, fresh)`` pairs."""
         ...
 
     def process_batch(
@@ -71,6 +72,6 @@ class OnlineDetector(Protocol):
         now: float | None = None,
         triggers: list[tuple[int, object]] | None = None,
     ) -> RecommendationBatch:
-        """Compute the audiences of *triggers* (found by :meth:`scan_run`
-        over *batch*'s runs) as one candidate batch in event order."""
+        """Compute the audiences of *triggers* (found by
+        :meth:`scan_batch`) as one candidate batch in event order."""
         ...

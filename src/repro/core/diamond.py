@@ -17,10 +17,11 @@ When a live ``B -> C`` edge arrives:
    the group, unboxed).
 
 The batched path splits this in two: steps 1–2 and the ``k`` threshold
-run per distinct-target run as it is inserted (:meth:`DiamondDetector
-.scan_run`), steps 3–4 once per batch over every trigger the scans found
-(:meth:`DiamondDetector.process_batch`), so a target that triggers again
-and again within one batch costs one sort, not one per trigger.
+run once per batch, reading each event as if just inserted
+(:meth:`DiamondDetector.scan_batch`), steps 3–4 once per batch over every
+trigger the scan found (:meth:`DiamondDetector.process_batch`), so a
+target that triggers again and again within one batch costs one sort, not
+one per trigger.
 
 The detector is deliberately stateless beyond its two indexes, so replicas
 holding identical S shards over the same D produce identical output.  It is
@@ -195,33 +196,30 @@ class DiamondDetector:
             for a in recipients
         ]
 
-    def scan_run(
-        self, run: EventBatch, now: float | None, offset: int = 0
+    def scan_batch(
+        self, batch: EventBatch, now: float | None
     ) -> list[tuple[int, object]]:
-        """Scan phase over a distinct-target *run* whose edges are in D.
+        """Scan phase over *batch*, the D position its engine entered.
 
-        Reads the run's freshness (:meth:`~repro.graph.dynamic_index
-        .DynamicEdgeIndex.fresh_run`, so programs sharing one D scan each
-        run once per ``(tau, k, action)``), applies the action filter and
-        the ``k`` threshold, and returns the run's triggers as
-        ``(offset + i, fresh)`` pairs: the event's position in its batch
-        and its raw fresh sources.  The results are owned, so
-        they stay valid while later runs are inserted; the audience phase
-        (:meth:`process_batch`) consumes them once the batch is scanned.
+        Reads the batch's freshness, each event as the per-event loop
+        would right after inserting it (:meth:`~repro.graph.dynamic_index
+        .DynamicEdgeIndex.fresh_batch`, so programs sharing one D scan each
+        batch once per ``(tau, k, action)``), applies the action filter
+        and the ``k`` threshold, and returns the triggers as ``(i, fresh)``
+        pairs: the event's position in the batch and its raw fresh
+        sources.  The results are owned, so they stay valid once the batch
+        is inserted; the audience phase (:meth:`process_batch`) consumes
+        them.
         """
         stats = self.stats
-        stats.events_seen += len(run)
+        stats.events_seen += len(batch)
         k = self.params.k
         action = self.action
-        fresh_lists = self._dynamic.fresh_run(run, now, self.params.tau, k, action)
-        matching = range(len(run)) if action is None else [
-            i for i, a in enumerate(run.columns()[3]) if a is action
+        fresh_lists = self._dynamic.fresh_batch(batch, now, self.params.tau, k, action)
+        matching = range(len(batch)) if action is None else [
+            i for i, a in enumerate(batch.columns()[3]) if a is action
         ]
-        triggers = [
-            (offset + i, fresh_lists[i])
-            for i in matching
-            if len(fresh_lists[i]) >= k
-        ]
+        triggers = [(i, fresh_lists[i]) for i in matching if len(fresh_lists[i]) >= k]
         stats.below_threshold += len(matching) - len(triggers)
         return triggers
 
@@ -235,11 +233,11 @@ class DiamondDetector:
 
         Emits exactly what per-event :meth:`on_edge` calls would — same
         recommendations, same statistics — in two phases.  The *scan*
-        phase (:meth:`scan_run`) runs once per distinct-target run, as
-        that run is inserted: one D read per run, the ``k`` threshold.
-        The *audience* phase runs once per batch over the *triggers* the
-        scans found (:meth:`_audiences`): a target that triggers again and
-        again within the batch is solved by one sort over its witnesses'
+        phase (:meth:`scan_batch`) runs once per batch, before it is
+        inserted: one D read, the ``k`` threshold.  The *audience* phase
+        runs once per batch over the *triggers* the scan found
+        (:meth:`_audiences`): a target that triggers again and again
+        within the batch is solved by one sort over its witnesses'
         follower lists (:meth:`_sliding_audience`), every other trigger by
         its own k-overlap (:meth:`_audience_batch`).  Output stays
         columnar: each triggering event's audience is one
@@ -247,19 +245,15 @@ class DiamondDetector:
         the recipient array directly — no per-candidate boxing — stamped
         with the event's batch position; the batch holds them in event order.
 
-        An engine scans the runs itself and passes *triggers*.  Without
-        them the detector scans here: a standalone detector
-        (``inserts_edges=True``) inserts the batch through
-        :meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.apply_runs`; one
-        constructed with ``inserts_edges=False`` takes *batch* as one
-        distinct-target run whose edges are already in D.
+        An engine scans the batch itself and passes *triggers*.  Without
+        them the detector scans here, and a standalone detector
+        (``inserts_edges=True``) then inserts the batch.
         """
         if triggers is None:
-            runs = self._dynamic.apply_runs(batch, self) if self._inserts_edges else (batch,)
-            triggers, offset = [], 0
-            for run in runs:
-                triggers += self.scan_run(run, now, offset)
-                offset += len(run)
+            opened = self._dynamic.enter(batch, self)
+            triggers = self.scan_batch(batch, now)
+            if opened and self._inserts_edges:
+                self._dynamic.insert_batch(batch)
         if not triggers:
             return EMPTY_RECOMMENDATION_BATCH
         groups: list[RecommendationGroup] = []

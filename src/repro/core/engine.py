@@ -61,7 +61,7 @@ class MotifEngine:
                 :class:`DiamondDetector` with production parameters is
                 registered.  Detectors must have been constructed with
                 ``inserts_edges=False`` — the engine owns the insert — and
-                implement the batched entry points ``scan_run`` and
+                implement the batched entry points ``scan_batch`` and
                 ``process_batch`` (:mod:`repro.core.detector`); a program
                 without them raises :class:`TypeError`.
             track_latency: record per-event detection latency (small
@@ -70,7 +70,6 @@ class MotifEngine:
         """
         self.static_index = static_index
         self.dynamic_index = dynamic_index
-        dynamic_index.attach()
         if detectors is None:
             detectors = [
                 DiamondDetector(
@@ -82,11 +81,11 @@ class MotifEngine:
             ]
         require(len(detectors) > 0, "an engine needs at least one detector")
         for detector in detectors:
-            for method in ("scan_run", "process_batch"):
+            for method in ("scan_batch", "process_batch"):
                 if not callable(getattr(detector, method, None)):
                     raise TypeError(
                         f"detector {detector.name!r} has no {method}; an "
-                        "engine drives its programs through scan_run and "
+                        "engine drives its programs through scan_batch and "
                         "process_batch only"
                     )
         self.detectors: list[OnlineDetector] = list(detectors)
@@ -146,8 +145,7 @@ class MotifEngine:
         """
         started = time.perf_counter() if self._track_latency else 0.0
         index = self.dynamic_index
-        index.enter(event, self)
-        if index.claim(1):
+        if index.enter(event, self):
             index.insert(
                 event.actor, event.target, event.created_at, action=event.action
             )
@@ -181,23 +179,21 @@ class MotifEngine:
         groups, in event order (each group's ``event`` is its triggering
         event's position in *batch*).
 
-        Detection runs in two phases.  The batch is split into maximal
-        distinct-target runs; each run is bulk-inserted into D once and
-        then scanned by every detector program (``scan_run``: the run's
-        freshness read and the ``k`` threshold), which preserves per-event
-        semantics exactly for batch-aware detectors (an event's freshness
-        query reads only its own target's D entry — see
-        :meth:`EventBatch.distinct_target_runs`).  Once every run is in,
-        each program's ``process_batch`` computes the audiences of all the
-        triggers its scans found, in one call per batch.  Engines sharing
-        one D (co-hosted partitions) go through the same rule
-        (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.apply_runs`):
-        the first engine at a batch inserts each run, and every program
+        Detection runs in two phases.  First every detector program scans
+        the batch (``scan_batch``: one freshness read of the whole batch
+        and the ``k`` threshold), reading each event as the per-event loop
+        would right after inserting it
+        (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.fresh_batch`),
+        and then the batch is inserted into D once.  Then each program's
+        ``process_batch`` computes the audiences of all the triggers its
+        scan found, in one call per batch.  Engines sharing one D
+        (co-hosted partitions) go through the same rule
+        (:meth:`~repro.graph.dynamic_index.DynamicEdgeIndex.enter`): the
+        first engine at a batch scans and inserts it, and every program
         with the same ``(tau, k, action)``, in this engine or another, reads
-        the run's kept scan.  There is no other path: run pre-insertion is
-        exact because programs read D only through the target-keyed run
-        scan, which is why the constructor refuses a program without
-        ``scan_run`` / ``process_batch``.
+        the kept scan.  There is no other path: the scan is exact because
+        programs read D only through it, which is why the constructor
+        refuses a program without ``scan_batch`` / ``process_batch``.
 
         Each program's ``process_batch`` returns one columnar batch;
         several programs' batches merge by
@@ -214,13 +210,12 @@ class MotifEngine:
             return EMPTY_RECOMMENDATION_BATCH
         started = time.perf_counter() if self._track_latency else 0.0
         detectors = self.detectors
-        # Scan phase: each run is read as it is inserted.
-        triggers: list[list] = [[] for _ in detectors]
-        start = 0
-        for run in self.dynamic_index.apply_runs(batch, self):
-            for detector, found in zip(detectors, triggers):
-                found += detector.scan_run(run, now, start)
-            start += len(run)
+        index = self.dynamic_index
+        # Scan phase: every program reads the batch, then it is inserted.
+        opened = index.enter(batch, self)
+        triggers = [detector.scan_batch(batch, now) for detector in detectors]
+        if opened:
+            index.insert_batch(batch)
         # Audience phase: once per batch and detector program.
         outs = [
             detector.process_batch(batch, now, found)

@@ -53,7 +53,9 @@ class Recommendation:
         action: the action type of the triggering edge.
         via: the fresh B's whose edges completed the motif, in timestamp
             order — the "3 of the people you follow just followed C"
-            explanation string comes from here.
+            explanation string comes from here.  Every fresh witness,
+            never cut to ``max_trigger_sources`` (which caps only the
+            witnesses whose follower lists the audience expands).
     """
 
     recipient: UserId
@@ -79,6 +81,8 @@ class RecommendationGroup:
     ``via`` may be passed either as the usual tuple or as an ``int64``
     numpy array (the detector hands over its freshness-scan column
     unboxed); :attr:`via` always reads back as a tuple, materialized once.
+    Like :attr:`Recommendation.via` it holds every fresh witness, uncapped
+    by ``max_trigger_sources``.
 
     ``event`` is the batch position of the edge event that triggered the
     group; :meth:`RecommendationBatch.by_event` regroups gathered

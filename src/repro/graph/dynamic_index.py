@@ -32,6 +32,17 @@ pure representation changes — queries, eviction order, and counters are
 bit-identical to an index that never promotes
 (``tests/test_backend_equivalence.py`` enforces this on random streams).
 
+An engine reads D once per batch, *before* inserting it
+(:meth:`DynamicEdgeIndex.fresh_batch`): each event is answered from its
+target's stored entry plus the batch's earlier edges to that target,
+trimmed exactly as the per-event insert would trim them, so the answer is
+the one the per-event loop reads right after its own insert.  A ring-backed
+target repeating in the batch with rising timestamps and distinct sources
+is answered as one sliding window — every event's fresh set a slice of one
+sequence — and any other target per event
+(``tests/test_batch_scan.py`` holds both to the per-event loop).  Then
+:meth:`DynamicEdgeIndex.insert_batch` inserts the batch once.
+
 Contracts the index assumes (violations raise ``ValueError`` where they can
 be detected):
 
@@ -45,7 +56,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,11 +64,14 @@ from repro.graph.ids import UserId
 from repro.util.validation import require_positive
 
 #: Stored-entry count at which a target is promoted from the deque
-#: representation to a columnar ring.  Below this, the plain Python scan
-#: over a handful of tuples beats numpy's fixed dispatch cost; the default
-#: sits at the measured query-cost crossover of the viral-scan row
-#: (``benchmarks/bench_ingest_throughput.py``) — promotion is reserved for
-#: genuinely viral targets, where the vectorized scan wins.
+#: representation to a columnar ring.  Below it, the plain Python scan over
+#: a handful of tuples beats numpy's fixed dispatch cost.  The viral-scan
+#: row (``benchmarks/bench_ingest_throughput.py``) puts the query-cost
+#: crossover at ~64 stored entries (deque 13.4 us vs ring 13.4 us per query;
+#: at 160 entries 35.0 vs 14.8 us), re-measured unchanged under the batch
+#: scan (2-core box).  The default sits well above it: promotion is
+#: reserved for genuinely viral targets, where the vectorized scan (and the
+#: batch scan's sliding window, which only rings take) wins by over 2x.
 DEFAULT_PROMOTE_THRESHOLD = 160
 
 
@@ -134,6 +148,81 @@ class FreshColumns:
         if isinstance(other, (FreshColumns, list)):
             return list(self) == list(other)
         return NotImplemented
+
+
+def _fresh_columns(
+    ts: np.ndarray,
+    src: np.ndarray,
+    act: np.ndarray,
+    now: float,
+    cutoff: float,
+    code: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised freshness query over one target's entries (columns in
+    arrival order).
+
+    Returns ``(timestamps, sources, codes)`` of the fresh edges after
+    per-source dedup (latest timestamp wins; arrival order breaks ties
+    toward the earliest, matching the deque scan's strict ``timestamp >
+    previous`` replacement), ordered by ascending ``(timestamp, source)``.
+    The returned arrays are always *owned* (never views of the input), so
+    callers may hold them across later inserts — the batched detector
+    keeps the source column as a recommendation group's lazily-decoded
+    witness list.
+    """
+    if code is None and len(ts) and ts.min() >= cutoff and ts.max() <= now:
+        # Whole window fresh (the common case mid-burst: retention is
+        # wider than tau only pathologically, and `now` trails the newest
+        # edge) — skip the mask and its three fancy-index copies; the
+        # dedup below works on the raw views.
+        pass
+    else:
+        mask = (ts >= cutoff) & (ts <= now)
+        if code is not None:
+            mask &= act == code
+        ts = ts[mask]
+        src = src[mask]
+        act = act[mask]
+    n = len(ts)
+    if n <= 1:
+        # The dedup path below always produces fresh arrays via fancy
+        # indexing; match that ownership here (the no-mask fast path would
+        # otherwise leak a view of the input).
+        return ts.copy(), src.copy(), act.copy()
+    # Latest edge per distinct source.  Sort by (source, timestamp,
+    # arrival-desc) and keep each source group's last element: the max
+    # timestamp, and among equal timestamps the *earliest* arrival (larger
+    # -arrival sorts later).
+    arrival = np.arange(n)
+    order = np.lexsort((-arrival, ts, src))
+    src_sorted = src[order]
+    last = np.empty(n, dtype=bool)
+    last[-1] = True
+    np.not_equal(src_sorted[1:], src_sorted[:-1], out=last[:-1])
+    keep = order[last]
+    ts, src, act = ts[keep], src[keep], act[keep]
+    final = np.lexsort((src, ts))
+    return ts[final], src[final], act[final]
+
+
+def _fresh_tuples(entries, now: float, cutoff: float, action: object | None) -> list:
+    """The deque twin of :func:`_fresh_columns` over stored ``(timestamp,
+    source, action)`` tuples in arrival order: the latest fresh tuple per
+    source, sorted by ``(timestamp, source)``."""
+    latest: dict[UserId, tuple[float, object | None]] = {}
+    for timestamp, b, edge_action in entries:
+        if timestamp < cutoff or timestamp > now:
+            continue
+        if action is not None and edge_action is not action:
+            continue
+        previous = latest.get(b)
+        if previous is None or timestamp > previous[0]:
+            latest[b] = (timestamp, edge_action)
+    # Tuple order (t, b, action) sorts by (timestamp, source): b is unique
+    # per entry, so the action field never compares.
+    flat = [(t, b, edge_action) for b, (t, edge_action) in latest.items()]
+    flat.sort()
+    return flat
 
 
 class _HotRing:
@@ -258,56 +347,9 @@ class _HotRing:
             return column[self.start : stop]
         return np.concatenate((column[self.start :], column[: stop - capacity]))
 
-    def fresh_arrays(
-        self, now: float, cutoff: float, code: int | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised freshness query over the live window.
-
-        Returns ``(timestamps, sources, codes)`` of the fresh edges after
-        per-source dedup (latest timestamp wins; arrival order breaks
-        ties toward the earliest, matching the deque scan's strict
-        ``timestamp > previous`` replacement), ordered by ascending
-        ``(timestamp, source)``.  The returned arrays are always *owned*
-        (never live views of the ring), so callers may hold them across
-        later inserts — the batched detector keeps the source column as a
-        recommendation group's lazily-decoded witness list.
-        """
-        ts = self._ordered(self.ts)
-        src = self._ordered(self.src)
-        act = self._ordered(self.act)
-        if code is None and len(ts) and ts.min() >= cutoff and ts.max() <= now:
-            # Whole window fresh (the common case mid-burst: retention is
-            # wider than tau only pathologically, and `now` trails the
-            # newest edge) — skip the mask and its three fancy-index
-            # copies; the dedup below works on the raw views.
-            pass
-        else:
-            mask = (ts >= cutoff) & (ts <= now)
-            if code is not None:
-                mask &= act == code
-            ts = ts[mask]
-            src = src[mask]
-            act = act[mask]
-        n = len(ts)
-        if n <= 1:
-            # The dedup path below always produces fresh arrays via fancy
-            # indexing; match that ownership here (the no-mask fast path
-            # would otherwise leak a live ring view).
-            return ts.copy(), src.copy(), act.copy()
-        # Latest edge per distinct source.  Sort by (source, timestamp,
-        # arrival-desc) and keep each source group's last element: the
-        # max timestamp, and among equal timestamps the *earliest*
-        # arrival (larger -arrival sorts later).
-        arrival = np.arange(n)
-        order = np.lexsort((-arrival, ts, src))
-        src_sorted = src[order]
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        np.not_equal(src_sorted[1:], src_sorted[:-1], out=last[:-1])
-        keep = order[last]
-        ts, src, act = ts[keep], src[keep], act[keep]
-        final = np.lexsort((src, ts))
-        return ts[final], src[final], act[final]
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live ``(timestamps, sources, codes)`` in arrival order."""
+        return self._ordered(self.ts), self._ordered(self.src), self._ordered(self.act)
 
     # -- deque-compatible protocol -------------------------------------
 
@@ -377,139 +419,90 @@ class DynamicEdgeIndex:
         #: alive by the table, so ids cannot be recycled.
         self._action_table: list = [None]
         self._action_codes: dict[int, int] = {}
-        #: Stream position (see :meth:`enter`): the engines reading this D
-        #: (:meth:`attach`), the batch or event being ingested, the ids of
-        #: the engines that entered it (ids, so D and its engines form no
-        #: reference cycle), how many of its leading events are inserted,
-        #: its shared runs, and the scans kept per run and key.
-        self._sharers = 0
+        #: Stream position (see :meth:`enter`): the batch or event being
+        #: ingested, the ids of the engines that entered it (ids, so D and
+        #: its engines form no reference cycle), and its scans kept by key.
         self._position: object = None
         self._consumers: set[int] = set()
-        self._applied = 0
-        self._runs: list | None = None
-        self._scans: dict[int, dict] = {}
+        self._scans: dict[tuple, list] = {}
+        #: Lifetime counts of ring-backed targets repeating within a
+        #: pending scan: answered as one sliding window, or per event.
+        self.sliding_targets = 0
+        self.fallback_targets = 0
 
     # ------------------------------------------------------------------
     # Stream position (one D shared by co-hosted engines)
     # ------------------------------------------------------------------
 
-    def enter(self, position: object, consumer: object) -> None:
+    def enter(self, position: object, consumer: object) -> bool:
         """Put *consumer* (an engine) at *position*: the batch or event it
-        is about to ingest.
+        is about to ingest.  Returns whether *consumer* opened the
+        position, in which case it inserts the position's edges once it
+        has read them (:meth:`fresh_batch`); an engine that joins inserts
+        nothing.
 
         Engines in one address space share one D and each ingests the
         whole stream, so every batch object arrives once per engine.  The
-        first engine at a batch opens a new position with nothing inserted
-        or scanned; later engines join it, find its events inserted
-        (:meth:`claim` is False) and its runs scanned (:meth:`fresh_run`
-        returns the kept result).  An engine entering the position it
-        already consumed has moved on in the stream, so a D with one reader
-        opens a new position on every call.
+        first engine at a batch opens a new position with nothing kept;
+        later engines join it and read its kept scans.  An engine entering
+        the position it already consumed has moved on in the stream, so a
+        D with one reader opens a new position on every call.
         """
         consumer_id = id(consumer)
         if position is self._position and consumer_id not in self._consumers:
             self._consumers.add(consumer_id)
-            return
+            return False
         self._position = position
         self._consumers = {consumer_id}
-        self._applied = 0
-        self._runs = None
         self._scans = {}
-
-    def attach(self) -> None:
-        """Count one more engine reading this D: a batch's kept scans are
-        dropped once that many engines went through it, and a private D
-        keeps none."""
-        self._sharers += 1
+        return True
 
     def leave(self) -> None:
         """Drop the current position, so the index holds nothing of the
         batch once every engine is done with it (a worker's batch is a
         view of its ring slot); the next batch opens a new position."""
         self._position = None
-        self._runs = None
         self._scans = {}
 
-    def claim(self, stop: int) -> bool:
-        """Whether the current position's events before *stop* still need
-        inserting: True moves the applied mark to *stop* and the caller
-        inserts the events since the previous claim; False means an
-        earlier engine at this position already did."""
-        if stop <= self._applied:
-            return False
-        self._applied = stop
-        return True
-
-    def apply_runs(self, batch, consumer: object) -> Iterator:
-        """Yield *batch*'s distinct-target runs to *consumer*, each in D.
-
-        The batched form of :meth:`enter` / :meth:`claim`.  The first
-        engine at the position splits the batch
-        (:meth:`~repro.core.batch.EventBatch.distinct_target_runs`) and
-        inserts each run just before it is yielded, so detection over a
-        run sees D exactly as the per-event loop would.  Engines that join
-        get the same run objects with nothing left to insert, and read
-        each run's scan from :meth:`fresh_run`.
-        """
-        self.enter(batch, consumer)
-        runs = self._runs
-        if runs is None:
-            spans = batch.distinct_target_runs()
-            if len(spans) == 1:
-                runs = [batch]
-            else:
-                runs = [batch.slice(start, stop) for start, stop in spans]
-            self._runs = runs
-            if self._sharers > 1:
-                self._scans = {id(run): {} for run in runs}
-        stop = 0
-        for run in runs:
-            stop += len(run)
-            if self.claim(stop):
-                self.insert_batch(run, distinct_targets=True)
-            yield run
-        if len(self._consumers) >= self._sharers:
-            # Every engine reading this D has scanned the batch.
-            self._scans = {}
-
-    def fresh_run(
+    def fresh_batch(
         self,
-        run,
+        batch,
         now: float | None,
         tau: float,
         min_count: int,
         action: object | None = None,
     ) -> list:
-        """Raw freshness of each event of a distinct-target *run*, read at
-        ``max(created_at, now)``: :meth:`fresh_sources_multi` with
-        ``action``, ``min_count`` and ``raw=True``.
+        """Raw freshness of each event of *batch*, the current position,
+        read at ``max(created_at, now)`` as the per-event loop would right
+        after inserting it: :meth:`fresh_sources_multi` with
+        ``pending=batch``, ``action``, ``min_count`` and ``raw=True``.
 
-        A run of the current position is scanned by its first reader per
-        ``(now, tau, min_count, action)`` and the result kept until every
-        attached engine has been through the batch (:meth:`apply_runs`) —
-        once the first engine has inserted later runs, D no longer looks as
-        it did when this run arrived, so every other program with that key,
-        in this engine or a later one, reads the kept result.  Results are owned lists and arrays (see
-        :meth:`_HotRing.fresh_arrays`), so holding them across later
-        inserts is safe.  Any other run, and any run of a D with one
-        reader, is scanned as is: that reader's engine has not inserted
-        past it yet.
+        The opening engine reads the batch before inserting it; each
+        ``(now, tau, min_count, action)`` is scanned once and kept for the
+        position, so every other program with that key, in this engine or
+        a joining one, reads the kept result (a batch that is not the
+        current position is scanned and not kept).  Results are owned
+        lists and arrays, so holding them across the insert is safe.
         """
-        kept = self._scans.get(id(run))
         key = (now, tau, min_count, action)
-        if kept is not None:
-            fresh = kept.get(key)
-            if fresh is not None:
-                return fresh
-        timestamps, _actors, targets, _actions = run.columns()
-        if now is not None:
-            # One C-speed clamp against the processing clock.
-            timestamps = np.maximum(run.timestamps, now).tolist()
-        fresh = self.fresh_sources_multi(
-            targets, timestamps, tau, action, min_count=min_count, raw=True
-        )
-        if kept is not None:
-            kept[key] = fresh
+        current = batch is self._position
+        fresh = self._scans.get(key) if current else None
+        if fresh is None:
+            if current and len(self._consumers) > 1:
+                raise RuntimeError(
+                    "a joining engine asked for a scan the opening engine "
+                    "did not make; engines sharing one D must run programs "
+                    "of the same (tau, k, action) at the same now"
+                )
+            timestamps, _actors, targets, _actions = batch.columns()
+            if now is not None:
+                # One C-speed clamp against the processing clock.
+                timestamps = np.maximum(batch.timestamps, now).tolist()
+            fresh = self.fresh_sources_multi(
+                targets, timestamps, tau, action, min_count, raw=True, pending=batch
+            )
+            if current:
+                self._scans[key] = fresh
         return fresh
 
     # ------------------------------------------------------------------
@@ -618,7 +611,7 @@ class DynamicEdgeIndex:
         self._num_edges += 1 - evicted
         self._evicted_total += evicted
 
-    def insert_batch(self, batch, distinct_targets: bool = False) -> None:
+    def insert_batch(self, batch) -> None:
         """Insert every edge of an :class:`~repro.core.batch.EventBatch`.
 
         Equivalent to calling :meth:`insert` once per event in batch order,
@@ -626,9 +619,8 @@ class DynamicEdgeIndex:
         prune, and one cap application per *distinct target* in the batch
         instead of per event.
 
-        ``distinct_targets=True`` asserts the caller already knows no
-        target repeats in the batch (an engine run), skipping the grouping
-        pass entirely.
+        A batch whose targets are all distinct (the cold firehose's usual
+        batch) skips the grouping pass entirely.
 
         The bulk per-target path is taken only when it is provably identical
         to the interleaved loop: the group cannot overflow the per-target
@@ -651,7 +643,7 @@ class DynamicEdgeIndex:
         inserted = 0
         evicted = 0
 
-        if distinct_targets:
+        if len(set(targets)) == len(targets):
             # Same append/prune/cap block as the fallback loop below; both
             # must stay in sync with insert().  Kept inline: a shared
             # helper would cost one function call per event on the hottest
@@ -753,7 +745,7 @@ class DynamicEdgeIndex:
                     evicted += entry.drop_stale(t_max - retention)
             else:
                 # Exact replica of the per-event insert loop for this
-                # target (same block as the distinct_targets fast path
+                # target (same block as the distinct-target fast path
                 # above — the two must stay in sync with insert()).
                 for i in idxs:
                     timestamp = timestamps[i]
@@ -893,7 +885,9 @@ class DynamicEdgeIndex:
             return []
         cutoff = now - tau
         if type(entry) is not deque:
-            ts, src, act = entry.fresh_arrays(now, cutoff, self._filter_code(action))
+            ts, src, act = _fresh_columns(
+                *entry.columns(), now, cutoff, self._filter_code(action)
+            )
             table = self._action_table
             return [
                 FreshEdge(source=b, timestamp=t, action=table[code])
@@ -907,20 +901,9 @@ class DynamicEdgeIndex:
             if action is not None and edge_action is not action:
                 return []
             return [FreshEdge(source=b, timestamp=timestamp, action=edge_action)]
-        latest: dict[UserId, tuple[float, object | None]] = {}
-        for timestamp, b, edge_action in entry:
-            if timestamp < cutoff or timestamp > now:
-                continue
-            if action is not None and edge_action is not action:
-                continue
-            previous = latest.get(b)
-            if previous is None or timestamp > previous[0]:
-                latest[b] = (timestamp, edge_action)
         return [
             FreshEdge(source=b, timestamp=t, action=edge_action)
-            for b, (t, edge_action) in sorted(
-                latest.items(), key=lambda item: (item[1][0], item[0])
-            )
+            for t, b, edge_action in _fresh_tuples(entry, now, cutoff, action)
         ]
 
     def fresh_sources_multi(
@@ -931,6 +914,7 @@ class DynamicEdgeIndex:
         action: object | None = None,
         min_count: int = 0,
         raw: bool = False,
+        pending=None,
     ) -> list[list[FreshEdge]] | list[list[tuple[float, UserId, object | None]]]:
         """Batched :meth:`fresh_sources`: one call for many ``(c, now)`` pairs.
 
@@ -957,6 +941,12 @@ class DynamicEdgeIndex:
         targets go one step further and return a :class:`FreshColumns`
         (same edges as numpy columns; iterates/compares as the same
         tuples).
+
+        *pending* is an :class:`~repro.core.batch.EventBatch` not yet in D
+        whose events are the queries (*targets* is its target column):
+        query *i* reads D as the per-event loop would right after
+        inserting ``pending[:i + 1]`` (:meth:`_fresh_pending`; results are
+        raw).  Nothing is inserted.
         """
         require_positive(tau, "tau")
         if tau > self.retention:
@@ -964,6 +954,8 @@ class DynamicEdgeIndex:
                 f"tau={tau} exceeds retention={self.retention}; "
                 "fresh edges may already have been pruned"
             )
+        if pending is not None:
+            return self._fresh_pending(pending, targets, nows, tau, action, min_count)
         edges = self._edges
         empty = _NO_FRESH_SOURCES
         filter_code = self._filter_code(action)
@@ -976,69 +968,150 @@ class DynamicEdgeIndex:
                 append(empty)
                 continue
             cutoff = now - tau
-            if type(entry) is not deque:
-                # Columnar hot target: one vectorized select + dedup + sort.
-                ts, src, act = entry.fresh_arrays(now, cutoff, filter_code)
-                if not len(ts):
+            if type(entry) is deque:
+                fresh = _fresh_tuples(entry, now, cutoff, action)
+                if not fresh:
                     append(empty)
                 elif raw:
-                    # Stay columnar: boxing a tuple per edge here would eat
-                    # the vectorized scan's entire win on viral targets.
-                    append(FreshColumns(ts, src, act, table))
+                    append(fresh)
                 else:
-                    append(
-                        [
-                            FreshEdge(source=b, timestamp=t, action=table[code])
-                            for t, b, code in zip(
-                                ts.tolist(), src.tolist(), act.tolist()
-                            )
-                        ]
-                    )
+                    append([FreshEdge(b, t, edge_action) for t, b, edge_action in fresh])
                 continue
-            if len(entry) == 1:
-                head = entry[0]
-                timestamp, b, edge_action = head
-                if (
-                    timestamp < cutoff
-                    or timestamp > now
-                    or (action is not None and edge_action is not action)
-                ):
-                    append(empty)
-                elif raw:
-                    append([head])
-                else:
-                    append(
-                        [FreshEdge(source=b, timestamp=timestamp, action=edge_action)]
-                    )
-                continue
-            latest: dict[UserId, tuple[float, object | None]] = {}
-            for timestamp, b, edge_action in entry:
-                if timestamp < cutoff or timestamp > now:
-                    continue
-                if action is not None and edge_action is not action:
-                    continue
-                previous = latest.get(b)
-                if previous is None or timestamp > previous[0]:
-                    latest[b] = (timestamp, edge_action)
-            if raw:
-                # Tuple order (t, b, action) sorts by (timestamp, source):
-                # b is unique per entry, so the action field never compares.
-                flat = [
-                    (t, b, edge_action)
-                    for b, (t, edge_action) in latest.items()
-                ]
-                flat.sort()
-                append(flat)
+            # Columnar hot target: one vectorized select + dedup + sort.
+            ts, src, act = _fresh_columns(*entry.columns(), now, cutoff, filter_code)
+            if not len(ts):
+                append(empty)
+            elif raw:
+                # Stay columnar: boxing a tuple per edge here would eat the
+                # vectorized scan's entire win on viral targets.
+                append(FreshColumns(ts, src, act, table))
             else:
                 append(
                     [
-                        FreshEdge(source=b, timestamp=t, action=edge_action)
-                        for b, (t, edge_action) in sorted(
-                            latest.items(), key=lambda item: (item[1][0], item[0])
-                        )
+                        FreshEdge(source=b, timestamp=t, action=table[code])
+                        for t, b, code in zip(ts.tolist(), src.tolist(), act.tolist())
                     ]
                 )
         return results
+
+    def _fresh_pending(self, pending, targets, nows, tau, action, min_count) -> list:
+        """Raw freshness of *pending*'s events, each read right after its
+        own insert, without inserting anything.
+
+        Each target's events see its stored entry followed by the batch's
+        edges to it, trimmed by the per-event loop's append → time-prune →
+        cap sequence.  A ring-backed target repeating in
+        the batch whose stored and pending edges have strictly increasing
+        timestamps and distinct sources needs no per-event scan: each
+        window is then its own fresh set, and each event's fresh set is a
+        contiguous slice of that one sequence, starting at the later of
+        the prune + cap head and the ``now - tau`` cutoff — one
+        ``searchsorted`` per bound for the whole group
+        (:attr:`sliding_targets`).  Every other target is scanned per
+        event over its window (:attr:`fallback_targets` counts the
+        ring-backed repeating ones), exactly as the per-event loop would
+        scan D.
+        """
+        timestamps, actors, _targets, actions = pending.columns()
+        if len(set(targets)) == len(targets):
+            # No target repeats (the cold firehose's usual batch): every
+            # group is one event, as a 1-tuple, without a grouping pass.
+            groups = zip(targets, zip(range(len(targets))))
+        else:
+            grouped: dict[UserId, list[int]] = {}
+            for i, c in enumerate(targets):
+                group = grouped.get(c)
+                if group is None:
+                    grouped[c] = [i]
+                else:
+                    group.append(i)
+            groups = grouped.items()
+        results = [_NO_FRESH_SOURCES] * len(targets)
+        edges = self._edges
+        retention = self.retention
+        cap = self.max_edges_per_target
+        for c, idxs in groups:
+            entry = edges.get(c)
+            stored = len(entry) if entry is not None else 0
+            if stored + len(idxs) < min_count:
+                continue  # no window reaches min_count
+            if type(entry) is _HotRing:
+                self._fresh_ring(entry, idxs, pending, nows, tau, action, min_count, results)
+                continue
+            # The per-event loop over a copy: append, time-prune, cap (the
+            # window is window[head:]), then read.
+            window = list(entry) if entry else []
+            head = 0
+            for i in idxs:
+                timestamp = timestamps[i]
+                window.append((timestamp, actors[i], actions[i]))
+                cutoff = timestamp - retention
+                while window[head][0] < cutoff:
+                    head += 1
+                if cap is not None and len(window) - head > cap:
+                    head = len(window) - cap
+                if len(window) - head >= min_count:
+                    now = nows[i]
+                    fresh = _fresh_tuples(
+                        window[head:] if head else window, now, now - tau, action
+                    )
+                    if fresh:
+                        results[i] = fresh
+        return results
+
+    def _fresh_ring(self, ring, idxs, pending, nows, tau, action, min_count, results) -> None:
+        """:meth:`_fresh_pending` for one ring-backed target's events."""
+        idxs = list(idxs)
+        m = len(idxs)
+        actions = pending.columns()[3]
+        stored_ts, stored_src, stored_act = ring.columns()
+        ts = np.concatenate((stored_ts, pending.timestamps[idxs]))
+        src = np.concatenate((stored_src, pending.actors[idxs]))
+        encode = self._encode_action
+        codes = np.fromiter((encode(actions[i]) for i in idxs), np.uint16, m)
+        act = np.concatenate((stored_act, codes))
+        code = self._filter_code(action)
+        table = self._action_table
+        stored = ring.count
+        if m > 1 and (ts[1:] > ts[:-1]).all() and len(np.unique(src)) == len(src):
+            # The sliding window (see _fresh_pending): event j's window is
+            # [head, end), its fresh set [max(head, now - tau cut), end).
+            self.sliding_targets += 1
+            ends = np.arange(stored + 1, stored + m + 1)
+            heads = np.searchsorted(ts, ts[stored:] - self.retention)
+            if self.max_edges_per_target is not None:
+                heads = np.maximum(heads, ends - self.max_edges_per_target)
+            event_nows = np.array([nows[i] for i in idxs])
+            starts = np.maximum(heads, np.searchsorted(ts, event_nows - tau))
+            stops = np.minimum(ends, np.searchsorted(ts, event_nows, side="right"))
+            stops[ends - heads < min_count] = 0  # the min_count hint, per window
+            if code is not None:
+                keep = np.flatnonzero(act == code)
+                ts, src, act = ts[keep], src[keep], act[keep]
+                starts, stops = np.searchsorted(keep, starts), np.searchsorted(keep, stops)
+            for i, a, b in zip(idxs, starts.tolist(), stops.tolist()):
+                if b > a:
+                    results[i] = FreshColumns(ts[a:b], src[a:b], act[a:b], table)
+            return
+        if m > 1:
+            self.fallback_targets += 1
+        # The per-event loop's append → time-prune → cap, as in
+        # _fresh_pending: the window after event i is ts[head:end].
+        head = 0
+        cap = self.max_edges_per_target
+        for end, i in enumerate(idxs, stored + 1):
+            cutoff = ts[end - 1] - self.retention
+            while ts[head] < cutoff:
+                head += 1
+            if cap is not None and end - head > cap:
+                head = end - cap
+            if end - head >= min_count:
+                now = nows[i]
+                fresh = _fresh_columns(
+                    ts[head:end], src[head:end], act[head:end], now, now - tau, code
+                )
+                if len(fresh[0]):
+                    results[i] = FreshColumns(*fresh, table)
 
     def targets(self) -> Iterable[UserId]:
         """All C's that currently have at least one stored edge."""

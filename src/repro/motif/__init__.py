@@ -21,7 +21,7 @@ partitioned (S, D) infrastructure can serve:
 
 There is no second executor: a compiled motif is the same program the
 engine, the partitions and every transport already run, so co-hosted
-motifs share one D, one insert and one run scan per ``(tau, k, action)``.
+motifs share one D, one insert and one batch scan per ``(tau, k, action)``.
 """
 
 from repro.motif.spec import (

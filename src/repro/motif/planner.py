@@ -16,7 +16,7 @@ dynamic edge's window its ``tau`` and its action the detector's action
 filter, ``distinct_emit`` the recipient != candidate cut, the forbid edge
 the S probe, ``exclude_witnesses`` the witness cut, and the spec's name the
 candidates' motif.  Every motif therefore runs on the batched kernel and
-shares D, its inserts and its run scans with every other program.
+shares D, its inserts and its batch scans with every other program.
 
 Everything else raises :class:`UnsupportedMotifError` with an explanation
 of what would be needed (usually: an additional index).  This mirrors how
@@ -48,7 +48,10 @@ def compile_motif(
             which is enough to validate and explain a spec.
         inserts_edges: see :class:`~repro.core.diamond.DiamondDetector`
             (False when an engine owns the single insert).
-        max_witnesses: optional viral-target expansion cap.
+        max_witnesses: optional viral-target expansion cap: the audience
+            is the k-overlap of the newest ``max_witnesses`` fresh
+            witnesses only, while a candidate's ``via`` still lists every
+            fresh witness, uncapped (what the per-event ``on_edge`` emits).
 
     Raises:
         UnsupportedMotifError: if the spec is outside the star fragment.

@@ -76,7 +76,7 @@ def test_random_streams_equivalent(seed, burst_actors, cap):
     """Random generated streams: per-event and batched paths agree exactly.
 
     The small id space forces repeated targets inside batches (exercising
-    the distinct-target-run splitting) and the optional tiny per-target cap
+    the batch scan's per-target windows) and the optional tiny per-target cap
     exercises the insert_batch cap fallback.
     """
     snapshot = generate_follow_graph(
@@ -127,7 +127,7 @@ def test_equal_timestamp_ties_are_exact():
 
     Ties are where a naive whole-batch insert would diverge (a later
     same-time edge would leak into an earlier event's freshness window);
-    the run splitting must prevent that.
+    the batch scan's per-event windows must prevent that.
     """
     snapshot = generate_follow_graph(
         TwitterGraphConfig(num_users=60, mean_followings=6.0, seed=3)
@@ -197,9 +197,9 @@ HUB_PARAMS = DetectionParams(k=2, tau=600.0)
 
 @functools.cache
 def hub_burst_stream():
-    """Bursts on a few hub targets: repeated targets split most batches
-    into many distinct-target runs — where a partition reading a shared D
-    after another partition inserted the whole batch would go wrong."""
+    """Bursts on a few hub targets: targets repeat within most batches —
+    where a partition reading a shared D after another partition inserted
+    the whole batch would go wrong."""
     return bursty_workload(
         num_users=800,
         duration=200.0,
@@ -219,8 +219,8 @@ def cluster_multiset(recommendations):
 def flush_clock_batches(events, batch_size):
     """``(batch, now)`` pairs with the flush clock a streaming consumer
     passes: the batch's last creation time.  Under that clock a later
-    run's edges are inside an earlier run's freshness window, so a scan
-    read after the whole batch was inserted would see them."""
+    event's edge is inside an earlier event's freshness window, so a scan
+    read after the whole batch was inserted would see it."""
     for i in range(0, len(events), batch_size):
         chunk = events[i : i + batch_size]
         yield chunk, chunk[-1].created_at
@@ -298,15 +298,15 @@ def diamond_stats(cluster):
     ]
 
 
-def test_hub_burst_stream_splits_batches_into_runs():
-    """The grid below is only a test of the shared scan if batches split."""
+def test_hub_burst_stream_repeats_targets_within_batches():
+    """The grid below is only a test of the shared scan if batches repeat
+    targets: each repeat must see its batch's earlier edges to the target."""
     _snapshot, events = hub_burst_stream()
-    batches = [
-        EventBatch.from_events(events[i : i + 256])
-        for i in range(0, len(events), 256)
-    ]
-    runs = sum(len(batch.distinct_target_runs()) for batch in batches)
-    assert runs > 4 * len(batches)
+    batches = [events[i : i + 256] for i in range(0, len(events), 256)]
+    repeats = sum(
+        len(batch) - len({event.target for event in batch}) for batch in batches
+    )
+    assert repeats > 4 * len(batches)
 
 
 @pytest.mark.parametrize("batch_size", [1, 16, 256])
@@ -315,8 +315,8 @@ def test_hub_burst_stream_splits_batches_into_runs():
 def test_shared_d_cluster_matches_oracle_and_private_d(
     partitions, replicas, batch_size
 ):
-    """All P x R in-process engines share one D, inserted and scanned once
-    per run: same candidates as the boxed oracle and as a private-D
+    """All P x R in-process engines share one D, scanned and inserted once
+    per batch: same candidates as the boxed oracle and as a private-D
     deployment, same per-partition detector statistics (all five
     counters, against the per-event oracle too: the batch-level audience
     phase does the trigger and empty-list counting), same D."""

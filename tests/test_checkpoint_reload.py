@@ -198,7 +198,7 @@ class TestStaticReload:
             def on_edge(self, event, now=None):
                 return []
 
-            def scan_run(self, run, now, offset=0):
+            def scan_batch(self, batch, now):
                 return []
 
             def process_batch(self, batch, now=None, triggers=None):

@@ -56,7 +56,6 @@ class TestEventBatch:
         batch = EventBatch.empty()
         assert len(batch) == 0
         assert batch.to_events() == []
-        assert batch.distinct_target_runs() == []
 
     def test_slice_is_view(self):
         batch = EventBatch.from_events(EVENTS)
@@ -65,23 +64,46 @@ class TestEventBatch:
         assert view.to_events() == EVENTS[1:3]
         assert view.timestamps.base is not None  # numpy view, not a copy
 
-    def test_distinct_target_runs_no_repeats(self):
+    def test_scan_of_distinct_targets_reads_each_event_alone(self):
         batch = EventBatch([1.0, 2.0, 3.0], [1, 2, 3], [7, 8, 9])
-        assert batch.distinct_target_runs() == [(0, 3)]
+        assert scan_batch(batch) == per_event_scans(batch)
+        assert [[b for _t, b, _a in fresh] for fresh in scan_batch(batch)] == [
+            [1], [2], [3]
+        ]
 
-    def test_distinct_target_runs_split_on_repeat(self):
+    def test_scan_of_repeated_targets_sees_earlier_edges(self):
         batch = EventBatch(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 2, 3, 4, 5], [7, 8, 7, 7, 9]
         )
-        runs = batch.distinct_target_runs()
-        assert runs == [(0, 2), (2, 3), (3, 5)]
-        # Within every run the targets are distinct, and the runs tile the
-        # batch exactly.
-        targets = batch.targets.tolist()
-        assert [t for s, e in runs for t in targets[s:e]] == targets
-        for start, stop in runs:
-            run_targets = targets[start:stop]
-            assert len(set(run_targets)) == len(run_targets)
+        # A repeat sees the batch's earlier edges to its target, never a
+        # later one.
+        assert scan_batch(batch) == per_event_scans(batch)
+        assert [[b for _t, b, _a in fresh] for fresh in scan_batch(batch)] == [
+            [1], [2], [1, 3], [1, 3, 4], [5]
+        ]
+
+
+def scan_batch(batch):
+    """D's one-pass batch scan, read before the batch is inserted."""
+    from repro.graph import DynamicEdgeIndex
+
+    index = DynamicEdgeIndex(retention=100.0)
+    index.enter(batch, "engine")
+    return index.fresh_batch(batch, None, 100.0, 0)
+
+
+def per_event_scans(batch):
+    """The per-event loop: insert each event, then read its target."""
+    from repro.graph import DynamicEdgeIndex
+
+    index = DynamicEdgeIndex(retention=100.0)
+    scans = []
+    for event in batch.to_events():
+        index.insert(event.actor, event.target, event.created_at, event.action)
+        scans += index.fresh_sources_multi(
+            [event.target], [event.created_at], 100.0, raw=True
+        )
+    return scans
 
 
 class TestIterEventBatches:

@@ -52,6 +52,53 @@ class TestEngineMechanics:
         engine.process(EdgeEvent(0.0, B1, C2))
         assert d.inserted_total == 1  # one insert despite two programs
 
+    def test_co_hosted_engines_scan_and_insert_each_batch_once(self):
+        """Two engines on one D, two same-key programs each: one insert
+        and one scan per batch between all four programs, and the same
+        candidates and D as each engine on a private D."""
+        from repro.core.batch import iter_event_batches
+
+        s = StaticFollowerIndex.from_follow_edges(FIGURE1_FOLLOWS)
+        params = DetectionParams(k=2, tau=600.0)
+        # C2 repeats within a batch: the scan must not be the post-insert D.
+        events = [
+            EdgeEvent(0.0, B1, C2),
+            EdgeEvent(1.0, A2, 7),
+            EdgeEvent(2.0, B2, C2),
+            EdgeEvent(3.0, 5, C2),
+        ]
+
+        def engines(d):
+            return [
+                MotifEngine(
+                    s,
+                    d,
+                    [DiamondDetector(s, d, params, inserts_edges=False) for _ in range(2)],
+                )
+                for _ in range(2)
+            ]
+
+        shared = DynamicEdgeIndex(retention=600.0)
+        calls = {"insert_batch": 0, "fresh_sources_multi": 0}
+        for name in calls:
+            def counted(*args, _method=getattr(shared, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+
+            setattr(shared, name, counted)
+        co_hosted = engines(shared)
+        privates = [engines(DynamicEdgeIndex(retention=600.0))[0] for _ in range(2)]
+        batches = list(iter_event_batches(events, 2)) + list(iter_event_batches(events[::-1], 4))
+        for batch in batches:
+            got = [engine.process_batch(batch, 10.0) for engine in co_hosted]
+            want = [engine.process_batch(batch, 10.0) for engine in privates]
+            assert got == want
+        assert calls == {"insert_batch": len(batches), "fresh_sources_multi": len(batches)}
+        assert shared.inserted_total == 2 * len(events)
+        for c in shared.targets():
+            assert shared.entries(c) == privates[0].dynamic_index.entries(c)
+        assert all(engine.stats.recommendations_emitted for engine in co_hosted)
+
     def test_requires_a_detector(self):
         s = StaticFollowerIndex.from_follow_edges(FIGURE1_FOLLOWS)
         d = DynamicEdgeIndex(retention=600.0)
@@ -67,9 +114,9 @@ class TestEngineMechanics:
 
         s = StaticFollowerIndex.from_follow_edges(FIGURE1_FOLLOWS)
         d = DynamicEdgeIndex(retention=600.0)
-        with pytest.raises(TypeError, match="'on-edge-only' has no scan_run"):
+        with pytest.raises(TypeError, match="'on-edge-only' has no scan_batch"):
             MotifEngine(s, d, [OnEdgeOnly()])
-        OnEdgeOnly.scan_run = lambda self, run, now, offset=0: []
+        OnEdgeOnly.scan_batch = lambda self, batch, now: []
         with pytest.raises(TypeError, match="has no process_batch"):
             MotifEngine(s, d, [OnEdgeOnly()])
 

@@ -348,8 +348,8 @@ class TestRingBulkExtend:
 
 
 class TestSharedStreamPosition:
-    """One D shared by several engines: each batch inserted and each run
-    scanned once, whichever engine gets there first."""
+    """One D shared by several engines: each batch scanned once per key
+    and inserted once, whichever engine gets there first."""
 
     def test_clone_from_itself_keeps_the_index(self):
         index = make_index()
@@ -362,23 +362,20 @@ class TestSharedStreamPosition:
             FreshEdge(2, 1.0),
         ]
 
-    def test_second_engine_at_a_position_skips_the_insert(self):
+    def test_second_engine_at_a_position_does_not_insert(self):
         index = make_index()
         first, second, batch = object(), object(), object()
-        index.enter(batch, first)
-        assert index.claim(1)
-        index.enter(batch, second)
-        assert not index.claim(1)
+        assert index.enter(batch, first)
+        assert not index.enter(batch, second)
         # The same engine at the same object again has moved on: a new
         # position, so a private D inserts every batch it is given.
-        index.enter(batch, first)
-        assert index.claim(1)
+        assert index.enter(batch, first)
 
-    def test_joining_engines_share_runs_and_kept_scans(self):
+    def test_joining_engines_read_the_opening_engines_kept_scans(self):
         from repro.core import EdgeEvent, EventBatch
 
-        # Target 9 repeats, so the batch splits into two runs; the second
-        # run's insert must not leak into the first run's kept scan.
+        # Target 9 repeats: its second event must see the first one, and
+        # the insert must not leak into the kept scan.
         events = [
             EdgeEvent(1.0, 1, 9),
             EdgeEvent(2.0, 2, 8),
@@ -386,28 +383,36 @@ class TestSharedStreamPosition:
         ]
         batch = EventBatch.from_events(events)
         shared = make_index()
-        shared.attach()
-        shared.attach()
-        leader_scans = []
-        leader_runs = []
-        for run in shared.apply_runs(batch, "p0"):
-            leader_runs.append(run)
-            leader_scans.append(shared.fresh_run(run, None, 100.0, 1))
-        assert shared.num_edges == 3
-        follower_runs = []
-        for run, scan in zip(shared.apply_runs(batch, "p1"), leader_scans):
-            follower_runs.append(run)
-            assert shared.fresh_run(run, None, 100.0, 1) is scan
-            # A second program of the same key reads it again, unscanned;
-            # scans are keyed by (now, tau, min_count, action).
-            assert shared.fresh_run(run, None, 100.0, 1) is scan
-            assert shared.fresh_run(run, None, 100.0, 1, "rt") is not scan
-        assert [r is l for r, l in zip(follower_runs, leader_runs)] == [True, True]
+        assert shared.enter(batch, "p0")
+        scan = shared.fresh_batch(batch, None, 100.0, 1)
+        # A second program of the same key reads it again, unscanned;
+        # scans are keyed by (now, tau, min_count, action).
+        assert shared.fresh_batch(batch, None, 100.0, 1) is scan
+        rt_scan = shared.fresh_batch(batch, None, 100.0, 1, "rt")
+        assert rt_scan is not scan
+        assert shared.num_edges == 0  # scanning inserts nothing
+        shared.insert_batch(batch)
+        assert not shared.enter(batch, "p1")
+        assert shared.fresh_batch(batch, None, 100.0, 1) is scan
+        assert shared.fresh_batch(batch, None, 100.0, 1, "rt") is rt_scan
+        # The opening engine never read this key: D is past the batch, so
+        # a joining engine cannot scan it and must not guess.
+        with pytest.raises(RuntimeError, match="same"):
+            shared.fresh_batch(batch, None, 100.0, 2)
         assert shared.inserted_total == 3
-        # Both engines went through the batch, so no scan is held.
-        assert not shared._scans
+        # The per-event loop: insert, then read.
         private = make_index()
-        for run, scan in zip(leader_runs, leader_scans):
-            private.insert_batch(run, distinct_targets=True)
-            assert private.fresh_run(run, None, 100.0, 1) == scan
-        assert [len(fresh) for fresh in leader_scans[0]] == [1, 1]
+        want = []
+        for event in events:
+            private.insert(
+                event.actor, event.target, event.created_at, event.action
+            )
+            want.append(
+                private.fresh_sources_multi(
+                    [event.target], [event.created_at], 100.0, raw=True
+                )[0]
+            )
+        assert scan == want
+        assert [len(fresh) for fresh in scan] == [1, 1, 2]
+        shared.leave()
+        assert not shared._scans

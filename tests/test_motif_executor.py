@@ -259,6 +259,49 @@ class TestCompiledDiamond:
         assert [r.recipient for r in recs] == [A2]
         assert recs[0].via == (7, B1, B2)
 
+    @pytest.mark.parametrize("promote_threshold", [4, 160])
+    def test_via_past_the_cap_is_every_fresh_witness_on_both_lanes(
+        self, promote_threshold
+    ):
+        """Twelve fresh witnesses under ``max_witnesses=3``: the audience
+        expands the newest three, while ``via`` lists all of them — on the
+        batched lane (two batches, so the witnesses reach the detector
+        through D's batch scan, and a ring-backed target's second batch
+        through its sliding window) and on the per-event lane alike."""
+        witnesses = list(range(100, 112))
+        follows = [(a, b) for a in range(10) for b in witnesses]
+        events = [EdgeEvent(float(i), b, 50) for i, b in enumerate(witnesses)]
+
+        def engine():
+            s = StaticFollowerIndex.from_follow_edges(follows)
+            d = DynamicEdgeIndex(retention=600.0, promote_threshold=promote_threshold)
+            detector = compile_motif(
+                diamond_spec(k=2, tau=600.0), s, d, inserts_edges=False, max_witnesses=3
+            )
+            return MotifEngine(s, d, [detector])
+
+        oracle = engine()
+        per_event = [oracle.process(e) for e in events]
+        batched = engine()
+        got = [
+            list(recs)
+            for chunk in (events[:6], events[6:])
+            for _event, recs in RecommendationBatch.by_event(
+                [batched.process_batch_grouped(EventBatch.from_events(chunk))]
+            )
+        ]
+        want = [recs for recs in per_event if recs]
+        assert got == want
+        assert [[r.via for r in recs] for recs in got] == [
+            [r.via for r in recs] for recs in want
+        ]
+        last = want[-1]
+        assert [r.recipient for r in last] == list(range(10))
+        assert last[0].via == tuple(witnesses)
+        assert len(last[0].via) > 3
+        dynamic = batched.dynamic_index
+        assert dynamic.sliding_targets == (promote_threshold == 4)
+
     def test_works_inside_engine(self):
         s, d = make_indexes()
         detector = compile_motif(
