@@ -229,13 +229,15 @@ def test_viral_scan_promote_threshold(workload, report):
 
     Storage layouts are no longer selectable (the S x D backend matrix was
     retired in PR 17; final numbers in ``docs/BENCHMARKS.md``).  The one
-    selection left is made by the code itself, from the entry count it
-    observes: a target holding >= ``promote_threshold`` edges is promoted
-    from a deque of tuples to a ring.  Two measurements price that choice,
-    each a promoting index against one that never promotes:
+    selection left is made by D itself, from the entry count it observes:
+    a target holding >= ``DEFAULT_PROMOTE_THRESHOLD`` edges (D's fixed
+    constant, no option) is promoted from a deque of tuples to a ring.
+    Two measurements price that fixed threshold, each a promoting index
+    against one that never promotes (the ``promote_threshold`` attribute
+    set before the first insert):
 
-    * **viral-scan** — the freshness scan of one cap-depth target;
-      ``derive_promote_threshold`` places the threshold from this row;
+    * **viral-scan** — the freshness scan of one cap-depth target (where
+      the query-cost crossover is read; nothing derives from it);
     * **firehose-viral** — batch=256 engine ingest over the cold firehose
       plus one persistently viral target (the stream shape rings exist
       for), at the default threshold.  Representation must not change
@@ -431,7 +433,8 @@ def _viral_scan_best_times(entries: int, queries: int = 512) -> dict[str, float]
     stored as a deque (never promoted) and as a ring (tiny threshold)."""
     out: dict[str, float] = {}
     for layout, threshold in (("deque", 1 << 62), ("ring", 8)):
-        index = DynamicEdgeIndex(retention=1e9, promote_threshold=threshold)
+        index = DynamicEdgeIndex(retention=1e9)
+        index.promote_threshold = threshold
         for i in range(entries):
             index.insert(i % max(entries * 2 // 3, 1), 7, float(i))
         targets = [7] * 64

@@ -48,7 +48,7 @@ from repro.gen import (
 from repro.serving import ServingCacheConfig, ServingFrontend
 from repro.graph import GraphSnapshot
 from repro.motif import MOTIF_CATALOG, compile_motif, parse_motif
-from repro.ops import ControllerConfig, derive_promote_threshold
+from repro.ops import ControllerConfig
 from repro.durability import recover as durability_recover
 from repro.streaming import StreamingTopology
 from repro.topology import DEFAULTS, FIELD_HELP, TopologyConfig, build_deployment
@@ -147,8 +147,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="enable the adaptive control plane: a controller ticking in "
         "virtual time retunes --batch-size/--max-batch-wait and the "
         "delivery window from the live backlog signal (the static knob "
-        "values above become its starting point only), derives the ring "
-        "promote threshold from recorded bench crossovers, and escalates "
+        "values above become its starting point only), and escalates "
         "to admission shedding past --slo-p99",
     )
     _flag(
@@ -420,15 +419,11 @@ def _simulate_config(args: argparse.Namespace) -> TopologyConfig:
         raise ValueError("slo_p99 requires --adaptive")
     if args.snapshot_interval is not None and args.wal_dir is None:
         raise ValueError("snapshot_interval requires --wal-dir")
-    controller = serving = promote_threshold = None
+    controller = serving = None
     if args.adaptive:
         controller = ControllerConfig(
             interval=args.controller_interval, slo_p99=args.slo_p99
         )
-        # Deployment-time derivation: place the ring promotion point at
-        # the recorded deque/ring cost crossover when the bench trajectory
-        # is available (falls back to the module default otherwise).
-        promote_threshold = derive_promote_threshold()
     if args.query_qps is not None:
         serving = ServingCacheConfig(
             k=args.ranked_k if args.ranked else ServingCacheConfig().k,
@@ -436,11 +431,7 @@ def _simulate_config(args: argparse.Namespace) -> TopologyConfig:
         )
     return TopologyConfig(
         detection=DetectionParams(k=args.k, tau=args.tau),
-        cluster=ClusterConfig(
-            num_partitions=args.partitions,
-            transport=args.transport,
-            promote_threshold=promote_threshold,
-        ),
+        cluster=ClusterConfig(num_partitions=args.partitions, transport=args.transport),
         controller=controller,
         serving=serving,
         ranked_k=args.ranked_k if args.ranked else None,
@@ -485,8 +476,6 @@ def _report_simulation(topology: StreamingTopology, result, out) -> None:
         print(f"queue share      : {result.queue_share():.1%}", file=out)
     if topology.controller is not None:
         print(f"control plane    : {topology.controller.describe()}", file=out)
-        promote_threshold = topology.config.cluster.promote_threshold
-        print(f"promote threshold: {promote_threshold} (derived)", file=out)
     if topology.query_load is not None:
         read = summary.get("serving:read", {})
         print(

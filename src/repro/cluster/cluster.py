@@ -37,7 +37,7 @@ from repro.core.detector import OnlineDetector
 from repro.core.events import EdgeEvent
 from repro.core.params import DetectionParams
 from repro.core.recommendation import Recommendation, RecommendationBatch
-from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD, DynamicEdgeIndex
+from repro.graph.dynamic_index import DynamicEdgeIndex
 from repro.graph.snapshot import GraphSnapshot
 from repro.graph.static_index import StaticFollowerIndex
 from repro.util.rng import make_rng
@@ -77,12 +77,6 @@ class ClusterConfig:
             transport (default 8; also bounds the usable pipeline depth).
         shm_slot_bytes: payload bytes per ring slot (default 1 MiB);
             frames that overflow a slot fall back to the pickle wire.
-        promote_threshold: per-target D entry count at which a deque of
-            boxed tuples is promoted to columnar ring storage (module
-            default when ``None``).  Deployments derive this from the
-            recorded deque/ring cost crossover via
-            :func:`repro.ops.controller.derive_promote_threshold` instead
-            of trusting the hard-coded value.
     """
 
     num_partitions: int = PRODUCTION_PARTITIONS
@@ -94,15 +88,12 @@ class ClusterConfig:
     worker_start_method: str | None = None
     shm_slots: int = 8
     shm_slot_bytes: int = 1 << 20
-    promote_threshold: int | None = None
 
     def __post_init__(self) -> None:
         require_positive(self.num_partitions, "num_partitions")
         require_positive(self.replication_factor, "replication_factor")
         require_positive(self.shm_slots, "shm_slots")
         require_positive(self.shm_slot_bytes, "shm_slot_bytes")
-        if self.promote_threshold is not None:
-            require_positive(self.promote_threshold, "promote_threshold")
         require(
             self.transport in TRANSPORTS,
             f"transport must be one of {TRANSPORTS}, got {self.transport!r}",
@@ -170,9 +161,6 @@ class Cluster:
                 dynamic_index = DynamicEdgeIndex(
                     retention=params.tau,
                     max_edges_per_target=config.max_edges_per_target,
-                    promote_threshold=(
-                        config.promote_threshold or DEFAULT_PROMOTE_THRESHOLD
-                    ),
                 )
             for r in range(config.replication_factor):
                 detectors = (

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.events import ActionType
-from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD, DynamicEdgeIndex
+from repro.graph.dynamic_index import DynamicEdgeIndex
 
 #: Integer codes for action tags in the checkpoint file (0 = untagged).
 _ACTION_TO_CODE: dict[object, int] = {
@@ -83,10 +83,10 @@ def restore_dynamic_arrays(
 def save_dynamic_index(index: DynamicEdgeIndex, path: str | Path) -> int:
     """Write every stored edge of *index* to *path* (.npz).
 
-    Returns the number of edges written.  Configuration (retention, cap,
-    promote threshold) is saved alongside so a restore reproduces the same
-    index — :meth:`DynamicEdgeIndex.entries` serves the stored tuples
-    identically whether a target lives in a deque or a columnar ring.
+    Returns the number of edges written.  Configuration (retention and
+    cap) is saved alongside so a restore reproduces the same index —
+    :meth:`DynamicEdgeIndex.entries` serves the stored tuples identically
+    whether a target lives in a deque or a columnar ring.
     """
     arrays = dynamic_index_arrays(index)
     np.savez_compressed(
@@ -94,7 +94,6 @@ def save_dynamic_index(index: DynamicEdgeIndex, path: str | Path) -> int:
         **arrays,
         retention=np.float64(index.retention),
         max_edges_per_target=np.int64(index.max_edges_per_target or -1),
-        promote_threshold=np.int64(index.promote_threshold),
     )
     return len(arrays["targets"])
 
@@ -104,9 +103,8 @@ def load_dynamic_index(path: str | Path) -> DynamicEdgeIndex:
 
     Edges are re-inserted in file order (which preserves per-target
     arrival order), so window and cap pruning semantics carry over
-    exactly.  Files written before the single-layout D carry a ``backend``
-    array (or predate ``promote_threshold``); both load — the retired key
-    is ignored, a missing threshold takes the module default.
+    exactly.  Older files may carry a ``backend`` or ``promote_threshold``
+    array; both keys are ignored (D picks its own layout).
     """
     with np.load(Path(path)) as data:
         retention = float(data["retention"])
@@ -114,11 +112,6 @@ def load_dynamic_index(path: str | Path) -> DynamicEdgeIndex:
         index = DynamicEdgeIndex(
             retention=retention,
             max_edges_per_target=None if cap < 0 else cap,
-            promote_threshold=(
-                int(data["promote_threshold"])
-                if "promote_threshold" in data.files
-                else DEFAULT_PROMOTE_THRESHOLD
-            ),
         )
         restore_dynamic_arrays(
             index,

@@ -21,16 +21,19 @@ entries are kept in arrival order and freshness is always evaluated against
 the stored timestamps, so modest reordering only costs a little laziness in
 pruning, never correctness.
 
-Storage follows the observed entry count: a cold target holds a deque of
-boxed ``(t, b, action)`` tuples; a target reaching ``promote_threshold``
-stored edges switches to a :class:`_HotRing` — a circular **columnar**
-buffer (float64 timestamps, int64 sources, uint16 interned action codes) so
-freshness scans, dedup, and window pruning vectorize for exactly the targets
-where the per-tuple Python scan hurts.  Rings demote back to deques when
-pruning shrinks them below half the threshold.  Promotion and demotion are
-pure representation changes — queries, eviction order, and counters are
-bit-identical to an index that never promotes
-(``tests/test_backend_equivalence.py`` enforces this on random streams).
+Storage follows the observed entry count, and D alone picks it: a cold
+target holds a deque of boxed ``(t, b, action)`` tuples; a target reaching
+:data:`DEFAULT_PROMOTE_THRESHOLD` stored edges switches to a
+:class:`_HotRing` — a circular **columnar** buffer (float64 timestamps,
+int64 sources, uint16 interned action codes) so freshness scans, dedup, and
+window pruning vectorize for exactly the targets where the per-tuple Python
+scan hurts.  Rings demote back to deques when pruning shrinks them below
+half the threshold.  Promotion and demotion are pure representation
+changes — queries, eviction order, and counters are bit-identical to an
+index that never promotes (``tests/test_backend_equivalence.py`` enforces
+this on random streams), so no option selects them.  Both layouts take one
+write rule (:meth:`DynamicEdgeIndex.insert_batch`; :meth:`~DynamicEdgeIndex.insert`
+is a batch of one) and one read (:meth:`DynamicEdgeIndex.fresh_sources_multi`).
 
 An engine reads D once per batch, *before* inserting it
 (:meth:`DynamicEdgeIndex.fresh_batch`): each event is answered from its
@@ -64,14 +67,15 @@ from repro.graph.ids import UserId
 from repro.util.validation import require_positive
 
 #: Stored-entry count at which a target is promoted from the deque
-#: representation to a columnar ring.  Below it, the plain Python scan over
-#: a handful of tuples beats numpy's fixed dispatch cost.  The viral-scan
-#: row (``benchmarks/bench_ingest_throughput.py``) puts the query-cost
-#: crossover at ~64 stored entries (deque 13.4 us vs ring 13.4 us per query;
-#: at 160 entries 35.0 vs 14.8 us), re-measured unchanged under the batch
-#: scan (2-core box).  The default sits well above it: promotion is
-#: reserved for genuinely viral targets, where the vectorized scan (and the
-#: batch scan's sliding window, which only rings take) wins by over 2x.
+#: representation to a columnar ring — D's own constant, copied onto each
+#: index and set by nothing in the library.  Below it, the plain Python
+#: scan over a handful of tuples beats numpy's fixed dispatch cost.  The
+#: viral-scan row (``benchmarks/bench_ingest_throughput.py``) puts the
+#: query-cost crossover at ~64 stored entries (deque 13.4 us vs ring 13.4 us
+#: per query; at 160 entries 35.0 vs 14.8 us), re-measured unchanged under
+#: the batch scan (2-core box).  The constant sits well above it: promotion
+#: is reserved for genuinely viral targets, where the vectorized scan (and
+#: the batch scan's sliding window, which only rings take) wins by over 2x.
 DEFAULT_PROMOTE_THRESHOLD = 160
 
 
@@ -203,6 +207,23 @@ def _fresh_columns(
     ts, src, act = ts[keep], src[keep], act[keep]
     final = np.lexsort((src, ts))
     return ts[final], src[final], act[final]
+
+
+def _groups(targets: Sequence[UserId]):
+    """``(target, event indexes)`` pairs of a batch's target column, in
+    first-appearance order.  A batch with no repeated target (the cold
+    firehose's usual batch) skips the grouping pass: each group is one
+    event, as a 1-tuple."""
+    if len(set(targets)) == len(targets):
+        return zip(targets, zip(range(len(targets))))
+    groups: dict[UserId, list[int]] = {}
+    for i, c in enumerate(targets):
+        group = groups.get(c)
+        if group is None:
+            groups[c] = [i]
+        else:
+            group.append(i)
+    return groups.items()
 
 
 def _fresh_tuples(entries, now: float, cutoff: float, action: object | None) -> list:
@@ -388,7 +409,6 @@ class DynamicEdgeIndex:
         self,
         retention: float,
         max_edges_per_target: int | None = None,
-        promote_threshold: int = DEFAULT_PROMOTE_THRESHOLD,
     ) -> None:
         """Create an empty index.
 
@@ -397,18 +417,16 @@ class DynamicEdgeIndex:
                 largest freshness window ``tau`` any detector will ask for.
             max_edges_per_target: optional hard cap per C; the oldest
                 entries are evicted first.
-            promote_threshold: stored-edge count at which a target is
-                promoted to a columnar ring; rings demote back below half
-                of it.  Query results and eviction behavior do not depend
-                on it.
         """
         require_positive(retention, "retention")
         if max_edges_per_target is not None:
             require_positive(max_edges_per_target, "max_edges_per_target")
-        require_positive(promote_threshold, "promote_threshold")
         self.retention = retention
         self.max_edges_per_target = max_edges_per_target
-        self.promote_threshold = promote_threshold
+        #: The ring promotion point (rings demote below half of it).  Tests
+        #: that must force or forbid promotion set it before the first
+        #: insert; nothing else does.
+        self.promote_threshold = DEFAULT_PROMOTE_THRESHOLD
         self._edges: dict[UserId, deque | _HotRing] = {}
         self._num_edges = 0
         self._inserted_total = 0
@@ -575,204 +593,80 @@ class DynamicEdgeIndex:
         created it, so action-filtered motifs (e.g. co-retweet) can query
         only their own edge type.
         """
-        entry = self._edges.get(c)
-        if entry is None:
-            entry = deque()
-            self._edges[c] = entry
-        if type(entry) is deque:
-            entry.append((timestamp, b, action))
-            self._num_edges += 1
-            self._inserted_total += 1
-            # Lazy window pruning at the insertion point keeps hot targets
-            # tidy without a global sweep.
-            self._drop_stale(c, entry, timestamp - self.retention)
-            if (
-                self.max_edges_per_target is not None
-                and len(entry) > self.max_edges_per_target
-            ):
-                overflow = len(entry) - self.max_edges_per_target
-                for _ in range(overflow):
-                    entry.popleft()
-                self._num_edges -= overflow
-                self._evicted_total += overflow
-            if len(entry) >= self.promote_threshold:
-                self._promote(c, entry)
-            return
-        # Ring path: identical append / window-prune / cap-evict sequence
-        # over the columnar representation.
-        entry.append(timestamp, b, self._encode_action(action))
-        self._inserted_total += 1
-        evicted = entry.drop_stale(timestamp - self.retention)
-        cap = self.max_edges_per_target
-        if cap is not None:
-            while entry.count > cap:
-                entry.popleft()
-                evicted += 1
-        self._num_edges += 1 - evicted
-        self._evicted_total += evicted
+        self._insert((timestamp,), (b,), (c,), (action,), None)
 
     def insert_batch(self, batch) -> None:
-        """Insert every edge of an :class:`~repro.core.batch.EventBatch`.
+        """Insert every edge of an :class:`~repro.core.batch.EventBatch`,
+        exactly as :meth:`insert` once per event in batch order would."""
+        self._insert(*batch.columns(), batch)
 
-        Equivalent to calling :meth:`insert` once per event in batch order,
-        but with the per-target work amortized: one dict lookup, one window
-        prune, and one cap application per *distinct target* in the batch
-        instead of per event.
+    def _insert(self, timestamps, actors, targets, actions, batch) -> None:
+        """The one write rule: per event, in batch order, append →
+        time-prune → cap → promote.
 
-        A batch whose targets are all distinct (the cold firehose's usual
-        batch) skips the grouping pass entirely.
-
-        The bulk per-target path is taken only when it is provably identical
-        to the interleaved loop: the group cannot overflow the per-target
-        cap mid-batch, and the group's timestamp skew stays within the
-        retention window (both pruning mechanisms pop only from the old end,
-        so under these conditions the final entry is the same suffix either
-        way).  Groups violating either condition — pathological reordering
-        or cap-overflowing floods — fall back to the exact per-event loop,
-        still amortizing the dict lookup.
+        The only bulk write is a flood: a ring-backed target repeating in
+        *batch*, landed first (targets never interact) with slice
+        assignments when that is provably the per-event loop — the group
+        cannot overflow the cap, and its timestamp skew stays within the
+        retention window, so no cutoff reaches a group edge and one prune
+        at the newest edge's cutoff pops the same stored head (both
+        mechanisms pop only from the old end).
         """
-        timestamps, actors, _targets, actions = batch.columns()
-        if not timestamps:
-            return
-        targets = _targets
         edges = self._edges
         retention = self.retention
         cap = self.max_edges_per_target
-        has_cap = cap is not None
-        promote_threshold = self.promote_threshold
-        inserted = 0
+        promote_at = self.promote_threshold
         evicted = 0
-
-        if len(set(targets)) == len(targets):
-            # Same append/prune/cap block as the fallback loop below; both
-            # must stay in sync with insert().  Kept inline: a shared
-            # helper would cost one function call per event on the hottest
-            # loop in the repo.
-            for i, c in enumerate(targets):
-                entry = edges.get(c)
-                if entry is None:
-                    entry = deque()
-                    edges[c] = entry
-                timestamp = timestamps[i]
-                if type(entry) is deque:
-                    entry.append((timestamp, actors[i], actions[i]))
-                    inserted += 1
-                    cutoff = timestamp - retention
-                    # The just-appended entry survives its own cutoff, so
-                    # the deque can never empty here.
-                    while entry[0][0] < cutoff:
-                        entry.popleft()
-                        evicted += 1
-                    while has_cap and len(entry) > cap:
-                        # Normally at most one pop per append; the loop also
-                        # repairs over-cap state inherited via
-                        # clone_state_from from a differently-capped sibling.
-                        entry.popleft()
-                        evicted += 1
-                    if len(entry) >= promote_threshold:
-                        self._promote(c, entry)
-                else:
-                    entry.append(timestamp, actors[i], self._encode_action(actions[i]))
-                    inserted += 1
-                    evicted += entry.drop_stale(timestamp - retention)
-                    while has_cap and entry.count > cap:
-                        entry.popleft()
-                        evicted += 1
-            self._num_edges += inserted - evicted
-            self._inserted_total += inserted
-            self._evicted_total += evicted
-            return
-
-        # Group event indexes by target.  The overwhelmingly common case is
-        # one event per target, so singleton groups stay bare ints and a
-        # list is only allocated on the first repeat.
-        groups: dict[UserId, int | list[int]] = {}
-        for i, c in enumerate(targets):
-            group = groups.get(c)
-            if group is None:
-                groups[c] = i
-            elif type(group) is int:
-                groups[c] = [group, i]
-            else:
-                group.append(i)
-
-        for c, idxs in groups.items():
-            entry = edges.get(c)
-            if entry is None:
-                entry = deque()
-                edges[c] = entry
-            if type(idxs) is int:
-                # A singleton group is just one per-event insert; the exact
-                # loop below handles it without a dedicated copy.
-                idxs = (idxs,)
-                bulk_safe = False
-            else:
+        flooded = ()
+        if len(targets) > 1 and len(set(targets)) < len(targets):
+            flooded = set()
+            for c, idxs in _groups(targets):
+                ring = edges.get(c)
+                if len(idxs) == 1 or type(ring) is not _HotRing:
+                    continue
                 m = len(idxs)
                 group_ts = [timestamps[i] for i in idxs]
                 t_max = max(group_ts)
-                bulk_safe = (t_max - min(group_ts)) <= retention and (
-                    cap is None or len(entry) + m <= cap
-                )
-            if bulk_safe:
-                if type(entry) is deque:
-                    entry.extend(
-                        (timestamps[i], actors[i], actions[i]) for i in idxs
-                    )
-                    inserted += m
-                    cutoff = t_max - retention
-                    # bulk_safe guarantees the cap cannot trigger (pruning
-                    # only shrinks the entry), so only the window pass is
-                    # needed.
-                    while entry[0][0] < cutoff:
-                        entry.popleft()
-                        evicted += 1
-                    if len(entry) >= promote_threshold:
-                        self._promote(c, entry)
-                else:
-                    # Ring-aware bulk write: gather the group's columns from
-                    # the batch with one fancy index per column and land
-                    # them with slice assignments instead of m scalar
-                    # appends — the hot-target flood case this grouping
-                    # exists for.
+                if t_max - min(group_ts) <= retention and (
+                    cap is None or ring.count + m <= cap
+                ):
                     encode = self._encode_action
-                    codes = np.fromiter(
-                        (encode(actions[i]) for i in idxs),
-                        dtype=np.uint16,
-                        count=m,
-                    )
-                    entry.extend(batch.timestamps[idxs], batch.actors[idxs], codes)
-                    inserted += m
-                    evicted += entry.drop_stale(t_max - retention)
+                    codes = np.fromiter((encode(actions[i]) for i in idxs), np.uint16, m)
+                    ring.extend(batch.timestamps[idxs], batch.actors[idxs], codes)
+                    evicted += ring.drop_stale(t_max - retention)
+                    flooded.add(c)
+        # One block per layout, kept inline: a per-event helper would cost
+        # a call per event on the hottest loop in the repo.
+        for i, c in enumerate(targets):
+            if c in flooded:
+                continue
+            entry = edges.get(c)
+            if entry is None:
+                entry = edges[c] = deque()
+            timestamp = timestamps[i]
+            if type(entry) is deque:
+                entry.append((timestamp, actors[i], actions[i]))
+                cutoff = timestamp - retention
+                # The just-appended edge survives its own cutoff, so the
+                # deque never empties here.
+                while entry[0][0] < cutoff:
+                    entry.popleft()
+                    evicted += 1
+                # Normally at most one pop per append; the loop also
+                # repairs over-cap state inherited via clone_state_from
+                # from a differently-capped sibling.
+                while cap is not None and len(entry) > cap:
+                    entry.popleft()
+                    evicted += 1
+                if len(entry) >= promote_at:
+                    self._promote(c, entry)
             else:
-                # Exact replica of the per-event insert loop for this
-                # target (same block as the distinct-target fast path
-                # above — the two must stay in sync with insert()).
-                for i in idxs:
-                    timestamp = timestamps[i]
-                    if type(entry) is deque:
-                        entry.append((timestamp, actors[i], actions[i]))
-                        inserted += 1
-                        cutoff = timestamp - retention
-                        while entry[0][0] < cutoff:
-                            entry.popleft()
-                            evicted += 1
-                        if cap is not None and len(entry) > cap:
-                            overflow = len(entry) - cap
-                            for _ in range(overflow):
-                                entry.popleft()
-                            evicted += overflow
-                        if len(entry) >= promote_threshold:
-                            entry = self._promote(c, entry)
-                    else:
-                        entry.append(
-                            timestamp, actors[i], self._encode_action(actions[i])
-                        )
-                        inserted += 1
-                        evicted += entry.drop_stale(timestamp - retention)
-                        while cap is not None and entry.count > cap:
-                            entry.popleft()
-                            evicted += 1
-
+                entry.append(timestamp, actors[i], self._encode_action(actions[i]))
+                evicted += entry.drop_stale(timestamp - retention)
+                while cap is not None and entry.count > cap:
+                    entry.popleft()
+                    evicted += 1
+        inserted = len(timestamps)
         self._num_edges += inserted - evicted
         self._inserted_total += inserted
         self._evicted_total += evicted
@@ -790,10 +684,11 @@ class DynamicEdgeIndex:
         if other is self:
             return
         self._edges = {}
+        promote_at = self.promote_threshold
         for c, entry in other._edges.items():
             copied = deque(entry)
             self._edges[c] = copied
-            if len(copied) >= self.promote_threshold:
+            if len(copied) >= promote_at:
                 self._promote(c, copied)
         self._num_edges = other._num_edges
         self._inserted_total = other._inserted_total
@@ -813,40 +708,21 @@ class DynamicEdgeIndex:
         demotions: list[UserId] = []
         for c, entry in self._edges.items():
             if type(entry) is deque:
-                removed += self._drop_stale(c, entry, cutoff, track_dead=False)
-                if not entry:
-                    dead_targets.append(c)
-                continue
-            dropped = entry.drop_stale(cutoff)
-            removed += dropped
-            self._num_edges -= dropped
-            self._evicted_total += dropped
-            if not entry.count:
+                while entry and entry[0][0] < cutoff:
+                    entry.popleft()
+                    removed += 1
+            else:
+                removed += entry.drop_stale(cutoff)
+                if 0 < entry.count < demote_below:
+                    demotions.append(c)
+            if not entry:
                 dead_targets.append(c)
-            elif entry.count < demote_below:
-                demotions.append(c)
+        self._num_edges -= removed
+        self._evicted_total += removed
         for c in dead_targets:
             del self._edges[c]
         for c in demotions:
             self._demote(c, self._edges[c])
-        return removed
-
-    def _drop_stale(
-        self,
-        c: UserId,
-        entry: deque,
-        cutoff: float,
-        track_dead: bool = True,
-    ) -> int:
-        """Pop from the left while the head is older than *cutoff*."""
-        removed = 0
-        while entry and entry[0][0] < cutoff:
-            entry.popleft()
-            removed += 1
-        self._num_edges -= removed
-        self._evicted_total += removed
-        if track_dead and not entry:
-            del self._edges[c]
         return removed
 
     # ------------------------------------------------------------------
@@ -874,37 +750,8 @@ class DynamicEdgeIndex:
             action: when given, only edges inserted with this action tag
                 count (action-filtered motifs); ``None`` accepts all.
         """
-        require_positive(tau, "tau")
-        if tau > self.retention:
-            raise ValueError(
-                f"tau={tau} exceeds retention={self.retention}; "
-                "fresh edges may already have been pruned"
-            )
-        entry = self._edges.get(c)
-        if not entry:
-            return []
-        cutoff = now - tau
-        if type(entry) is not deque:
-            ts, src, act = _fresh_columns(
-                *entry.columns(), now, cutoff, self._filter_code(action)
-            )
-            table = self._action_table
-            return [
-                FreshEdge(source=b, timestamp=t, action=table[code])
-                for t, b, code in zip(ts.tolist(), src.tolist(), act.tolist())
-            ]
-        if len(entry) == 1:
-            # Fast path for the overwhelmingly common cold target.
-            timestamp, b, edge_action = entry[0]
-            if timestamp < cutoff or timestamp > now:
-                return []
-            if action is not None and edge_action is not action:
-                return []
-            return [FreshEdge(source=b, timestamp=timestamp, action=edge_action)]
-        return [
-            FreshEdge(source=b, timestamp=t, action=edge_action)
-            for t, b, edge_action in _fresh_tuples(entry, now, cutoff, action)
-        ]
+        # ``or []``: never hand out the shared empty result.
+        return self.fresh_sources_multi((c,), (now,), tau, action)[0] or []
 
     def fresh_sources_multi(
         self,
@@ -948,8 +795,8 @@ class DynamicEdgeIndex:
         inserting ``pending[:i + 1]`` (:meth:`_fresh_pending`; results are
         raw).  Nothing is inserted.
         """
-        require_positive(tau, "tau")
-        if tau > self.retention:
+        if not 0 < tau <= self.retention:
+            require_positive(tau, "tau")
             raise ValueError(
                 f"tau={tau} exceeds retention={self.retention}; "
                 "fresh edges may already have been pruned"
@@ -958,7 +805,6 @@ class DynamicEdgeIndex:
             return self._fresh_pending(pending, targets, nows, tau, action, min_count)
         edges = self._edges
         empty = _NO_FRESH_SOURCES
-        filter_code = self._filter_code(action)
         table = self._action_table
         results: list[list] = []
         append = results.append
@@ -969,6 +815,15 @@ class DynamicEdgeIndex:
                 continue
             cutoff = now - tau
             if type(entry) is deque:
+                if len(entry) == 1:
+                    # The common cold target (every per-event read of a
+                    # first edge): nothing to dedup or sort.
+                    t, b, edge_action = edge = entry[0]
+                    if cutoff <= t <= now and (action is None or edge_action is action):
+                        append([edge] if raw else [FreshEdge(b, t, edge_action)])
+                    else:
+                        append(empty)
+                    continue
                 fresh = _fresh_tuples(entry, now, cutoff, action)
                 if not fresh:
                     append(empty)
@@ -978,7 +833,9 @@ class DynamicEdgeIndex:
                     append([FreshEdge(b, t, edge_action) for t, b, edge_action in fresh])
                 continue
             # Columnar hot target: one vectorized select + dedup + sort.
-            ts, src, act = _fresh_columns(*entry.columns(), now, cutoff, filter_code)
+            ts, src, act = _fresh_columns(
+                *entry.columns(), now, cutoff, self._filter_code(action)
+            )
             if not len(ts):
                 append(empty)
             elif raw:
@@ -1013,24 +870,11 @@ class DynamicEdgeIndex:
         scan D.
         """
         timestamps, actors, _targets, actions = pending.columns()
-        if len(set(targets)) == len(targets):
-            # No target repeats (the cold firehose's usual batch): every
-            # group is one event, as a 1-tuple, without a grouping pass.
-            groups = zip(targets, zip(range(len(targets))))
-        else:
-            grouped: dict[UserId, list[int]] = {}
-            for i, c in enumerate(targets):
-                group = grouped.get(c)
-                if group is None:
-                    grouped[c] = [i]
-                else:
-                    group.append(i)
-            groups = grouped.items()
         results = [_NO_FRESH_SOURCES] * len(targets)
         edges = self._edges
         retention = self.retention
         cap = self.max_edges_per_target
-        for c, idxs in groups:
+        for c, idxs in _groups(targets):
             entry = edges.get(c)
             stored = len(entry) if entry is not None else 0
             if stored + len(idxs) < min_count:

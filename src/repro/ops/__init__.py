@@ -24,7 +24,6 @@ from repro.ops.controller import (
     ControlMode,
     ControllerConfig,
     LoadSignal,
-    derive_promote_threshold,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "ControlMode",
     "ControllerConfig",
     "LoadSignal",
-    "derive_promote_threshold",
 ]

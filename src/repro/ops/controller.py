@@ -1,9 +1,9 @@
-"""The adaptive control plane: one loop instead of four static knobs.
+"""The adaptive control plane: one loop instead of three static knobs.
 
 The paper's system survives a Twitter firehose by *adapting its posture to
-load*; until this module, the reproduction ran on four static knobs —
-detection ``batch_size``/``max_wait``, the delivery coalescing window, the
-ring ``promote_threshold``, and the admission shed posture — while the
+load*; until this module, the reproduction ran on three static knobs —
+detection ``batch_size``/``max_wait``, the delivery coalescing window, and
+the admission shed posture — while the
 end-to-end bench showed ``queue_share: 0.999``: virtually all p99 is
 queueing, exactly the thing a controller can trade against throughput.
 
@@ -27,22 +27,12 @@ The loop is **signal → decision → actuation**:
   the configured SLO, and it releases *first* on recovery (the mirror of
   the escalation order).  Every actuation is published as a gauge so the
   posture history is observable.
-
-The fourth static knob — the ring ``promote_threshold`` — is not a
-runtime actuation (promotion happens inside every replica's D index) but
-a deployment-time derivation: :func:`derive_promote_threshold` reads the
-recorded viral-scan ablation from the bench-smoke trajectory and places
-the threshold at the measured list-scan/ring-scan cost crossover instead
-of the hard-coded laptop value.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.ops.metrics import MetricsRegistry
 from repro.util.validation import require, require_non_negative, require_positive
@@ -52,7 +42,6 @@ __all__ = [
     "LoadSignal",
     "ControllerConfig",
     "AdaptiveController",
-    "derive_promote_threshold",
 ]
 
 
@@ -378,68 +367,3 @@ class AdaptiveController:
             f"escalations={self.escalations} deescalations={self.deescalations} "
             f"shed_engagements={self.shed_engagements}"
         )
-
-
-# ----------------------------------------------------------------------
-# Deployment-time derivation: the ring promotion threshold
-# ----------------------------------------------------------------------
-
-#: Keep derived thresholds inside a sane operating range regardless of how
-#: noisy the recorded ablation was.
-PROMOTE_THRESHOLD_BOUNDS = (32, 1024)
-
-
-def derive_promote_threshold(
-    results_dir: Path | str | None = None,
-    default: int = 160,
-) -> int:
-    """Derive the D ring promotion threshold from the recorded ablation.
-
-    The viral-scan ablation (``BENCH_ingest.json``, workload
-    ``viral-scan``) measures the boxed list scan against the columnar
-    ring scan at a fixed entry count.  The list scan is linear in the
-    entry count while the ring scan is dominated by numpy's fixed
-    dispatch cost, so to first order the costs cross where the list
-    scan's total equals the ring's measured cost::
-
-        crossover ~= entries_measured / ring_speedup
-
-    Promoting there — instead of at the hard-coded laptop value — puts
-    the representation switch at *this host's* measured break-even.  The
-    result is clamped to :data:`PROMOTE_THRESHOLD_BOUNDS`; any missing,
-    corrupt, or implausible recording (ring never faster) falls back to
-    *default* so the derivation can never make the system worse than the
-    static knob it replaces.
-    """
-    require_positive(default, "default")
-    directory = Path(results_dir) if results_dir is not None else Path(
-        "benchmarks/results"
-    )
-    path = directory / "BENCH_ingest.json"
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return default
-    results = payload.get("results") if isinstance(payload, dict) else None
-    if not isinstance(results, list):
-        return default
-    for entry in results:
-        if not isinstance(entry, dict):
-            continue
-        params = entry.get("params")
-        metrics = entry.get("metrics")
-        if not isinstance(params, dict) or not isinstance(metrics, dict):
-            continue
-        if params.get("workload") != "viral-scan":
-            continue
-        entries = params.get("entries")
-        speedup = metrics.get("ring_speedup")
-        if not isinstance(entries, (int, float)) or not isinstance(
-            speedup, (int, float)
-        ):
-            continue
-        if entries <= 0 or speedup <= 1.0 or not math.isfinite(speedup):
-            return default  # the ring never won at the measured size
-        lo, hi = PROMOTE_THRESHOLD_BOUNDS
-        return max(lo, min(hi, round(entries / speedup)))
-    return default

@@ -8,10 +8,10 @@ randomized follow graphs and event streams:
 * S answers every query like a plain-Python model (sorted, de-duplicated
   followers per B after the influencer cap), including across
   ``append_follow_edges`` / ``compact``;
-* a D that promotes almost immediately (tiny ``promote_threshold``) stays
-  bit-identical — queries, contents, eviction counters, checkpoints — to a
-  D that never promotes (``promote_threshold=NEVER_PROMOTE``, i.e. deques
-  only), through promote/demote churn;
+* a D that promotes almost immediately (its ``promote_threshold``
+  attribute set tiny) stays bit-identical — queries, contents, eviction
+  counters, checkpoints — to a D that never promotes (the attribute set to
+  ``NEVER_PROMOTE``, i.e. deques only), through promote/demote churn;
 * the engine emits the same recommendations per-event, batched, and over a
   never-promoting D.
 """
@@ -41,10 +41,19 @@ from repro.graph import (
     StaticFollowerIndex,
     build_follower_snapshot,
 )
+from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD
 
 #: A promotion threshold no entry count reaches: every target stays a deque
 #: of boxed tuples — the reference layout the rings are compared against.
 NEVER_PROMOTE = 2**62
+
+
+def d_index(retention, threshold, **kwargs):
+    """A D whose layout switch is forced to *threshold* (set before the
+    first insert, as the attribute is D's own constant otherwise)."""
+    index = DynamicEdgeIndex(retention, **kwargs)
+    index.promote_threshold = threshold
+    return index
 
 follow_edges = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30)),
@@ -243,12 +252,8 @@ def test_d_backends_agree_on_random_streams(rows, cap, threshold, retention):
     Every other group of five rows lands through ``insert_batch`` instead
     of per-event ``insert``, so the grouped bulk paths see the same churn.
     """
-    reference = DynamicEdgeIndex(
-        retention, max_edges_per_target=cap, promote_threshold=NEVER_PROMOTE
-    )
-    ring = DynamicEdgeIndex(
-        retention, max_edges_per_target=cap, promote_threshold=threshold
-    )
+    reference = d_index(retention, NEVER_PROMOTE, max_edges_per_target=cap)
+    ring = d_index(retention, threshold, max_edges_per_target=cap)
     clock = 0.0
     pending = []
     for i, (actor, target, offset, action) in enumerate(rows):
@@ -293,7 +298,7 @@ def test_d_backends_agree_on_random_streams(rows, cap, threshold, retention):
 
 
 def test_ring_promotes_and_demotes_at_boundaries():
-    index = DynamicEdgeIndex(retention=100.0, promote_threshold=4)
+    index = d_index(100.0, 4)
     for i in range(3):
         index.insert(i, 7, float(i))
     assert index.num_hot_targets == 0
@@ -314,12 +319,12 @@ def test_ring_promotes_and_demotes_at_boundaries():
 @given(rows=event_rows, threshold=st.integers(1, 8))
 def test_clone_state_from_repacks_into_own_backend(rows, threshold):
     """A clone re-packs the sibling's edges under its *own* threshold."""
-    source = DynamicEdgeIndex(50.0, promote_threshold=NEVER_PROMOTE)
+    source = d_index(50.0, NEVER_PROMOTE)
     clock = 0.0
     for actor, target, offset, action in rows:
         clock += offset / 20.0
         source.insert(actor, target, clock, action=action)
-    clone = DynamicEdgeIndex(50.0, promote_threshold=threshold)
+    clone = d_index(50.0, threshold)
     clone.clone_state_from(source)
     assert clone.num_edges == source.num_edges
     assert clone._edges == source._edges
@@ -338,11 +343,9 @@ def test_clone_state_from_repacks_into_own_backend(rows, threshold):
 @settings(max_examples=25, deadline=None)
 @given(rows=event_rows, threshold=st.integers(1, 8))
 def test_checkpoint_roundtrip_preserves_ring_backend(tmp_path_factory, rows, threshold):
-    index = DynamicEdgeIndex(
-        retention=1000.0,
-        max_edges_per_target=8,
-        promote_threshold=threshold,
-    )
+    """A ring-backed index's contents survive the round trip exactly; the
+    file carries no layout, so the restored D picks its own."""
+    index = d_index(1000.0, threshold, max_edges_per_target=8)
     clock = 0.0
     for actor, target, offset, action in rows:
         clock += offset / 10.0
@@ -350,10 +353,10 @@ def test_checkpoint_roundtrip_preserves_ring_backend(tmp_path_factory, rows, thr
     path = tmp_path_factory.mktemp("ckpt") / "d.npz"
     save_dynamic_index(index, path)
     restored = load_dynamic_index(path)
-    assert restored.promote_threshold == threshold
+    assert restored.promote_threshold == DEFAULT_PROMOTE_THRESHOLD
     assert restored.max_edges_per_target == 8
     assert restored.num_edges == index.num_edges
-    assert restored.num_hot_targets == index.num_hot_targets
+    assert restored.num_hot_targets == 0  # 8 entries at most, below 160
     for c in index.targets():
         assert restored.entries(c) == index.entries(c)
 

@@ -43,9 +43,9 @@ def run_both(events, batch_size, tau, cap, min_count, action, flush_clock):
     agree per event and on D after every batch.  Returns the index that
     took the batch scan."""
     def index():
-        return DynamicEdgeIndex(
-            retention=RETENTION, max_edges_per_target=cap, promote_threshold=4
-        )
+        d = DynamicEdgeIndex(retention=RETENTION, max_edges_per_target=cap)
+        d.promote_threshold = 4
+        return d
 
     batched, oracle = index(), index()
     for start in range(0, len(events), batch_size):

@@ -8,6 +8,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.core import ActionType, DetectionParams, EdgeEvent, MotifEngine
 from repro.core.checkpoint import load_dynamic_index, save_dynamic_index
 from repro.graph import DynamicEdgeIndex, GraphSnapshot
+from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD
 
 from tests.conftest import A1, A2, A3, B1, B2, C2, FIGURE1_FOLLOWS
 
@@ -48,19 +49,25 @@ class TestDynamicIndexCheckpoint:
 
     @pytest.mark.parametrize(
         "retired",
-        [{"backend": "ring"}, {"backend": "list"}, None],
-        ids=["ring", "list", "pre-PR-2"],
+        [
+            {"backend": "ring", "promote_threshold": 8},
+            {"backend": "list", "promote_threshold": 8},
+            {},
+            {"promote_threshold": 77},
+            {"backend": "ring"},
+        ],
+        ids=["ring", "list", "pre-PR-2", "promote-threshold", "backend"],
     )
     def test_files_with_retired_backend_field_still_load(self, tmp_path, retired):
         """Checkpoints written before D had one layout carry a ``backend``
-        array (or, older still, neither it nor ``promote_threshold``).
-        Both load into the single layout with identical contents — the
-        reader ignores unknown keys, it never rejects them."""
+        array next to a ``promote_threshold`` one; later ones carry only
+        the threshold, and the oldest neither.  All load into D's own
+        layout with identical contents — the reader ignores unknown keys,
+        it never rejects them."""
         import numpy as np
 
-        index = DynamicEdgeIndex(
-            retention=100.0, max_edges_per_target=16, promote_threshold=8
-        )
+        index = DynamicEdgeIndex(retention=100.0, max_edges_per_target=16)
+        index.promote_threshold = 8
         for i in range(40):
             index.insert(i % 11, 10, float(i), action=ActionType.RETWEET)
             index.insert(i, 20 + i % 3, float(i))
@@ -69,15 +76,17 @@ class TestDynamicIndexCheckpoint:
         save_dynamic_index(index, current)
         with np.load(current) as data:
             arrays = {name: data[name] for name in data.files}
-        assert "backend" not in arrays  # writers stopped emitting it
-        if retired is None:
-            del arrays["promote_threshold"]
-        else:
+        # Writers emit neither key any more.
+        assert not {"backend", "promote_threshold"} & set(arrays)
+        if "backend" in retired:
             arrays["backend"] = np.str_(retired["backend"])
+        if "promote_threshold" in retired:
+            arrays["promote_threshold"] = np.int64(retired["promote_threshold"])
         legacy = tmp_path / "legacy.npz"
         np.savez_compressed(legacy, **arrays)
 
         restored = load_dynamic_index(legacy)
+        assert restored.promote_threshold == DEFAULT_PROMOTE_THRESHOLD
         assert restored.retention == 100.0
         assert restored.max_edges_per_target == 16
         assert restored.num_edges == index.num_edges

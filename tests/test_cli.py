@@ -210,7 +210,6 @@ class TestGenerateAndRun:
         assert code == 0
         assert "control plane" in output
         assert "mode=" in output  # the controller's posture summary
-        assert "promote threshold:" in output
 
     def test_simulate_slo_requires_adaptive(self, artifacts):
         graph, stream = artifacts

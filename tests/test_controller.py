@@ -9,7 +9,6 @@ shedding, and recovery must release in the exact reverse order.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -28,9 +27,7 @@ from repro.ops import (
     ControllerConfig,
     LoadSignal,
     MetricsRegistry,
-    derive_promote_threshold,
 )
-from repro.ops.controller import PROMOTE_THRESHOLD_BOUNDS
 from repro.sim.latency import FixedDelay
 from repro.streaming import StreamingTopology
 from repro.topology import TopologyConfig
@@ -292,53 +289,6 @@ class TestHysteresisAndRecovery:
         text = controller.describe()
         assert "mode=throughput" in text
         assert "escalations=2" in text
-
-
-class TestDerivePromoteThreshold:
-    def write_record(self, tmp_path, entries=256, ring_speedup=4.0):
-        payload = {
-            "benchmark": "ingest",
-            "results": [
-                {
-                    "params": {"workload": "viral-scan", "entries": entries},
-                    "metrics": {"ring_speedup": ring_speedup},
-                }
-            ],
-        }
-        (tmp_path / "BENCH_ingest.json").write_text(json.dumps(payload))
-
-    def test_crossover_from_recorded_ablation(self, tmp_path):
-        self.write_record(tmp_path, entries=256, ring_speedup=4.0)
-        assert derive_promote_threshold(tmp_path) == 64
-
-    def test_clamped_to_operating_bounds(self, tmp_path):
-        lo, hi = PROMOTE_THRESHOLD_BOUNDS
-        self.write_record(tmp_path, entries=10**6, ring_speedup=2.0)
-        assert derive_promote_threshold(tmp_path) == hi
-        self.write_record(tmp_path, entries=64, ring_speedup=32.0)
-        assert derive_promote_threshold(tmp_path) == lo
-
-    def test_missing_file_falls_back(self, tmp_path):
-        assert derive_promote_threshold(tmp_path, default=123) == 123
-
-    def test_corrupt_json_falls_back(self, tmp_path):
-        (tmp_path / "BENCH_ingest.json").write_text("{not json")
-        assert derive_promote_threshold(tmp_path, default=123) == 123
-
-    def test_ring_never_faster_falls_back(self, tmp_path):
-        # speedup <= 1 means the measured crossover does not exist; the
-        # derivation must not make the system worse than the static knob.
-        self.write_record(tmp_path, entries=256, ring_speedup=0.8)
-        assert derive_promote_threshold(tmp_path, default=160) == 160
-
-    def test_no_viral_scan_row_falls_back(self, tmp_path):
-        payload = {"results": [{"params": {"workload": "other"}, "metrics": {}}]}
-        (tmp_path / "BENCH_ingest.json").write_text(json.dumps(payload))
-        assert derive_promote_threshold(tmp_path, default=77) == 77
-
-    def test_default_validated(self):
-        with pytest.raises(ValueError):
-            derive_promote_threshold(default=0)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph.dynamic_index import DynamicEdgeIndex, FreshEdge
+from repro.graph.dynamic_index import (
+    _NO_FRESH_SOURCES,
+    DEFAULT_PROMOTE_THRESHOLD,
+    DynamicEdgeIndex,
+    FreshEdge,
+)
 
 
 def make_index(retention=100.0, cap=None):
@@ -200,11 +205,9 @@ class TestRingBackend:
     """
 
     def make_ring_index(self, cap=None, threshold=4):
-        return DynamicEdgeIndex(
-            retention=100.0,
-            max_edges_per_target=cap,
-            promote_threshold=threshold,
-        )
+        index = DynamicEdgeIndex(retention=100.0, max_edges_per_target=cap)
+        index.promote_threshold = threshold
+        return index
 
     def test_promotion_counts_hot_targets(self):
         index = self.make_ring_index(threshold=3)
@@ -256,7 +259,8 @@ class TestRingBackend:
         assert index.fresh_sources(9, now=6.0, tau=90.0, action=ActionType.FAVORITE) == []
 
     def test_entries_backend_neutral_view(self):
-        deque_index = DynamicEdgeIndex(retention=100.0, promote_threshold=2**62)
+        deque_index = DynamicEdgeIndex(retention=100.0)
+        deque_index.promote_threshold = 2**62
         ring_index = self.make_ring_index(threshold=2)
         for idx in (deque_index, ring_index):
             for i in range(5):
@@ -292,14 +296,10 @@ class TestRingBulkExtend:
         events += [EdgeEvent(40.0 + i, i, i + 1) for i in range(5)]
         events += [EdgeEvent(45.0 + i, 2000 + i, 7) for i in range(40)]
 
-        reference = DynamicEdgeIndex(
-            retention=1e6, promote_threshold=8
-        )
+        reference, batched = DynamicEdgeIndex(retention=1e6), DynamicEdgeIndex(retention=1e6)
+        reference.promote_threshold = batched.promote_threshold = 8
         for e in events:
             reference.insert(e.actor, e.target, e.created_at, action=e.action)
-        batched = DynamicEdgeIndex(
-            retention=1e6, promote_threshold=8
-        )
         batched.insert_batch(EventBatch.from_events(events))
 
         assert batched.num_hot_targets == reference.num_hot_targets == 1
@@ -313,7 +313,8 @@ class TestRingBulkExtend:
 
         # Advance the ring's start pointer via window pruning, then land a
         # bulk group large enough to wrap around the circular buffer.
-        index = DynamicEdgeIndex(retention=50.0, promote_threshold=4)
+        index = DynamicEdgeIndex(retention=50.0)
+        index.promote_threshold = 4
         for i in range(10):
             index.insert(i, 7, float(i))
         assert index.num_hot_targets == 1
@@ -345,6 +346,91 @@ class TestRingBulkExtend:
         bulk.extend(ts, src, act)
         assert list(bulk) == list(sequential)
         assert bulk.count == sequential.count
+
+
+class TestOwnLayout:
+    """D picks its own layout: rings from :data:`DEFAULT_PROMOTE_THRESHOLD`
+    stored edges, deques again below half of it, and no option to move
+    the switch.  Queries answer alike either way."""
+
+    def layout_index(self, layout):
+        index = make_index()
+        if layout == "ring":
+            index.promote_threshold = 1  # every target is a ring at once
+        return index
+
+    def test_layout_switch_is_not_an_option(self):
+        from repro.cluster import ClusterConfig
+
+        assert make_index().promote_threshold == DEFAULT_PROMOTE_THRESHOLD == 160
+        with pytest.raises(TypeError):
+            DynamicEdgeIndex(retention=100.0, promote_threshold=4)
+        with pytest.raises(TypeError):
+            ClusterConfig(promote_threshold=77)
+
+    def test_promotes_at_the_constant_and_demotes_below_half(self):
+        index = make_index()
+        for i in range(DEFAULT_PROMOTE_THRESHOLD - 1):
+            index.insert(i, 9, i * 0.5)
+        assert index.num_hot_targets == 0
+        before = index.entries(9)
+        index.insert(DEFAULT_PROMOTE_THRESHOLD - 1, 9, 79.5)
+        assert index.num_hot_targets == 1
+        assert index.entries(9) == before + [(79.5, DEFAULT_PROMOTE_THRESHOLD - 1, None)]
+        # Edges sit 0.5 s apart from t=0: cutoff 40 keeps the newest 80,
+        # exactly half the threshold, so the ring stays.
+        assert index.prune_expired(140.0) == 80
+        assert index.num_hot_targets == 1
+        kept = index.entries(9)
+        assert len(kept) == DEFAULT_PROMOTE_THRESHOLD // 2
+        # One edge fewer is below half: back to a deque, same contents.
+        assert index.prune_expired(140.5) == 1
+        assert index.num_hot_targets == 0
+        assert index.entries(9) == kept[1:]
+        assert index.num_edges == DEFAULT_PROMOTE_THRESHOLD // 2 - 1
+
+    @pytest.mark.parametrize("layout", ["deque", "ring"])
+    def test_empty_answers_are_fresh_lists(self, layout):
+        """``fresh_sources`` hands out a list of the caller's own: the
+        batched read shares one empty result, the single read never."""
+        from repro.core import ActionType
+
+        index = self.layout_index(layout)
+        index.insert(1, 9, 0.0, action=ActionType.FOLLOW)
+        index.insert(2, 9, 1.0, action=ActionType.FOLLOW)
+        assert index.num_hot_targets == (layout == "ring")
+        misses = [
+            index.fresh_sources(7, now=5.0, tau=10.0),  # unknown target
+            index.fresh_sources(9, now=50.0, tau=10.0),  # only stale edges
+            index.fresh_sources(9, now=5.0, tau=10.0, action=ActionType.RETWEET),
+        ]
+        assert misses == [[], [], []]
+        assert len({id(miss) for miss in misses}) == 3
+        for miss in misses:
+            assert miss is not _NO_FRESH_SOURCES
+            miss.append("caller's own")
+        assert _NO_FRESH_SOURCES == []
+        assert index.fresh_sources(7, now=5.0, tau=10.0) == []
+        assert index.fresh_sources_multi([7], [5.0], 10.0) == [[]]
+
+    @pytest.mark.parametrize("layout", ["deque", "ring"])
+    def test_single_edge_window_bounds(self, layout):
+        """A target's one stored edge counts from ``now - tau`` through
+        ``now`` inclusive, under its own action only, on either layout."""
+        from repro.core import ActionType
+
+        index = self.layout_index(layout)
+        index.insert(4, 9, 30.0, action=ActionType.RETWEET)
+        assert index.num_hot_targets == (layout == "ring")
+        edge = [FreshEdge(4, 30.0, ActionType.RETWEET)]
+        assert index.fresh_sources(9, now=30.0, tau=10.0) == edge
+        assert index.fresh_sources(9, now=40.0, tau=10.0) == edge
+        assert index.fresh_sources(9, now=40.0, tau=10.0, action=ActionType.RETWEET) == edge
+        assert index.fresh_sources(9, now=40.5, tau=10.0) == []
+        assert index.fresh_sources(9, now=29.5, tau=10.0) == []
+        assert index.fresh_sources(9, now=35.0, tau=10.0, action=ActionType.FOLLOW) == []
+        raw = index.fresh_sources_multi([9], [35.0], 10.0, raw=True)[0]
+        assert list(raw) == [(30.0, 4, ActionType.RETWEET)]
 
 
 class TestSharedStreamPosition:

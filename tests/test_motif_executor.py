@@ -87,7 +87,8 @@ def catalog_kwargs(name: str, k: int) -> dict:
 
 
 def catalog_engine(name, k, static):
-    dynamic = DynamicEdgeIndex(retention=TAU, promote_threshold=4)
+    dynamic = DynamicEdgeIndex(retention=TAU)
+    dynamic.promote_threshold = 4
     detector = build_detector(
         name, static, dynamic, inserts_edges=False, **catalog_kwargs(name, k)
     )
@@ -274,7 +275,8 @@ class TestCompiledDiamond:
 
         def engine():
             s = StaticFollowerIndex.from_follow_edges(follows)
-            d = DynamicEdgeIndex(retention=600.0, promote_threshold=promote_threshold)
+            d = DynamicEdgeIndex(retention=600.0)
+            d.promote_threshold = promote_threshold
             detector = compile_motif(
                 diamond_spec(k=2, tau=600.0), s, d, inserts_edges=False, max_witnesses=3
             )

@@ -18,7 +18,9 @@ from repro.cli import main
 from repro.cluster import ClusterConfig
 from repro.core import DetectionParams
 from repro.delivery import ShardedDeliveryPipeline
+from repro.durability.manager import load_root_config
 from repro.graph import GraphSnapshot
+from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD
 from repro.ops import ControllerConfig
 from repro.serving import ServingCacheConfig
 from repro.streaming import StreamingTopology
@@ -29,7 +31,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: Every field set away from its default (the first test holds it to that).
 EVERYTHING = TopologyConfig(
     detection=DetectionParams(k=2, tau=600.0, max_trigger_sources=9),
-    cluster=ClusterConfig(num_partitions=3, promote_threshold=77),
+    cluster=ClusterConfig(num_partitions=3, max_edges_per_target=77),
     controller=ControllerConfig(interval=0.25, slo_p99=30.0),
     serving=ServingCacheConfig(k=3, capacity=64, ttl=900.0),
     seed=11,
@@ -132,6 +134,26 @@ class TestLegacyRoots:
         )
         assert loaded.detection.k == 2
 
+    def test_root_with_a_promote_threshold_loads_and_builds(self, tmp_path):
+        """Roots written while the D layout switch was a cluster option
+        carry ``cluster.promote_threshold``; the key is ignored and the
+        deployment builds with D's own layout."""
+        stored = {
+            "detection": {"k": 2, "tau": 600.0},
+            "cluster": {"num_partitions": 2, "promote_threshold": 77},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(stored))
+        config = load_root_config(tmp_path)
+        assert config == TopologyConfig(
+            detection=DetectionParams(k=2, tau=600.0),
+            cluster=ClusterConfig(num_partitions=2),
+        )
+        snapshot = GraphSnapshot.from_edges([(0, 3), (1, 3)], num_nodes=4)
+        with build_deployment(config, snapshot) as deployment:
+            replica = deployment.cluster.broker.replica_sets[0].replicas[0]
+            dynamic = replica.engine.dynamic_index
+            assert dynamic.promote_threshold == DEFAULT_PROMOTE_THRESHOLD
+
 
 # ----------------------------------------------------------------------
 # Validation: before any side effect, naming the flag
@@ -200,6 +222,53 @@ def test_simulate_snapshot_interval_requires_a_wal_dir(artifacts, capsys):
     assert "error: --snapshot-interval requires --wal-dir" in capsys.readouterr().err
 
 
+def test_adaptive_root_is_the_same_from_any_directory(
+    artifacts, tmp_path, capsys, monkeypatch
+):
+    """``simulate --adaptive`` once placed D's ring promotion from a bench
+    record found relative to the working directory.  Run next to such a
+    record (its crossover said 64) and in an empty directory, it now
+    writes the same root, neither report names a threshold, and the
+    stored config builds D with its own constant.  (The reports' latency
+    lines are measured, so they are not compared.)"""
+    graph, stream = artifacts
+    with_record = tmp_path / "with-record"
+    results = with_record / "benchmarks" / "results"
+    results.mkdir(parents=True)
+    (results / "BENCH_ingest.json").write_text(json.dumps({
+        "benchmark": "ingest",
+        "results": [{
+            "params": {"workload": "viral-scan", "entries": 256},
+            "metrics": {"ring_speedup": 4.0},
+        }],
+    }))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+
+    roots, reports = [], []
+    for cwd in (with_record, empty):
+        monkeypatch.chdir(cwd)
+        root = cwd / "root"
+        code = main(
+            ["simulate", str(graph), str(stream), "--k", "2", "--partitions", "2",
+             "--seed", "1", "--adaptive", "--wal-dir", str(root)]
+        )
+        assert code == 0
+        roots.append((root / "config.json").read_text())
+        reports.append(capsys.readouterr().out)
+    assert roots[0] == roots[1]
+    assert "promote" not in roots[0]
+    for report in reports:
+        assert "control plane" in report and "promote" not in report
+
+    config = TopologyConfig.from_dict(json.loads(roots[0]))
+    assert config.controller is not None
+    snapshot = GraphSnapshot.from_edges([(0, 3), (1, 3)], num_nodes=4)
+    with build_deployment(config, snapshot) as deployment:
+        replica = deployment.cluster.broker.replica_sets[0].replicas[0]
+        assert replica.engine.dynamic_index.promote_threshold == DEFAULT_PROMOTE_THRESHOLD
+
+
 @pytest.mark.parametrize(
     "bad, flag",
     [
@@ -239,7 +308,7 @@ def test_every_field_reaches_the_built_objects(tmp_path):
         assert cluster.params == config.detection
         assert cluster.partitioner.num_partitions == 3
         replica = cluster.broker.replica_sets[0].replicas[0]
-        assert replica.engine.dynamic_index.promote_threshold == 77
+        assert replica.engine.dynamic_index.max_edges_per_target == 77
 
         # delivery_shards / serving: the shards own the caches
         assert isinstance(deployment.delivery, ShardedDeliveryPipeline)
