@@ -9,12 +9,8 @@ by admission control, and a D checkpoint for fast replica bootstrap.
 Run:  python examples/ops_runbook.py
 """
 
-import tempfile
-from pathlib import Path
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import DetectionParams
-from repro.core.checkpoint import load_dynamic_index, save_dynamic_index
 from repro.gen import TwitterGraphConfig, generate_follow_graph, \
     StreamConfig, generate_event_stream
 from repro.ops import AdmissionController, AdmissionPolicy, ClusterMonitor
@@ -28,11 +24,9 @@ def main() -> None:
     events = generate_event_stream(
         StreamConfig(num_users=num_users, duration=600.0, background_rate=5.0, seed=21)
     )
-    cluster = Cluster.build(
-        snapshot,
-        DetectionParams(k=2, tau=900.0),
-        ClusterConfig(num_partitions=3, replication_factor=2),
-    )
+    params = DetectionParams(k=2, tau=900.0)
+    config = ClusterConfig(num_partitions=3, replication_factor=2)
+    cluster = Cluster.build(snapshot, params, config)
     monitor = ClusterMonitor(cluster)
     third = len(events) // 3
 
@@ -71,15 +65,16 @@ def main() -> None:
           f"shed fraction {controller.shed_fraction():.1%} (sampled 1-in-20)")
 
     print("\n== D checkpoint for replica bootstrap ==")
+    # The control messages the durability tier snapshots and recovers with.
+    arrays = cluster.checkpoint_dynamic()
+    replacement = Cluster.build(fresh_snapshot, params, config)
+    restored = replacement.load_dynamic(arrays)
     source = cluster.replica_sets[0].replicas[0].engine.dynamic_index
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d-checkpoint.npz"
-        written = save_dynamic_index(source, path)
-        restored = load_dynamic_index(path)
-        print(f"checkpointed {written} recent edges "
-              f"({path.stat().st_size / 1024:.0f} KB on disk); "
-              f"restored index holds {restored.num_edges} edges")
-        assert restored.num_edges == source.num_edges
+    size_kb = sum(column.nbytes for column in arrays.values()) / 1024
+    print(f"checkpointed {len(arrays['targets'])} recent edges "
+          f"({size_kb:.0f} KB of arrays); a fresh cluster restored "
+          f"{restored} edges into its D")
+    assert restored == source.num_edges
 
     print("\nops runbook complete. ✓")
 

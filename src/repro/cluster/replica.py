@@ -7,14 +7,14 @@ so one motif never produces duplicate notifications; read-only queries
 round-robin across healthy replicas, which is where the read-throughput
 scaling comes from.
 
-Replicas are copies only across processes.  Replicas in one address space
-share one D (``Cluster.build``), which the first of them to see a batch
-inserts: a replica that misses a batch loses that batch's candidates and
-counts it in ``missed_events``, but its D is not stale.  A replica with a
-private D that was down *has* a stale D; :meth:`ReplicaSet.resync` copies a
-healthy sibling's D state before the replica rejoins, mirroring how
-production systems bootstrap a replacement from a snapshot plus stream
-catch-up.
+Every replica of a set reads one D: the cluster's in process, the
+worker's in a partition worker (``Cluster.build``).  The first replica to
+see a batch inserts it, so a replica that misses a batch loses that
+batch's candidates and counts it in ``missed_events``, but its D is never
+stale.  :meth:`ReplicaSet.resync` therefore copies nothing: it clears the
+replica's missed-event ledger and rejoins it, and refuses a set whose
+replicas hold different D objects, where a rejoin would serve from a stale
+one.
 """
 
 from __future__ import annotations
@@ -74,33 +74,33 @@ class ReplicaSet:
         self.channels[replica_id].mark_down()
 
     def mark_up(self, replica_id: int) -> None:
-        """Return a replica to service *without* resync (stale D!).
+        """Return a replica to service, keeping its missed-event ledger.
 
-        Prefer :meth:`resync`, which repairs state before rejoining.
+        Prefer :meth:`resync`, which clears the ledger as it rejoins.
         """
         self.channels[replica_id].mark_up()
 
     def resync(self, replica_id: int) -> None:
-        """Copy a healthy sibling's D state into the replica and rejoin.
-
-        Replicas sharing one D have nothing to copy (the clone of an index
-        from itself is a no-op); resync then only clears the missed-event
-        ledger and rejoins.
+        """Clear the replica's missed-event ledger and rejoin it (its D is
+        its siblings' D, so there is nothing to copy).
 
         Raises:
-            AllReplicasDown: when no healthy source replica exists.
+            AllReplicasDown: when no healthy sibling is in service.
+            ValueError: when the replicas hold different D objects.
         """
-        source = None
-        for i, channel in enumerate(self.channels):
-            if i != replica_id and channel.available:
-                source = self.replicas[i]
-                break
-        if source is None:
+        if not any(
+            channel.available
+            for i, channel in enumerate(self.channels)
+            if i != replica_id
+        ):
             raise AllReplicasDown(
                 f"partition {self.partition_id}: no healthy replica to resync from"
             )
-        target = self.replicas[replica_id]
-        target.engine.dynamic_index.clone_state_from(source.engine.dynamic_index)
+        require(
+            len({id(r.engine.dynamic_index) for r in self.replicas}) == 1,
+            f"partition {self.partition_id}: replicas hold different D "
+            "objects; a rejoining replica would read a stale one",
+        )
         self.missed_events[replica_id] = 0
         self.channels[replica_id].mark_up()
 

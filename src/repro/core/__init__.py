@@ -24,7 +24,6 @@ from repro.core.recommendation import (
 from repro.core.detector import OnlineDetector
 from repro.core.diamond import DiamondDetector
 from repro.core.engine import EngineStats, MotifEngine
-from repro.core.spree import SpreeAlert, SpreeDetector
 
 __all__ = [
     "ActionType",
@@ -41,6 +40,4 @@ __all__ = [
     "DiamondDetector",
     "EngineStats",
     "MotifEngine",
-    "SpreeAlert",
-    "SpreeDetector",
 ]

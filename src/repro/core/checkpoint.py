@@ -3,21 +3,21 @@
 A replacement replica that replays the stream from scratch serves wrong
 (under-counted) results until its D warms up — the freshness window of
 history is missing.  Production bootstraps from a snapshot plus stream
-catch-up; this module provides the snapshot half: serialize a
-:class:`~repro.graph.dynamic_index.DynamicEdgeIndex` to a compact ``.npz``
-and restore it with its action tags intact.
+catch-up; this module provides the snapshot half: a
+:class:`~repro.graph.dynamic_index.DynamicEdgeIndex` as flat columns and
+back, action tags intact.  The cluster's ``checkpoint_dynamic`` /
+``load_dynamic`` control messages and the durability tier's snapshot
+store both carry these arrays; there is no file format of its own.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.events import ActionType
 from repro.graph.dynamic_index import DynamicEdgeIndex
 
-#: Integer codes for action tags in the checkpoint file (0 = untagged).
+#: Integer codes for action tags in the checkpoint arrays (0 = untagged).
 _ACTION_TO_CODE: dict[object, int] = {
     None: 0,
     ActionType.FOLLOW: 1,
@@ -30,9 +30,6 @@ _CODE_TO_ACTION = {code: action for action, code in _ACTION_TO_CODE.items()}
 def dynamic_index_arrays(index: DynamicEdgeIndex) -> dict[str, np.ndarray]:
     """Every stored edge of *index* as flat parallel columns.
 
-    The in-memory twin of :func:`save_dynamic_index`'s edge payload —
-    the cluster's ``checkpoint`` control message and the durability
-    tier's snapshot store both ship these arrays instead of a file.
     Per-target arrival order is preserved, which is the only ordering
     the ring/deque stores depend on.
     """
@@ -78,48 +75,3 @@ def restore_dynamic_arrays(
             action=_CODE_TO_ACTION[code],
         )
     return len(targets)
-
-
-def save_dynamic_index(index: DynamicEdgeIndex, path: str | Path) -> int:
-    """Write every stored edge of *index* to *path* (.npz).
-
-    Returns the number of edges written.  Configuration (retention and
-    cap) is saved alongside so a restore reproduces the same index —
-    :meth:`DynamicEdgeIndex.entries` serves the stored tuples identically
-    whether a target lives in a deque or a columnar ring.
-    """
-    arrays = dynamic_index_arrays(index)
-    np.savez_compressed(
-        Path(path),
-        **arrays,
-        retention=np.float64(index.retention),
-        max_edges_per_target=np.int64(index.max_edges_per_target or -1),
-    )
-    return len(arrays["targets"])
-
-
-def load_dynamic_index(path: str | Path) -> DynamicEdgeIndex:
-    """Restore a :func:`save_dynamic_index` checkpoint.
-
-    Edges are re-inserted in file order (which preserves per-target
-    arrival order), so window and cap pruning semantics carry over
-    exactly.  Older files may carry a ``backend`` or ``promote_threshold``
-    array; both keys are ignored (D picks its own layout).
-    """
-    with np.load(Path(path)) as data:
-        retention = float(data["retention"])
-        cap = int(data["max_edges_per_target"])
-        index = DynamicEdgeIndex(
-            retention=retention,
-            max_edges_per_target=None if cap < 0 else cap,
-        )
-        restore_dynamic_arrays(
-            index,
-            {
-                "targets": data["targets"],
-                "timestamps": data["timestamps"],
-                "sources": data["sources"],
-                "actions": data["actions"],
-            },
-        )
-    return index

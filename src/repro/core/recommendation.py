@@ -285,35 +285,6 @@ class RecommendationBatch(ColumnarRecommendations):
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_recommendations(
-        cls, recommendations: Iterable[Recommendation], event: int = 0
-    ) -> "RecommendationBatch":
-        """Re-column a boxed candidate sequence (foreign detectors, tests).
-
-        Consecutive recommendations sharing their group metadata collapse
-        into one group, so round-tripping a batch through boxed form and
-        back reconstructs the original grouping; iteration order is
-        preserved exactly either way.  Every group is stamped with the
-        triggering *event*'s batch position.
-        """
-        groups: list[RecommendationGroup] = []
-        meta: tuple | None = None
-        recipients: list[int] = []
-        for rec in recommendations:
-            rec_meta = (rec.candidate, rec.created_at, rec.motif, rec.action, rec.via)
-            if meta != rec_meta:
-                if recipients:
-                    groups.append(RecommendationGroup(recipients, *meta, event))
-                meta = rec_meta
-                recipients = []
-            recipients.append(rec.recipient)
-        if recipients:
-            groups.append(RecommendationGroup(recipients, *meta, event))
-        if not groups:
-            return EMPTY_RECOMMENDATION_BATCH
-        return cls(groups)
-
-    @classmethod
     def concat_all(
         cls, batches: Iterable["RecommendationBatch"]
     ) -> "RecommendationBatch":

@@ -107,26 +107,6 @@ class DedupFilter:
         self._table = Int64KeyTable({"time": (np.float64, 0)})
         self._table.load_state_arrays(arrays)
 
-    def save_npz(self, path) -> None:
-        """Snapshot the seen-map so a delivery-tier restart keeps its
-        daily horizon."""
-        self._table.save_npz(path)
-
-    @classmethod
-    def from_snapshot(
-        cls, path, window: float = 86_400.0
-    ) -> "DedupFilter":
-        """A filter warmed from a :meth:`save_npz` snapshot.
-
-        *window* is configuration, not state — pass the same value the
-        saved filter ran with (it is not persisted).
-        """
-        out = cls(window=window)
-        out._table = Int64KeyTable.from_snapshot(
-            path, {"time": (np.float64, 0)}
-        )
-        return out
-
     def tracked_pairs(self) -> int:
         """Number of pairs currently remembered (memory accounting)."""
         return len(self._table)

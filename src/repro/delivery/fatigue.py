@@ -169,30 +169,6 @@ class FatigueFilter:
         self._table = Int64KeyTable(_history_columns(self.max_per_window))
         self._table.load_state_arrays(arrays)
 
-    def save_npz(self, path) -> None:
-        """Snapshot the per-user histories so a delivery-tier restart
-        keeps charging against the same daily budgets."""
-        self._table.save_npz(path)
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        path,
-        max_per_window: int = 2,
-        window: float = 86_400.0,
-    ) -> "FatigueFilter":
-        """A filter warmed from a :meth:`save_npz` snapshot.
-
-        *max_per_window* and *window* are configuration, not state — pass
-        the values the saved filter ran with (the ring width is checked
-        against the snapshot, so a mismatched cap fails loudly).
-        """
-        out = cls(max_per_window=max_per_window, window=window)
-        out._table = Int64KeyTable.from_snapshot(
-            path, _history_columns(max_per_window)
-        )
-        return out
-
     def _live_slots(self, cutoff: float) -> np.ndarray:
         """Compaction keep-mask: slots with any charge still in window."""
         table = self._table

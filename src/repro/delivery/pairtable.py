@@ -40,7 +40,6 @@ True
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -55,13 +54,6 @@ PAIR_ID_LIMIT = 1 << 32
 MAX_LOAD = 0.6
 
 _DEFAULT_CAPACITY = 1024
-
-
-def _with_npz_suffix(path: Path) -> Path:
-    """Normalize to the ``.npz`` suffix ``np.savez`` appends on write."""
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz"
-    )
 
 
 def pack_pair(recipient: int, candidate: int) -> int:
@@ -327,11 +319,10 @@ class Int64KeyTable:
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The live entries as owned arrays (the in-memory snapshot form).
 
-        Same payload as :meth:`save_npz` writes to disk — occupied slots'
-        keys plus one ``column_<name>`` array per value column — so the
-        durability tier's snapshot store can delta these arrays without a
-        file round-trip.  Slot positions are an artifact of the current
-        capacity and are *not* preserved; a restore re-probes.
+        Occupied slots' keys plus one ``column_<name>`` array per value
+        column, which the durability tier's snapshot store deltas.  Slot
+        positions are an artifact of the current capacity and are *not*
+        preserved; a restore re-probes.
         """
         slots = self.filled_slots()
         payload: dict[str, np.ndarray] = {"keys": self._keys[slots].copy()}
@@ -365,43 +356,6 @@ class Int64KeyTable:
                     f"{column[slots].shape} / {column.dtype}"
                 )
             column[slots] = values
-
-    def save_npz(self, path: str | Path) -> None:
-        """Serialize the live entries to an ``.npz`` snapshot.
-
-        Mirrors :meth:`repro.graph.static_index.StaticFollowerIndex.save_npz`:
-        only the occupied slots' keys and value columns are written (slot
-        positions are an artifact of the current capacity, so they are
-        *not* preserved — a reload re-probes).  Uncompressed on purpose;
-        reload speed is the point and the columns barely compress.
-        """
-        np.savez(_with_npz_suffix(Path(path)), **self.state_arrays())
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        path: str | Path,
-        value_columns: dict[str, tuple[np.dtype, int]],
-    ) -> "Int64KeyTable":
-        """Rebuild a table from a :meth:`save_npz` snapshot.
-
-        *value_columns* must describe the same schema the snapshot was
-        saved with (same names, dtypes, and widths) — a restarted delivery
-        tier constructs its filters with the same configuration, so the
-        spec is knowledge the caller already has.  Round-trips are exact
-        on the live state: every saved key resolves to its saved values.
-
-        Raises:
-            ValueError: when the snapshot's columns do not match the spec.
-        """
-        path = Path(path)
-        if not path.exists():
-            path = _with_npz_suffix(path)
-        table = cls(value_columns)
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        table.load_state_arrays(arrays)
-        return table
 
     # ------------------------------------------------------------------
     # Introspection

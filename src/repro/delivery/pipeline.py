@@ -45,17 +45,12 @@ if TYPE_CHECKING:  # serving.cache imports from repro.delivery at runtime
 class DeliveryFilter(Protocol):
     """One funnel stage: allow or reject a candidate at time *now*.
 
-    Stages may additionally implement the *optional* batched entry point::
-
-        def allow_mask(self, columns: CandidateColumns, now: float)
-            -> np.ndarray
-
-    returning one boolean per candidate — the decision sequence (and any
-    state updates) must match per-candidate ``allow`` calls in column
-    order.  The pipeline only hands a stage the candidates every earlier
-    stage passed, which is what keeps stateful stages exact.  Pipelines
-    containing a stage without ``allow_mask`` fall back to the
-    per-candidate loop for the whole batch.
+    ``allow`` decides one candidate (the boxed reference lane);
+    ``allow_mask`` decides a batch, one boolean per candidate, and its
+    decision sequence (and any state updates) must match per-candidate
+    ``allow`` calls in column order.  The pipeline only hands a stage the
+    candidates every earlier stage passed, which is what keeps stateful
+    stages exact.
     """
 
     @property
@@ -65,6 +60,10 @@ class DeliveryFilter(Protocol):
 
     def allow(self, rec: Recommendation, now: float) -> bool:
         """True to pass the candidate to the next stage."""
+        ...
+
+    def allow_mask(self, columns: CandidateColumns, now: float) -> np.ndarray:
+        """One boolean per candidate, as ``allow`` would answer in order."""
         ...
 
 
@@ -81,9 +80,6 @@ class DeliveryPipeline:
       filter state afterwards.  The pipeline guarantees this by
       compressing the candidate columns after every stage, so a stateful
       stage's ``allow_mask`` only ever sees the earlier stages' survivors.
-    * **Custom filters keep working** — a configured stage without
-      ``allow_mask`` routes the whole batch through the per-candidate
-      loop (exact, just slower).
 
     >>> from repro.core.recommendation import (
     ...     RecommendationBatch, RecommendationGroup,
@@ -171,24 +167,16 @@ class DeliveryPipeline:
         but the candidates cross the funnel as flat columns: each stage
         masks the current survivor set, the pipeline compresses, and only
         the final survivors are boxed for the notifier.
-
-        Falls back to the per-candidate loop when any configured stage
-        lacks ``allow_mask`` (custom filters keep working unchanged).
         """
         n = len(batch)
         if n == 0:
             return []
-        stage_masks = [
-            getattr(stage, "allow_mask", None) for stage in self.filters
-        ]
-        if any(mask is None for mask in stage_masks):
-            return self._offer_each(batch, now)
         funnel = self.funnel
         funnel.count("raw", n)
         columns: CandidateColumns = batch.columns()
         indices: np.ndarray | None = None  # None = all candidates alive
-        for stage, allow_mask in zip(self.filters, stage_masks):
-            mask = allow_mask(columns, now)
+        for stage in self.filters:
+            mask = stage.allow_mask(columns, now)
             passed = int(mask.sum())
             dropped = len(columns) - passed
             # Count only what actually happened so the funnel dict matches

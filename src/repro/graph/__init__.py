@@ -28,11 +28,7 @@ from repro.graph.intersect import (
     k_overlap_scancount,
 )
 from repro.graph.static_index import StaticFollowerIndex
-from repro.graph.dynamic_index import (
-    DynamicEdgeIndex,
-    DynamicSourceIndex,
-    FreshEdge,
-)
+from repro.graph.dynamic_index import DynamicEdgeIndex, FreshEdge
 from repro.graph.csr import CsrGraph
 from repro.graph.snapshot import GraphSnapshot, build_follower_snapshot
 
@@ -50,7 +46,6 @@ __all__ = [
     "k_overlap_scancount",
     "StaticFollowerIndex",
     "DynamicEdgeIndex",
-    "DynamicSourceIndex",
     "FreshEdge",
     "CsrGraph",
     "GraphSnapshot",

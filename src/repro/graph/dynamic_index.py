@@ -381,7 +381,7 @@ class _HotRing:
         """Yield ``(timestamp, source, action)`` tuples in arrival order.
 
         This is the same tuple shape a deque entry stores, so checkpointing
-        and resync code can iterate either representation blindly.
+        code can iterate either representation blindly.
         """
         table = self._table
         ts = self._ordered(self.ts).tolist()
@@ -652,9 +652,7 @@ class DynamicEdgeIndex:
                 while entry[0][0] < cutoff:
                     entry.popleft()
                     evicted += 1
-                # Normally at most one pop per append; the loop also
-                # repairs over-cap state inherited via clone_state_from
-                # from a differently-capped sibling.
+                # At most one pop per append while the cap is unchanged.
                 while cap is not None and len(entry) > cap:
                     entry.popleft()
                     evicted += 1
@@ -670,29 +668,6 @@ class DynamicEdgeIndex:
         self._num_edges += inserted - evicted
         self._inserted_total += inserted
         self._evicted_total += evicted
-
-    def clone_state_from(self, other: "DynamicEdgeIndex") -> None:
-        """Replace this index's contents with a deep copy of *other*'s.
-
-        Used by replica resync: a recovering replica bootstraps its D from
-        a healthy sibling before rejoining the stream.  Retention/cap
-        configuration is not copied — only the stored edges, re-packed
-        under *this* index's ``promote_threshold`` (targets at or above it
-        come back as rings, the rest as deques).  Cloning an index from
-        itself (two replicas sharing one D) leaves it as it is.
-        """
-        if other is self:
-            return
-        self._edges = {}
-        promote_at = self.promote_threshold
-        for c, entry in other._edges.items():
-            copied = deque(entry)
-            self._edges[c] = copied
-            if len(copied) >= promote_at:
-                self._promote(c, copied)
-        self._num_edges = other._num_edges
-        self._inserted_total = other._inserted_total
-        self._evicted_total = other._evicted_total
 
     def prune_expired(self, now: float) -> int:
         """Eagerly drop all entries older than ``now - retention``.
@@ -1014,111 +989,3 @@ class DynamicEdgeIndex:
             else:
                 total += entry.nbytes() + 64
         return total
-
-
-class DynamicSourceIndex:
-    """The *augmented* dynamic structure: recent edges keyed by **source**.
-
-    The paper's conclusion notes that additional motif programs "may need
-    [the graph infrastructure] to be augmented to include other data
-    structures".  D answers "who recently acted *on* C?"; this index
-    answers the mirror question — "what did B recently act on?" — which
-    source-counted motifs (e.g. follow-spree detection) require.
-
-    Same pruning semantics as :class:`DynamicEdgeIndex`: a retention
-    window enforced lazily plus an optional per-source cap.  (Deques
-    only — spree queries never scan entries hot enough to justify rings.)
-    """
-
-    def __init__(
-        self,
-        retention: float,
-        max_edges_per_source: int | None = None,
-    ) -> None:
-        require_positive(retention, "retention")
-        if max_edges_per_source is not None:
-            require_positive(max_edges_per_source, "max_edges_per_source")
-        self.retention = retention
-        self.max_edges_per_source = max_edges_per_source
-        self._edges: dict[UserId, deque[tuple[float, UserId, object | None]]] = {}
-        self._num_edges = 0
-
-    def insert(
-        self,
-        b: UserId,
-        c: UserId,
-        timestamp: float,
-        action: object | None = None,
-    ) -> None:
-        """Record a live edge ``b -> c`` created at *timestamp*."""
-        entry = self._edges.get(b)
-        if entry is None:
-            entry = deque()
-            self._edges[b] = entry
-        entry.append((timestamp, c, action))
-        self._num_edges += 1
-        cutoff = timestamp - self.retention
-        while entry and entry[0][0] < cutoff:
-            entry.popleft()
-            self._num_edges -= 1
-        if (
-            self.max_edges_per_source is not None
-            and len(entry) > self.max_edges_per_source
-        ):
-            overflow = len(entry) - self.max_edges_per_source
-            for _ in range(overflow):
-                entry.popleft()
-            self._num_edges -= overflow
-
-    def fresh_targets(
-        self,
-        b: UserId,
-        now: float,
-        tau: float,
-        action: object | None = None,
-    ) -> list[FreshEdge]:
-        """Distinct targets *b* acted on within the last *tau* seconds.
-
-        Mirrors :meth:`DynamicEdgeIndex.fresh_sources`: latest timestamp
-        per distinct target, ascending-timestamp order, optional action
-        filter.  ``FreshEdge.source`` carries the *target* id here.
-        """
-        require_positive(tau, "tau")
-        if tau > self.retention:
-            raise ValueError(
-                f"tau={tau} exceeds retention={self.retention}; "
-                "fresh edges may already have been pruned"
-            )
-        entry = self._edges.get(b)
-        if not entry:
-            return []
-        cutoff = now - tau
-        latest: dict[UserId, tuple[float, object | None]] = {}
-        for timestamp, c, edge_action in entry:
-            if timestamp < cutoff or timestamp > now:
-                continue
-            if action is not None and edge_action is not action:
-                continue
-            previous = latest.get(c)
-            if previous is None or timestamp > previous[0]:
-                latest[c] = (timestamp, edge_action)
-        return [
-            FreshEdge(source=c, timestamp=t, action=edge_action)
-            for c, (t, edge_action) in sorted(
-                latest.items(), key=lambda item: (item[1][0], item[0])
-            )
-        ]
-
-    @property
-    def num_edges(self) -> int:
-        """Total stored edges across all sources."""
-        return self._num_edges
-
-    @property
-    def num_sources(self) -> int:
-        """Number of B's with stored edges."""
-        return len(self._edges)
-
-    def memory_bytes(self) -> int:
-        """Approximate heap footprint (same model as the target index)."""
-        return self._num_edges * 88 + len(self._edges) * 180

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,13 +43,6 @@ _LOAD_CHUNK_EDGES = 1 << 16
 #: One packed S: ``(keys, offsets, arena)``; ``keys[i]``'s sorted followers
 #: are ``arena[offsets[i]:offsets[i + 1]]``.
 PackedRows = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _with_npz_suffix(path: Path) -> Path:
-    """*path* with the ``.npz`` suffix ``np.savez`` would write to."""
-    if path.name.endswith(".npz"):
-        return path
-    return path.with_name(path.name + ".npz")
 
 
 def _invert_csr(
@@ -265,51 +257,6 @@ class StaticFollowerIndex:
                 graph._indptr, graph._indices, owners, num_shards, influencer_limit, weight
             )
         ]
-
-    # ------------------------------------------------------------------
-    # Arena snapshots (near-instant periodic reloads)
-    # ------------------------------------------------------------------
-
-    def save_npz(self, path: str | Path) -> None:
-        """Serialize ``(keys, offsets, arena)`` to an ``.npz`` snapshot.
-
-        The production S is "loaded into the system periodically"; dumping
-        the packed arena directly means the next load is three array reads
-        instead of re-inverting (and re-sorting) every follow edge.  Any
-        pending appended edges are compacted in first, so the snapshot is
-        always pure-arena.  Uncompressed on purpose — load speed is the
-        whole point, and int64 id columns barely compress anyway.
-        """
-        self.compact()
-        # np.savez appends ".npz" to suffixless paths on write; normalize
-        # here so save_npz(p) / from_snapshot(p) round-trip on the same p.
-        np.savez(
-            _with_npz_suffix(Path(path)),
-            keys=self._keys(),
-            offsets=self._offsets,
-            arena=self._arena,
-        )
-
-    @classmethod
-    def from_snapshot(cls, path: str | Path) -> "StaticFollowerIndex":
-        """Load an index directly from a :meth:`save_npz` arena snapshot.
-
-        The arrays are adopted as-is (no inversion, no sorting, no
-        per-row packing), so reload cost is dominated by the ``.npz`` read
-        itself.  Round-trips are exact: the loaded index serves identical
-        queries to the one that was saved.
-        """
-        path = Path(path)
-        if not path.exists():
-            path = _with_npz_suffix(path)
-        with np.load(path) as data:
-            return cls._adopt(
-                (
-                    data["keys"],
-                    data["offsets"].astype(np.int64, copy=False),
-                    data["arena"].astype(np.int64, copy=False),
-                )
-            )
 
     # ------------------------------------------------------------------
     # Incremental updates (append-and-compact)

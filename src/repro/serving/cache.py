@@ -78,7 +78,6 @@ from repro.core.recommendation import (
     FlatRecommendations,
     Recommendation,
 )
-from repro.delivery.notifier import PushNotification
 from repro.delivery.pairtable import Int64KeyTable
 from repro.delivery.scoring import decayed_scores
 from repro.util.hashing import shard_ids, splitmix64
@@ -549,7 +548,7 @@ class _TableView(_Derived):
 
 
 class _IngestAdapters:
-    """What the delivery-side taps call; all three end in one
+    """What the delivery-side taps call; both end in one
     ``update_columns`` over flat columns, scored with one kernel call."""
 
     def ingest_released(
@@ -558,8 +557,8 @@ class _IngestAdapters:
         """Merge a ranked flush's released winners, scored as of *now*.
 
         The flush's :class:`~repro.core.recommendation.FlatRecommendations`
-        is consumed as the columns it already is; a boxed sequence
-        (foreign input, :meth:`ingest_notifications`) is columned first.
+        is consumed as the columns it already is; a boxed sequence is
+        columned first.
 
         >>> cache = ServingCache(k=2)
         >>> cache.ingest_released(
@@ -586,13 +585,6 @@ class _IngestAdapters:
             witnesses=witnesses,
             now=now,
         )
-
-    def ingest_notifications(
-        self, notifications: Iterable[PushNotification], now: float
-    ) -> None:
-        """Merge delivered notifications (a post-funnel feed: what was
-        pushed rather than what was ranked)."""
-        self.ingest_released([n.recommendation for n in notifications], now)
 
 
 class ServingCache(_TableView, _IngestAdapters):

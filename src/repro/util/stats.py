@@ -33,7 +33,9 @@ def percentile(sorted_values: list[float], q: float) -> float:
     if lower == upper:
         return sorted_values[lower]
     weight = rank - lower
-    return sorted_values[lower] * (1.0 - weight) + sorted_values[upper] * weight
+    low, high = sorted_values[lower], sorted_values[upper]
+    # Rounding (e.g. of subnormals) can step outside the two ranks: clamp.
+    return min(max(low * (1.0 - weight) + high * weight, low), high)
 
 
 class OnlineStats:

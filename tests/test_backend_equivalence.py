@@ -10,8 +10,9 @@ randomized follow graphs and event streams:
   ``append_follow_edges`` / ``compact``;
 * a D that promotes almost immediately (its ``promote_threshold``
   attribute set tiny) stays bit-identical — queries, contents, eviction
-  counters, checkpoints — to a D that never promotes (the attribute set to
-  ``NEVER_PROMOTE``, i.e. deques only), through promote/demote churn;
+  counters, checkpoint arrays — to a D that never promotes (the attribute
+  set to ``NEVER_PROMOTE``, i.e. deques only), through promote/demote
+  churn;
 * the engine emits the same recommendations per-event, batched, and over a
   never-promoting D.
 """
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.cluster import HashPartitioner
 from repro.core import ActionType, DetectionParams, MotifEngine
 from repro.core.batch import EventBatch
-from repro.core.checkpoint import load_dynamic_index, save_dynamic_index
+from repro.core.checkpoint import dynamic_index_arrays, restore_dynamic_arrays
 from repro.gen import (
     BurstSpec,
     StreamConfig,
@@ -315,26 +316,6 @@ def test_ring_promotes_and_demotes_at_boundaries():
     assert index.num_edges == 5
 
 
-@settings(max_examples=25, deadline=None)
-@given(rows=event_rows, threshold=st.integers(1, 8))
-def test_clone_state_from_repacks_into_own_backend(rows, threshold):
-    """A clone re-packs the sibling's edges under its *own* threshold."""
-    source = d_index(50.0, NEVER_PROMOTE)
-    clock = 0.0
-    for actor, target, offset, action in rows:
-        clock += offset / 20.0
-        source.insert(actor, target, clock, action=action)
-    clone = d_index(50.0, threshold)
-    clone.clone_state_from(source)
-    assert clone.num_edges == source.num_edges
-    assert clone._edges == source._edges
-    assert clone.num_hot_targets == sum(
-        len(source.entries(c)) >= threshold for c in source.targets()
-    )
-    for c in source.targets():
-        assert clone.entries(c) == source.entries(c)
-
-
 # ----------------------------------------------------------------------
 # Snapshot / checkpoint round-trips
 # ----------------------------------------------------------------------
@@ -342,23 +323,44 @@ def test_clone_state_from_repacks_into_own_backend(rows, threshold):
 
 @settings(max_examples=25, deadline=None)
 @given(rows=event_rows, threshold=st.integers(1, 8))
-def test_checkpoint_roundtrip_preserves_ring_backend(tmp_path_factory, rows, threshold):
+def test_checkpoint_roundtrip_preserves_ring_backend(rows, threshold):
     """A ring-backed index's contents survive the round trip exactly; the
-    file carries no layout, so the restored D picks its own."""
+    arrays carry no layout, so the restored D picks its own."""
     index = d_index(1000.0, threshold, max_edges_per_target=8)
     clock = 0.0
     for actor, target, offset, action in rows:
         clock += offset / 10.0
         index.insert(actor, target, clock, action=action)
-    path = tmp_path_factory.mktemp("ckpt") / "d.npz"
-    save_dynamic_index(index, path)
-    restored = load_dynamic_index(path)
+    arrays = dynamic_index_arrays(index)
+    assert set(arrays) == {"targets", "timestamps", "sources", "actions"}
+    restored = DynamicEdgeIndex(1000.0, max_edges_per_target=8)
+    restore_dynamic_arrays(restored, arrays)
     assert restored.promote_threshold == DEFAULT_PROMOTE_THRESHOLD
-    assert restored.max_edges_per_target == 8
     assert restored.num_edges == index.num_edges
     assert restored.num_hot_targets == 0  # 8 entries at most, below 160
     for c in index.targets():
         assert restored.entries(c) == index.entries(c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=event_rows, threshold=st.integers(1, 8))
+def test_restore_repacks_into_own_layout(rows, threshold):
+    """A restore re-packs a deque-only D's edges under the restoring D's
+    *own* threshold: same contents, rings exactly where it would promote."""
+    source = d_index(50.0, NEVER_PROMOTE)
+    clock = 0.0
+    for actor, target, offset, action in rows:
+        clock += offset / 20.0
+        source.insert(actor, target, clock, action=action)
+    restored = d_index(50.0, threshold)
+    restore_dynamic_arrays(restored, dynamic_index_arrays(source))
+    assert restored.num_edges == source.num_edges
+    assert restored._edges == source._edges
+    assert restored.num_hot_targets == sum(
+        len(source.entries(c)) >= threshold for c in source.targets()
+    )
+    for c in source.targets():
+        assert restored.entries(c) == source.entries(c)
 
 
 def test_snapshot_roundtrip_feeds_both_s_backends(tmp_path):

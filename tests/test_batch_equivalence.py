@@ -344,6 +344,19 @@ def test_shared_d_cluster_matches_oracle_and_private_d(
     assert got, "workload never triggered; the test proves nothing"
 
 
+def test_resync_refuses_replicas_with_private_ds():
+    """Resync copies nothing, so a set whose replicas hold different D
+    objects must not rejoin one: the down replica's D missed the batches."""
+    snapshot, events = hub_burst_stream()
+    replica_set = private_d_cluster(snapshot, 1, 2).replica_sets[0]
+    replica_set.mark_down(1)
+    replica_set.ingest_batch(EventBatch.from_events(events[:64]))
+    assert replica_set.missed_events == [0, 64]
+    with pytest.raises(ValueError, match="different D"):
+        replica_set.resync(1)
+    assert not replica_set.channels[1].available
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(

@@ -1,12 +1,13 @@
 """Tests for D checkpointing and S hot-reload (periodic offline load)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import ActionType, DetectionParams, EdgeEvent, MotifEngine
-from repro.core.checkpoint import load_dynamic_index, save_dynamic_index
+from repro.core.checkpoint import dynamic_index_arrays, restore_dynamic_arrays
 from repro.graph import DynamicEdgeIndex, GraphSnapshot
 from repro.graph.dynamic_index import DEFAULT_PROMOTE_THRESHOLD
 
@@ -15,19 +16,26 @@ from tests.conftest import A1, A2, A3, B1, B2, C2, FIGURE1_FOLLOWS
 PARAMS = DetectionParams(k=2, tau=600.0)
 
 
+def restored_copy(index, **kwargs):
+    """A fresh D (*kwargs* its configuration) holding *index*'s
+    checkpoint arrays, as ``Cluster.load_dynamic`` and the durability
+    tier's snapshot store restore it."""
+    restored = DynamicEdgeIndex(**kwargs)
+    restore_dynamic_arrays(restored, dynamic_index_arrays(index))
+    return restored
+
+
 class TestDynamicIndexCheckpoint:
-    def test_roundtrip_preserves_queries(self, tmp_path):
+    def test_roundtrip_preserves_queries(self):
         index = DynamicEdgeIndex(retention=100.0, max_edges_per_target=5)
         index.insert(1, 10, 5.0, action=ActionType.FOLLOW)
         index.insert(2, 10, 6.0, action=ActionType.RETWEET)
         index.insert(3, 11, 7.0)
-        path = tmp_path / "d.npz"
-        written = save_dynamic_index(index, path)
-        assert written == 3
+        arrays = dynamic_index_arrays(index)
+        assert len(arrays["targets"]) == 3
 
-        restored = load_dynamic_index(path)
-        assert restored.retention == 100.0
-        assert restored.max_edges_per_target == 5
+        restored = DynamicEdgeIndex(retention=100.0, max_edges_per_target=5)
+        assert restore_dynamic_arrays(restored, arrays) == 3
         assert restored.num_edges == 3
         got = restored.fresh_sources(10, now=10.0, tau=50.0)
         assert [(e.source, e.timestamp, e.action) for e in got] == [
@@ -35,73 +43,70 @@ class TestDynamicIndexCheckpoint:
             (2, 6.0, ActionType.RETWEET),
         ]
 
-    def test_action_filter_survives_roundtrip(self, tmp_path):
+    def test_action_filter_survives_roundtrip(self):
         index = DynamicEdgeIndex(retention=100.0)
         index.insert(1, 10, 5.0, action=ActionType.RETWEET)
         index.insert(2, 10, 6.0, action=ActionType.FOLLOW)
-        path = tmp_path / "d.npz"
-        save_dynamic_index(index, path)
-        restored = load_dynamic_index(path)
+        restored = restored_copy(index, retention=100.0)
         retweets = restored.fresh_sources(
             10, now=10.0, tau=50.0, action=ActionType.RETWEET
         )
         assert [e.source for e in retweets] == [1]
 
     @pytest.mark.parametrize(
-        "retired",
-        [
-            {"backend": "ring", "promote_threshold": 8},
-            {"backend": "list", "promote_threshold": 8},
-            {},
-            {"promote_threshold": 77},
-            {"backend": "ring"},
-        ],
-        ids=["ring", "list", "pre-PR-2", "promote-threshold", "backend"],
+        "source_threshold", [1, 2**62, 8], ids=["ring", "deque", "mixed"]
     )
-    def test_files_with_retired_backend_field_still_load(self, tmp_path, retired):
-        """Checkpoints written before D had one layout carry a ``backend``
-        array next to a ``promote_threshold`` one; later ones carry only
-        the threshold, and the oldest neither.  All load into D's own
-        layout with identical contents — the reader ignores unknown keys,
-        it never rejects them."""
-        import numpy as np
-
+    def test_arrays_restore_into_the_own_layout(self, source_threshold):
+        """Whatever layout the checkpointed D held its targets in, the
+        arrays restore into the restoring D's own layout with identical
+        contents and answers."""
         index = DynamicEdgeIndex(retention=100.0, max_edges_per_target=16)
-        index.promote_threshold = 8
+        index.promote_threshold = source_threshold
         for i in range(40):
             index.insert(i % 11, 10, float(i), action=ActionType.RETWEET)
             index.insert(i, 20 + i % 3, float(i))
-        assert index.num_hot_targets >= 1
-        current = tmp_path / "current.npz"
-        save_dynamic_index(index, current)
-        with np.load(current) as data:
-            arrays = {name: data[name] for name in data.files}
-        # Writers emit neither key any more.
-        assert not {"backend", "promote_threshold"} & set(arrays)
-        if "backend" in retired:
-            arrays["backend"] = np.str_(retired["backend"])
-        if "promote_threshold" in retired:
-            arrays["promote_threshold"] = np.int64(retired["promote_threshold"])
-        legacy = tmp_path / "legacy.npz"
-        np.savez_compressed(legacy, **arrays)
+        assert (index.num_hot_targets >= 1) == (source_threshold < 2**62)
 
-        restored = load_dynamic_index(legacy)
+        restored = restored_copy(index, retention=100.0, max_edges_per_target=16)
         assert restored.promote_threshold == DEFAULT_PROMOTE_THRESHOLD
-        assert restored.retention == 100.0
-        assert restored.max_edges_per_target == 16
+        assert restored.num_hot_targets == 0  # 16 entries at most
         assert restored.num_edges == index.num_edges
         assert sorted(restored.targets()) == sorted(index.targets())
         for c in index.targets():
             assert restored.entries(c) == index.entries(c)
-        assert restored.fresh_sources(10, now=40.0, tau=50.0) == (
-            index.fresh_sources(10, now=40.0, tau=50.0)
-        )
+        for action in (None, ActionType.RETWEET, ActionType.FOLLOW):
+            assert restored.fresh_sources(10, 40.0, 50.0, action) == (
+                index.fresh_sources(10, 40.0, 50.0, action)
+            )
 
-    def test_empty_index_roundtrip(self, tmp_path):
+    def test_unknown_action_code_rejected(self):
+        index = DynamicEdgeIndex(retention=100.0)
+        index.insert(1, 10, 5.0, action=ActionType.FOLLOW)
+        arrays = dynamic_index_arrays(index)
+        arrays["actions"] = np.array([9], dtype=np.int8)
+        with pytest.raises(ValueError, match="action code 9"):
+            restore_dynamic_arrays(DynamicEdgeIndex(retention=100.0), arrays)
+
+    def test_restore_applies_the_restoring_cap(self):
+        """Arrays restore in per-target arrival order, so a D with a
+        smaller cap keeps each target's newest edges, as it would have
+        had it seen the stream."""
+        index = DynamicEdgeIndex(retention=100.0, max_edges_per_target=8)
+        for i in range(8):
+            index.insert(i, 10, float(i))
+        restored = restored_copy(index, retention=100.0, max_edges_per_target=3)
+        assert restored.num_edges == 3
+        assert [e.source for e in restored.fresh_sources(10, 8.0, 50.0)] == [
+            5,
+            6,
+            7,
+        ]
+
+    def test_empty_index_roundtrip(self):
         index = DynamicEdgeIndex(retention=10.0)
-        path = tmp_path / "empty.npz"
-        assert save_dynamic_index(index, path) == 0
-        restored = load_dynamic_index(path)
+        arrays = dynamic_index_arrays(index)
+        restored = DynamicEdgeIndex(retention=10.0)
+        assert restore_dynamic_arrays(restored, arrays) == 0
         assert restored.num_edges == 0
 
     @settings(max_examples=25, deadline=None)
@@ -117,39 +122,50 @@ class TestDynamicIndexCheckpoint:
         )
     )
     def test_roundtrip_property(self, inserts):
-        import tempfile
-        from pathlib import Path
-
         index = DynamicEdgeIndex(retention=1_000.0)
         for b, c, t, action in inserts:
             index.insert(b, c, t, action=action)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "d.npz"
-            save_dynamic_index(index, path)
-            restored = load_dynamic_index(path)
-            assert restored.num_edges == index.num_edges
-            for c in index.targets():
-                want = index.fresh_sources(c, now=100.0, tau=1_000.0)
-                got = restored.fresh_sources(c, now=100.0, tau=1_000.0)
-                assert got == want
+        restored = restored_copy(index, retention=1_000.0)
+        assert restored.num_edges == index.num_edges
+        for c in index.targets():
+            want = index.fresh_sources(c, now=100.0, tau=1_000.0)
+            got = restored.fresh_sources(c, now=100.0, tau=1_000.0)
+            assert got == want
 
-    def test_warm_started_detector_matches_original(self, tmp_path):
+    def test_warm_started_detector_matches_original(self):
         """A replica restored from checkpoint serves the same results."""
         snapshot = GraphSnapshot.from_edges(FIGURE1_FOLLOWS, num_nodes=8)
         original = MotifEngine.from_snapshot(snapshot, PARAMS)
         original.process(EdgeEvent(0.0, B1, C2))
 
-        path = tmp_path / "warm.npz"
-        save_dynamic_index(original.dynamic_index, path)
-        restored_index = load_dynamic_index(path)
         warm = MotifEngine.from_snapshot(snapshot, PARAMS)
-        warm.dynamic_index.clone_state_from(restored_index)
+        restore_dynamic_arrays(
+            warm.dynamic_index, dynamic_index_arrays(original.dynamic_index)
+        )
 
         want = original.process(EdgeEvent(10.0, B2, C2))
         got = warm.process(EdgeEvent(10.0, B2, C2))
         assert [(r.recipient, r.candidate) for r in got] == [
             (r.recipient, r.candidate) for r in want
         ]
+
+
+    def test_cluster_checkpoint_warm_starts_a_fresh_cluster(self):
+        """The control messages a replacement deployment bootstraps with:
+        ``checkpoint_dynamic`` on the live cluster, ``load_dynamic`` on a
+        fresh one, which then completes the motif the live one would."""
+        snapshot = GraphSnapshot.from_edges(FIGURE1_FOLLOWS, num_nodes=8)
+        config = ClusterConfig(num_partitions=2, replication_factor=2)
+        live = Cluster.build(snapshot, PARAMS, config)
+        live.process_event(EdgeEvent(0.0, B1, C2))
+        fresh = Cluster.build(snapshot, PARAMS, config)
+        assert fresh.load_dynamic(live.checkpoint_dynamic()) == 1
+
+        want = live.process_event(EdgeEvent(10.0, B2, C2))
+        got = fresh.process_event(EdgeEvent(10.0, B2, C2))
+        assert [(r.recipient, r.candidate) for r in got] == [
+            (r.recipient, r.candidate) for r in want
+        ] == [(A2, C2)]
 
 
 class TestStaticReload:

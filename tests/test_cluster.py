@@ -218,9 +218,9 @@ class TestReplication:
     def test_replica_missing_a_batch_loses_candidates_not_d(
         self, figure1_snapshot
     ):
-        """Replicas are copies only across processes: in one address space
-        a replica whose channel is down, or raises, loses that batch's
-        candidates and counts the miss, but keeps reading the shared D."""
+        """Every replica of a set reads one D: a replica whose channel is
+        down, or raises, loses that batch's candidates and counts the
+        miss, but keeps reading the shared D."""
 
         def channels(p, r):
             # Replica 2's channel raises on every call.
@@ -261,6 +261,28 @@ class TestReplication:
         replica_set.mark_down(1)
         with pytest.raises(AllReplicasDown):
             replica_set.resync(0)
+
+    def test_resync_clears_only_its_own_ledger(self, figure1_snapshot):
+        cluster = self.build_replicated(figure1_snapshot, partitions=1, replicas=3)
+        replica_set = cluster.replica_sets[0]
+        replica_set.mark_down(1)
+        replica_set.mark_down(2)
+        cluster.process_event(EdgeEvent(0.0, B1, C2))
+        assert replica_set.missed_events == [0, 1, 1]
+        replica_set.resync(2)
+        assert replica_set.missed_events == [0, 1, 0]
+        assert replica_set.healthy_replicas() == [0, 2]
+
+    def test_refused_resync_leaves_the_replica_down(self, figure1_snapshot):
+        cluster = self.build_replicated(figure1_snapshot, partitions=1)
+        replica_set = cluster.replica_sets[0]
+        replica_set.mark_down(1)
+        cluster.process_event(EdgeEvent(0.0, B1, C2))
+        replica_set.mark_down(0)
+        with pytest.raises(AllReplicasDown):
+            replica_set.resync(1)
+        assert replica_set.missed_events == [0, 1]
+        assert replica_set.healthy_replicas() == []
 
     def test_reads_round_robin_across_replicas(self, figure1_snapshot):
         cluster = self.build_replicated(figure1_snapshot, partitions=1, replicas=3)

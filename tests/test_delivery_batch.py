@@ -11,6 +11,7 @@ streams, random filter configurations, and both funnel entry points
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.core.recommendation import (
 )
 from repro.delivery import (
     DedupFilter,
+    DeliveryFilter,
     DeliveryPipeline,
     FatigueFilter,
     PushNotifier,
@@ -165,29 +167,88 @@ def test_offer_batch_matches_offer_all_on_boxed_view(batch, start):
     assert_pipelines_equal(batched, sequential)
 
 
-def test_offer_batch_falls_back_for_custom_filters():
-    """A stage without allow_mask routes the batch through the exact loop."""
-
-    class EvenRecipientsOnly:
-        name = "even"
-
-        def allow(self, rec, now):
-            return rec.recipient % 2 == 0
-
-    batch = RecommendationBatch(
-        [RecommendationGroup([1, 2, 3, 4], candidate=9, created_at=0.0)]
-    )
-    pipeline = DeliveryPipeline(filters=[EvenRecipientsOnly()])
-    delivered = pipeline.offer_batch(batch, now=0.0)
-    assert [n.recipient for n in delivered] == [2, 4]
-    assert pipeline.funnel.get("raw") == 4
-    assert pipeline.funnel.get("dropped:even") == 2
-
-
 def test_offer_batch_empty_counts_nothing():
     pipeline = DeliveryPipeline()
     assert pipeline.offer_batch(EMPTY_RECOMMENDATION_BATCH, now=0.0) == []
     assert pipeline.funnel.stages == {}
+
+
+class EvenRecipientsOnly:
+    """A custom stage outside the shipped trio: both protocol entry points."""
+
+    name = "even"
+
+    def __init__(self):
+        self.seen = []
+
+    def allow(self, rec, now):
+        return rec.recipient % 2 == 0
+
+    def allow_mask(self, columns, now):
+        self.seen.append(columns.recipients.tolist())
+        return columns.recipients % 2 == 0
+
+
+def test_offer_batch_runs_custom_filters_through_allow_mask():
+    """A custom stage gets one mask call over only the earlier stages'
+    survivors, and the funnel reads as the per-candidate lane's."""
+    batch = RecommendationBatch(
+        [RecommendationGroup([1, 2, 3, 4, 2], candidate=9, created_at=0.0)]
+    )
+    custom = EvenRecipientsOnly()
+    pipeline = DeliveryPipeline(filters=[DedupFilter(window=60.0), custom])
+    delivered = pipeline.offer_batch(batch, now=0.0)
+    assert [n.recipient for n in delivered] == [2, 4]
+    assert custom.seen == [[1, 2, 3, 4]]
+    assert pipeline.funnel.get("raw") == 5
+    assert pipeline.funnel.get("dropped:dedup") == 1
+    assert pipeline.funnel.get("dropped:even") == 2
+
+    boxed = DeliveryPipeline(
+        filters=[DedupFilter(window=60.0), EvenRecipientsOnly()]
+    )
+    assert [n.recipient for n in boxed.offer_all(list(batch), now=0.0)] == [2, 4]
+    assert boxed.funnel.stages == pipeline.funnel.stages
+
+
+@pytest.mark.parametrize(
+    "make_stage",
+    [DedupFilter, WakingHoursFilter, FatigueFilter, EvenRecipientsOnly],
+    ids=["dedup", "waking", "fatigue", "custom"],
+)
+def test_stages_with_both_entry_points_are_delivery_filters(make_stage):
+    assert isinstance(make_stage(), DeliveryFilter)
+
+
+def test_stage_without_allow_mask_is_not_a_delivery_filter():
+    """``offer_batch`` has no per-candidate fallback: a stage that only
+    answers ``allow`` does not satisfy the protocol."""
+
+    class AllowOnly:
+        name = "allow-only"
+
+        def allow(self, rec, now):
+            return True
+
+    assert not isinstance(AllowOnly(), DeliveryFilter)
+
+
+def test_boxed_lane_needs_only_allow():
+    """The per-candidate reference lane calls ``allow`` alone, which is how
+    the plain-Python reference models (no ``allow_mask``) run through it."""
+    pipeline = DeliveryPipeline(
+        filters=[ReferenceDedup(window=60.0), ReferenceFatigue(max_per_window=1)]
+    )
+    recs = [
+        Recommendation(recipient=r, candidate=c, created_at=0.0)
+        for r, c in [(1, 9), (1, 9), (2, 9), (2, 8)]
+    ]
+    assert [
+        (n.recipient, n.recommendation.candidate)
+        for n in pipeline.offer_all(recs, now=0.0)
+    ] == [(1, 9), (2, 9)]
+    assert pipeline.funnel.get("dropped:dedup") == 1
+    assert pipeline.funnel.get("dropped:fatigue") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +375,6 @@ class TestRecommendationBatch:
         picked = batch.select(np.array([0, 2, 4]))
         assert [r.recipient for r in picked] == [1, 3, 5]
         assert [r.candidate for r in picked] == [9, 9, 10]
-
-    def test_round_trip_through_boxed_form(self):
-        batch = self.make_batch()
-        rebuilt = RecommendationBatch.from_recommendations(list(batch))
-        assert rebuilt == batch
-        assert len(rebuilt.groups) == 2
 
     def test_concat_aliases_empties(self):
         batch = self.make_batch()

@@ -225,12 +225,15 @@ class TestFlatRecommendations:
 
 
 class _OddRecipientsOnly:
-    """A custom stage with only the per-candidate ``allow`` entry point."""
+    """A custom stage beside the shipped ones (both protocol entry points)."""
 
     name = "odd"
 
     def allow(self, recommendation: Recommendation, now: float) -> bool:
         return recommendation.recipient % 2 == 1
+
+    def allow_mask(self, columns, now: float) -> np.ndarray:
+        return columns.recipients % 2 == 1
 
 
 def _ranked_window(seed: int) -> list[RecommendationGroup]:
@@ -251,11 +254,9 @@ class TestFlatWinnersThroughTheFunnel:
         "make_filters",
         [
             lambda: [DedupFilter(window=500.0), FatigueFilter(max_per_window=3)],
-            # No allow_mask: the whole batch takes the per-candidate loop
-            # (this used to bounce between offer_all and offer_batch).
             lambda: [DedupFilter(window=500.0), _OddRecipientsOnly()],
         ],
-        ids=["vectorized", "allow-only"],
+        ids=["vectorized", "custom-mask"],
     )
     def test_columnar_lane_matches_boxed_lane(self, make_filters):
         columnar = DeliveryPipeline(filters=make_filters())

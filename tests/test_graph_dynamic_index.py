@@ -437,17 +437,6 @@ class TestSharedStreamPosition:
     """One D shared by several engines: each batch scanned once per key
     and inserted once, whichever engine gets there first."""
 
-    def test_clone_from_itself_keeps_the_index(self):
-        index = make_index()
-        index.insert(1, 9, 0.0)
-        index.insert(2, 9, 1.0)
-        index.clone_state_from(index)
-        assert index.num_edges == 2
-        assert index.fresh_sources(9, now=2.0, tau=100.0) == [
-            FreshEdge(1, 0.0),
-            FreshEdge(2, 1.0),
-        ]
-
     def test_second_engine_at_a_position_does_not_insert(self):
         index = make_index()
         first, second, batch = object(), object(), object()

@@ -195,12 +195,25 @@ class TestCsrFollowerIndex:
 
 
 class TestCsrArenaSnapshots:
+    """S has no file of its own: it is rebuilt from the offline snapshot
+    (the CLI's ``graph.npz``), so a reload must give back the same S."""
+
+    @staticmethod
+    def reloaded(snapshot, tmp_path):
+        from repro.graph import GraphSnapshot
+
+        path = tmp_path / "graph.npz"
+        snapshot.save(path)
+        return GraphSnapshot.load(path)
+
     def test_npz_round_trip_exact(self, tmp_path):
+        from repro.graph import GraphSnapshot, build_follower_snapshot
+
         edges = [(a, b) for b in range(50) for a in range(b % 13 + 1)]
         index = StaticFollowerIndex.from_follow_edges(edges)
-        path = tmp_path / "s_arena.npz"
-        index.save_npz(path)
-        loaded = StaticFollowerIndex.from_snapshot(path)
+        loaded = build_follower_snapshot(
+            self.reloaded(GraphSnapshot.from_edges(edges), tmp_path)
+        )
 
         assert loaded.num_targets == index.num_targets
         assert loaded.num_edges == index.num_edges
@@ -209,31 +222,49 @@ class TestCsrArenaSnapshots:
             assert list(loaded.followers_of(b)) == list(index.followers_of(b))
         assert loaded.has_edge(0, 1) == index.has_edge(0, 1)
         assert loaded.follower_array(999) is None
-        # The loaded index still supports the append-and-compact overlay.
+        # The reloaded index still supports the append-and-compact overlay.
         loaded.append_follow_edges([(999, 1)])
         assert loaded.has_edge(999, 1)
 
-    def test_save_compacts_pending_appends(self, tmp_path):
-        index = StaticFollowerIndex.from_follow_edges(EDGES)
-        index.append_follow_edges([(7, 10), (5, 99)])
-        path = tmp_path / "s_arena.npz"
-        index.save_npz(path)
-        assert index.pending_edges == 0  # save compacted in place
-        loaded = StaticFollowerIndex.from_snapshot(path)
-        assert list(loaded.followers_of(10)) == [0, 1, 2, 7]
-        assert list(loaded.followers_of(99)) == [5]
-
     def test_empty_index_round_trips(self, tmp_path):
-        index = StaticFollowerIndex({})
-        path = tmp_path / "empty.npz"
-        index.save_npz(path)
-        loaded = StaticFollowerIndex.from_snapshot(path)
+        from repro.graph import GraphSnapshot, build_follower_snapshot
+
+        loaded = build_follower_snapshot(
+            self.reloaded(GraphSnapshot.from_edges([], num_nodes=0), tmp_path)
+        )
         assert loaded.num_targets == 0
         assert loaded.follower_array(1) is None
 
-    def test_suffixless_path_round_trips(self, tmp_path):
-        index = StaticFollowerIndex.from_follow_edges(EDGES)
-        path = tmp_path / "s_arena"  # np.savez appends .npz on write
-        index.save_npz(path)
-        loaded = StaticFollowerIndex.from_snapshot(path)
-        assert loaded.num_edges == index.num_edges
+    def test_influencer_limit_survives_reload(self, tmp_path):
+        """The snapshot's weights travel with it, so the capped S a
+        reload builds keeps the same top-weight B's."""
+        from repro.graph import GraphSnapshot, build_follower_snapshot
+
+        edges = [(a, b) for a in range(6) for b in range(10, 16)]
+        weights = {(a, b): float((a * 7 + b) % 11) for a, b in edges}
+        snapshot = GraphSnapshot.from_edges(edges, edge_weights=weights)
+        want = build_follower_snapshot(snapshot, influencer_limit=2)
+        got = build_follower_snapshot(
+            self.reloaded(snapshot, tmp_path), influencer_limit=2
+        )
+        assert got.num_edges == want.num_edges == 6 * 2
+        for b in want.sources():
+            assert list(got.followers_of(b)) == list(want.followers_of(b))
+
+    def test_partition_shards_survive_reload(self, tmp_path):
+        from repro.graph import GraphSnapshot
+
+        edges = [(a, b) for b in range(30) for a in range(b % 7 + 1)]
+        snapshot = GraphSnapshot.from_edges(edges)
+        owners = np.arange(snapshot.num_users, dtype=np.int64) % 3
+        want = StaticFollowerIndex.load_shards(snapshot, owners, 3)
+        got = StaticFollowerIndex.load_shards(
+            self.reloaded(snapshot, tmp_path), owners, 3
+        )
+        assert [s.num_edges for s in got] == [s.num_edges for s in want]
+        assert sum(s.num_edges for s in got) == len(edges)
+        for shard_got, shard_want in zip(got, want):
+            for b in shard_want.sources():
+                assert list(shard_got.followers_of(b)) == list(
+                    shard_want.followers_of(b)
+                )

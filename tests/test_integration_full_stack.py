@@ -34,23 +34,37 @@ def cluster_factory(scenario):
     return build
 
 
+@pytest.fixture(scope="module")
+def truth(scenario):
+    """The batch ground truth, computed once for the module."""
+    return BatchDiamondDetector(
+        list(scenario.snapshot.follow_edges()), PARAMS
+    ).run(scenario.events)
+
+
+@pytest.fixture(scope="module")
+def truth_pairs(truth):
+    return {(c.recipient, c.candidate) for c in truth}
+
+
 def fixed_hops(seconds=0.5):
     return {name: FixedDelay(seconds) for name in ("firehose", "fanout", "push")}
 
 
-class TestFullStack:
-    def test_candidates_match_batch_ground_truth(self, scenario, cluster_factory):
-        """Queues + cluster + gather must not lose or invent candidates."""
-        topology = StreamingTopology(
-            cluster_factory(),
-            delivery=DeliveryPipeline(filters=[]),
-            hop_models=fixed_hops(),
-        )
-        report = topology.run(scenario.events)
+@pytest.fixture(scope="module")
+def unfiltered_run(scenario, cluster_factory):
+    """One unfiltered topology run: its cluster and its report."""
+    cluster = cluster_factory()
+    topology = StreamingTopology(
+        cluster, delivery=DeliveryPipeline(filters=[]), hop_models=fixed_hops()
+    )
+    return cluster, topology.run(scenario.events)
 
-        truth = BatchDiamondDetector(
-            list(scenario.snapshot.follow_edges()), PARAMS
-        ).run(scenario.events)
+
+class TestFullStack:
+    def test_candidates_match_batch_ground_truth(self, unfiltered_run, truth):
+        """Queues + cluster + gather must not lose or invent candidates."""
+        _cluster, report = unfiltered_run
         want = sorted((c.time, c.recipient, c.candidate) for c in truth)
         got = sorted(
             (n.recommendation.created_at, n.recipient, n.recommendation.candidate)
@@ -58,7 +72,9 @@ class TestFullStack:
         )
         assert got == want
 
-    def test_dedup_delivers_distinct_pairs_exactly_once(self, scenario, cluster_factory):
+    def test_dedup_delivers_distinct_pairs_exactly_once(
+        self, scenario, cluster_factory, truth_pairs
+    ):
         topology = StreamingTopology(
             cluster_factory(),
             delivery=DeliveryPipeline(filters=[DedupFilter(window=1e9)]),
@@ -70,18 +86,10 @@ class TestFullStack:
             for n in report.notifications
         ]
         assert len(pairs) == len(set(pairs)), "dedup let a duplicate through"
-
-        truth_pairs = BatchDiamondDetector(
-            list(scenario.snapshot.follow_edges()), PARAMS
-        ).distinct_pairs(scenario.events)
         assert set(pairs) == truth_pairs
 
-    def test_monitor_stays_clean_through_the_run(self, scenario, cluster_factory):
-        cluster = cluster_factory()
-        topology = StreamingTopology(
-            cluster, delivery=DeliveryPipeline(filters=[]), hop_models=fixed_hops()
-        )
-        topology.run(scenario.events)
+    def test_monitor_stays_clean_through_the_run(self, scenario, unfiltered_run):
+        cluster, _report = unfiltered_run
         monitor = ClusterMonitor(cluster)
         assert monitor.alerts() == []
         health = monitor.poll()
@@ -94,7 +102,9 @@ class TestFullStack:
             "every replica of every partition must consume the full stream"
         )
 
-    def test_admission_control_sheds_under_overload(self, scenario, cluster_factory):
+    def test_admission_control_sheds_under_overload(
+        self, scenario, cluster_factory, truth_pairs
+    ):
         admission = AdmissionController(
             rate=1.0, burst=10.0, policy=AdmissionPolicy.DROP
         )
@@ -110,9 +120,6 @@ class TestFullStack:
         assert consumer.events_consumed + consumer.events_shed == len(scenario.events)
         assert admission.shed_fraction() > 0.0
         # Shedding degrades recall but must never corrupt what survives.
-        truth_pairs = BatchDiamondDetector(
-            list(scenario.snapshot.follow_edges()), PARAMS
-        ).distinct_pairs(scenario.events)
         got_pairs = {
             (n.recipient, n.recommendation.candidate)
             for n in report.notifications
@@ -124,19 +131,18 @@ class TestFullStack:
         assert len(got_pairs) <= len(truth_pairs)
 
     def test_replica_failure_and_resync_mid_stream(self, scenario, cluster_factory):
+        """Drives the shipped batched lane; the per-event resync cases
+        live in ``tests/test_cluster.py``."""
         cluster = cluster_factory()
         events = scenario.events
         third = len(events) // 3
 
-        for event in events[:third]:
-            cluster.process_event(event)
+        cluster.process_stream(events[:third], batch_size=64)
         cluster.replica_sets[0].mark_down(1)
-        for event in events[third : 2 * third]:
-            cluster.process_event(event)
+        cluster.process_stream(events[third : 2 * third], batch_size=64)
         assert cluster.replica_sets[0].missed_events[1] == third
         cluster.replica_sets[0].resync(1)
-        for event in events[2 * third :]:
-            cluster.process_event(event)
+        cluster.process_stream(events[2 * third :], batch_size=64)
 
         # After resync the repaired replica converges with its sibling.
         replica_set = cluster.replica_sets[0]

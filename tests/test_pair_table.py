@@ -393,13 +393,20 @@ class TestFatigueBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Snapshots (delivery-tier restarts)
+# Snapshots (delivery-tier restarts): the state_arrays / load_state payload
+# the durability tier's snapshot store persists
 # ---------------------------------------------------------------------------
 
 class TestTableSnapshots:
     SPEC = {"time": (np.float64, 0), "ring": (np.float64, 4)}
 
-    def test_round_trip_preserves_live_state(self, tmp_path):
+    @staticmethod
+    def reloaded(table, spec):
+        loaded = Int64KeyTable(spec)
+        loaded.load_state_arrays(table.state_arrays())
+        return loaded
+
+    def test_round_trip_preserves_live_state(self):
         table = Int64KeyTable(self.SPEC, capacity=8)
         keys = np.arange(100, dtype=np.uint64) * np.uint64(7919)
         slots = table.insert(keys)
@@ -407,9 +414,8 @@ class TestTableSnapshots:
         table.columns["ring"][slots] = np.arange(400, dtype=np.float64).reshape(
             100, 4
         )
-        table.save_npz(tmp_path / "table")
 
-        loaded = Int64KeyTable.from_snapshot(tmp_path / "table", self.SPEC)
+        loaded = self.reloaded(table, self.SPEC)
         assert len(loaded) == len(table)
         found = loaded.lookup(keys)
         assert (found >= 0).all()
@@ -421,23 +427,20 @@ class TestTableSnapshots:
             np.arange(400, dtype=np.float64).reshape(100, 4),
         )
 
-    def test_empty_table_round_trips(self, tmp_path):
-        table = Int64KeyTable(self.SPEC)
-        table.save_npz(tmp_path / "empty.npz")
-        loaded = Int64KeyTable.from_snapshot(tmp_path / "empty.npz", self.SPEC)
+    def test_empty_table_round_trips(self):
+        loaded = self.reloaded(Int64KeyTable(self.SPEC), self.SPEC)
         assert len(loaded) == 0
         assert loaded.find(123) == -1
 
-    def test_schema_mismatch_rejected(self, tmp_path):
+    def test_schema_mismatch_rejected(self):
         table = Int64KeyTable({"time": (np.float64, 0)})
         table.upsert(5)
-        table.save_npz(tmp_path / "t")
         with pytest.raises(ValueError, match="schema"):
-            Int64KeyTable.from_snapshot(tmp_path / "t", {"other": (np.float64, 0)})
+            self.reloaded(table, {"other": (np.float64, 0)})
         with pytest.raises(ValueError, match="shape"):
-            Int64KeyTable.from_snapshot(tmp_path / "t", {"time": (np.float64, 3)})
+            self.reloaded(table, {"time": (np.float64, 3)})
 
-    def test_dedup_filter_survives_restart(self, tmp_path):
+    def test_dedup_filter_survives_restart(self):
         before = DedupFilter(window=100.0)
         recs = [
             Recommendation(recipient=r, candidate=c, created_at=0.0)
@@ -445,9 +448,9 @@ class TestTableSnapshots:
         ]
         for rec in recs:
             assert before.allow(rec, now=50.0)
-        before.save_npz(tmp_path / "dedup")
 
-        after = DedupFilter.from_snapshot(tmp_path / "dedup", window=100.0)
+        after = DedupFilter(window=100.0)
+        after.load_state(before.state_arrays())
         # In-window pairs stay suppressed across the restart...
         for rec in recs:
             assert not after.allow(rec, now=120.0)
@@ -455,28 +458,105 @@ class TestTableSnapshots:
         assert after.allow(recs[0], now=151.0)
         assert after.last_sent_entries().keys() == before.last_sent_entries().keys()
 
-    def test_fatigue_filter_survives_restart(self, tmp_path):
+    def test_fatigue_filter_survives_restart(self):
         before = FatigueFilter(max_per_window=2, window=100.0)
         rec = Recommendation(recipient=7, candidate=1, created_at=0.0)
         assert before.allow(rec, now=10.0)
         assert before.allow(rec, now=20.0)
         assert not before.allow(rec, now=30.0)
-        before.save_npz(tmp_path / "fatigue")
 
-        after = FatigueFilter.from_snapshot(
-            tmp_path / "fatigue", max_per_window=2, window=100.0
-        )
+        after = FatigueFilter(max_per_window=2, window=100.0)
+        after.load_state(before.state_arrays())
         assert after.sent_in_window(7, now=30.0) == 2
         # Budget still spent right after the restart, refreshed once the
         # earliest charge rolls out of the window.
         assert not after.allow(rec, now=40.0)
         assert after.allow(rec, now=115.0)
 
-    def test_fatigue_snapshot_rejects_mismatched_cap(self, tmp_path):
+    def test_fatigue_snapshot_rejects_mismatched_cap(self):
         before = FatigueFilter(max_per_window=2, window=100.0)
         before.allow(Recommendation(recipient=1, candidate=1, created_at=0.0), 1.0)
-        before.save_npz(tmp_path / "fatigue")
         with pytest.raises(ValueError, match="shape"):
-            FatigueFilter.from_snapshot(
-                tmp_path / "fatigue", max_per_window=3, window=100.0
+            FatigueFilter(max_per_window=3, window=100.0).load_state(
+                before.state_arrays()
             )
+
+    def test_state_arrays_are_owned_copies(self):
+        """The snapshot store keeps the payload while the table moves on;
+        later writes must not reach it."""
+        table = Int64KeyTable(self.SPEC)
+        slot, _ = table.upsert(11)
+        table.columns["time"][slot] = 1.0
+        payload = table.state_arrays()
+        table.columns["time"][slot] = 99.0
+        table.upsert(12)
+        assert payload["keys"].tolist() == [11]
+        assert payload["column_time"].tolist() == [1.0]
+
+    def test_compacted_entries_stay_out_of_the_payload(self):
+        table = Int64KeyTable(self.SPEC)
+        keys = np.arange(1, 21, dtype=np.uint64)
+        slots = table.insert(keys)
+        table.columns["time"][slots] = keys.astype(np.float64)
+        assert table.compact(table.columns["time"] > 10.0) == 10
+
+        loaded = self.reloaded(table, self.SPEC)
+        assert len(loaded) == 10
+        found = loaded.lookup(keys)
+        assert (found[:10] == -1).all()
+        assert (loaded.columns["time"][found[10:]] == keys[10:]).all()
+
+    def test_dtype_mismatch_rejected(self):
+        table = Int64KeyTable({"time": (np.float64, 0)})
+        table.upsert(5)
+        with pytest.raises(ValueError, match="dtype"):
+            self.reloaded(table, {"time": (np.int64, 0)})
+
+    def test_dedup_restart_applies_the_restarted_window(self):
+        """The payload holds send times, not the horizon: a tier restarted
+        with a shorter window suppresses for that window only."""
+        before = DedupFilter(window=100.0)
+        rec = Recommendation(recipient=3, candidate=4, created_at=0.0)
+        assert before.allow(rec, now=50.0)
+        after = DedupFilter(window=10.0)
+        after.load_state(before.state_arrays())
+        assert not after.allow(rec, now=55.0)
+        assert after.allow(rec, now=61.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=12
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        steps=st.lists(st.floats(0.0, 80.0, allow_nan=False), min_size=8, max_size=8),
+        cut=st.integers(0, 8),
+    )
+    @pytest.mark.parametrize(
+        "make_filter",
+        [
+            lambda: DedupFilter(window=100.0),
+            lambda: FatigueFilter(max_per_window=2, window=100.0),
+        ],
+        ids=["dedup", "fatigue"],
+    )
+    def test_restart_mid_stream_matches_uninterrupted(
+        self, make_filter, batches, steps, cut
+    ):
+        """A restart from the payload at any batch boundary makes exactly
+        the decisions of a filter that never stopped."""
+        uninterrupted, restarted = make_filter(), make_filter()
+        now = 0.0
+        for i, pairs in enumerate(batches):
+            now += steps[i]
+            if i == cut:
+                fresh = make_filter()
+                fresh.load_state(restarted.state_arrays())
+                restarted = fresh
+            want = uninterrupted.allow_mask(columns_of(pairs), now)
+            got = restarted.allow_mask(columns_of(pairs), now)
+            assert got.tolist() == want.tolist()
+        assert restarted.state_arrays().keys() == uninterrupted.state_arrays().keys()

@@ -246,16 +246,6 @@ class TestIngestAdapters:
         reference.ingest_released(boxed, now=10.0)
         assert columnar.dump() == reference.dump()
 
-    def test_ingest_notifications_unwraps_recommendations(self):
-        from repro.delivery.notifier import PushNotification
-
-        cache = ServingCache(k=2)
-        rec = Recommendation(recipient=4, candidate=6, created_at=1.0, via=(2,))
-        cache.ingest_notifications(
-            [PushNotification(recommendation=rec, delivered_at=2.0)], now=2.0
-        )
-        assert [r.candidate for r in cache.get_recommendations(4)] == [6]
-
 
 class TestShardedServingCache:
     def test_routing_matches_unsharded_contents(self):

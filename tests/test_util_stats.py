@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.util.stats import OnlineStats, PercentileTracker, describe, percentile
@@ -30,10 +30,32 @@ class TestPercentile:
             percentile([1.0], 101)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    @example([5e-324, 5e-324])  # subnormal halves round to 0.0
     def test_median_between_min_and_max(self, values):
         ordered = sorted(values)
         median = percentile(ordered, 50)
         assert ordered[0] <= median <= ordered[-1]
+
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(2, 9),
+        st.floats(0.0, 100.0),
+    )
+    @example(5e-324, 2, 50.0)  # 5e-324 * 0.5 rounds to 0.0
+    def test_equal_values_give_that_value_at_any_q(self, value, n, q):
+        assert percentile([value] * n, q) == value
+
+    @given(
+        st.lists(
+            st.floats(-1e300, 1e300, allow_subnormal=True), min_size=1, max_size=30
+        ),
+        st.floats(0.0, 100.0),
+    )
+    @example([5e-324, 1e-323], 25.0)
+    def test_any_q_between_min_and_max(self, values, q):
+        ordered = sorted(values)
+        assert ordered[0] <= percentile(ordered, q) <= ordered[-1]
 
 
 class TestOnlineStats:
