@@ -161,17 +161,18 @@ def test_overload_postures(benchmark, workload, report):
 
 
 def test_backlog_gated_admission_wall_clock(workload, report):
-    """Real-wall-clock overload: backlog feedback from worker queues.
+    """Real-wall-clock overload: backlog feedback from worker wires.
 
     The parent fires micro-batches at 2 worker-process partitions as fast
     as it can; an :class:`AdmissionController` with ``backlog_limit``
-    sheds whole batches whenever the transport's *measured* request-queue
-    depth is over the limit.  The invariants under test are mechanical,
+    sheds whole batches whenever the transport's *measured* request depth
+    (ring frames the workers have not consumed yet) is over the limit.  The invariants under test are mechanical,
     not threshold-flaky: everything admitted is gathered, the backlog
     signal is the one the queues actually reported, and the run finishes
     with the workers drained.
     """
     from repro.cluster import Cluster, ClusterConfig
+    from repro.cluster.shm import DEFAULT_SLOTS
     from repro.core.batch import iter_event_batches
 
     snapshot, events = workload
@@ -192,7 +193,7 @@ def test_backlog_gated_admission_wall_clock(workload, report):
     with Cluster.build(
         snapshot,
         EXACT_PARAMS,
-        ClusterConfig(num_partitions=2, transport="process"),
+        ClusterConfig(num_partitions=2, transport="shm"),
     ) as cluster:
         broker = cluster.broker
         transport = cluster.transport
@@ -209,9 +210,9 @@ def test_backlog_gated_admission_wall_clock(workload, report):
             admitted_events += len(batch)
             broker.submit_batch(batch)
             inflight.append(len(batch))
-            # No gather barrier per batch: drain opportunistically past a
-            # pipelining window so the backlog can actually build.
-            while len(inflight) > 16:
+            # No gather barrier per batch: drain only past the deepest
+            # window the request ring holds, so the backlog can build.
+            while len(inflight) >= DEFAULT_SLOTS:
                 replies, _ = broker.gather_batch()
                 gathered_events += inflight.popleft()
                 gathered_candidates += sum(len(r) for r in replies)
@@ -228,7 +229,7 @@ def test_backlog_gated_admission_wall_clock(workload, report):
             "workload": "bursty-overload",
             "events": len(events),
             "posture": "backlog drop",
-            "mode": "process",
+            "mode": "shm",
             "backlog_limit": backlog_limit,
             "batch_size": batch_size,
         },

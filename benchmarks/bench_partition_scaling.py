@@ -14,8 +14,8 @@ Two experiments share this module:
   invariants (identical results at every P, disjoint S shards, one D per
   process: the partitions share it, so D is inserted and scanned once and
   its memory is flat in P; a worker fleet pays ``d_memory_mb`` x P).
-* **E18 (``mode=process``)** — the real-wall-clock sweep over
-  ``WorkerTransport``'s queue wire: each partition in its own worker process,
+* **E18 (``mode=shm``)** — the real-wall-clock sweep over
+  ``WorkerTransport``'s wire: each partition in its own worker process,
   batches pipelined through the columnar wire, candidates counted without
   boxing.  Records ``speedup_vs_p1`` (and the host ``cpu_count`` needed to
   interpret it) to ``BENCH_ingest.json``.  Two workload shapes: the pure
@@ -27,12 +27,12 @@ Two experiments share this module:
   assertion is gated on the host actually having cores to run workers on.
 
 * **E19 (``workload=hub-burst-wire``)** — the wire-overhead sweep: the
-  same hub-burst stream driven through ``inprocess`` (zero-wire floor),
-  ``process`` (pickled queue frames), and ``shm`` (zero-copy ring
-  slabs), interleaved so machine noise cancels.  Records
-  ``wire_overhead_ratio`` — wall clock over the in-process wall clock at
-  the same P — and asserts the shm wire stays strictly below the pickle
-  wire wherever workers exist (P >= 2).
+  same hub-burst stream driven through ``inprocess`` (zero-wire floor)
+  and ``shm`` (zero-copy ring slabs), interleaved so machine noise
+  cancels.  Records ``wire_overhead_ratio`` — wall clock over the
+  in-process wall clock at the same P.  The wire is ring-fronted wherever
+  ``/dev/shm`` exists, so no host that can run this sweep can select a
+  queue-only wire to compare against.
 
 The modes are labelled in ``params`` so ``check_regression.py`` never
 compares a simulated fan-out penalty against a measured parallel speedup.
@@ -244,7 +244,7 @@ def test_process_transport_wall_clock(
     elapsed_by_p: dict[int, float] = {}
     for num_partitions in PROCESS_PARTITION_COUNTS:
         with bench_cluster(
-            snapshot, num_partitions=num_partitions, transport="process"
+            snapshot, num_partitions=num_partitions, transport="shm"
         ) as cluster:
             best = float("inf")
             # Round 1 absorbs fork/import cold starts; best-of keeps the
@@ -256,7 +256,7 @@ def test_process_transport_wall_clock(
                 total = _drive_unboxed(cluster, events)
                 best = min(best, time.perf_counter() - started)
         assert total == expected_total, (
-            f"P={num_partitions} process transport changed the candidate count"
+            f"P={num_partitions} worker transport changed the candidate count"
         )
         elapsed_by_p[num_partitions] = best
         speedup = elapsed_by_p[1] / best
@@ -271,7 +271,7 @@ def test_process_transport_wall_clock(
             "ingest",
             {
                 "workload": workload_name,
-                "mode": "process",
+                "mode": "shm",
                 "partitions": num_partitions,
                 "events": len(events),
                 "batch_size": PROCESS_BATCH_SIZE,
@@ -299,7 +299,7 @@ def test_process_transport_wall_clock(
 
 
 # ---------------------------------------------------------------------------
-# E19 — wire overhead: pickle queues vs. shared-memory rings
+# E19 — wire overhead: shared-memory rings vs. direct calls
 # ---------------------------------------------------------------------------
 
 E19_PARTITION_COUNTS = [1, 2, 4]
@@ -310,13 +310,12 @@ E19_DURATION = 240.0
 def test_transport_wire_overhead(report):
     """E19 — what does the wire itself cost at each partition count?
 
-    The same intersection-dominated hub-burst stream drives all three
+    The same intersection-dominated hub-burst stream drives both
     transports interleaved (machine noise hits each equally):
-    ``inprocess`` is the zero-wire floor, ``process`` pays pickling +
-    queue copies, ``shm`` writes columns straight into ring slots.
-    ``wire_overhead_ratio`` (wall / in-process wall at the same P) is the
-    machine-independent number the regression gate watches; the shm wire
-    must beat the pickle wire wherever workers actually exist (P >= 2).
+    ``inprocess`` is the zero-wire floor, ``shm`` writes columns straight
+    into ring slots.  ``wire_overhead_ratio`` (wall / in-process wall at
+    the same P) is the machine-independent number the regression gate
+    watches.
     """
     from repro.cluster import shm_available
 
@@ -345,8 +344,7 @@ def test_transport_wire_overhead(report):
     )
     table.add_note(
         "overhead = wall / in-process wall at the same P: the wire's own "
-        "cost; shm replaces pickled queue frames with slab writes so its "
-        "ratio must sit below process's wherever P >= 2"
+        "cost (slab writes, plus the pickle lane for overflowing frames)"
     )
 
     best_by_p: dict[int, dict[str, float]] = {}
@@ -355,7 +353,7 @@ def test_transport_wire_overhead(report):
             transport: bench_cluster(
                 snapshot, num_partitions=num_partitions, transport=transport
             )
-            for transport in ("inprocess", "process", "shm")
+            for transport in ("inprocess", "shm")
         }
 
         def runner(cluster):
@@ -370,8 +368,7 @@ def test_transport_wire_overhead(report):
             # Untimed warmup: absorbs fork/import cold starts and the
             # first-touch page faults of every ring slot (the slabs are
             # tens of MB of fresh /dev/shm pages) so round 1 isn't
-            # charged for them.  5 rounds because this is a cross-
-            # transport *inequality* on a noisy host, not a trend line.
+            # charged for them.  5 rounds: best-of on a noisy host.
             warmup = events[: PROCESS_BATCH_SIZE * 8]
             for cluster in clusters.values():
                 _drive_unboxed(cluster, warmup)
@@ -390,7 +387,7 @@ def test_transport_wire_overhead(report):
             )
         best_by_p[num_partitions] = best
 
-        for transport in ("inprocess", "process", "shm"):
+        for transport in ("inprocess", "shm"):
             wall = best[transport]
             metrics = {
                 "ingest_seconds": round(wall, 4),
@@ -427,15 +424,6 @@ def test_transport_wire_overhead(report):
                 metrics,
             )
 
-    for num_partitions in (2, 4):
-        assert (
-            best_by_p[num_partitions]["shm"]
-            < best_by_p[num_partitions]["process"]
-        ), (
-            f"shm wire overhead not below the pickle wire's at "
-            f"P={num_partitions}: shm {best_by_p[num_partitions]['shm']:.3f}s "
-            f"vs process {best_by_p[num_partitions]['process']:.3f}s"
-        )
     if cores >= 4:
         assert best_by_p[4]["shm"] < best_by_p[1]["shm"], (
             f"shm transport showed no wall-clock speedup at P=4 on "

@@ -24,9 +24,9 @@ import json
 from pathlib import Path
 
 #: The E18 configuration that must demonstrate the speedup: the
-#: worker-process transport on the detection-heavy hub-burst workload.
+#: worker transport on the detection-heavy hub-burst workload.
 RECORD_WORKLOAD = "firehose-hub-burst"
-RECORD_MODE = "process"
+RECORD_MODE = "shm"
 RECORD_PARTITIONS = 4
 
 

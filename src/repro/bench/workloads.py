@@ -286,7 +286,7 @@ def bench_cluster(
 ) -> Cluster:
     """A cluster with the benchmark's default parameters.
 
-    ``transport="process"`` builds the worker-process deployment; callers
+    ``transport="shm"`` builds the worker-process deployment; callers
     own the ``close()`` (use the cluster as a context manager).
     """
     return Cluster.build(

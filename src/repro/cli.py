@@ -123,10 +123,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=TRANSPORTS,
         default=DEFAULTS.cluster.transport,
         help="broker-to-partition transport: inprocess = direct calls "
-        "with simulated latency (default), process = one multiprocessing "
-        "worker per partition (real parallelism), shm = the same workers "
-        "fed over zero-copy shared-memory ring buffers (lowest wire "
-        "overhead; requires /dev/shm)",
+        "with simulated latency (default), shm = one multiprocessing "
+        "worker per partition (real parallelism), fed over zero-copy "
+        "shared-memory ring buffers where the host has /dev/shm and over "
+        "pickled queues where it has not",
     )
     simulate.add_argument(
         "--ranked",

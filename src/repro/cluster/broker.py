@@ -16,8 +16,8 @@ The fan-out itself goes through a pluggable
 :class:`~repro.cluster.transport.InProcessTransport` preserves the classic
 direct-call behavior (partitions in this process, simulated channel
 latency), while :class:`~repro.cluster.transport.WorkerTransport` hosts
-each partition in its own worker process for real parallelism (over
-pickled queues or shared-memory rings — one protocol, two wires).  The
+each partition in its own worker process for real parallelism (one
+wire, fronted by shared-memory rings where the host has them).  The
 broker's submit/gather split means the fan-out is asynchronous whenever
 the transport is: every partition receives the batch before any result is
 awaited.

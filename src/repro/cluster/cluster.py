@@ -65,18 +65,11 @@ class ClusterConfig:
         track_latency: make partitions record per-event detection time.
         transport: how the broker reaches the partitions —
             ``"inprocess"`` (direct calls + simulated channel latency,
-            default), ``"process"`` (one multiprocessing worker per
-            partition fed over pickled queues), or ``"shm"`` (the same
-            workers fed over zero-copy shared-memory ring buffers; needs
-            a working ``/dev/shm``).  Worker transports must be closed
-            — call :meth:`Cluster.close` when done.
-        worker_start_method: multiprocessing start method for the
-            worker transports (platform default when ``None``: ``fork``
-            where available, else ``spawn``).
-        shm_slots: ring slots per direction per worker for the ``"shm"``
-            transport (default 8; also bounds the usable pipeline depth).
-        shm_slot_bytes: payload bytes per ring slot (default 1 MiB);
-            frames that overflow a slot fall back to the pickle wire.
+            default) or ``"shm"`` (one multiprocessing worker per
+            partition, fed over zero-copy shared-memory rings where the
+            host has ``/dev/shm`` and over pickled queues where it has
+            not).  A worker fleet must be closed — call
+            :meth:`Cluster.close` when done.
     """
 
     num_partitions: int = PRODUCTION_PARTITIONS
@@ -85,15 +78,10 @@ class ClusterConfig:
     max_edges_per_target: int | None = None
     track_latency: bool = False
     transport: str = "inprocess"
-    worker_start_method: str | None = None
-    shm_slots: int = 8
-    shm_slot_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         require_positive(self.num_partitions, "num_partitions")
         require_positive(self.replication_factor, "replication_factor")
-        require_positive(self.shm_slots, "shm_slots")
-        require_positive(self.shm_slot_bytes, "shm_slot_bytes")
         require(
             self.transport in TRANSPORTS,
             f"transport must be one of {TRANSPORTS}, got {self.transport!r}",
@@ -188,15 +176,7 @@ class Cluster:
         if config.transport == "inprocess":
             broker = Broker(replica_sets)
         else:
-            broker = Broker(
-                transport=WorkerTransport(
-                    replica_sets,
-                    config.transport,
-                    start_method=config.worker_start_method,
-                    slots=config.shm_slots,
-                    slot_bytes=config.shm_slot_bytes,
-                )
-            )
+            broker = Broker(transport=WorkerTransport(replica_sets))
         return cls(broker, partitioner, params)
 
     # ------------------------------------------------------------------
@@ -281,7 +261,7 @@ class Cluster:
         """Release transport resources (joins worker processes).
 
         Idempotent; a no-op for the in-process transport.  Clusters built
-        with ``transport="process"`` must be closed (or used as a context
+        with ``transport="shm"`` must be closed (or used as a context
         manager) so the partition workers are stopped and reaped.
         """
         self.broker.transport.close()
@@ -309,8 +289,8 @@ class Cluster:
         the system periodically".  Shards are rebuilt with the same
         partitioner (ownership is stable), then each replica swaps its S
         reference atomically; the event stream keeps flowing throughout
-        and D is untouched.  Worker-hosted partitions (process/shm
-        transports) receive their shard as a per-partition
+        and D is untouched.  Worker-hosted partitions (the ``shm``
+        transport) receive their shard as a per-partition
         ``reload_static`` control message — the live fleet hot-reloads
         without a restart.  Returns the number of partitions reloaded
         (dead workers are skipped, like any other control message).

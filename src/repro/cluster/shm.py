@@ -1,19 +1,20 @@
-"""The worker wire: mp queues, optionally fronted by shared-memory rings.
+"""The worker wire: mp queues, fronted by shared-memory rings where possible.
 
 Every worker process (partition or delivery shard) talks to its parent
 over one :class:`Wire`.  The wire always has a *pickle lane* — a pair of
-``multiprocessing`` queues — and that alone is the ``"process"``
-transport: pickle the columns, write them down a pipe, read them back,
-unpickle.  At firehose rates that copy chain *is* the cost — the
-committed E18 numbers show per-partition detection work dropping while
-wall clock rises, which is pure wire overhead.  The ``"shm"`` transport
-is the same wire built *with a ring*: fixed-capacity ring buffers in
+``multiprocessing`` queues: pickle the columns, write them down a pipe,
+read them back, unpickle.  At firehose rates that copy chain *is* the
+cost — the committed E18 numbers show per-partition detection work
+dropping while wall clock rises, which is pure wire overhead.  So
+wherever POSIX shared memory works (:func:`shm_available`) the wire is
+built *with a ring*: fixed-capacity ring buffers in
 ``multiprocessing.shared_memory`` segments, where a frame is written
 once, in place, as flat numpy columns, and the reader decodes zero-copy
 views of the very same bytes.  Whatever cannot travel as a frame
 (control tuples, slot-overflow batches) still takes the pickle lane,
-announced by an in-ring marker — so the queue wire is the ring wire's
-fallback, not a second transport.
+announced by an in-ring marker — so the queue lane is the ring's
+fallback, and on a host without ``/dev/shm`` the whole wire.  No option
+picks the lane: the host does.
 
 Layout of one ring segment (all offsets 8-aligned)::
 
@@ -98,10 +99,10 @@ __all__ = [
     "unlink_segment",
 ]
 
-#: Slots per ring lane.  Bounds the pipelining depth a transport can
-#: stack (see ``WorkerTransport``): with equal request and reply
-#: rings, fewer than ``slots`` outstanding submits guarantees neither
-#: endpoint can deadlock on a full ring.
+#: Slots per ring lane, read when a wire is built.  Bounds the
+#: pipelining depth a transport can stack (see ``WorkerTransport``):
+#: with equal request and reply rings, fewer than ``slots`` outstanding
+#: submits guarantees neither endpoint can deadlock on a full ring.
 DEFAULT_SLOTS = 8
 
 #: Payload capacity per slot.  A 512-event batch is ~13 KB and a typical
@@ -267,8 +268,9 @@ def shm_available() -> bool:
     """Whether POSIX shared memory works on this host (cached probe).
 
     Containers without a ``/dev/shm`` mount (and some locked-down CI
-    sandboxes) fail segment creation; transports and tests gate on this
-    so the shm path degrades to a skip instead of an error.
+    sandboxes) fail segment creation; :meth:`Wire.create` builds its rings
+    only where this holds, and the serving arenas and ring-specific tests
+    gate on it.
     """
     global _SHM_AVAILABLE
     if _SHM_AVAILABLE is None:
@@ -540,8 +542,8 @@ class WireSpec(NamedTuple):
 class Wire:
     """One endpoint of a worker's wire: a pickle lane, optionally a ring.
 
-    Built with a ring (:meth:`create` with a ``(slots, slot_bytes)``
-    shape) the wire owns a request ring (parent writes) and a reply ring,
+    Built with a ring (:meth:`create` on a host with shared memory) the
+    wire owns a request ring (parent writes) and a reply ring,
     and the rings are the sole message *ordering* channel: a message
     whose *framer* fits a slot crosses as a slab frame; anything else —
     control tuples, slot-overflow batches — goes on the queue announced
@@ -596,24 +598,21 @@ class Wire:
         self.control_pickle = 0
 
     @classmethod
-    def create(cls, context, ring: "tuple[int, int] | None" = None) -> "Wire":
-        """The parent's endpoint; *ring* is ``(slots, slot_bytes)`` or None.
+    def create(cls, context) -> "Wire":
+        """The parent's endpoint: ring-fronted wherever the host has POSIX
+        shared memory (:func:`shm_available`), queue-only where it has not.
 
-        Building a ring first sweeps the segments dead owners left in
-        ``/dev/shm`` (:func:`sweep_stale_segments`), so a crash loop
-        cannot exhaust it.
+        The ring shape is :data:`DEFAULT_SLOTS` x :data:`DEFAULT_SLOT_BYTES`,
+        read at call time.  Building a ring first sweeps the segments dead
+        owners left in ``/dev/shm`` (:func:`sweep_stale_segments`), so a
+        crash loop cannot exhaust it.
         """
         request = reply = None
-        if ring is not None:
-            require(
-                shm_available(),
-                "shared memory is unavailable on this host (no /dev/shm?); "
-                "use transport='process' instead",
-            )
+        if shm_available():
             sweep_stale_segments()
-            request = ShmRing.create(*ring)
+            request = ShmRing.create(DEFAULT_SLOTS, DEFAULT_SLOT_BYTES)
             try:
-                reply = ShmRing.create(*ring)
+                reply = ShmRing.create(DEFAULT_SLOTS, DEFAULT_SLOT_BYTES)
             except Exception:
                 request.close()
                 raise
@@ -716,7 +715,7 @@ class Wire:
     def release(self) -> None:
         """Hand back the slot a ``recv(copy=False)`` frame still holds.
 
-        A no-op when nothing is held (queue wire, or the message took
+        A no-op when nothing is held (queue-only wire, or the message took
         the pickle lane), so callers release unconditionally.
         """
         if self._holding:

@@ -19,16 +19,17 @@ pluggable:
   broker submits one batch to every partition and only then gathers, so
   partitions genuinely chew in parallel, and multiple batches may be
   submitted before the first gather (pipelining — the parent encodes
-  batch *i+1* while the workers process batch *i*).  One protocol, two
-  wires: ``transport="process"`` pickles every message down the wire's
-  mp queues; ``transport="shm"`` builds the same wire with a ring, so
-  batches and candidate replies cross as *slab frames* — flat columns
-  written once into per-worker ``multiprocessing.shared_memory`` ring
-  buffers and decoded as zero-copy views on the other side — while
-  control messages and any frame too large for a ring slot fall back to
-  the queue behind an in-ring marker.  The ring stays the sole ordering
-  channel and oversized bursts degrade instead of failing (the fallback
-  rate is counted in ``wire_stats()``).
+  batch *i+1* while the workers process batch *i*).  One protocol, one
+  wire (``transport="shm"``), whose lane the host decides: where POSIX
+  shared memory works, batches and candidate replies cross as *slab
+  frames* — flat columns written once into per-worker
+  ``multiprocessing.shared_memory`` ring buffers and decoded as zero-copy
+  views on the other side — while control messages and any frame too
+  large for a ring slot fall back to the wire's mp queues behind an
+  in-ring marker.  The ring stays the sole ordering channel and oversized
+  bursts degrade instead of failing (the fallback rate is counted in
+  ``wire_stats()``); a host without ``/dev/shm`` runs every message down
+  the queues.
 
 Both transports speak the same tiny protocol: submit/gather for event
 batches, plus health / prune / audience control messages, plus graceful
@@ -46,12 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.cluster.shm import (
-    DEFAULT_SLOT_BYTES,
-    DEFAULT_SLOTS,
-    Wire,
-    sweep_segments,
-)
+from repro.cluster.shm import Wire, sweep_segments
 from repro.core.batch import EventBatch
 from repro.core.checkpoint import (
     dynamic_index_arrays,
@@ -95,8 +91,9 @@ __all__ = [
     "default_start_method",
 ]
 
-#: Transport names accepted by ClusterConfig / the CLI.
-TRANSPORTS = ("inprocess", "process", "shm")
+#: Transport names accepted by ClusterConfig / the CLI: direct calls, or
+#: one worker per partition behind a :class:`~repro.cluster.shm.Wire`.
+TRANSPORTS = ("inprocess", "shm")
 
 
 @dataclass(frozen=True)
@@ -383,8 +380,8 @@ class InProcessTransport:
 
     def backlog(self) -> int:
         # Submitted-but-ungathered replies: the synchronous analogue of
-        # the worker transports' request-queue depth, so backlog-driven
-        # control behaves uniformly across all three transports.
+        # the worker transport's request-queue depth, so backlog-driven
+        # control behaves uniformly across both transports.
         return len(self._pending_batches)
 
     def close(self) -> None:  # nothing to release
@@ -526,10 +523,10 @@ class WorkerTransport:
     (under the ``fork`` start method) are stale copies; all state lives
     behind the wires.
 
-    *transport* picks the wire, and nothing else: ``"process"`` builds it
-    queue-only, ``"shm"`` with shared-memory rings in front of the queues
-    (event batches and candidate replies then cross as slab frames; see
-    :class:`~repro.cluster.shm.Wire` for the lanes and their fallback).
+    Each wire is ring-fronted where the host has shared memory (event
+    batches and candidate replies then cross as slab frames) and
+    queue-only where it has not; see :class:`~repro.cluster.shm.Wire` for
+    the lanes and their fallback.
 
     Fan-out/gather is asynchronous and pipelined: ``submit_batch`` posts
     the (already encoded, shared) payload to every live worker and
@@ -537,11 +534,11 @@ class WorkerTransport:
     ``gather_batch`` resolves the oldest one.  Replies per worker are FIFO
     because each worker is serial, so no sequence numbers are needed.
     On the ring wire pipelining is *bounded by the ring capacity*: at
-    most ``slots`` submits may be outstanding (deeper stacking would
+    most ``wire.slots`` submits may be outstanding (deeper stacking would
     block the parent on a full request ring while the worker blocks on a
-    full reply ring — a deadlock).  The default of 8 slots comfortably
-    covers the pipeline depths the driver uses; configure more for
-    deeper stacks.
+    full reply ring — a deadlock).  The 8 slots of
+    :data:`~repro.cluster.shm.DEFAULT_SLOTS` comfortably cover the
+    pipeline depths the driver uses.
 
     Failure semantics: a dead worker's outstanding and future batches are
     reported ``lost`` (the broker counts the events); the transport keeps
@@ -553,30 +550,11 @@ class WorkerTransport:
     mid-batch (:mod:`repro.cluster.shm` covers the parent's own death).
     """
 
-    def __init__(
-        self,
-        replica_sets: "list[ReplicaSet]",
-        transport: str = "process",
-        start_method: str | None = None,
-        slots: int = DEFAULT_SLOTS,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-    ) -> None:
+    def __init__(self, replica_sets: "list[ReplicaSet]") -> None:
         require(
             len(replica_sets) >= 1, "a transport needs at least one partition"
         )
-        require(
-            transport in TRANSPORTS[1:],
-            f"a worker transport is one of {TRANSPORTS[1:]}, got {transport!r}",
-        )
-        context = multiprocessing.get_context(
-            start_method or default_start_method()
-        )
-        #: Which wire the workers are on: ``"process"`` or ``"shm"``.
-        self.wire_kind = transport
-        ring = (slots, slot_bytes) if transport == "shm" else None
-        #: Most submits that may be outstanding: the ring's slot count
-        #: (see the class docstring); unbounded (None) on the queue wire.
-        self._max_outstanding = None if ring is None else slots
+        context = multiprocessing.get_context(default_start_method())
         self._workers: list[WorkerHandle] = []
         self._segment_names: list[str] = []
         self._closed = False
@@ -584,7 +562,7 @@ class WorkerTransport:
         #: the batch kind, matched positionally by the gathers.
         self._outstanding: deque[tuple[str, dict[int, bool]]] = deque()
         for replica_set in replica_sets:
-            wire = Wire.create(context, ring)
+            wire = Wire.create(context)
             self._segment_names += wire.segment_names
             # spawn_worker hands the replica set over in a one-shot holder
             # the parent clears right after start(): holding P D copies in
@@ -599,6 +577,9 @@ class WorkerTransport:
                     wire=wire,
                 )
             )
+        #: Most submits that may be outstanding: the ring's slot count
+        #: (see the class docstring); unbounded (None) on a queue-only wire.
+        self._max_outstanding = self._workers[0].wire.slots or None
 
     @property
     def num_partitions(self) -> int:
@@ -619,9 +600,8 @@ class WorkerTransport:
         if bound is not None:
             require(
                 len(self._outstanding) < bound,
-                f"shm transport pipelining is bounded by its ring capacity "
-                f"({bound} slots); gather before submitting deeper, or "
-                f"configure more slots",
+                f"worker pipelining is bounded by its ring capacity "
+                f"({bound} slots); gather before submitting deeper",
             )
         self._submit_each(
             kind, dict.fromkeys((w.key for w in self._workers), message)

@@ -51,7 +51,6 @@ from repro.delivery.pipeline import (
 )
 from repro.delivery.scoring import TopKPerUserBuffer, witness_score
 from repro.delivery.sharded import (
-    DELIVERY_TRANSPORTS,
     ShardedDeliveryPipeline,
     split_batch_by_shard,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "release_window",
     "TopKPerUserBuffer",
     "witness_score",
-    "DELIVERY_TRANSPORTS",
     "ShardedDeliveryPipeline",
     "split_batch_by_shard",
 ]

@@ -205,6 +205,25 @@ class DeliveryPipeline:
         """Raw candidates per delivered push (the paper's headline ratio)."""
         return self.funnel.reduction_ratio("raw", "delivered")
 
+    def stage_state(self) -> dict[str, dict[str, np.ndarray]]:
+        """Every stateful stage's ``state_arrays()``, keyed
+        ``filter_<stage name>``: the funnel's snapshot components."""
+        return {
+            f"filter_{stage.name}": stage.state_arrays()
+            for stage in self.filters
+            if hasattr(stage, "state_arrays")
+        }
+
+    def load_stage_state(
+        self, components: dict[str, dict[str, np.ndarray]]
+    ) -> None:
+        """Load each stage's :meth:`stage_state` entry from *components*;
+        a stage without one keeps its state."""
+        for stage in self.filters:
+            arrays = components.get(f"filter_{stage.name}")
+            if arrays is not None:
+                stage.load_state(arrays)
+
 
 def release_window(
     candidates: "RecommendationBatch",

@@ -17,22 +17,21 @@ per-stage funnel counts are identical; only the delivery interleaving
 across shards differs (shard-major instead of batch order).
 ``tests/test_delivery_sharded.py`` enforces that contract.
 
-The transports mirror the cluster side — in process, or one worker
-protocol over two wires:
+The transports mirror the cluster side (the same names):
 
 * ``transport="inprocess"`` — shards run sequentially in this process
   (useful for state isolation and as the semantic oracle);
-* ``transport="process"`` — one worker process per shard behind a
+* ``transport="shm"`` — one worker process per shard behind a
   :class:`~repro.cluster.shm.Wire`, fed the columnar wire format
-  (:mod:`repro.core.wire`) down its mp queues; the fan-out is submitted
-  to every shard before any result is gathered, so shards genuinely run
-  concurrently.  Only surviving notifications cross back (the paper's
-  millions, never the billions);
-* ``transport="shm"`` — the same workers and the same wire, built with
-  zero-copy shared-memory rings in front of the queues: recommendation
-  batches go out — and surviving notifications plus piggybacked funnel
-  stats come back — as slab frames instead of pickles, and whatever
-  overflows a ring slot falls back to the queue.
+  (:mod:`repro.core.wire`); the fan-out is submitted to every shard
+  before any result is gathered, so shards genuinely run concurrently.
+  Only surviving notifications cross back (the paper's millions, never
+  the billions).  Where the host has shared memory the wire is fronted
+  by zero-copy rings: recommendation batches go out — and surviving
+  notifications plus piggybacked funnel stats come back — as slab frames
+  instead of pickles, and whatever overflows a ring slot falls back to
+  the wire's mp queues, which carry everything on a host without
+  ``/dev/shm``.
 
 The serving-cache writer lives where the funnel lives: built with
 ``serving=``, every shard also owns its recipients' top-k cache (heap in
@@ -50,13 +49,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.cluster.shm import (
-    DEFAULT_SLOT_BYTES,
-    DEFAULT_SLOTS,
-    Wire,
-    shm_available,
-    sweep_segments,
-)
+from repro.cluster.shm import Wire, shm_available, sweep_segments
+from repro.cluster.transport import TRANSPORTS
 from repro.core.recommendation import (
     EMPTY_RECOMMENDATION_BATCH,
     ColumnarRecommendations,
@@ -96,9 +90,6 @@ from repro.util.procpool import (
     wire_stats,
 )
 from repro.util.validation import require, require_positive
-
-#: Delivery transports (the cluster-side names, same meaning).
-DELIVERY_TRANSPORTS = ("inprocess", "process", "shm")
 
 #: Builds one shard's funnel; receives the shard index.
 PipelineFactory = Callable[[int], DeliveryPipeline]
@@ -240,6 +231,8 @@ def _delivery_worker_main(state, wire: Wire) -> None:
                 reply, framer = ("ok", delivered, stats()), _frame_reply
             elif kind == "stats":
                 reply = ("ok", stats())
+            elif kind == "state":
+                reply = ("ok", pipeline.stage_state())
             else:
                 return  # stop: exit without a reply (close never gathers)
             if not wire.send(reply, framer):
@@ -261,21 +254,17 @@ class ShardedDeliveryPipeline:
     Args:
         num_shards: independent funnel shards (>= 1).
         pipeline_factory: builds shard *i*'s funnel (a fresh production
-            trio per shard when omitted).  Under the worker transports
-            with the ``spawn`` start method the factory's product must be
-            picklable; under ``fork`` (the platform default where
-            available) anything goes.
-        transport: ``"inprocess"`` (default), ``"process"``, or
-            ``"shm"`` (worker shards fed over zero-copy shared-memory
-            rings; needs a working ``/dev/shm``).
-        start_method: multiprocessing start method override.
-        shm_slots: ring slots per direction per shard (``"shm"`` only).
-        shm_slot_bytes: payload bytes per ring slot (``"shm"`` only);
-            frames that overflow fall back to the pickle wire.
+            trio per shard when omitted).  Worker shards start with
+            :func:`~repro.util.procpool.default_start_method`: under
+            ``spawn`` the factory's product must be picklable; under
+            ``fork`` (the default where available) anything goes.
+        transport: ``"inprocess"`` (default) or ``"shm"`` (worker shards,
+            fed over zero-copy shared-memory rings where the host has
+            ``/dev/shm`` and over pickled queues where it has not).
         serving: a :class:`~repro.serving.cache.ServingCacheConfig` that
             makes each shard host its *own* serving-cache writer where
-            the funnel runs — over shared-memory arenas under the worker
-            transports (the parent attaches the read-only
+            the funnel runs — over shared-memory arenas in the worker
+            shards (the parent attaches the read-only
             :class:`~repro.serving.cache.ShardedServingCacheReader`
             exposed as :attr:`serving`), or a plain
             :class:`~repro.serving.cache.ShardedServingCache` in
@@ -293,15 +282,12 @@ class ShardedDeliveryPipeline:
         num_shards: int,
         pipeline_factory: PipelineFactory | None = None,
         transport: str = "inprocess",
-        start_method: str | None = None,
-        shm_slots: int = DEFAULT_SLOTS,
-        shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         serving: ServingCacheConfig | None = None,
     ) -> None:
         require_positive(num_shards, "num_shards")
         require(
-            transport in DELIVERY_TRANSPORTS,
-            f"transport must be one of {DELIVERY_TRANSPORTS}, got {transport!r}",
+            transport in TRANSPORTS,
+            f"transport must be one of {TRANSPORTS}, got {transport!r}",
         )
         if serving is not None and transport != "inprocess":
             require(
@@ -315,7 +301,7 @@ class ShardedDeliveryPipeline:
         #: The serving surface for this pipeline's mode: None without a
         #: serving config; a ShardedServingCache under "inprocess"; a
         #: ShardedServingCacheReader (attach-by-spec, zero-copy reads of
-        #: the workers' arenas) under the worker transports.
+        #: the workers' arenas) under "shm".
         self.serving: ShardedServingCache | ShardedServingCacheReader | None = (
             None
         )
@@ -347,11 +333,8 @@ class ShardedDeliveryPipeline:
                 )
             return
         self._pipelines = None
-        context = multiprocessing.get_context(
-            start_method or default_start_method()
-        )
+        context = multiprocessing.get_context(default_start_method())
         self._workers = []
-        ring = (shm_slots, shm_slot_bytes) if transport == "shm" else None
         serving_specs = []
         for shard in range(num_shards):
             serving_spec = None
@@ -362,7 +345,7 @@ class ShardedDeliveryPipeline:
                 serving_spec = create_serving_arena(**serving._asdict())
                 serving_specs.append(serving_spec)
                 self._segment_names.append(serving_spec.control_name)
-            wire = Wire.create(context, ring)
+            wire = Wire.create(context)
             self._segment_names += wire.segment_names
             # spawn_worker hands the shard's funnel over in a one-shot
             # holder cleared right after start(): the parent must not
@@ -425,9 +408,9 @@ class ShardedDeliveryPipeline:
         """Fan a columnar batch out across the shards and gather survivors.
 
         Same survivor multiset and summed funnel counts as one unsharded
-        ``offer_batch``; delivery order is shard-major.  Under the process
-        transport every shard receives its slice before any reply is
-        awaited, so the funnels run concurrently.
+        ``offer_batch``; delivery order is shard-major.  Worker shards
+        each receive their slice before any reply is awaited, so the
+        funnels run concurrently.
         """
         if len(batch) == 0:
             return []
@@ -496,14 +479,58 @@ class ShardedDeliveryPipeline:
                 (dict(p.funnel.stages), p.notifier.delivered_total)
                 for p in self._pipelines
             ]
-        for worker in self._workers:
+        for shard, answer in self._ask_workers(("stats",)).items():
             # A dead shard's history stays in the aggregates via the last
             # reply's cached stats.
-            if worker.alive() and worker.send(("stats",)):
+            self._stats_cache[shard] = answer
+        return list(self._stats_cache.values())
+
+    def _ask_workers(self, request: tuple) -> dict[int, object]:
+        """Each live worker's answer to a control *request*, by shard."""
+        answers = {}
+        for worker in self._workers:
+            if worker.alive() and worker.send(request):
                 raw = worker.recv(_reply_from_frame)
                 if raw is not None:
-                    self._stats_cache[worker.key] = raw[1]
-        return list(self._stats_cache.values())
+                    answers[worker.key] = raw[1]
+        return answers
+
+    # ------------------------------------------------------------------
+    # Stage state (the durability tier's funnel components)
+    # ------------------------------------------------------------------
+
+    def stage_state(self) -> dict[str, dict[str, np.ndarray]]:
+        """Every shard's :meth:`DeliveryPipeline.stage_state`, each key
+        prefixed ``shard<i>.``.  A dead worker shard has no state to give
+        (its recipients' candidates are already counted lost)."""
+        if self._pipelines is not None:
+            per_shard = dict(enumerate(p.stage_state() for p in self._pipelines))
+        else:
+            per_shard = self._ask_workers(("state",))
+        return {
+            f"shard{shard}.{name}": arrays
+            for shard, components in per_shard.items()
+            for name, arrays in components.items()
+        }
+
+    def load_stage_state(
+        self, components: dict[str, dict[str, np.ndarray]]
+    ) -> None:
+        """Load a :meth:`stage_state` into the in-process shards (recovery
+        rebuilds every deployment in process)."""
+        require(
+            self._pipelines is not None,
+            "stage state loads into in-process shards only",
+        )
+        for shard, pipeline in enumerate(self._pipelines):
+            prefix = f"shard{shard}."
+            pipeline.load_stage_state(
+                {
+                    name[len(prefix):]: arrays
+                    for name, arrays in components.items()
+                    if name.startswith(prefix)
+                }
+            )
 
     # ------------------------------------------------------------------
     # Worker plumbing (shared with the cluster transport: util/procpool)

@@ -12,8 +12,9 @@ flush into the cluster, so the WAL prefix is exactly the set of batches
 the cluster has ingested.  The topology calls :meth:`snapshot` at
 quiescent points (no in-flight candidates anywhere between the consumer
 and the funnel), capturing every state arena — one replica's D edges
-via the cluster's ``checkpoint`` control message, the delivery filters'
-pair tables, the delivered-notification ledger, the serving cache rows,
+via the cluster's ``checkpoint`` control message, the funnel's stage
+tables (every shard's, for a sharded funnel: ``stage_state()``), the
+delivered-notification ledger, the serving cache rows,
 and the append-only arena of logged event timestamps (which is what
 lets a verifier know exactly which source events a recovered state
 covers).
@@ -192,10 +193,8 @@ class DurabilityManager:
             "cluster_d": dynamic,
             "events": {"timestamps": self.logged_event_timestamps()},
         }
-        for stage in getattr(delivery, "filters", None) or []:
-            state = getattr(stage, "state_arrays", None)
-            if callable(state):
-                components[f"filter_{stage.name}"] = state()
+        if delivery is not None:
+            components.update(delivery.stage_state())
         if notifications is not None:
             components["ledger"] = ledger_arrays(notifications)
         if serving is not None and hasattr(serving, "state_arrays"):

@@ -110,10 +110,7 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
         result.snapshot_id = manifest["id"]
         result.wal_start_seq = int(manifest["wal_seq"]) + 1
         deployment.cluster.load_dynamic(components["cluster_d"])
-        for stage in getattr(delivery, "filters", ()):
-            arrays = components.get(f"filter_{stage.name}")
-            if arrays is not None:
-                stage.load_state(arrays)
+        delivery.load_stage_state(components)
         ledger = components.get("ledger")
         if ledger is not None:
             result.delivered.extend(

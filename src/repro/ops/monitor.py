@@ -9,12 +9,12 @@ Polling goes through the cluster transport's ``health`` control message,
 so the same monitor watches in-process partitions *and* worker-hosted
 ones — for the latter it additionally surfaces worker liveness and the
 per-partition request-queue backlog (the admission controller's overload
-signal under real parallelism).  Worker transports additionally feed
+signal under real parallelism).  Worker fleets additionally feed
 their ``wire_stats()`` into slab-occupancy and pickle-fallback-rate
-gauges: on the ``shm`` wire a rising fallback rate means ring slots are
-undersized for the workload's bursts, and slab occupancy is the shm
-flavor of the backlog signal (the queue wire reports no slabs and every
-batch on the pickle lane).
+gauges: on a ring-fronted wire a rising fallback rate means ring slots
+are undersized for the workload's bursts, and slab occupancy is the shm
+flavor of the backlog signal (a host without ``/dev/shm`` reports no
+slabs and every batch on the pickle lane).
 """
 
 from __future__ import annotations

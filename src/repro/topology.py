@@ -61,14 +61,14 @@ FIELD_HELP = {
     "delivery_max_wait": "delivery coalescing window in virtual seconds "
     "(time spent waiting is reported as the path:delivery-batching stage)",
     "delivery_shards": "shard the delivery funnel by recipient hash onto "
-    "this many independent shards (workers under --transport process/shm; "
+    "this many independent shards (workers under --transport shm; "
     "1 = the single in-process funnel)",
     "query_qps": "mixed workload: serve this many zipf point queries per "
     "virtual second off a live serving cache while the stream ingests; "
     "read latency is reported from the serving:read stage.  The cache is "
     "written where the funnel runs: one cache in this process in front of "
     "one funnel, one per shard under --delivery-shards N (shared-memory "
-    "arenas this process reads zero-copy under --transport process/shm)",
+    "arenas this process reads zero-copy under --transport shm)",
     "snapshot_interval": "with --wal-dir, take an incremental state "
     "snapshot every this many virtual seconds (at quiescent points); omit "
     "for WAL only",
@@ -220,6 +220,12 @@ _LEGACY_KEYS = {
 }
 
 
+#: Stored transport names that now mean another: the queue-only worker
+#: wire had its own name, and every worker wire is now one transport whose
+#: ring the host decides.
+_RENAMED_TRANSPORTS = {"process": "shm"}
+
+
 def _lift_legacy_keys(data: dict[str, Any]) -> dict[str, Any]:
     """A copy of *data* with any pre-``TopologyConfig`` flat keys nested."""
     data = dict(data)
@@ -233,6 +239,10 @@ def _lift_legacy_keys(data: dict[str, Any]) -> dict[str, Any]:
             data[section] = {**data.get(section, {}), name: data.pop(flat)}
     if data.pop("adaptive", False):
         data.setdefault("controller", {})
+    cluster = data.get("cluster")
+    if isinstance(cluster, dict) and cluster.get("transport") in _RENAMED_TRANSPORTS:
+        name = _RENAMED_TRANSPORTS[cluster["transport"]]
+        data["cluster"] = {**cluster, "transport": name}
     # ``serving_shards`` stays unlifted: it shaped only the cache those
     # recoveries rebuilt beside their *single* funnel, and rows re-split by
     # user hash on load — one cache serves the same rows, and the

@@ -144,8 +144,9 @@ def wire_stats(workers: list[WorkerHandle]) -> dict[str, float]:
 
     ``fallback_rate`` is the fraction of *framed* payloads (batches and
     their replies, either direction) that took the pickle lane: all of
-    them on a queue wire, and on a ring wire the share that overflowed a
-    slot — the knob to watch when sizing ``slot_bytes``.  Control
+    them on a queue-only wire (a host without ``/dev/shm``), and on a
+    ring wire the share that overflowed a slot — the figure to watch
+    when sizing :data:`~repro.cluster.shm.DEFAULT_SLOT_BYTES`.  Control
     messages never have a frame form and are counted separately.  Slab
     occupancy skips dead workers: frames nobody will ever consume are
     not backlog.

@@ -28,3 +28,21 @@ def figure1_engine(figure1_snapshot: GraphSnapshot) -> MotifEngine:
     return MotifEngine.from_snapshot(
         figure1_snapshot, DetectionParams(k=2, tau=600.0)
     )
+
+
+@pytest.fixture(params=["shm", "queue"])
+def worker_transport(request, monkeypatch) -> str:
+    """The worker transport on each lane of its wire.
+
+    ``shm`` is the ring-fronted wire a host with ``/dev/shm`` builds;
+    ``queue`` is the same transport with the host probe patched false —
+    the queue-only wire a host without shared memory runs.  Either way
+    the transport value to pass is ``"shm"``.
+    """
+    from repro.cluster import shm
+
+    if request.param == "queue":
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+    elif not shm.shm_available():
+        pytest.skip("POSIX shared memory unavailable on this host")
+    return "shm"

@@ -133,7 +133,7 @@ class TestGenerateAndRun:
         assert code_plain == 0 and code_coalesced == 0
         assert counts(out_plain) == counts(out_coalesced)
 
-    def test_simulate_process_transport_matches_inprocess_counts(self, artifacts):
+    def test_simulate_shm_transport_matches_inprocess_counts(self, artifacts):
         """The transport changes where partitions run, not what they emit:
         same ingested-event and notification counts either way."""
         graph, stream = artifacts
@@ -152,7 +152,7 @@ class TestGenerateAndRun:
         code_proc, out_proc = run_cli(
             "simulate", str(graph), str(stream),
             "--k", "2", "--partitions", "2", "--seed", "1",
-            "--batch-size", "32", "--transport", "process",
+            "--batch-size", "32", "--transport", "shm",
         )
         assert code_in == 0 and code_proc == 0
         assert counts(out_in) == counts(out_proc)
@@ -229,7 +229,7 @@ class TestGenerateAndRun:
         graph, stream = artifacts
         code, _ = run_cli(
             "simulate", str(graph), str(stream),
-            "--k", "2", "--partitions", "2", "--transport", "process",
+            "--k", "2", "--partitions", "2", "--transport", "shm",
             "--delivery-shards", "0",
         )
         assert code == 2
@@ -243,6 +243,26 @@ class TestGenerateAndRun:
                 "simulate", str(graph), str(stream),
                 "--transport", "telegraph",
             )
+
+    def test_simulate_rejects_the_retired_queue_wire_name(
+        self, artifacts, tmp_path, capsys
+    ):
+        """``--transport process`` named the queue-only worker wire, which
+        the host now picks: the flag is refused at parse time (exit 2),
+        before any root or worker exists."""
+        import multiprocessing
+
+        graph, stream = artifacts
+        root = tmp_path / "root"
+        with pytest.raises(SystemExit) as exited:
+            run_cli(
+                "simulate", str(graph), str(stream),
+                "--transport", "process", "--wal-dir", str(root),
+            )
+        assert exited.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert not root.exists()
+        assert multiprocessing.active_children() == []
 
     def test_analyze_command(self, artifacts):
         graph, _ = artifacts

@@ -308,7 +308,7 @@ class TestMemoryAccounting:
         snapshot, events = small_workload(seed=2)
         reports = {}
         for transport, p in (
-            ("inprocess", 1), ("inprocess", 4), ("process", 4)
+            ("inprocess", 1), ("inprocess", 4), ("shm", 4)
         ):
             with Cluster.build(
                 snapshot,
@@ -323,12 +323,12 @@ class TestMemoryAccounting:
         assert reports["inprocess", 4]["dynamic_index"] == pytest.approx(
             single, rel=0.05
         )
-        assert reports["process", 4]["dynamic_index"] == pytest.approx(
+        assert reports["shm", 4]["dynamic_index"] == pytest.approx(
             4 * single, rel=0.05
         )
         # S shards hold disjoint edges, so S grows sublinearly in P: only
         # the per-B dict/bookkeeping overhead is duplicated, never payload.
-        for key in (("inprocess", 4), ("process", 4)):
+        for key in (("inprocess", 4), ("shm", 4)):
             assert (
                 reports[key]["static_index"]
                 < 0.8 * 4 * reports["inprocess", 1]["static_index"]

@@ -104,7 +104,7 @@ class TestWorkerDeathMidStream:
         cluster = Cluster.build(
             figure1_snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=3, transport="process"),
+            ClusterConfig(num_partitions=3, transport="shm"),
         )
         yield cluster
         cluster.close()
@@ -169,7 +169,7 @@ class TestWorkerDeathMidStream:
         with Cluster.build(
             figure1_snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=3, transport="process"),
+            ClusterConfig(num_partitions=3, transport="shm"),
         ) as cluster:
             owner = cluster.partitioner.partition_of(A2)
             victim_id = (owner + 1) % 3  # does NOT own the only recipient

@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, shm_available
+from repro.cluster import Cluster, ClusterConfig
 from repro.core import ActionType, DetectionParams, EdgeEvent
 from repro.core.batch import EventBatch
 from repro.core.recommendation import RecommendationBatch
@@ -26,11 +26,6 @@ from tests.test_motif_executor import (
 )
 
 PARAMS = DetectionParams(k=2, tau=600.0)
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable on this host"
-)
-
 
 def compiled_factory(*specs):
     def factory(static_shard, dynamic_index):
@@ -193,7 +188,7 @@ class TestDetectorFactory:
     "programs", [("diamond", "co-retweet"), ("wedge", "favorite-burst")]
 )
 @pytest.mark.parametrize(
-    "transport", ["inprocess", "process", pytest.param("shm", marks=needs_shm)]
+    "transport", ["inprocess", "shm"]
 )
 def test_co_hosted_catalog_motifs_match_the_per_event_loop(transport, programs):
     """Two co-hosted catalog programs on a P = 2 factory deployment, batched

@@ -338,7 +338,7 @@ class TestAdaptiveEquivalence:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("transport", ["inprocess", "process"])
+    @pytest.mark.parametrize("transport", ["inprocess", "shm"])
     def test_idle_adaptive_matches_static_multiset(
         self, equivalence_workload, transport
     ):

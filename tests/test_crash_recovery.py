@@ -8,7 +8,7 @@ must then reproduce the uninterrupted run's delivered multiset exactly
 for every event the WAL retained (a crash may legitimately lose only
 the un-flushed tail).  Runs use deterministic zero-delay queue hops
 (``--hop-median 0``), the regime in which delivery is bit-for-bit
-reproducible, and are parametrized over all three broker transports.
+reproducible, and are parametrized over both broker transports.
 
 Warm-start (latest snapshot + WAL tail) and cold-start (full WAL
 replay) must also agree with *each other* row for row — the proof that
@@ -136,11 +136,9 @@ def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> int:
             proc.wait(timeout=30)
 
 
-@pytest.mark.parametrize("transport", ["inprocess", "process", "shm"])
+@pytest.mark.parametrize("transport", ["inprocess", "shm"])
 def test_sigkill_recover_equivalence(workload, tmp_path, transport):
     graph, stream, reference = workload
-    if transport == "shm" and not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm")
     root = tmp_path / f"root-{transport}"
     # Randomized (but reproducible) kill point, different per transport;
     # the reference run's WAL-free ledger has ~500 events -> the full
@@ -203,6 +201,108 @@ def test_sigkill_recover_equivalence(workload, tmp_path, transport):
     # ...and the two recovered ledgers must be identical row for row:
     # snapshots accelerate replay, they never change its result.
     assert _read_rows(warm) == _read_rows(cold)
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "shm"])
+def test_sharded_funnel_recovers_from_an_early_snapshot(
+    workload, tmp_path, transport
+):
+    """A ``--delivery-shards 2`` run dies after its second snapshot: the
+    later ones are gone, so warm recovery replays a long WAL tail into a
+    sharded funnel.  Every shard's dedup table must come back from the
+    snapshot — an empty one re-delivers pairs the run already sent."""
+    from repro.durability.recover import recover
+
+    graph, stream, reference = workload
+    root = tmp_path / f"root-sharded-{transport}"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--delivery-shards",
+            "2",
+            "--transport",
+            transport,
+            "--wal-dir",
+            str(root),
+            "--snapshot-interval",
+            "15",
+            "--no-wal-gc",
+        ]
+    ) == 0
+    snapshots = sorted((root / "snapshots").glob("snap-*"))
+    assert len(snapshots) > 3
+    for late in snapshots[2:]:
+        shutil.rmtree(late)
+    result = recover(root)
+    try:
+        assert result.snapshot_id == snapshots[1].name
+        assert result.replayed_records > 0
+    finally:
+        result.close()
+    recovered = tmp_path / "recovered-sharded.csv"
+    assert main(
+        [
+            "recover",
+            str(root),
+            "--verify-prefix",
+            str(reference),
+            "--dump-delivered",
+            str(recovered),
+        ]
+    ) == 0
+    assert _read_rows(recovered) == _read_rows(reference)
+
+
+def test_root_written_for_the_queue_wire_recovers(workload, tmp_path):
+    """Roots written while ``transport="process"`` named the queue-only
+    worker wire store that name and the wire's three knobs.  Recovery
+    lifts the name to ``"shm"`` (then pins ``inprocess`` as always),
+    ignores the knobs, and reproduces the uninterrupted ledger."""
+    import json
+
+    from repro.durability.manager import load_root_config
+
+    graph, stream, reference = workload
+    root = tmp_path / "root-queue-wire"
+    assert main(
+        [
+            "simulate",
+            str(graph),
+            str(stream),
+            *SIM_ARGS,
+            "--wal-dir",
+            str(root),
+            "--snapshot-interval",
+            "15",
+            "--no-wal-gc",
+        ]
+    ) == 0
+    config_path = root / "config.json"
+    config = json.loads(config_path.read_text())
+    config["cluster"] = {
+        **config["cluster"],
+        "transport": "process",
+        "worker_start_method": None,
+        "shm_slots": 8,
+        "shm_slot_bytes": 1 << 20,
+    }
+    config_path.write_text(json.dumps(config, indent=1))
+    assert load_root_config(root).cluster.transport == "shm"
+    recovered = tmp_path / "recovered-queue-wire.csv"
+    assert main(
+        [
+            "recover",
+            str(root),
+            "--verify-prefix",
+            str(reference),
+            "--dump-delivered",
+            str(recovered),
+        ]
+    ) == 0
+    assert _read_rows(recovered) == _read_rows(reference)
 
 
 def test_recovered_prefix_is_nonempty_and_bounded(workload, tmp_path):

@@ -18,7 +18,7 @@ from repro.core.recommendation import (
     RecommendationBatch,
     RecommendationGroup,
 )
-from repro.cluster import shm_available
+from repro.cluster import shm, shm_available
 from repro.delivery import (
     DedupFilter,
     DeliveryPipeline,
@@ -35,8 +35,10 @@ needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable on this host"
 )
 
-#: Worker-hosted shard transports under fault-tolerance tests.
-WORKER_TRANSPORTS = ["process", pytest.param("shm", marks=needs_shm)]
+#: The worker-hosted shard transport.  The fault-tolerance tests take the
+#: ``worker_transport`` fixture instead, which runs each on the ring-fronted
+#: wire and on the queue-only wire of a host without /dev/shm.
+WORKER_TRANSPORTS = ["shm"]
 
 
 def _production_trio(_shard: int) -> DeliveryPipeline:
@@ -115,7 +117,7 @@ class TestSplitBatchByShard:
         assert only is flat
 
 
-ALL_TRANSPORTS = ["inprocess", "process", pytest.param("shm", marks=needs_shm)]
+ALL_TRANSPORTS = ["inprocess", pytest.param("shm", marks=needs_shm)]
 
 
 def _served(state: dict[str, np.ndarray]) -> list[tuple]:
@@ -228,12 +230,11 @@ class TestShardedScalarOffers:
         assert sharded.offer_batch(rec, now=10.0) == []
         assert sharded.funnel_totals()["dropped:dedup"] == 1
 
-    @pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
-    def test_worker_transport_scalar_offer(self, transport):
+    def test_worker_transport_scalar_offer(self, worker_transport):
         with ShardedDeliveryPipeline(
             2,
             pipeline_factory=lambda _s: DeliveryPipeline(filters=[DedupFilter()]),
-            transport=transport,
+            transport=worker_transport,
         ) as sharded:
             rec = FlatRecommendations.from_boxed(
                 [Recommendation(recipient=5, candidate=9, created_at=0.0)]
@@ -254,12 +255,11 @@ class TestShardedScalarOffers:
 
 
 class TestShardedFaultTolerance:
-    @pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
-    def test_dead_shard_worker_loses_only_its_recipients(self, transport):
+    def test_dead_shard_worker_loses_only_its_recipients(self, worker_transport):
         sharded = ShardedDeliveryPipeline(
             2,
             pipeline_factory=lambda _s: DeliveryPipeline(filters=[]),
-            transport=transport,
+            transport=worker_transport,
         )
         try:
             victim = sharded._workers[0]
@@ -276,12 +276,11 @@ class TestShardedFaultTolerance:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
-    def test_dead_shard_history_stays_in_aggregates(self, transport):
+    def test_dead_shard_history_stays_in_aggregates(self, worker_transport):
         sharded = ShardedDeliveryPipeline(
             2,
             pipeline_factory=lambda _s: DeliveryPipeline(filters=[]),
-            transport=transport,
+            transport=worker_transport,
         )
         try:
             batch = _random_batches(seed=6, windows=1)[0]
@@ -297,9 +296,8 @@ class TestShardedFaultTolerance:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
-    def test_close_is_idempotent(self, transport):
-        sharded = ShardedDeliveryPipeline(2, transport=transport)
+    def test_close_is_idempotent(self, worker_transport):
+        sharded = ShardedDeliveryPipeline(2, transport=worker_transport)
         sharded.close()
         sharded.close()
 
@@ -314,15 +312,13 @@ class TestShardedFaultTolerance:
 class TestShardedShmWire:
     """shm-shard specifics: overflow fallback, telemetry, reclamation."""
 
-    def test_slot_overflow_falls_back_to_pickle(self):
+    def test_slot_overflow_falls_back_to_pickle(self, monkeypatch):
         reference = _production_trio(0)
+        # 256-byte slots: recommendation/notification frames overflow and
+        # ride the pickle lane — same multiset, counted fallback.
+        monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", 256)
         sharded = ShardedDeliveryPipeline(
-            3,
-            pipeline_factory=_production_trio,
-            transport="shm",
-            # 256-byte slots: recommendation/notification frames overflow
-            # and ride the pickle lane — same multiset, counted fallback.
-            shm_slot_bytes=256,
+            3, pipeline_factory=_production_trio, transport="shm"
         )
         try:
             expected, got = [], []
@@ -337,12 +333,14 @@ class TestShardedShmWire:
         finally:
             sharded.close()
 
-    def test_flat_winner_frame_overflow_takes_pickle_fallback(self):
+    def test_flat_winner_frame_overflow_takes_pickle_fallback(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", 256)  # all overflow
         with ShardedDeliveryPipeline(
             2,
             pipeline_factory=_production_trio,
             transport="shm",
-            shm_slot_bytes=256,  # every flat-winner frame overflows
             serving=ServingCacheConfig(k=2, capacity=16),
         ) as sharded:
             got, expected, reference, served = _run_ranked_windows(sharded, 6)
@@ -527,3 +525,41 @@ class TestServingPlacementIsDerived:
         ) as sharded:
             with pytest.raises(ValueError, match="write every row twice"):
                 self._run(workload, sharded, serving=ServingCache(k=2))
+
+
+@pytest.mark.parametrize("transport", WORKER_TRANSPORTS + ["inprocess"])
+def test_stage_state_carries_dedup_and_fatigue_into_fresh_shards(transport):
+    """A sharded funnel's stage state — read from in-process shards or
+    asked of worker shards — loaded into fresh in-process shards decides
+    the next windows exactly as the uninterrupted funnel does."""
+    batches = _random_batches(seed=9, windows=4)
+
+    def now(w: int) -> float:
+        return 1_000.0 * w + 43_200.0
+
+    uninterrupted = ShardedDeliveryPipeline(2, pipeline_factory=_production_trio)
+    expected = [
+        _pairs(uninterrupted.offer_batch(batch, now(w)))
+        for w, batch in enumerate(batches)
+    ]
+    with ShardedDeliveryPipeline(
+        2, pipeline_factory=_production_trio, transport=transport
+    ) as live:
+        for w, batch in enumerate(batches[:2]):
+            live.offer_batch(batch, now(w))
+        state = live.stage_state()
+        if transport != "inprocess":
+            with pytest.raises(ValueError, match="in-process"):
+                live.load_stage_state(state)
+    assert sorted(state) == [
+        f"shard{shard}.filter_{stage}"
+        for shard in (0, 1)
+        for stage in ("dedup", "fatigue")
+    ]
+    restored = ShardedDeliveryPipeline(2, pipeline_factory=_production_trio)
+    restored.load_stage_state(state)
+    fresh = ShardedDeliveryPipeline(2, pipeline_factory=_production_trio)
+    later = list(enumerate(batches))[2:]
+    assert [_pairs(restored.offer_batch(b, now(w))) for w, b in later] == expected[2:]
+    # Not vacuous: without the state the same windows deliver more.
+    assert [_pairs(fresh.offer_batch(b, now(w))) for w, b in later] != expected[2:]

@@ -264,12 +264,18 @@ class TestBacklogGatedAdmission:
 
 
 class TestMonitorOverWorkerTransport:
-    def test_poll_reports_worker_liveness_and_backlog(self, figure1_snapshot):
+    def test_poll_reports_worker_liveness_and_backlog(
+        self, figure1_snapshot, monkeypatch
+    ):
+        from repro.cluster import shm
+
+        # A host without /dev/shm: the worker wire runs queue-only.
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
         cluster = Cluster.build(
             figure1_snapshot,
             DetectionParams(k=2, tau=600.0),
             ClusterConfig(
-                num_partitions=2, replication_factor=2, transport="process"
+                num_partitions=2, replication_factor=2, transport="shm"
             ),
         )
         try:
@@ -283,7 +289,7 @@ class TestMonitorOverWorkerTransport:
             snap = monitor.registry.snapshot()
             assert snap["worker_alive{partition=0}"] == 1.0
             assert snap["worker_backlog{partition=1}"] == 0
-            # The queue wire publishes the ring wire's gauges in the same
+            # A queue-only wire publishes the ring wire's gauges in the same
             # shape: nothing framed, its traffic counted on the pickle lane.
             assert snap["shm_frames_shm"] == 0.0
             assert snap["shm_slab_slots"] == 0.0
@@ -295,7 +301,7 @@ class TestMonitorOverWorkerTransport:
         cluster = Cluster.build(
             figure1_snapshot,
             DetectionParams(k=2, tau=600.0),
-            ClusterConfig(num_partitions=2, transport="process"),
+            ClusterConfig(num_partitions=2, transport="shm"),
         )
         try:
             victim = cluster.transport._workers[0]

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.cluster.shm import shm_available
 from repro.core import (
     ActionType,
     DetectionParams,
@@ -45,11 +44,6 @@ from repro.core.wire import (
 )
 from repro.delivery import TopKPerUserBuffer
 from repro.graph import DynamicEdgeIndex, GraphSnapshot, build_follower_snapshot
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable on this host"
-)
-
 
 def group_rows(batch):
     return [
@@ -133,7 +127,7 @@ class TestByEvent:
         assert RecommendationBatch.by_event([]) == []
 
     @pytest.mark.parametrize(
-        "transport", ["inprocess", "process", pytest.param("shm", marks=needs_shm)]
+        "transport", ["inprocess", "shm"]
     )
     def test_interleaved_partition_replies_match_the_per_event_loop(self, transport):
         snapshot, events = interleaved_workload()

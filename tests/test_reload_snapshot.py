@@ -13,7 +13,6 @@ restore — get the same treatment: a checkpoint taken over any transport
 restores bitwise into any other.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -24,12 +23,7 @@ from repro.gen import TwitterGraphConfig, generate_follow_graph
 
 PARAMS = DetectionParams(k=2, tau=600.0)
 
-TRANSPORTS = ["inprocess", "process", "shm"]
-
-
-def _needs_shm(transport):
-    if transport == "shm" and not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm")
+TRANSPORTS = ["inprocess", "shm"]
 
 
 def _snapshots():
@@ -64,7 +58,6 @@ def _triples(recommendations):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_live_fleet_serves_new_snapshot_after_inplace_reload(transport):
     """Hot reload on a live (possibly worker-hosted) fleet ≡ fresh build."""
-    _needs_shm(transport)
     old_snap, new_snap = _snapshots()
     prefix = _stream(seed=1, n=120)
     suffix = _stream(seed=2, n=120, start=40.0)
@@ -107,7 +100,6 @@ def test_live_fleet_serves_new_snapshot_after_inplace_reload(transport):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_checkpoint_restores_bitwise_across_transports(transport):
     """D checkpoint arrays round-trip exactly through load_dynamic."""
-    _needs_shm(transport)
     old_snap, _ = _snapshots()
     source = Cluster.build(
         old_snap,
@@ -154,7 +146,7 @@ def test_checkpoint_reaches_every_replica():
 
 
 @pytest.mark.parametrize(
-    "replicas, transport", [(1, "inprocess"), (2, "inprocess"), (1, "process")]
+    "replicas, transport", [(1, "inprocess"), (2, "inprocess"), (1, "shm")]
 )
 def test_load_dynamic_restores_each_d_once(replicas, transport):
     """Restoring re-inserts edges, so a D shared by co-hosted partitions
@@ -182,7 +174,7 @@ def test_load_dynamic_restores_each_d_once(replicas, transport):
 
 
 @pytest.mark.parametrize("limit", [None, 4])
-@pytest.mark.parametrize("transport", ["inprocess", "process"])
+@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_reload_installs_the_shards_a_fresh_build_loads(transport, limit):
     """After ``reload_snapshot`` every partition holds exactly the S shard
     a fresh ``Cluster.build`` of the new snapshot loads (array-equal), on

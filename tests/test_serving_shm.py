@@ -46,7 +46,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: Transports that host shard workers in real processes.
-WORKER_TRANSPORTS = ["process", "shm"]
+WORKER_TRANSPORTS = ["shm"]
 
 
 def _segment_files(prefix: str) -> list[str]:

@@ -207,7 +207,7 @@ def test_simulate_rejects_a_bad_value_before_any_side_effect(
     graph, stream = artifacts
     root = tmp_path / "root"
     code = main(
-        ["simulate", str(graph), str(stream), "--transport", "process",
+        ["simulate", str(graph), str(stream), "--transport", "shm",
          "--wal-dir", str(root), *bad]
     )
     assert code == 2

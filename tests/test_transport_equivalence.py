@@ -26,6 +26,7 @@ from repro.cluster import (
     WorkerTransport,
     shm_available,
 )
+from repro.cluster import shm
 from repro.cluster.shm import sweep_stale_segments
 from repro.core import DetectionParams
 from repro.core.batch import EventBatch
@@ -56,9 +57,12 @@ needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable on this host"
 )
 
-#: Both worker-hosted transports must satisfy the same contract; shm
-#: cases skip cleanly on hosts without /dev/shm.
-WORKER_TRANSPORTS = ["process", pytest.param("shm", marks=needs_shm)]
+#: The worker transport, for the cases that run it on one lane only (a
+#: subprocess, or in-worker serving arenas).  The equivalence and control
+#: cases take the ``worker_transport`` fixture instead, which runs each on
+#: the ring-fronted wire and on the queue-only wire of a host without
+#: /dev/shm.
+WORKER_TRANSPORTS = ["shm"]
 
 
 def _multiset(recommendations):
@@ -90,28 +94,27 @@ def reference(workload):
     return _multiset(cluster.process_stream(events, batch_size=64))
 
 
-@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
 class TestCrossTransportEquivalence:
     def test_worker_transport_matches_inprocess_batched(
-        self, workload, reference, transport
+        self, workload, reference, worker_transport
     ):
         snapshot, events = workload
         with Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=3, transport=transport),
+            ClusterConfig(num_partitions=3, transport=worker_transport),
         ) as cluster:
             got = _multiset(cluster.process_stream(events, batch_size=64))
         assert got == reference
 
     def test_worker_transport_matches_with_pipelining(
-        self, workload, reference, transport
+        self, workload, reference, worker_transport
     ):
         snapshot, events = workload
         with Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=3, transport=transport),
+            ClusterConfig(num_partitions=3, transport=worker_transport),
         ) as cluster:
             got = _multiset(
                 cluster.process_stream(events, batch_size=64, pipeline_depth=4)
@@ -119,7 +122,7 @@ class TestCrossTransportEquivalence:
         assert got == reference
 
     def test_worker_transport_matches_per_event_lane(
-        self, workload, reference, transport
+        self, workload, reference, worker_transport
     ):
         snapshot, events = workload
         short = events[:200]
@@ -131,13 +134,13 @@ class TestCrossTransportEquivalence:
         with Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=2, transport=transport),
+            ClusterConfig(num_partitions=2, transport=worker_transport),
         ) as cluster:
             got = _multiset(cluster.process_stream(short))
         assert got == expected
 
     def test_worker_transport_matches_with_replication(
-        self, workload, transport
+        self, workload, worker_transport
     ):
         snapshot, events = workload
         short = events[:300]
@@ -151,7 +154,7 @@ class TestCrossTransportEquivalence:
             snapshot,
             PARAMS,
             ClusterConfig(
-                num_partitions=2, replication_factor=2, transport=transport
+                num_partitions=2, replication_factor=2, transport=worker_transport
             ),
         ) as cluster:
             got = _multiset(cluster.process_stream(short, batch_size=32))
@@ -161,9 +164,8 @@ class TestCrossTransportEquivalence:
 @pytest.mark.parametrize("batch_size", [1, 16, 256])
 @pytest.mark.parametrize("replicas", [1, 2])
 @pytest.mark.parametrize("partitions", [1, 2, 3])
-@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
 def test_worker_fleet_matches_oracle_with_one_d_per_worker(
-    transport, partitions, replicas, batch_size
+    worker_transport, partitions, replicas, batch_size
 ):
     """Each worker's R replicas share the worker's one D (the paper's
     per-machine copy); a hub-burst stream through the fleet yields the
@@ -175,7 +177,7 @@ def test_worker_fleet_matches_oracle_with_one_d_per_worker(
         ClusterConfig(
             num_partitions=partitions,
             replication_factor=replicas,
-            transport=transport,
+            transport=worker_transport,
         ),
     ) as cluster:
         got = cluster_multiset(drive_flushes(cluster, events, batch_size))
@@ -190,8 +192,8 @@ def test_worker_fleet_matches_oracle_with_one_d_per_worker(
 
 
 class TestTransportControlMessages:
-    @pytest.fixture(params=WORKER_TRANSPORTS)
-    def clusters(self, request, workload):
+    @pytest.fixture
+    def clusters(self, worker_transport, workload):
         snapshot, events = workload
         inproc = Cluster.build(
             snapshot, PARAMS, ClusterConfig(num_partitions=2)
@@ -199,7 +201,7 @@ class TestTransportControlMessages:
         proc = Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=2, transport=request.param),
+            ClusterConfig(num_partitions=2, transport=worker_transport),
         )
         yield inproc, proc, events
         proc.close()
@@ -269,10 +271,9 @@ class TestTransportControlMessages:
         cluster = Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=2, transport="process"),
+            ClusterConfig(num_partitions=2, transport="shm"),
         )
         assert isinstance(cluster.transport, WorkerTransport)
-        assert cluster.transport.wire_kind == "process"
         cluster.close()
         cluster.close()
 
@@ -287,8 +288,51 @@ class TestTransportControlMessages:
         with pytest.raises(ValueError, match="transport"):
             ClusterConfig(num_partitions=2, transport="carrier-pigeon")
 
+    def test_config_rejects_the_retired_queue_wire_name(self):
+        """``"process"`` named the queue-only wire; the host now picks the
+        wire, and the refusal names the two transports there are."""
+        with pytest.raises(ValueError, match="'inprocess', 'shm'"):
+            ClusterConfig(num_partitions=2, transport="process")
 
-def _ranked_loop(snapshot, events, transport, delivery, serving, **wire):
+
+class TestQueueOnlyHost:
+    """A host without ``/dev/shm``: the one worker transport runs every
+    message down its queues and still answers like the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def no_shared_memory(self, monkeypatch):
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+
+    def test_cluster_matches_inprocess(self, workload, reference):
+        snapshot, events = workload
+        with Cluster.build(
+            snapshot,
+            PARAMS,
+            ClusterConfig(num_partitions=3, transport="shm"),
+        ) as cluster:
+            got = _multiset(
+                cluster.process_stream(events, batch_size=64, pipeline_depth=4)
+            )
+            stats = cluster.transport.wire_stats()
+            assert cluster.transport._segment_names == []
+        assert got == reference
+        assert stats["frames_shm"] == 0
+        assert stats["fallback_rate"] == 1.0
+
+    def test_sharded_delivery_matches_inprocess(self, workload):
+        snapshot, events = workload
+        reference = DeliveryPipeline()
+        expected = _ranked_loop(snapshot, events, "inprocess", reference, None)
+        with ShardedDeliveryPipeline(2, transport="shm") as sharded:
+            got = _ranked_loop(snapshot, events, "shm", sharded, None)
+            stats = sharded.wire_stats()
+            assert got == expected
+            assert sharded.funnel_totals() == reference.funnel.stages
+        assert stats["frames_shm"] == 0
+        assert stats["frames_fallback"] > 0
+
+
+def _ranked_loop(snapshot, events, transport, delivery, serving):
     """Detection on *transport* -> ranked flush -> *delivery* / *serving*:
     the full-stack flush loop, one ranking window per 64-event batch."""
     batch = EventBatch.from_events(events)
@@ -297,7 +341,7 @@ def _ranked_loop(snapshot, events, transport, delivery, serving, **wire):
     with Cluster.build(
         snapshot,
         PARAMS,
-        ClusterConfig(num_partitions=2, transport=transport, **wire),
+        ClusterConfig(num_partitions=2, transport=transport),
     ) as cluster:
         for start in range(0, len(batch), 64):
             window = batch.slice(start, min(start + 64, len(batch)))
@@ -346,35 +390,35 @@ class TestRankedPathAcrossTransports:
 class TestSharedMemoryWire:
     """shm-transport specifics: fallback, death reclamation, stats."""
 
-    def test_flat_winner_overflow_keeps_ranked_path_exact(self, workload):
+    def test_flat_winner_overflow_keeps_ranked_path_exact(
+        self, workload, monkeypatch
+    ):
         from repro.serving import ServingCacheConfig
 
         snapshot, events = workload
         reference = DeliveryPipeline()
         expected = _ranked_loop(snapshot, events, "inprocess", reference, None)
+        # 256-byte slots: flat-winner frames overflow onto the pickle lane.
+        monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", 256)
         with ShardedDeliveryPipeline(
-            2,
-            transport="shm",
-            shm_slot_bytes=256,  # flat-winner frames overflow: pickle lane
-            serving=ServingCacheConfig(k=2),
+            2, transport="shm", serving=ServingCacheConfig(k=2)
         ) as sharded:
-            got = _ranked_loop(
-                snapshot, events, "shm", sharded, None, shm_slot_bytes=256
-            )
+            got = _ranked_loop(snapshot, events, "shm", sharded, None)
             assert got == expected
             assert sharded.funnel_totals() == reference.funnel.stages
             assert sharded.wire_stats()["frames_fallback"] > 0
 
-    def test_slot_overflow_falls_back_to_pickle(self, workload, reference):
+    def test_slot_overflow_falls_back_to_pickle(
+        self, workload, reference, monkeypatch
+    ):
         snapshot, events = workload
+        # 256-byte slots: no event-batch frame fits, so every batch rides
+        # the pickle-fallback lane — same answers, counted.
+        monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", 256)
         with Cluster.build(
             snapshot,
             PARAMS,
-            # 256-byte slots: no event-batch frame fits, so every batch
-            # rides the pickle-fallback lane — same answers, counted.
-            ClusterConfig(
-                num_partitions=3, transport="shm", shm_slot_bytes=256
-            ),
+            ClusterConfig(num_partitions=3, transport="shm"),
         ) as cluster:
             got = _multiset(cluster.process_stream(events, batch_size=64))
             stats = cluster.transport.wire_stats()
@@ -392,7 +436,6 @@ class TestSharedMemoryWire:
             cluster.process_stream(events[:300], batch_size=32)
             stats = cluster.transport.wire_stats()
         assert isinstance(cluster.transport, WorkerTransport)
-        assert cluster.transport.wire_kind == "shm"
         assert stats["frames_shm"] > 0
         assert stats["frames_fallback"] == 0
         assert stats["fallback_rate"] == 0.0
@@ -431,12 +474,13 @@ class TestSharedMemoryWire:
         ]
         assert leaked == []
 
-    def test_pipelining_bounded_by_ring_capacity(self, workload):
+    def test_pipelining_bounded_by_ring_capacity(self, workload, monkeypatch):
         snapshot, events = workload
+        monkeypatch.setattr(shm, "DEFAULT_SLOTS", 2)
         with Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=2, transport="shm", shm_slots=2),
+            ClusterConfig(num_partitions=2, transport="shm"),
         ) as cluster:
             transport = cluster.transport
             batch = EventBatch.from_events(events[:5])
@@ -472,7 +516,7 @@ class TestPipelinedSubmitGather:
         with Cluster.build(
             snapshot,
             PARAMS,
-            ClusterConfig(num_partitions=2, transport="process"),
+            ClusterConfig(num_partitions=2, transport="shm"),
         ) as cluster:
             batch = EventBatch.from_events(events[:10])
             cluster.broker.submit_batch(batch)

@@ -4,10 +4,11 @@ Both tiers (partition transport, sharded delivery) sit on one
 :class:`~repro.cluster.shm.Wire`; the cross-transport equivalence suites
 prove they compute the same answers over it.  These tests pin the wire's
 own behaviour — which lane a message takes, what the counters say, and
-what each endpoint sees when the other one dies — over both wires: the
-queue-only one (``transport="process"``) and the one built with a ring
-(``transport="shm"``).  A regression here would otherwise surface as a
-flaky hang two layers up.
+what each endpoint sees when the other one dies — over both shapes the
+host may give a wire: queue-only (no ``/dev/shm``; forced here by
+patching :func:`~repro.cluster.shm.shm_available` false) and fronted by
+a ring (shaped here by patching the ring-size constants).  A regression
+here would otherwise surface as a flaky hang two layers up.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster import shm
 from repro.cluster.shm import ShmRing, Wire, shm_available
 from repro.core.wire import (
     FRAME_EVENT_BATCH,
@@ -73,9 +75,19 @@ def _echo_worker_main(_state, wire):
             return  # last words: reply, then exit unasked
 
 
-def _spawn_echo(kind: str):
+def _wire_shape(kind: str, monkeypatch) -> None:
+    """Make the next ``Wire.create`` build a *kind* wire: a ``RING``-shaped
+    ring, or queue-only as on a host without ``/dev/shm``."""
+    monkeypatch.setattr(shm, "DEFAULT_SLOTS", RING[0])
+    monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", RING[1])
+    if kind == "queue":
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+
+
+def _spawn_echo(kind: str, monkeypatch):
+    _wire_shape(kind, monkeypatch)
     context = multiprocessing.get_context(default_start_method())
-    wire = Wire.create(context, RING if kind == "ring" else None)
+    wire = Wire.create(context)
     return spawn_worker(
         context, 0, _echo_worker_main, None, name="repro-wire-echo", wire=wire
     )
@@ -86,8 +98,8 @@ def _segments_exist(names) -> bool:
 
 
 @pytest.fixture(params=WIRES)
-def echo(request):
-    worker = _spawn_echo(request.param)
+def echo(request, monkeypatch):
+    worker = _spawn_echo(request.param, monkeypatch)
     names = worker.wire.segment_names
     assert len(names) == (2 if request.param == "ring" else 0)
     yield request.param, worker
@@ -119,7 +131,7 @@ class TestWireContract:
         assert tag == "data" and np.array_equal(got, column)
         assert wire.frames_shm == 0
         # The ring's marker tells the receiver a frame overflowed, so both
-        # directions are counted; a queue wire sees only its own sends.
+        # directions are counted; a queue-only wire sees only its own sends.
         assert wire.frames_fallback == (2 if kind == "ring" else 1)
 
     def test_control_tuple_round_trips_unframed(self, echo):
@@ -195,9 +207,10 @@ class TestRingWire:
             request_ring.close()
             reply_ring.close()
 
-    def test_spec_attach_round_trip(self):
+    def test_spec_attach_round_trip(self, monkeypatch):
+        _wire_shape("ring", monkeypatch)
         context = multiprocessing.get_context(default_start_method())
-        wire = Wire.create(context, RING)
+        wire = Wire.create(context)
         request_name, reply_name = wire.segment_names
         try:
             spec = wire.spec
@@ -217,8 +230,10 @@ class TestRingWire:
         assert not os.path.exists(f"/dev/shm/{reply_name}")
         wire.close()  # idempotent
 
-    def test_peer_dying_mid_commit_reads_as_dead_not_garbage(self):
-        worker = _spawn_echo("ring")
+    def test_peer_dying_mid_commit_reads_as_dead_not_garbage(
+        self, monkeypatch
+    ):
+        worker = _spawn_echo("ring", monkeypatch)
         try:
             assert worker.wire.send(("tear",))
             worker.process.join(timeout=5.0)
@@ -232,7 +247,7 @@ class TestRingWire:
         self, monkeypatch
     ):
         monkeypatch.setattr(procpool, "JOIN_TIMEOUT_SECONDS", 0.5)
-        worker = _spawn_echo("ring")
+        worker = _spawn_echo("ring", monkeypatch)
         names = worker.wire.segment_names
         assert worker.wire.send(("flood",))
         deadline = time.monotonic() + 5.0
